@@ -8,16 +8,22 @@ exact wire dialect) and a single-process
 the reference, asserting after every transition that the two worlds
 agree:
 
-* every ``lock`` returns the same granted/blocked outcome;
-* the cluster's *merged* lock table renders byte-identical to the
-  single-process sharded table (same resources, same holder/queue
-  order — the shared first-lock sequence counter at work);
+* every ``lock`` returns the same granted/blocked outcome, and every
+  actor is blocked at the same resource holding the same locks;
 * every ``finish`` enables the same grants;
-* every coordinator pass finds the same cycles, applies the same
-  TDR-1/TDR-2 resolutions in the same order, aborts and spares the
-  same victims, repositions the same queues, enables the same grants,
-  and — the explorer being single-threaded, hence quiescent — never
-  reports a stale resolution.
+* every coordinator pass finds the same cycles with the same candidate
+  sets, applies the same TDR-1/TDR-2 resolutions in the same order,
+  aborts and spares the same victims, repositions the same queues,
+  enables the same grants, and — the explorer being single-threaded,
+  hence quiescent — never reports a stale resolution.
+
+The pass reads the waiting structure only, so those *outputs* are what
+the oracle compares.  ``audit=True`` adds the full-table check the
+pre-sparse detector implied — the cluster's merged lock table renders
+byte-identical to the single-process sharded table (same resources,
+same holder/queue order: the shared first-lock counter at work) — after
+every transition; it walks every row of every worker, so only the
+nightly sweep turns it on.
 
 This is the process-boundary analogue of :mod:`repro.check.sharded`:
 that backend argues shards don't change the algorithm; this one argues
@@ -29,7 +35,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.local import LocalCluster
-from ..core.hw_twbg import build_graph
 from ..lockmgr.sharded import ShardedLockCore
 from ..sim.workload import Program
 from .concurrent import ScheduleResult, _Actor
@@ -60,6 +65,7 @@ class ClusterModel:
         max_steps: int = 400,
         restart_limit: int = 2,
         workers: Optional[int] = None,
+        audit: bool = False,
     ) -> None:
         # ``continuous`` is accepted for builder symmetry; the cluster
         # only runs the periodic coordinator pass.
@@ -67,6 +73,7 @@ class ClusterModel:
         self.max_steps = max_steps
         self.restart_limit = restart_limit
         self.workers = workers
+        self.audit = audit
 
     def run(self, scheduler: VirtualScheduler) -> ScheduleResult:
         workers = self.workers
@@ -127,8 +134,8 @@ class ClusterModel:
                             subject.was_aborted(tid),
                         )
                     ))
-            # The heart of the backend: the merged wire snapshot must
-            # render byte-identical to the single-process table.
+            if not self.audit:
+                return failures
             ref_text = str(reference.table)
             sub_text = str(subject.merged_table())
             if ref_text != sub_text:
@@ -200,8 +207,7 @@ class ClusterModel:
             return failures
 
         def transition_detect() -> List[OracleFailure]:
-            merged = subject.merged_table()
-            deadlocked_before = build_graph(merged.snapshot()).has_cycle()
+            deadlocked_before = subject.deadlocked()
             ref_result = reference.detect()
             sub_result = subject.detect()
             counters["detects"] += 1

@@ -16,14 +16,15 @@ transition that the two worlds agree:
   victims, repositions the same queues and enables the same grants.
 
 That last point is the heart of the refactor's correctness argument:
-the cross-shard pass snapshots each shard, merges the pieces into one
-RST in global first-lock order and runs the unchanged Section-5
-machinery — so on a quiescent system (which the explorer's virtual
-scheduler guarantees between transitions) its observable outcome must
-be *identical* to the monolithic detector's, down to the Step-2 walk
-counters.  Any divergence — a reordered merge, a mis-routed
-resolution, a stale-confirmation bug — fails the ``equivalence``
-oracle with the decision trace pointing at the schedule.
+the cross-shard pass snapshots each shard's waiting resources, merges
+the pieces into one RST in global first-lock order and runs the
+unchanged Section-5 machinery — so on a quiescent system (which the
+explorer's virtual scheduler guarantees between transitions) its
+observable outcome must be *identical* to the monolithic detector's,
+down to the Step-2 walk counters.  Any divergence — a reordered
+merge, a mis-routed resolution, a stale-confirmation bug — fails the
+``equivalence`` oracle with the decision trace pointing at the
+schedule.
 
 The usual state oracles also run against the sharded side's merged
 table view, so the structural invariants and Theorem 1 are checked on
@@ -72,11 +73,17 @@ def _chosen_summary(chosen) -> Tuple:
 
 def _detection_summary(result) -> Dict[str, object]:
     """The observable outcome of one pass, order-sensitive where the
-    algorithm is (cycles, victims, repositionings) and order-free where
-    it is not (grant events, spared victims)."""
+    algorithm is (cycles, candidate sets, victims, repositionings) and
+    order-free where it is not (grant events, spared victims).  ``walk``
+    is defined over the waiting structure on every backend, so it stays
+    an equality too."""
     stats = result.stats
     return {
         "cycles": [list(r.cycle) for r in result.resolutions],
+        "candidates": [
+            [_chosen_summary(c) + (c.cost,) for c in r.candidates]
+            for r in result.resolutions
+        ],
         "chosen": [_chosen_summary(r.chosen) for r in result.resolutions],
         "aborted": list(result.aborted),
         "spared": sorted(result.spared),

@@ -1,56 +1,47 @@
 """The cross-process periodic detection-resolution pass.
 
 The paper's periodic scheme never needs the request path and the
-detector to share memory — the detector only needs RST/TST snapshots
-that are *consistent enough* for cycles, and cycles are stable until a
-resolution acts.  The sharded manager already exploits that split
-inside one process; this module lifts it over the wire:
+detector to share memory — the detector only needs snapshots that are
+*consistent enough* for cycles, and cycles are stable until a
+resolution acts.  The sharded manager exploits that split inside one
+process; this module lifts it over the wire by binding the one
+:class:`~repro.lockmgr.detection_pass.DetectionPass` to a worker fleet:
 
-1. **Snapshot** — ask every worker for its RST slice (the ``snapshot``
-   op: epoch-stamped deep copies plus each live resource's cluster-wide
-   first-lock sequence number).
-2. **Merge** — sort the slices into one
-   :class:`~repro.lockmgr.lock_table.LockTable` by that global
-   sequence, so the merged RST iterates exactly like a single-process
-   table fed the same request stream (workers share one sequence
-   counter, see :mod:`repro.cluster.worker`).
-3. **Detect** — run the unchanged Section-5 machinery
-   (:class:`~repro.core.detection.PeriodicDetector`: TST walk, TRRP,
-   TDR-1/TDR-2) on the merged snapshot.
-4. **Resolve** — route the staged resolutions back to the owning
-   workers (the ``resolve`` op) with the same staleness re-checks the
-   sharded manager applies: a TDR-2 repositioning is re-validated
-   against the live queue, a victim is confirmed still blocked where
-   the snapshot saw it; stale resolutions are dropped and counted,
-   never guessed at.
+* **source** — every worker's ``snapshot`` payload: its slice of the
+  *waiting structure* (rows of the resources somebody is blocked at,
+  each with its cluster-wide first-lock number — workers share one
+  counter, see :mod:`repro.cluster.worker` — plus the resource ids each
+  blocked transaction holds there; idle locks are not shipped), merged
+  by :func:`merge_snapshots` into the order a single-process table fed
+  the same request stream would have;
+* **sink** — ``resolve`` plans to the owning workers, every item
+  re-checked against the live state by :func:`apply_resolution_plan`
+  (the *worker-side* half, which :meth:`ServiceCore.resolve_step
+  <repro.service.core.ServiceCore.resolve_step>` and the local
+  transport both run).  A victim is confirmed at the worker owning its
+  blocked resource, then every other reachable worker is told to
+  release what it holds for it — the coordinator cannot know where a
+  victim's *idle* locks live, and a worker that never saw the
+  transaction answers with a no-op.
 
-Victims are processed **sequentially** in the order the detector staged
-them: each victim is confirmed at the worker owning its blocked
-resource, then its locks on every other worker are released, before the
-next victim is considered.  (Batch-confirming victims up front could
-abort a transaction whose deadlock an earlier victim's release already
-broke — a transaction the single-process detector would spare.)
-
-The transport is abstract: the supervisor and the cluster client bind
-it to :class:`~repro.service.client.AsyncLockClient` calls;
-:class:`~repro.cluster.local.LocalCluster` binds it to in-process cores
-through the same JSON plan/reply shapes.  ``apply_resolution_plan`` is
-the *worker-side* half — :meth:`ServiceCore.resolve_step
-<repro.service.core.ServiceCore.resolve_step>` and the local transport
-both execute plans through it, so wire and in-process clusters run
-identical resolution code.
+The transport is abstract (``snapshot_all()`` / ``resolve(index,
+plan)``): the supervisor and the cluster client bind it to
+:class:`~repro.service.client.AsyncLockClient` calls,
+:class:`~repro.cluster.local.LocalCluster` to in-process cores through
+the same JSON shapes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.detection import DetectionStats, PeriodicDetector
+from ..core.detection import DetectionResult
 from ..core.serialize import table_from_dict
-from ..core.victim import CostTable, RepositionCandidate
+from ..core.victim import CostTable
+from ..lockmgr.detection_pass import DetectionPass, PassInfo
 from ..lockmgr.events import Granted, Repositioned
 from ..lockmgr.lock_table import LockTable
 from ..lockmgr.partition import partition_of
@@ -63,57 +54,13 @@ def worker_of(rid: str, workers: int) -> int:
     return partition_of(rid, workers)
 
 
-@dataclass
-class ClusterPass:
-    """What one cross-process pass did, beyond the detection result
-    itself (attached as :attr:`ClusterDetection.cluster`)."""
+#: What one cross-process pass did (``DetectionResult.cluster``).
+ClusterPass = PassInfo
 
-    workers: int
-    #: Trace id minted for this pass; every resolution plan routed to a
-    #: worker carries it, so worker-side resolution spans and the
-    #: incident record share one trace.
-    trace: Optional[str] = None
-    #: Cross-process ref of the coordinator's pass span.
-    span: Optional[str] = None
-    #: Seconds each worker spent serializing its slice (self-reported).
-    snapshot_seconds: List[float] = field(default_factory=list)
-    #: Workers whose snapshot could not be fetched this pass.
-    unreachable_workers: List[int] = field(default_factory=list)
-    #: Resources in the merged snapshot.
-    merged_resources: int = 0
-    #: Cycles whose blocked resources span more than one worker.
-    cross_worker_cycles: int = 0
-    #: Victims no longer blocked where the snapshot saw them (spared).
-    stale_victims: int = 0
-    #: TDR-2 repositionings whose live queue no longer matched.
-    stale_repositions: int = 0
-    #: Wall-clock seconds for the whole pass.
-    pass_seconds: float = 0.0
-
-
-@dataclass
-class ClusterDetection:
-    """Outcome of one cross-process pass — the attribute surface of
-    :class:`~repro.core.detection.DetectionResult` plus the
-    :class:`ClusterPass` bookkeeping."""
-
-    aborted: List[int] = field(default_factory=list)
-    spared: List[int] = field(default_factory=list)
-    grants: List[Granted] = field(default_factory=list)
-    repositions: List[Repositioned] = field(default_factory=list)
-    resolutions: List[object] = field(default_factory=list)
-    stats: DetectionStats = field(default_factory=DetectionStats)
-    cluster: Optional[ClusterPass] = None
-    #: Kept for interface parity with ``DetectionResult`` consumers.
-    sharding: Optional[object] = None
-
-    @property
-    def deadlock_found(self) -> bool:
-        return bool(self.resolutions)
-
-    @property
-    def abort_free(self) -> bool:
-        return self.deadlock_found and not self.aborted
+#: Outcome of one cross-process pass: a
+#: :class:`~repro.core.detection.DetectionResult` whose ``cluster``
+#: attribute carries the :class:`ClusterPass` bookkeeping.
+ClusterDetection = DetectionResult
 
 
 # -- worker side -----------------------------------------------------------
@@ -130,7 +77,8 @@ def apply_resolution_plan(core, plan: Dict[str, Any]) -> Dict[str, Any]:
     * ``victims`` — ``{"tid", "rid"}`` abort victims, confirmed still
       blocked at ``rid`` (``confirmed: false`` = stale);
     * ``releases`` — transaction ids whose locks this worker frees
-      because another worker confirmed them as victims;
+      because another worker confirmed them as victims (a no-op for a
+      transaction this worker never saw);
     * ``sweeps`` — resource ids to run the change-list sweep on after
       their repositioning.
 
@@ -156,12 +104,12 @@ def apply_resolution_plan(core, plan: Dict[str, Any]) -> Dict[str, Any]:
         reply["repositions"].append(entry)
     for item in plan.get("victims") or ():
         tid = int(item["tid"])
-        confirmed, grants = core.abort_victim(tid, item.get("rid"))
+        grants = core.abort_victim(tid, item.get("rid"))
         reply["victims"].append(
             {
                 "tid": tid,
-                "confirmed": confirmed,
-                "grants": [event_to_dict(event) for event in grants],
+                "confirmed": grants is not None,
+                "grants": [event_to_dict(event) for event in grants or ()],
             }
         )
     for tid in plan.get("releases") or ():
@@ -220,6 +168,94 @@ def merge_snapshots(
     return merged, unreachable, seconds
 
 
+class _PlanBinding:
+    """The pass's two ends over a worker fleet: ``snapshot`` payloads
+    in, ``resolve`` plans out — each plan stamped with the pass's trace
+    context so worker-side resolution spans parent to it."""
+
+    guard = staticmethod(contextlib.nullcontext)
+
+    def __init__(self, transport, workers: int) -> None:
+        self.transport = transport
+        self.parts = workers
+        suffix = os.urandom(4).hex()
+        self.info = ClusterPass(
+            parts=workers,
+            trace="trace-" + suffix,
+            span="coord:pass-" + suffix,
+        )
+        self._ctx = {"trace": self.info.trace, "span": self.info.span}
+
+    def part_of(self, rid: str) -> int:
+        return worker_of(rid, self.parts)
+
+    def _resolve(self, index: int, key: str, items: list) -> List[dict]:
+        """Send worker ``index`` one plan; its reply rows for ``key``."""
+        reply = self.transport.resolve(index, {key: items, "ctx": self._ctx})
+        return (reply or {}).get(key) or []
+
+    def collect(self):
+        payloads = self.transport.snapshot_all()
+        info = self.info
+        merged, info.unreachable_workers, info.snapshot_seconds = (
+            merge_snapshots(payloads)
+        )
+        held: Dict[int, set] = {}
+        for payload in payloads:
+            for row in (payload or {}).get("held") or ():
+                held.setdefault(int(row["tid"]), set()).update(row["rids"])
+        return merged, {t: sorted(rids) for t, rids in held.items()}, False
+
+    def reposition(self, chosen) -> List[Optional[Repositioned]]:
+        events: List[Optional[Repositioned]] = []
+        for item in chosen:
+            plan = {"rid": item.rid, "av": list(item.av), "st": list(item.st)}
+            rows = self._resolve(
+                self.part_of(item.rid), "repositions", [plan]
+            )
+            applied = rows and rows[0].get("applied")
+            events.append(
+                Repositioned(
+                    item.rid,
+                    tuple(int(t) for t in rows[0].get("delayed", item.st)),
+                )
+                if applied
+                else None
+            )
+        return events
+
+    def abort(self, tid: int, rid: str) -> Optional[List[Granted]]:
+        """Confirm at the owner of the blocked resource, then have every
+        other reachable worker release what it holds for the victim."""
+        owner = self.part_of(rid)
+        rows = self._resolve(owner, "victims", [{"tid": tid, "rid": rid}])
+        if not (rows and rows[0].get("confirmed")):
+            return None
+        down = {owner, *self.info.unreachable_workers}
+        for index in range(self.parts):
+            if index not in down:
+                rows += self._resolve(index, "releases", [tid])
+        return _grants_of(rows)
+
+    def sweep(self, rids: List[str]) -> List[Granted]:
+        return _grants_of(
+            row
+            for rid in rids
+            for row in self._resolve(self.part_of(rid), "sweeps", [rid])
+        )
+
+    def finish(self, result) -> None:
+        result.cluster = self.info
+
+
+def _grants_of(rows) -> List[Granted]:
+    return [
+        event_from_dict(event)
+        for row in rows
+        for event in row.get("grants", ())
+    ]
+
+
 def run_cluster_pass(
     transport,
     workers: int,
@@ -235,196 +271,41 @@ def run_cluster_pass(
         snapshot_all() -> List[Optional[dict]]   # None = unreachable
         resolve(worker_index, plan) -> Optional[dict]
 
-    The pass mirrors :meth:`ShardedLockCore._detect_sharded
-    <repro.lockmgr.sharded.ShardedLockCore>` step for step — same
-    staged order, same staleness accounting — which is what the
-    cluster-vs-sharded equivalence oracle pins down.
-
     Every pass mints a trace id and a coordinator pass-span ref; each
-    resolution plan carries them as ``plan["ctx"]`` so worker-side
-    resolution spans parent to this pass across the process hop.  When
-    ``incident_sink`` (an :class:`~repro.obs.incidents.IncidentLog`) is
-    given, a deadlock-resolving pass appends a ``repro.incident/1``
-    record built from the pre-detection merged snapshot.
-
-    ``policy`` (a bound
-    :class:`~repro.policy.base.DetectionPolicy`, optional) hooks the
-    coordinator's pass: its pre-pass runs over the merged snapshot
-    (the predictive policy's near-cycle scan sees the *cluster-wide*
-    graph), the pass outcome feeds ``observe_pass`` (the adaptive
-    controller), and any warnings it raises land in ``incident_sink``
-    as ``kind: "near-cycle"`` records.
+    plan carries them as ``plan["ctx"]`` so worker-side resolution
+    spans parent to this pass across the process hop.  With
+    ``incident_sink`` (an :class:`~repro.obs.incidents.IncidentLog`) a
+    resolving pass appends a ``repro.incident/1`` record, and the
+    warnings of ``policy`` (a bound
+    :class:`~repro.policy.base.DetectionPolicy`, default periodic; its
+    pre-pass sees the *cluster-wide* waits) land there as
+    ``kind: "near-cycle"`` records.
     """
+    from ..policy import PeriodicPolicy
+
     started = perf_counter()
-    suffix = os.urandom(4).hex()
-    info = ClusterPass(
-        workers=workers,
-        trace="trace-" + suffix,
-        span="coord:pass-" + suffix,
+    binding = _PlanBinding(transport, workers)
+    info = binding.info
+
+    def stamp(deadlock: bool) -> Dict[str, Any]:
+        fields = {
+            "source": "cluster",
+            "trace": info.trace,
+            "span": info.span,
+            "epoch": epoch,
+        }
+        if deadlock:
+            fields["workers"] = workers
+        return fields
+
+    run = DetectionPass(
+        binding,
+        costs,
+        policy if policy is not None else PeriodicPolicy(),
+        incident_sink,
+        stamp,
     )
-    ctx = {"trace": info.trace, "span": info.span}
-    merged, unreachable, seconds = merge_snapshots(transport.snapshot_all())
-    info.unreachable_workers = unreachable
-    info.snapshot_seconds = seconds
-    info.merged_resources = len(merged)
-    # Capture blocked/held positions BEFORE the detector runs: the
-    # detector resolves cycles on the merged copy itself, so afterwards
-    # a victim's holds are already gone from ``merged``.
-    blocked_at_snapshot = {
-        tid: merged.blocked_at(tid) for tid in merged.blocked_tids()
-    }
-    held_at_snapshot = {
-        tid: merged.held_by(tid) for tid in merged.blocked_tids()
-    }
-    # The incident's table render must pre-date detection too (the
-    # detector mutates the merged copy while resolving).
-    merged_text = (
-        str(merged)
-        if incident_sink is not None and merged.blocked_count()
-        else None
-    )
-    if policy is not None:
-        policy.pre_pass(list(merged.resources()))
-    detect_started = perf_counter()
-    staged = PeriodicDetector(merged, costs).run()
-    if policy is not None:
-        policy.observe_pass(staged, perf_counter() - detect_started)
-    for resolution in staged.resolutions:
-        rids = {
-            blocked_at_snapshot.get(tid) for tid in resolution.cycle
-        } - {None}
-        if len({worker_of(rid, workers) for rid in rids}) > 1:
-            info.cross_worker_cycles += 1
-    result = ClusterDetection(
-        spared=list(staged.spared),
-        resolutions=list(staged.resolutions),
-        stats=staged.stats,
-        cluster=info,
-    )
-    # Round 1 — repositionings, grouped per owning worker with the
-    # staged order preserved inside each group (two repositionings of
-    # one resource always meet the same worker in order).
-    staged_repositions = [
-        resolution.chosen
-        for resolution in staged.resolutions
-        if isinstance(resolution.chosen, RepositionCandidate)
-    ]
-    plans: Dict[int, List[Tuple[int, RepositionCandidate]]] = {}
-    for slot, chosen in enumerate(staged_repositions):
-        plans.setdefault(worker_of(chosen.rid, workers), []).append(
-            (slot, chosen)
-        )
-    applied: Dict[int, Repositioned] = {}
-    for index in sorted(plans):
-        items = plans[index]
-        reply = transport.resolve(
-            index,
-            {
-                "repositions": [
-                    {
-                        "rid": chosen.rid,
-                        "av": list(chosen.av),
-                        "st": list(chosen.st),
-                    }
-                    for _, chosen in items
-                ],
-                "ctx": ctx,
-            },
-        )
-        rows = (reply or {}).get("repositions", [])
-        for (slot, chosen), row in zip(items, rows):
-            if row.get("applied"):
-                applied[slot] = Repositioned(
-                    rid=chosen.rid,
-                    delayed=tuple(
-                        int(tid) for tid in row.get("delayed", chosen.st)
-                    ),
-                )
-    for slot in range(len(staged_repositions)):
-        if slot in applied:
-            result.repositions.append(applied[slot])
-        else:
-            info.stale_repositions += 1
-    # Round 2 — victims, strictly sequential in staged order: confirm
-    # at the owner of the blocked resource, then release the victim's
-    # locks on every other worker, before the next victim.
-    for tid in staged.aborted:
-        snap_rid = blocked_at_snapshot.get(tid)
-        if snap_rid is None:
-            info.stale_victims += 1
-            result.spared.append(tid)
-            continue
-        owner = worker_of(snap_rid, workers)
-        reply = transport.resolve(
-            owner,
-            {"victims": [{"tid": tid, "rid": snap_rid}], "ctx": ctx},
-        )
-        rows = (reply or {}).get("victims", [])
-        row = rows[0] if rows else {}
-        if not row.get("confirmed"):
-            info.stale_victims += 1
-            result.spared.append(tid)
-            continue
-        grants = [event_from_dict(event) for event in row.get("grants", ())]
-        held = held_at_snapshot.get(tid, set())
-        for index in sorted(
-            {worker_of(rid, workers) for rid in held} - {owner}
-        ):
-            release = transport.resolve(
-                index, {"releases": [tid], "ctx": ctx}
-            )
-            for entry in (release or {}).get("releases", ()):
-                grants.extend(
-                    event_from_dict(event)
-                    for event in entry.get("grants", ())
-                )
-        result.grants.extend(grants)
-        result.aborted.append(tid)
-    # Round 3 — change-list sweeps of the applied repositionings, in
-    # staged order, grouped per owning worker.
-    sweeps: Dict[int, List[str]] = {}
-    for slot in sorted(applied):
-        rid = staged_repositions[slot].rid
-        sweeps.setdefault(worker_of(rid, workers), []).append(rid)
-    for index in sorted(sweeps):
-        reply = transport.resolve(
-            index, {"sweeps": sweeps[index], "ctx": ctx}
-        )
-        for entry in (reply or {}).get("sweeps", ()):
-            result.grants.extend(
-                event_from_dict(event) for event in entry.get("grants", ())
-            )
+    result = run.run()
     info.pass_seconds = perf_counter() - started
-    if incident_sink is not None and result.deadlock_found:
-        from ..obs.incidents import build_incident
-
-        incident_sink.append(
-            build_incident(
-                result,
-                source="cluster",
-                table_text=merged_text,
-                blocked_at=blocked_at_snapshot,
-                trace=info.trace,
-                span=info.span,
-                epoch=epoch,
-                workers=workers,
-                policy=policy.name if policy is not None else None,
-            )
-        )
-    if policy is not None and incident_sink is not None:
-        from ..obs.incidents import build_near_cycle_incident
-
-        for report in policy.take_warnings():
-            if int(report.get("count", 0)) <= 0:
-                continue
-            incident_sink.append(
-                build_near_cycle_incident(
-                    report,
-                    source="cluster",
-                    policy=policy.name,
-                    trace=info.trace,
-                    span=info.span,
-                    epoch=epoch,
-                )
-            )
+    run.record()
     return result

@@ -8,7 +8,8 @@ plans and replies even round-trip through JSON, so the explorer's
 process-spawn latency.  The cores share one first-lock sequence
 counter, mirroring the cross-process counter
 :mod:`repro.cluster.worker` installs, which is what keeps the merged
-snapshot byte-identical to a single-process
+waiting structure — and the full-table audit
+:meth:`LocalCluster.merged_table` — identical to a single-process
 :class:`~repro.lockmgr.sharded.ShardedLockCore` fed the same request
 stream (the property :mod:`repro.check.cluster` pins down).
 """
@@ -31,7 +32,6 @@ from ..service.wire import codec_for, resolve_wire, wire_roundtrip
 from .coordinator import (
     ClusterDetection,
     apply_resolution_plan,
-    merge_snapshots,
     run_cluster_pass,
     worker_of,
 )
@@ -195,9 +195,16 @@ class LocalCluster:
     # -- introspection ---------------------------------------------------
 
     def merged_table(self) -> LockTable:
-        """The cluster-wide RST, merged exactly as the coordinator
-        merges it (through the wire payloads)."""
-        merged, _, _ = merge_snapshots(self._transport.snapshot_all())
+        """The cluster-wide RST — every row of every worker, in
+        first-lock order.  A full-table audit: no pass reads this."""
+        rows = [
+            (core.sequence_of(state.rid), state.copy())
+            for core in self.cores
+            for state in core.table.resources()
+        ]
+        merged = LockTable()
+        for _, state in sorted(rows, key=lambda row: row[0]):
+            merged.install(state)
         return merged
 
     def blocked_at(self, tid: int) -> Optional[str]:
@@ -224,22 +231,6 @@ class LocalCluster:
 
     def deadlocked(self) -> bool:
         return self.graph().has_cycle()
-
-    def worker_summaries(self) -> List[Dict[str, int]]:
-        """Per-worker load figures (one row per worker core)."""
-        rows: List[Dict[str, int]] = []
-        for index, core in enumerate(self.cores):
-            summary = core.shard_summaries()[0]
-            rows.append(
-                {
-                    "worker": index,
-                    "resources": summary["resources"],
-                    "blocked": summary["blocked"],
-                    "queued": summary["queued"],
-                    "epoch": summary["epoch"],
-                }
-            )
-        return rows
 
     def __str__(self) -> str:
         return str(self.merged_table())

@@ -4,8 +4,11 @@ The algorithm runs three steps over the lock table (RST) and a per-run
 :class:`~repro.core.tst.TST`:
 
 **Step 1 — initialization.**  Construct the H edges by ECR-1/ECR-2 for
-every resource (W edges mirror the queues, which the scheduler maintains
-continuously), and reset every transaction's ``ancestor``/``current``.
+every *waiting* resource — one with a queue or a blocked conversion; no
+other has an edge to draw (W edges mirror the queues, which the
+scheduler maintains continuously) — and reset every transaction's
+``ancestor``/``current``.  With nobody blocked the run returns an empty
+result without building anything.
 
 **Step 2 — cycle detection and victim selection.**  A directed walk is
 started from every transaction in id order.  The walk descends along
@@ -62,7 +65,9 @@ class DetectionStats:
 
     ``edges_examined`` counts every edge considered by the Step-2 walk
     (including re-examinations after a resolution); ``cycles_found`` is
-    the paper's ``c'``.
+    the paper's ``c'``.  ``transactions`` (and ``backtrack_steps``)
+    count the waiting structure: holders and waiters of resources
+    somebody is blocked at.
     """
 
     transactions: int = 0
@@ -88,6 +93,9 @@ class DetectionResult:
     #: :class:`repro.lockmgr.sharded.ShardedPass`); None for a run on a
     #: monolithic table.
     sharding: Optional[object] = None
+    #: Set by the cluster coordinator's cross-process pass (a
+    #: :class:`repro.cluster.coordinator.ClusterPass`).
+    cluster: Optional[object] = None
     #: The Aborted-event reason the absorbing manager publishes for
     #: :attr:`aborted`.  Detector passes keep the default; block-time
     #: policies that abort outside a pass (the nowait lane) override it.
@@ -165,6 +173,8 @@ class _DetectionRun:
             self._observer(event, **info)
 
     def execute(self) -> DetectionResult:
+        if not self._table.blocked_count():
+            return self.result
         self._step1_initialize()
         self._step2_detect_and_select()
         self._step3_confirm()

@@ -126,14 +126,15 @@ class TST:
 
     Step 1 of the periodic algorithm: W edges are copied from the queues
     (they are "present all the time"), H edges are constructed by ECR-1
-    and ECR-2 for every resource in the RST, and the walk variables are
-    initialized.
+    and ECR-2 for every *waiting* resource (each ECR needs a blocked
+    request at the resource, so no other contributes an edge), and the
+    walk variables are initialized.
     """
 
     def __init__(self, table: LockTable) -> None:
         self._table = table
         self.entries: Dict[int, TSTEntry] = {}
-        for state in table.resources():
+        for state in table.waiting_resources():
             self._load_resource(state)
         for entry in self.entries.values():
             entry.reset_walk()

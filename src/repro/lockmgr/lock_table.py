@@ -13,24 +13,52 @@ two derived indexes the algorithms need constantly:
   transaction cannot issue another request, so it can wait at one place
   only.
 
+The table also owns the **first-lock sequence**: a resource draws a
+number when its entry is created and gives it up when the entry is
+dropped, so any subset of resources — above all the *waiting structure*
+a detector pass reads — sorts into first-lock order without a table
+walk, and slices of a partitioned table (shards, cluster workers) that
+share one counter merge into the order a single table would have had.
+
 All mutation goes through :mod:`repro.lockmgr.scheduler`; the table itself
 only offers consistent primitive updates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+import itertools
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from ..core.errors import LockTableError, UnknownResourceError
 from ..core.requests import ResourceState
 
 
-class LockTable:
-    """Mapping of resource identifier to :class:`ResourceState` with
-    transaction-side indexes."""
+class FirstLockSequence:
+    """The local first-lock counter (``next`` on ``itertools.count`` is
+    atomic, so shards share one without a lock)."""
 
     def __init__(self) -> None:
+        self._count = itertools.count()
+
+    def __call__(self) -> int:
+        return next(self._count)
+
+    def advance_past(self, seq: int) -> None:
+        """Make every later draw exceed ``seq`` (journal replay)."""
+        self._count = itertools.count(max(next(self._count), seq + 1))
+
+
+class LockTable:
+    """Mapping of resource identifier to :class:`ResourceState` with
+    transaction-side indexes.  ``sequence`` is the first-lock counter (a
+    zero-argument callable; default: a private one)."""
+
+    def __init__(self, sequence: Optional[Callable[[], int]] = None) -> None:
         self._resources: Dict[str, ResourceState] = {}
+        self._seq: Dict[str, int] = {}
+        self._sequence = (
+            sequence if sequence is not None else FirstLockSequence()
+        )
         self._held: Dict[int, Set[str]] = {}
         self._blocked_at: Dict[int, str] = {}
         self._blocked_in_queue: Dict[int, bool] = {}
@@ -43,6 +71,7 @@ class LockTable:
         if state is None:
             state = ResourceState(rid=rid)
             self._resources[rid] = state
+            self._seq[rid] = self._sequence()
         return state
 
     def existing(self, rid: str) -> ResourceState:
@@ -58,6 +87,7 @@ class LockTable:
         state = self._resources.get(rid)
         if state is not None and state.is_free:
             del self._resources[rid]
+            del self._seq[rid]
 
     def install(self, state: ResourceState) -> None:
         """Adopt a fully-built state (merge and deserialize paths):
@@ -68,6 +98,7 @@ class LockTable:
                 "resource {} is already present".format(state.rid)
             )
         self._resources[state.rid] = state
+        self._seq[state.rid] = self._sequence()
         for holder in state.holders:
             self.note_holder(holder.tid, state.rid)
             if holder.is_blocked:
@@ -87,6 +118,29 @@ class LockTable:
 
     def __len__(self) -> int:
         return len(self._resources)
+
+    # -- first-lock order and the waiting structure -----------------------
+
+    def sequence_of(self, rid: str) -> Optional[int]:
+        """The first-lock number of ``rid`` (None when not locked)."""
+        return self._seq.get(rid)
+
+    def restore_sequence(self, rid: str, seq: int) -> None:
+        """Force the number of a present ``rid`` (journal replay); a
+        local counter moves past it so fresh draws stay unique."""
+        self._seq[rid] = seq
+        if isinstance(self._sequence, FirstLockSequence):
+            self._sequence.advance_past(seq)
+
+    def waiting_resources(self) -> List[ResourceState]:
+        """The resources some transaction is blocked at (a non-empty
+        queue or a blocked conversion) in first-lock order — the only
+        ones ECR-1/2/3 draw an edge at.  O(blocked), no table walk."""
+        rids = set(self._blocked_at.values())
+        return [
+            self._resources[rid]
+            for rid in sorted(rids, key=self._seq.__getitem__)
+        ]
 
     # -- transaction-side indexes -----------------------------------------
 

@@ -31,6 +31,7 @@ from ..core.errors import LockTableError
 from ..core.hw_twbg import HWTWBG, build_graph
 from ..core.modes import LockMode
 from ..core.victim import CostTable
+from .detection_pass import DetectionPass, LiveBinding
 from .events import Aborted, Granted
 from .lock_table import LockTable
 from . import scheduler
@@ -73,10 +74,6 @@ class LockManager:
         listener: Optional[Callable[[object], None]] = None,
         policy=None,
     ) -> None:
-        # Imported here, not at module level: the detectors' modules use
-        # this package's scheduler, so a top-level import would be
-        # circular.
-        from ..core.detection import PeriodicDetector
         from ..policy import resolve_policy
 
         self.table = LockTable()
@@ -85,7 +82,6 @@ class LockManager:
             policy, continuous=continuous, env=False
         ).bind(self)
         self.continuous = self.policy.continuous
-        self._periodic = PeriodicDetector(self.table, self.costs)
         self.log: List[object] = []
         self.listener = listener
         self._aborted: Set[int] = set()
@@ -148,13 +144,9 @@ class LockManager:
 
     def detect(self) -> DetectionResult:
         """One periodic detection-resolution pass (Steps 1–3)."""
-        from time import perf_counter
-
-        self.policy.pre_pass(list(self.table.resources()))
-        started = perf_counter()
-        result = self._periodic.run()
-        self.policy.observe_pass(result, perf_counter() - started)
-        self._absorb(result)
+        result = DetectionPass(
+            LiveBinding(self.table, self._absorb), self.costs, self.policy
+        ).run()
         if self.tracker is not None:
             self.tracker.refresh_all()
         return result

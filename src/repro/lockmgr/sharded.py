@@ -17,15 +17,13 @@ This module exploits that split:
   its mutation epoch and its waiter conditions — with a router in
   front and transaction-side state (aborted set, per-transaction
   shard-affinity map, shared cost table) kept under one small lock.
-* The periodic pass snapshots each shard briefly *in shard order*
-  (epoch-stamped deep copies), merges the per-shard wait edges into
-  one global RST ordered by the global first-lock sequence, runs the
-  **unchanged** Section-5 machinery (:class:`PeriodicDetector`: TST
-  walk, TRRP, TDR-1/TDR-2) on the merged snapshot, and routes the
-  resolutions back to the owning shards — confirming each victim is
-  still blocked where the snapshot saw it and re-validating each
-  TDR-2 repositioning against the live queue (stale ones are skipped
-  and counted, never guessed at).
+* The periodic pass is the one
+  :class:`~repro.lockmgr.detection_pass.DetectionPass`, bound to the
+  shards: epoch-stamped copies of each shard's *waiting* resources
+  (taken briefly, in shard order) merged by first-lock sequence, the
+  **unchanged** Section-5 machinery run on the copy, the resolutions
+  routed back to the owning shards and re-checked there (stale ones
+  are skipped and counted, never guessed at).
 * :class:`ShardedLockManager` is the blocking, thread-safe facade over
   the core (same surface as
   :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`, which is
@@ -47,14 +45,13 @@ is taken before any shard mutex.
 Equivalence with the monolithic manager: the Step-2 walk visits
 resources in the RST's first-lock order, so the merged snapshot must
 present resources in the *global* first-lock order, not shard
-concatenation order — the router keeps a global sequence number per
-resource, re-assigned when a resource re-enters a shard table (the
-exact semantics of a Python dict delete + re-insert, which is what the
-monolithic table does via ``drop_if_free``).  With that ordering the
-merged RST is byte-for-byte the monolithic RST, so a quiescent pass
-finds the same cycles, chooses the same victims and applies the same
-repositionings — the property the sharded-vs-monolithic equivalence
-oracle in :mod:`repro.check.sharded` pins down.
+concatenation order — the shard tables draw first-lock numbers from
+one shared counter, a resource drawing a new one when it re-enters a
+table (a dict delete + re-insert, which is what the monolithic table
+does via ``drop_if_free``).  The merged waiting structure is then the
+monolithic one, so a quiescent pass finds the same cycles, victims and
+repositionings — the property the equivalence oracle in
+:mod:`repro.check.sharded` pins down.
 
 ``REPRO_SHARDS`` in the environment sets the default shard count for
 components constructed with ``shards=None`` (the CI variant runs the
@@ -66,10 +63,10 @@ shard rather than failing under an environment-driven default.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Set
 
@@ -81,9 +78,10 @@ from ..core.errors import (
 from ..core.hw_twbg import HWTWBG, build_graph
 from ..core.modes import LockMode
 from ..core.requests import ResourceState
-from ..core.victim import CostTable, RepositionCandidate
+from ..core.victim import CostTable
+from .detection_pass import DetectionPass, LiveBinding, PassInfo
 from .events import Aborted, Granted, Repositioned
-from .lock_table import LockTable
+from .lock_table import FirstLockSequence, LockTable
 from .partition import partition_of
 from . import scheduler
 
@@ -154,32 +152,18 @@ class LockShard:
 
     __slots__ = ("index", "table", "mutex", "epoch", "wakeups")
 
-    def __init__(self, index: int) -> None:
+    def __init__(
+        self, index: int, sequence: Optional[Callable[[], int]] = None
+    ) -> None:
         self.index = index
-        self.table = LockTable()
+        self.table = LockTable(sequence)
         self.mutex = threading.RLock()
         self.epoch = 0
         self.wakeups: Dict[int, threading.Condition] = {}
 
 
-@dataclass
-class ShardedPass:
-    """What one cross-shard periodic pass did, beyond the detection
-    result itself (attached as ``DetectionResult.sharding``)."""
-
-    shards: int
-    #: Seconds each shard's snapshot held that shard's mutex.
-    snapshot_seconds: List[float] = field(default_factory=list)
-    #: Resources in the merged snapshot.
-    merged_resources: int = 0
-    #: Cycles whose blocked resources span more than one shard.
-    cross_shard_cycles: int = 0
-    #: Victims no longer blocked where the snapshot saw them (spared).
-    stale_victims: int = 0
-    #: TDR-2 repositionings whose live queue no longer matched.
-    stale_repositions: int = 0
-    #: Shards mutated between their snapshot and the resolution phase.
-    epoch_drift: int = 0
+#: What one cross-shard pass did (``DetectionResult.sharding``).
+ShardedPass = PassInfo
 
 
 class MergedTableView:
@@ -197,14 +181,16 @@ class MergedTableView:
         self._core = core
 
     def _states(self) -> List[ResourceState]:
-        states: List[ResourceState] = []
+        rows = []
         for shard in self._core.shards:
             with shard.mutex:
-                states.extend(shard.table.resources())
-        order = self._core.sequence_map()
-        fallback = len(order)
-        states.sort(key=lambda state: order.get(state.rid, fallback))
-        return states
+                table = shard.table
+                rows.extend(
+                    (table.sequence_of(state.rid), state)
+                    for state in table.resources()
+                )
+        rows.sort(key=lambda row: row[0])
+        return [state for _, state in rows]
 
     # -- resource access ------------------------------------------------
 
@@ -297,12 +283,22 @@ class ShardedLockCore:
         sequence_source: Optional[Callable[[], int]] = None,
         policy=None,
     ) -> None:
-        from ..core.detection import PeriodicDetector
         from ..policy import resolve_policy
 
         resolved = resolve_policy(policy, continuous=continuous, env=True)
         count = resolve_shard_count(shards, continuous=resolved.continuous)
-        self.shards: List[LockShard] = [LockShard(i) for i in range(count)]
+        # One first-lock counter for every shard table (see the module
+        # docstring).  ``sequence_source`` swaps the local counter for
+        # an external one — a cluster shares a cross-process counter so
+        # merged worker snapshots keep the *cluster-wide* order.
+        sequence = (
+            sequence_source
+            if sequence_source is not None
+            else FirstLockSequence()
+        )
+        self.shards: List[LockShard] = [
+            LockShard(i, sequence) for i in range(count)
+        ]
         self.costs = costs if costs is not None else CostTable()
         #: The detection policy: block-time decisions and pass hooks.
         #: Like ``REPRO_SHARDS`` for the shard count, ``REPRO_POLICY``
@@ -317,20 +313,8 @@ class ShardedLockCore:
         #: bounds every transaction-side scan to the shards that can
         #: possibly know the transaction.
         self._affinity: Dict[int, Set[int]] = {}
-        #: rid -> global first-lock sequence (see module docstring).
-        #: ``sequence_source`` swaps the local counter for an external
-        #: one — a cluster shares a cross-process counter so merged
-        #: worker snapshots keep the *cluster-wide* first-lock order.
-        self._seq: Dict[str, int] = {}
-        self._next_seq = 0
-        self._sequence_source = sequence_source
         self._txn_lock = threading.Lock()
         self._detect_lock = threading.RLock()
-        self._periodic = (
-            PeriodicDetector(self.shards[0].table, self.costs)
-            if count == 1
-            else None
-        )
 
     # -- routing ---------------------------------------------------------
 
@@ -345,33 +329,21 @@ class ShardedLockCore:
     def shard_for(self, rid: str) -> LockShard:
         return self.shards[self.shard_index(rid)]
 
-    def sequence_map(self) -> Dict[str, int]:
-        """Copy of the global first-lock order (rid -> sequence)."""
-        with self._txn_lock:
-            return dict(self._seq)
-
     def sequence_of(self, rid: str) -> Optional[int]:
-        """The first-lock sequence number of ``rid`` (None if never
-        locked); journaled so replay can re-assert the same order."""
-        with self._txn_lock:
-            return self._seq.get(rid)
+        """The first-lock sequence number of ``rid`` (None while it is
+        not locked); journaled so replay can re-assert the same order."""
+        return self.shard_for(rid).table.sequence_of(rid)
 
     def restore_sequence(self, rid: str, seq: Optional[int]) -> None:
-        """Force ``rid``'s first-lock sequence to the journaled value.
-
-        Journal replay calls :meth:`lock` (which draws a *fresh*
-        number) and then overwrites it with the recorded one, so the
-        rebuilt merged-table iteration order is byte-identical to the
-        pre-crash table even when a cluster sibling advanced the shared
-        counter in the meantime.  With the local counter, the next
-        fresh draw is bumped past every restored value.
-        """
-        if seq is None:
-            return
-        with self._txn_lock:
-            self._seq[rid] = int(seq)
-            if self._sequence_source is None:
-                self._next_seq = max(self._next_seq, int(seq) + 1)
+        """Force ``rid``'s first-lock sequence to the journaled value:
+        replay calls :meth:`lock` (a *fresh* number) and overwrites it
+        with the recorded one, so the rebuilt iteration order is
+        byte-identical to the pre-crash table even when a cluster
+        sibling advanced the shared counter meanwhile."""
+        shard = self.shard_for(rid)
+        with shard.mutex:
+            if seq is not None and rid in shard.table:
+                shard.table.restore_sequence(rid, int(seq))
 
     @property
     def table(self):
@@ -395,15 +367,6 @@ class ShardedLockCore:
                             tid
                         )
                     )
-                if rid not in shard.table:
-                    # First lock (or re-lock after drop_if_free): the
-                    # resource re-enters the global iteration order at
-                    # the end, exactly like a dict delete + re-insert.
-                    if self._sequence_source is not None:
-                        self._seq[rid] = int(self._sequence_source())
-                    else:
-                        self._seq[rid] = self._next_seq
-                        self._next_seq += 1
                 self._affinity.setdefault(tid, set()).add(shard.index)
             blocked_rid = self.blocked_at(tid)
             if blocked_rid is not None and (
@@ -447,204 +410,130 @@ class ShardedLockCore:
 
     def detect(self):
         """One periodic detection-resolution pass over every shard."""
-        with self._detect_lock:
-            if self._periodic is not None:
-                # Single shard: the monolithic fast path mutates the
-                # real table, so it runs under that table's mutex — the
-                # whole-pass stall the multi-shard protocol exists to
-                # avoid.
-                shard = self.shards[0]
-                with shard.mutex:
-                    self.policy.pre_pass(list(shard.table.resources()))
-                    started = perf_counter()
-                    result = self._periodic.run()
-                    self.policy.observe_pass(
-                        result, perf_counter() - started
-                    )
-                    if result.deadlock_found:
-                        shard.epoch += 1
-                    self._absorb(result)
-                    return result
-            return self._detect_sharded()
+        return self.detection_pass().run()
 
-    def _detect_sharded(self):
-        from ..core.detection import DetectionResult, PeriodicDetector
-
-        info = ShardedPass(
-            shards=len(self.shards),
-            snapshot_seconds=[0.0] * len(self.shards),
-        )
-        # Phase 1 — snapshot: lock each shard briefly, in shard order.
-        states: List[ResourceState] = []
-        epochs: List[int] = []
-        for shard in self.shards:
-            started = perf_counter()
-            with shard.mutex:
-                states.extend(shard.table.snapshot())
-                epochs.append(shard.epoch)
-            info.snapshot_seconds[shard.index] = perf_counter() - started
-        # Phase 2 — merge: one RST in global first-lock order.
-        order = self.sequence_map()
-        fallback = len(order)
-        states.sort(key=lambda state: order.get(state.rid, fallback))
-        merged = LockTable()
-        for state in states:
-            merged.install(state)
-        info.merged_resources = len(states)
-        blocked_at_snapshot = {
-            tid: merged.blocked_at(tid) for tid in merged.blocked_tids()
-        }
-        # Phase 3 — detect: the unchanged Section-5 machinery.
-        self.policy.pre_pass(states)
-        started = perf_counter()
-        staged = PeriodicDetector(merged, self.costs).run()
-        self.policy.observe_pass(staged, perf_counter() - started)
-        for resolution in staged.resolutions:
-            rids = {
-                blocked_at_snapshot.get(tid) for tid in resolution.cycle
-            } - {None}
-            if len({self.shard_index(rid) for rid in rids}) > 1:
-                info.cross_shard_cycles += 1
-        info.epoch_drift = sum(
-            1
-            for shard, stamped in zip(self.shards, epochs)
-            if shard.epoch != stamped
-        )
-        # Phase 4 — resolve: route everything back to the owning shards.
-        result = DetectionResult(
-            spared=list(staged.spared),
-            resolutions=list(staged.resolutions),
-            stats=staged.stats,
-            sharding=info,
-        )
-        self._apply_staged(staged, blocked_at_snapshot, result, info)
-        reason = getattr(result, "abort_reason", "deadlock victim")
-        for tid in result.aborted:
-            self._publish(Aborted(tid, reason))
-        self._publish(*result.repositions)
-        self._publish(*result.grants)
-        return result
-
-    def _apply_staged(self, staged, blocked_at_snapshot, result, info):
-        """Replay the staged resolutions against the live shards, in the
-        order the detector produced them: repositionings (Step 2), then
-        victim releases (Step 3), then change-list sweeps.  Built on the
-        same resolution primitives a cluster coordinator uses to route a
-        merged snapshot's resolutions to worker cores over the wire."""
-        applied_rids: List[str] = []
-        for resolution in staged.resolutions:
-            chosen = resolution.chosen
-            if not isinstance(chosen, RepositionCandidate):
-                continue
-            event = self.apply_reposition(
-                chosen.rid, chosen.av, chosen.st, publish=False
+    def detection_pass(self, incidents=None, stamp=None) -> DetectionPass:
+        """The pass :meth:`detect` runs, for a host that also wants its
+        forensics (``incidents`` / ``stamp``: see
+        :class:`~repro.lockmgr.detection_pass.DetectionPass`)."""
+        if len(self.shards) == 1:
+            # Single shard: the monolithic fast path resolves on the
+            # real table, so it runs under that table's mutex — the
+            # whole-pass stall the multi-shard protocol exists to avoid.
+            binding = LiveBinding(
+                self.shards[0].table, self._absorb_live, self._live_guard
             )
-            if event is None:
-                # The live queue moved on since the snapshot; the
-                # repositioning no longer matches and is dropped.
-                info.stale_repositions += 1
-                continue
-            applied_rids.append(chosen.rid)
-            result.repositions.append(event)
-        for tid in staged.aborted:
-            confirmed, grants = self.abort_victim(
-                tid, blocked_at_snapshot.get(tid), publish=False
-            )
-            if not confirmed:
-                # Granted (or finished) since the snapshot — no longer
-                # deadlocked, so aborting it would be waste: spare it,
-                # exactly like Step 3 spares victims an earlier release
-                # already granted.
-                info.stale_victims += 1
-                result.spared.append(tid)
-                continue
-            result.grants.extend(grants)
-            result.aborted.append(tid)
-        for rid in applied_rids:
-            result.grants.extend(self.sweep_resource(rid, publish=False))
+        else:
+            binding = _ShardBinding(self)
+        return DetectionPass(
+            binding, self.costs, self.policy, incidents, stamp
+        )
+
+    @contextlib.contextmanager
+    def _live_guard(self):
+        with self._detect_lock, self.shards[0].mutex:
+            yield
+
+    def _absorb_live(self, result) -> None:
+        if result.deadlock_found:
+            self.shards[0].epoch += 1
+        self._absorb(result)
 
     # -- resolution primitives (shared with the cluster coordinator) -------
 
-    def snapshot_payload(self) -> Dict[str, object]:
-        """Serialize this core's RST slice for a cluster coordinator.
+    def _waiting(self, convert):
+        """Snapshot the waiting structure: ``convert(state)`` of every
+        resource somebody is blocked at — each shard locked briefly, in
+        shard order — sorted by first-lock number, plus every blocked
+        transaction's held resource ids (core-wide), the shard epochs
+        and the seconds each shard's mutex was held."""
+        rows, blocked, epochs, seconds = [], [], [], []
+        for shard in self.shards:
+            started = perf_counter()
+            with shard.mutex:
+                table = shard.table
+                rows.extend(
+                    (table.sequence_of(state.rid), convert(state))
+                    for state in table.waiting_resources()
+                )
+                blocked.extend(table.blocked_tids())
+                epochs.append(shard.epoch)
+            seconds.append(perf_counter() - started)
+        rows.sort(key=lambda row: row[0])
+        held = {tid: sorted(self.holding(tid)) for tid in blocked}
+        return rows, held, epochs, seconds
 
-        Epoch-stamped deep copies of every shard (each held briefly
-        under its own mutex), presented in this core's first-lock order
-        with the live resources' sequence numbers attached, so a
-        coordinator can merge several workers' slices into one global
-        RST ordered by the cluster-wide first-lock sequence (workers
-        share a sequence counter via ``sequence_source``).
+    def snapshot_payload(self) -> Dict[str, object]:
+        """Serialize this core's slice of the waiting structure for a
+        cluster coordinator: the rows of the resources somebody is
+        blocked at, in first-lock order with their sequence numbers (a
+        coordinator merges several workers' slices by them — workers
+        share a counter via ``sequence_source``), and ``held``: per
+        transaction blocked here, the resources it holds on this core.
+        Idle locks travel as those ids, never as rows, so the payload is
+        proportional to the blocked requests.
         """
         from ..core.serialize import FORMAT_VERSION, state_to_dict
 
         started = perf_counter()
-        states: List[ResourceState] = []
-        epochs: List[int] = []
-        for shard in self.shards:
-            with shard.mutex:
-                states.extend(shard.table.snapshot())
-                epochs.append(shard.epoch)
-        order = self.sequence_map()
-        fallback = len(order)
-        states.sort(key=lambda state: order.get(state.rid, fallback))
+        rows, held, epochs, _ = self._waiting(state_to_dict)
         return {
             "v": FORMAT_VERSION,
             "table": {
                 "v": FORMAT_VERSION,
-                "resources": [state_to_dict(state) for state in states],
+                "resources": [entry for _, entry in rows],
             },
-            "sequence": {
-                state.rid: order[state.rid]
-                for state in states
-                if state.rid in order
-            },
+            "sequence": {entry["rid"]: seq for seq, entry in rows},
+            "held": [
+                {"tid": tid, "rids": rids} for tid, rids in held.items()
+            ],
             "epochs": epochs,
             "seconds": perf_counter() - started,
         }
 
     def abort_victim(
-        self,
-        tid: int,
-        expected_rid: Optional[str],
-        publish: bool = True,
-    ):
+        self, tid: int, expected_rid: Optional[str]
+    ) -> Optional[List[Granted]]:
         """Confirm-and-abort one deadlock victim chosen from a snapshot.
 
         The staleness re-check of the periodic protocol: ``tid`` must
         still be blocked at ``expected_rid`` (where the snapshot saw
-        it) or the victim is stale and left untouched.  When confirmed,
-        marks the transaction aborted and frees everything it holds or
-        waits for on this core.  Returns ``(confirmed, grants)``.
+        it) or the victim is stale and left untouched — ``None``.  When
+        confirmed, marks the transaction aborted, frees everything it
+        holds or waits for on this core and returns the grants.
         """
         if expected_rid is None:
-            return False, []
+            return None
         shard = self.shard_for(expected_rid)
         with shard.mutex:
             if shard.table.blocked_at(tid) != expected_rid:
-                return False, []
+                return None
             with self._txn_lock:
                 if tid in self._aborted:
-                    return False, []
+                    return None
                 self._aborted.add(tid)
         grants = self._release_as_victim(tid)
-        if publish:
-            self._publish(Aborted(tid, "deadlock victim"))
-            self._publish(*grants)
-        return True, grants
+        self._publish(Aborted(tid, "deadlock victim"), *grants)
+        return grants
 
-    def release_victim(self, tid: int, publish: bool = True) -> List[Granted]:
+    def release_victim(self, tid: int) -> List[Granted]:
         """Free a victim's entries on this core without re-confirming.
 
         The cross-process counterpart of the victim-release loop: when a
         cluster victim blocks on *another* worker, that worker confirms
         via :meth:`abort_victim` and every other worker holding the
-        victim's locks frees them through here.
+        victim's locks frees them through here.  The coordinator does
+        not know where a victim's idle locks live (snapshots carry the
+        waiting structure only), so it asks every other worker.
         """
         with self._txn_lock:
+            if tid not in self._affinity:
+                # Never seen here: nothing to free, nothing to remember
+                # (no ``finish`` would ever clear the mark).
+                return []
             self._aborted.add(tid)
         grants = self._release_as_victim(tid)
-        if publish:
-            self._publish(*grants)
+        self._publish(*grants)
         return grants
 
     def _release_as_victim(self, tid: int) -> List[Granted]:
@@ -661,9 +550,7 @@ class ShardedLockCore:
         self.costs.forget(tid)
         return grants
 
-    def apply_reposition(
-        self, rid: str, av, st, publish: bool = True
-    ) -> Optional[Repositioned]:
+    def apply_reposition(self, rid: str, av, st) -> Optional[Repositioned]:
         """Re-validate and apply one staged TDR-2 repositioning against
         the live queue of ``rid``.  Returns the event, or None when the
         live queue moved on since the snapshot (the stale case)."""
@@ -677,11 +564,10 @@ class ShardedLockCore:
                 return None
             shard.epoch += 1
         event = Repositioned(rid=rid, delayed=tuple(st))
-        if publish:
-            self._publish(event)
+        self._publish(event)
         return event
 
-    def sweep_resource(self, rid: str, publish: bool = True) -> List[Granted]:
+    def sweep_resource(self, rid: str) -> List[Granted]:
         """Run the change-list sweep over one repositioned resource."""
         shard = self.shard_for(rid)
         with shard.mutex:
@@ -690,8 +576,7 @@ class ShardedLockCore:
             events = scheduler.sweep(shard.table, rid)
             if events:
                 shard.epoch += 1
-        if publish:
-            self._publish(*events)
+        self._publish(*events)
         return events
 
     def _absorb(self, result) -> None:
@@ -765,6 +650,54 @@ class ShardedLockCore:
 
     def __str__(self) -> str:
         return str(self.table)
+
+
+class _ShardBinding:
+    """The pass's two ends over live shards: copies of every shard's
+    waiting resources in, staged resolutions back out under the owning
+    shard's mutex (each publishing its events as it lands)."""
+
+    def __init__(self, core: ShardedLockCore) -> None:
+        self.core = core
+        self.parts = len(core.shards)
+        self.part_of = core.shard_index
+        self.abort = core.abort_victim
+        self.info = PassInfo(parts=self.parts)
+        self._epochs: List[int] = []
+
+    def guard(self):
+        return self.core._detect_lock
+
+    def collect(self):
+        rows, held, self._epochs, self.info.snapshot_seconds = (
+            self.core._waiting(ResourceState.copy)
+        )
+        merged = LockTable()
+        for _, state in rows:
+            merged.install(state)
+        return merged, held, False
+
+    def reposition(self, chosen) -> List[Optional[Repositioned]]:
+        # Routing starts here (the pass always calls this first): note
+        # which shards moved on while Steps 1-3 ran on the copies.
+        self.info.epoch_drift = sum(
+            shard.epoch != stamped
+            for shard, stamped in zip(self.core.shards, self._epochs)
+        )
+        return [
+            self.core.apply_reposition(item.rid, item.av, item.st)
+            for item in chosen
+        ]
+
+    def sweep(self, rids: List[str]) -> List[Granted]:
+        return [
+            event
+            for rid in rids
+            for event in self.core.sweep_resource(rid)
+        ]
+
+    def finish(self, result) -> None:
+        result.sharding = self.info
 
 
 class ShardedLockManager:

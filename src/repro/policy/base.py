@@ -25,11 +25,14 @@ Hook contract
     nowait lane returns the requester's own abort — or ``None`` to let
     the request wait (the periodic default).
 
-``pre_pass(states, now)``
+``pre_pass(states, held)``
     Called at the start of every periodic pass with the (merged)
-    resource states the detector is about to walk.  Predictive
-    policies scan them for near-cycles here; the return value is
-    policy-private (the host exposes it via :meth:`take_warnings`).
+    resource states the detector is about to walk — the waiting
+    structure: resources somebody is blocked at — and, per blocked
+    transaction, the ids of every resource it holds (``held``; idle
+    locks are not among ``states``).  Predictive policies scan them
+    for near-cycles here; the return value is policy-private (the host
+    exposes it via :meth:`take_warnings`).
 
 ``observe_pass(result, duration)``
     Called after every periodic pass with its result and wall-clock
@@ -82,8 +85,8 @@ class DetectionPolicy:
         """Act on a blocked request; see the module docstring."""
         return None
 
-    def pre_pass(self, states, now: Optional[float] = None) -> None:
-        """Inspect the pass's input states (predictive policies)."""
+    def pre_pass(self, states, held=None) -> None:
+        """Inspect the pass's input (predictive policies)."""
         return None
 
     def observe_pass(self, result, duration: float) -> None:

@@ -39,10 +39,16 @@ MAX_REPORTS = 16
 
 def find_near_cycles(
     states,
+    held: Optional[Dict[int, List[str]]] = None,
     max_sources: int = MAX_SOURCES,
     max_reports: int = MAX_REPORTS,
 ) -> Dict[str, Any]:
     """Scan resource states for one-edge-short patterns.
+
+    ``states`` need only cover the waiting structure (resources with a
+    blocked request: nothing else has an edge) provided ``held`` gives,
+    for every blocked transaction, the resource ids it holds beyond
+    those ``states`` show.
 
     Returns ``{"count": n, "patterns": [...], "truncated": bool}``
     where each pattern is ``{"path": [u, ..., w], "rids": [...],
@@ -52,11 +58,11 @@ def find_near_cycles(
     """
     states = list(states)
     graph = build_graph(states)
-    held: Dict[int, List[str]] = {}
+    held = {tid: set(rids) for tid, rids in (held or {}).items()}
     blocked = set()
     for state in states:
         for holder in state.holders:
-            held.setdefault(holder.tid, []).append(state.rid)
+            held.setdefault(holder.tid, set()).add(state.rid)
             if holder.is_blocked:
                 blocked.add(holder.tid)
         for entry in state.queue:
@@ -135,9 +141,10 @@ class PredictivePolicy(DetectionPolicy):
         self.last_near_cycles = 0
         self._pending: List[Dict[str, Any]] = []
 
-    def pre_pass(self, states, now: Optional[float] = None) -> None:
+    def pre_pass(self, states, held=None) -> None:
         report = find_near_cycles(
             states,
+            held,
             max_sources=self.max_sources,
             max_reports=self.max_reports,
         )

@@ -35,11 +35,7 @@ from ..core.errors import ReproError
 from ..core.modes import LockMode, parse_mode
 from ..core.victim import CostTable
 from ..lockmgr.sharded import ShardedLockCore, resolve_shard_count
-from ..obs.incidents import (
-    IncidentLog,
-    build_incident,
-    build_near_cycle_incident,
-)
+from ..obs.incidents import IncidentLog
 from ..obs.instrument import Telemetry
 from ..policy import resolve_policy
 from .admin import ServiceStats
@@ -643,23 +639,13 @@ class ServiceCore:
         """One periodic detection-resolution pass plus stats.
 
         When the pass resolves a deadlock, a ``repro.incident/1``
-        forensics record lands in :attr:`incidents` — the merged-table
-        render and blocking edges are captured *before* the pass, since
-        resolution mutates the table.
+        forensics record lands in :attr:`incidents` — the pass renders
+        the waiting structure and the blocking edges *before* Steps
+        1-3, since resolution mutates them.
         """
-        pre: Optional[Tuple[str, Dict[int, Optional[str]]]] = None
-        if self.incidents is not None:
-            table = self.manager.table
-            if table.blocked_count():
-                # A deadlock needs blocked transactions; skip the
-                # capture on idle ticks so clean passes stay cheap.
-                pre = (
-                    str(table),
-                    {tid: table.blocked_at(tid)
-                     for tid in table.blocked_tids()},
-                )
+        run = self.manager.detection_pass(self.incidents, self._stamp)
         started = time.perf_counter()
-        result = self.manager.detect()
+        result = run.run()
         self.telemetry.detection(result, time.perf_counter() - started)
         self.stats.absorb_detection(result)
         if result.deadlock_found:
@@ -667,42 +653,19 @@ class ServiceCore:
             # the resolving passes keeps replay byte-identical without
             # one record per detector tick.
             self._journal_append("detect")
-            if self.incidents is not None:
-                table_text, blocked_at = pre if pre is not None else (None, None)
-                span = self.telemetry.pass_span("deadlock")
-                self.incidents.append(
-                    build_incident(
-                        result,
-                        source="service",
-                        table_text=table_text,
-                        blocked_at=blocked_at,
-                        span=span,
-                        epoch=self.restart_epoch,
-                        timestamp=self.wall(),
-                        policy=self.policy.name,
-                    )
-                )
-        self._drain_policy_warnings()
+        self._near_cycle_counter.inc(run.record())
         return result
 
-    def _drain_policy_warnings(self) -> None:
-        """Land the predictive pre-pass's near-cycle reports as
-        warning incidents plus the ``repro_near_cycles_total`` series."""
-        for report in self.policy.take_warnings():
-            count = int(report.get("count", 0))
-            if count <= 0:
-                continue
-            self._near_cycle_counter.inc(count)
-            if self.incidents is not None:
-                self.incidents.append(
-                    build_near_cycle_incident(
-                        report,
-                        source="service",
-                        policy=self.policy.name,
-                        epoch=self.restart_epoch,
-                        timestamp=self.wall(),
-                    )
-                )
+    def _stamp(self, deadlock: bool) -> dict:
+        """This service's fields of an incident record."""
+        fields = {
+            "source": "service",
+            "epoch": self.restart_epoch,
+            "timestamp": self.wall(),
+        }
+        if deadlock:
+            fields["span"] = self.telemetry.pass_span("deadlock")
+        return fields
 
     def snapshot_step(self) -> dict:
         """Serialize this worker's RST slice for a cluster coordinator

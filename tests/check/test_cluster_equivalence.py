@@ -3,12 +3,17 @@
 The ``cluster`` backend drives the same generated programs through a
 ``LocalCluster`` (worker cores behind the coordinator, every plan and
 reply JSON round-tripped) and a single-process ``ShardedLockCore`` in
-lockstep, comparing grant/block outcomes, holdings, abort flags, the
-byte-identical merged table rendering and each coordinator pass's full
-detection summary.  Here that comparison runs as a property over
-random workloads, schedules and worker counts.
+lockstep, comparing grant/block outcomes, holdings, abort flags and
+each coordinator pass's full detection summary.  Here that comparison
+runs as a property over random workloads, schedules and worker counts.
+The byte-identical rendering of the cluster's merged *full* table is an
+audit of every row on every worker (no pass reads them any more); it
+runs in the nightly sweep (``HYPOTHESIS_PROFILE=nightly``) only.
 """
 
+import os
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,13 +24,27 @@ from repro.check.schedule import RandomChooser, VirtualScheduler
 from repro.check.workload import generate_programs
 
 
-def run_one(index, base=67, workers=None, preset="tiny-hot", actors=3):
+def run_one(
+    index, base=67, workers=None, preset="tiny-hot", actors=3, audit=False
+):
     workload_seed, scheduler_seed = derive_seeds(base, index)
     model = ClusterModel(
         generate_programs(workload_seed, actors=actors, preset=preset),
         workers=workers,
+        audit=audit,
     )
     return model.run(VirtualScheduler(RandomChooser(scheduler_seed)))
+
+
+@pytest.mark.skipif(
+    os.environ.get("HYPOTHESIS_PROFILE") != "nightly",
+    reason="full-table audit: nightly sweep only",
+)
+@given(index=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_merged_full_table_is_byte_identical_to_the_sharded_table(index):
+    result = run_one(index, base=29, audit=True)
+    assert result.ok, result.summary()
 
 
 @given(index=st.integers(min_value=0, max_value=10_000))

@@ -96,6 +96,10 @@ class TestMergedSnapshot:
         a, b = rids_on_distinct_workers(cluster)
         assert cluster.lock(1, a, LockMode.S).granted
         assert cluster.lock(2, b, LockMode.S).granted
+        # Snapshots carry the waiting structure only: give each
+        # resource a waiter so both slices have a row.
+        assert not cluster.lock(3, a, LockMode.X).granted
+        assert not cluster.lock(4, b, LockMode.X).granted
         down = cluster.worker_index(b)
         payloads = cluster._transport.snapshot_all()
         payloads[down] = None
@@ -203,6 +207,56 @@ class TestClusterDetection:
         assert not cluster.deadlocked()
         survivor = ({1, 2} - set(result.aborted)).pop()
         assert cluster.holding(survivor) == {a: LockMode.X, b: LockMode.X}
+
+
+def rids_on_one_worker(cluster: LocalCluster, index: int, count: int):
+    found = []
+    i = 0
+    while len(found) < count:
+        i += 1
+        rid = "A{}".format(i)
+        if cluster.worker_index(rid) == index:
+            found.append(rid)
+    return found
+
+
+class TestReleaseFanOut:
+    """Snapshots carry the waiting structure only, so a victim's *idle*
+    locks on other workers are invisible to the coordinator — it must
+    free them all the same."""
+
+    def test_victim_blocked_on_a_loses_its_idle_lock_on_b(self):
+        cluster = LocalCluster(workers=2, policy="periodic")
+        a1, a2 = rids_on_one_worker(cluster, 0, 2)
+        (b,) = rids_on_one_worker(cluster, 1, 1)
+        assert cluster.lock(1, b, LockMode.X).granted  # idle, worker B
+        assert cluster.lock(1, a1, LockMode.X).granted
+        assert cluster.lock(2, a2, LockMode.X).granted
+        assert not cluster.lock(1, a2, LockMode.X).granted
+        assert not cluster.lock(2, a1, LockMode.X).granted
+        # The cycle lives wholly on worker A; nothing about ``b`` is in
+        # any snapshot row.
+        rows = [
+            entry["rid"]
+            for payload in cluster._transport.snapshot_all()
+            for entry in payload["table"]["resources"]
+        ]
+        assert sorted(rows) == sorted([a1, a2])
+        result = cluster.detect()
+        assert result.aborted == [1]
+        assert cluster.holding(1) == {}
+        assert cluster.cores[1].was_aborted(1)
+        assert cluster.lock(3, b, LockMode.X).granted
+        cluster.finish(1)
+        assert not any(core.was_aborted(1) for core in cluster.cores)
+
+    def test_release_of_an_unknown_transaction_is_a_no_op(self):
+        core = ShardedLockCore(shards=2, policy="periodic")
+        assert core.lock(1, "R1", LockMode.X).granted
+        assert core.release_victim(99) == []
+        assert not core.was_aborted(99)
+        assert core._aborted == set()
+        assert core.holding(1) == {"R1": LockMode.X}
 
 
 class TestStaleness:

@@ -98,6 +98,20 @@ class TestCoreSurface:
         assert core.holding(1) == {}
         assert len(core.table) == 0
 
+    def test_first_lock_numbers_do_not_outlive_their_resources(self):
+        """The sequence lives in the shard tables and is dropped with
+        the entry: a core that has locked a million distinct resources
+        remembers only the ones still locked."""
+        core = ShardedLockCore(shards=4)
+        for index in range(200):
+            assert core.lock(1, "t{}".format(index), LockMode.S).granted
+        assert core.sequence_of("t7") == 7
+        core.finish(1)
+        assert core.sequence_of("t7") is None
+        assert all(not shard.table._seq for shard in core.shards)
+        assert core.lock(2, "t7", LockMode.S).granted
+        assert core.sequence_of("t7") == 200
+
     def test_finish_releases_on_every_touched_shard(self):
         core = ShardedLockCore(shards=4)
         a, b = rids_on_distinct_shards(core)

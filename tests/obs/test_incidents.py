@@ -186,3 +186,52 @@ class TestRendering:
         assert records[0]["id"] not in pane
         assert "3 older incident(s)" in pane
         assert "none recorded" in render_incident_pane([])
+
+
+class TestPassCapture:
+    """The record's ``table`` is rendered by the pass itself, from the
+    waiting structure — idle rows are noise in a deadlock report."""
+
+    def run_deadlock(self, build_service):
+        from repro.core.modes import LockMode
+
+        core = build_service()
+        session = core.open_session()
+        for index in range(40):
+            core.lock_step(
+                session, 100 + index, "idle{}".format(index),
+                LockMode.S, wait=False,
+            )
+        for tid, rid in ((1, "R1"), (2, "R2"), (1, "R2"), (2, "R1")):
+            core.lock_step(session, tid, rid, LockMode.X, wait=False)
+        result = core.detect_step()
+        assert result.deadlock_found
+        return core.incidents.recent()[-1]
+
+    def test_service_record_renders_the_waiting_structure_only(self):
+        from repro.service.core import ServiceCore
+
+        for shards in (1, 4):
+            record = self.run_deadlock(
+                lambda: ServiceCore(shards=shards, policy="periodic")
+            )
+            assert validate_incident(record) == []
+            assert record["table"].splitlines() == [
+                "R1(X): Holder((T1, X, NL)) Queue((T2, X))",
+                "R2(X): Holder((T2, X, NL)) Queue((T1, X))",
+            ]
+            assert record["cycles"][0]["edges"] == [
+                {"tid": 1, "rid": "R2"}, {"tid": 2, "rid": "R1"},
+            ]
+            assert record["stats"]["transactions"] == 2
+
+    def test_clean_pass_writes_nothing(self):
+        from repro.core.modes import LockMode
+        from repro.service.core import ServiceCore
+
+        core = ServiceCore(shards=4, policy="periodic")
+        session = core.open_session()
+        core.lock_step(session, 1, "R1", LockMode.X, wait=False)
+        core.lock_step(session, 2, "R1", LockMode.X, wait=False)
+        assert not core.detect_step().deadlock_found
+        assert core.incidents.recent() == []

@@ -58,9 +58,14 @@ class TestSnapshotOp:
     def test_snapshot_serves_the_partition_slice(self, cluster2):
         supervisor, manager = cluster2
         a, b = rids_on_distinct_workers(2)
-        manager.begin(1)
+        for tid in (1, 2, 3):
+            manager.begin(tid)
         assert manager.acquire(1, a, LockMode.S, timeout=5.0)
         assert manager.acquire(1, b, LockMode.X, timeout=5.0)
+        # The op serves the waiting structure: give each slice a waiter
+        # (a timed-out acquire stays queued).
+        assert not manager.acquire(2, a, LockMode.X, timeout=0.2)
+        assert not manager.acquire(3, b, LockMode.S, timeout=0.2)
         payloads = supervisor._transport.snapshot_all()
         assert len(payloads) == 2
         for index, payload in enumerate(payloads):
@@ -69,8 +74,10 @@ class TestSnapshotOp:
             rids = [
                 entry["rid"] for entry in payload["table"]["resources"]
             ]
-            assert all(worker_of(rid, 2) == index for rid in rids)
+            assert rids == [a if worker_of(a, 2) == index else b]
             assert set(payload["sequence"]) == set(rids)
+            (waiter,) = payload["held"]
+            assert waiter["rids"] == []
         served = [row["snapshots_served"] for row in manager.stats()]
         assert served == [1, 1]
 
@@ -130,6 +137,55 @@ class TestCrossProcessResolution:
         assert sum(row["cluster_releases"] for row in rows) == 1
         assert sum(row["cluster_stale_resolutions"] for row in rows) == 0
         manager.commit(survivor)
+
+    def test_victim_loses_its_idle_lock_on_the_other_worker(self, cluster2):
+        """A victim blocked on worker A holding an *idle* lock on
+        worker B: no snapshot row mentions that lock (payloads carry the
+        waiting structure only), yet the pass must free it."""
+        supervisor, manager = cluster2
+        pools = {0: [], 1: []}
+        i = 0
+        while len(pools[0]) < 2 or not pools[1]:
+            i += 1
+            pools[worker_of("A{}".format(i), 2)].append("A{}".format(i))
+        (a1, a2), b = pools[0][:2], pools[1][0]
+        for tid in (1, 2, 3):
+            manager.begin(tid)
+        assert manager.acquire(1, b, LockMode.X, timeout=5.0)
+        assert manager.acquire(1, a1, LockMode.X, timeout=5.0)
+        assert manager.acquire(2, a2, LockMode.X, timeout=5.0)
+
+        outcomes = {}
+
+        def wait_for(tid, rid):
+            try:
+                outcomes[tid] = manager.acquire(
+                    tid, rid, LockMode.X, timeout=20.0
+                )
+            except TransactionAborted:
+                outcomes[tid] = "aborted"
+
+        threads = [
+            threading.Thread(target=wait_for, args=(1, a2)),
+            threading.Thread(target=wait_for, args=(2, a1)),
+        ]
+        for thread in threads:
+            thread.start()
+        assert wait_until(manager.deadlocked)
+        result = supervisor.detect()
+        assert result.aborted == [1]
+        for thread in threads:
+            thread.join(timeout=20.0)
+            assert not thread.is_alive()
+        assert outcomes == {1: "aborted", 2: True}
+        # Before T1's client says a word: its lock on worker B is gone.
+        assert manager.acquire(3, b, LockMode.X, timeout=5.0)
+        rows = manager.stats()
+        assert rows[0]["cluster_victims_aborted"] == 1
+        assert rows[1]["cluster_releases"] == 1
+        manager.abort(1)
+        manager.commit(2)
+        manager.commit(3)
 
     def test_example_41_resolves_abort_free_across_processes(self, cluster2):
         """Example 4.1 with its two resources owned by different worker
