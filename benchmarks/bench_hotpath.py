@@ -284,13 +284,12 @@ def test_batch_closed_loop_throughput(record_result, record_metrics):
 #   representative hot frames, per codec.  Binary frames are 2-4x
 #   smaller; encode beats ``json.dumps``, decode is at parity with the
 #   C-accelerated ``json.loads`` — the closed-loop win comes from the
-#   whole lane (inline dispatch, drain elision, fewer bytes, cheaper
-#   sockets), not from one codec call.
+#   whole lane (drain elision, fewer bytes, cheaper sockets), not from
+#   one codec call.
 # * **Closed loop.**  The PR 5 batched workload (batch size 8) driven
 #   through the JSON-v1-over-TCP lane (the task-per-frame code path v1
 #   connections still use, byte-for-byte) versus the v2 lane: binary
-#   framing over a UNIX-domain socket with the reader-inline fast
-#   path (plus uvloop when the optional extra is installed).
+#   framing over a UNIX-domain socket.
 #   Headline claim: **>= 2x** transactions/second.
 # * **Embed floor.**  The same workload through the zero-serialization
 #   ``EmbeddedLockManager`` — the protocol-cost floor: what remains
@@ -547,16 +546,7 @@ def _embed_loop() -> float:
 
 def test_protocol_closed_loop(record_result, record_metrics):
     """JSON-v1 over TCP (the PR 5 lane, unchanged) vs binary v2 over a
-    UNIX socket with the inline fast path; the embed facade as the
-    protocol-cost floor."""
-    from repro.service.eventloop import loop_factory, uvloop_available
-
-    factory = loop_factory(True)
-
-    def run_loop(coro):
-        with asyncio.Runner(loop_factory=factory) as runner:
-            return runner.run(coro)
-
+    UNIX socket; the embed facade as the protocol-cost floor."""
     json_tcp = 0.0
     binary_unix = 0.0
     for _ in range(LOOP_REPEATS):
@@ -566,7 +556,7 @@ def test_protocol_closed_loop(record_result, record_metrics):
         with tempfile.TemporaryDirectory() as tmp:
             binary_unix = max(
                 binary_unix,
-                run_loop(
+                asyncio.run(
                     _protocol_loop(
                         "binary", os.path.join(tmp, "lock.sock")
                     )
@@ -576,11 +566,10 @@ def test_protocol_closed_loop(record_result, record_metrics):
     wire_speedup = binary_unix / json_tcp
     embed_speedup = embed / json_tcp
 
-    loop_name = "uvloop" if uvloop_available() else "asyncio"
     lines = [
         "protocol closed loop ({} clients x {} txns, batch size {}, "
-        "best of {}; v2 loop={})".format(
-            CLIENTS, TXNS_PER_CLIENT, BATCH_SIZE, LOOP_REPEATS, loop_name
+        "best of {})".format(
+            CLIENTS, TXNS_PER_CLIENT, BATCH_SIZE, LOOP_REPEATS
         ),
         "{:>26} {:>12} {:>10}".format("lane", "txn/s", "speedup"),
         "{:>26} {:>12} {:>10}".format(
@@ -613,7 +602,7 @@ def test_protocol_closed_loop(record_result, record_metrics):
             "txns_per_client": TXNS_PER_CLIENT,
             "batch_size": BATCH_SIZE,
             "resources": LOOP_RESOURCES,
-            "loop": loop_name,
+            "loop": "asyncio",
         },
     )
     # Headline claim (committed in BENCH_protocol.json, quiet machine):

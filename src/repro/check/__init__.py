@@ -18,20 +18,25 @@ The pieces:
   stuck-transaction deadlock), UPR/Theorem 3.1, the detection-pass
   contract (Theorem 4.1, TDR-2 abort-free) and the service-level
   session/ownership invariants.
-* :mod:`repro.check.concurrent` / :mod:`repro.check.service` — the two
-  explorable backends: logical transactions over a
-  :class:`~repro.lockmgr.manager.LockManager`, and client sessions over
-  the real :class:`~repro.service.core.ServiceCore` under a virtual
-  clock with frame reordering, timed-out-retry, duplicate-commit,
-  lease-expiry and mid-run disconnect faults.
+* :mod:`repro.check.lockstep` — the one actor loop for every backend
+  written against the :class:`~repro.lockmgr.contract.LockCore`
+  contract: logical transactions over a subject core and, optionally,
+  a reference core stepped in lockstep and compared on every
+  observable.  The backends are short declarations on top of it:
+  :mod:`repro.check.concurrent` (one
+  :class:`~repro.lockmgr.manager.LockManager`, periodic or continuous),
+  :mod:`repro.check.sharded` (``ShardedLockCore`` vs monolithic),
+  :mod:`repro.check.cluster` (``LocalCluster`` vs ``ShardedLockCore``,
+  plus the incident oracle) and :mod:`repro.check.policy` (the
+  policy-equivalence arms and the ``nowait`` deadlock-freedom arm).
+* :mod:`repro.check.service` — client sessions over the real
+  :class:`~repro.service.core.ServiceCore` under a virtual clock with
+  frame reordering, timed-out-retry, duplicate-commit, lease-expiry,
+  mid-run disconnect and server-restart faults (a different model:
+  sessions, not bare transactions).
 * :mod:`repro.check.races` — scripted two-thread schedules over the
   real :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`,
   sequenced by events rather than sleeps (the wakeup/timeout race).
-* :mod:`repro.check.sharded` — the sharded-vs-monolithic equivalence
-  backend: the same programs through a
-  :class:`~repro.lockmgr.sharded.ShardedLockCore` and a monolithic
-  reference in lockstep, comparing grants, blocks, holdings and every
-  detection pass's outcome.
 * :mod:`repro.check.artifact` — failing schedules persist as compact
   seed+decision-list JSON artifacts that replay byte-for-byte and
   shrink by prefix.

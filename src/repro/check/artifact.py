@@ -17,13 +17,22 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from ..core.errors import ReproError
-from .concurrent import ConcurrentModel, ScheduleResult
+from .cluster import ClusterModel
+from .concurrent import ConcurrentModel
+from .lockstep import ScheduleResult
+from .policy import PolicyModel
 from .races import RaceModel
 from .schedule import ReplayChooser, VirtualScheduler
 from .service import ServiceModel
+from .sharded import EquivalenceModel
 from .workload import generate_programs
 
 ARTIFACT_VERSION = 1
+
+_LOCKSTEP_BACKENDS = {
+    model.backend: model
+    for model in (ConcurrentModel, EquivalenceModel, ClusterModel, PolicyModel)
+}
 
 
 @dataclass
@@ -70,36 +79,25 @@ def load_artifact(path: str) -> Artifact:
         return Artifact.from_json(handle.read())
 
 
-def build_model(artifact: Artifact):
-    """Reconstruct the backend model an artifact was recorded against."""
-    if artifact.backend == "races":
+def build_model(
+    backend: str,
+    seed: int,
+    actors: int,
+    preset: str,
+    continuous: bool,
+    faults: bool,
+):
+    """The backend model for one workload — what the explorer runs and
+    what an artifact recorded against it replays."""
+    if backend == "races":
         return RaceModel()
-    programs = generate_programs(
-        artifact.seed, artifact.actors, artifact.preset
-    )
-    if artifact.backend == "concurrent":
-        return ConcurrentModel(programs, continuous=artifact.continuous)
-    if artifact.backend == "service":
-        return ServiceModel(
-            programs,
-            continuous=artifact.continuous,
-            faults=artifact.faults,
-        )
-    if artifact.backend == "sharded":
-        from .sharded import EquivalenceModel
-
-        return EquivalenceModel(programs, continuous=artifact.continuous)
-    if artifact.backend == "cluster":
-        from .cluster import ClusterModel
-
-        return ClusterModel(programs, continuous=artifact.continuous)
-    if artifact.backend == "policy":
-        from .policy import PolicyModel
-
-        return PolicyModel(programs, continuous=artifact.continuous)
-    raise ReproError(
-        "unknown artifact backend {!r}".format(artifact.backend)
-    )
+    programs = generate_programs(seed, actors, preset)
+    if backend == "service":
+        return ServiceModel(programs, continuous=continuous, faults=faults)
+    kind = _LOCKSTEP_BACKENDS.get(backend)
+    if kind is None:
+        raise ReproError("unknown backend {!r}".format(backend))
+    return kind(programs, continuous=continuous)
 
 
 def replay_artifact(
@@ -111,7 +109,10 @@ def replay_artifact(
     the run — the shrinking contract; ``tail="error"`` demands the list
     cover every decision (strict replay).
     """
-    model = build_model(artifact)
+    model = build_model(
+        artifact.backend, artifact.seed, artifact.actors, artifact.preset,
+        artifact.continuous, artifact.faults,
+    )
     scheduler = VirtualScheduler(
         ReplayChooser(artifact.decisions, tail=tail)
     )

@@ -1,243 +1,46 @@
-"""The concurrent backend: logical transactions over a ``LockManager``.
+"""The concurrent backend: logical transactions over one ``LockManager``.
 
 Models the thread-per-transaction world of
 :class:`~repro.lockmgr.concurrent.ConcurrentLockManager` as explicit
-steps: each actor runs one generated transaction program (lock, lock,
-…, commit), a blocked actor parks until a sweep grants it, a victim
-recovers by releasing everything and (a bounded number of times)
-restarting under a fresh id, and the periodic detector is a transition
-like any other — so *when the detector fires relative to blocks and
-releases* is a scheduling decision the explorer controls, which is
-precisely the nondeterminism the wall-clock daemon thread hides.
-
-Every transition is followed by the state oracles; every detector pass
-additionally by the detection oracle.  A schedule that stops making
-progress before the step budget — or that cannot move at all while
-actors are still alive — fails the ``progress`` oracle (all-blocked
-with nobody to wake is a deadlock the strategy failed to clear).
+steps of the lockstep driver (:mod:`repro.check.lockstep`) over a single
+world — no reference, so only the state and detection oracles run.
+Under ``continuous`` there is no schedulable detector; instead every
+blocking ``lock`` runs the rooted check, and its result goes through the
+detection oracle on the spot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-from ..core.hw_twbg import build_graph
 from ..lockmgr.manager import LockManager
-from ..sim.workload import Program
-from .oracles import (
-    OracleFailure,
-    OracleStats,
-    check_detection,
-    check_state,
-)
-from .schedule import VirtualScheduler
+from .lockstep import LockstepModel, Worlds
+from .oracles import check_detection
 
 
-@dataclass
-class ScheduleResult:
-    """Outcome of one explored schedule."""
-
-    ok: bool
-    steps: int
-    failure: Optional[OracleFailure] = None
-    counters: Dict[str, int] = field(default_factory=dict)
-    oracle_stats: OracleStats = field(default_factory=OracleStats)
-
-    def summary(self) -> str:
-        if self.ok:
-            return "ok ({} steps)".format(self.steps)
-        return str(self.failure)
-
-
-class _Actor:
-    """One logical transaction thread working through a program."""
-
-    __slots__ = ("name", "program", "tid", "pc", "pending", "done", "restarts")
-
-    def __init__(self, name: str, program: Program, tid: int) -> None:
-        self.name = name
-        self.program = program
-        self.tid = tid
-        self.pc = 0
-        self.pending = False  # issued a request and blocked on it
-        self.done = False
-        self.restarts = 0
-
-
-class ConcurrentModel:
+class ConcurrentModel(LockstepModel):
     """Explorable model of threads sharing one lock manager."""
 
     backend = "concurrent"
 
-    def __init__(
-        self,
-        programs: List[Program],
-        continuous: bool = False,
-        max_steps: int = 400,
-        restart_limit: int = 2,
-    ) -> None:
-        self.programs = programs
-        self.continuous = continuous
-        self.max_steps = max_steps
-        self.restart_limit = restart_limit
-
-    def run(self, scheduler: VirtualScheduler) -> ScheduleResult:
+    def open(self, scheduler):
         # Policy pinned (periodic or its continuous companion): the
         # schedules stage deadlocks the oracles expect a detector to
         # find, which the REPRO_POLICY=nowait CI leg would prevent.
-        manager = LockManager(
+        return Worlds(LockManager(
             policy="continuous" if self.continuous else "periodic"
+        ))
+
+    def periodic(self):
+        return not self.continuous
+
+    def after_lock(self, worlds, actor, access):
+        detection = worlds.subject.last_detection
+        if not self.continuous or detection is None:
+            return []
+        worlds.stats.detection_checks += 1
+        worlds.counters["detects"] += 1
+        # The block that triggered the rooted check is what may have
+        # created the cycle, so "was it deadlocked before" is exactly
+        # "did the check find one".
+        return check_detection(
+            detection, detection.deadlock_found, worlds.subject.table
         )
-        actors = [
-            _Actor("a{}".format(i), program, tid=i + 1)
-            for i, program in enumerate(self.programs)
-        ]
-        next_tid = len(actors) + 1
-        counters: Dict[str, int] = {
-            "grants": 0,
-            "blocks": 0,
-            "commits": 0,
-            "aborts": 0,
-            "detects": 0,
-            "restarts": 0,
-        }
-        stats = OracleStats()
-        result = ScheduleResult(ok=True, steps=0, counters=counters,
-                                oracle_stats=stats)
-
-        def transition_step(actor: _Actor) -> List[OracleFailure]:
-            access = actor.program.accesses[actor.pc]
-            outcome = manager.lock(actor.tid, access.rid, access.mode)
-            failures: List[OracleFailure] = []
-            if self.continuous and manager.last_detection is not None:
-                detection = manager.last_detection
-                stats.detection_checks += 1
-                counters["detects"] += 1
-                # The block that triggered the rooted check is what may
-                # have created the cycle, so "was it deadlocked before"
-                # is exactly "did the check find one".
-                failures.extend(
-                    check_detection(
-                        detection, detection.deadlock_found, manager.table
-                    )
-                )
-            if outcome.granted:
-                counters["grants"] += 1
-                actor.pc += 1
-            else:
-                counters["blocks"] += 1
-                actor.pending = True
-            return failures
-
-        def transition_resume(actor: _Actor) -> List[OracleFailure]:
-            actor.pending = False
-            actor.pc += 1
-            return []
-
-        def transition_commit(actor: _Actor) -> List[OracleFailure]:
-            manager.finish(actor.tid)
-            counters["commits"] += 1
-            actor.done = True
-            return []
-
-        def transition_recover(actor: _Actor) -> List[OracleFailure]:
-            manager.finish(actor.tid)
-            counters["aborts"] += 1
-            actor.pending = False
-            if actor.restarts >= self.restart_limit:
-                actor.done = True
-                return []
-            actor.restarts += 1
-            counters["restarts"] += 1
-            nonlocal next_tid
-            actor.tid = next_tid
-            next_tid += 1
-            actor.pc = 0
-            return []
-
-        def transition_detect() -> List[OracleFailure]:
-            deadlocked_before = build_graph(
-                manager.table.snapshot()
-            ).has_cycle()
-            detection = manager.detect()
-            counters["detects"] += 1
-            stats.detection_checks += 1
-            return check_detection(
-                detection, deadlocked_before, manager.table
-            )
-
-        for step in range(self.max_steps):
-            transitions: List[
-                Tuple[str, Callable[[], List[OracleFailure]]]
-            ] = []
-            alive = 0
-            for actor in actors:
-                if actor.done:
-                    continue
-                alive += 1
-                name = actor.name
-                if manager.was_aborted(actor.tid):
-                    transitions.append(
-                        ("recover:" + name,
-                         lambda a=actor: transition_recover(a))
-                    )
-                elif actor.pending:
-                    if not manager.is_blocked(actor.tid):
-                        transitions.append(
-                            ("resume:" + name,
-                             lambda a=actor: transition_resume(a))
-                        )
-                elif actor.pc < actor.program.size:
-                    transitions.append(
-                        ("step:" + name, lambda a=actor: transition_step(a))
-                    )
-                else:
-                    transitions.append(
-                        ("commit:" + name,
-                         lambda a=actor: transition_commit(a))
-                    )
-            if not self.continuous and any(
-                actor.pending and not actor.done for actor in actors
-            ):
-                transitions.append(("detect", transition_detect))
-            if alive == 0:
-                result.steps = step
-                return result
-            if not transitions:
-                result.ok = False
-                result.steps = step
-                result.failure = OracleFailure(
-                    "progress",
-                    "{} actors alive but no transition enabled (all "
-                    "blocked with nothing to wake them)".format(alive),
-                    step=step,
-                )
-                return result
-
-            label, apply = scheduler.choose(
-                transitions, "concurrent@{}".format(step)
-            )
-            failures = apply()
-            stats.state_checks += 1
-            failures.extend(check_state(manager.table))
-            if failures:
-                stats.failures += len(failures)
-                result.ok = False
-                result.steps = step + 1
-                result.failure = failures[0].located(step, label)
-                return result
-
-        if any(not actor.done for actor in actors):
-            result.ok = False
-            result.steps = self.max_steps
-            result.failure = OracleFailure(
-                "progress",
-                "schedule did not drain within {} steps".format(
-                    self.max_steps
-                ),
-                step=self.max_steps,
-            )
-        else:
-            result.steps = self.max_steps
-        return result

@@ -1,52 +1,39 @@
 """The policy backend: detection-policy conformance checking.
 
 Two kinds of schedule run here, chosen by the scheduler (so both get
-explored under every workload seed):
+explored under every workload seed), both on the lockstep driver
+(:mod:`repro.check.lockstep`):
 
 * **Equivalence arms** (``periodic``, ``predict``, ``adaptive``) —
-  the *policy-equivalence oracle*.  The same generated transaction
-  programs drive a plain default-constructed
-  :class:`~repro.lockmgr.manager.LockManager` (the pre-refactor
-  behaviour) and a ``LockManager(policy=<arm>)`` in lockstep, and
-  every transition asserts the two worlds agree: identical
-  granted/blocked outcomes, identical blocked-at/holding/aborted
-  state, identical finish grants and identical periodic-pass
-  summaries down to the Step-2 walk counters.  This is the refactor's
-  "default policy provably unchanged" proof obligation: ``periodic``
+  the *policy-equivalence oracle*.  The reference is a
+  ``LockManager(policy="periodic")`` (the paper's Section-5 behaviour),
+  the subject a ``LockManager(policy=<arm>)``.  This is the policy
+  layer's "default provably unchanged" proof obligation: ``periodic``
   must be bit-for-bit the old behaviour, and the observe-only
   policies (``predict`` warns, ``adaptive`` tunes timing knobs the
   explorer never consults) must never perturb a single observable
-  outcome.
+  outcome — nor run block-time detection.
 
 * **The nowait arm** — the *deadlock-freedom oracle*.  One
   ``LockManager(policy="nowait")`` runs the programs alone; after
-  every transition the merged H/W-TWBG must be acyclic (the ordered
+  every transition the H/W-TWBG must be acyclic (the ordered
   ``wait_is_ordered`` rule makes waits follow the resource order, so
   no cycle can ever close), and a periodic pass — still a schedulable
   transition — must find nothing and abort nobody.  Every abort the
   world does see must be a block-time policy abort carrying the
   nowait abort reason, never a detector victimisation.
-
-The usual state oracles (table invariants, Theorem 1, UPR) run on the
-subject world after every transition in both kinds of schedule.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import List
 
 from ..core.hw_twbg import build_graph
 from ..lockmgr.manager import LockManager
+from ..policy.nowait import ABORT_REASON
 from ..sim.workload import Program
-from .concurrent import ScheduleResult, _Actor
-from .oracles import (
-    OracleFailure,
-    OracleStats,
-    check_detection,
-    check_state,
-)
+from .lockstep import LockstepModel, ScheduleResult, Worlds
 from .schedule import VirtualScheduler
-from .sharded import _detection_summary, _grant_key
 
 #: Arms the scheduler may pick: the three observe-only policies run
 #: the lockstep equivalence comparison; ``nowait`` runs the
@@ -54,425 +41,112 @@ from .sharded import _detection_summary, _grant_key
 ARM_CHOICES = ("periodic", "predict", "adaptive", "nowait")
 
 
-class PolicyModel:
+class PolicyModel(LockstepModel):
     """Explorable conformance check of the detection-policy layer."""
 
     backend = "policy"
 
     def __init__(
-        self,
-        programs: List[Program],
-        continuous: bool = False,
-        max_steps: int = 400,
-        restart_limit: int = 2,
-        arm: str = None,
+        self, programs: List[Program], arm: str = None, **kwargs
     ) -> None:
-        # ``continuous`` is accepted for the runner's alternation but
-        # ignored: the continuous policy is pinned by the concurrent
-        # and service backends already; this backend owns the three
-        # new policies and the periodic default.
-        self.programs = programs
-        self.max_steps = max_steps
-        self.restart_limit = restart_limit
+        # ``continuous`` is ignored: the continuous policy is pinned by
+        # the concurrent and service backends already; this backend
+        # owns the three new policies and the periodic default.
+        super().__init__(programs, **kwargs)
         self.arm = arm
 
     def run(self, scheduler: VirtualScheduler) -> ScheduleResult:
         arm = self.arm
         if arm is None:
             arm = scheduler.choose(list(ARM_CHOICES), "policy-arm")
-        if arm == "nowait":
-            return self._run_nowait(scheduler)
-        return self._run_equivalence(scheduler, arm)
+        kind = NoWaitArm if arm == "nowait" else EquivalenceArm
+        return kind(self, arm).run(scheduler)
 
-    # -- the lockstep equivalence arms -----------------------------------
 
-    def _run_equivalence(
-        self, scheduler: VirtualScheduler, arm: str
-    ) -> ScheduleResult:
-        # The equivalence claim is against the *periodic* default (the
-        # paper's Section-5 behaviour), pinned explicitly so the
-        # REPRO_POLICY CI leg cannot change the reference.
-        reference = LockManager(policy="periodic")
-        subject = LockManager(policy=arm)
-        actors = [
-            _Actor("a{}".format(i), program, tid=i + 1)
-            for i, program in enumerate(self.programs)
-        ]
-        next_tid = len(actors) + 1
-        counters: Dict[str, int] = {
-            "grants": 0, "blocks": 0, "commits": 0, "aborts": 0,
-            "detects": 0, "restarts": 0,
-        }
-        stats = OracleStats()
-        result = ScheduleResult(ok=True, steps=0, counters=counters,
-                                oracle_stats=stats)
+class _Arm(LockstepModel):
+    """One arm of a :class:`PolicyModel`, with its step budgets."""
 
-        def equivalence(detail: str) -> OracleFailure:
-            return OracleFailure(
-                "policy-equivalence",
-                "policy={}: {}".format(arm, detail),
-            )
+    backend = "policy"
 
-        def compare_world() -> List[OracleFailure]:
-            failures: List[OracleFailure] = []
-            for actor in actors:
-                tid = actor.tid
-                ref_blocked = reference.table.blocked_at(tid)
-                sub_blocked = subject.table.blocked_at(tid)
-                if ref_blocked != sub_blocked:
-                    failures.append(equivalence(
-                        "T{} blocked at {!r} default but {!r} under the "
-                        "policy".format(tid, ref_blocked, sub_blocked)
-                    ))
-                if reference.holding(tid) != subject.holding(tid):
-                    failures.append(equivalence(
-                        "T{} holdings diverged".format(tid)
-                    ))
-                if reference.was_aborted(tid) != subject.was_aborted(tid):
-                    failures.append(equivalence(
-                        "T{} aborted flag diverged (default={}, "
-                        "policy={})".format(
-                            tid, reference.was_aborted(tid),
-                            subject.was_aborted(tid),
-                        )
-                    ))
-            return failures
+    def __init__(self, model: PolicyModel, arm: str) -> None:
+        super().__init__(
+            model.programs,
+            max_steps=model.max_steps,
+            restart_limit=model.restart_limit,
+        )
+        self.arm = arm
 
-        def transition_step(actor: _Actor) -> List[OracleFailure]:
-            access = actor.program.accesses[actor.pc]
-            ref = reference.lock(actor.tid, access.rid, access.mode)
-            sub = subject.lock(actor.tid, access.rid, access.mode)
-            failures: List[OracleFailure] = []
-            if ref.granted != sub.granted:
-                failures.append(equivalence(
-                    "lock T{} {} {} granted={} default but {} under "
-                    "the policy".format(
-                        actor.tid, access.rid, access.mode.name,
-                        ref.granted, sub.granted,
-                    )
-                ))
-            if subject.last_detection is not None and arm != "continuous":
-                # An observe-only policy must never run block-time
-                # detection: the default leaves last_detection None.
-                failures.append(equivalence(
-                    "policy ran block-time detection on T{} {}".format(
-                        actor.tid, access.rid
-                    )
-                ))
-            if ref.granted:
-                counters["grants"] += 1
-                actor.pc += 1
-            else:
-                counters["blocks"] += 1
-                actor.pending = True
-            return failures
 
-        def transition_resume(actor: _Actor) -> List[OracleFailure]:
-            actor.pending = False
-            actor.pc += 1
+class EquivalenceArm(_Arm):
+    """``LockManager(policy=arm)`` against the periodic default."""
+
+    oracle = "policy-equivalence"
+    names = ("default", "under the policy")
+
+    def open(self, scheduler):
+        # The reference is pinned explicitly so the REPRO_POLICY CI leg
+        # cannot change it.
+        return Worlds(
+            LockManager(policy=self.arm),
+            LockManager(policy="periodic"),
+            tag="policy={}".format(self.arm),
+        )
+
+    def after_lock(self, worlds, actor, access):
+        if worlds.subject.last_detection is None:
             return []
+        # An observe-only policy must never run block-time detection:
+        # the default leaves last_detection None.
+        return [self.failure(
+            worlds,
+            "policy ran block-time detection on T{} {}".format(
+                actor.tid, access.rid
+            ),
+        )]
 
-        def finish_both(tid: int) -> List[OracleFailure]:
-            ref_grants = sorted(
-                _grant_key(event) for event in reference.finish(tid)
-            )
-            sub_grants = sorted(
-                _grant_key(event) for event in subject.finish(tid)
-            )
-            if ref_grants != sub_grants:
-                return [equivalence(
-                    "finish T{} granted {} default but {} under the "
-                    "policy".format(tid, ref_grants, sub_grants)
-                )]
-            return []
 
-        def transition_commit(actor: _Actor) -> List[OracleFailure]:
-            failures = finish_both(actor.tid)
-            counters["commits"] += 1
-            actor.done = True
-            return failures
+class NoWaitArm(_Arm):
+    """One ``nowait`` world, alone: the deadlock-freedom oracle."""
 
-        def transition_recover(actor: _Actor) -> List[OracleFailure]:
-            failures = finish_both(actor.tid)
-            counters["aborts"] += 1
-            actor.pending = False
-            if actor.restarts >= self.restart_limit:
-                actor.done = True
-                return failures
-            actor.restarts += 1
-            counters["restarts"] += 1
-            nonlocal next_tid
-            actor.tid = next_tid
-            next_tid += 1
-            actor.pc = 0
-            return failures
+    label = "nowait"
+    oracle = "nowait-deadlock-free"
 
-        def transition_detect() -> List[OracleFailure]:
-            deadlocked_before = build_graph(
-                subject.table.snapshot()
-            ).has_cycle()
-            ref_result = reference.detect()
-            sub_result = subject.detect()
-            counters["detects"] += 1
-            stats.detection_checks += 1
-            failures: List[OracleFailure] = []
-            ref_summary = _detection_summary(ref_result)
-            sub_summary = _detection_summary(sub_result)
-            for key in ref_summary:
-                if ref_summary[key] != sub_summary[key]:
-                    failures.append(equivalence(
-                        "detection {} diverged: default {} vs policy "
-                        "{}".format(
-                            key, ref_summary[key], sub_summary[key]
-                        )
-                    ))
-            failures.extend(
-                check_detection(
-                    sub_result, deadlocked_before, subject.table
-                )
-            )
-            return failures
+    def open(self, scheduler):
+        return Worlds(
+            LockManager(policy="nowait"), tag="nowait", nowait_aborts=0
+        )
 
-        for step in range(self.max_steps):
-            transitions: List[
-                Tuple[str, Callable[[], List[OracleFailure]]]
-            ] = []
-            alive = 0
-            for actor in actors:
-                if actor.done:
-                    continue
-                alive += 1
-                name = actor.name
-                if reference.was_aborted(actor.tid):
-                    transitions.append(
-                        ("recover:" + name,
-                         lambda a=actor: transition_recover(a))
-                    )
-                elif actor.pending:
-                    if not reference.is_blocked(actor.tid):
-                        transitions.append(
-                            ("resume:" + name,
-                             lambda a=actor: transition_resume(a))
-                        )
-                elif actor.pc < actor.program.size:
-                    transitions.append(
-                        ("step:" + name, lambda a=actor: transition_step(a))
-                    )
-                else:
-                    transitions.append(
-                        ("commit:" + name,
-                         lambda a=actor: transition_commit(a))
-                    )
-            if any(actor.pending and not actor.done for actor in actors):
-                transitions.append(("detect", transition_detect))
-            if alive == 0:
-                result.steps = step
-                return result
-            if not transitions:
-                result.ok = False
-                result.steps = step
-                result.failure = OracleFailure(
-                    "progress",
-                    "{} actors alive but no transition enabled".format(
-                        alive
-                    ),
-                    step=step,
-                )
-                return result
+    def on_block(self, worlds, actor):
+        manager = worlds.subject
+        if not manager.was_aborted(actor.tid):
+            return super().on_block(worlds, actor)
+        # The policy refused the out-of-order wait and aborted the
+        # requester at block time; the recover transition picks the
+        # actor up next step.
+        worlds.counters["nowait_aborts"] += 1
+        detection = manager.last_detection
+        if getattr(detection, "abort_reason", "") != ABORT_REASON:
+            return [self.failure(
+                worlds,
+                "T{} was aborted without the nowait abort "
+                "reason".format(actor.tid),
+            )]
+        return []
 
-            label, apply = scheduler.choose(
-                transitions, "policy@{}".format(step)
-            )
-            failures = apply()
-            stats.state_checks += 1
-            stats.equivalence_checks += 1
-            failures.extend(check_state(subject.table))
-            failures.extend(compare_world())
-            if failures:
-                stats.failures += len(failures)
-                result.ok = False
-                result.steps = step + 1
-                result.failure = failures[0].located(step, label)
-                return result
-
-        if any(not actor.done for actor in actors):
-            result.ok = False
-            result.steps = self.max_steps
-            result.failure = OracleFailure(
-                "progress",
-                "schedule did not drain within {} steps".format(
-                    self.max_steps
+    def check_pass(self, worlds, result, deadlocked_before, table):
+        if result.deadlock_found or result.aborted:
+            return [self.failure(
+                worlds,
+                "a periodic pass over the nowait world found work "
+                "(deadlock_found={}, aborted={})".format(
+                    result.deadlock_found, result.aborted
                 ),
-                step=self.max_steps,
-            )
-        else:
-            result.steps = self.max_steps
-        return result
+            )]
+        return []
 
-    # -- the nowait deadlock-freedom arm ---------------------------------
-
-    def _run_nowait(self, scheduler: VirtualScheduler) -> ScheduleResult:
-        from ..policy.nowait import ABORT_REASON
-
-        manager = LockManager(policy="nowait")
-        actors = [
-            _Actor("a{}".format(i), program, tid=i + 1)
-            for i, program in enumerate(self.programs)
-        ]
-        next_tid = len(actors) + 1
-        counters: Dict[str, int] = {
-            "grants": 0, "blocks": 0, "commits": 0, "aborts": 0,
-            "detects": 0, "restarts": 0, "nowait_aborts": 0,
-        }
-        stats = OracleStats()
-        result = ScheduleResult(ok=True, steps=0, counters=counters,
-                                oracle_stats=stats)
-
-        def deadlock_free() -> List[OracleFailure]:
-            if build_graph(manager.table.snapshot()).has_cycle():
-                return [OracleFailure(
-                    "nowait-deadlock-free",
-                    "the ordered-wait rule admitted a wait cycle",
-                )]
-            return []
-
-        def transition_step(actor: _Actor) -> List[OracleFailure]:
-            access = actor.program.accesses[actor.pc]
-            outcome = manager.lock(actor.tid, access.rid, access.mode)
-            failures: List[OracleFailure] = []
-            if outcome.granted:
-                counters["grants"] += 1
-                actor.pc += 1
-            elif manager.was_aborted(actor.tid):
-                # The policy refused the out-of-order wait and aborted
-                # the requester at block time; the recover transition
-                # picks the actor up next step.
-                counters["nowait_aborts"] += 1
-                detection = manager.last_detection
-                if detection is None or getattr(
-                    detection, "abort_reason", ""
-                ) != ABORT_REASON:
-                    failures.append(OracleFailure(
-                        "nowait-deadlock-free",
-                        "T{} was aborted without the nowait abort "
-                        "reason".format(actor.tid),
-                    ))
-            else:
-                counters["blocks"] += 1
-                actor.pending = True
-            return failures
-
-        def transition_resume(actor: _Actor) -> List[OracleFailure]:
-            actor.pending = False
-            actor.pc += 1
-            return []
-
-        def transition_commit(actor: _Actor) -> List[OracleFailure]:
-            manager.finish(actor.tid)
-            counters["commits"] += 1
-            actor.done = True
-            return []
-
-        def transition_recover(actor: _Actor) -> List[OracleFailure]:
-            manager.finish(actor.tid)
-            counters["aborts"] += 1
-            actor.pending = False
-            if actor.restarts >= self.restart_limit:
-                actor.done = True
-                return []
-            actor.restarts += 1
-            counters["restarts"] += 1
-            nonlocal next_tid
-            actor.tid = next_tid
-            next_tid += 1
-            actor.pc = 0
-            return []
-
-        def transition_detect() -> List[OracleFailure]:
-            pass_result = manager.detect()
-            counters["detects"] += 1
-            stats.detection_checks += 1
-            if pass_result.deadlock_found or pass_result.aborted:
-                return [OracleFailure(
-                    "nowait-deadlock-free",
-                    "a periodic pass over the nowait world found work "
-                    "(deadlock_found={}, aborted={})".format(
-                        pass_result.deadlock_found, pass_result.aborted
-                    ),
-                )]
-            return []
-
-        for step in range(self.max_steps):
-            transitions: List[
-                Tuple[str, Callable[[], List[OracleFailure]]]
-            ] = []
-            alive = 0
-            for actor in actors:
-                if actor.done:
-                    continue
-                alive += 1
-                name = actor.name
-                if manager.was_aborted(actor.tid):
-                    transitions.append(
-                        ("recover:" + name,
-                         lambda a=actor: transition_recover(a))
-                    )
-                elif actor.pending:
-                    if not manager.is_blocked(actor.tid):
-                        transitions.append(
-                            ("resume:" + name,
-                             lambda a=actor: transition_resume(a))
-                        )
-                elif actor.pc < actor.program.size:
-                    transitions.append(
-                        ("step:" + name, lambda a=actor: transition_step(a))
-                    )
-                else:
-                    transitions.append(
-                        ("commit:" + name,
-                         lambda a=actor: transition_commit(a))
-                    )
-            if any(actor.pending and not actor.done for actor in actors):
-                transitions.append(("detect", transition_detect))
-            if alive == 0:
-                result.steps = step
-                return result
-            if not transitions:
-                result.ok = False
-                result.steps = step
-                result.failure = OracleFailure(
-                    "progress",
-                    "{} actors alive but no transition enabled under "
-                    "nowait (a wait the ordered rule should have "
-                    "refused?)".format(alive),
-                    step=step,
-                )
-                return result
-
-            label, apply = scheduler.choose(
-                transitions, "nowait@{}".format(step)
-            )
-            failures = apply()
-            stats.state_checks += 1
-            failures.extend(check_state(manager.table))
-            failures.extend(deadlock_free())
-            if failures:
-                stats.failures += len(failures)
-                result.ok = False
-                result.steps = step + 1
-                result.failure = failures[0].located(step, label)
-                return result
-
-        if any(not actor.done for actor in actors):
-            result.ok = False
-            result.steps = self.max_steps
-            result.failure = OracleFailure(
-                "progress",
-                "schedule did not drain within {} steps".format(
-                    self.max_steps
-                ),
-                step=self.max_steps,
-            )
-        else:
-            result.steps = self.max_steps
-        return result
+    def check_world(self, worlds, table):
+        if build_graph(table.snapshot()).has_cycle():
+            return [self.failure(
+                worlds, "the ordered-wait rule admitted a wait cycle"
+            )]
+        return []

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 from ..core.errors import TransactionAborted
 from ..core.modes import LockMode
 from ..lockmgr.concurrent import ConcurrentLockManager
-from .concurrent import ScheduleResult
+from .lockstep import ScheduleResult
 from .oracles import OracleFailure, OracleStats, check_state
 from .schedule import VirtualScheduler
 

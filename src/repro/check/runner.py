@@ -21,18 +21,19 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .artifact import Artifact, save_artifact, shrink_artifact
-from .concurrent import ConcurrentModel, ScheduleResult
+from .artifact import (
+    Artifact,
+    build_model,
+    save_artifact,
+    shrink_artifact,
+)
+from .lockstep import ScheduleResult
 from .oracles import OracleStats
-from .races import RaceModel
 from .schedule import (
     RandomChooser,
     VirtualScheduler,
     enumerate_schedules,
 )
-from .service import ServiceModel
-from .sharded import EquivalenceModel
-from .workload import generate_programs
 
 DEFAULT_BACKENDS = ("concurrent", "service")
 
@@ -121,28 +122,10 @@ class CheckReport:
 
 def _build(backend: str, config: CheckConfig, workload_seed: int,
            continuous: bool):
-    if backend == "races":
-        return RaceModel()
-    programs = generate_programs(
-        workload_seed, config.actors, config.preset
+    return build_model(
+        backend, workload_seed, config.actors, config.preset,
+        continuous, config.faults,
     )
-    if backend == "concurrent":
-        return ConcurrentModel(programs, continuous=continuous)
-    if backend == "service":
-        return ServiceModel(
-            programs, continuous=continuous, faults=config.faults
-        )
-    if backend == "sharded":
-        return EquivalenceModel(programs, continuous=continuous)
-    if backend == "cluster":
-        from .cluster import ClusterModel
-
-        return ClusterModel(programs, continuous=continuous)
-    if backend == "policy":
-        from .policy import PolicyModel
-
-        return PolicyModel(programs, continuous=continuous)
-    raise ValueError("unknown backend {!r}".format(backend))
 
 
 def run_check(config: CheckConfig, log=None) -> CheckReport:

@@ -50,7 +50,7 @@ from ..service.journal import SessionJournal, recover_into
 from ..service.protocol import ServiceError, request
 from ..service.wire import codec_for, resolve_wire, wire_roundtrip
 from ..sim.workload import Program
-from .concurrent import ScheduleResult
+from .lockstep import ScheduleResult, stuck, undrained
 from .oracles import (
     OracleFailure,
     OracleStats,
@@ -464,16 +464,7 @@ class ServiceModel:
                     )
                 return result
             if not transitions:
-                result.ok = False
-                result.steps = step
-                result.failure = OracleFailure(
-                    "progress",
-                    "{} clients alive but no transition enabled".format(
-                        alive
-                    ),
-                    step=step,
-                )
-                return result
+                return result.fail(stuck(alive, step), step)
 
             label, apply = scheduler.choose(
                 transitions, "service@{}".format(step)
@@ -486,23 +477,14 @@ class ServiceModel:
             failures.extend(check_service(core))
             if failures:
                 stats.failures += len(failures)
-                result.ok = False
-                result.steps = step + 1
-                result.failure = failures[0].located(step, label)
-                return result
+                return result.fail(
+                    failures[0].located(step, label), step + 1
+                )
 
+        result.steps = self.max_steps
         if any(not client.done for client in clients):
-            result.ok = False
-            result.steps = self.max_steps
-            result.failure = OracleFailure(
-                "progress",
-                "schedule did not drain within {} steps".format(
-                    self.max_steps
-                ),
-                step=self.max_steps,
-            )
+            result.fail(undrained(self.max_steps), self.max_steps)
         else:
-            result.steps = self.max_steps
             stats.span_checks += 1
             span_failures = check_spans(core.telemetry)
             if span_failures:

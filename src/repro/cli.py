@@ -117,13 +117,12 @@ class ServeConfig:
     """The validated, normalised ``serve`` topology knobs."""
 
     def __init__(self, policy, continuous, shards, workers, warnings,
-                 unix=None, uvloop=False):
+                 unix=None):
         self.policy = policy
         self.continuous = continuous
         self.shards = shards
         self.workers = workers
         self.unix = unix
-        self.uvloop = uvloop
         self.warnings = tuple(warnings)
 
 
@@ -134,7 +133,6 @@ def validate_serve_config(
     workers: int = 1,
     period: float = 0.5,
     unix: Optional[str] = None,
-    uvloop: bool = False,
     environ=None,
 ) -> ServeConfig:
     """Validate one ``serve`` flag set; the single place topology
@@ -223,15 +221,6 @@ def validate_serve_config(
             "supervisor partitions a TCP port range, so it cannot "
             "run with --workers {}".format(workers)
         )
-    if uvloop:
-        from .service.eventloop import uvloop_available
-
-        if not uvloop_available():
-            warnings.append(
-                "--uvloop requested but uvloop is not installed "
-                "(pip install repro[perf]); serving on stock asyncio"
-            )
-            uvloop = False
     return ServeConfig(
         policy=effective,
         continuous=wants_continuous,
@@ -239,7 +228,6 @@ def validate_serve_config(
         workers=workers,
         warnings=warnings,
         unix=unix,
-        uvloop=uvloop,
     )
 
 
@@ -428,7 +416,6 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             period=args.period,
             unix=args.unix,
-            uvloop=args.uvloop,
         )
     except ServeConfigError as exc:
         print("serve: {}".format(exc), file=sys.stderr)
@@ -455,10 +442,6 @@ def cmd_serve(args) -> int:
     )
     if args.max_frame:
         server.max_frame = args.max_frame
-    if config.uvloop:
-        from .service.eventloop import install_uvloop
-
-        install_uvloop()
     exporter = None
     if args.metrics_port is not None:
         from .obs.cluster import MetricsExporter
@@ -486,14 +469,12 @@ def cmd_serve(args) -> int:
         )
         print(
             "lock service listening on {} "
-            "(period={}, lease={}s, shards={}, policy={}, "
-            "loop={})".format(
+            "(period={}, lease={}s, shards={}, policy={})".format(
                 endpoint,
                 server.period if server.period is not None else "off",
                 server.lease,
                 server.core.shards,
                 server.core.policy.name,
-                "uvloop" if config.uvloop else "asyncio",
             ),
             flush=True,
         )
@@ -943,12 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="listen on a UNIX-domain socket at PATH instead of TCP "
         "(lower per-frame syscall cost for same-host clients)",
-    )
-    serve_cmd.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="serve on uvloop when the optional 'perf' extra is "
-        "installed (falls back to asyncio with a warning)",
     )
     serve_cmd.add_argument(
         "--max-frame",

@@ -9,7 +9,7 @@ process-spawn latency.  The cores share one first-lock sequence
 counter, mirroring the cross-process counter
 :mod:`repro.cluster.worker` installs, which is what keeps the merged
 waiting structure — and the full-table audit
-:meth:`LocalCluster.merged_table` — identical to a single-process
+:attr:`LocalCluster.table` — identical to a single-process
 :class:`~repro.lockmgr.sharded.ShardedLockCore` fed the same request
 stream (the property :mod:`repro.check.cluster` pins down).
 """
@@ -194,9 +194,11 @@ class LocalCluster:
 
     # -- introspection ---------------------------------------------------
 
-    def merged_table(self) -> LockTable:
+    @property
+    def table(self) -> LockTable:
         """The cluster-wide RST — every row of every worker, in
-        first-lock order.  A full-table audit: no pass reads this."""
+        first-lock order, rebuilt on each read.  A full-table audit: no
+        pass reads this."""
         rows = [
             (core.sequence_of(state.rid), state.copy())
             for core in self.cores
@@ -227,10 +229,10 @@ class LocalCluster:
         return held
 
     def graph(self) -> HWTWBG:
-        return build_graph(self.merged_table().snapshot())
+        return build_graph(self.table.snapshot())
 
     def deadlocked(self) -> bool:
         return self.graph().has_cycle()
 
     def __str__(self) -> str:
-        return str(self.merged_table())
+        return str(self.table)

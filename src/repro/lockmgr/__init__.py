@@ -2,6 +2,7 @@
 LockManager façade."""
 
 from .concurrent import ConcurrentLockManager
+from .contract import BlockingLockManager, LockCore
 from .events import Aborted, Blocked, Granted, Repositioned
 from .introspect import (
     BlockExplanation,
@@ -34,8 +35,10 @@ __all__ = [
     "Aborted",
     "Blocked",
     "BlockExplanation",
+    "BlockingLockManager",
     "ConcurrentLockManager",
     "Granted",
+    "LockCore",
     "LockManager",
     "LockTable",
     "MergedTableView",

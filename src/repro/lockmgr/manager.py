@@ -178,6 +178,9 @@ class LockManager:
             return self.tracker.graph()
         return build_graph(self.table.resources())
 
+    def blocked_at(self, tid: int) -> Optional[str]:
+        return self.table.blocked_at(tid)
+
     def is_blocked(self, tid: int) -> bool:
         return self.table.is_blocked(tid)
 

@@ -16,7 +16,7 @@ Record schema (``repro.bench/1``)::
                    "gauges": [...],               # MetricsRegistry
                    "histograms": [...]}}          # snapshot()
 
-``tools/validate_bench_metrics.py`` checks emitted files against this
+``tools/validate_records.py`` checks emitted files against this
 schema in CI; :func:`validate_record` is the single source of truth it
 calls.
 """

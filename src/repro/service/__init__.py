@@ -23,7 +23,6 @@ mirror of :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.
 from .admin import ServiceStats, render_stats
 from .client import AsyncLockClient, RemoteLockManager
 from .core import ParkedWait, ServiceCore, Session
-from .eventloop import install_uvloop, uvloop_available
 from .journal import RecoveryReport, SessionJournal, recover_into
 from .loopback import EmbeddedLockManager, LoopbackServer
 from .protocol import (
@@ -68,11 +67,9 @@ __all__ = [
     "WIRE_JSON",
     "WIRE_VERSION",
     "codec_for",
-    "install_uvloop",
     "negotiate",
     "recover_into",
     "render_stats",
     "resolve_wire",
     "serve",
-    "uvloop_available",
 ]

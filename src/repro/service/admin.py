@@ -74,11 +74,8 @@ class ServiceStats:
         "recovery_leases_honored",
         "recovery_leases_reaped",
         "recovery_replay_errors",
-        # Wire-protocol counters: connections that negotiated the v2
-        # binary framing, and hot ops the reader task dispatched inline
-        # (the v2 fast lane) instead of spawning a per-frame task.
+        # Connections that negotiated the v2 binary framing.
         "binary_connections",
-        "inline_requests",
     )
 
     def __init__(

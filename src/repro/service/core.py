@@ -32,14 +32,21 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import ReproError
-from ..core.modes import LockMode, parse_mode
+from ..core.modes import LockMode
 from ..core.victim import CostTable
 from ..lockmgr.sharded import ShardedLockCore, resolve_shard_count
 from ..obs.incidents import IncidentLog
 from ..obs.instrument import Telemetry
 from ..policy import resolve_policy
 from .admin import ServiceStats
-from .protocol import MAX_BATCH_OPS, ServiceError, event_to_dict
+from .protocol import (
+    MAX_BATCH_OPS,
+    ServiceError,
+    event_to_dict,
+    int_field,
+    mode_field,
+    rid_field,
+)
 
 #: Bounds on a client-requested lease, seconds.
 MIN_LEASE = 0.05
@@ -425,8 +432,6 @@ class ServiceCore:
                 self._next_tid += 1
             tid = self._next_tid
             self._next_tid += 1
-        else:
-            tid = int(tid)
         fresh = tid not in self.owners
         self.claim(tid, session)
         if fresh:
@@ -594,15 +599,18 @@ class ServiceCore:
                     "bad-request", "batch sub-op must be an object"
                 )
             if name == "begin":
-                tid = self.begin_step(session, frame.get("tid"))
+                tid = self.begin_step(
+                    session, int_field(frame, "tid", None)
+                )
                 return {"op": name, "ok": True, "tid": tid}
             if name == "lock":
-                tid = int(frame["tid"])
+                tid = int_field(frame, "tid")
+                rid, mode = rid_field(frame), mode_field(frame)
                 status, event, _ = self.lock_step(
                     session,
                     tid,
-                    str(frame["rid"]),
-                    parse_mode(frame["mode"]),
+                    rid,
+                    mode,
                     wait=False,
                     trace=frame.get("trace"),
                     parent=frame.get("span"),
@@ -615,7 +623,7 @@ class ServiceCore:
                     "event": event,
                 }
             if name in ("commit", "abort"):
-                tid = int(frame["tid"])
+                tid = int_field(frame, "tid")
                 grants = self.finish_step(
                     session, tid, aborting=name == "abort"
                 )
@@ -626,12 +634,6 @@ class ServiceCore:
             )
         except ServiceError as exc:
             return _batch_error(name, exc.code, exc.message)
-        except KeyError as exc:
-            return _batch_error(
-                name, "bad-request", "missing field {}".format(exc)
-            )
-        except (ValueError, TypeError) as exc:
-            return _batch_error(name, "bad-request", str(exc))
         except ReproError as exc:
             return _batch_error(name, "error", str(exc))
 

@@ -30,17 +30,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import TransactionAborted
 from ..core.modes import LockMode, parse_mode
-from .eventloop import loop_factory
 from .server import LockServer
 
 
 class LoopbackServer:
     """Run a lock server on a background thread (see module docstring).
 
-    ``unix`` binds a UNIX-domain socket instead of TCP; ``use_uvloop``
-    runs the server thread on a uvloop event loop when the optional
-    ``perf`` extra is installed (silently staying on stock asyncio when
-    it is not).  Remaining keyword arguments are forwarded to
+    ``unix`` binds a UNIX-domain socket instead of TCP.  Remaining
+    keyword arguments are forwarded to
     :class:`~repro.service.server.LockServer`.
     """
 
@@ -48,12 +45,10 @@ class LoopbackServer:
         self,
         host: str = "127.0.0.1",
         unix: Optional[str] = None,
-        use_uvloop: bool = False,
         **server_kwargs,
     ) -> None:
         self._host_arg = host
         self._unix_arg = unix
-        self._use_uvloop = use_uvloop
         self._server_kwargs = server_kwargs
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -82,10 +77,7 @@ class LoopbackServer:
 
     def _thread_main(self) -> None:
         try:
-            with asyncio.Runner(
-                loop_factory=loop_factory(self._use_uvloop)
-            ) as runner:
-                runner.run(self._serve())
+            asyncio.run(self._serve())
         except BaseException as exc:  # surface startup failures
             if not self._ready.is_set():
                 self._startup_error = exc
@@ -350,7 +342,9 @@ class EmbeddedLockManager:
         :class:`~repro.core.detection.DetectionResult` (the embed case
         needs no wire mirror)."""
         core = self._core
-        return self._submit(lambda: self._step(core.detect_step))
+        return self._submit(
+            lambda: self._step(lambda session: core.detect_step())
+        )
 
     # -- introspection -----------------------------------------------------
 

@@ -163,6 +163,61 @@ class ServiceError(ReproError):
         self.message = message
 
 
+# -- request fields ----------------------------------------------------------
+#
+# A frame's fields are a peer's bytes: every one is checked here, before
+# the core step that uses it, so a malformed value answers
+# ``bad-request`` with nothing parked, granted or journaled behind it.
+
+_REQUIRED = object()
+
+
+def _bad(name: str, expected: str) -> ServiceError:
+    return ServiceError(
+        "bad-request", "field {!r} must be {}".format(name, expected)
+    )
+
+
+def int_field(
+    frame: Dict[str, Any], name: str, default: Any = _REQUIRED
+) -> Any:
+    """``frame[name]`` as an int; ``default`` (when given) stands for a
+    missing or null field."""
+    value = frame.get(name)
+    if value is None and default is not _REQUIRED:
+        return default
+    if type(value) is not int:
+        raise _bad(name, "an integer")
+    return value
+
+
+def seconds_field(frame: Dict[str, Any], name: str) -> Optional[float]:
+    """An optional duration: null/missing, or a finite number >= 0."""
+    value = frame.get(name)
+    if value is None:
+        return None
+    if type(value) not in (int, float) or not 0 <= value < float("inf"):
+        raise _bad(name, "a non-negative number of seconds")
+    return float(value)
+
+
+def mode_field(frame: Dict[str, Any]):
+    value = frame.get("mode")
+    if isinstance(value, str):
+        try:
+            return parse_mode(value)
+        except ValueError:
+            pass
+    raise _bad("mode", "a lock mode name")
+
+
+def rid_field(frame: Dict[str, Any]) -> str:
+    value = frame.get("rid")
+    if not isinstance(value, str):
+        raise _bad("rid", "a resource id string")
+    return value
+
+
 # -- framing ---------------------------------------------------------------
 
 

@@ -45,7 +45,6 @@ from typing import Awaitable, Callable, Dict, List, Optional, Set
 
 from .. import __version__
 from ..core.errors import ReproError
-from ..core.modes import parse_mode
 from ..core.victim import CostTable
 from ..obs.metrics import DURATION_BUCKETS as _FSYNC_BUCKETS
 from . import admin
@@ -58,8 +57,12 @@ from .protocol import (
     ServiceError,
     detection_to_dict,
     error,
+    int_field,
+    mode_field,
     ok,
     read_frame,
+    rid_field,
+    seconds_field,
 )
 from .wire import JSON_CODEC, WIRE_BINARY, WIRE_JSON, codec_for, negotiate
 
@@ -189,9 +192,7 @@ class LockServer:
     ) -> "LockServer":
         """Bind and start serving; ``port=0`` picks a free port (read it
         back from :attr:`port`).  With ``unix`` set, listen on a
-        UNIX-domain socket at that path instead of TCP — the loopback
-        fast path: same protocol, roughly a third of the per-round-trip
-        kernel cost."""
+        UNIX-domain socket at that path instead of TCP (same protocol)."""
         self._loop = asyncio.get_running_loop()
         self.core.clock = self._loop.time
         if self._journal is not None:
@@ -310,33 +311,6 @@ class LockServer:
             await asyncio.sleep(min(max(wake, 0.02), 0.1))
             await self._submit(self.core.expire_sessions)
 
-    # -- the reader-task fast lane -------------------------------------------
-
-    def _apply(self, fn: Callable[[], object]):
-        """Run one core step *now*, on the calling task.
-
-        The mirror of one :meth:`_writer_loop` pass — run, pump, group
-        flush — used by the v2 inline dispatch lane.  Safe because
-        core steps are synchronous and the writer task only ever
-        suspends between ops (at its queue get), never inside one, so
-        the lock table cannot be mid-mutation when the reader runs.
-        """
-        try:
-            return fn()
-        finally:
-            self.core.pump()
-            if self.core.journal is not None:
-                flush_started = perf_counter()
-                if self.core.journal.flush():
-                    self.core.stats.journal_flushes += 1
-                    if self.core.telemetry.enabled:
-                        self.core.telemetry.registry.histogram(
-                            "repro_journal_fsync_seconds",
-                            help="write+fsync latency of one journal "
-                            "group commit",
-                            buckets=_FSYNC_BUCKETS,
-                        ).observe(perf_counter() - flush_started)
-
     # -- connection handling -----------------------------------------------------
 
     def _observe_frame(
@@ -422,9 +396,10 @@ class LockServer:
                         )
                     )
                 else:
+                    lease = seconds_field(first, "lease")
                     session = await self._submit(
                         lambda: self.core.open_session(
-                            lease=first.get("lease"), transport=writer
+                            lease=lease, transport=writer
                         )
                     )
             except ServiceError as exc:
@@ -460,7 +435,6 @@ class LockServer:
                 codec = codec_for(granted)
                 self.stats.binary_connections += 1
             read_metered = codec.read_metered
-            fast_handlers = self._FAST_HANDLERS if codec.inline else None
             while True:
                 frame, nbytes, decode_seconds = await read_metered(
                     reader, max_frame
@@ -478,18 +452,6 @@ class LockServer:
                     session.detached = True
                     await send(ok(frame.get("id")))
                     break
-                if fast_handlers is not None and not tasks:
-                    # The v2 inline lane: hot, never-parking ops run on
-                    # this task — no per-frame task spawn, no writer
-                    # queue hop.  Only when no spawned task is in
-                    # flight, so pipelined frames keep arrival order.
-                    handler = fast_handlers.get(op)
-                    if handler is not None:
-                        self.stats.inline_requests += 1
-                        await self._dispatch(
-                            session, frame, send, handler
-                        )
-                        continue
                 task = asyncio.ensure_future(
                     self._dispatch(session, frame, send)
                 )
@@ -526,9 +488,7 @@ class LockServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _dispatch(
-        self, session: Session, frame: dict, send, handler=None
-    ) -> None:
+    async def _dispatch(self, session: Session, frame: dict, send) -> None:
         request_id = frame.get("id")
         self.stats.requests += 1
         try:
@@ -539,8 +499,7 @@ class LockServer:
                         session.sid
                     ),
                 )
-            if handler is None:
-                handler = self._HANDLERS.get(frame.get("op"))
+            handler = self._HANDLERS.get(frame.get("op"))
             if handler is None:
                 raise ServiceError(
                     "bad-op", "unknown operation {!r}".format(frame.get("op"))
@@ -550,20 +509,19 @@ class LockServer:
             raise
         except ServiceError as exc:
             await self._safe_send(send, error(request_id, exc.code, exc.message))
-        except KeyError as exc:
+        except ReproError as exc:
+            await self._safe_send(send, error(request_id, "error", str(exc)))
+        except Exception as exc:  # pragma: no cover - last resort
+            # Every frame field is validated before the core step, so
+            # this is a server bug, not a peer's doing; name the type
+            # but never echo a Python repr onto the wire.
             await self._safe_send(
                 send,
                 error(
                     request_id,
-                    "bad-request",
-                    "missing field {}".format(exc),
+                    "internal",
+                    "internal error ({})".format(type(exc).__name__),
                 ),
-            )
-        except ReproError as exc:
-            await self._safe_send(send, error(request_id, "error", str(exc)))
-        except Exception as exc:  # pragma: no cover - last resort
-            await self._safe_send(
-                send, error(request_id, "internal", repr(exc))
             )
 
     @staticmethod
@@ -587,17 +545,18 @@ class LockServer:
         )
 
     async def _op_begin(self, session, frame, send) -> None:
+        requested = int_field(frame, "tid", None)
         tid = await self._submit(
-            lambda: self.core.begin_step(session, frame.get("tid"))
+            lambda: self.core.begin_step(session, requested)
         )
         await send(ok(frame.get("id"), tid=tid), "begin")
 
     async def _op_lock(self, session, frame, send) -> None:
-        tid = int(frame["tid"])
-        rid = str(frame["rid"])
-        mode = parse_mode(frame["mode"])
+        tid = int_field(frame, "tid")
+        rid = rid_field(frame)
+        mode = mode_field(frame)
         wait = bool(frame.get("wait", True))
-        timeout = frame.get("timeout")
+        timeout = seconds_field(frame, "timeout")
         future = self._loop.create_future()
 
         def resolve(status: str) -> None:
@@ -618,10 +577,7 @@ class LockServer:
 
         status, event, parked = await self._submit(step)
         if status == "parked":
-            done, _ = await asyncio.wait(
-                [future],
-                timeout=None if timeout is None else float(timeout),
-            )
+            done, _ = await asyncio.wait([future], timeout=timeout)
             if done:
                 status = future.result()
             else:
@@ -642,7 +598,7 @@ class LockServer:
         await self._finish(session, frame, send, aborting=True)
 
     async def _finish(self, session, frame, send, aborting: bool) -> None:
-        tid = int(frame["tid"])
+        tid = int_field(frame, "tid")
         grants = await self._submit(
             lambda: self.core.finish_step(session, tid, aborting)
         )
@@ -691,7 +647,7 @@ class LockServer:
         await send(ok(frame.get("id"), **payload))
 
     async def _op_log(self, session, frame, send) -> None:
-        limit = int(frame.get("limit", 100))
+        limit = int_field(frame, "limit", 100)
         payload = await self._submit(
             lambda: admin.log_payload(self.manager, limit=limit)
         )
@@ -708,7 +664,7 @@ class LockServer:
         await send(ok(frame.get("id"), **payload))
 
     async def _op_spans(self, session, frame, send) -> None:
-        limit = int(frame.get("limit", 0))
+        limit = int_field(frame, "limit", 0)
         annotations = bool(frame.get("annotations", False))
         payload = await self._submit(
             lambda: admin.spans_payload(
@@ -718,7 +674,7 @@ class LockServer:
         await send(ok(frame.get("id"), **payload))
 
     async def _op_holding(self, session, frame, send) -> None:
-        tid = int(frame["tid"])
+        tid = int_field(frame, "tid")
         held = await self._submit(lambda: self.manager.holding(tid))
         await send(
             ok(
@@ -730,52 +686,6 @@ class LockServer:
     async def _op_deadlocked(self, session, frame, send) -> None:
         value = await self._submit(self.manager.deadlocked)
         await send(ok(frame.get("id"), deadlocked=value))
-
-    # -- the v2 inline lane -------------------------------------------------
-    #
-    # Fast variants of the hot, never-parking ops: the same semantics
-    # as their _op_* twins, but the core step runs directly on the
-    # reader task (:meth:`_apply`) instead of hopping through the
-    # writer queue.  ``lock`` stays on the task path — a parked wait
-    # must not stall the connection's reader.
-
-    async def _fast_begin(self, session, frame, send) -> None:
-        tid = self._apply(
-            lambda: self.core.begin_step(session, frame.get("tid"))
-        )
-        await send(ok(frame.get("id"), tid=tid), "begin")
-
-    async def _fast_commit(self, session, frame, send) -> None:
-        await self._fast_finish(session, frame, send, aborting=False)
-
-    async def _fast_abort(self, session, frame, send) -> None:
-        await self._fast_finish(session, frame, send, aborting=True)
-
-    async def _fast_finish(self, session, frame, send, aborting) -> None:
-        tid = int(frame["tid"])
-        grants = self._apply(
-            lambda: self.core.finish_step(session, tid, aborting)
-        )
-        await send(
-            ok(frame.get("id"), tid=tid, grants=grants),
-            "abort" if aborting else "commit",
-        )
-
-    async def _fast_batch(self, session, frame, send) -> None:
-        results = self._apply(
-            lambda: self.core.batch_step(session, frame.get("ops"))
-        )
-        await send(ok(frame.get("id"), results=results), "batch")
-
-    async def _fast_snapshot(self, session, frame, send) -> None:
-        payload = self._apply(self.core.snapshot_step)
-        await send(ok(frame.get("id"), snapshot=payload), "snapshot")
-
-    async def _fast_resolve(self, session, frame, send) -> None:
-        reply = self._apply(
-            lambda: self.core.resolve_step(frame.get("plan"))
-        )
-        await send(ok(frame.get("id"), reply=reply), "resolve")
 
     _HANDLERS: Dict[
         str, Callable[["LockServer", Session, dict, object], Awaitable[None]]
@@ -798,18 +708,6 @@ class LockServer:
         "spans": _op_spans,
         "holding": _op_holding,
         "deadlocked": _op_deadlocked,
-    }
-
-    _FAST_HANDLERS: Dict[
-        str, Callable[["LockServer", Session, dict, object], Awaitable[None]]
-    ] = {
-        "heartbeat": _op_heartbeat,  # touches no core state: already fast
-        "begin": _fast_begin,
-        "commit": _fast_commit,
-        "abort": _fast_abort,
-        "batch": _fast_batch,
-        "snapshot": _fast_snapshot,
-        "resolve": _fast_resolve,
     }
 
 

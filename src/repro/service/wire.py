@@ -1200,9 +1200,6 @@ class JsonCodec:
 
     name = "json"
     wire = WIRE_JSON
-    #: Whether the server's inline hot-op dispatch lane applies; the
-    #: JSON lane keeps PR 1's task-per-frame path bit-for-bit.
-    inline = False
 
     @staticmethod
     def encode(
@@ -1227,7 +1224,6 @@ class BinaryCodec:
 
     name = "binary"
     wire = WIRE_BINARY
-    inline = True
 
     @staticmethod
     def encode(

@@ -2,8 +2,7 @@
 
 The discrete-event simulator (:mod:`repro.sim.engine`) owns its own
 clock; this harness instead drives real worker threads against a real
-manager — anything with the
-:class:`~repro.lockmgr.concurrent.ConcurrentLockManager` surface
+manager — any :class:`~repro.lockmgr.contract.BlockingLockManager`
 (``acquire(tid, rid, mode, timeout)`` / ``commit`` / ``abort`` raising
 :class:`~repro.core.errors.TransactionAborted` on victimization).  The
 manager arrives through a *factory*, so the identical workload runs
@@ -28,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core.errors import TransactionAborted
+from ..lockmgr.contract import BlockingLockManager
 from .workload import WorkloadGenerator, WorkloadSpec
 
 
@@ -59,7 +59,7 @@ class RealtimeMetrics:
 
 
 def run_realtime(
-    manager_factory: Callable[[], object],
+    manager_factory: Callable[[], BlockingLockManager],
     spec: Optional[WorkloadSpec] = None,
     workers: int = 4,
     txns_per_worker: int = 5,
@@ -73,7 +73,7 @@ def run_realtime(
 
     The factory is called once and the instance shared — both
     ``ConcurrentLockManager`` and ``RemoteLockManager`` are thread-safe.
-    It is closed (when it has a ``close``) before returning.
+    It is closed before returning.
 
     With a :class:`~repro.obs.metrics.MetricsRegistry` passed as
     ``registry``, every ``acquire`` is timed into the client-side
@@ -160,8 +160,7 @@ def run_realtime(
     for thread in threads:
         thread.join()
     metrics.wall_time = time.monotonic() - started
-    if hasattr(manager, "close"):
-        manager.close()
+    manager.close()
     if registry is not None:
         for name, value in (
             ("commits", metrics.commits),

@@ -18,26 +18,12 @@ from repro.core.modes import LockMode
 from repro.core.victim import CostTable
 from repro.lockmgr.sharded import ShardedLockCore
 
-from ..lockmgr.test_sharded import (
-    EXAMPLE_51_COSTS,
-    feed_example_41,
-    feed_example_51,
-)
+from ..conformance import scenarios
 
 
 def rids_on_distinct_workers(cluster: LocalCluster, count: int = 2):
-    """The first ``count`` resource ids owned by pairwise distinct
-    workers (probed, so the tests do not bake in the hash)."""
     assert cluster.workers >= count
-    found = {}
-    i = 0
-    while len(found) < count:
-        i += 1
-        rid = "R{}".format(i)
-        index = cluster.worker_index(rid)
-        if index not in found:
-            found[index] = rid
-    return list(found.values())
+    return scenarios.spread_rids(cluster, count)
 
 
 class TestRoutingSurface:
@@ -88,8 +74,8 @@ class TestMergedSnapshot:
         for tid, rid in enumerate(rids, start=1):
             assert cluster.lock(tid, rid, LockMode.S).granted
             assert reference.lock(tid, rid, LockMode.S).granted
-        assert cluster.merged_table().resource_ids() == rids
-        assert str(cluster.merged_table()) == str(reference.table)
+        assert cluster.table.resource_ids() == rids
+        assert str(cluster.table) == str(reference.table)
 
     def test_unreachable_worker_slice_is_absent_not_fatal(self):
         cluster = LocalCluster(workers=2)
@@ -109,104 +95,59 @@ class TestMergedSnapshot:
 
 
 class TestClusterDetection:
-    @pytest.fixture(autouse=True)
-    def _detector_lane(self, monkeypatch):
-        # These tests stage deadlocks for the coordinator pass; the
-        # REPRO_POLICY=nowait CI leg would abort the staging waits.
-        monkeypatch.setenv("REPRO_POLICY", "periodic")
+    """The behaviours are the conformance suite's (``tests/conformance``
+    runs them on ``LocalCluster`` with 2 and 3 workers); what stays here
+    is the coordinator's pass record, the 4-worker topology and the
+    comparison against the *sharded* core the cluster is built from."""
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_example_41_across_workers_is_abort_free(self, workers):
-        cluster = LocalCluster(workers=workers)
+        cluster = LocalCluster(workers=workers, policy="periodic")
         r1, r2 = rids_on_distinct_workers(cluster)
-        feed_example_41(cluster, r1, r2)
-        assert cluster.deadlocked()
-        result = cluster.detect()
-        assert result.deadlock_found
-        assert result.abort_free
-        assert result.aborted == []
-        assert [
-            (event.rid, tuple(event.delayed))
-            for event in result.repositions
-        ] == [(r2, (8,))]
-        assert [event.tid for event in result.grants] == [9]
+        result = scenarios.check_example_41_is_abort_free(cluster, r1, r2)
         info = result.cluster
         assert info is not None and info.workers == workers
         assert info.cross_worker_cycles >= 1
         assert info.stale_victims == 0 and info.stale_repositions == 0
         assert info.unreachable_workers == []
-        assert not cluster.deadlocked()
-        assert not any(cluster.was_aborted(tid) for tid in range(1, 10))
 
     def test_example_51_across_workers_routes_the_abort(self):
-        """The TDR-1 walkthrough: the victim (T2) is blocked on one
-        worker but holds locks on the other; the abort must release it
-        everywhere and spare T3."""
         cluster = LocalCluster(
-            workers=4, costs=CostTable(dict(EXAMPLE_51_COSTS))
+            workers=4, costs=scenarios.example_51_costs(), policy="periodic"
         )
         r1, r2 = rids_on_distinct_workers(cluster)
-        feed_example_51(cluster, r1, r2)
-        result = cluster.detect()
-        assert result.aborted == [2]
-        assert result.spared == [3]
-        assert [event.tid for event in result.grants] == [3]
+        result = scenarios.check_example_51_routes_the_abort(cluster, r1, r2)
         assert result.cluster.cross_worker_cycles >= 1
-        assert cluster.was_aborted(2)
-        assert cluster.holding(2) == {}
-        assert not cluster.deadlocked()
 
     @pytest.mark.parametrize("example,costs", [
-        (feed_example_41, None),
-        (feed_example_51, EXAMPLE_51_COSTS),
+        (scenarios.feed_example_41, None),
+        (scenarios.feed_example_51, scenarios.EXAMPLE_51_COSTS),
     ])
     def test_matches_the_sharded_resolution(self, example, costs):
         def build_costs():
             return CostTable(dict(costs)) if costs else None
 
-        cluster = LocalCluster(workers=4, costs=build_costs())
+        cluster = LocalCluster(
+            workers=4, costs=build_costs(), policy="periodic"
+        )
         r1, r2 = rids_on_distinct_workers(cluster)
-        example(cluster, r1, r2)
-        reference = ShardedLockCore(shards=4, costs=build_costs())
-        example(reference, r1, r2)
-        ours, theirs = cluster.detect(), reference.detect()
-        assert ours.aborted == theirs.aborted
-        assert ours.spared == theirs.spared
-        assert [
-            (event.rid, tuple(event.delayed)) for event in ours.repositions
-        ] == [
-            (event.rid, tuple(event.delayed))
-            for event in theirs.repositions
-        ]
-        assert sorted(
-            (event.tid, event.rid) for event in ours.grants
-        ) == sorted((event.tid, event.rid) for event in theirs.grants)
-        assert str(cluster.merged_table()) == str(reference.table)
+        reference = ShardedLockCore(
+            shards=4, costs=build_costs(), policy="periodic"
+        )
+        scenarios.check_matches_reference(
+            cluster, reference, example, r1, r2
+        )
 
     def test_pass_on_a_clean_cluster_does_nothing(self):
-        cluster = LocalCluster(workers=4)
+        cluster = LocalCluster(workers=4, policy="periodic")
         a, b = rids_on_distinct_workers(cluster)
-        assert cluster.lock(1, a, LockMode.S).granted
-        assert not cluster.lock(2, a, LockMode.X).granted
-        assert cluster.lock(3, b, LockMode.X).granted
-        result = cluster.detect()
-        assert not result.deadlock_found
-        assert result.aborted == [] and result.repositions == []
+        result = scenarios.check_clean_pass_does_nothing(cluster, a, b)
         assert result.cluster.cross_worker_cycles == 0
 
     def test_x_cycle_across_workers_needs_one_victim(self):
-        cluster = LocalCluster(workers=4)
+        cluster = LocalCluster(workers=4, policy="periodic")
         a, b = rids_on_distinct_workers(cluster)
-        assert cluster.lock(1, a, LockMode.X).granted
-        assert cluster.lock(2, b, LockMode.X).granted
-        assert not cluster.lock(1, b, LockMode.X).granted
-        assert not cluster.lock(2, a, LockMode.X).granted
-        result = cluster.detect()
-        assert result.deadlock_found
-        assert len(result.aborted) == 1
-        assert not cluster.deadlocked()
-        survivor = ({1, 2} - set(result.aborted)).pop()
-        assert cluster.holding(survivor) == {a: LockMode.X, b: LockMode.X}
+        scenarios.check_x_cycle_needs_one_victim(cluster, a, b)
 
 
 def rids_on_one_worker(cluster: LocalCluster, index: int, count: int):
@@ -295,7 +236,7 @@ class TestStaleness:
     def test_reposition_against_a_moved_queue_is_dropped(self):
         cluster = LocalCluster(workers=4)
         r1, r2 = rids_on_distinct_workers(cluster)
-        feed_example_41(cluster, r1, r2)
+        scenarios.feed_example_41(cluster, r1, r2)
 
         transport = LocalTransport(cluster)
         real_snapshot = transport.snapshot_all

@@ -13,7 +13,7 @@ left out contribute nothing.
 from contextlib import contextmanager
 from unittest import mock
 
-from repro.check.sharded import _detection_summary
+from repro.check.lockstep import detection_summary
 from repro.lockmgr.lock_table import LockTable
 
 
@@ -35,6 +35,6 @@ def outputs(result):
     rows loaded (``transactions`` and ``backtrack_steps`` are)."""
     if result is None:
         return None
-    summary = _detection_summary(result)
+    summary = detection_summary(result)
     summary["walk"] = summary["walk"][1:6]
     return summary

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.errors import LockTableError, TransactionAborted
 from repro.core.modes import LockMode
+from repro.core.victim import CostTable
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.sharded import (
     SHARDS_ENV,
@@ -26,20 +27,12 @@ from repro.lockmgr.sharded import (
     shard_of,
 )
 
+from ..conformance import scenarios
+
 
 def rids_on_distinct_shards(core: ShardedLockCore, count: int = 2):
-    """The first ``count`` resource ids that route to pairwise distinct
-    shards (probed, so the test does not bake in the hash function)."""
     assert core.shard_count >= count
-    found = {}
-    i = 0
-    while len(found) < count:
-        i += 1
-        rid = "R{}".format(i)
-        index = core.shard_index(rid)
-        if index not in found:
-            found[index] = rid
-    return list(found.values())
+    return scenarios.spread_rids(core, count)
 
 
 class TestRouter:
@@ -177,154 +170,46 @@ class TestCoreSurface:
         assert core.table is core.shards[0].table
 
 
-def feed_example_41(manager, r1: str, r2: str) -> None:
-    """Example 4.1's deadlock through real requests (the conftest
-    builder, parameterized over resource ids so the two resources can
-    be placed on distinct shards)."""
-    assert manager.lock(7, r2, LockMode.IS).granted
-    assert manager.lock(1, r1, LockMode.IX).granted
-    assert manager.lock(2, r1, LockMode.IS).granted
-    assert manager.lock(3, r1, LockMode.IX).granted
-    assert manager.lock(4, r1, LockMode.IS).granted
-    # Blocked conversions: T1 IX->SIX (re-requests S), T2 IS->S.
-    assert not manager.lock(1, r1, LockMode.S).granted
-    assert not manager.lock(2, r1, LockMode.S).granted
-    assert not manager.lock(5, r1, LockMode.IX).granted
-    assert not manager.lock(6, r1, LockMode.S).granted
-    assert not manager.lock(7, r1, LockMode.IX).granted
-    assert not manager.lock(8, r2, LockMode.X).granted
-    assert not manager.lock(9, r2, LockMode.IX).granted
-    assert not manager.lock(3, r2, LockMode.S).granted
-    assert not manager.lock(4, r2, LockMode.X).granted
-
-
-def feed_example_51(manager, r1: str, r2: str) -> None:
-    """Example 5.1's deadlock (the TDR-1 walkthrough), likewise
-    parameterized over resource ids."""
-    assert manager.lock(1, r1, LockMode.S).granted
-    assert manager.lock(2, r2, LockMode.S).granted
-    assert manager.lock(3, r2, LockMode.S).granted
-    assert not manager.lock(2, r1, LockMode.X).granted
-    assert not manager.lock(3, r1, LockMode.S).granted
-    assert not manager.lock(1, r2, LockMode.X).granted
-
-
-#: Example 5.1's walkthrough costs (Section 5): T2 is the cheaper of
-#: the two eligible victims, T3 is spared.
-EXAMPLE_51_COSTS = {1: 6.0, 2: 4.0, 3: 1.0}
-
-
 class TestCrossShardDetection:
     """Satellite regression: a cycle spanning two shards is detected in
     a single pass and — when a repositioning is eligible — resolved
-    abort-free by TDR-2, exactly like the monolithic detector."""
-
-    @pytest.fixture(autouse=True)
-    def _detector_lane(self, monkeypatch):
-        # These tests stage deadlocks for the detector to find; the
-        # REPRO_POLICY=nowait CI leg would abort the staging waits.
-        monkeypatch.setenv("REPRO_POLICY", "periodic")
+    abort-free by TDR-2, exactly like the monolithic detector.  The
+    behaviours themselves are the conformance suite's
+    (``tests/conformance``, which runs them on ``ShardedLockCore(4)``
+    among the other facades); what stays here is the sharding record
+    of the pass and the shard counts off that suite's axis."""
 
     @pytest.mark.parametrize("shards", [2, 4, 8])
     def test_example_41_across_shards_is_abort_free(self, shards):
-        core = ShardedLockCore(shards=shards)
+        core = ShardedLockCore(shards=shards, policy="periodic")
         r1, r2 = rids_on_distinct_shards(core)
-        feed_example_41(core, r1, r2)
-        assert core.deadlocked()
-        result = core.detect()
-        assert result.deadlock_found
-        assert result.abort_free
-        assert result.aborted == []
-        assert [
-            (event.rid, tuple(event.delayed))
-            for event in result.repositions
-        ] == [(r2, (8,))]
-        assert [event.tid for event in result.grants] == [9]
+        result = scenarios.check_example_41_is_abort_free(core, r1, r2)
         info = result.sharding
         assert info is not None and info.shards == shards
         assert info.cross_shard_cycles >= 1
         assert info.stale_victims == 0 and info.stale_repositions == 0
-        assert not core.deadlocked()
-        assert not any(
-            core.was_aborted(tid) for tid in range(1, 10)
-        )
-
-    def test_example_51_across_shards_routes_the_abort(self):
-        """The TDR-1 walkthrough: the victim (T2) is blocked on one
-        shard but holds locks on the other; the abort must release it
-        everywhere and spare T3."""
-        from repro.core.victim import CostTable
-
-        core = ShardedLockCore(
-            shards=4, costs=CostTable(dict(EXAMPLE_51_COSTS))
-        )
-        r1, r2 = rids_on_distinct_shards(core)
-        feed_example_51(core, r1, r2)
-        result = core.detect()
-        assert result.aborted == [2]
-        assert result.spared == [3]
-        assert [event.tid for event in result.grants] == [3]
-        assert result.sharding.cross_shard_cycles >= 1
-        assert core.was_aborted(2)
-        assert core.holding(2) == {}
-        assert not core.deadlocked()
 
     @pytest.mark.parametrize("example,costs", [
-        (feed_example_41, None),
-        (feed_example_51, EXAMPLE_51_COSTS),
+        (scenarios.feed_example_41, None),
+        (scenarios.feed_example_51, scenarios.EXAMPLE_51_COSTS),
     ])
     def test_matches_the_monolithic_resolution(self, example, costs):
-        from repro.core.victim import CostTable
-
         def build_costs():
             return CostTable(dict(costs)) if costs else None
 
-        core = ShardedLockCore(shards=4, costs=build_costs())
+        core = ShardedLockCore(
+            shards=4, costs=build_costs(), policy="periodic"
+        )
         r1, r2 = rids_on_distinct_shards(core)
-        example(core, r1, r2)
-        mono = LockManager(costs=build_costs())
-        example(mono, r1, r2)
-        sharded, reference = core.detect(), mono.detect()
-        assert sharded.aborted == reference.aborted
-        assert sharded.spared == reference.spared
-        assert [
-            (event.rid, tuple(event.delayed))
-            for event in sharded.repositions
-        ] == [
-            (event.rid, tuple(event.delayed))
-            for event in reference.repositions
-        ]
-        assert sorted(
-            (event.tid, event.rid) for event in sharded.grants
-        ) == sorted((event.tid, event.rid) for event in reference.grants)
-        assert str(core.table) == str(mono.table)
+        scenarios.check_matches_reference(
+            core, LockManager(costs=build_costs()), example, r1, r2
+        )
 
     def test_pass_on_a_clean_core_does_nothing(self):
-        core = ShardedLockCore(shards=4)
+        core = ShardedLockCore(shards=4, policy="periodic")
         a, b = rids_on_distinct_shards(core)
-        assert core.lock(1, a, LockMode.S).granted
-        assert not core.lock(2, a, LockMode.X).granted
-        assert core.lock(3, b, LockMode.X).granted
-        result = core.detect()
-        assert not result.deadlock_found
-        assert result.aborted == [] and result.repositions == []
+        result = scenarios.check_clean_pass_does_nothing(core, a, b)
         assert result.sharding.cross_shard_cycles == 0
-
-    def test_x_cycle_across_shards_needs_one_victim(self):
-        """A pure-X two-cycle has no spared reader to promote, so TDR-1
-        must abort exactly one side — and only one."""
-        core = ShardedLockCore(shards=4)
-        a, b = rids_on_distinct_shards(core)
-        assert core.lock(1, a, LockMode.X).granted
-        assert core.lock(2, b, LockMode.X).granted
-        assert not core.lock(1, b, LockMode.X).granted
-        assert not core.lock(2, a, LockMode.X).granted
-        result = core.detect()
-        assert result.deadlock_found
-        assert len(result.aborted) == 1
-        assert not core.deadlocked()
-        survivor = ({1, 2} - set(result.aborted)).pop()
-        assert core.holding(survivor) == {a: LockMode.X, b: LockMode.X}
 
 
 def wait_until(predicate, timeout=5.0):
@@ -352,17 +237,6 @@ class TestFacade:
             thread.join(timeout=5.0)
             assert granted == [True]
             assert manager.holding(2) == {"R1": LockMode.S}
-            manager.commit(2)
-
-    def test_timeout_leaves_the_request_queued(self):
-        with ShardedLockManager(shards=4) as manager:
-            assert manager.acquire(1, "R1", LockMode.X)
-            assert not manager.acquire(2, "R1", LockMode.S, timeout=0.05)
-            assert manager._core.is_blocked(2)
-            manager.commit(1)
-            # The grant arrived while nobody was waiting; a re-acquire
-            # observes it immediately.
-            assert manager.acquire(2, "R1", LockMode.S, timeout=0.05)
             manager.commit(2)
 
     def test_cross_shard_deadlock_victim_raises(self):

@@ -1,5 +1,5 @@
 """The ``repro.bench/1`` record schema: build, append, iterate,
-validate — the contract ``tools/validate_bench_metrics.py`` enforces in
+validate — the contract ``tools/validate_records.py`` enforces in
 CI over ``--metrics-out`` files."""
 
 from __future__ import annotations

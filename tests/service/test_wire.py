@@ -24,7 +24,6 @@ from repro.service import (
     LoopbackServer,
     ServiceError,
 )
-from repro.service.eventloop import install_uvloop, uvloop_available
 from repro.service.wire import (
     BINARY_CODEC,
     HEADER_SIZE,
@@ -77,8 +76,6 @@ class TestNegotiation:
                     await client.commit(tid)
                     stats = await client.stats()
                     assert stats["binary_connections"] == 1
-                    # begin/commit/stats ran on the reader-inline lane.
-                    assert stats["inline_requests"] >= 2
 
         asyncio.run(go())
 
@@ -333,22 +330,6 @@ class TestUnixSocket:
                 await client.close()
 
             asyncio.run(go())
-
-
-class TestUvloopFallback:
-    def test_server_runs_without_uvloop(self):
-        """The ``perf`` extra is optional: absent uvloop, activation
-        reports False (or raises only when required) and the server
-        serves on stock asyncio."""
-        if not uvloop_available():
-            assert install_uvloop() is False
-            with pytest.raises(RuntimeError):
-                install_uvloop(require=True)
-        with LoopbackServer(use_uvloop=True, period=None) as server:
-            with EmbeddedLockManager(server) as manager:
-                tid = manager.begin()
-                assert manager.acquire(tid, "R", LockMode.X)
-                manager.commit(tid)
 
 
 class TestBinaryResumeAcrossRestart:

@@ -81,6 +81,12 @@ to an individual waiting `lock` that resumes the same position
 (`AsyncLockClient.acquire_many` does exactly this).  A failed sub-op
 reports its error in place; the rest of the batch still runs.
 
+Every field of a frame is validated **before** the core step it
+feeds: a missing or malformed one (`tid` not an integer, an unknown
+`mode`, a `timeout` or `lease` that is not a non-negative number, …)
+answers `bad-request` with nothing parked, queued, granted or
+journaled behind it.  Error messages never carry a Python `repr`.
+
 A timed-out `lock` leaves the request **queued**: retrying the same
 `lock` resumes the same queue position (never a duplicate entry).
 Sessions hold a lease; when a client goes silent past its lease, the

@@ -14,9 +14,6 @@ unreadable, empty, or contains a record violating its schema — CI runs
 this over the smoke benchmark's and incident smoke's artifacts so a
 drifting record format fails the build instead of silently producing
 unparseable history.
-
-``tools/validate_bench_metrics.py`` is the original, bench-only entry
-point and forwards here.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ def sniff_kind(path: str) -> str:
     return "bench"
 
 
-def main(argv=None, default_kind: str = "auto") -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="validate repro.bench/1 and repro.incident/1 "
         "JSON-lines record files"
@@ -80,7 +77,7 @@ def main(argv=None, default_kind: str = "auto") -> int:
     parser.add_argument(
         "--kind",
         choices=["auto", "bench", "incident"],
-        default=default_kind,
+        default="auto",
         help="record schema to validate against (auto sniffs per file)",
     )
     parser.add_argument("files", nargs="+", metavar="FILE")
