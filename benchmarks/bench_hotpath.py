@@ -381,7 +381,6 @@ def _time_codec(fn) -> float:
 
 def test_protocol_codec_microbench(record_result, record_metrics):
     """Encode/decode microseconds and bytes per frame, per codec."""
-    import io
 
     rows = []
     totals = {"json": [0.0, 0.0, 0], "binary": [0.0, 0.0, 0]}
@@ -389,17 +388,7 @@ def test_protocol_codec_microbench(record_result, record_metrics):
         for codec in (JSON_CODEC, BINARY_CODEC):
             frame = codec.encode(message, reply_to, 8 << 20)
 
-            def decode(frame=frame, codec=codec):
-                reader = asyncio.StreamReader()
-                reader.feed_data(frame)
-                reader.feed_eof()
-                return asyncio.get_event_loop().run_until_complete(
-                    codec.read(reader, 8 << 20)
-                )
-
-            # Time pure decode through the metered reader's own
-            # decode path by reusing a pre-fed reader per call is
-            # loop-bound; instead decode via the payload decoders.
+            # Pure decode: the payload decoders the frame splitters call.
             if codec is BINARY_CODEC:
                 from repro.service.wire import (
                     _HEADER,

@@ -105,7 +105,7 @@ class WireClusterTransport:
         self._clients[index] = None
         if client is not None:
             try:
-                await client._teardown()
+                await client.disconnect()
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
 
@@ -350,7 +350,7 @@ class ClusterLockManager:
                         workers.discard(index)
             if old is not None:
                 try:
-                    self._run(old._teardown(), timeout=2.0)
+                    self._run(old.disconnect(), timeout=2.0)
                 except Exception:
                     pass
             self._clients[index] = client

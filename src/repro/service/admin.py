@@ -76,6 +76,8 @@ class ServiceStats:
         "recovery_replay_errors",
         # Connections that negotiated the v2 binary framing.
         "binary_connections",
+        # Detector/reaper ticks whose step raised (the tick survives).
+        "tick_failures",
     )
 
     def __init__(

@@ -32,39 +32,41 @@ from .protocol import (
     raise_for_error,
     request,
 )
-from .wire import JSON_CODEC, WIRE_BINARY, WIRE_JSON, codec_for, resolve_wire
-
-#: Mirror of the server's drain policy: ``write`` buffers, and the
-#: flow-control drain is only awaited once the transport buffer is deep.
-_DRAIN_THRESHOLD = 64 * 1024
+from .wire import WIRE_BINARY, WIRE_JSON, FrameBuffer, codec_for, resolve_wire
 
 
-class AsyncLockClient:
+class AsyncLockClient(asyncio.Protocol):
     """Asyncio client for one :class:`~repro.service.server.LockServer`
-    session.  Build one with :meth:`connect`."""
+    session.  Build one with :meth:`connect`.
+
+    The client *is* its connection's :class:`asyncio.Protocol`:
+    ``data_received`` resolves the pending calls straight from the
+    segment, and the requests of transactions running concurrently on
+    this client leave in one ``transport.write`` per loop turn.
+    """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
         wire: "int | str | None" = None,
         max_frame: int = MAX_FRAME,
     ) -> None:
-        self._reader = reader
-        self._writer = writer
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._transport: Optional[asyncio.BaseTransport] = None
         self._pending: Dict[int, asyncio.Future] = {}
         self._next_id = 1
-        self._write_lock = asyncio.Lock()
-        #: The codec for every frame after the handshake.  The
-        #: handshake itself is always JSON; the reply's ``wire`` field
-        #: switches this (inside the read loop, so no frame is ever
-        #: parsed with the wrong codec).
-        self._codec = JSON_CODEC
+        #: Received bytes; its codec serves both directions.  The
+        #: handshake is always JSON; its reply's ``wire`` field switches
+        #: the codec inside ``data_received``, before the next frame.
+        self._frames = FrameBuffer(max_frame)
         self._want_wire = resolve_wire(wire)
-        self._max_frame = max_frame
         #: The negotiated wire version (1 until the handshake grants 2).
         self.wire: int = WIRE_JSON
-        self._reader_task: Optional[asyncio.Task] = None
+        #: Encoded requests awaiting this loop turn's single write.
+        self._outbox: List[bytes] = []
+        #: Pending while the transport's write buffer is over its
+        #: high-water mark; senders wait on it instead of piling up.
+        self._writable: Optional[asyncio.Future] = None
+        self._lost: Optional[asyncio.Future] = None
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._closed = False
         self._conn_error: Optional[Exception] = None
@@ -85,8 +87,6 @@ class AsyncLockClient:
         #: transaction, so server-side spans across workers share one
         #: trace (``trace-export`` groups by it).
         self._traces: Dict[int, str] = {}
-        self._host: Optional[str] = None
-        self._port: Optional[int] = None
 
     def trace_of(self, tid: int) -> str:
         """The trace id this client stamps on ``tid``'s frames (minted
@@ -117,27 +117,10 @@ class AsyncLockClient:
         default from ``REPRO_WIRE``, JSON when unset); a server that
         does not grant it leaves the connection on JSON v1.  ``unix``
         connects to a UNIX-domain socket path instead of TCP."""
-        if unix is not None:
-            reader, writer = await asyncio.open_unix_connection(unix)
-        else:
-            reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, wire=wire, max_frame=max_frame)
-        client._unix = unix
-        client._reader_task = asyncio.ensure_future(client._read_loop())
         fields = {} if lease is None else {"lease": lease}
-        if client._want_wire != WIRE_JSON:
-            fields["wire"] = client._want_wire
-        try:
-            response = await client._call("hello", **fields)
-        except BaseException:
-            await client._teardown()
-            raise
-        client._absorb_handshake(response, host, port)
-        if heartbeat:
-            client._heartbeat_task = asyncio.ensure_future(
-                client._heartbeat_loop()
-            )
-        return client
+        return await cls(wire, max_frame)._open(
+            "hello", fields, host, port, unix, heartbeat
+        )
 
     @classmethod
     async def resume(
@@ -156,31 +139,34 @@ class AsyncLockClient:
         presenting the :attr:`token` from the original handshake.
         Raises :class:`ServiceError` (``unknown-session``/``bad-token``/
         ``session-busy``) when the server will not honor it."""
-        if unix is not None:
-            reader, writer = await asyncio.open_unix_connection(unix)
-        else:
-            reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, wire=wire, max_frame=max_frame)
-        client._unix = unix
-        client._reader_task = asyncio.ensure_future(client._read_loop())
-        fields: Dict[str, Any] = {"session": session, "token": token}
-        if client._want_wire != WIRE_JSON:
-            fields["wire"] = client._want_wire
-        try:
-            response = await client._call("resume", **fields)
-        except BaseException:
-            await client._teardown()
-            raise
-        client._absorb_handshake(response, host, port)
-        if heartbeat:
-            client._heartbeat_task = asyncio.ensure_future(
-                client._heartbeat_loop()
-            )
-        return client
+        fields = {"session": session, "token": token}
+        return await cls(wire, max_frame)._open(
+            "resume", fields, host, port, unix, heartbeat
+        )
 
-    def _absorb_handshake(
-        self, response: Dict[str, Any], host: str, port: int
-    ) -> None:
+    async def _open(
+        self, op: str, fields: Dict[str, Any], host, port, unix, heartbeat
+    ) -> "AsyncLockClient":
+        loop = asyncio.get_running_loop()
+        if unix is not None:
+            await loop.create_unix_connection(lambda: self, unix)
+        else:
+            await loop.create_connection(lambda: self, host, port)
+        try:
+            await self._handshake(op, fields)
+        except BaseException:
+            await self.disconnect()
+            raise
+        if heartbeat:
+            self._heartbeat_task = asyncio.ensure_future(
+                self._heartbeat_loop()
+            )
+        return self
+
+    async def _handshake(self, op: str, fields: Dict[str, Any]) -> None:
+        if self._want_wire != WIRE_JSON:
+            fields["wire"] = self._want_wire
+        response = await self._call(op, **fields)
         self.session = response["session"]
         self.lease = float(response["lease"])
         self.server_info = dict(response.get("server", {}))
@@ -188,7 +174,6 @@ class AsyncLockClient:
         self.epoch = int(response.get("epoch", 0))
         self.last_epoch = self.epoch
         self.resumed_tids = [int(tid) for tid in response.get("tids", [])]
-        self._host, self._port = host, port
 
     async def close(self) -> None:
         """Say goodbye (clean detach) and drop the connection."""
@@ -200,23 +185,21 @@ class AsyncLockClient:
             await asyncio.wait_for(self._send_raw("goodbye"), timeout=2.0)
         except (ServiceError, ConnectionError, OSError, asyncio.TimeoutError):
             pass
-        await self._teardown()
+        await self.disconnect()
 
-    async def _teardown(self) -> None:
+    async def disconnect(self) -> None:
+        """Drop the connection with no goodbye — what a crashed client
+        looks like to the server — and wait until it is gone."""
         self._closed = True
         self.suspend_heartbeat()
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        self._fail_pending(ConnectionError("connection closed"))
+        if self._transport is not None:
+            self._transport.abort()
+            await self.wait_closed()
+
+    async def wait_closed(self) -> None:
+        """Return once the connection is lost, whichever side ended it."""
+        if self._lost is not None:
+            await self._lost
 
     async def __aenter__(self) -> "AsyncLockClient":
         return self
@@ -240,14 +223,17 @@ class AsyncLockClient:
             except (ServiceError, ConnectionError, OSError):
                 return
 
-    # -- plumbing --------------------------------------------------------------
+    # -- asyncio.Protocol --------------------------------------------------
 
-    async def _read_loop(self) -> None:
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._loop = asyncio.get_running_loop()
+        self._lost = self._loop.create_future()
+
+    def data_received(self, data: bytes) -> None:
+        pending = self._pending
         try:
-            while True:
-                frame = await self._codec.read(self._reader, self._max_frame)
-                if frame is None:
-                    break
+            for frame, _, _ in self._frames.feed(data):
                 if "epoch" in frame:
                     self.last_epoch = int(frame["epoch"])
                 if "wire" in frame and frame.get("ok"):
@@ -256,27 +242,46 @@ class AsyncLockClient:
                     # before the handshake waiter can send under it.
                     granted = frame.get("wire")
                     if granted == WIRE_BINARY:
-                        self._codec = codec_for(granted)
+                        self._frames.codec = codec_for(granted)
                         self.wire = granted
-                future = self._pending.pop(frame.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
+                future = pending.pop(frame.get("id"), None)
+                if future is not None:
+                    if not future.done():
+                        future.set_result(frame)
                 elif frame.get("ok") is False and frame.get("id") is None:
                     # A connection-level refusal (frame-too-large,
                     # protocol error): no request id to route it to, so
                     # every in-flight call gets the answer — the server
                     # closes the connection right after.
-                    for pending in self._pending.values():
-                        if not pending.done():
-                            pending.set_result(frame)
-                    self._pending.clear()
-        except (ProtocolError, ConnectionError, OSError) as exc:
+                    for future in pending.values():
+                        if not future.done():
+                            future.set_result(frame)
+                    pending.clear()
+        except ProtocolError as exc:
             self._fail_pending(exc)
-        else:
-            self._fail_pending(ConnectionError("server closed the connection"))
+            self._transport.abort()
+
+    def connection_lost(self, exc) -> None:
+        self._transport = None
+        reason = "connection closed"
+        if not self._closed:
+            reason = "server closed the connection"
+        self._fail_pending(exc or ConnectionError(reason))
+        self.resume_writing()  # senders at the gate see the loss
+        self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writable = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        writable, self._writable = self._writable, None
+        if writable is not None:
+            writable.set_result(None)
+
+    # -- plumbing --------------------------------------------------------------
 
     def _fail_pending(self, exc: Exception) -> None:
-        # Remember the terminal error: once the read loop is gone, any
+        # Remember the terminal error: once the connection is gone, any
         # *future* request would park a response future nobody can ever
         # complete — _send_raw uses this to fail fast instead.
         if self._conn_error is None:
@@ -286,28 +291,31 @@ class AsyncLockClient:
                 future.set_exception(exc)
         self._pending.clear()
 
+    def _flush(self) -> None:
+        outbox, self._outbox = self._outbox, []
+        if self._transport is not None:
+            self._transport.write(b"".join(outbox))
+
     async def _send_raw(self, op: str, **fields: Any) -> Dict[str, Any]:
+        # The writable gate: while the server is not draining what was
+        # already written, callers queue here, not in the buffer.
+        while self._writable is not None:
+            await self._writable
         if self._conn_error is not None:
             raise ConnectionError(
                 "connection lost: {}".format(self._conn_error)
             )
         request_id = self._next_id
         self._next_id += 1
-        future = asyncio.get_event_loop().create_future()
-        self._pending[request_id] = future
-        message = request(request_id, op, **fields)
-        # ``write`` appends the whole frame atomically; the lock only
-        # serializes drains, and a drain is only worth its loop hop
-        # once the transport buffer is actually deep.
-        self._writer.write(
-            self._codec.encode(message, None, self._max_frame)
+        data = self._frames.codec.encode(
+            request(request_id, op, **fields), None, self._frames.max_frame
         )
-        if (
-            self._writer.transport.get_write_buffer_size()
-            > _DRAIN_THRESHOLD
-        ):
-            async with self._write_lock:
-                await self._writer.drain()
+        future = self._pending[request_id] = self._loop.create_future()
+        # Every request issued in this loop turn — one per transaction
+        # that was woken by the last segment — leaves in one write.
+        if not self._outbox:
+            self._loop.call_soon(self._flush)
+        self._outbox.append(data)
         try:
             response = await future
         finally:

@@ -4,8 +4,8 @@
 sockets: sessions and leases, transaction ownership, parked ``lock``
 waits and the pump that resolves them, the periodic detection step and
 the service counters.  It is a plain, single-threaded state machine —
-the asyncio :class:`~repro.service.server.LockServer` drives it from its
-single-writer task, and the deterministic schedule explorer
+the asyncio :class:`~repro.service.server.LockServer` drives it inline
+from its event-loop callbacks, and the deterministic schedule explorer
 (:mod:`repro.check`) drives the very same code directly, one step at a
 time, under a virtual clock.
 
@@ -73,8 +73,8 @@ class Session:
         self.tids: Set[int] = set()
         self.detached = False  # said goodbye
         self.closed = False
-        #: Opaque handle with a ``close()`` method (the server stores the
-        #: asyncio stream writer; tests store fakes; may stay None).
+        #: Opaque handle with a ``close()`` method (the server stores its
+        #: connection object; tests store fakes; may stay None).
         self.transport = None
         #: Resume credential, handed out at open and demanded by the
         #: ``resume`` op after a server restart.
@@ -270,8 +270,8 @@ class ServiceCore:
 
         Called *after* the mutation it describes succeeded, so the
         journal never records an operation the table rejected; the
-        server's writer loop flushes once per pass before replies are
-        delivered (group commit)."""
+        server flushes once per loop callback, before that callback's
+        replies are written (group commit)."""
         if self.journal is not None:
             self.journal.append(kind, **fields)
             self.stats.journal_records += 1
@@ -349,7 +349,7 @@ class ServiceCore:
 
         Runs to completion without yielding, so it cannot interleave
         with another core operation and stays safe to call from server
-        shutdown paths where the writer task may already be gone.
+        shutdown paths.
         """
         if session.closed:
             return
@@ -526,7 +526,7 @@ class ServiceCore:
 
         The request stays queued in the lock table, so a retried
         ``lock`` resumes the same position.  If the wait was resolved in
-        the race window before cancellation reached the writer, the
+        the race window before the cancellation ran, the
         resolution wins: its status is returned instead of ``timeout``.
         """
         if parked.status is not None:
@@ -541,6 +541,12 @@ class ServiceCore:
         self, session: Session, tid: int, aborting: bool
     ) -> List[dict]:
         self.claim(tid, session)
+        parked = self.waiters.pop(tid, None)
+        if parked is not None:
+            # The transaction ends while its own lock request is still
+            # parked: that request dies with it.  Left to the pump it
+            # would read "not aborted, not blocked" and answer granted.
+            parked.resolve("aborted")
         self.telemetry.finish(tid, aborted=aborting)
         grants = self.manager.finish(tid)
         self._journal_append(
@@ -558,13 +564,13 @@ class ServiceCore:
 
         ``ops`` is the wire frame's list of sub-op dicts
         (``begin``/``lock``/``commit``/``abort``).  The whole batch runs
-        inside one writer pass: no pump, detection pass or competing
+        inside one core step: no pump, detection pass or competing
         request interleaves between its sub-ops, and the parked-wait
         pump runs once after the batch — the per-frame analogue of a
         single shard pass.
 
         ``lock`` sub-ops never wait (a blocking request would stall the
-        writer for every other client): a request that cannot be granted
+        server for every other client): a request that cannot be granted
         immediately answers ``"blocked"`` and stays queued, exactly like
         ``wait=False``, so the client can fall back to an individual
         waiting ``lock``.
@@ -678,7 +684,7 @@ class ServiceCore:
     def resolve_step(self, plan) -> dict:
         """Apply one coordinator resolution plan (the ``resolve`` op).
 
-        Runs on the writer like every other mutation, so the pump after
+        Runs on the loop like every other mutation, so the pump after
         it wakes the plan's victims (their parked waits resolve
         ``aborted``) and grantees exactly like a local detection pass.
         """
@@ -744,7 +750,7 @@ class ServiceCore:
     def pump(self) -> List[ParkedWait]:
         """Resolve parked ``lock`` waits against the manager's current
         state; returns the waits resolved by this call.  The server runs
-        this after every writer operation."""
+        this after every core operation."""
         resolved: List[ParkedWait] = []
         for tid, parked in list(self.waiters.items()):
             if parked.status is not None:

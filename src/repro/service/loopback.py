@@ -12,7 +12,7 @@ needs: start, point clients at it, close.
 
 :class:`EmbeddedLockManager` is the zero-serialization fast path for
 the embed case: it talks to the loopback server's core with structured
-objects through the single-writer submit queue — no frames, no codec,
+objects, one serialized core operation per call — no frames, no codec,
 no socket — while keeping the session/lease/parked-wait semantics (and
 the stats counters) a wire client would see.
 
@@ -25,6 +25,7 @@ the stats counters) a wire client would see.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -54,7 +55,7 @@ class LoopbackServer:
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
+        self._error: Optional[BaseException] = None
         self.server: Optional[LockServer] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -69,8 +70,8 @@ class LoopbackServer:
         )
         self._thread.start()
         self._ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise self._startup_error
+        if self._error is not None:
+            raise self._error
         if self.port is None and self.unix is None:
             raise RuntimeError("lock server failed to start in time")
         return self
@@ -78,10 +79,9 @@ class LoopbackServer:
     def _thread_main(self) -> None:
         try:
             asyncio.run(self._serve())
-        except BaseException as exc:  # surface startup failures
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
+        except BaseException as exc:  # start() or close() re-raises it
+            self._error = exc
+            self._ready.set()
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -98,20 +98,26 @@ class LoopbackServer:
         await self.server.aclose()
 
     def submit(self, fn, timeout: float = 10.0):
-        """Run ``fn()`` on the server's single-writer task from any
-        thread and return its result.
+        """Run ``fn()`` on the server's loop thread from any thread and
+        return its result.
 
-        This is the sanctioned way for tests and tools to look at (or
-        poke) the live server state — the callable runs serialized with
-        every other lock-table operation, so e.g.
+        The sanctioned way for tests and tools to look at (or poke) the
+        live server state: the callable runs as one serialized core
+        operation, so e.g.
         ``submit(lambda: verify_table(server.server.manager.table))``
         observes a consistent snapshot.
         """
         if self._loop is None or self.server is None:
             raise RuntimeError("loopback server is not running")
-        handle = asyncio.run_coroutine_threadsafe(
-            self.server._submit(fn), self._loop
-        )
+        handle: "concurrent.futures.Future" = concurrent.futures.Future()
+
+        def run() -> None:
+            try:
+                handle.set_result(self.server._submit(fn))
+            except BaseException as exc:  # delivered to the caller
+                handle.set_exception(exc)
+
+        self._loop.call_soon_threadsafe(run)
         return handle.result(timeout=timeout)
 
     def close(self) -> None:
@@ -125,6 +131,10 @@ class LoopbackServer:
                 pass
         self._thread.join(timeout=10.0)
         self._thread = None
+        error, self._error = self._error, None
+        if error is not None:
+            # e.g. a background task of the server died of an exception
+            raise error
 
     def __enter__(self) -> "LoopbackServer":
         return self.start()
@@ -139,9 +149,9 @@ class EmbeddedLockManager:
     Mirrors the blocking :class:`~repro.service.client.RemoteLockManager`
     surface (``begin``/``acquire``/``batch``/``commit``/``abort``/
     ``detect``/``holding``/``deadlocked``/``stats``), but every
-    operation is a plain function submitted to the server's
-    single-writer task: requests and results cross the thread boundary
-    as the structured objects themselves.  This is the protocol-cost
+    operation is a plain function run on the server's loop thread
+    (:meth:`LoopbackServer.submit`): requests and results cross the
+    thread boundary as the structured objects themselves.  This is the protocol-cost
     floor the wire codecs are measured against — same core, same
     session accounting, zero encode/decode bytes.
 
@@ -159,9 +169,9 @@ class EmbeddedLockManager:
         self._server = server
         self._core = server.server.core
         core = self._core
-        self._session = server.submit(
-            lambda: core.open_session(lease, transport="embed")
-        )
+        # No transport handle: there is no connection to close when the
+        # lease expires or the server shuts down.
+        self._session = server.submit(lambda: core.open_session(lease))
         self._closed = False
 
     def _submit(self, fn, timeout: float = 30.0):
@@ -289,7 +299,7 @@ class EmbeddedLockManager:
         acquires, a commit round trip), this crosses the thread
         boundary **once** for an uncontended transaction.  The whole
         begin/lock*/commit sequence runs as a single plain function on
-        the single-writer task; no wire-shaped result dicts are built
+        the server's loop thread; no wire-shaped result dicts are built
         and no frame bytes exist anywhere.  Contended transactions fall
         back to waiting :meth:`acquire` calls for the blocked suffix —
         the same shape the remote client uses — then commit.

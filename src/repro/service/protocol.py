@@ -71,7 +71,7 @@ repositioning answers ``applied: false``, a stale victim
 
 The ``batch`` op pipelines up to :data:`MAX_BATCH_OPS` sub-operations
 (``begin``/``lock``/``commit``/``abort``) in one frame; the server
-applies them back-to-back on its writer task — one queue pass, one
+applies them back-to-back as one core step — one
 response frame — and answers a ``results`` list with one entry per
 sub-op (each either ``{"op", "ok": true, ...}`` with that op's usual
 fields or ``{"op", "ok": false, "error": {...}}``; a failed sub-op does
@@ -111,7 +111,6 @@ in-process library.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 from typing import Any, Dict, List, Optional, Tuple
@@ -129,8 +128,8 @@ WIRE_VERSION = 1
 MAX_FRAME = 8 * 1024 * 1024
 
 #: Hard cap on the sub-operations one ``batch`` frame may carry — a
-#: batch runs to completion on the writer task, so its length bounds how
-#: long one client can monopolize the queue.
+#: batch runs to completion on the event loop, so its length bounds how
+#: long one client can monopolize the server.
 MAX_BATCH_OPS = 256
 
 _HEADER = struct.Struct(">I")
@@ -239,7 +238,7 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     """Parse and version-check one frame's payload."""
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError("undecodable frame: {}".format(exc)) from exc
     if not isinstance(message, dict):
         raise ProtocolError(
@@ -251,48 +250,30 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     return message
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-    max_frame: int = MAX_FRAME,
-) -> Optional[Dict[str, Any]]:
-    """Read one frame; None on clean EOF between frames.
+def split_frame(
+    buffer, start: int = 0, max_frame: int = MAX_FRAME
+) -> "Optional[Tuple[Dict[str, Any], int]]":
+    """The frame that starts at ``buffer[start]``: ``(message, end)``,
+    or None while it has not all arrived.
 
-    Raises :class:`FrameTooLarge` on an oversized length prefix and
-    :class:`ProtocolError` on a truncated frame or an undecodable
-    payload.
+    Raises :class:`FrameTooLarge` as soon as the length prefix is
+    readable (an oversized announcement is refused before its payload
+    is buffered) and :class:`ProtocolError` on an undecodable payload.
     """
-    message, _ = await read_frame_sized(reader, max_frame)
-    return message
-
-
-async def read_frame_sized(
-    reader: asyncio.StreamReader,
-    max_frame: int = MAX_FRAME,
-) -> "Tuple[Optional[Dict[str, Any]], int]":
-    """Like :func:`read_frame` but also reports the frame's on-wire
-    size (length prefix + payload) for the frame-bytes metrics."""
-    header = await reader.read(_HEADER.size)
-    if not header:
-        return None, 0
-    while len(header) < _HEADER.size:
-        more = await reader.read(_HEADER.size - len(header))
-        if not more:
-            raise ProtocolError("connection closed inside a frame header")
-        header += more
-    (length,) = _HEADER.unpack(header)
+    body = start + _HEADER.size
+    if len(buffer) < body:
+        return None
+    (length,) = _HEADER.unpack_from(buffer, start)
     if length > max_frame:
         raise FrameTooLarge(
             "peer announced a {} byte frame (limit {})".format(
                 length, max_frame
             )
         )
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            "connection closed inside a frame body"
-        ) from exc
-    return decode_payload(payload), _HEADER.size + length
+    end = body + length
+    if len(buffer) < end:
+        return None
+    return decode_payload(bytes(buffer[body:end])), end
 
 
 def check_wire_version(message: Dict[str, Any]) -> None:

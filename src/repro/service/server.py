@@ -7,24 +7,42 @@ Architecture
   leases, transaction ownership, parked waits and their pump, the
   detection step, the counters — lives in the synchronous
   :class:`~repro.service.core.ServiceCore`.  This module is the network
-  shell around it: sockets, frames, tasks.  The split is what lets the
+  shell around it: sockets, frames, timers.  The split is what lets the
   deterministic schedule explorer (:mod:`repro.check`) drive the exact
   service logic one transition at a time under a virtual clock.
-* **Single writer.**  The :class:`~repro.lockmgr.manager.LockManager` is
-  single-threaded by design; the server funnels *every* access to it —
-  lock requests, commits, detection passes, introspection reads —
-  through one asyncio queue consumed by one writer task, so connection
-  handlers can run concurrently while the lock table sees a strictly
-  serial operation stream (the paper's sequential transaction model,
-  preserved over the network).
+* **Single writer = the event loop.**  The
+  :class:`~repro.lockmgr.manager.LockManager` is single-threaded by
+  design, and so is an event loop: every access to the core — lock
+  requests, commits, detection passes, introspection reads — is a plain
+  function call made from a loop callback, so the lock table sees a
+  strictly serial operation stream (the paper's sequential transaction
+  model, preserved over the network) with no queue, task or future
+  between a frame and its core step.
+* **Burst → steps → settle.**  Each connection is one
+  :class:`ServerConnection` (an :class:`asyncio.Protocol`).
+  ``data_received`` splits every complete frame out of the segment and,
+  per frame, validates its fields, runs the core step and then
+  ``core.pump()``; replies — the frame's own and those of parked waits
+  the pump just resolved, on any connection — are only *encoded* into
+  per-connection outboxes.  The callback ends in :meth:`LockServer.
+  _settle`: **journal flush, then one** ``transport.write`` **per
+  connection with replies, then any pending close.**  Durability before
+  reply holds by construction, and one group commit covers every frame
+  of the burst on every connection.  Timers, the detector tick, the
+  reaper tick, a lost connection and ``LoopbackServer.submit`` are the
+  other callbacks that touch the core; each ends in the same settle.
 * **Parked waiters.**  A blocking ``lock`` request does not answer until
-  the transaction is granted or aborted: the writer parks a
-  :class:`~repro.service.core.ParkedWait` keyed by transaction id, and
-  after every operation the core *pumps* the parked waits against the
-  manager (granted?  aborted?) — the network analogue of the condition
-  variables in :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.
-  A wait with a timeout answers ``timeout`` but leaves the request
-  queued, so a retried ``lock`` resumes the same queue position.
+  the transaction is granted or aborted: the step parks a
+  :class:`~repro.service.core.ParkedWait` keyed by transaction id whose
+  callback encodes the reply when the pump (granted?  aborted?)
+  resolves it — the network analogue of the condition variables in
+  :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.  A wait
+  with a timeout arms one ``loop.call_later``; it answers ``timeout``
+  but leaves the request queued, so a retried ``lock`` resumes the same
+  queue position.
+* **Flow control.**  While a peer's unread replies hold its transport
+  over the high-water mark the server stops *reading* that peer, so
+  what one connection can make the server buffer is bounded.
 * **Sessions and leases.**  Every connection is a session holding a
   lease that each received frame (heartbeats included) renews.  A silent
   client's lease expires: its transactions are aborted, its locks freed
@@ -32,16 +50,17 @@ Architecture
   lock table.  A rude disconnect (no ``goodbye``) is cleaned up
   immediately.
 * **Periodic detector.**  With ``period`` set, an asyncio task runs the
-  paper's periodic detection-resolution pass through the writer queue on
-  that cadence; ``continuous=True`` instead resolves on every block,
-  exactly as in the embedded manager.
+  paper's periodic detection-resolution pass on that cadence;
+  ``continuous=True`` instead resolves on every block, exactly as in
+  the embedded manager.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 from time import perf_counter
-from typing import Awaitable, Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
 from ..core.errors import ReproError
@@ -60,14 +79,14 @@ from .protocol import (
     int_field,
     mode_field,
     ok,
-    read_frame,
     rid_field,
     seconds_field,
 )
-from .wire import JSON_CODEC, WIRE_BINARY, WIRE_JSON, codec_for, negotiate
+from .wire import WIRE_BINARY, WIRE_JSON, FrameBuffer, codec_for, negotiate
 
 __all__ = [
     "LockServer",
+    "ServerConnection",
     "Session",
     "ServiceCore",
     "serve",
@@ -75,10 +94,7 @@ __all__ = [
     "MAX_LEASE",
 ]
 
-#: Outgoing frames are buffered by the transport; a drain (one loop
-#: hop, possibly a flow-control wait) is only taken once the buffer is
-#: this deep.  Small request/response frames almost never hit it.
-_DRAIN_THRESHOLD = 64 * 1024
+_LOG = logging.getLogger(__name__)
 
 #: Wire telemetry is sampled: one frame in every ``_WIRE_SAMPLE``
 #: feeds the size/latency histograms (and the frame counter is bumped
@@ -95,6 +111,123 @@ _CODEC_BUCKETS = (
     0.000001, 0.000002, 0.000005, 0.00001, 0.00002, 0.00005,
     0.0001, 0.0005, 0.002,
 )
+
+
+class ServerConnection(asyncio.Protocol):
+    """One peer of a :class:`LockServer`: received bytes in, encoded
+    replies out (see "Burst → steps → settle" in the module docstring).
+
+    The core holds it as the session's ``transport`` handle, so a lease
+    expiry or a shutdown closes the connection through :meth:`close` —
+    after the replies already encoded for it have been written.
+    """
+
+    def __init__(self, server: "LockServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.BaseTransport] = None
+        self.session: Optional[Session] = None
+        #: The handshake is always JSON; its reply switches the codec.
+        self.frames = FrameBuffer(server.max_frame)
+        #: Encoded replies awaiting the settle step's single write.
+        self.outbox: List[bytes] = []
+        #: tid -> the ``call_later`` handle of its parked wait's timeout.
+        self.timers: Dict[int, asyncio.TimerHandle] = {}
+        self.closing = False
+        #: The peer is not reading: its write buffer is over the
+        #: high-water mark, so this side has stopped reading too.
+        self.paused = False
+        self._nframes = 0
+
+    # -- asyncio.Protocol --------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        try:
+            for frame, nbytes, seconds in self.frames.feed(data):
+                server._on_frame(self, frame, nbytes, seconds)
+                if self.closing:
+                    break
+        except ProtocolError as exc:
+            self._refuse(exc)
+        server._settle()
+
+    def eof_received(self) -> None:
+        try:
+            self.frames.eof()
+        except ProtocolError as exc:
+            self._refuse(exc)
+            self.server._settle()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        server = self.server
+        server._connections.discard(self)
+        session = self.session
+        if session is not None and not session.closed:
+            if not session.detached:
+                server.stats.rude_disconnects += 1
+            server._submit(lambda: server.core.close_session(session))
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.transport.resume_reading()
+
+    # -- replies -----------------------------------------------------------
+
+    def send(self, message: dict, reply_to: Optional[str] = None) -> None:
+        """Encode one reply into the outbox; the next settle writes it,
+        after the journal flush that covers its records."""
+        if self.transport is None:
+            return
+        server = self.server
+        codec = self.frames.codec
+        message.setdefault("epoch", server.restart_epoch)
+        telemetry = server.core.telemetry
+        if telemetry.enabled and self._nframes & _WIRE_SAMPLE_MASK == 0:
+            started = perf_counter()
+            data = codec.encode(message, reply_to, server.max_frame)
+            server._observe_frame(
+                codec.name, "out", len(data), perf_counter() - started
+            )
+        else:
+            data = codec.encode(message, reply_to, server.max_frame)
+        self.outbox.append(data)
+        server._dirty.add(self)
+
+    def close(self) -> None:
+        """Close after the pending replies went out (the core calls this
+        through ``session.transport``)."""
+        self.closing = True
+        self.server._dirty.add(self)
+
+    def _refuse(self, exc: ProtocolError) -> None:
+        # The stream cannot be resynchronized past a refused frame.
+        self.server.stats.protocol_errors += 1
+        oversized = isinstance(exc, FrameTooLarge)
+        code = "frame-too-large" if oversized else "protocol"
+        self.send(error(None, code, str(exc)))
+        self.close()
+
+    def _flush(self) -> None:
+        transport = self.transport
+        if transport is not None:
+            if self.outbox:
+                transport.write(b"".join(self.outbox))
+            if self.closing and self.paused:
+                # A peer that stopped reading would hold a graceful
+                # close (and a 3.12 ``wait_closed``) hostage.
+                transport.abort()
+            elif self.closing:
+                transport.close()
+        self.outbox.clear()
 
 
 class LockServer:
@@ -157,7 +290,9 @@ class LockServer:
         self.unix: Optional[str] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._ops: "asyncio.Queue" = asyncio.Queue()
+        self._connections: Set[ServerConnection] = set()
+        #: Connections with replies (or a close) awaiting the settle.
+        self._dirty: Set[ServerConnection] = set()
         self._tasks: List[asyncio.Task] = []
 
     # -- core views --------------------------------------------------------
@@ -170,18 +305,6 @@ class LockServer:
     def stats(self):
         return self.core.stats
 
-    @property
-    def _sessions(self) -> Dict[str, Session]:
-        return self.core.sessions
-
-    @property
-    def _owners(self) -> Dict[int, Session]:
-        return self.core.owners
-
-    @property
-    def _waiters(self) -> Dict[int, ParkedWait]:
-        return self.core.waiters
-
     # -- lifecycle ---------------------------------------------------------
 
     async def start(
@@ -193,8 +316,8 @@ class LockServer:
         """Bind and start serving; ``port=0`` picks a free port (read it
         back from :attr:`port`).  With ``unix`` set, listen on a
         UNIX-domain socket at that path instead of TCP (same protocol)."""
-        self._loop = asyncio.get_running_loop()
-        self.core.clock = self._loop.time
+        loop = self._loop = asyncio.get_running_loop()
+        self.core.clock = loop.time
         if self._journal is not None:
             # Replay the durable prefix (a fresh journal replays zero
             # records), stamp this boot, honor/reap leases.
@@ -203,20 +326,19 @@ class LockServer:
             # Incident records carry the restart epoch, so forensics
             # can tell which process lifetime a deadlock belongs to.
             self.core.restart_epoch = self.restart_epoch
-        self._tasks.append(asyncio.ensure_future(self._writer_loop()))
         self._tasks.append(asyncio.ensure_future(self._reaper_loop()))
         # A deadlock-free policy (the nowait lane) has nothing for a
         # periodic detector task to find.
         if self.period is not None and self.core.policy.wants_periodic:
             self._tasks.append(asyncio.ensure_future(self._detector_loop()))
         if unix is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=unix
+            self._server = await loop.create_unix_server(
+                lambda: ServerConnection(self), path=unix
             )
             self.unix = unix
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host, port
+            self._server = await loop.create_server(
+                lambda: ServerConnection(self), host, port
             )
             address = self._server.sockets[0].getsockname()
             self.host, self.port = address[0], address[1]
@@ -226,18 +348,28 @@ class LockServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop serving: close the listener, every session and task."""
+        """Stop serving: close the listener, every task, session and
+        connection.  Raises the exception a background task died of."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for session in list(self.core.sessions.values()):
-            self.core.close_session(session)
         for task in self._tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        ended = await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
+        # Sessions and transports go first: ``wait_closed`` (3.12) only
+        # returns once every accepted connection is gone.
+        for session in list(self.core.sessions.values()):
+            self.core.close_session(session)
+        for connection in list(self._connections):
+            connection.close()
+        self._settle()
+        if self._server is not None:
+            await self._server.wait_closed()
         if self.core.journal is not None:
             self.core.journal.close()
+        for result in ended:
+            if isinstance(result, Exception):
+                raise result
 
     async def crash(self) -> None:
         """Tear down as if ``kill -9`` hit after the last flush: drop
@@ -249,44 +381,37 @@ class LockServer:
             journal.abandon()
         await self.aclose()
 
-    # -- the single-writer queue -------------------------------------------
+    # -- the serialized core operation ---------------------------------------
 
-    async def _submit(self, fn: Callable[[], object]) -> object:
-        """Run ``fn`` on the writer task; returns (or raises) its result.
-        Every touch of the core goes through here."""
-        future = self._loop.create_future()
-        await self._ops.put((fn, future))
-        return await future
-
-    async def _writer_loop(self) -> None:
-        while True:
-            fn, future = await self._ops.get()
-            try:
-                result = fn()
-            except Exception as exc:  # delivered to the submitter
-                if not future.done():
-                    future.set_exception(exc)
-                else:  # pragma: no cover - submitter went away
-                    pass
-            else:
-                if not future.done():
-                    future.set_result(result)
+    def _submit(self, fn: Callable[[], object]) -> object:
+        """Run ``fn`` as one core operation on the loop thread — step,
+        pump, settle — and return (or raise) its result.  Every touch
+        of the core that is not a frame goes through here."""
+        try:
+            return fn()
+        finally:
             self.core.pump()
-            # Group commit: everything this pass journaled goes durable
-            # in one write+fsync.  The submitter coroutines woken by
-            # set_result above cannot run until this task yields at the
-            # queue await, so no reply ever precedes its records.
-            if self.core.journal is not None:
-                flush_started = perf_counter()
-                if self.core.journal.flush():
-                    self.core.stats.journal_flushes += 1
-                    if self.core.telemetry.enabled:
-                        self.core.telemetry.registry.histogram(
-                            "repro_journal_fsync_seconds",
-                            help="write+fsync latency of one journal "
-                            "group commit",
-                            buckets=_FSYNC_BUCKETS,
-                        ).observe(perf_counter() - flush_started)
+            self._settle()
+
+    def _settle(self) -> None:
+        """End of a loop callback that touched the core: group-commit
+        whatever it journaled, *then* write each connection's replies
+        in one piece, then close the connections due to close.  No
+        reply byte can precede the flush covering its records."""
+        journal = self.core.journal
+        if journal is not None:
+            flush_started = perf_counter()
+            if journal.flush():
+                self.core.stats.journal_flushes += 1
+                if self.core.telemetry.enabled:
+                    self.core.telemetry.registry.histogram(
+                        "repro_journal_fsync_seconds",
+                        help="write+fsync latency of one journal "
+                        "group commit",
+                        buckets=_FSYNC_BUCKETS,
+                    ).observe(perf_counter() - flush_started)
+        while self._dirty:
+            self._dirty.pop()._flush()
 
     # -- background tasks ------------------------------------------------------
 
@@ -298,7 +423,7 @@ class LockServer:
             await asyncio.sleep(
                 self.period if interval is None else interval
             )
-            await self._submit(self.core.detect_step)
+            self._tick(self.core.detect_step)
 
     async def _reaper_loop(self) -> None:
         while True:
@@ -309,9 +434,19 @@ class LockServer:
             # unnoticed for more than ~0.1s.
             wake = deadline - now if deadline is not None else 0.1
             await asyncio.sleep(min(max(wake, 0.02), 0.1))
-            await self._submit(self.core.expire_sessions)
+            self._tick(self.core.expire_sessions)
 
-    # -- connection handling -----------------------------------------------------
+    def _tick(self, step: Callable[[], object]) -> None:
+        """One background step.  A failing one is counted and logged;
+        the loop that runs it must outlive it (a dead reaper would
+        never expire another lease)."""
+        try:
+            self._submit(step)
+        except Exception:
+            self.stats.tick_failures += 1
+            _LOG.exception("background step %r failed", step)
+
+    # -- frames ------------------------------------------------------------------
 
     def _observe_frame(
         self, codec_name: str, direction: str, nbytes: int, seconds: float
@@ -339,362 +474,255 @@ class LockServer:
             buckets=_CODEC_BUCKETS,
         ).observe(seconds)
 
-    async def _handle_connection(self, reader, writer) -> None:
-        session: Optional[Session] = None
-        codec = JSON_CODEC
-        max_frame = self.max_frame
-        drain_lock = asyncio.Lock()
-        tasks: Set[asyncio.Task] = set()
-        transport = writer.transport
-        telemetry = self.core.telemetry
-        nframes = 0
-
-        async def send(message: dict, reply_to: Optional[str] = None) -> None:
-            message.setdefault("epoch", self.restart_epoch)
-            if telemetry.enabled and nframes & _WIRE_SAMPLE_MASK == 0:
-                started = perf_counter()
-                data = codec.encode(message, reply_to, max_frame)
+    def _on_frame(
+        self,
+        connection: ServerConnection,
+        frame: dict,
+        nbytes: int,
+        decode_seconds: float,
+    ) -> None:
+        """One received frame: its core step inline, then the pump."""
+        session = connection.session
+        if session is None:
+            self._handshake(connection, frame)
+        else:
+            connection._nframes += 1
+            if (
+                self.core.telemetry.enabled
+                and connection._nframes & _WIRE_SAMPLE_MASK == 0
+            ):
                 self._observe_frame(
-                    codec.name, "out", len(data), perf_counter() - started
+                    connection.frames.codec.name, "in", nbytes, decode_seconds
+                )
+            self.core.touch_session(session)
+            if frame.get("op") == "goodbye":
+                session.detached = True
+                connection.send(ok(frame.get("id")))
+                # Closed here, not on connection loss, so the ``close``
+                # record is flushed before the farewell goes out.
+                self.core.close_session(session)
+            else:
+                self._dispatch(connection, frame)
+        self.core.pump()
+
+    def _handshake(self, connection: ServerConnection, first: dict) -> None:
+        request_id = first.get("id")
+        handshake = first.get("op")
+        try:
+            if handshake == "resume":
+                session = self.core.resume_session(
+                    first.get("session"),
+                    first.get("token"),
+                    transport=connection,
+                )
+            elif handshake == "hello":
+                session = self.core.open_session(
+                    lease=seconds_field(first, "lease"),
+                    transport=connection,
                 )
             else:
-                data = codec.encode(message, reply_to, max_frame)
-            # ``write`` appends the whole frame atomically; the lock only
-            # serializes drains (the flow-control waiter is single-slot),
-            # and a drain is only worth its loop hop once the transport
-            # buffer is actually deep.
-            writer.write(data)
-            if transport.get_write_buffer_size() > _DRAIN_THRESHOLD:
-                async with drain_lock:
-                    await writer.drain()
+                raise ServiceError(
+                    "handshake", "first frame must be a hello or a resume"
+                )
+        except ServiceError as exc:
+            connection.send(error(request_id, exc.code, exc.message))
+            connection.close()
+            return
+        connection.session = session
+        granted = negotiate(first.get("wire"))
+        reply = ok(
+            request_id,
+            session=session.sid,
+            lease=session.lease,
+            token=session.token,
+            tids=sorted(session.tids),
+            server={
+                "version": __version__,
+                # Capability advertisement: the newest wire dialect
+                # this server speaks (the grant itself is the
+                # top-level ``wire`` field, present only when
+                # granted).
+                "wire": WIRE_BINARY,
+                "period": self.period,
+                "continuous": self.continuous,
+                "shards": self.core.shards,
+                "policy": self.core.policy.name,
+                "epoch": self.restart_epoch,
+            },
+        )
+        if granted != WIRE_JSON:
+            # The switch signal: a v1 client never asked, so its
+            # reply — like every v1 frame — stays bit-for-bit.
+            reply["wire"] = granted
+        connection.send(reply)
+        if granted != WIRE_JSON:
+            connection.frames.codec = codec_for(granted)
+            self.stats.binary_connections += 1
 
-        try:
-            # The handshake is always JSON; the reply tells both sides
-            # which codec every later frame uses.
-            first = await read_frame(reader, max_frame)
-            if first is None:
-                return
-            handshake = first.get("op")
-            if handshake not in ("hello", "resume"):
-                await send(
-                    error(
-                        first.get("id"),
-                        "handshake",
-                        "first frame must be a hello or a resume",
-                    )
-                )
-                return
-            # Both handshakes run on the writer so their journal
-            # records are flushed before the reply goes out.
-            try:
-                if handshake == "resume":
-                    session = await self._submit(
-                        lambda: self.core.resume_session(
-                            first.get("session"),
-                            first.get("token"),
-                            transport=writer,
-                        )
-                    )
-                else:
-                    lease = seconds_field(first, "lease")
-                    session = await self._submit(
-                        lambda: self.core.open_session(
-                            lease=lease, transport=writer
-                        )
-                    )
-            except ServiceError as exc:
-                await send(error(first.get("id"), exc.code, exc.message))
-                return
-            granted = negotiate(first.get("wire"))
-            reply = ok(
-                first.get("id"),
-                session=session.sid,
-                lease=session.lease,
-                token=session.token,
-                tids=sorted(session.tids),
-                server={
-                    "version": __version__,
-                    # Capability advertisement: the newest wire dialect
-                    # this server speaks (the grant itself is the
-                    # top-level ``wire`` field, present only when
-                    # granted).
-                    "wire": WIRE_BINARY,
-                    "period": self.period,
-                    "continuous": self.continuous,
-                    "shards": self.core.shards,
-                    "policy": self.core.policy.name,
-                    "epoch": self.restart_epoch,
-                },
-            )
-            if granted != WIRE_JSON:
-                # The switch signal: a v1 client never asked, so its
-                # reply — like every v1 frame — stays bit-for-bit.
-                reply["wire"] = granted
-            await send(reply)
-            if granted != WIRE_JSON:
-                codec = codec_for(granted)
-                self.stats.binary_connections += 1
-            read_metered = codec.read_metered
-            while True:
-                frame, nbytes, decode_seconds = await read_metered(
-                    reader, max_frame
-                )
-                if frame is None:
-                    break
-                nframes += 1
-                if telemetry.enabled and nframes & _WIRE_SAMPLE_MASK == 0:
-                    self._observe_frame(
-                        codec.name, "in", nbytes, decode_seconds
-                    )
-                self.core.touch_session(session)
-                op = frame.get("op")
-                if op == "goodbye":
-                    session.detached = True
-                    await send(ok(frame.get("id")))
-                    break
-                task = asyncio.ensure_future(
-                    self._dispatch(session, frame, send)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except FrameTooLarge as exc:
-            self.stats.protocol_errors += 1
-            try:
-                await send(error(None, "frame-too-large", str(exc)))
-            except (ConnectionError, RuntimeError, ProtocolError):
-                pass
-        except ProtocolError as exc:
-            self.stats.protocol_errors += 1
-            try:
-                await send(error(None, "protocol", str(exc)))
-            except (ConnectionError, RuntimeError):
-                pass
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown; fall through to the cleanup below
-        finally:
-            for task in list(tasks):
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            if session is not None and not session.closed:
-                if not session.detached:
-                    self.stats.rude_disconnects += 1
-                self.core.close_session(session)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, session: Session, frame: dict, send) -> None:
+    def _dispatch(self, connection: ServerConnection, frame: dict) -> None:
         request_id = frame.get("id")
+        op = frame.get("op")
         self.stats.requests += 1
         try:
-            if session.closed:
-                raise ServiceError(
-                    "session-expired",
-                    "session {} is closed (lease expired?)".format(
-                        session.sid
-                    ),
-                )
-            handler = self._HANDLERS.get(frame.get("op"))
+            handler = self._HANDLERS.get(op)
             if handler is None:
                 raise ServiceError(
-                    "bad-op", "unknown operation {!r}".format(frame.get("op"))
+                    "bad-op", "unknown operation {!r}".format(op)
                 )
-            await handler(self, session, frame, send)
-        except asyncio.CancelledError:
-            raise
+            reply = handler(self, connection, frame)
+            if reply is not None:  # None: a parked wait answers later
+                connection.send(reply, op)
         except ServiceError as exc:
-            await self._safe_send(send, error(request_id, exc.code, exc.message))
+            connection.send(error(request_id, exc.code, exc.message))
         except ReproError as exc:
-            await self._safe_send(send, error(request_id, "error", str(exc)))
-        except Exception as exc:  # pragma: no cover - last resort
+            connection.send(error(request_id, "error", str(exc)))
+        except Exception as exc:
             # Every frame field is validated before the core step, so
             # this is a server bug, not a peer's doing; name the type
             # but never echo a Python repr onto the wire.
-            await self._safe_send(
-                send,
+            _LOG.exception("operation %r failed", op)
+            connection.send(
                 error(
                     request_id,
                     "internal",
                     "internal error ({})".format(type(exc).__name__),
-                ),
+                )
             )
 
-    @staticmethod
-    async def _safe_send(send, message: dict) -> None:
-        try:
-            await send(message)
-        except (ConnectionError, RuntimeError):
-            pass
+    # -- operations: validate the fields, run the core step, return the reply --
 
-    # -- operations --------------------------------------------------------------
-
-    async def _op_heartbeat(self, session, frame, send) -> None:
+    def _op_heartbeat(self, connection, frame) -> dict:
         # The lease was already renewed on frame receipt.
-        await send(
-            ok(
-                frame.get("id"),
-                lease=session.lease,
-                remaining=max(session.deadline - self._loop.time(), 0.0),
-            ),
-            "heartbeat",
+        session = connection.session
+        return ok(
+            frame.get("id"),
+            lease=session.lease,
+            remaining=max(session.deadline - self._loop.time(), 0.0),
         )
 
-    async def _op_begin(self, session, frame, send) -> None:
-        requested = int_field(frame, "tid", None)
-        tid = await self._submit(
-            lambda: self.core.begin_step(session, requested)
+    def _op_begin(self, connection, frame) -> dict:
+        tid = self.core.begin_step(
+            connection.session, int_field(frame, "tid", None)
         )
-        await send(ok(frame.get("id"), tid=tid), "begin")
+        return ok(frame.get("id"), tid=tid)
 
-    async def _op_lock(self, session, frame, send) -> None:
+    def _op_lock(self, connection, frame) -> Optional[dict]:
         tid = int_field(frame, "tid")
         rid = rid_field(frame)
         mode = mode_field(frame)
-        wait = bool(frame.get("wait", True))
         timeout = seconds_field(frame, "timeout")
-        future = self._loop.create_future()
+        request_id = frame.get("id")
+        event = None
 
-        def resolve(status: str) -> None:
-            if not future.done():
-                future.set_result(status)
-
-        def step():
-            return self.core.lock_step(
-                session,
-                tid,
-                rid,
-                mode,
-                wait=wait,
-                callback=resolve,
-                trace=frame.get("trace"),
-                parent=frame.get("span"),
+        def resolved(status: str) -> None:
+            # Fired by whichever step resolves the parked wait: the
+            # pump, a sweep of the session, or the timeout below.
+            timer = connection.timers.pop(tid, None)
+            if timer is not None:
+                timer.cancel()
+            connection.send(
+                ok(request_id, status=status, event=event), "lock"
             )
 
-        status, event, parked = await self._submit(step)
-        if status == "parked":
-            done, _ = await asyncio.wait([future], timeout=timeout)
-            if done:
-                status = future.result()
-            else:
-                # Timed out: un-park on the writer (the resolution wins
-                # if it got there first), but leave the request queued
-                # so a retried lock resumes the same position.
-                status = await self._submit(
-                    lambda: self.core.cancel_wait(tid, parked)
-                )
-        await send(
-            ok(frame.get("id"), status=status, event=event), "lock"
+        status, event, parked = self.core.lock_step(
+            connection.session,
+            tid,
+            rid,
+            mode,
+            wait=bool(frame.get("wait", True)),
+            callback=resolved,
+            trace=frame.get("trace"),
+            parent=frame.get("span"),
+        )
+        if status != "parked":
+            return ok(request_id, status=status, event=event)
+        if timeout is not None:
+            connection.timers[tid] = self._loop.call_later(
+                timeout, self._wait_timeout, tid, parked
+            )
+        return None
+
+    def _wait_timeout(self, tid: int, parked: ParkedWait) -> None:
+        # Un-park (the resolution wins if it got there first), but
+        # leave the request queued so a retried lock resumes the same
+        # position.
+        self._submit(
+            lambda: parked.resolve(self.core.cancel_wait(tid, parked))
         )
 
-    async def _op_commit(self, session, frame, send) -> None:
-        await self._finish(session, frame, send, aborting=False)
-
-    async def _op_abort(self, session, frame, send) -> None:
-        await self._finish(session, frame, send, aborting=True)
-
-    async def _finish(self, session, frame, send, aborting: bool) -> None:
+    def _op_finish(self, connection, frame) -> dict:
         tid = int_field(frame, "tid")
-        grants = await self._submit(
-            lambda: self.core.finish_step(session, tid, aborting)
+        grants = self.core.finish_step(
+            connection.session, tid, aborting=frame["op"] == "abort"
         )
-        await send(
-            ok(frame.get("id"), tid=tid, grants=grants),
-            "abort" if aborting else "commit",
+        return ok(frame.get("id"), tid=tid, grants=grants)
+
+    def _op_batch(self, connection, frame) -> dict:
+        results = self.core.batch_step(connection.session, frame.get("ops"))
+        return ok(frame.get("id"), results=results)
+
+    def _op_detect(self, connection, frame) -> dict:
+        return ok(
+            frame.get("id"), **detection_to_dict(self.core.detect_step())
         )
 
-    async def _op_batch(self, session, frame, send) -> None:
-        results = await self._submit(
-            lambda: self.core.batch_step(session, frame.get("ops"))
+    def _op_snapshot(self, connection, frame) -> dict:
+        return ok(frame.get("id"), snapshot=self.core.snapshot_step())
+
+    def _op_resolve(self, connection, frame) -> dict:
+        return ok(
+            frame.get("id"), reply=self.core.resolve_step(frame.get("plan"))
         )
-        await send(ok(frame.get("id"), results=results), "batch")
 
-    async def _op_detect(self, session, frame, send) -> None:
-        result = await self._submit(self.core.detect_step)
-        await send(ok(frame.get("id"), **detection_to_dict(result)))
+    def _op_inspect(self, connection, frame) -> dict:
+        return ok(frame.get("id"), **admin.inspect_payload(self.manager))
 
-    async def _op_snapshot(self, session, frame, send) -> None:
-        payload = await self._submit(self.core.snapshot_step)
-        await send(ok(frame.get("id"), snapshot=payload), "snapshot")
-
-    async def _op_resolve(self, session, frame, send) -> None:
-        reply = await self._submit(
-            lambda: self.core.resolve_step(frame.get("plan"))
-        )
-        await send(ok(frame.get("id"), reply=reply), "resolve")
-
-    async def _op_inspect(self, session, frame, send) -> None:
-        payload = await self._submit(
-            lambda: admin.inspect_payload(self.manager)
-        )
-        await send(ok(frame.get("id"), **payload))
-
-    async def _op_graph(self, session, frame, send) -> None:
+    def _op_graph(self, connection, frame) -> dict:
         dot = bool(frame.get("dot", False))
-        payload = await self._submit(
-            lambda: admin.graph_payload(self.manager, dot=dot)
-        )
-        await send(ok(frame.get("id"), **payload))
+        payload = admin.graph_payload(self.manager, dot=dot)
+        return ok(frame.get("id"), **payload)
 
-    async def _op_dump(self, session, frame, send) -> None:
-        payload = await self._submit(
-            lambda: admin.dump_payload(self.manager)
-        )
-        await send(ok(frame.get("id"), **payload))
+    def _op_dump(self, connection, frame) -> dict:
+        return ok(frame.get("id"), **admin.dump_payload(self.manager))
 
-    async def _op_log(self, session, frame, send) -> None:
+    def _op_log(self, connection, frame) -> dict:
         limit = int_field(frame, "limit", 100)
-        payload = await self._submit(
-            lambda: admin.log_payload(self.manager, limit=limit)
+        payload = admin.log_payload(self.manager, limit=limit)
+        return ok(frame.get("id"), **payload)
+
+    def _op_stats(self, connection, frame) -> dict:
+        return ok(frame.get("id"), stats=self.core.stats_payload())
+
+    def _op_metrics(self, connection, frame) -> dict:
+        return ok(frame.get("id"), **admin.metrics_payload(self.core))
+
+    def _op_spans(self, connection, frame) -> dict:
+        payload = admin.spans_payload(
+            self.core,
+            limit=int_field(frame, "limit", 0),
+            annotations=bool(frame.get("annotations", False)),
         )
-        await send(ok(frame.get("id"), **payload))
+        return ok(frame.get("id"), **payload)
 
-    async def _op_stats(self, session, frame, send) -> None:
-        payload = await self._submit(self.core.stats_payload)
-        await send(ok(frame.get("id"), stats=payload))
-
-    async def _op_metrics(self, session, frame, send) -> None:
-        payload = await self._submit(
-            lambda: admin.metrics_payload(self.core)
-        )
-        await send(ok(frame.get("id"), **payload))
-
-    async def _op_spans(self, session, frame, send) -> None:
-        limit = int_field(frame, "limit", 0)
-        annotations = bool(frame.get("annotations", False))
-        payload = await self._submit(
-            lambda: admin.spans_payload(
-                self.core, limit=limit, annotations=annotations
-            )
-        )
-        await send(ok(frame.get("id"), **payload))
-
-    async def _op_holding(self, session, frame, send) -> None:
-        tid = int_field(frame, "tid")
-        held = await self._submit(lambda: self.manager.holding(tid))
-        await send(
-            ok(
-                frame.get("id"),
-                holding={rid: mode.name for rid, mode in held.items()},
-            )
+    def _op_holding(self, connection, frame) -> dict:
+        held = self.manager.holding(int_field(frame, "tid"))
+        return ok(
+            frame.get("id"),
+            holding={rid: mode.name for rid, mode in held.items()},
         )
 
-    async def _op_deadlocked(self, session, frame, send) -> None:
-        value = await self._submit(self.manager.deadlocked)
-        await send(ok(frame.get("id"), deadlocked=value))
+    def _op_deadlocked(self, connection, frame) -> dict:
+        return ok(frame.get("id"), deadlocked=self.manager.deadlocked())
 
     _HANDLERS: Dict[
-        str, Callable[["LockServer", Session, dict, object], Awaitable[None]]
+        str,
+        Callable[["LockServer", ServerConnection, dict], Optional[dict]],
     ] = {
         "heartbeat": _op_heartbeat,
         "begin": _op_begin,
         "lock": _op_lock,
-        "commit": _op_commit,
-        "abort": _op_abort,
+        "commit": _op_finish,
+        "abort": _op_finish,
         "batch": _op_batch,
         "detect": _op_detect,
         "snapshot": _op_snapshot,

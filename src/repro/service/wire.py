@@ -48,7 +48,6 @@ to an old server falls back to JSON the same way.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import struct
@@ -60,11 +59,8 @@ from .protocol import (
     FrameTooLarge,
     MAX_FRAME,
     ProtocolError,
-    _HEADER as _JSON_HEADER,
-    decode_payload,
     encode_frame,
-    read_frame,
-    read_frame_sized,
+    split_frame,
 )
 
 #: The two wire versions this build speaks.
@@ -1090,21 +1086,18 @@ def encode_binary_json(
     )
 
 
-async def _read_binary_raw(
-    reader: asyncio.StreamReader, max_frame: int
-) -> Optional[Tuple[int, int, int, bytes, int]]:
-    """One raw v2 frame: ``(flags, opcode, header id, payload, wire
-    size)``, or None on clean EOF between frames."""
-    header = await reader.read(HEADER_SIZE)
-    if not header:
+def split_binary_frame(
+    buffer, start: int = 0, max_frame: int = MAX_FRAME
+) -> Optional[Tuple[Dict[str, Any], int]]:
+    """The v2 analogue of :func:`~.protocol.split_frame`: the frame at
+    ``buffer[start]`` as ``(message, end)``, None while incomplete.  A
+    bad magic or version and an oversized announcement are refused as
+    soon as the 14 header bytes are there."""
+    body = start + HEADER_SIZE
+    if len(buffer) < body:
         return None
-    while len(header) < HEADER_SIZE:
-        more = await reader.read(HEADER_SIZE - len(header))
-        if not more:
-            raise ProtocolError("connection closed inside a frame header")
-        header += more
-    magic, version, flags, opcode, _, header_id, length = _HEADER.unpack(
-        header
+    magic, version, flags, opcode, _, header_id, length = (
+        _HEADER.unpack_from(buffer, start)
     )
     if magic != MAGIC:
         raise ProtocolError(
@@ -1122,74 +1115,18 @@ async def _read_binary_raw(
                 length, max_frame
             )
         )
+    end = body + length
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[body:end])
     try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed inside a frame body") from exc
-    return flags, opcode, header_id, payload, HEADER_SIZE + length
-
-
-async def read_binary_frame(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> Optional[Dict[str, Any]]:
-    """Read one v2 frame; None on clean EOF between frames."""
-    message, _ = await read_binary_frame_sized(reader, max_frame)
-    return message
-
-
-async def read_binary_frame_sized(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> Tuple[Optional[Dict[str, Any]], int]:
-    """Like :func:`read_binary_frame` but also reports the frame's
-    on-wire size (header + payload) for the frame-bytes metrics."""
-    raw = await _read_binary_raw(reader, max_frame)
-    if raw is None:
-        return None, 0
-    flags, opcode, header_id, payload, size = raw
-    return decode_binary_payload(flags, opcode, header_id, payload), size
-
-
-async def read_binary_frame_metered(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> Tuple[Optional[Dict[str, Any]], int, float]:
-    """(message, wire size, pure-decode seconds) — the server's read
-    path, feeding the sampled decode-latency histogram without timing
-    the socket wait."""
-    raw = await _read_binary_raw(reader, max_frame)
-    if raw is None:
-        return None, 0, 0.0
-    flags, opcode, header_id, payload, size = raw
-    started = perf_counter()
-    message = decode_binary_payload(flags, opcode, header_id, payload)
-    return message, size, perf_counter() - started
-
-
-async def read_json_frame_metered(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> Tuple[Optional[Dict[str, Any]], int, float]:
-    """The v1 analogue of :func:`read_binary_frame_metered`."""
-    header = await reader.read(_JSON_HEADER.size)
-    if not header:
-        return None, 0, 0.0
-    while len(header) < _JSON_HEADER.size:
-        more = await reader.read(_JSON_HEADER.size - len(header))
-        if not more:
-            raise ProtocolError("connection closed inside a frame header")
-        header += more
-    (length,) = _JSON_HEADER.unpack(header)
-    if length > max_frame:
-        raise FrameTooLarge(
-            "peer announced a {} byte frame (limit {})".format(
-                length, max_frame
-            )
-        )
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed inside a frame body") from exc
-    started = perf_counter()
-    message = decode_payload(payload)
-    return message, _JSON_HEADER.size + length, perf_counter() - started
+        return decode_binary_payload(flags, opcode, header_id, payload), end
+    except (IndexError, ValueError, struct.error, RecursionError) as exc:
+        # Whatever a hostile payload trips in the field decoders is the
+        # peer's protocol violation, not this process's crash.
+        raise ProtocolError(
+            "undecodable binary frame ({})".format(type(exc).__name__)
+        ) from exc
 
 
 # -- codec objects ---------------------------------------------------------
@@ -1209,14 +1146,7 @@ class JsonCodec:
     ) -> bytes:
         return encode_frame(message, max_frame=max_frame)
 
-    @staticmethod
-    async def read(
-        reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-    ) -> Optional[Dict[str, Any]]:
-        return await read_frame(reader, max_frame=max_frame)
-
-    read_sized = staticmethod(read_frame_sized)
-    read_metered = staticmethod(read_json_frame_metered)
+    split = staticmethod(split_frame)
 
 
 class BinaryCodec:
@@ -1225,26 +1155,61 @@ class BinaryCodec:
     name = "binary"
     wire = WIRE_BINARY
 
-    @staticmethod
-    def encode(
-        message: Dict[str, Any],
-        reply_to: Optional[str] = None,
-        max_frame: int = MAX_FRAME,
-    ) -> bytes:
-        return encode_binary(message, reply_to, max_frame=max_frame)
-
-    @staticmethod
-    async def read(
-        reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-    ) -> Optional[Dict[str, Any]]:
-        return await read_binary_frame(reader, max_frame=max_frame)
-
-    read_sized = staticmethod(read_binary_frame_sized)
-    read_metered = staticmethod(read_binary_frame_metered)
+    encode = staticmethod(encode_binary)
+    split = staticmethod(split_binary_frame)
 
 
 JSON_CODEC = JsonCodec()
 BINARY_CODEC = BinaryCodec()
+
+
+class FrameBuffer:
+    """Bytes received on one connection and the frames complete in
+    them — the decode loop the server and the client share.
+
+    :attr:`codec` is read once per frame, so the handshake that
+    switches it takes effect for the very next frame even when that
+    frame arrived in the same segment.  A refused frame raises from
+    :meth:`feed` (:class:`FrameTooLarge`/:class:`ProtocolError`) and
+    the buffer never holds more than one header plus ``max_frame`` of
+    an incomplete frame beyond what the last segment brought.
+    """
+
+    __slots__ = ("codec", "max_frame", "_data")
+
+    def __init__(self, max_frame: int = MAX_FRAME, codec=JSON_CODEC) -> None:
+        self.codec = codec
+        self.max_frame = max_frame
+        self._data = bytearray()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def feed(self, data: bytes):
+        """Append one received segment; yields ``(message, wire size,
+        decode seconds)`` for every frame now complete, in order."""
+        buffer = self._data
+        buffer += data
+        pos = 0
+        try:
+            while True:
+                started = perf_counter()
+                found = self.codec.split(buffer, pos, self.max_frame)
+                if found is None:
+                    return
+                message, end = found
+                size, pos = end - pos, end
+                yield message, size, perf_counter() - started
+        finally:
+            del buffer[:pos]
+
+    def eof(self) -> None:
+        """The peer closed: anything still buffered is a torn frame."""
+        if self._data:
+            raise ProtocolError(
+                "connection closed inside a frame ({} bytes "
+                "buffered)".format(len(self._data))
+            )
 
 
 def codec_for(wire: int):
@@ -1301,6 +1266,4 @@ def wire_roundtrip(
         return json.loads(
             json.dumps(message, separators=(",", ":"))
         )
-    frame = encode_binary(message)
-    _, version, flags, opcode, _, header_id, _ = _HEADER.unpack_from(frame)
-    return decode_binary_payload(flags, opcode, header_id, frame[HEADER_SIZE:])
+    return split_binary_frame(encode_binary(message))[0]

@@ -83,6 +83,13 @@ class TestSnapshotOp:
 
 
 class TestCrossProcessResolution:
+    @pytest.fixture(autouse=True)
+    def _detector_lane(self, monkeypatch):
+        # These tests stage deadlocks for the coordinator; the
+        # REPRO_POLICY=nowait CI leg would abort the staging waits.
+        # (Set before ``cluster2`` spawns its workers.)
+        monkeypatch.setenv("REPRO_POLICY", "periodic")
+
     def test_victim_abort_spans_two_worker_processes(self, cluster2):
         """The acceptance cycle: two transactions, each holding on one
         worker process and waiting on the other.  The coordinator must

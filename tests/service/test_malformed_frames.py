@@ -17,8 +17,10 @@ import pytest
 
 from repro.core.modes import LockMode
 from repro.service import LockServer
-from repro.service.protocol import encode_frame, read_frame, request
+from repro.service.protocol import encode_frame, request
 from repro.service.wire import WIRE_BINARY, WIRE_JSON, codec_for
+
+from .raw import RawConnection
 
 #: A Python exception repr, e.g. ``ValueError("could not convert ...")``.
 _REPR = re.compile(r"\w+(Error|Exception)\(")
@@ -49,22 +51,22 @@ async def raw_connection(wire, hello=None):
     frame and returns the decoded reply."""
     server = LockServer(period=None, policy="periodic")
     await server.start("127.0.0.1", 0)
-    reader, writer = await asyncio.open_connection(server.host, server.port)
+    raw = await RawConnection.open(server.host, server.port)
     try:
         fields = {"wire": wire} if hello is None else hello
-        writer.write(encode_frame(request(0, "hello", **fields)))
-        reply = await read_frame(reader)
-        codec = codec_for(reply.get("wire", WIRE_JSON))
+        raw.write(encode_frame(request(0, "hello", **fields)))
+        reply = await raw.read()
+        codec = raw.frames.codec = codec_for(reply.get("wire", WIRE_JSON))
         ids = iter(range(1, 1000))
 
         async def call(op, **fields):
-            writer.write(codec.encode(request(next(ids), op, **fields)))
-            return await codec.read(reader)
+            raw.write(codec.encode(request(next(ids), op, **fields)))
+            return await raw.read()
 
         call.hello = reply
         yield server, call
     finally:
-        writer.close()
+        raw.close()
         await server.aclose()
 
 

@@ -1,6 +1,5 @@
 """The wire protocol: framing, versioning, event payloads."""
 
-import asyncio
 import json
 import struct
 
@@ -22,21 +21,23 @@ from repro.service.protocol import (
     event_to_dict,
     ok,
     raise_for_error,
-    read_frame,
     request,
+    split_frame,
 )
+from repro.service.wire import FrameBuffer
+
+from .raw import frames_in
+
+
+def read_all(data: bytes, max_frame: int = MAX_FRAME, eof: bool = True):
+    """Feed raw bytes (then EOF) to the splitter; every frame in them."""
+    return frames_in(data, max_frame=max_frame, eof=eof)
 
 
 def read_bytes(data: bytes):
-    """Feed raw bytes to a StreamReader and read one frame from it."""
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_frame(reader)
-
-    return asyncio.run(go())
+    """The first frame in ``data``; None on a clean EOF."""
+    decoded = read_all(data)
+    return decoded[0] if decoded else None
 
 
 class TestFraming:
@@ -48,24 +49,17 @@ class TestFraming:
         first = request(1, "hello")
         second = request(2, "stats")
         data = encode_frame(first) + encode_frame(second)
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return await read_frame(reader), await read_frame(reader)
-
-        assert asyncio.run(go()) == (first, second)
+        assert read_all(data) == [first, second]
 
     def test_clean_eof_returns_none(self):
         assert read_bytes(b"") is None
 
     def test_truncated_header_raises(self):
-        with pytest.raises(ProtocolError, match="header"):
+        with pytest.raises(ProtocolError, match="inside a frame"):
             read_bytes(b"\x00\x00")
 
     def test_truncated_body_raises(self):
-        with pytest.raises(ProtocolError, match="body"):
+        with pytest.raises(ProtocolError, match="inside a frame"):
             read_bytes(struct.pack(">I", 100) + b'{"v": 1}')
 
     def test_oversized_announcement_raises(self):
@@ -103,44 +97,28 @@ class TestFrameSizeGuard:
         from repro.service.protocol import FrameTooLarge
 
         frame = encode_frame({"v": WIRE_VERSION, "blob": "x" * 2000})
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            reader.feed_eof()
-            with pytest.raises(FrameTooLarge):
-                await read_frame(reader, max_frame=1024)
-
-        asyncio.run(go())
+        with pytest.raises(FrameTooLarge):
+            read_all(frame, max_frame=1024)
 
     def test_read_limit_refuses_before_buffering(self):
-        """Only the 4-byte announcement is read before the refusal —
+        """Only the 4-byte announcement is needed for the refusal —
         a hostile length prefix cannot make the server buffer it."""
         from repro.service.protocol import FrameTooLarge
 
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">I", 1 << 30))
-            # No payload follows; the guard must not wait for one.
-            with pytest.raises(FrameTooLarge):
-                await read_frame(reader, max_frame=1024)
-
-        asyncio.run(go())
+        # No payload follows; the guard must not wait for one.
+        with pytest.raises(FrameTooLarge):
+            read_all(struct.pack(">I", 1 << 30), max_frame=1024, eof=False)
 
     def test_read_frame_sized_reports_wire_size(self):
-        from repro.service.protocol import read_frame_sized
-
         frame = encode_frame(request(1, "heartbeat", tid=4))
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            reader.feed_eof()
-            message, size = await read_frame_sized(reader)
-            assert message["op"] == "heartbeat"
-            assert size == len(frame)
-
-        asyncio.run(go())
+        # The splitter answers the end offset; the buffer both peers
+        # run it through turns that into the frame's wire size.
+        message, end = split_frame(b"junk" + frame, 4)
+        assert message["op"] == "heartbeat"
+        assert end == 4 + len(frame)
+        ((message, size, _seconds),) = FrameBuffer().feed(frame)
+        assert message["op"] == "heartbeat"
+        assert size == len(frame)
 
 
 class TestVersioning:

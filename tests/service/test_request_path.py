@@ -1,0 +1,370 @@
+"""Counted tripwires for the request path: burst → steps → settle.
+
+No sockets and no clocks: an :class:`AsyncLockClient` and a
+:class:`ServerConnection` are joined by recording transports
+(:class:`tests.service.raw.Pipe`) and every segment is delivered by
+hand, so each test *counts* — writes, journal flushes, ``data_received``
+calls, timer handles — instead of timing anything.
+"""
+
+import asyncio
+
+import pytest
+
+from repro.core.errors import TransactionAborted
+from repro.core.modes import LockMode
+from repro.service import LockServer
+from repro.service.journal import SessionJournal
+from repro.service.protocol import encode_frame, request
+
+from .raw import Pipe, frames_in
+
+WIRES = pytest.mark.parametrize("wire", ["json", "binary"])
+
+
+def run(coroutine):
+    return asyncio.run(coroutine)
+
+
+class RecordingJournal(SessionJournal):
+    """A real on-disk journal that also logs each flush to ``events``."""
+
+    def __init__(self, path, events):
+        super().__init__(path)
+        self.events = events
+
+    def flush(self):
+        written = super().flush()
+        if written:
+            self.events.append(("flush", "journal", written))
+        return written
+
+    def unflushed(self):
+        return len(self._pending)
+
+
+async def journaled_server(tmp_path, events):
+    journal = RecordingJournal(str(tmp_path / "journal.jsonl"), events)
+    server = LockServer(period=None, journal=journal, policy="periodic")
+    await server.start("127.0.0.1", 0)
+    return server, journal
+
+
+@WIRES
+class TestOneBurstOneCommitOneWrite:
+    K = 6
+
+    def test_k_lock_frames_in_one_segment(self, wire, tmp_path):
+        """(a) K lock frames of K transactions, ONE segment: one group
+        commit, one ``transport.write``, K replies in one client
+        ``data_received``."""
+
+        async def go():
+            events = []
+            server, journal = await journaled_server(tmp_path, events)
+            pipe = await Pipe(server, events, wire).handshake()
+            client, stats = pipe.client, server.stats
+            flushes, records = stats.journal_flushes, stats.journal_records
+            fsyncs = journal.fsyncs
+            del events[:]
+
+            locks = [
+                client.acquire(tid, "R{}".format(tid), LockMode.X)
+                for tid in range(1, self.K + 1)
+            ]
+            granted, sent, received = await pipe.call(*locks)
+
+            assert granted == [True] * self.K
+            # The client coalesced its K requests into one write ...
+            assert len(sent) == 1
+            codec = client._frames.codec
+            assert len(frames_in(sent[0], codec)) == self.K
+            # ... the server served them as one burst: K records, ONE
+            # flush, ONE write ...
+            assert stats.journal_records == records + self.K
+            assert stats.journal_flushes == flushes + 1
+            assert journal.fsyncs == fsyncs + 1
+            assert len(received) == 1
+            # ... carrying all K replies to one client data_received.
+            assert len(frames_in(received[0], codec)) == self.K
+            assert [event[:2] for event in events] == [
+                ("write", "client"),
+                ("flush", "journal"),
+                ("write", "server"),
+            ]
+            await server.aclose()
+
+        run(go())
+
+    def test_bursts_of_two_connections_share_the_settle(self, wire, tmp_path):
+        """A parked wait on connection B resolved by a commit arriving
+        on connection A: both replies leave in the settle of A's burst,
+        behind its one flush."""
+
+        async def go():
+            events = []
+            server, journal = await journaled_server(tmp_path, events)
+            a = await Pipe(server, events, wire).handshake()
+            b = await Pipe(server, events, wire).handshake()
+            assert (await a.call(a.client.acquire(1, "R", "X")))[0] == [True]
+            waiter = asyncio.ensure_future(b.client.acquire(2, "R", "X"))
+            await b.to_server()
+            assert list(server.core.waiters) == [2]
+            flushes = server.stats.journal_flushes
+            del events[:]
+
+            await a.call(a.client.commit(1))
+
+            assert server.stats.journal_flushes == flushes + 1
+            kinds = [event[:2] for event in events]
+            assert kinds[:2] == [("write", "client"), ("flush", "journal")]
+            assert sorted(kinds[2:]) == [("write", "server")] * 2
+            await b.to_client()
+            assert await waiter is True
+            await server.aclose()
+
+        run(go())
+
+
+@WIRES
+class TestNoReplyBeforeItsFlush:
+    """(b) With a recording transport and a recording journal: at every
+    ``transport.write`` and every close, nothing journaled is still
+    unflushed — whatever ends the burst."""
+
+    async def setup(self, tmp_path, wire, **hello):
+        events = []
+        server, journal = await journaled_server(tmp_path, events)
+        pipe = Pipe(server, events, wire, probe=journal.unflushed)
+        await pipe.handshake(**hello)
+        return server, journal, pipe, events
+
+    def check(self, events, expect_close):
+        server_side = [e for e in events if e[1] == "server"]
+        assert server_side, events
+        assert all(unflushed == 0 for _, _, unflushed in server_side), events
+        first_write = events.index(server_side[0])
+        assert ("flush", "journal") in [e[:2] for e in events[:first_write]]
+        assert (server_side[-1][0] == "close") is expect_close
+        if expect_close:  # the replies went out before the close
+            assert [e[0] for e in server_side][-2:] == ["write", "close"]
+
+    def test_plain_burst(self, wire, tmp_path):
+        async def go():
+            server, journal, pipe, events = await self.setup(tmp_path, wire)
+            del events[:]
+            await pipe.call(pipe.client.acquire(1, "R", "X"))
+            self.check(events, expect_close=False)
+            await server.aclose()
+
+        run(go())
+
+    def test_burst_ending_in_goodbye(self, wire, tmp_path):
+        async def go():
+            server, journal, pipe, events = await self.setup(tmp_path, wire)
+            del events[:]
+            client = pipe.client
+            lock = asyncio.ensure_future(client.acquire(1, "R", "X"))
+            bye = asyncio.ensure_future(client._send_raw("goodbye"))
+            sent = await pipe.to_server()
+            assert len(sent) == 1  # lock + goodbye, one segment
+            # lock record and the session's close record, one flush
+            assert [e for e in events if e[0] == "flush"] == [
+                ("flush", "journal", 2)
+            ]
+            self.check(events, expect_close=True)
+            await pipe.to_client()
+            assert await lock is True and (await bye)["ok"]
+            assert server.core.sessions == {}
+            await server.aclose()
+
+        run(go())
+
+    def test_lease_expiry(self, wire, tmp_path):
+        async def go():
+            server, journal, pipe, events = await self.setup(
+                tmp_path, wire, lease=1.0
+            )
+            holder = await Pipe(server, events, wire).handshake(lease=3600.0)
+            await holder.call(holder.client.acquire(1, "R", "X"))
+            parked = asyncio.ensure_future(pipe.client.acquire(2, "R", "X"))
+            await pipe.to_server()
+            assert list(server.core.waiters) == [2]
+            del events[:]
+            core = server.core
+            # The reaper's tick, at a time when only the short lease is up.
+            server._tick(lambda: core.expire_sessions(core.clock() + 60.0))
+            assert server.stats.lease_expiries == 1
+            # The parked lock is told "aborted", then the close — both
+            # behind the flush of the session's close record.
+            self.check(events, expect_close=True)
+            await pipe.to_client()
+            with pytest.raises(TransactionAborted):
+                await parked
+            assert pipe.connection.timers == {} and core.waiters == {}
+            await server.aclose()
+
+        run(go())
+
+    def test_frame_too_large_close(self, wire, tmp_path):
+        async def go():
+            server, journal, pipe, events = await self.setup(tmp_path, wire)
+            del events[:]
+            codec = pipe.client._frames.codec
+            lock = codec.encode(
+                request(7, "lock", tid=1, rid="R", mode="X"), None, 1 << 20
+            )
+            oversized = codec.encode(
+                request(8, "lock", tid=1, rid="R" * 4096, mode="X"),
+                None,
+                1 << 20,
+            )
+            pipe.connection.frames.max_frame = 1024
+            pipe.connection.data_received(lock + oversized)
+            self.check(events, expect_close=True)
+            replies = frames_in(b"".join(pipe.server_transport.take()), codec)
+            assert [reply["id"] for reply in replies] == [7, None]
+            assert replies[0]["status"] == "granted"
+            assert replies[1]["error"]["code"] == "frame-too-large"
+            assert server.stats.protocol_errors == 1
+            pipe.lose()
+            await server.aclose()
+
+        run(go())
+
+
+class TestFlowControl:
+    def test_a_peer_that_never_reads_stops_being_read(self):
+        """(c) ``stats`` frames from a peer that never reads: once the
+        unread replies pass the high-water mark the server has stopped
+        reading that connection, and nothing grows behind it."""
+
+        async def go():
+            server = LockServer(period=None)
+            await server.start("127.0.0.1", 0)
+            pipe = await Pipe(server).handshake()
+            transport, connection = pipe.server_transport, pipe.connection
+            tasks = len(asyncio.all_tasks())
+            burst = b"".join(
+                encode_frame(request(n, "stats")) for n in range(8)
+            )
+            bursts = 0
+            while transport.reading and bursts < 1000:
+                connection.data_received(burst)  # never transport.take()
+                bursts += 1
+            assert not transport.reading and connection.paused
+            # Bounded: it took a high-water mark's worth of replies,
+            # not one burst more, and no per-frame task is left behind.
+            one_burst = transport.buffered() / bursts
+            assert transport.buffered() <= transport.high_water + one_burst
+            assert connection.outbox == []
+            assert len(asyncio.all_tasks()) == tasks
+            # The peer finally reads: the server resumes reading it.
+            transport.take()
+            connection.resume_writing()
+            assert transport.reading and not connection.paused
+            pipe.lose()
+            await server.aclose()
+
+        run(go())
+
+    def test_client_callers_wait_at_the_writable_gate(self):
+        async def go():
+            server = LockServer(period=None)
+            await server.start("127.0.0.1", 0)
+            pipe = await Pipe(server).handshake()
+            client = pipe.client
+            client.pause_writing()
+            call = asyncio.ensure_future(client.holding(1))
+            assert await pipe.to_server() == []  # nothing was written
+            assert not call.done() and client._pending == {}
+            client.resume_writing()
+            assert len(await pipe.to_server()) == 1
+            await pipe.to_client()
+            assert await call == {}
+            pipe.lose()
+            await server.aclose()
+
+        run(go())
+
+
+@WIRES
+class TestParkedWaitTimers:
+    def test_timeout_answers_and_leaves_the_request_queued(self, wire):
+        """(d) ``call_later`` replaced ``asyncio.wait`` + a task per
+        frame: same answers, same queue position, no leftovers."""
+
+        async def go():
+            server = LockServer(period=None, policy="periodic")
+            await server.start("127.0.0.1", 0)
+            one = await Pipe(server, wire=wire).handshake()
+            two = await Pipe(server, wire=wire).handshake()
+            await one.call(one.client.acquire(1, "R", "X"))
+
+            def queue():
+                (resource,) = server.manager.table.resources()
+                return [request.tid for request in resource.queue]
+
+            for attempt in (1, 2):
+                timed = asyncio.ensure_future(
+                    two.client.acquire(2, "R", "S", timeout=0)
+                )
+                await two.to_server()
+                assert list(server.core.waiters) == [2]
+                assert list(two.connection.timers) == [2]
+                for _ in range(3):  # the zero-delay timer fires
+                    await asyncio.sleep(0)
+                await two.to_client()
+                assert await timed is False
+                assert server.stats.wait_timeouts == attempt
+                assert server.core.waiters == {}
+                assert two.connection.timers == {}
+                assert queue() == [2]  # still queued, never duplicated
+
+            # A retried lock resumes the same position and is granted.
+            retry = asyncio.ensure_future(two.client.acquire(2, "R", "S"))
+            await two.to_server()
+            assert list(server.core.waiters) == [2] and queue() == [2]
+            await one.call(one.client.commit(1))
+            await two.to_client()
+            assert await retry is True
+            assert server.manager.holding(2) == {"R": LockMode.S}
+            one.lose(), two.lose()
+            await server.aclose()
+
+        run(go())
+
+    def test_disconnect_leaves_no_timer_and_no_parked_wait(self, wire):
+        async def go():
+            server = LockServer(period=None, policy="periodic")
+            await server.start("127.0.0.1", 0)
+            one = await Pipe(server, wire=wire).handshake()
+            two = await Pipe(server, wire=wire).handshake()
+            await one.call(
+                one.client.acquire(1, "R", "X"),
+                one.client.acquire(1, "Q", "X"),
+            )
+            waits = [
+                asyncio.ensure_future(
+                    two.client.acquire(2, "R", "S", timeout=3600)
+                ),
+                asyncio.ensure_future(two.client.acquire(3, "Q", "S")),
+            ]
+            await two.to_server()
+            assert sorted(server.core.waiters) == [2, 3]
+            (handle,) = two.connection.timers.values()
+
+            two.lose()  # rude disconnect with both waits parked
+
+            assert server.core.waiters == {}
+            assert two.connection.timers == {} and handle.cancelled()
+            assert server.stats.rude_disconnects == 1
+            assert not server.manager.is_blocked(2)
+            assert not server.manager.is_blocked(3)
+            for wait in waits:
+                with pytest.raises(ConnectionError):
+                    await wait
+            one.lose()
+            await server.aclose()
+
+        run(go())

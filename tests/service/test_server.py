@@ -8,13 +8,23 @@ inside one ``asyncio.run`` and drives it purely through the public
 import asyncio
 import contextlib
 import struct
+import threading
+import time
 
 import pytest
 
 from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
-from repro.service import AsyncLockClient, LockServer, ServiceError
-from repro.service.protocol import encode_frame, read_frame, request
+from repro.service import (
+    AsyncLockClient,
+    EmbeddedLockManager,
+    LockServer,
+    LoopbackServer,
+    ServiceError,
+)
+from repro.service.protocol import encode_frame, request
+
+from .raw import RawConnection
 
 #: The scripted request order that reaches the paper's Example 4.1 state
 #: (mirrors tests.conftest.build_example_41_by_requests): (tid, rid,
@@ -76,13 +86,10 @@ class TestHandshake:
     def test_first_frame_must_be_hello(self):
         async def go():
             async with running_server(period=None) as server:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(encode_frame(request(1, "stats")))
-                await writer.drain()
-                response = await read_frame(reader)
-                writer.close()
+                raw = await RawConnection.open(server.host, server.port)
+                raw.write(encode_frame(request(1, "stats")))
+                response = await raw.read()
+                raw.close()
                 return response
 
         response = asyncio.run(go())
@@ -92,14 +99,11 @@ class TestHandshake:
     def test_wrong_wire_version_answered_with_protocol_error(self):
         async def go():
             async with running_server(period=None) as server:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
+                raw = await RawConnection.open(server.host, server.port)
                 payload = b'{"v": 99, "id": 1, "op": "hello"}'
-                writer.write(struct.pack(">I", len(payload)) + payload)
-                await writer.drain()
-                response = await read_frame(reader)
-                writer.close()
+                raw.write(struct.pack(">I", len(payload)) + payload)
+                response = await raw.read()
+                raw.close()
                 assert server.stats.protocol_errors == 1
                 return response
 
@@ -315,7 +319,7 @@ class TestLeases:
                     assert granted
                     assert waited < 0.3 * 2 + 0.2
                     assert server.stats.lease_expiries == 1
-                    assert 1 not in server._owners
+                    assert 1 not in server.core.owners
                 await silent.close()
 
         asyncio.run(go())
@@ -340,13 +344,13 @@ class TestLeases:
                 async with connected(server) as live:
                     assert await rude.acquire(1, "R", LockMode.X)
                     # drop the TCP connection with no goodbye
-                    rude._writer.transport.abort()
+                    await rude.disconnect()
                     granted = await live.acquire(
                         2, "R", LockMode.X, timeout=5.0
                     )
                     assert granted
                     assert server.stats.rude_disconnects == 1
-                    assert 1 not in server._owners
+                    assert 1 not in server.core.owners
 
         asyncio.run(go())
 
@@ -359,7 +363,7 @@ class TestLeases:
                 assert server.stats.rude_disconnects == 0
                 assert server.stats.sessions_closed == 1
                 # goodbye still sweeps the session's transactions
-                assert 1 not in server._owners
+                assert 1 not in server.core.owners
 
         asyncio.run(go())
 
@@ -415,7 +419,7 @@ class TestDeadConnection:
             )
             try:
                 await server.aclose()  # drops the idle connection
-                await asyncio.wait_for(client._reader_task, timeout=5.0)
+                await asyncio.wait_for(client.wait_closed(), timeout=5.0)
                 loop = asyncio.get_event_loop()
                 start = loop.time()
                 with pytest.raises(ConnectionError):
@@ -423,5 +427,173 @@ class TestDeadConnection:
                 assert loop.time() - start < 1.0
             finally:
                 await client.close()
+
+        asyncio.run(go())
+
+
+async def until(condition, timeout=5.0):
+    """Poll ``condition()`` (state on the same loop) until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+class TestFinishedTransactionWithAParkedLock:
+    """T1 holds R in X, T2's ``lock R X`` is parked, then T2's own
+    session finishes T2.  The parked lock must answer ``aborted`` — it
+    used to be told ``granted`` (``finish`` dequeued T2, the pump read
+    "not aborted, not blocked") while T1 still held R."""
+
+    def check_table(self, server, grants):
+        assert server.stats.grants == grants  # T1's only
+        assert server.core.waiters == {}
+        assert server.manager.holding(2) == {}
+        assert str(server.manager.table).strip() == (
+            "R(X): Holder((T1, X, NL)) Queue()"
+        )
+
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    @pytest.mark.parametrize("finish", ["abort", "commit"])
+    def test_on_the_wire(self, wire, finish):
+        async def go():
+            async with running_server(period=None, policy="periodic") as server:
+                async with connected(server, wire=wire) as one:
+                    async with connected(server, wire=wire) as two:
+                        assert await one.acquire(1, "R", LockMode.X)
+                        parked = asyncio.ensure_future(
+                            two.acquire(2, "R", LockMode.X)
+                        )
+                        await until(lambda: 2 in server.core.waiters)
+                        await getattr(two, finish)(2)
+                        with pytest.raises(TransactionAborted):
+                            await asyncio.wait_for(parked, 5.0)
+                        self.check_table(server, grants=1)
+
+        asyncio.run(go())
+
+    def test_on_the_embedded_manager(self):
+        with LoopbackServer(period=None, policy="periodic") as loopback:
+            server = loopback.server
+            with EmbeddedLockManager(loopback) as manager:
+                assert manager.acquire(1, "R", LockMode.X)
+                outcome = {}
+
+                def blocked():
+                    try:
+                        outcome["lock"] = manager.acquire(2, "R", LockMode.X)
+                    except TransactionAborted:
+                        outcome["lock"] = "aborted"
+
+                thread = threading.Thread(target=blocked)
+                thread.start()
+                deadline = time.monotonic() + 5.0
+                while not loopback.submit(lambda: 2 in server.core.waiters):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                manager.abort(2)
+                thread.join(timeout=5.0)
+                assert outcome == {"lock": "aborted"}
+                loopback.submit(lambda: self.check_table(server, grants=1))
+
+
+class TestBackgroundTasks:
+    def test_embedded_sessions_expiry_does_not_kill_the_reaper(self):
+        """An idle ``EmbeddedLockManager``'s lease expires; the session
+        has no connection to close.  Its handle used to be the string
+        ``"embed"``: ``"embed".close()`` raised out of the reaper task,
+        which died unretrieved — no session was ever reaped again."""
+        with LoopbackServer(period=None, lease=0.2) as loopback:
+            core = loopback.server.core
+            EmbeddedLockManager(loopback)  # idle from here on
+
+            async def hung_client():
+                client = await AsyncLockClient.connect(
+                    loopback.host, loopback.port, lease=0.2, heartbeat=False
+                )
+                assert await client.acquire(1, "R", LockMode.X)
+                await asyncio.wait_for(client.wait_closed(), 5.0)
+                return client.session
+
+            time.sleep(0.5)  # the embedded session expires first
+            assert loopback.submit(lambda: core.stats.lease_expiries) == 1
+            sid = asyncio.run(hung_client())
+            sessions, owners = loopback.submit(
+                lambda: (set(core.sessions), set(core.owners))
+            )
+            assert sid not in sessions and 1 not in owners
+            assert loopback.submit(lambda: core.stats.lease_expiries) == 2
+            assert loopback.submit(lambda: core.stats.tick_failures) == 0
+
+    def test_a_failing_tick_is_counted_and_the_reaper_lives_on(self):
+        async def go():
+            async with running_server(period=None) as server:
+                reap, calls = server.core.expire_sessions, []
+
+                def flaky(now=None):
+                    calls.append(now)
+                    if len(calls) == 1:
+                        raise RuntimeError("boom")
+                    return reap(now)
+
+                server.core.expire_sessions = flaky
+                silent = await AsyncLockClient.connect(
+                    server.host, server.port, lease=0.1, heartbeat=False
+                )
+                assert await silent.acquire(1, "R", LockMode.X)
+                await asyncio.wait_for(silent.wait_closed(), 5.0)
+                assert server.stats.tick_failures == 1
+                assert server.stats.lease_expiries == 1
+                assert 1 not in server.core.owners
+
+        asyncio.run(go())
+
+    def test_aclose_raises_what_a_background_task_died_of(self):
+        async def go():
+            server = LockServer(period=None)
+            await server.start("127.0.0.1", 0)
+
+            def broken():
+                raise RuntimeError("reaper bug")
+
+            server.core.next_deadline = broken
+            await asyncio.sleep(0.15)  # the reaper's next iteration
+            with pytest.raises(RuntimeError, match="reaper bug"):
+                await server.aclose()
+
+        asyncio.run(go())
+
+    def test_loopback_close_raises_it_too(self):
+        loopback = LoopbackServer(period=None).start()
+
+        def broken():
+            raise RuntimeError("reaper bug")
+
+        loopback.submit(
+            lambda: setattr(loopback.server.core, "next_deadline", broken)
+        )
+        time.sleep(0.15)
+        with pytest.raises(RuntimeError, match="reaper bug"):
+            loopback.close()
+
+    def test_aclose_with_a_connected_idle_client_returns_promptly(self):
+        """On 3.12 ``Server.wait_closed()`` waits for open connections:
+        ``aclose`` must close them first, not wait for the peers."""
+
+        async def go():
+            server = LockServer(period=None)
+            await server.start("127.0.0.1", 0)
+            client = await AsyncLockClient.connect(
+                server.host, server.port, heartbeat=False
+            )
+            raw = await RawConnection.open(server.host, server.port)
+            await until(lambda: len(server._connections) == 2)
+            started = asyncio.get_running_loop().time()
+            await asyncio.wait_for(server.aclose(), 1.0)
+            assert asyncio.get_running_loop().time() - started < 1.0
+            await asyncio.wait_for(client.wait_closed(), 1.0)
+            assert await raw.read() is None  # pre-handshake peer too
+            raw.close()
+            await client.close()
 
         asyncio.run(go())

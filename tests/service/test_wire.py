@@ -24,6 +24,7 @@ from repro.service import (
     LoopbackServer,
     ServiceError,
 )
+from repro.service.protocol import ProtocolError, encode_frame, request
 from repro.service.wire import (
     BINARY_CODEC,
     HEADER_SIZE,
@@ -35,6 +36,8 @@ from repro.service.wire import (
     negotiate,
     resolve_wire,
 )
+
+from .raw import RawConnection, frames_in
 
 
 @contextlib.asynccontextmanager
@@ -85,22 +88,13 @@ class TestNegotiation:
 
         async def go():
             async with running_server(period=None) as server:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                from repro.service.protocol import (
-                    encode_frame,
-                    read_frame,
-                    request,
-                )
-
-                writer.write(encode_frame(request(1, "hello")))
-                await writer.drain()
-                reply = await read_frame(reader)
+                raw = await RawConnection.open(server.host, server.port)
+                raw.write(encode_frame(request(1, "hello")))
+                reply = await raw.read()
                 assert reply["ok"] is True
                 assert "wire" not in reply
                 assert reply["server"]["wire"] == WIRE_BINARY
-                writer.close()
+                raw.close()
 
         asyncio.run(go())
 
@@ -211,26 +205,18 @@ class TestFrameGuards:
         async def go():
             async with running_server(period=None) as server:
                 server.max_frame = 4096
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                from repro.service.protocol import (
-                    encode_frame,
-                    read_frame,
-                    request,
-                )
-
-                writer.write(encode_frame(request(1, "hello")))
-                await writer.drain()
-                reply = await read_frame(reader)
+                raw = await RawConnection.open(server.host, server.port)
+                raw.write(encode_frame(request(1, "hello")))
+                reply = await raw.read()
                 assert reply["ok"]
                 # Announce a 64 MiB JSON frame, send no payload.
-                writer.write(struct.pack(">I", 64 * 1024 * 1024))
-                await writer.drain()
-                answer = await read_frame(reader)
+                raw.write(struct.pack(">I", 64 * 1024 * 1024))
+                answer = await raw.read()
                 assert answer["ok"] is False
                 assert answer["error"]["code"] == "frame-too-large"
-                writer.close()
+                # ... and the refusal is followed by a close.
+                assert await raw.read() is None
+                raw.close()
 
         asyncio.run(go())
 
@@ -240,11 +226,9 @@ class TestFrameGuards:
 
         async def go():
             async with running_server(period=None) as server:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(MAGIC + b"\x02")  # 3 of 14 header bytes
-                writer.close()
+                raw = await RawConnection.open(server.host, server.port)
+                raw.write(MAGIC + b"\x02")  # 3 of 14 header bytes
+                raw.close()
                 await asyncio.sleep(0.05)
                 # Server-side: the connection sweep ran, no crash —
                 # prove it by opening a fresh, working connection.
@@ -255,36 +239,21 @@ class TestFrameGuards:
         asyncio.run(go())
 
     def test_truncated_binary_header_raises_protocol_error(self):
-        """EOF *between* frames is a clean close (None); EOF *inside*
-        a header or body is a protocol violation."""
-        from repro.service.protocol import ProtocolError
-        from repro.service.wire import read_binary_frame
+        """EOF *between* frames is a clean close; EOF *inside* a header
+        or body is a protocol violation."""
+        frame = BINARY_CODEC.encode(
+            {"v": 1, "id": 3, "op": "heartbeat"}, None, 8 << 20
+        )
 
-        async def go():
-            frame = BINARY_CODEC.encode(
-                {"v": 1, "id": 3, "op": "heartbeat"}, None, 8 << 20
-            )
+        def feed(data):
+            return frames_in(data, BINARY_CODEC, eof=True)
 
-            # Clean EOF: no bytes at all.
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            assert await read_binary_frame(reader) is None
-
-            # Truncated header.
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame[: HEADER_SIZE - 2])
-            reader.feed_eof()
-            with pytest.raises(ProtocolError):
-                await read_binary_frame(reader)
-
-            # Truncated body.
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame[:-1])
-            reader.feed_eof()
-            with pytest.raises(ProtocolError):
-                await read_binary_frame(reader)
-
-        asyncio.run(go())
+        assert feed(b"") == []  # clean EOF: no bytes at all
+        assert [m["op"] for m in feed(frame)] == ["heartbeat"]
+        with pytest.raises(ProtocolError):
+            feed(frame[: HEADER_SIZE - 2])  # truncated header
+        with pytest.raises(ProtocolError):
+            feed(frame[:-1])  # truncated body
 
 
 class TestUnixSocket:
@@ -386,7 +355,9 @@ class TestBinaryResumeAcrossRestart:
 
 class TestEmbeddedManager:
     def test_embed_facade_matches_remote_contract(self):
-        with LoopbackServer(period=0.05) as server:
+        # policy pinned: the contended wait=False probe below is an
+        # out-of-order wait the nowait lane would answer with an abort.
+        with LoopbackServer(period=0.05, policy="periodic") as server:
             with EmbeddedLockManager(server) as m1, EmbeddedLockManager(
                 server
             ) as m2:

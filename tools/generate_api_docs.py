@@ -69,11 +69,11 @@ error     {"v": 1, "id": 7, "ok": false,
 | `spans` | `limit?`, `annotations?` | span log: `total` (lifecycle), `annotations` (born-finished pass/resolution spans, listed when `annotations` is true), `open`, `spans` (see `docs/OBSERVABILITY.md`) |
 | `holding`, `deadlocked` | `tid` / — | per-transaction locks / any cycle present |
 | `snapshot` | — | this worker's slice of the *waiting structure*: versioned `table` entries of the resources somebody is blocked at, in first-lock order, their `sequence` map, and `held` — per transaction blocked here, the resource ids it holds on this worker (idle locks are never shipped; cluster coordinators merge these; see `docs/CLUSTER.md`) |
-| `resolve` | `plan` (`victims`, `repositions`, `releases`, `sweeps`, `ctx?`) | one routed resolution applied on the writer: per-item `confirmed`/`applied` flags and the `grants` the resolution woke — stale items are reported, not applied, and `releases` for a transaction this worker never saw is a no-op; `ctx` (`trace`, `span`) parents the worker's resolution spans to the coordinator pass |
+| `resolve` | `plan` (`victims`, `repositions`, `releases`, `sweeps`, `ctx?`) | one routed resolution applied as one core step: per-item `confirmed`/`applied` flags and the `grants` the resolution woke — stale items are reported, not applied, and `releases` for a transaction this worker never saw is a no-op; `ctx` (`trace`, `span`) parents the worker's resolution spans to the coordinator pass |
 | `goodbye` | — | clean detach (still sweeps the session's transactions) |
 
-A `batch` frame pipelines its sub-ops back-to-back on the server's
-writer task — one queue pass, one response frame — so an uncontended
+A `batch` frame pipelines its sub-ops back-to-back as one core step
+on the server's event loop — one response frame — so an uncontended
 transaction (`begin` + N `lock`s + `commit`) costs one round-trip
 instead of N+2.  `lock` sub-ops never wait inside a batch: a contended
 request answers `blocked` and **stays queued**, so the client falls back
