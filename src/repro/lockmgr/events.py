@@ -10,9 +10,31 @@ is reported as an event.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import List
 
 from ..core.modes import LockMode
+
+#: Recent events a manager keeps (its ``log``).
+EVENT_LOG_CAPACITY = 1024
+
+
+class EventLog(deque):
+    """A manager's event log: a ring of the last ``capacity`` events
+    plus ``total``, how many were ever published — memory flat in the
+    transactions served.  A ``deque``, so publishing stays one C-level
+    ``append``; the publisher adds to ``total`` itself (exact under the
+    managers' one-writer-at-a-time contract)."""
+
+    def __init__(self, capacity: int = EVENT_LOG_CAPACITY) -> None:
+        super().__init__(maxlen=capacity)
+        self.total = 0
+
+    def tail(self, limit: int = 0) -> List[object]:
+        """The last ``limit`` events still in the ring (0: all of it)."""
+        events = list(self)
+        return events[-limit:] if limit else events
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ bit-for-bit (the explorer's policy-equivalence oracle pins this down).
 
 All observable effects are returned as event lists
 (:mod:`repro.lockmgr.events`); the manager additionally keeps the
-cumulative event log for inspection by tests and the simulator.
+most recent ones in a bounded :class:`~repro.lockmgr.events.EventLog`
+for inspection by tests, the simulator and the ``log`` op.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..core.hw_twbg import HWTWBG, build_graph
 from ..core.modes import LockMode
 from ..core.victim import CostTable
 from .detection_pass import DetectionPass, LiveBinding
-from .events import Aborted, Granted
+from .events import Aborted, EventLog, Granted
 from .lock_table import LockTable
 from . import scheduler
 
@@ -82,7 +83,7 @@ class LockManager:
             policy, continuous=continuous, env=False
         ).bind(self)
         self.continuous = self.policy.continuous
-        self.log: List[object] = []
+        self.log = EventLog()
         self.listener = listener
         self._aborted: Set[int] = set()
         #: Result of the continuous check triggered by the most recent
@@ -163,11 +164,13 @@ class LockManager:
         self._publish(*result.grants)
 
     def _publish(self, *events) -> None:
-        """Append events to the cumulative log and notify the listener."""
+        """Append events to the log and notify the listener."""
+        log, listener = self.log, self.listener
+        log.total += len(events)
         for event in events:
-            self.log.append(event)
-            if self.listener is not None:
-                self.listener(event)
+            log.append(event)
+            if listener is not None:
+                listener(event)
 
     # -- introspection --------------------------------------------------------
 

@@ -80,7 +80,7 @@ from ..core.modes import LockMode
 from ..core.requests import ResourceState
 from ..core.victim import CostTable
 from .detection_pass import DetectionPass, LiveBinding, PassInfo
-from .events import Aborted, Granted, Repositioned
+from .events import Aborted, EventLog, Granted, Repositioned
 from .lock_table import FirstLockSequence, LockTable
 from .partition import partition_of
 from . import scheduler
@@ -305,7 +305,7 @@ class ShardedLockCore:
         #: supplies the default when ``policy=None``.
         self.policy = resolved.bind(self)
         self.continuous = self.policy.continuous
-        self.log: List[object] = []
+        self.log = EventLog()
         self.listener = listener
         self.last_detection = None
         self._aborted: Set[int] = set()
@@ -368,16 +368,17 @@ class ShardedLockCore:
                         )
                     )
                 self._affinity.setdefault(tid, set()).add(shard.index)
-            blocked_rid = self.blocked_at(tid)
-            if blocked_rid is not None and (
-                self.shard_index(blocked_rid) != shard.index
-            ):
+            if len(self.shards) > 1:
                 # Axiom 1 across shards: the shard table would only
                 # catch a second wait registered on *itself*.
-                raise LockTableError(
-                    "transaction {} is already blocked at {} and cannot "
-                    "also wait at {}".format(tid, blocked_rid, rid)
-                )
+                blocked_rid = self.blocked_at(tid)
+                if blocked_rid is not None and (
+                    self.shard_index(blocked_rid) != shard.index
+                ):
+                    raise LockTableError(
+                        "transaction {} is already blocked at {} and "
+                        "cannot also wait at {}".format(tid, blocked_rid, rid)
+                    )
             outcome = scheduler.request(shard.table, tid, rid, mode)
             shard.epoch += 1
             self._publish(outcome.event)
@@ -589,10 +590,12 @@ class ShardedLockCore:
         self._publish(*result.grants)
 
     def _publish(self, *events) -> None:
+        log, listener = self.log, self.listener
+        log.total += len(events)
         for event in events:
-            self.log.append(event)
-            if self.listener is not None:
-                self.listener(event)
+            log.append(event)
+            if listener is not None:
+                listener(event)
 
     # -- introspection ----------------------------------------------------
 
@@ -601,9 +604,12 @@ class ShardedLockCore:
         return build_graph(self.table.snapshot())
 
     def blocked_at(self, tid: int) -> Optional[str]:
+        if len(self.shards) == 1:
+            # One table knows every wait: no affinity to consult.
+            return self.shards[0].table.blocked_at(tid)
         with self._txn_lock:
-            indexes = sorted(self._affinity.get(tid, ()))
-        for index in indexes:
+            indexes = tuple(self._affinity.get(tid, ()))
+        for index in indexes:  # a transaction waits at one place at most
             rid = self.shards[index].table.blocked_at(tid)
             if rid is not None:
                 return rid

@@ -17,12 +17,20 @@ the registry alive (the service's mirrored ``ServiceStats`` counters
 still work), which is how the ``<=5%`` instrumentation-overhead budget
 is enforced: the disabled path costs one attribute load and a branch.
 
+Every series a hook feeds is a :class:`~repro.obs.metrics.bound`
+declaration on :class:`Telemetry` — created when first fed, then held —
+so the request path never looks an instrument up by name; the two label
+sets that depend on the traffic (a wait's ``mode``/``kind``, a block's
+``rid``) keep their children in a dict, ``rid`` capped at
+:data:`TRACKED_RIDS`.
+
 The metric catalog lives in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.victim import AbortCandidate
@@ -32,16 +40,132 @@ from .metrics import (
     DEFAULT_BUCKETS,
     DURATION_BUCKETS,
     MetricsRegistry,
+    bound,
 )
 from .spans import TraceLog
 
-__all__ = ["Telemetry"]
+__all__ = ["Telemetry", "TRACKED_RIDS"]
+
+#: Distinct resources ``repro_resource_blocks_total`` names (the first
+#: to block); every later one counts under ``rid="other"``, so the
+#: label set — kept forever, rendered on every scrape — stays bounded.
+TRACKED_RIDS = 256
+
+_counter = partial(bound, "counter")
+_histogram = partial(bound, "histogram")
+_gauge = partial(bound, "gauge")
+_GRANTS = ("repro_lock_grants_total", "granted lock requests by grant path")
+_BLOCKS = ("repro_lock_blocks_total", "blocked lock requests by wait kind")
+_RID_BLOCKS = (
+    "repro_resource_blocks_total",
+    "blocked lock requests per resource (contention hot spots)",
+)
 
 
 class Telemetry:
     """Registry + trace log + the instrumentation hooks (see module
     docstring).  ``clock`` is the owning service's (possibly virtual)
     clock; wall time is always stamped alongside it."""
+
+    _requests = _counter(
+        "repro_lock_requests_total", "lock frames issued to the manager"
+    )
+    _wait_timeouts = _counter(
+        "repro_lock_wait_timeouts_total",
+        "parked waits abandoned by client timeout",
+    )
+    _batch_size = _histogram(
+        "repro_batch_size", "sub-operations per batch frame", COUNT_BUCKETS
+    )
+    _batch_saved = _counter(
+        "repro_batch_saved_roundtrips_total",
+        "network round-trips avoided by batching (size-1 per batch)",
+    )
+    _grants_immediate = _counter(*_GRANTS, path="immediate")
+    _grants_waited = _counter(*_GRANTS, path="waited")
+    _blocks_conversion = _counter(*_BLOCKS, kind="conversion")
+    _blocks_queue = _counter(*_BLOCKS, kind="queue")
+    _other_rid_blocks = _counter(*_RID_BLOCKS, rid="other")
+    _victims = _counter(
+        "repro_txn_victims_total",
+        "transactions aborted by deadlock resolution",
+    )
+    _repositions = _counter(
+        "repro_tdr2_repositions_total",
+        "queue repositionings performed by TDR-2",
+    )
+    _delayed = _counter(
+        "repro_tdr2_delayed_requests_total",
+        "requests moved behind the AV prefix by TDR-2",
+    )
+    _passes = _counter("repro_detector_passes_total", "detection passes run")
+    _cycles = _counter(
+        "repro_detector_cycles_found_total",
+        "deadlock cycles found (the paper's c')",
+    )
+    _edges = _counter(
+        "repro_detector_edges_examined_total",
+        "edges examined by Step-2 walks",
+    )
+    _tdr1 = _counter("repro_detector_tdr1_total", "cycles resolved by abort")
+    _tdr2 = _counter(
+        "repro_detector_tdr2_total", "cycles resolved by queue repositioning"
+    )
+    _deadlock_passes = _counter(
+        "repro_detector_deadlock_passes_total",
+        "passes that found at least one cycle",
+    )
+    _abort_free_passes = _counter(
+        "repro_detector_abort_free_passes_total",
+        "deadlock passes resolved without any abort",
+    )
+    _pass_seconds = _histogram(
+        "repro_detector_pass_seconds",
+        "wall-clock duration of one detection pass",
+        DURATION_BUCKETS,
+    )
+    _graph_transactions = _histogram(
+        "repro_detector_graph_transactions",
+        "H/W-TWBG size (transactions) per pass",
+        COUNT_BUCKETS,
+    )
+    _cycles_per_pass = _histogram(
+        "repro_detector_cycles_per_pass", "cycles found per pass",
+        COUNT_BUCKETS,
+    )
+    _trrps = _histogram(
+        "repro_detector_trrps_per_cycle",
+        "TRRP junctions per resolved cycle",
+        COUNT_BUCKETS,
+    )
+    _last_seconds = _gauge(
+        "repro_detector_last_pass_seconds", "duration of the most recent pass"
+    )
+    _last_cycles = _gauge(
+        "repro_detector_last_cycles", "cycles found by the most recent pass"
+    )
+    _last_transactions = _gauge(
+        "repro_detector_last_graph_transactions",
+        "graph size of the most recent pass",
+    )
+    _last_run = _gauge(
+        "repro_detector_last_run",
+        "virtual-clock time of the most recent pass",
+    )
+    _cross_shard_cycles = _counter(
+        "repro_detector_cross_shard_cycles_total",
+        "resolved cycles whose resources span multiple shards",
+    )
+    _stale_resolutions = _counter(
+        "repro_detector_stale_resolutions_total",
+        "staged resolutions dropped because the live shard state moved "
+        "on between snapshot and resolution",
+    )
+    _last_epoch_drift = _gauge(
+        "repro_detector_last_epoch_drift",
+        "shards mutated between snapshot and resolution in the most "
+        "recent pass",
+    )
 
     def __init__(
         self,
@@ -61,6 +185,16 @@ class Telemetry:
         #: Survives client timeouts (the request stays queued), so the
         #: wait histogram measures time from first block to grant.
         self._blocked_since: Dict[int, Tuple[float, str, str]] = {}
+        #: Held children of the traffic-dependent label sets: (mode,
+        #: kind) -> wait histogram, rid -> block counter (bounded).
+        self._wait_seconds: Dict[Tuple[str, str], object] = {}
+        self._rid_blocks: Dict[str, object] = {}
+        self._on = {
+            Granted: self._on_granted,
+            Blocked: self._on_blocked,
+            Aborted: self._on_aborted,
+            Repositioned: self._on_repositioned,
+        }
 
     # -- service-layer hooks ----------------------------------------------
 
@@ -77,10 +211,7 @@ class Telemetry:
         parent span ref) propagated from the request frame."""
         if not self.enabled:
             return
-        self.registry.counter(
-            "repro_lock_requests_total",
-            help="lock frames issued to the manager",
-        ).inc()
+        self._requests.inc()
         self.trace.begin(tid, rid, _mode_name(mode), trace=trace,
                          parent=parent)
 
@@ -89,36 +220,22 @@ class Telemetry:
         request-stays-queued resume path after a client timeout)."""
         if not self.enabled:
             return
-        self.registry.counter(
-            "repro_lock_requests_total",
-            help="lock frames issued to the manager",
-        ).inc()
+        self._requests.inc()
         self.trace.resumed(tid, rid, _mode_name(mode))
 
     def wait_timeout(self, tid: int) -> None:
         """The client gave up waiting; the request stays queued."""
         if not self.enabled:
             return
-        self.registry.counter(
-            "repro_lock_wait_timeouts_total",
-            help="parked waits abandoned by client timeout",
-        ).inc()
+        self._wait_timeouts.inc()
         self.trace.timed_out(tid)
 
     def batch(self, size: int) -> None:
         """One ``batch`` frame carrying ``size`` pipelined sub-ops."""
         if not self.enabled:
             return
-        self.registry.histogram(
-            "repro_batch_size",
-            help="sub-operations per batch frame",
-            buckets=COUNT_BUCKETS,
-        ).observe(size)
-        self.registry.counter(
-            "repro_batch_saved_roundtrips_total",
-            help="network round-trips avoided by batching (size-1 "
-            "per batch)",
-        ).inc(max(size - 1, 0))
+        self._batch_size.observe(size)
+        self._batch_saved.inc(max(size - 1, 0))
 
     def finish(self, tid: int, aborted: bool = False) -> None:
         """Transaction end: close its spans, forget its pending wait."""
@@ -184,51 +301,51 @@ class Telemetry:
 
     def on_event(self, event) -> None:
         """Listener for :class:`~repro.lockmgr.manager.LockManager`."""
-        if not self.enabled:
-            return
-        if isinstance(event, Granted):
-            self._on_granted(event)
-        elif isinstance(event, Blocked):
-            self._on_blocked(event)
-        elif isinstance(event, Aborted):
-            self._on_aborted(event)
-        elif isinstance(event, Repositioned):
-            self._on_repositioned(event)
+        if self.enabled:
+            handler = self._on.get(type(event))
+            if handler is not None:
+                handler(event)
 
     def _on_granted(self, event: Granted) -> None:
-        path = "immediate" if event.immediate else "waited"
-        self.registry.counter(
-            "repro_lock_grants_total",
-            labels={"path": path},
-            help="granted lock requests by grant path",
-        ).inc()
-        if not event.immediate:
+        if event.immediate:
+            self._grants_immediate.inc()
+        else:
+            self._grants_waited.inc()
             since = self._blocked_since.pop(event.tid, None)
             if since is not None:
                 started, mode_name, kind = since
-                self.registry.histogram(
-                    "repro_lock_wait_seconds",
-                    labels={"mode": mode_name, "kind": kind},
-                    help="time from first block to grant",
-                    buckets=DEFAULT_BUCKETS,
-                ).observe(max(self._clock() - started, 0.0))
+                histogram = self._wait_seconds.get((mode_name, kind))
+                if histogram is None:
+                    histogram = self.registry.histogram(
+                        "repro_lock_wait_seconds",
+                        labels={"mode": mode_name, "kind": kind},
+                        help="time from first block to grant",
+                        buckets=DEFAULT_BUCKETS,
+                    )
+                    self._wait_seconds[(mode_name, kind)] = histogram
+                histogram.observe(max(self._clock() - started, 0.0))
         self.trace.granted(
             event.tid, event.rid, event.mode.name, event.immediate
         )
 
     def _on_blocked(self, event: Blocked) -> None:
-        kind = "conversion" if event.conversion else "queue"
-        self.registry.counter(
-            "repro_lock_blocks_total",
-            labels={"kind": kind},
-            help="blocked lock requests by wait kind",
-        ).inc()
-        self.registry.counter(
-            "repro_resource_blocks_total",
-            labels={"rid": event.rid},
-            help="blocked lock requests per resource (contention "
-            "hot spots)",
-        ).inc()
+        if event.conversion:
+            kind = "conversion"
+            self._blocks_conversion.inc()
+        else:
+            kind = "queue"
+            self._blocks_queue.inc()
+        counter = self._rid_blocks.get(event.rid)
+        if counter is None:
+            if len(self._rid_blocks) < TRACKED_RIDS:
+                counter = self._rid_blocks[event.rid] = self.registry.counter(
+                    _RID_BLOCKS[0],
+                    labels={"rid": event.rid},
+                    help=_RID_BLOCKS[1],
+                )
+            else:
+                counter = self._other_rid_blocks
+        counter.inc()
         self._blocked_since.setdefault(
             event.tid, (self._clock(), event.mode.name, kind)
         )
@@ -237,22 +354,13 @@ class Telemetry:
         )
 
     def _on_aborted(self, event: Aborted) -> None:
-        self.registry.counter(
-            "repro_txn_victims_total",
-            help="transactions aborted by deadlock resolution",
-        ).inc()
+        self._victims.inc()
         self._blocked_since.pop(event.tid, None)
         self.trace.aborted(event.tid)
 
     def _on_repositioned(self, event: Repositioned) -> None:
-        self.registry.counter(
-            "repro_tdr2_repositions_total",
-            help="queue repositionings performed by TDR-2",
-        ).inc()
-        self.registry.counter(
-            "repro_tdr2_delayed_requests_total",
-            help="requests moved behind the AV prefix by TDR-2",
-        ).inc(len(event.delayed))
+        self._repositions.inc()
+        self._delayed.inc(len(event.delayed))
 
     # -- detector ----------------------------------------------------------
 
@@ -262,56 +370,20 @@ class Telemetry:
         wall-clock cost in seconds."""
         if not self.enabled:
             return
-        reg = self.registry
         stats = result.stats
-        reg.counter(
-            "repro_detector_passes_total", help="detection passes run"
-        ).inc()
-        reg.counter(
-            "repro_detector_cycles_found_total",
-            help="deadlock cycles found (the paper's c')",
-        ).inc(stats.cycles_found)
-        reg.counter(
-            "repro_detector_edges_examined_total",
-            help="edges examined by Step-2 walks",
-        ).inc(stats.edges_examined)
-        reg.counter(
-            "repro_detector_tdr1_total", help="cycles resolved by abort"
-        ).inc(stats.tdr1_applied)
-        reg.counter(
-            "repro_detector_tdr2_total",
-            help="cycles resolved by queue repositioning",
-        ).inc(stats.tdr2_applied)
+        self._passes.inc()
+        self._cycles.inc(stats.cycles_found)
+        self._edges.inc(stats.edges_examined)
+        self._tdr1.inc(stats.tdr1_applied)
+        self._tdr2.inc(stats.tdr2_applied)
         if result.deadlock_found:
-            reg.counter(
-                "repro_detector_deadlock_passes_total",
-                help="passes that found at least one cycle",
-            ).inc()
+            self._deadlock_passes.inc()
             if result.abort_free:
-                reg.counter(
-                    "repro_detector_abort_free_passes_total",
-                    help="deadlock passes resolved without any abort",
-                ).inc()
-        reg.histogram(
-            "repro_detector_pass_seconds",
-            help="wall-clock duration of one detection pass",
-            buckets=DURATION_BUCKETS,
-        ).observe(duration)
-        reg.histogram(
-            "repro_detector_graph_transactions",
-            help="H/W-TWBG size (transactions) per pass",
-            buckets=COUNT_BUCKETS,
-        ).observe(stats.transactions)
-        reg.histogram(
-            "repro_detector_cycles_per_pass",
-            help="cycles found per pass",
-            buckets=COUNT_BUCKETS,
-        ).observe(stats.cycles_found)
-        trrps = reg.histogram(
-            "repro_detector_trrps_per_cycle",
-            help="TRRP junctions per resolved cycle",
-            buckets=COUNT_BUCKETS,
-        )
+                self._abort_free_passes.inc()
+        self._pass_seconds.observe(duration)
+        self._graph_transactions.observe(stats.transactions)
+        self._cycles_per_pass.observe(stats.cycles_found)
+        trrps = self._trrps
         for resolution in result.resolutions:
             trrps.observe(
                 sum(
@@ -320,22 +392,10 @@ class Telemetry:
                     if isinstance(candidate, AbortCandidate)
                 )
             )
-        reg.gauge(
-            "repro_detector_last_pass_seconds",
-            help="duration of the most recent pass",
-        ).set(duration)
-        reg.gauge(
-            "repro_detector_last_cycles",
-            help="cycles found by the most recent pass",
-        ).set(stats.cycles_found)
-        reg.gauge(
-            "repro_detector_last_graph_transactions",
-            help="graph size of the most recent pass",
-        ).set(stats.transactions)
-        reg.gauge(
-            "repro_detector_last_run",
-            help="virtual-clock time of the most recent pass",
-        ).set(self._clock())
+        self._last_seconds.set(duration)
+        self._last_cycles.set(stats.cycles_found)
+        self._last_transactions.set(stats.transactions)
+        self._last_run.set(self._clock())
         sharding = getattr(result, "sharding", None)
         if sharding is not None:
             self._detection_sharding(sharding)
@@ -343,30 +403,22 @@ class Telemetry:
     def _detection_sharding(self, sharding) -> None:
         """Shard-level figures of one cross-shard pass (a
         :class:`~repro.lockmgr.sharded.ShardedPass`)."""
-        reg = self.registry
         for index, seconds in enumerate(sharding.snapshot_seconds):
-            reg.histogram(
+            self.registry.histogram(
                 "repro_shard_snapshot_seconds",
                 labels={"shard": str(index)},
                 help="time one shard's mutex was held for its snapshot",
                 buckets=DURATION_BUCKETS,
             ).observe(seconds)
-        reg.counter(
-            "repro_detector_cross_shard_cycles_total",
-            help="resolved cycles whose resources span multiple shards",
-        ).inc(sharding.cross_shard_cycles)
-        stale = sharding.stale_victims + sharding.stale_repositions
-        reg.counter(
-            "repro_detector_stale_resolutions_total",
-            help="staged resolutions dropped because the live shard "
-            "state moved on between snapshot and resolution",
-        ).inc(stale)
-        reg.gauge(
-            "repro_detector_last_epoch_drift",
-            help="shards mutated between snapshot and resolution in "
-            "the most recent pass",
-        ).set(sharding.epoch_drift)
+        self._cross_shard_cycles.inc(sharding.cross_shard_cycles)
+        self._stale_resolutions.inc(
+            sharding.stale_victims + sharding.stale_repositions
+        )
+        self._last_epoch_drift.set(sharding.epoch_drift)
 
 
 def _mode_name(mode) -> str:
-    return mode.name if hasattr(mode, "name") else str(mode)
+    try:
+        return mode.name
+    except AttributeError:
+        return str(mode)

@@ -7,15 +7,18 @@ be imported anywhere the lock manager is (embedded, server, explorer,
 benchmark) without adding a dependency.
 
 * :class:`Counter` — a monotonically growing float (``inc``).
-* :class:`Gauge` — a settable value, optionally backed by a zero-argument
-  callback read at snapshot/render time (``len(sessions)``-style views
-  cost nothing between scrapes).
+* :class:`Gauge` — a settable value.  Either may instead be backed by a
+  zero-argument callback read at snapshot/render time
+  (``len(sessions)``-style views and counts their owner keeps as plain
+  ints cost nothing between scrapes).
 * :class:`Histogram` — fixed upper-bound buckets plus sum/count/min/max;
   :meth:`Histogram.quantile` estimates percentiles from the bucket
   counts (rank-based, clamped to the observed maximum), which is what
   the p50/p95/p99 summaries report.
 * :class:`MetricsRegistry` — get-or-create instruments by
-  ``(name, labels)``, a JSON-ready :meth:`~MetricsRegistry.snapshot`,
+  ``(name, labels)`` (:class:`bound` declares one a class feeds often:
+  resolved once, then held), a JSON-ready
+  :meth:`~MetricsRegistry.snapshot`,
   and Prometheus text exposition via :meth:`~MetricsRegistry.render`
   (parsed back by :func:`parse_exposition` for round-trip tests and the
   ``top`` dashboard).
@@ -36,6 +39,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bound",
     "DEFAULT_BUCKETS",
     "DURATION_BUCKETS",
     "COUNT_BUCKETS",
@@ -136,37 +140,10 @@ def bucket_quantile(
     return max_observed  # pragma: no cover - defensive
 
 
-class Counter:
-    """A monotonically increasing value."""
-
-    kind = "counter"
-
-    __slots__ = ("name", "labels", "value", "_lock")
-
-    def __init__(self, name: str, labels: LabelItems, lock) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self._lock = lock
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up (got {})".format(amount))
-        with self._lock:
-            self.value += amount
-
-    def set(self, value: float) -> None:
-        """Set the absolute value.  Exists so mirrored counter blocks
-        (:class:`~repro.service.admin.ServiceStats`) can keep plain
-        attribute assignment working; application code should ``inc``."""
-        with self._lock:
-            self.value = float(value)
-
-
-class Gauge:
-    """A value that can go up and down — or a live callback."""
-
-    kind = "gauge"
+class _Scalar:
+    """One number: set by its methods or, with ``fn``, kept by its
+    owner and read through that zero-argument callback at
+    snapshot/render time."""
 
     __slots__ = ("name", "labels", "_value", "fn", "_lock")
 
@@ -191,6 +168,26 @@ class Gauge:
             except Exception:  # a dead callback must not kill a scrape
                 return 0.0
         return self._value
+
+
+class Counter(_Scalar):
+    """A monotonically increasing value."""
+
+    kind = "counter"
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up (got {})".format(amount))
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Scalar):
+    """A value that can go up and down — or a live callback."""
+
+    kind = "gauge"
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -311,20 +308,26 @@ class MetricsRegistry:
             family.help = help_text
         return family
 
+    def _scalar(self, cls, name, labels, help_text, fn):
+        items = _label_items(labels)
+        with self._lock:
+            family = self._family(name, cls.kind, help_text)
+            child = family.children.get(items)
+            if child is None:
+                child = cls(name, items, self._lock, fn=fn)
+                family.children[items] = child
+            elif fn is not None:
+                child.fn = fn
+            return child
+
     def counter(
         self,
         name: str,
         labels: Optional[Dict[str, str]] = None,
         help: str = "",
+        fn: Optional[Callable[[], float]] = None,
     ) -> Counter:
-        items = _label_items(labels)
-        with self._lock:
-            family = self._family(name, "counter", help)
-            child = family.children.get(items)
-            if child is None:
-                child = Counter(name, items, self._lock)
-                family.children[items] = child
-            return child
+        return self._scalar(Counter, name, labels, help, fn)
 
     def gauge(
         self,
@@ -333,16 +336,7 @@ class MetricsRegistry:
         help: str = "",
         fn: Optional[Callable[[], float]] = None,
     ) -> Gauge:
-        items = _label_items(labels)
-        with self._lock:
-            family = self._family(name, "gauge", help)
-            child = family.children.get(items)
-            if child is None:
-                child = Gauge(name, items, self._lock, fn=fn)
-                family.children[items] = child
-            elif fn is not None:
-                child.fn = fn
-            return child
+        return self._scalar(Gauge, name, labels, help, fn)
 
     def histogram(
         self,
@@ -455,6 +449,32 @@ class MetricsRegistry:
                     )
                 )
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+class bound:
+    """A registry child resolved on first use, then held.
+
+    Declared on a class whose instances carry a ``registry``: the first
+    read creates the series (it appears when first fed, as a by-name
+    lookup would have made it) and stores the child in the instance
+    dict under the same name — a non-data descriptor, so every later
+    read is a plain attribute load.  Keywords are the child's labels."""
+
+    def __init__(self, kind, name, help="", buckets=None, /, **labels) -> None:
+        self.kind, self.name = kind, name
+        self.kwargs = {"help": help, "labels": labels or None}
+        if buckets is not None:
+            self.kwargs["buckets"] = buckets
+
+    def __set_name__(self, owner, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        child = getattr(obj.registry, self.kind)(self.name, **self.kwargs)
+        obj.__dict__[self.attr] = child
+        return child
 
 
 _SAMPLE_RE = re.compile(

@@ -19,9 +19,11 @@ underlying request stays queued (the service contract); when the client
 re-sends the lock and resumes the same queue position, a new span of
 kind ``resume`` tracks the second attempt.
 
-:class:`TraceLog` owns the spans: it indexes the open ones by
-``(tid, rid)``, moves finished ones into a bounded ring, and exports
-everything as JSON-lines.  The span-completeness oracle in
+:class:`TraceLog` owns the spans: it indexes the open ones once per
+transaction (``tid`` -> ``rid`` -> span), moves finished ones into a
+bounded ring, and exports everything as JSON-lines.  A stamp is stored
+flat — a ``(phase, wall, virtual)`` tuple — and the ``events`` dicts
+are rendered when somebody reads them.  The span-completeness oracle in
 :mod:`repro.check.oracles` asserts that a drained schedule leaves no
 span open in a non-``granted`` state and no span unreleased.
 """
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from collections import OrderedDict, deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "TraceLog", "TERMINAL_STATES", "LIFECYCLE_KINDS"]
 
@@ -48,7 +50,7 @@ class Span:
     """One lock request's lifecycle (see module docstring)."""
 
     __slots__ = (
-        "span_id", "tid", "rid", "mode", "kind", "status", "events",
+        "span_id", "tid", "rid", "mode", "kind", "status", "stamps",
         "trace", "parent", "unfinished",
     )
 
@@ -73,7 +75,8 @@ class Span:
         #: applied on a worker, ``pass`` for a whole detector pass.
         self.kind = kind
         self.status = "requested"
-        self.events: List[Dict[str, float]] = []
+        #: One ``(phase, wall, virtual)`` tuple per state change.
+        self.stamps: List[Tuple[str, float, float]] = []
         #: Propagated trace context: the client-minted trace id this
         #: span belongs to, and the span ref of its causal parent
         #: (``origin:span_id`` — cross-process-unique).
@@ -87,6 +90,14 @@ class Span:
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
 
+    @property
+    def events(self) -> List[Dict[str, float]]:
+        """The stamps as ``{"phase", "wall", "virtual"}`` dicts."""
+        return [
+            {"phase": phase, "wall": wall, "virtual": virtual}
+            for phase, wall, virtual in self.stamps
+        ]
+
     def to_dict(self) -> dict:
         record = {
             "span": self.span_id,
@@ -95,7 +106,7 @@ class Span:
             "mode": self.mode,
             "kind": self.kind,
             "status": self.status,
-            "events": list(self.events),
+            "events": self.events,
         }
         if self.trace is not None:
             record["trace"] = self.trace
@@ -119,10 +130,10 @@ class TraceLog:
     ``time.time``.  ``capacity`` bounds both the completed-span ring and
     the open-span table so a long-lived server cannot grow without
     bound: when a new span would push the open table past capacity, the
-    oldest in-flight span is *flushed* into the ring with an
-    ``unfinished: true`` marker (never silently dropped).  ``origin``
-    names this process in exported span refs (``origin:span_id``) so
-    parent links stay unambiguous across process hops.
+    oldest in-flight span of the longest-open transaction is *flushed*
+    into the ring with an ``unfinished: true`` marker (never silently
+    dropped).  ``origin`` names this process in exported span refs
+    (``origin:span_id``) so parent links stay unambiguous across hops.
     """
 
     def __init__(
@@ -135,8 +146,9 @@ class TraceLog:
         self.capacity = capacity
         self.origin = origin
         self._next_id = 1
-        self._open: Dict[Tuple[int, str], Span] = {}
-        self._by_tid: Dict[int, Set[str]] = {}
+        #: tid -> rid -> open span, both levels in insertion order.
+        self._open: "OrderedDict[int, Dict[str, Span]]" = OrderedDict()
+        self._open_count = 0
         self._completed: Deque[Span] = deque(maxlen=capacity)
         self.total_started = 0
         #: Born-finished annotation spans (``record()``) — counted apart
@@ -155,6 +167,10 @@ class TraceLog:
 
     # -- span surface ------------------------------------------------------
 
+    def _find(self, tid: int, rid: str) -> Optional[Span]:
+        spans = self._open.get(tid)
+        return spans.get(rid) if spans is not None else None
+
     def begin(
         self,
         tid: int,
@@ -164,7 +180,7 @@ class TraceLog:
         parent: Optional[str] = None,
     ) -> Span:
         """A lock frame for ``(tid, rid)`` reached the service."""
-        span = self._open.get((tid, rid))
+        span = self._find(tid, rid)
         if span is not None:
             if trace is not None and span.trace is None:
                 span.trace = trace
@@ -177,7 +193,7 @@ class TraceLog:
         )
 
     def blocked(self, tid: int, rid: str, mode: str, conversion: bool) -> Span:
-        span = self._open.get((tid, rid))
+        span = self._find(tid, rid)
         if span is None:
             span = self._start(tid, rid, mode, "request")
         span.kind = "conversion" if conversion else "queue"
@@ -186,7 +202,7 @@ class TraceLog:
         return span
 
     def granted(self, tid: int, rid: str, mode: str, immediate: bool) -> Span:
-        span = self._open.get((tid, rid))
+        span = self._find(tid, rid)
         if span is None:
             # A grant with no open span: the sweep granted a request
             # whose span was closed by a client timeout.
@@ -195,17 +211,23 @@ class TraceLog:
         self._stamp(span, "granted" if not immediate else "granted-immediate")
         return span
 
+    def _waiting(self, tid: int) -> Optional[Span]:
+        """``tid``'s open span that is still waiting, if any."""
+        for span in self._open.get(tid, {}).values():
+            if span.status in ("requested", "blocked"):
+                return span
+        return None
+
     def resumed(self, tid: int, rid: str, mode: str) -> Optional[Span]:
         """The client re-sent a lock while its request is still queued.
 
         If the original span is still open (a plain duplicate) this just
         stamps it; after a timeout closed it, a fresh ``resume`` span is
         opened in the blocked state."""
-        for open_rid in self._by_tid.get(tid, ()):
-            span = self._open[(tid, open_rid)]
-            if span.status in ("requested", "blocked"):
-                self._stamp(span, "resume")
-                return span
+        span = self._waiting(tid)
+        if span is not None:
+            self._stamp(span, "resume")
+            return span
         span = self._start(tid, rid, mode, "resume")
         span.status = "blocked"
         self._stamp(span, "blocked")
@@ -214,44 +236,53 @@ class TraceLog:
     def timed_out(self, tid: int) -> Optional[Span]:
         """Close ``tid``'s waiting span as timed-out (client gave up;
         the request itself stays queued server-side)."""
-        for rid in list(self._by_tid.get(tid, ())):
-            span = self._open[(tid, rid)]
-            if span.status in ("requested", "blocked"):
-                self._close(span, "timed-out")
-                return span
-        return None
+        span = self._waiting(tid)
+        if span is not None:
+            span.status = "timed-out"
+            self._stamp(span, "timed-out")
+            self._retire(span)
+        return span
 
     def aborted(self, tid: int) -> List[Span]:
         """``tid`` was aborted (deadlock victim / lease sweep): every
         open span of the transaction ends as ``aborted``."""
-        return [
-            self._close(self._open[(tid, rid)], "aborted")
-            for rid in list(self._by_tid.get(tid, ()))
-        ]
+        return self.finished(tid, aborted=True)
 
     def finished(self, tid: int, aborted: bool = False) -> List[Span]:
         """Transaction end (strict 2PL releases everything): granted
         spans close as ``released``; anything still waiting closes as
-        ``aborted`` (the queue entry is discarded with the txn)."""
-        closed = []
-        for rid in list(self._by_tid.get(tid, ())):
-            span = self._open[(tid, rid)]
-            if span.status == "granted" and not aborted:
-                closed.append(self._close(span, "released"))
+        ``aborted`` (the queue entry is discarded with the txn).  One
+        instant, so one clock pair stamps them all."""
+        spans = self._open.pop(tid, None)
+        if not spans:
+            return []
+        closed = list(spans.values())
+        self._open_count -= len(closed)
+        wall, virtual = time.time(), self.clock()
+        for span in closed:
+            if aborted or span.status != "granted":
+                span.status = "aborted"
             else:
-                closed.append(self._close(span, "aborted"))
+                span.status = "released"
+            span.stamps.append((span.status, wall, virtual))
+        self._completed.extend(closed)
         return closed
 
     # -- reads -------------------------------------------------------------
 
+    def _open_spans(self) -> List[Span]:
+        return [
+            span for spans in self._open.values() for span in spans.values()
+        ]
+
     def open_spans(self) -> List[Span]:
-        return sorted(self._open.values(), key=lambda s: s.span_id)
+        return sorted(self._open_spans(), key=lambda s: s.span_id)
 
     def completed_spans(self) -> List[Span]:
         return list(self._completed)
 
     def all_spans(self) -> List[Span]:
-        spans = list(self._completed) + list(self._open.values())
+        spans = list(self._completed) + self._open_spans()
         return sorted(spans, key=lambda s: s.span_id)
 
     def to_dicts(self, limit: int = 0, kinds=None) -> List[dict]:
@@ -304,48 +335,42 @@ class TraceLog:
         trace: Optional[str] = None,
         parent: Optional[str] = None,
     ) -> Span:
-        if self.capacity and len(self._open) >= self.capacity:
+        if self.capacity and self._open_count >= self.capacity:
             self._evict_oldest_open()
         span = Span(
             self._next_id, tid, rid, mode, kind, trace=trace, parent=parent
         )
         self._next_id += 1
         self.total_started += 1
-        self._open[(tid, rid)] = span
-        self._by_tid.setdefault(tid, set()).add(rid)
+        spans = self._open.get(tid)
+        if spans is None:
+            spans = self._open[tid] = {}
+        spans[rid] = span
+        self._open_count += 1
         self._stamp(span, "request")
         return span
 
     def _evict_oldest_open(self) -> Span:
-        """Flush the oldest in-flight span into the completed ring with
-        an ``unfinished`` marker (the bounded-export contract: an
-        evicted span is exported, never silently dropped)."""
-        span = min(self._open.values(), key=lambda s: s.span_id)
+        """Flush the oldest in-flight span of the longest-open
+        transaction — the first of the first: both index levels are
+        insertion-ordered, nothing is scanned — into the completed ring
+        with an ``unfinished`` marker (exported, never dropped)."""
+        spans = next(iter(self._open.values()))
+        span = next(iter(spans.values()))
         span.unfinished = True
         self._stamp(span, "evicted")
-        self._open.pop((span.tid, span.rid), None)
-        rids = self._by_tid.get(span.tid)
-        if rids is not None:
-            rids.discard(span.rid)
-            if not rids:
-                del self._by_tid[span.tid]
-        self._completed.append(span)
+        self._retire(span)
         self.evicted_unfinished += 1
         return span
 
     def _stamp(self, span: Span, phase: str) -> None:
-        span.events.append(
-            {"phase": phase, "wall": time.time(), "virtual": self.clock()}
-        )
+        span.stamps.append((phase, time.time(), self.clock()))
 
-    def _close(self, span: Span, status: str) -> Span:
-        span.status = status
-        self._stamp(span, status)
-        self._open.pop((span.tid, span.rid), None)
-        rids = self._by_tid.get(span.tid)
-        if rids is not None:
-            rids.discard(span.rid)
-            if not rids:
-                del self._by_tid[span.tid]
+    def _retire(self, span: Span) -> None:
+        """Move one span from the open index to the completed ring."""
+        spans = self._open[span.tid]
+        del spans[span.rid]
+        if not spans:
+            del self._open[span.tid]
+        self._open_count -= 1
         self._completed.append(span)
-        return span

@@ -12,6 +12,7 @@ resolutions and lease expiries without stopping the server.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 from ..core.serialize import table_to_dict
@@ -29,11 +30,12 @@ def stat_metric_name(field: str) -> str:
 class ServiceStats:
     """Cumulative counters of one lock server's lifetime.
 
-    Backed by :class:`~repro.obs.metrics.MetricsRegistry` counters, so
-    the same numbers answer the ``stats`` command (this class's dict
-    surface) and the ``metrics`` command (Prometheus exposition under
-    ``repro_service_<field>_total``).  The attribute surface is
-    unchanged: ``stats.grants += 1`` works, ``ServiceStats(grants=3)``
+    Plain ``int`` attributes (mutated on the core's thread only), each
+    registered with the :class:`~repro.obs.metrics.MetricsRegistry` as
+    a counter read at scrape time: the same numbers answer the ``stats``
+    command (this class's dict surface) and the ``metrics`` command
+    (``repro_service_<field>_total``), and counting costs an ``int``
+    add.  ``stats.grants += 1`` works, ``ServiceStats(grants=3)``
     constructs a pre-loaded block (tests rely on both).
     """
 
@@ -90,29 +92,14 @@ class ServiceStats:
             )
         if registry is None:
             registry = MetricsRegistry()
-        self.__dict__["registry"] = registry
-        self.__dict__["_counters"] = {
-            field: registry.counter(
+        self.registry = registry
+        for field in self.FIELDS:
+            setattr(self, field, int(initial.get(field, 0)))
+            registry.counter(
                 stat_metric_name(field),
                 help="service counter: " + field.replace("_", " "),
+                fn=partial(getattr, self, field),
             )
-            for field in self.FIELDS
-        }
-        for field, value in initial.items():
-            self.__dict__["_counters"][field].set(value)
-
-    def __getattr__(self, name: str) -> int:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return int(counters[name].value)
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counters[name].set(value)
-        else:
-            self.__dict__[name] = value
 
     def __repr__(self) -> str:
         return "ServiceStats({})".format(
@@ -231,9 +218,10 @@ def spans_payload(
 
 
 def log_payload(manager: LockManager, limit: int = 100) -> Dict[str, Any]:
-    """The tail of the manager's cumulative event log as wire events."""
-    tail = manager.log[-limit:] if limit else list(manager.log)
+    """The tail of the manager's event log as wire events: ``total``
+    counts every event ever published, ``events`` come from the ring of
+    recent ones (see :class:`~repro.lockmgr.events.EventLog`)."""
     return {
-        "total": len(manager.log),
-        "events": [event_to_dict(event) for event in tail],
+        "total": manager.log.total,
+        "events": [event_to_dict(event) for event in manager.log.tail(limit)],
     }

@@ -469,14 +469,15 @@ class ServiceCore:
                                    parent=parent)
             started = time.perf_counter()
             outcome = self.manager.lock(tid, rid, mode)
-            self._journal_append(
-                "lock",
-                sid=session.sid,
-                tid=tid,
-                rid=rid,
-                mode=mode.name,
-                seq=self.manager.sequence_of(rid),
-            )
+            if self.journal is not None:  # the fields cost a routed read
+                self._journal_append(
+                    "lock",
+                    sid=session.sid,
+                    tid=tid,
+                    rid=rid,
+                    mode=mode.name,
+                    seq=self.manager.sequence_of(rid),
+                )
             event = event_to_dict(outcome.event)
             detection = self.manager.last_detection
             if self.continuous and detection:

@@ -63,9 +63,13 @@ from typing import Any, Dict, List, Optional
 FSYNC_POLICIES = ("always", "batch", "never")
 
 
+#: The canonical-body encoder, built once (not per record).
+_encode_body = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode_record(record: Dict[str, Any]) -> str:
     """One journal line: crc32 of the canonical body, space, body."""
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    body = _encode_body(record)
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     return "{:08x} {}".format(crc, body)
 

@@ -134,6 +134,11 @@ MAX_BATCH_OPS = 256
 
 _HEADER = struct.Struct(">I")
 
+#: The JSON codec, built once: ``json.dumps`` given separators builds a
+#: fresh encoder per call.  Same bytes out, same objects in.
+json_encode = json.JSONEncoder(separators=(",", ":")).encode
+json_decode = json.JSONDecoder().decode
+
 
 class ProtocolError(ReproError):
     """A malformed, oversized or version-incompatible wire frame."""
@@ -224,7 +229,7 @@ def encode_frame(
     message: Dict[str, Any], max_frame: int = MAX_FRAME
 ) -> bytes:
     """Serialize one message to its length-prefixed wire form."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = json_encode(message).encode("utf-8")
     if len(payload) > max_frame:
         raise FrameTooLarge(
             "frame of {} bytes exceeds the {} byte limit".format(
@@ -237,7 +242,7 @@ def encode_frame(
 def decode_payload(payload: bytes) -> Dict[str, Any]:
     """Parse and version-check one frame's payload."""
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json_decode(payload.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ProtocolError("undecodable frame: {}".format(exc)) from exc
     if not isinstance(message, dict):

@@ -65,7 +65,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from .. import __version__
 from ..core.errors import ReproError
 from ..core.victim import CostTable
-from ..obs.metrics import DURATION_BUCKETS as _FSYNC_BUCKETS
+from ..obs.metrics import DURATION_BUCKETS, bound
 from . import admin
 from .core import MAX_LEASE, MIN_LEASE, ParkedWait, ServiceCore, Session
 from .journal import SessionJournal, recover_into
@@ -241,6 +241,13 @@ class LockServer:
     lease granted to clients that do not ask for one.
     """
 
+    _fsync_seconds = bound(
+        "histogram",
+        "repro_journal_fsync_seconds",
+        "write+fsync latency of one journal group commit",
+        DURATION_BUCKETS,
+    )
+
     def __init__(
         self,
         costs: Optional[CostTable] = None,
@@ -304,6 +311,10 @@ class LockServer:
     @property
     def stats(self):
         return self.core.stats
+
+    @property
+    def registry(self):
+        return self.core.telemetry.registry
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -404,12 +415,9 @@ class LockServer:
             if journal.flush():
                 self.core.stats.journal_flushes += 1
                 if self.core.telemetry.enabled:
-                    self.core.telemetry.registry.histogram(
-                        "repro_journal_fsync_seconds",
-                        help="write+fsync latency of one journal "
-                        "group commit",
-                        buckets=_FSYNC_BUCKETS,
-                    ).observe(perf_counter() - flush_started)
+                    self._fsync_seconds.observe(
+                        perf_counter() - flush_started
+                    )
         while self._dirty:
             self._dirty.pop()._flush()
 
@@ -453,7 +461,7 @@ class LockServer:
     ) -> None:
         """Sampled wire telemetry: one observed frame stands for the
         :data:`_WIRE_SAMPLE` frames around it."""
-        registry = self.core.telemetry.registry
+        registry = self.registry
         labels = {"codec": codec_name, "direction": direction}
         registry.counter(
             "repro_wire_frames_total",

@@ -48,7 +48,6 @@ to an old server falls back to JSON the same way.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from time import perf_counter
@@ -60,6 +59,8 @@ from .protocol import (
     MAX_FRAME,
     ProtocolError,
     encode_frame,
+    json_decode,
+    json_encode,
     split_frame,
 )
 
@@ -1013,7 +1014,7 @@ def decode_binary_payload(
     """Rebuild the v1 message dict from one v2 frame's parts."""
     if flags & FLAG_JSON:
         try:
-            message = json.loads(payload.decode("utf-8"))
+            message = json_decode(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise ProtocolError(
                 "undecodable frame: {}".format(exc)
@@ -1061,7 +1062,7 @@ def encode_binary_json(
 ) -> bytes:
     """The escape hatch: a v2 frame whose payload is whole-message
     JSON — what cold/admin ops use so they need no bespoke codec."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = json_encode(message).encode("utf-8")
     if len(payload) > max_frame:
         raise FrameTooLarge(
             "frame of {} bytes exceeds the {} byte limit".format(
@@ -1263,7 +1264,5 @@ def wire_roundtrip(
     """Encode+decode one message through ``codec`` — the explorer's
     way of proving a schedule survives the wire dialect unchanged."""
     if codec.wire == WIRE_JSON:
-        return json.loads(
-            json.dumps(message, separators=(",", ":"))
-        )
+        return json_decode(json_encode(message))
     return split_binary_frame(encode_binary(message))[0]

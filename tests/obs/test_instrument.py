@@ -135,6 +135,64 @@ class TestEventStream:
         assert victim not in telemetry.pending_waits()
 
 
+class TestResourceLabelBound:
+    """``repro_resource_blocks_total{rid}`` keeps a child per label
+    value forever — rendered on every scrape, shipped in every
+    ``metrics`` reply — so the set of rids it names must be bounded."""
+
+    def blocked_once_at(self, rids):
+        manager, telemetry = instrumented_manager()
+        for index, rid in enumerate(rids):
+            holder, waiter = 2 * index + 1, 2 * index + 2
+            assert manager.lock(holder, rid, LockMode.X).granted
+            assert not manager.lock(waiter, rid, LockMode.S).granted
+            manager.finish(waiter)
+            manager.finish(holder)
+        return telemetry.registry
+
+    def test_distinct_rids_past_the_bound_count_as_other(self):
+        from repro.obs.instrument import TRACKED_RIDS
+
+        rids = ["R{:05d}".format(index) for index in range(5000)]
+        registry = self.blocked_once_at(rids)
+        family = registry._families["repro_resource_blocks_total"]
+        assert len(family.children) == TRACKED_RIDS + 1
+        # The first to block keep their own series; the rest share one.
+        assert counter_value(
+            registry, "repro_resource_blocks_total", {"rid": rids[0]}
+        ) == 1
+        assert registry.get(
+            "repro_resource_blocks_total", {"rid": rids[-1]}
+        ) is None
+        assert counter_value(
+            registry, "repro_resource_blocks_total", {"rid": "other"}
+        ) == 5000 - TRACKED_RIDS
+        assert counter_value(
+            registry, "repro_lock_blocks_total", {"kind": "queue"}
+        ) == 5000
+
+    def test_exposition_stops_growing_with_the_rid_space(self):
+        few = self.blocked_once_at(["R{}".format(i) for i in range(1000)])
+        many = self.blocked_once_at(["R{}".format(i) for i in range(3000)])
+        assert len(many.render()) < 1.05 * len(few.render())
+
+    def test_a_tracked_rid_keeps_counting_after_the_bound(self):
+        from repro.obs.instrument import TRACKED_RIDS
+
+        rids = ["R{}".format(index) for index in range(TRACKED_RIDS + 10)]
+        registry = self.blocked_once_at(rids + ["R0", "R0"])
+        assert counter_value(
+            registry, "repro_resource_blocks_total", {"rid": "R0"}
+        ) == 3
+
+    def test_top_still_names_the_hottest_resources(self):
+        from repro.obs.top import Sample
+
+        registry = self.blocked_once_at(["R1", "R2", "R1", "R1"])
+        sample = Sample(0.0, registry.snapshot(), {}, {})
+        assert sample.hottest_resources()[:2] == [("R1", 3.0), ("R2", 1.0)]
+
+
 class TestDisabled:
     def test_disabled_hooks_record_nothing(self):
         telemetry = Telemetry(enabled=False)

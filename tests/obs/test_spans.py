@@ -186,6 +186,56 @@ class TestEviction:
         assert log.evicted_unfinished == 2  # T2's was flushed in turn
 
 
+    def test_eviction_does_not_scan_the_open_table(self, monkeypatch):
+        """At capacity every new span evicts one.  Finding the oldest
+        must not look at every open span: count the reads of
+        ``span_id`` (what a scan for the minimum compares) while 1000
+        spans start against a full table of 64."""
+        from repro.obs import spans
+
+        reads = []
+
+        class CountedSpan(spans.Span):
+            __slots__ = ("_id",)
+
+            @property
+            def span_id(self):
+                reads.append(1)
+                return self._id
+
+            @span_id.setter
+            def span_id(self, value):
+                self._id = value
+
+        monkeypatch.setattr(spans, "Span", CountedSpan)
+        log = make_log(capacity=64)
+        for tid in range(64):
+            log.begin(tid, "R", "X")
+        del reads[:]
+        for tid in range(64, 1064):
+            log.begin(tid, "R", "X")
+        assert log.evicted_unfinished == 1000
+        assert len(reads) <= 2 * 1000  # a scan reads 64 per start
+        # Oldest first, none dropped: the ring's tail is the last 64
+        # evicted, in the order they were started.
+        evicted = [span.tid for span in log.completed_spans()]
+        assert evicted == list(range(1000 - 64, 1000))
+        assert [span.tid for span in log.open_spans()] == list(
+            range(1000, 1064)
+        )
+
+    def test_eviction_takes_the_longest_open_transaction_first(self):
+        log = make_log(capacity=3)
+        log.begin(1, "A", "X")
+        log.begin(2, "B", "X")
+        log.begin(1, "C", "X")
+        log.begin(3, "D", "X")  # evicts T1's first span
+        log.begin(4, "E", "X")  # then T1's second: T1 opened first
+        flushed = [(s.tid, s.rid) for s in log.completed_spans()]
+        assert flushed == [(1, "A"), (1, "C")]
+        assert all(s.unfinished for s in log.completed_spans())
+
+
 class TestAnnotations:
     def test_record_is_born_finished_and_counted_apart(self):
         log = make_log()

@@ -47,3 +47,36 @@ class TestApiDocs:
         assert "repro.core.detection" in text
         assert "PeriodicDetector" in text
         assert "class `LockManager`" in text
+
+
+class TestMetricCatalog:
+    def test_docs_and_registry_agree(self, capsys):
+        tool = load_tool("check_metric_catalog")
+        assert tool.main() == 0, capsys.readouterr().out
+        assert "metric catalog OK" in capsys.readouterr().out
+
+    def test_drift_is_reported_both_ways(self, tmp_path):
+        tool = load_tool("check_metric_catalog")
+        catalog = tmp_path / "OBSERVABILITY.md"
+        with open(tool.CATALOG, encoding="utf-8") as handle:
+            lines = [
+                line for line in handle if "`repro_batch_size`" not in line
+            ]
+        lines.append("| `repro_never_produced_total` | counter | — | x |\n")
+        lines.append("| `repro_cluster_made_up` | gauge | — | elsewhere |\n")
+        catalog.write_text("".join(lines), encoding="utf-8")
+        in_docs = tool.documented(str(catalog))
+        assert "repro_cluster_made_up" not in in_docs  # another registry
+        assert "repro_service_grants_total" in in_docs  # <field> expanded
+        # The committed catalog stands in for the registry here (the
+        # test above shows they agree).
+        problems = tool.compare(in_docs, tool.documented())
+        assert len(problems) == 2
+        assert any(
+            line.startswith("undocumented: repro_batch_size ")
+            for line in problems
+        )
+        assert any(
+            line.startswith("stale: ") and "repro_never_produced_total" in line
+            for line in problems
+        )
