@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List
 
 from ..core.modes import LockMode
 
@@ -21,20 +20,17 @@ EVENT_LOG_CAPACITY = 1024
 
 
 class EventLog(deque):
-    """A manager's event log: a ring of the last ``capacity`` events
-    plus ``total``, how many were ever published — memory flat in the
-    transactions served.  A ``deque``, so publishing stays one C-level
-    ``append``; the publisher adds to ``total`` itself (exact under the
-    managers' one-writer-at-a-time contract)."""
+    """A manager's event log: a ring of the last
+    :data:`EVENT_LOG_CAPACITY` events plus ``total``, how many were ever
+    published — memory flat in the transactions served.  A ``deque``, so
+    publishing stays one C-level ``append``; the publisher adds to
+    ``total`` itself, which is exact with one writer at a time (the
+    service, the explorer, ``LockManager``).  Shards of a free-threaded
+    ``ShardedLockManager`` publishing concurrently may undercount it."""
 
-    def __init__(self, capacity: int = EVENT_LOG_CAPACITY) -> None:
-        super().__init__(maxlen=capacity)
+    def __init__(self) -> None:
+        super().__init__(maxlen=EVENT_LOG_CAPACITY)
         self.total = 0
-
-    def tail(self, limit: int = 0) -> List[object]:
-        """The last ``limit`` events still in the ring (0: all of it)."""
-        events = list(self)
-        return events[-limit:] if limit else events
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,8 @@ class ShardedLockCore:
         #: supplies the default when ``policy=None``.
         self.policy = resolved.bind(self)
         self.continuous = self.policy.continuous
+        #: Recent events; ``log.total`` is exact only while one shard
+        #: publishes at a time (see :class:`EventLog`).
         self.log = EventLog()
         self.listener = listener
         self.last_detection = None

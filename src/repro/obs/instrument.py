@@ -81,6 +81,11 @@ class Telemetry:
         "repro_batch_saved_roundtrips_total",
         "network round-trips avoided by batching (size-1 per batch)",
     )
+    _fsync_seconds = _histogram(
+        "repro_journal_fsync_seconds",
+        "write+fsync latency of one journal group commit",
+        DURATION_BUCKETS,
+    )
     _grants_immediate = _counter(*_GRANTS, path="immediate")
     _grants_waited = _counter(*_GRANTS, path="waited")
     _blocks_conversion = _counter(*_BLOCKS, kind="conversion")
@@ -236,6 +241,11 @@ class Telemetry:
             return
         self._batch_size.observe(size)
         self._batch_saved.inc(max(size - 1, 0))
+
+    def journal_flush(self, seconds: float) -> None:
+        """One journal group commit took ``seconds`` to write+fsync."""
+        if self.enabled:
+            self._fsync_seconds.observe(seconds)
 
     def finish(self, tid: int, aborted: bool = False) -> None:
         """Transaction end: close its spans, forget its pending wait."""

@@ -20,8 +20,9 @@ re-sends the lock and resumes the same queue position, a new span of
 kind ``resume`` tracks the second attempt.
 
 :class:`TraceLog` owns the spans: it indexes the open ones once per
-transaction (``tid`` -> ``rid`` -> span), moves finished ones into a
-bounded ring, and exports everything as JSON-lines.  A stamp is stored
+transaction (``tid`` -> ``rid`` -> span), queues them oldest-first for
+eviction, moves finished ones into a bounded ring, and exports
+everything as JSON-lines.  A stamp is stored
 flat — a ``(phase, wall, virtual)`` tuple — and the ``events`` dicts
 are rendered when somebody reads them.  The span-completeness oracle in
 :mod:`repro.check.oracles` asserts that a drained schedule leaves no
@@ -130,8 +131,7 @@ class TraceLog:
     ``time.time``.  ``capacity`` bounds both the completed-span ring and
     the open-span table so a long-lived server cannot grow without
     bound: when a new span would push the open table past capacity, the
-    oldest in-flight span of the longest-open transaction is *flushed*
-    into the ring with an ``unfinished: true`` marker (never silently
+    oldest in-flight span is *flushed* into the ring with an ``unfinished: true`` marker (never silently
     dropped).  ``origin`` names this process in exported span refs
     (``origin:span_id``) so parent links stay unambiguous across hops.
     """
@@ -146,9 +146,10 @@ class TraceLog:
         self.capacity = capacity
         self.origin = origin
         self._next_id = 1
-        #: tid -> rid -> open span, both levels in insertion order.
-        self._open: "OrderedDict[int, Dict[str, Span]]" = OrderedDict()
-        self._open_count = 0
+        #: tid -> rid -> open span.
+        self._open: Dict[int, Dict[str, Span]] = {}
+        #: span id -> open span, oldest first: the eviction order.
+        self._oldest: "OrderedDict[int, Span]" = OrderedDict()
         self._completed: Deque[Span] = deque(maxlen=capacity)
         self.total_started = 0
         #: Born-finished annotation spans (``record()``) — counted apart
@@ -257,9 +258,9 @@ class TraceLog:
         if not spans:
             return []
         closed = list(spans.values())
-        self._open_count -= len(closed)
         wall, virtual = time.time(), self.clock()
         for span in closed:
+            del self._oldest[span.span_id]
             if aborted or span.status != "granted":
                 span.status = "aborted"
             else:
@@ -270,19 +271,14 @@ class TraceLog:
 
     # -- reads -------------------------------------------------------------
 
-    def _open_spans(self) -> List[Span]:
-        return [
-            span for spans in self._open.values() for span in spans.values()
-        ]
-
     def open_spans(self) -> List[Span]:
-        return sorted(self._open_spans(), key=lambda s: s.span_id)
+        return list(self._oldest.values())
 
     def completed_spans(self) -> List[Span]:
         return list(self._completed)
 
     def all_spans(self) -> List[Span]:
-        spans = list(self._completed) + self._open_spans()
+        spans = list(self._completed) + list(self._oldest.values())
         return sorted(spans, key=lambda s: s.span_id)
 
     def to_dicts(self, limit: int = 0, kinds=None) -> List[dict]:
@@ -335,7 +331,7 @@ class TraceLog:
         trace: Optional[str] = None,
         parent: Optional[str] = None,
     ) -> Span:
-        if self.capacity and self._open_count >= self.capacity:
+        if self.capacity and len(self._oldest) >= self.capacity:
             self._evict_oldest_open()
         span = Span(
             self._next_id, tid, rid, mode, kind, trace=trace, parent=parent
@@ -346,17 +342,15 @@ class TraceLog:
         if spans is None:
             spans = self._open[tid] = {}
         spans[rid] = span
-        self._open_count += 1
+        self._oldest[span.span_id] = span
         self._stamp(span, "request")
         return span
 
     def _evict_oldest_open(self) -> Span:
-        """Flush the oldest in-flight span of the longest-open
-        transaction — the first of the first: both index levels are
-        insertion-ordered, nothing is scanned — into the completed ring
-        with an ``unfinished`` marker (exported, never dropped)."""
-        spans = next(iter(self._open.values()))
-        span = next(iter(spans.values()))
+        """Flush the oldest in-flight span — the head of the eviction
+        order, nothing is scanned — into the completed ring with an
+        ``unfinished`` marker (exported, never dropped)."""
+        span = next(iter(self._oldest.values()))
         span.unfinished = True
         self._stamp(span, "evicted")
         self._retire(span)
@@ -372,5 +366,5 @@ class TraceLog:
         del spans[span.rid]
         if not spans:
             del self._open[span.tid]
-        self._open_count -= 1
+        del self._oldest[span.span_id]
         self._completed.append(span)

@@ -221,7 +221,8 @@ def log_payload(manager: LockManager, limit: int = 100) -> Dict[str, Any]:
     """The tail of the manager's event log as wire events: ``total``
     counts every event ever published, ``events`` come from the ring of
     recent ones (see :class:`~repro.lockmgr.events.EventLog`)."""
+    events = list(manager.log)
     return {
         "total": manager.log.total,
-        "events": [event_to_dict(event) for event in manager.log.tail(limit)],
+        "events": [event_to_dict(event) for event in events[-limit:]],
     }

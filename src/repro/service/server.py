@@ -65,7 +65,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from .. import __version__
 from ..core.errors import ReproError
 from ..core.victim import CostTable
-from ..obs.metrics import DURATION_BUCKETS, bound
 from . import admin
 from .core import MAX_LEASE, MIN_LEASE, ParkedWait, ServiceCore, Session
 from .journal import SessionJournal, recover_into
@@ -241,13 +240,6 @@ class LockServer:
     lease granted to clients that do not ask for one.
     """
 
-    _fsync_seconds = bound(
-        "histogram",
-        "repro_journal_fsync_seconds",
-        "write+fsync latency of one journal group commit",
-        DURATION_BUCKETS,
-    )
-
     def __init__(
         self,
         costs: Optional[CostTable] = None,
@@ -311,10 +303,6 @@ class LockServer:
     @property
     def stats(self):
         return self.core.stats
-
-    @property
-    def registry(self):
-        return self.core.telemetry.registry
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -414,10 +402,9 @@ class LockServer:
             flush_started = perf_counter()
             if journal.flush():
                 self.core.stats.journal_flushes += 1
-                if self.core.telemetry.enabled:
-                    self._fsync_seconds.observe(
-                        perf_counter() - flush_started
-                    )
+                self.core.telemetry.journal_flush(
+                    perf_counter() - flush_started
+                )
         while self._dirty:
             self._dirty.pop()._flush()
 
@@ -461,7 +448,7 @@ class LockServer:
     ) -> None:
         """Sampled wire telemetry: one observed frame stands for the
         :data:`_WIRE_SAMPLE` frames around it."""
-        registry = self.registry
+        registry = self.core.telemetry.registry
         labels = {"codec": codec_name, "direction": direction}
         registry.counter(
             "repro_wire_frames_total",

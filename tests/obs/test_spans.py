@@ -224,16 +224,19 @@ class TestEviction:
             range(1000, 1064)
         )
 
-    def test_eviction_takes_the_longest_open_transaction_first(self):
+    def test_eviction_is_oldest_first_across_transactions(self):
         log = make_log(capacity=3)
         log.begin(1, "A", "X")
         log.begin(2, "B", "X")
         log.begin(1, "C", "X")
         log.begin(3, "D", "X")  # evicts T1's first span
-        log.begin(4, "E", "X")  # then T1's second: T1 opened first
+        log.begin(4, "E", "X")  # then T2's: older than T1's second
         flushed = [(s.tid, s.rid) for s in log.completed_spans()]
-        assert flushed == [(1, "A"), (1, "C")]
+        assert flushed == [(1, "A"), (2, "B")]
         assert all(s.unfinished for s in log.completed_spans())
+        assert [(s.tid, s.rid) for s in log.open_spans()] == [
+            (1, "C"), (3, "D"), (4, "E"),
+        ]
 
 
 class TestAnnotations:
