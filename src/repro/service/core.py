@@ -39,6 +39,7 @@ from ..obs.incidents import IncidentLog
 from ..obs.instrument import Telemetry
 from ..policy import resolve_policy
 from .admin import ServiceStats
+from .journal import BATCH_FIELDS
 from .protocol import (
     MAX_BATCH_OPS,
     ServiceError,
@@ -197,6 +198,8 @@ class ServiceCore:
         self.waiters: Dict[int, ParkedWait] = {}
         self._next_sid = 1
         self._next_tid = 1
+        #: Sub-ops the batch frame being applied has journaled so far.
+        self._frame_ops: Optional[List[tuple]] = None
         registry = self.telemetry.registry
         registry.gauge(
             "repro_sessions_open",
@@ -270,11 +273,22 @@ class ServiceCore:
 
         Called *after* the mutation it describes succeeded, so the
         journal never records an operation the table rejected; the
-        server flushes once per loop callback, before that callback's
-        replies are written (group commit)."""
+        server flushes once per loop turn, before that turn's replies
+        are written (group commit)."""
         if self.journal is not None:
             self.journal.append(kind, **fields)
             self.stats.journal_records += 1
+
+    def _journal_op(self, session: Session, kind: str, *values) -> None:
+        """Journal one sub-op (``values`` in ``BATCH_FIELDS[kind]``
+        order): a record of its own, or — inside :meth:`batch_step` —
+        one entry of the frame's single ``batch`` record."""
+        if self._frame_ops is not None:
+            self._frame_ops.append((kind,) + values)
+        elif self.journal is not None:
+            self._journal_append(
+                kind, sid=session.sid, **dict(zip(BATCH_FIELDS[kind], values))
+            )
 
     def _new_token(self) -> str:
         if self._token_source is not None:
@@ -435,7 +449,7 @@ class ServiceCore:
         fresh = tid not in self.owners
         self.claim(tid, session)
         if fresh:
-            self._journal_append("begin", sid=session.sid, tid=tid)
+            self._journal_op(session, "begin", tid)
         return tid
 
     def lock_step(
@@ -470,13 +484,9 @@ class ServiceCore:
             started = time.perf_counter()
             outcome = self.manager.lock(tid, rid, mode)
             if self.journal is not None:  # the fields cost a routed read
-                self._journal_append(
-                    "lock",
-                    sid=session.sid,
-                    tid=tid,
-                    rid=rid,
-                    mode=mode.name,
-                    seq=self.manager.sequence_of(rid),
+                self._journal_op(
+                    session, "lock", tid, rid, mode.name,
+                    self.manager.sequence_of(rid),
                 )
             event = event_to_dict(outcome.event)
             detection = self.manager.last_detection
@@ -550,9 +560,7 @@ class ServiceCore:
             parked.resolve("aborted")
         self.telemetry.finish(tid, aborted=aborting)
         grants = self.manager.finish(tid)
-        self._journal_append(
-            "finish", sid=session.sid, tid=tid, ab=aborting
-        )
+        self._journal_op(session, "finish", tid, aborting)
         self.release_claim(tid)
         if aborting:
             self.stats.aborts += 1
@@ -596,7 +604,15 @@ class ServiceCore:
         self.stats.batched_ops += len(ops)
         self.stats.batch_saved_roundtrips += len(ops) - 1
         self.telemetry.batch(len(ops))
-        return [self._batch_one(session, frame) for frame in ops]
+        # The frame is the journal's unit: the sub-ops that mutate
+        # collect here and leave as ONE record.
+        self._frame_ops = mutated = [] if self.journal is not None else None
+        try:
+            return [self._batch_one(session, frame) for frame in ops]
+        finally:
+            self._frame_ops = None
+            if mutated:
+                self._journal_append("batch", sid=session.sid, ops=mutated)
 
     def _batch_one(self, session: Session, frame) -> dict:
         name = frame.get("op") if isinstance(frame, dict) else None

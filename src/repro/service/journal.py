@@ -18,6 +18,8 @@ Record kinds (one JSON object per line)::
     ("begin",  sid, tid)                      transaction claimed
     ("lock",   sid, tid, rid, mode, seq)      manager.lock() invoked
     ("finish", sid, tid, ab)                  commit (ab=false) or abort
+    ("batch",  sid, ops)                      a batch frame's sub-ops that
+                                              mutated: [kind, *BATCH_FIELDS]
     ("detect", )                              periodic pass that resolved
     ("resolve", plan)                         coordinator resolution plan
 
@@ -32,10 +34,14 @@ Durability model — group commit.  ``append`` buffers; :meth:`flush`
 writes the buffered lines and fsyncs according to the ``fsync`` policy
 (``"batch"`` — the default — fsyncs once per flush; ``"always"``
 flushes-and-fsyncs inside every append; ``"never"`` leaves syncing to
-the OS).  The server calls ``flush`` once per writer pass, *after* the
-operation ran but *before* its reply future is delivered, so the hot
-path pays one fsync per pass, never per op, and no client ever holds a
-reply whose records could still be lost.
+the OS).  The server calls ``flush`` once per event-loop turn, *after*
+the turn's operations ran but *before* any of their replies is written,
+so the hot path pays one fsync per turn, never per op or connection,
+and no client ever holds a reply whose records could still be lost.  A
+failed flush (ENOSPC, a failed fsync, a short write) is final — see
+:meth:`SessionJournal.flush`; the server fail-stops on it.  The file is
+the history: a file-backed journal keeps nothing it appends, so its
+memory does not grow with the log.
 
 Torn tails.  Every line is ``crc32(body) + " " + body``; the loader
 stops at the first line that is truncated, undecodable or fails its
@@ -52,9 +58,11 @@ response so clients can observe that they are talking to a reincarnation
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional
@@ -65,6 +73,15 @@ FSYNC_POLICIES = ("always", "batch", "never")
 
 #: The canonical-body encoder, built once (not per record).
 _encode_body = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+#: Fields of a ``begin``/``lock``/``finish`` record after ``sid`` — and,
+#: in this order, of the same sub-op in a ``batch`` record after its kind.
+BATCH_FIELDS = {
+    "begin": ("tid",),
+    "lock": ("tid", "rid", "mode", "seq"),
+    "finish": ("tid", "ab"),
+}
 
 
 def encode_record(record: Dict[str, Any]) -> str:
@@ -100,9 +117,9 @@ class SessionJournal:
     ``path=None`` keeps the journal purely in memory — the explorer's
     restart fault and the property suites journal thousands of
     schedules without touching a filesystem.  With a path, appended
-    records buffer until :meth:`flush` (group commit); opening an
-    existing file loads its durable prefix first, so construction *is*
-    crash recovery's read side.
+    records buffer until :meth:`flush` (group commit) and are not kept;
+    opening an existing file loads its durable prefix first, so
+    construction *is* crash recovery's read side.
     """
 
     def __init__(self, path: Optional[str] = None, fsync: str = "batch") -> None:
@@ -117,6 +134,11 @@ class SessionJournal:
         self._records: List[Dict[str, Any]] = []
         self._pending: List[str] = []
         self._file = None
+        #: Records loaded at open; ``boot`` records loaded or appended;
+        #: file size at the last successful flush.
+        self._loaded = self._boots = self._durable = 0
+        #: The error that ended this journal (see :meth:`flush`).
+        self.failed: Optional[OSError] = None
         #: Lines beyond the durable prefix dropped at load time.
         self.corrupt_tail = 0
         #: Lifetime counters (mirrored into ``ServiceStats``).
@@ -128,11 +150,13 @@ class SessionJournal:
                 with open(path, "r", encoding="utf-8") as handle:
                     self._load_text(handle.read())
             self._file = open(path, "a", encoding="utf-8")
+            self._durable = os.path.getsize(path)
 
     # -- loading -----------------------------------------------------------
 
     def _load_text(self, text: str) -> None:
         lines = text.splitlines()
+        loaded = []
         for position, line in enumerate(lines):
             if not line.strip():
                 continue
@@ -142,7 +166,13 @@ class SessionJournal:
                 # of the durable prefix.
                 self.corrupt_tail = len(lines) - position
                 break
-            self._records.append(record)
+            loaded.append(record)
+        self._hold(loaded)
+
+    def _hold(self, records: List[Dict[str, Any]]) -> None:
+        self._records = records
+        self._loaded = len(records)
+        self._boots = sum(1 for r in records if r.get("kind") == "boot")
 
     @classmethod
     def from_text(cls, text: str) -> "SessionJournal":
@@ -156,7 +186,7 @@ class SessionJournal:
         """An in-memory journal holding copies of ``records`` (the
         property suites use this to cut at record boundaries)."""
         journal = cls()
-        journal._records = [dict(record) for record in records]
+        journal._hold([dict(record) for record in records])
         return journal
 
     # -- appending ---------------------------------------------------------
@@ -164,9 +194,11 @@ class SessionJournal:
     def append(self, kind: str, **fields: Any) -> Dict[str, Any]:
         record: Dict[str, Any] = {"kind": kind}
         record.update(fields)
-        self._records.append(record)
         self.appended += 1
-        if self._file is not None:
+        self._boots += kind == "boot"
+        if self.path is None:
+            self._records.append(record)
+        else:
             self._pending.append(encode_record(record))
             if self.fsync == "always":
                 self.flush()
@@ -178,51 +210,75 @@ class SessionJournal:
 
     def flush(self) -> int:
         """Write buffered records (one fsync per call under the default
-        ``"batch"`` policy); returns the number of lines written."""
+        ``"batch"`` policy); returns the number of lines written.  An
+        ``OSError`` — a short write counts as one — ends the journal:
+        the file is cut back to its last durable byte and closed, and
+        this and every later call raise that error."""
+        if self.failed is not None:
+            raise self.failed
         if not self._pending or self._file is None:
             return 0
-        lines, self._pending = self._pending, []
-        self._file.write("\n".join(lines) + "\n")
-        self._file.flush()
-        if self.fsync != "never":
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
+        data = "\n".join(self._pending) + "\n"
+        try:
+            if self._file.write(data) != len(data):
+                raise OSError(errno.EIO, "short write to the journal")
+            self._file.flush()
+            if self.fsync != "never":
+                os.fsync(self._file.fileno())
+                self.fsyncs += 1
+        except OSError as exc:
+            self.failed = exc
+            self.abandon()
+            raise
+        self._durable += len(data)  # records are ASCII: chars are bytes
+        written = len(self._pending)
+        self._pending = []
         self.flushes += 1
-        return len(lines)
+        return written
 
     def close(self) -> None:
         if self._file is not None:
-            self.flush()
+            self.flush()  # a failing flush closes the file itself
             self._file.close()
             self._file = None
 
     def abandon(self) -> None:
-        """Drop unflushed records and close without syncing — the
-        in-process stand-in for ``kill -9`` (tests use it to crash a
-        server at an exact record boundary)."""
+        """Drop unflushed records and close without syncing, leaving
+        the file at its last durable byte — the in-process stand-in for
+        ``kill -9`` (tests use it to crash a server at an exact record
+        boundary) and the end of a journal whose flush failed."""
         self._pending = []
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        handle, self._file = self._file, None
+        if handle is not None:
+            with suppress(OSError):  # may retry its buffered write
+                handle.close()
+            with suppress(OSError):
+                os.truncate(self.path, self._durable)
 
     # -- introspection -----------------------------------------------------
+
+    def drain(self) -> List[Dict[str, Any]]:
+        """The records recovery replays: a file-backed journal hands
+        its loaded prefix over and keeps nothing."""
+        if self.path is None:
+            return list(self._records)
+        records, self._records = self._records, []
+        return records
 
     def records(self) -> List[Dict[str, Any]]:
         return list(self._records)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._loaded + self.appended
 
     @property
     def epoch(self) -> int:
         """Restart epoch: how many times a server booted on this
         journal (the envelope's ``epoch`` field)."""
-        return sum(
-            1 for record in self._records if record.get("kind") == "boot"
-        )
+        return self._boots
 
     def to_text(self) -> str:
-        """The full journal as line-encoded text (tests corrupt this)."""
+        """The held records as line-encoded text (tests corrupt this)."""
         return "\n".join(
             encode_record(record) for record in self._records
         )
@@ -267,63 +323,73 @@ def recover_into(core, journal: SessionJournal, now: Optional[float] = None):
 
     started = perf_counter()
     report = RecoveryReport(corrupt_tail=journal.corrupt_tail)
+
+    def replay(record) -> None:
+        try:
+            apply(record)
+        except (ReproError, KeyError, ValueError, TypeError):
+            report.replay_errors += 1
+
+    def apply(record) -> None:
+        kind = record.get("kind")
+        if kind == "batch":
+            # One frame's sub-ops, each through its single-op arm below.
+            for op in record["ops"]:
+                fields = zip(BATCH_FIELDS[op[0]], op[1:])
+                replay(dict(fields, kind=op[0], sid=record["sid"]))
+        elif kind == "boot":
+            report.boots += 1
+        elif kind == "open":
+            sid = str(record["sid"])
+            session = Session(sid, float(record["lease"]), core.clock())
+            session.token = record.get("token")
+            session.wall_deadline = float(record["expires"])
+            session.journaled_expiry = session.wall_deadline
+            core.sessions[sid] = session
+            report.sessions_restored += 1
+            if sid.startswith("S"):
+                try:
+                    core._next_sid = max(core._next_sid, int(sid[1:]) + 1)
+                except ValueError:
+                    pass
+        elif kind == "renew":
+            session = core.sessions.get(str(record["sid"]))
+            if session is not None:
+                session.wall_deadline = float(record["expires"])
+                session.journaled_expiry = session.wall_deadline
+        elif kind == "close":
+            session = core.sessions.get(str(record["sid"]))
+            if session is not None:
+                core.close_session(session)
+        elif kind == "begin":
+            session = core.sessions[str(record["sid"])]
+            tid = int(record["tid"])
+            core.claim(tid, session)
+            core._next_tid = max(core._next_tid, tid + 1)
+        elif kind == "lock":
+            tid, rid = int(record["tid"]), str(record["rid"])
+            # A frame may lock without a begin: the lock claimed then.
+            session = core.sessions.get(str(record.get("sid")))
+            if session is not None:
+                core.claim(tid, session)
+            core.manager.lock(tid, rid, parse_mode(record["mode"]))
+            core.manager.restore_sequence(rid, record.get("seq"))
+        elif kind == "finish":
+            core.manager.finish(int(record["tid"]))
+            core.release_claim(int(record["tid"]))
+        elif kind == "detect":
+            core.manager.detect()
+        elif kind == "resolve":
+            apply_resolution_plan(core.manager, record["plan"])
+        # Unknown kinds are skipped: a newer server's records
+        # must not wedge an older reader mid-recovery.
+
     core.journal = None  # replay must never re-journal itself
     was_enabled = core.telemetry.enabled
     core.telemetry.enabled = False
     try:
-        for record in journal.records():
-            kind = record.get("kind")
-            try:
-                if kind == "boot":
-                    report.boots += 1
-                elif kind == "open":
-                    sid = str(record["sid"])
-                    session = Session(
-                        sid, float(record["lease"]), core.clock()
-                    )
-                    session.token = record.get("token")
-                    session.wall_deadline = float(record["expires"])
-                    session.journaled_expiry = session.wall_deadline
-                    core.sessions[sid] = session
-                    report.sessions_restored += 1
-                    if sid.startswith("S"):
-                        try:
-                            core._next_sid = max(
-                                core._next_sid, int(sid[1:]) + 1
-                            )
-                        except ValueError:
-                            pass
-                elif kind == "renew":
-                    session = core.sessions.get(str(record["sid"]))
-                    if session is not None:
-                        session.wall_deadline = float(record["expires"])
-                        session.journaled_expiry = session.wall_deadline
-                elif kind == "close":
-                    session = core.sessions.get(str(record["sid"]))
-                    if session is not None:
-                        core.close_session(session)
-                elif kind == "begin":
-                    session = core.sessions[str(record["sid"])]
-                    tid = int(record["tid"])
-                    core.claim(tid, session)
-                    core._next_tid = max(core._next_tid, tid + 1)
-                elif kind == "lock":
-                    rid = str(record["rid"])
-                    core.manager.lock(
-                        int(record["tid"]), rid, parse_mode(record["mode"])
-                    )
-                    core.manager.restore_sequence(rid, record.get("seq"))
-                elif kind == "finish":
-                    core.manager.finish(int(record["tid"]))
-                    core.release_claim(int(record["tid"]))
-                elif kind == "detect":
-                    core.manager.detect()
-                elif kind == "resolve":
-                    apply_resolution_plan(core.manager, record["plan"])
-                # Unknown kinds are skipped: a newer server's records
-                # must not wedge an older reader mid-recovery.
-            except (ReproError, KeyError, ValueError, TypeError):
-                report.replay_errors += 1
+        for record in journal.drain():
+            replay(record)
             report.replayed += 1
         core.pump()
     finally:

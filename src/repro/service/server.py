@@ -24,13 +24,15 @@ Architecture
   per frame, validates its fields, runs the core step and then
   ``core.pump()``; replies — the frame's own and those of parked waits
   the pump just resolved, on any connection — are only *encoded* into
-  per-connection outboxes.  The callback ends in :meth:`LockServer.
-  _settle`: **journal flush, then one** ``transport.write`` **per
-  connection with replies, then any pending close.**  Durability before
-  reply holds by construction, and one group commit covers every frame
-  of the burst on every connection.  Timers, the detector tick, the
-  reaper tick, a lost connection and ``LoopbackServer.submit`` are the
-  other callbacks that touch the core; each ends in the same settle.
+  per-connection outboxes.  The callback schedules :meth:`LockServer.
+  _settle` **once per loop turn**: **journal flush, then one**
+  ``transport.write`` **per connection with replies, then any pending
+  close** — every connection read in one ``select()`` shares one group
+  commit, and since nothing else writes a reply byte, durability before
+  reply holds by construction.  Timers, the detector tick, the reaper
+  tick, a lost connection and ``LoopbackServer.submit`` are the other
+  callbacks that touch the core; each ends in the same settle, at once.
+  A flush that fails stops the server (:meth:`LockServer._fail_stop`).
 * **Parked waiters.**  A blocking ``lock`` request does not answer until
   the transaction is granted or aborted: the step parks a
   :class:`~repro.service.core.ParkedWait` keyed by transaction id whose
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -152,7 +155,9 @@ class ServerConnection(asyncio.Protocol):
                     break
         except ProtocolError as exc:
             self._refuse(exc)
-        server._settle()
+        if not server._settle_due:
+            server._settle_due = True
+            server._loop.call_soon(server._settle)
 
     def eof_received(self) -> None:
         try:
@@ -292,6 +297,10 @@ class LockServer:
         self._connections: Set[ServerConnection] = set()
         #: Connections with replies (or a close) awaiting the settle.
         self._dirty: Set[ServerConnection] = set()
+        #: A received burst has scheduled this loop turn's settle.
+        self._settle_due = False
+        #: The journal error this server stopped on.
+        self.failed: Optional[OSError] = None
         self._tasks: List[asyncio.Task] = []
 
     # -- core views --------------------------------------------------------
@@ -344,7 +353,13 @@ class LockServer:
         return self
 
     async def serve_forever(self) -> None:
-        await self._server.serve_forever()
+        """Serve until cancelled, or until a fail-stop raises here."""
+        try:
+            await self._server.serve_forever()
+        except asyncio.CancelledError:
+            if self.failed is None:
+                raise
+            raise self.failed from None
 
     async def aclose(self) -> None:
         """Stop serving: close the listener, every task, session and
@@ -366,7 +381,7 @@ class LockServer:
             await self._server.wait_closed()
         if self.core.journal is not None:
             self.core.journal.close()
-        for result in ended:
+        for result in ended + [self.failed]:
             if isinstance(result, Exception):
                 raise result
 
@@ -393,20 +408,41 @@ class LockServer:
             self._settle()
 
     def _settle(self) -> None:
-        """End of a loop callback that touched the core: group-commit
-        whatever it journaled, *then* write each connection's replies
-        in one piece, then close the connections due to close.  No
-        reply byte can precede the flush covering its records."""
+        """Group-commit whatever was journaled since the last settle,
+        *then* write each connection's replies in one piece, then close
+        the connections due to close.  No reply byte can precede the
+        flush covering its records, and none follows a failed one."""
+        self._settle_due = False
         journal = self.core.journal
         if journal is not None:
             flush_started = perf_counter()
-            if journal.flush():
+            try:
+                flushed = journal.flush()
+            except OSError as exc:
+                return self._fail_stop(exc)
+            if flushed:
                 self.core.stats.journal_flushes += 1
                 self.core.telemetry.journal_flush(
                     perf_counter() - flush_started
                 )
         while self._dirty:
             self._dirty.pop()._flush()
+
+    def _fail_stop(self, exc: OSError) -> None:
+        """The journal could not be made durable: answer nobody — drop
+        every encoded reply, abort every connection, stop listening.
+        ``exc`` surfaces from :meth:`serve_forever` and :meth:`aclose`."""
+        _LOG.critical("journal flush failed, server stopping: %s", exc)
+        self.failed = exc
+        self.core.journal = None
+        for connection in list(self._connections):
+            transport, connection.transport = connection.transport, None
+            connection.outbox.clear()
+            if transport is not None:
+                transport.abort()
+        self._dirty.clear()
+        if self._server is not None:
+            self._server.close()
 
     # -- background tasks ------------------------------------------------------
 
@@ -607,35 +643,36 @@ class LockServer:
         mode = mode_field(frame)
         timeout = seconds_field(frame, "timeout")
         request_id = frame.get("id")
-        event = None
-
-        def resolved(status: str) -> None:
-            # Fired by whichever step resolves the parked wait: the
-            # pump, a sweep of the session, or the timeout below.
-            timer = connection.timers.pop(tid, None)
-            if timer is not None:
-                timer.cancel()
-            connection.send(
-                ok(request_id, status=status, event=event), "lock"
-            )
-
         status, event, parked = self.core.lock_step(
             connection.session,
             tid,
             rid,
             mode,
             wait=bool(frame.get("wait", True)),
-            callback=resolved,
             trace=frame.get("trace"),
             parent=frame.get("span"),
         )
         if status != "parked":
             return ok(request_id, status=status, event=event)
+        # Only a request that blocks pays for its later answer.
+        parked.callback = partial(
+            self._lock_resolved, connection, tid, request_id, event
+        )
         if timeout is not None:
             connection.timers[tid] = self._loop.call_later(
                 timeout, self._wait_timeout, tid, parked
             )
         return None
+
+    def _lock_resolved(
+        self, connection, tid: int, request_id, event, status: str
+    ) -> None:
+        """Answer a parked ``lock``: fired by whichever step resolves
+        the wait — the pump, a sweep of the session, or its timeout."""
+        timer = connection.timers.pop(tid, None)
+        if timer is not None:
+            timer.cancel()
+        connection.send(ok(request_id, status=status, event=event), "lock")
 
     def _wait_timeout(self, tid: int, parked: ParkedWait) -> None:
         # Un-park (the resolution wins if it got there first), but

@@ -8,6 +8,8 @@ lock cannot quietly go back to costing more than granting it.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
 import tracemalloc
 
@@ -40,12 +42,12 @@ def transaction(core, session, index, locks=8):
     core.pump()
 
 
-def batch_transaction(core, session, tid):
+def batch_transaction(core, session, tid, locks=8):
     ops = [{"op": "begin", "tid": tid}]
     ops.extend(
         {"op": "lock", "tid": tid, "rid": "b{}".format(k), "mode": "S",
          "trace": "trace-0000"}
-        for k in range(8)
+        for k in range(locks)
     )
     ops.append({"op": "commit", "tid": tid})
     results = core.batch_step(session, ops)
@@ -189,3 +191,83 @@ def test_core_memory_is_flat_in_commits_served():
     assert at_12000 - at_4000 < 256 * 1024
     assert len(core.manager.log) <= EVENT_LOG_CAPACITY
     assert core.manager.log.total == 12000 * 2
+
+
+def test_journaled_core_memory_is_flat_in_commits_served(tmp_path):
+    """The same window with a file journal attached: the file is the
+    history, so nothing appended is kept.  (The parent kept a dict per
+    record: 8.9 MB over these 8000 two-lock batch frames.)"""
+    path = str(tmp_path / "journal.jsonl")
+    log = journal.SessionJournal(path, fsync="never")
+    core = ServiceCore(shards=1, policy="periodic", journal=log)
+    session = core.open_session()
+
+    def commits(start, stop):
+        for tid in range(start, stop):
+            batch_transaction(core, session, tid, locks=2)
+            log.flush()  # the server's settle
+
+    commits(1, 1000)
+    tracemalloc.start()
+    try:
+        commits(1000, 4000)
+        at_4000, _ = tracemalloc.get_traced_memory()
+        commits(4000, 12000)
+        at_12000, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert at_12000 - at_4000 < 256 * 1024
+    assert log._records == [] and log._pending == []
+    assert len(log) == core.stats.journal_records == 1 + 11999
+    log.close()
+
+    # Recovery's read side: the loaded prefix is handed to the replay
+    # and dropped; epoch and length are counters, not scans.
+    reopened = journal.SessionJournal(path)
+    assert len(reopened._records) == len(reopened) == 12000
+    recovered = ServiceCore(shards=1, policy="periodic")
+    report = journal.recover_into(recovered, reopened, now=0.0)
+    assert report.replayed == 12000 and report.replay_errors == 0
+    assert reopened._records == []
+    assert (len(reopened), reopened.epoch) == (12001, 1)  # + its boot
+    reopened.close()
+
+
+def test_a_granted_lock_frame_builds_no_closure(monkeypatch):
+    """Only a request that blocks pays for its later answer: the lock
+    handler defines no nested function, and the one ``partial`` that
+    carries (connection, request id) is built when — and only when — a
+    wait parks."""
+    from repro.service import server as server_module
+    from tests.service.raw import Pipe
+
+    handler = server_module.LockServer._op_lock.__code__
+    assert handler.co_cellvars == ()
+    assert not [c for c in handler.co_consts if hasattr(c, "co_code")]
+
+    built = []
+
+    def counted(*args):
+        built.append(args[0].__name__)
+        return functools.partial(*args)
+
+    monkeypatch.setattr(server_module, "partial", counted)
+
+    async def go():
+        server = server_module.LockServer(period=None, policy="periodic")
+        await server.start("127.0.0.1", 0)
+        one = await Pipe(server).handshake()
+        two = await Pipe(server).handshake()
+        for k in range(100):
+            await one.call(one.client.acquire(1, "r{}".format(k), "X"))
+        assert server.stats.grants == 100 and built == []
+        waiter = asyncio.ensure_future(two.client.acquire(2, "r0", "S"))
+        await two.to_server()
+        assert built == ["_lock_resolved"]
+        await one.call(one.client.commit(1))
+        await two.to_client()
+        assert await waiter is True and built == ["_lock_resolved"]
+        one.lose(), two.lose()
+        await server.aclose()
+
+    asyncio.run(go())

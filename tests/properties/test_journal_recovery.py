@@ -21,10 +21,16 @@ Recovery must also be idempotent: a journal that has already been
 recovered (boot record appended) recovers again into the identical
 table and session set — a crash *during* recovery is just another
 crash.
+
+Histories mix single-op steps (one record each) with ``batch`` frames
+(one record per frame, whatever its sub-ops did: granted, blocked,
+errored, committed), and the one-record-per-sub-op stream an older
+server wrote for the same history must recover to the same bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from hypothesis import given
@@ -40,9 +46,28 @@ SLOTS = 3
 RIDS = ("a", "b", "c")
 MODES = (LockMode.S, LockMode.X, LockMode.IS, LockMode.IX)
 
+#: A batch sub-op.  Mode index ``len(MODES)`` is no mode at all (the
+#: sub-op errors); ``steal`` locks under a neighbour's transaction.
+sub_ops = st.one_of(
+    st.tuples(st.just("begin")),
+    st.tuples(
+        st.just("lock"),
+        st.sampled_from(RIDS),
+        st.integers(0, len(MODES)),
+    ),
+    st.tuples(st.just("steal"), st.sampled_from(RIDS)),
+    st.tuples(st.just("commit")),
+    st.tuples(st.just("abort")),
+)
+
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("open"), st.integers(0, SLOTS - 1)),
+        st.tuples(
+            st.just("batch"),
+            st.integers(0, SLOTS - 1),
+            st.lists(sub_ops, min_size=1, max_size=6),
+        ),
         st.tuples(
             st.just("lock"),
             st.integers(0, SLOTS - 1),
@@ -90,6 +115,7 @@ def run_history(ops):
     sessions = [None] * SLOTS
     tids = [None] * SLOTS
     dumps = {0: dump(core)}
+    explicit = itertools.count(1000)  # tids a batch frame names itself
     for op in ops:
         kind, slot = op[0], op[1]
         session = sessions[slot]
@@ -117,6 +143,22 @@ def run_history(ops):
             ):
                 core.finish_step(session, tid, kind == "abort")
                 tids[slot] = None
+        elif kind == "batch":
+            tid = tids[slot]
+            if tid is None or core.manager.was_aborted(tid):
+                tid = next(explicit)
+            neighbour = tids[(slot + 1) % SLOTS]
+            if neighbour not in core.owners:
+                neighbour = None  # nothing to steal
+            frame = batch_frame(op[2], tid, neighbour)
+            if not frame:
+                continue
+            results = core.batch_step(session, frame)
+            ended = any(
+                row["ok"] and row["op"] in ("commit", "abort")
+                for row in results
+            )
+            tids[slot] = None if ended else tid
         elif kind == "close":
             core.close_session(session)
             sessions[slot] = None
@@ -125,6 +167,43 @@ def run_history(ops):
             core.detect_step()
         dumps[len(core.journal)] = dump(core)
     return core, dumps
+
+
+def batch_frame(subs, tid, neighbour):
+    """The wire sub-op dicts of one ``batch`` frame for ``tid``."""
+    frame = []
+    for sub in subs:
+        if sub[0] == "lock":
+            mode = MODES[sub[2]].name if sub[2] < len(MODES) else "?"
+            frame.append({"op": "lock", "tid": tid, "rid": sub[1],
+                          "mode": mode})
+        elif sub[0] == "steal":
+            if neighbour is not None:
+                frame.append({"op": "lock", "tid": neighbour,
+                              "rid": sub[1], "mode": "X"})
+        else:
+            frame.append({"op": sub[0], "tid": tid})
+    return frame
+
+
+def per_sub_op_stream(records):
+    """The journal an older server — one record per sub-op, no
+    ``batch`` kind — wrote for the same history."""
+    names = {
+        "begin": ("tid",),
+        "lock": ("tid", "rid", "mode", "seq"),
+        "finish": ("tid", "ab"),
+    }
+    flat = []
+    for record in records:
+        if record["kind"] != "batch":
+            flat.append(record)
+            continue
+        for op in record["ops"]:
+            old = {"kind": op[0], "sid": record["sid"]}
+            old.update(zip(names[op[0]], op[1:]))
+            flat.append(old)
+    return flat
 
 
 def recover_text(text: str) -> ServiceCore:
@@ -185,3 +264,22 @@ def test_recovery_is_idempotent(ops):
     recover_into(twice, SessionJournal.from_records(journal.records()), now=0.0)
     assert dump(twice) == dump(once)
     assert session_view(twice) == session_view(once)
+
+
+@given(ops_strategy)
+def test_per_sub_op_journals_recover_to_the_same_bytes(ops):
+    core, dumps = run_history(ops)
+    records = core.journal.records()
+    flat = per_sub_op_stream(records)
+    assert not any(record["kind"] == "batch" for record in flat)
+    old = fresh_core()
+    # Through text, as a file written by the older server would arrive.
+    recover_into(
+        old,
+        SessionJournal.from_text(
+            SessionJournal.from_records(flat).to_text()
+        ),
+        now=0.0,
+    )
+    assert dump(old) == dumps[len(records)] == dump(core)
+    assert session_view(old) == session_view(core)

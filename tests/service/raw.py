@@ -129,14 +129,18 @@ class Pipe:
         self.client_transport.protocol = self.client
         self.client.connection_made(self.client_transport)
 
-    async def to_server(self):
+    async def to_server(self, settle=True):
         """Let the client's coalescing flush run, then deliver each of
-        its writes as one ``data_received``; returns the segments."""
+        its writes as one ``data_received`` — all in the same loop turn
+        — and yield that turn so the server's one deferred settle runs
+        (``settle=False`` returns before it); returns the segments."""
         for _ in range(4):  # start the calls, then their one flush
             await asyncio.sleep(0)
         segments = self.client_transport.take()
         for segment in segments:
             self.connection.data_received(segment)
+        if settle:
+            await asyncio.sleep(0)
         return segments
 
     async def to_client(self):

@@ -12,15 +12,26 @@ reply frame.
 
 import asyncio
 import contextlib
+import errno
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.core.modes import LockMode
 from repro.core.serialize import table_to_dict
 from repro.service import AsyncLockClient, LockServer, ServiceError
-from repro.service.journal import SessionJournal, encode_record
+from repro.service.core import ServiceCore
+from repro.service.journal import SessionJournal, encode_record, recover_into
+
+from .raw import Pipe
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def table_dump(server: LockServer) -> str:
@@ -262,3 +273,152 @@ class TestEpochStamping:
                     await client.close()
 
         asyncio.run(go())
+
+
+class FaultyFile:
+    """The journal's real file object until :attr:`armed`; from then on
+    the named call fails the way a full or dying disk makes it fail."""
+
+    def __init__(self, real, fault):
+        self.real = real
+        self.fault = fault
+        self.armed = False
+
+    def write(self, data):
+        if self.armed and self.fault == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        if self.armed and self.fault == "short":
+            return self.real.write(data[: len(data) * 2 // 3])
+        return self.real.write(data)
+
+    def fileno(self):
+        if self.armed and self.fault == "fsync":
+            raise OSError(errno.EIO, "fsync failed")
+        return self.real.fileno()
+
+    def __getattr__(self, name):  # flush, truncate, close
+        return getattr(self.real, name)
+
+
+@pytest.mark.parametrize("fsync", ["batch", "always"])
+@pytest.mark.parametrize("fault", ["write", "fsync", "short"])
+class TestFailStop:
+    """A flush the disk refuses stops the server: no reply byte after
+    it on any connection, the listener closed, the error surfaced, and
+    the file left as the durable prefix — the table at the last
+    successful flush.  (Under ``always`` the flush fails inside the
+    core step; the settle still meets the same error.)"""
+
+    def test_failed_flush_answers_nobody_and_keeps_the_prefix(
+        self, fault, fsync, tmp_path
+    ):
+        path = str(tmp_path / "sessions.jsonl")
+
+        async def go():
+            journal = SessionJournal(path, fsync=fsync)
+            disk = journal._file = FaultyFile(journal._file, fault)
+            server = LockServer(
+                period=None, journal=journal, policy="periodic"
+            )
+            await server.start("127.0.0.1", 0)
+            serving = asyncio.ensure_future(server.serve_forever())
+            events = []
+            a = await Pipe(server, events).handshake(lease=600.0)
+            b = await Pipe(server, events).handshake(lease=600.0)
+            await a.call(a.client.acquire(1, "R1", "X"))
+            await b.call(b.client.acquire(2, "R2", "S"))
+            durable = table_dump(server)
+            flushes = server.stats.journal_flushes
+
+            disk.armed = True
+            del events[:]
+            calls = [
+                asyncio.ensure_future(a.client.acquire(1, "R3", "X")),
+                asyncio.ensure_future(b.client.commit(2)),
+            ]
+            for _ in range(4):
+                await asyncio.sleep(0)
+            for pipe in (a, b):  # both bursts, one loop turn
+                (segment,) = pipe.client_transport.take()
+                pipe.connection.data_received(segment)
+            assert table_dump(server) != durable  # the steps did run
+            await asyncio.sleep(0)  # the settle whose flush fails
+
+            assert isinstance(server.failed, OSError)
+            assert journal.failed is server.failed
+            assert server.stats.journal_flushes == flushes
+            assert not server._server.is_serving()
+            # Aborted, nothing written first — and nothing afterwards,
+            # whatever still runs: asyncio's connection_lost, a tick.
+            server_side = [e[:2] for e in events if e[1] == "server"]
+            assert server_side == [("close", "server")] * 2
+            a.lose(), b.lose()
+            server._tick(server.core.detect_step)
+            server._tick(server.core.expire_sessions)
+            assert [e[:2] for e in events if e[1] == "server"] == server_side
+            assert a.server_transport.take() == []
+            assert b.server_transport.take() == []
+            for call in calls:
+                with pytest.raises(ConnectionError):
+                    await call
+            with pytest.raises(OSError) as surfaced:
+                await serving
+            assert surfaced.value is server.failed
+            with pytest.raises(OSError):
+                await server.aclose()
+            return durable
+
+        durable = asyncio.run(go())
+        reread = SessionJournal(path)
+        assert reread.corrupt_tail == 0  # cut back, not merely torn
+        replica = ServiceCore(policy="periodic")
+        report = recover_into(replica, reread)
+        reread.close()
+        assert report.replay_errors == 0
+        recovered = json.dumps(
+            table_to_dict(replica.manager.table), sort_keys=True
+        )
+        assert recovered == durable
+
+
+def test_repro_serve_exits_nonzero_when_the_disk_fills(tmp_path):
+    """The whole fail-stop on the real surface: ``repro serve`` under a
+    16 KB file-size limit (the portable stand-in for a full disk), a
+    client committing batched transactions until the journal hits it."""
+    journal = tmp_path / "sessions.jsonl"
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--period", "0", "--journal", str(journal)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_FSIZE, (16384, 16384)
+        ),
+    ) as server:
+        try:
+            banner = server.stdout.readline()
+            port = int(banner.split("listening on 127.0.0.1:")[1].split()[0])
+
+            async def commit_until_dropped():
+                client = await AsyncLockClient.connect("127.0.0.1", port)
+                for tid in range(1, 2000):
+                    frame = client.pipeline().begin(tid)
+                    for k in range(8):
+                        frame.lock(tid, "r{}-{}".format(tid, k), "S")
+                    try:
+                        await frame.submit()
+                        await client.commit(tid)
+                    except ConnectionError:
+                        return tid
+                return None
+
+            dropped_at = asyncio.run(commit_until_dropped())
+            assert dropped_at is not None, "the server never stopped"
+            assert server.wait(timeout=30) != 0
+            assert "File too large" in server.stderr.read()
+        finally:
+            server.kill()  # no-op once it has exited
+    # What is on disk is whole records, every one acknowledged-or-not
+    # but none torn: the journal cut itself back to its last flush.
+    reread = SessionJournal.from_text(journal.read_text())
+    assert reread.corrupt_tail == 0 and len(reread) > 2 * (dropped_at - 2)

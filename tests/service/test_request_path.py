@@ -4,7 +4,9 @@ No sockets and no clocks: an :class:`AsyncLockClient` and a
 :class:`ServerConnection` are joined by recording transports
 (:class:`tests.service.raw.Pipe`) and every segment is delivered by
 hand, so each test *counts* — writes, journal flushes, ``data_received``
-calls, timer handles — instead of timing anything.
+calls, timer handles — instead of timing anything.  The settle is once
+per loop turn: ``Pipe.to_server`` delivers its segments and then yields
+that one turn.
 """
 
 import asyncio
@@ -14,6 +16,7 @@ import pytest
 from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
 from repro.service import LockServer
+from repro.service.core import ServiceCore
 from repro.service.journal import SessionJournal
 from repro.service.protocol import encode_frame, request
 
@@ -125,6 +128,87 @@ class TestOneBurstOneCommitOneWrite:
 
         run(go())
 
+    def test_two_connections_read_in_one_turn_share_one_commit(
+        self, wire, tmp_path
+    ):
+        """Two connections readable in the same ``select()``: their
+        bursts cost ONE flush, ONE fsync and one write each — the group
+        commit's unit is the loop turn, not the connection."""
+
+        async def go():
+            events = []
+            server, journal = await journaled_server(tmp_path, events)
+            a = await Pipe(server, events, wire).handshake()
+            b = await Pipe(server, events, wire).handshake()
+            stats = server.stats
+            flushes, records = stats.journal_flushes, stats.journal_records
+            fsyncs = journal.fsyncs
+            locks = [
+                asyncio.ensure_future(pipe.client.acquire(tid, rid, "X"))
+                for pipe, tid in ((a, 1), (b, 2))
+                for rid in ("P{}".format(tid), "Q{}".format(tid))
+            ]
+            del events[:]
+
+            for _ in range(4):  # both clients' coalescing flushes
+                await asyncio.sleep(0)
+            for pipe in (a, b):  # both read in the same loop turn
+                (segment,) = pipe.client_transport.take()
+                pipe.connection.data_received(segment)
+            # Both bursts ran their core steps; nothing left the server.
+            assert stats.journal_records == records + 4
+            assert journal.unflushed() == 4
+            assert [e for e in events if e[1] != "client"] == []
+            await asyncio.sleep(0)  # the turn's one settle
+
+            assert stats.journal_flushes == flushes + 1
+            assert journal.fsyncs == fsyncs + 1
+            assert [e for e in events if e[1] != "client"] == [
+                ("flush", "journal", 4),
+                ("write", "server", None),
+                ("write", "server", None),
+            ]
+            for pipe in (a, b):
+                (segment,) = await pipe.to_client()
+                assert len(frames_in(segment, pipe.client._frames.codec)) == 2
+            assert await asyncio.gather(*locks) == [True] * 4
+            await server.aclose()
+
+        run(go())
+
+    def test_a_batch_frame_is_one_record_and_its_commit_one_more(
+        self, wire, tmp_path
+    ):
+        """``begin`` + 8 locks in one ``batch`` frame append exactly one
+        record, the commit one more: +2 per transaction, not +10."""
+
+        async def go():
+            events = []
+            server, journal = await journaled_server(tmp_path, events)
+            pipe = await Pipe(server, events, wire).handshake()
+            client, stats = pipe.client, server.stats
+            for tid in (1, 2, 3):
+                records, flushes = stats.journal_records, stats.journal_flushes
+                frame = client.pipeline().begin(tid)
+                for k in range(8):
+                    frame.lock(tid, "r{}-{}".format(tid, k), "S")
+                (results,), _, _ = await pipe.call(frame.submit())
+                assert [row["ok"] for row in results] == [True] * 9
+                assert stats.journal_records == records + 1
+                await pipe.call(client.commit(tid))
+                assert stats.journal_records == records + 2
+                assert stats.journal_flushes == flushes + 2
+            await server.aclose()
+            # The file holds what the counters say, one line per record.
+            with open(journal.path) as handle:
+                kinds = [line.split('"kind":"')[1].split('"')[0]
+                         for line in handle]
+            assert kinds == ["boot", "open"] + ["batch", "finish"] * 3 + [
+                "close"
+            ]
+
+        run(go())
+
 
 @WIRES
 class TestNoReplyBeforeItsFlush:
@@ -206,6 +290,35 @@ class TestNoReplyBeforeItsFlush:
 
         run(go())
 
+    def test_detector_tick_between_a_burst_and_its_settle(
+        self, wire, tmp_path
+    ):
+        """A timer callback that runs before the burst's deferred settle
+        settles everything itself — the burst's replies leave behind the
+        flush of the burst's records — and the deferred settle then
+        finds nothing: no second flush, no second write."""
+
+        async def go():
+            server, journal, pipe, events = await self.setup(tmp_path, wire)
+            del events[:]
+            lock = asyncio.ensure_future(pipe.client.acquire(1, "R", "X"))
+            await pipe.to_server(settle=False)
+            assert journal.unflushed() == 1 and events[1:] == []
+            server._tick(server.core.detect_step)
+            self.check(events, expect_close=False)
+            settled = list(events)
+            await asyncio.sleep(0)  # the burst's own, now empty, settle
+            assert events == settled
+            assert [e[:2] for e in events if e[1] != "client"] == [
+                ("flush", "journal"),
+                ("write", "server"),
+            ]
+            await pipe.to_client()
+            assert await lock is True
+            await server.aclose()
+
+        run(go())
+
     def test_frame_too_large_close(self, wire, tmp_path):
         async def go():
             server, journal, pipe, events = await self.setup(tmp_path, wire)
@@ -221,6 +334,7 @@ class TestNoReplyBeforeItsFlush:
             )
             pipe.connection.frames.max_frame = 1024
             pipe.connection.data_received(lock + oversized)
+            await asyncio.sleep(0)  # the turn's settle
             self.check(events, expect_close=True)
             replies = frames_in(b"".join(pipe.server_transport.take()), codec)
             assert [reply["id"] for reply in replies] == [7, None]
@@ -251,6 +365,7 @@ class TestFlowControl:
             bursts = 0
             while transport.reading and bursts < 1000:
                 connection.data_received(burst)  # never transport.take()
+                await asyncio.sleep(0)  # one burst, one loop turn
                 bursts += 1
             assert not transport.reading and connection.paused
             # Bounded: it took a high-water mark's worth of replies,
@@ -368,3 +483,65 @@ class TestParkedWaitTimers:
             await server.aclose()
 
         run(go())
+
+
+class TestBatchRecordHoldsWhatMutated:
+    """The frame's one record lists the sub-ops that touched the table
+    — a lock that blocks is in it (it joined a queue), a sub-op that
+    errors or a re-sent lock that only resumes a wait is not."""
+
+    def core(self):
+        core = ServiceCore(policy="periodic", journal=SessionJournal())
+        mine, other = core.open_session(), core.open_session()
+        core.begin_step(other, 9)
+        core.lock_step(other, 9, "held", LockMode.X)
+        return core, mine
+
+    def test_errors_and_blocks_are_journaled_exactly_as_they_mutate(self):
+        core, mine = self.core()
+        before = len(core.journal)
+        results = core.batch_step(mine, [
+            {"op": "begin", "tid": 1},
+            {"op": "begin", "tid": 1},  # already claimed: nothing new
+            {"op": "lock", "tid": 1, "rid": "free", "mode": "S"},
+            {"op": "lock", "tid": 1, "rid": "free", "mode": "?"},  # error
+            {"op": "lock", "tid": 9, "rid": "free", "mode": "S"},  # not ours
+            {"op": "lock", "tid": 1, "rid": "held", "mode": "S"},  # blocks
+            {"op": "lock", "tid": 1, "rid": "held", "mode": "S"},  # resumes
+            {"op": "stats"},  # cannot be batched
+        ])
+        assert [row["ok"] for row in results] == [
+            True, True, True, False, False, True, True, False,
+        ]
+        assert [row.get("status") for row in results[5:7]] == ["blocked"] * 2
+        assert core.stats.journal_records == len(core.journal) == before + 1
+        record = core.journal.records()[-1]
+        assert record["kind"] == "batch" and record["sid"] == mine.sid
+        assert [list(op[:3]) for op in record["ops"]] == [
+            ["begin", 1],
+            ["lock", 1, "free"],
+            ["lock", 1, "held"],
+        ]
+
+    def test_a_frame_that_mutates_nothing_appends_nothing(self):
+        core, mine = self.core()
+        before = len(core.journal)
+        core.batch_step(mine, [
+            {"op": "lock", "tid": 9, "rid": "free", "mode": "S"},
+            {"op": "commit", "tid": 9},
+            {"op": "nonsense"},
+        ])
+        assert core.stats.journal_records == len(core.journal) == before
+
+    def test_single_op_frames_keep_their_own_records(self):
+        core, mine = self.core()
+        before = len(core.journal)
+        core.begin_step(mine, 1)
+        core.lock_step(mine, 1, "free", LockMode.S)
+        core.finish_step(mine, 1, False)
+        assert core.journal.records()[before:] == [
+            {"kind": "begin", "sid": mine.sid, "tid": 1},
+            {"kind": "lock", "sid": mine.sid, "tid": 1, "rid": "free",
+             "mode": "S", "seq": core.journal.records()[before + 1]["seq"]},
+            {"kind": "finish", "sid": mine.sid, "tid": 1, "ab": False},
+        ]
