@@ -425,7 +425,7 @@ class LockstepModel:
             failures = apply()
             stats.state_checks += 1
             table = worlds.subject.table
-            failures.extend(check_state(table))
+            failures.extend(check_state(table, stats))
             if worlds.reference is not None:
                 stats.equivalence_checks += 1
                 failures.extend(self._compare_worlds(worlds, table))

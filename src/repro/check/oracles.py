@@ -17,6 +17,8 @@ bookkeeping the networked stack relies on:
   wait-for-graph oracle sees a deadlock;
 * **upr** (Theorem 3.1) — along any holder list, once one blocked
   conversion is non-grantable, no later one is grantable;
+* **saturation** — a table whose every holder is blocked (the lock
+  server's run-the-pass-now trigger) is deadlocked;
 * **detection** (Theorem 4.1 / TDR-2) — a periodic pass leaves no
   cycle, never acts on a deadlock-free table, and when every cycle was
   resolved by queue repositioning the pass aborted nobody (the
@@ -117,11 +119,22 @@ def check_upr(table: LockTable) -> List[OracleFailure]:
     return failures
 
 
-def check_state(table: LockTable) -> List[OracleFailure]:
-    """All per-state oracles: table invariants, Theorem 1, UPR."""
+def check_state(table: LockTable, stats=None) -> List[OracleFailure]:
+    """All per-state oracles: table invariants, Theorem 1, UPR and — on
+    a saturated table, counted in the :class:`OracleStats` ``stats`` —
+    saturation ⇒ deadlock."""
     failures = check_table(table)
     failures.extend(check_theorem1(table))
     failures.extend(check_upr(table))
+    if table.saturated():
+        if stats is not None:
+            stats.saturation_checks += 1
+        if not has_deadlock(table):
+            failures.append(OracleFailure(
+                "saturation",
+                "every lock holder is blocked, yet the WFG oracle sees "
+                "no deadlock among {}".format(sorted(table.blocked_tids())),
+            ))
     return failures
 
 
@@ -481,6 +494,7 @@ class OracleStats:
     equivalence_checks: int = 0
     recovery_checks: int = 0
     incident_checks: int = 0
+    saturation_checks: int = 0  # states that were saturated
     failures: int = 0
 
     def absorb(self, other: "OracleStats") -> None:
@@ -491,4 +505,5 @@ class OracleStats:
         self.equivalence_checks += other.equivalence_checks
         self.recovery_checks += other.recovery_checks
         self.incident_checks += other.incident_checks
+        self.saturation_checks += other.saturation_checks
         self.failures += other.failures

@@ -90,7 +90,8 @@ class CheckReport:
                 ),
             ),
             "oracle checks: {} state, {} detection, {} service, "
-            "{} span, {} equivalence, {} recovery, {} incident".format(
+            "{} span, {} equivalence, {} recovery, {} incident, "
+            "{} saturation".format(
                 stats.state_checks,
                 stats.detection_checks,
                 stats.service_checks,
@@ -98,6 +99,7 @@ class CheckReport:
                 stats.equivalence_checks,
                 stats.recovery_checks,
                 stats.incident_checks,
+                stats.saturation_checks,
             ),
             "trace digest: {}".format(self.trace_digest),
         ]

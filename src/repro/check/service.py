@@ -473,7 +473,7 @@ class ServiceModel:
             core.pump()
             stats.state_checks += 1
             stats.service_checks += 1
-            failures.extend(check_state(core.manager.table))
+            failures.extend(check_state(core.manager.table, stats))
             failures.extend(check_service(core))
             if failures:
                 stats.failures += len(failures)

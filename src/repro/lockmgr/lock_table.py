@@ -175,6 +175,15 @@ class LockTable:
         tids.update(self._blocked_at)
         return tids
 
+    def saturated(self) -> bool:
+        """Somebody is blocked and every holder is — a proven deadlock:
+        every wait chain ends at a holder, so the wait-for graph has no
+        sink, hence a cycle.  Count test first, then O(holders)."""
+        blocked, held = self._blocked_at, self._held
+        if not blocked or len(blocked) < len(held):
+            return False
+        return held.keys() <= blocked.keys()
+
     # -- index maintenance (called by the scheduler) ----------------------
 
     def note_holder(self, tid: int, rid: str) -> None:

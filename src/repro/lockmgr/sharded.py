@@ -250,6 +250,10 @@ class MergedTableView:
             tids.update(shard.table.active_tids())
         return tids
 
+    def saturated(self) -> bool:
+        blocked = set(self.blocked_tids())
+        return bool(blocked) and self.active_tids() == blocked
+
     # -- presentation ----------------------------------------------------
 
     def snapshot(self) -> List[ResourceState]:
@@ -638,6 +642,11 @@ class ShardedLockCore:
 
     def deadlocked(self) -> bool:
         return self.graph().has_cycle()
+
+    def saturated(self) -> bool:
+        """:meth:`LockTable.saturated`, across shards over the union of
+        their indexes (exact while one writer drives the core)."""
+        return self.table.saturated()
 
     def shard_summaries(self) -> List[Dict[str, int]]:
         """Per-shard load figures for admin payloads and metrics."""

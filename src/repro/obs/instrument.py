@@ -104,6 +104,10 @@ class Telemetry:
         "requests moved behind the AV prefix by TDR-2",
     )
     _passes = _counter("repro_detector_passes_total", "detection passes run")
+    _certain_passes = _counter(
+        "repro_detector_certain_passes_total",
+        "passes run at once because every lock holder was blocked",
+    )
     _cycles = _counter(
         "repro_detector_cycles_found_total",
         "deadlock cycles found (the paper's c')",
@@ -246,6 +250,11 @@ class Telemetry:
         """One journal group commit took ``seconds`` to write+fsync."""
         if self.enabled:
             self._fsync_seconds.observe(seconds)
+
+    def certain_pass(self) -> None:
+        """The host runs a pass now: its lock table is saturated."""
+        if self.enabled:
+            self._certain_passes.inc()
 
     def finish(self, tid: int, aborted: bool = False) -> None:
         """Transaction end: close its spans, forget its pending wait."""

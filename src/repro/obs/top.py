@@ -263,12 +263,13 @@ def render_dashboard(
     )
     lines.append(
         "detector: {} passes  {} with deadlock  abort-free ratio {}  "
-        "TDR-1 {}  TDR-2 {}".format(
+        "TDR-1 {}  TDR-2 {}  certain {}".format(
             int(passes),
             int(deadlock_passes),
             ratio,
             int(sample.counter_total("repro_detector_tdr1_total")),
             int(sample.counter_total("repro_detector_tdr2_total")),
+            int(sample.counter_total("repro_detector_certain_passes_total")),
         )
     )
     policy_name = stats.get("policy")

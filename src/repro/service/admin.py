@@ -50,6 +50,8 @@ class ServiceStats:
         "batched_ops",
         "batch_saved_roundtrips",
         "detector_passes",
+        # Passes run because the table was saturated, not on the clock.
+        "certain_passes",
         "deadlocks_resolved",
         "abort_free_resolutions",
         "queue_repositionings",

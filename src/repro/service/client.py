@@ -26,6 +26,7 @@ from ..core.errors import TransactionAborted
 from ..core.modes import LockMode, parse_mode
 from .protocol import (
     MAX_FRAME,
+    WIRE_VERSION,
     ProtocolError,
     RemoteDetectionResult,
     ServiceError,
@@ -166,7 +167,7 @@ class AsyncLockClient(asyncio.Protocol):
     async def _handshake(self, op: str, fields: Dict[str, Any]) -> None:
         if self._want_wire != WIRE_JSON:
             fields["wire"] = self._want_wire
-        response = await self._call(op, **fields)
+        response = await self._call(request(None, op, **fields))
         self.session = response["session"]
         self.lease = float(response["lease"])
         self.server_info = dict(response.get("server", {}))
@@ -182,7 +183,8 @@ class AsyncLockClient(asyncio.Protocol):
         self._closed = True
         self.suspend_heartbeat()
         try:
-            await asyncio.wait_for(self._send_raw("goodbye"), timeout=2.0)
+            goodbye = self._call(request(None, "goodbye"))
+            await asyncio.wait_for(goodbye, timeout=2.0)
         except (ServiceError, ConnectionError, OSError, asyncio.TimeoutError):
             pass
         await self.disconnect()
@@ -219,7 +221,7 @@ class AsyncLockClient(asyncio.Protocol):
         while True:
             await asyncio.sleep(interval)
             try:
-                await self._call("heartbeat")
+                await self.heartbeat()
             except (ServiceError, ConnectionError, OSError):
                 return
 
@@ -283,7 +285,7 @@ class AsyncLockClient(asyncio.Protocol):
     def _fail_pending(self, exc: Exception) -> None:
         # Remember the terminal error: once the connection is gone, any
         # *future* request would park a response future nobody can ever
-        # complete — _send_raw uses this to fail fast instead.
+        # complete — _call uses this to fail fast instead.
         if self._conn_error is None:
             self._conn_error = exc
         for future in self._pending.values():
@@ -296,7 +298,11 @@ class AsyncLockClient(asyncio.Protocol):
         if self._transport is not None:
             self._transport.write(b"".join(outbox))
 
-    async def _send_raw(self, op: str, **fields: Any) -> Dict[str, Any]:
+    async def _call(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """One request (``frame``: a :func:`~repro.service.protocol.
+        request` body, its ``id`` assigned here) and its reply, or raise."""
+        if self._closed and frame["op"] != "goodbye":
+            raise ConnectionError("client is closed")
         # The writable gate: while the server is not draining what was
         # already written, callers queue here, not in the buffer.
         while self._writable is not None:
@@ -305,11 +311,9 @@ class AsyncLockClient(asyncio.Protocol):
             raise ConnectionError(
                 "connection lost: {}".format(self._conn_error)
             )
-        request_id = self._next_id
-        self._next_id += 1
-        data = self._frames.codec.encode(
-            request(request_id, op, **fields), None, self._frames.max_frame
-        )
+        request_id = frame["id"] = self._next_id
+        self._next_id = request_id + 1
+        data = self._frames.codec.encode(frame, None, self._frames.max_frame)
         future = self._pending[request_id] = self._loop.create_future()
         # Every request issued in this loop turn — one per transaction
         # that was woken by the last segment — leaves in one write.
@@ -320,21 +324,19 @@ class AsyncLockClient(asyncio.Protocol):
             response = await future
         finally:
             self._pending.pop(request_id, None)
+        if response.get("ok"):
+            return response
         return raise_for_error(response)
-
-    async def _call(self, op: str, **fields: Any) -> Dict[str, Any]:
-        if self._closed:
-            raise ConnectionError("client is closed")
-        return await self._send_raw(op, **fields)
 
     # -- the locking surface ---------------------------------------------------
 
     async def begin(self, tid: Optional[int] = None) -> int:
         """Register a transaction with this session; with ``tid=None``
         the server assigns a fresh id."""
-        fields = {} if tid is None else {"tid": tid}
-        response = await self._call("begin", **fields)
-        return int(response["tid"])
+        frame = request(None, "begin")
+        if tid is not None:
+            frame["tid"] = tid
+        return int((await self._call(frame))["tid"])
 
     async def acquire(
         self,
@@ -353,7 +355,12 @@ class AsyncLockClient(asyncio.Protocol):
         as victim.
         """
         mode_name = mode.name if isinstance(mode, LockMode) else str(mode)
-        fields: Dict[str, Any] = {
+        # request("lock", ...) spelled out: eight of a transaction's ten
+        # frames are this one, built once and sent as it is.
+        frame: Dict[str, Any] = {
+            "v": WIRE_VERSION,
+            "id": None,
+            "op": "lock",
             "tid": tid,
             "rid": rid,
             "mode": mode_name,
@@ -361,9 +368,8 @@ class AsyncLockClient(asyncio.Protocol):
             "trace": self.trace_of(tid),
         }
         if timeout is not None:
-            fields["timeout"] = timeout
-        response = await self._call("lock", **fields)
-        status = response["status"]
+            frame["timeout"] = timeout
+        status = (await self._call(frame))["status"]
         if status == "granted":
             return True
         if status in ("blocked", "timeout"):
@@ -377,11 +383,11 @@ class AsyncLockClient(asyncio.Protocol):
     lock = acquire
 
     async def commit(self, tid: int) -> None:
-        await self._call("commit", tid=tid)
+        await self._call(request(None, "commit", tid=tid))
         self._traces.pop(tid, None)
 
     async def abort(self, tid: int) -> None:
-        await self._call("abort", tid=tid)
+        await self._call(request(None, "abort", tid=tid))
         self._traces.pop(tid, None)
 
     # -- pipelined batches -------------------------------------------------
@@ -403,7 +409,7 @@ class AsyncLockClient(asyncio.Protocol):
                     op["trace"] = self.trace_of(int(op["tid"]))
                 except (KeyError, ValueError, TypeError):
                     pass  # the server reports the malformed sub-op
-        response = await self._call("batch", ops=ops)
+        response = await self._call(request(None, "batch", ops=ops))
         return list(response["results"])
 
     def pipeline(self) -> "LockPipeline":
@@ -466,37 +472,41 @@ class AsyncLockClient(asyncio.Protocol):
 
     async def detect(self) -> RemoteDetectionResult:
         """Ask the server for one periodic detection-resolution pass."""
-        return RemoteDetectionResult(await self._call("detect"))
+        reply = await self._call(request(None, "detect"))
+        return RemoteDetectionResult(reply)
 
     async def snapshot(self) -> Dict[str, Any]:
         """The server's RST slice for a cluster coordinator: the
         versioned table dump plus each live resource's cluster-wide
         first-lock sequence number (see :mod:`repro.cluster`)."""
-        return dict((await self._call("snapshot"))["snapshot"])
+        reply = await self._call(request(None, "snapshot"))
+        return dict(reply["snapshot"])
 
     async def resolve(self, plan: Dict[str, Any]) -> Dict[str, Any]:
         """Apply a coordinator resolution plan on the server (the
         ``resolve`` op: repositions / victims / releases / sweeps, each
         re-checked against live state).  Returns the per-item reply."""
-        return dict((await self._call("resolve", plan=plan))["reply"])
+        reply = await self._call(request(None, "resolve", plan=plan))
+        return dict(reply["reply"])
 
     async def heartbeat(self) -> float:
         """Explicit lease renewal; returns the remaining lease time."""
-        return float((await self._call("heartbeat"))["remaining"])
+        reply = await self._call(request(None, "heartbeat"))
+        return float(reply["remaining"])
 
     async def inspect(self) -> Dict[str, Any]:
-        return await self._call("inspect")
+        return await self._call(request(None, "inspect"))
 
     async def graph(self, dot: bool = False) -> Dict[str, Any]:
-        return await self._call("graph", dot=dot)
+        return await self._call(request(None, "graph", dot=dot))
 
     async def stats(self) -> Dict[str, Any]:
-        return dict((await self._call("stats"))["stats"])
+        return dict((await self._call(request(None, "stats")))["stats"])
 
     async def metrics(self) -> Dict[str, Any]:
         """The server's metrics registry: JSON snapshot, Prometheus
         text exposition and the telemetry enabled flag."""
-        return await self._call("metrics")
+        return await self._call(request(None, "metrics"))
 
     async def spans(
         self, limit: int = 0, annotations: bool = False
@@ -505,24 +515,25 @@ class AsyncLockClient(asyncio.Protocol):
         all retained spans; ``annotations=True`` also lists the
         born-finished pass/resolution annotation spans)."""
         return await self._call(
-            "spans", limit=limit, annotations=annotations
+            request(None, "spans", limit=limit, annotations=annotations)
         )
 
     async def dump(self) -> Dict[str, Any]:
-        return await self._call("dump")
+        return await self._call(request(None, "dump"))
 
     async def log(self, limit: int = 100) -> Dict[str, Any]:
-        return await self._call("log", limit=limit)
+        return await self._call(request(None, "log", limit=limit))
 
     async def holding(self, tid: int) -> Dict[str, LockMode]:
-        response = await self._call("holding", tid=tid)
+        response = await self._call(request(None, "holding", tid=tid))
         return {
             rid: parse_mode(name)
             for rid, name in response["holding"].items()
         }
 
     async def deadlocked(self) -> bool:
-        return bool((await self._call("deadlocked"))["deadlocked"])
+        reply = await self._call(request(None, "deadlocked"))
+        return bool(reply["deadlocked"])
 
 
 class LockPipeline:

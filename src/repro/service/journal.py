@@ -59,7 +59,6 @@ response so clients can observe that they are talking to a reincarnation
 from __future__ import annotations
 
 import errno
-import json
 import os
 import zlib
 from contextlib import suppress
@@ -67,12 +66,14 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
+from .protocol import compact_encoder, json_decode
+
 #: Accepted values for the ``fsync`` policy knob.
 FSYNC_POLICIES = ("always", "batch", "never")
 
 
 #: The canonical-body encoder, built once (not per record).
-_encode_body = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode_body = compact_encoder(sort_keys=True)
 
 
 #: Fields of a ``begin``/``lock``/``finish`` record after ``sid`` — and,
@@ -103,7 +104,7 @@ def decode_record(line: str) -> Optional[Dict[str, Any]]:
     if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
         return None
     try:
-        record = json.loads(body)
+        record = json_decode(body)
     except ValueError:
         return None
     if not isinstance(record, dict) or "kind" not in record:

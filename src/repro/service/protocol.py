@@ -134,10 +134,43 @@ MAX_BATCH_OPS = 256
 
 _HEADER = struct.Struct(">I")
 
-#: The JSON codec, built once: ``json.dumps`` given separators builds a
-#: fresh encoder per call.  Same bytes out, same objects in.
-json_encode = json.JSONEncoder(separators=(",", ":")).encode
-json_decode = json.JSONDecoder().decode
+
+def compact_encoder(sort_keys: bool = False):
+    """``JSONEncoder(...).encode`` holding the C encoder that method
+    builds per call (same bytes, same exceptions), or that method."""
+    encoder = json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    markers: Dict[int, Any] = {}  # the circular-reference check's
+    chunks = json.encoder.c_make_encoder(
+        markers, encoder.default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", sort_keys, False, True,
+    )
+
+    def encode(obj: Any) -> str:
+        try:
+            return "".join(chunks(obj, 0))
+        except BaseException:
+            markers.clear()  # a failed encode leaves its path marked
+            raise
+
+    return encode
+
+
+#: The JSON codec, built once.  Same bytes out, same objects in.
+json_encode = compact_encoder()
+_decode = json.JSONDecoder().decode
+_scan_once = json.JSONDecoder().scan_once
+
+
+def json_decode(text: str) -> Any:
+    """``JSONDecoder().decode`` minus its two whitespace scans: a text
+    that is not exactly one value goes to the full decoder."""
+    try:
+        value, end = _scan_once(text, 0)
+    except StopIteration:
+        return _decode(text)
+    return value if end == len(text) else _decode(text)
 
 
 class ProtocolError(ReproError):

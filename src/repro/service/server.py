@@ -52,7 +52,10 @@ Architecture
   lock table.  A rude disconnect (no ``goodbye``) is cleaned up
   immediately.
 * **Periodic detector.**  With ``period`` set, an asyncio task runs the
-  paper's periodic detection-resolution pass on that cadence;
+  paper's periodic detection-resolution pass once ``period`` has gone
+  by without one; a step that leaves the lock table *saturated* (every
+  holder blocked: a cycle for certain) runs that pass at once, so
+  ``period`` bounds how long any other deadlock may persist.
   ``continuous=True`` instead resolves on every block, exactly as in
   the embedded manager.
 """
@@ -273,6 +276,10 @@ class LockServer:
         )
         self.continuous = self.core.continuous
         self.period = period
+        #: Passes run unasked (a deadlock-free policy, the nowait lane,
+        #: has nothing for one to find); loop time of the last of them.
+        self._clocked = period is not None and self.core.policy.wants_periodic
+        self._last_pass = 0.0
         self.lease = lease
         # The journal is built here but only replayed and attached in
         # :meth:`start` — recovery wants the loop clock installed first.
@@ -335,9 +342,7 @@ class LockServer:
             # can tell which process lifetime a deadlock belongs to.
             self.core.restart_epoch = self.restart_epoch
         self._tasks.append(asyncio.ensure_future(self._reaper_loop()))
-        # A deadlock-free policy (the nowait lane) has nothing for a
-        # periodic detector task to find.
-        if self.period is not None and self.core.policy.wants_periodic:
+        if self._clocked:
             self._tasks.append(asyncio.ensure_future(self._detector_loop()))
         if unix is not None:
             self._server = await loop.create_unix_server(
@@ -404,8 +409,23 @@ class LockServer:
         try:
             return fn()
         finally:
-            self.core.pump()
+            self._pump()
             self._settle()
+
+    def _pump(self) -> None:
+        """The one post-step path.  A step that left the table saturated
+        closed a cycle for certain: the pass runs now, not up to a period
+        later, and the pump answers its victim in this settle."""
+        core = self.core
+        if self._clocked and core.manager.saturated():
+            core.stats.certain_passes += 1
+            core.telemetry.certain_pass()
+            try:
+                self._pass()
+            except Exception:  # like a clock pass's: counted, survived
+                self.stats.tick_failures += 1
+                _LOG.exception("certain detection pass failed")
+        core.pump()
 
     def _settle(self) -> None:
         """Group-commit whatever was journaled since the last settle,
@@ -447,14 +467,21 @@ class LockServer:
     # -- background tasks ------------------------------------------------------
 
     async def _detector_loop(self) -> None:
-        # The policy may retune the interval between passes (the
-        # adaptive controller); consult it every iteration.
+        # A pass is due one period — which the policy may retune (the
+        # adaptive controller) — after the last pass of either kind.
+        self._last_pass = self._loop.time()
         while True:
             interval = self.core.policy.current_period(self.period)
-            await asyncio.sleep(
-                self.period if interval is None else interval
-            )
-            self._tick(self.core.detect_step)
+            last = self._last_pass
+            due = last + (self.period if interval is None else interval)
+            await asyncio.sleep(max(due - self._loop.time(), 0.0))
+            if self._last_pass == last:  # else a certain pass ran meanwhile
+                self._tick(self._pass)
+
+    def _pass(self):
+        """One detection pass, clock-driven or certain."""
+        self._last_pass = self._loop.time()
+        return self.core.detect_step()
 
     async def _reaper_loop(self) -> None:
         while True:
@@ -534,7 +561,7 @@ class LockServer:
                 self.core.close_session(session)
             else:
                 self._dispatch(connection, frame)
-        self.core.pump()
+        self._pump()
 
     def _handshake(self, connection: ServerConnection, first: dict) -> None:
         request_id = first.get("id")

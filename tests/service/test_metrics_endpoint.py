@@ -33,10 +33,11 @@ BLOCKED = ((1, "R1", LockMode.S), (2, "R1", LockMode.S),
 
 @pytest.fixture
 def server():
-    # A long detection period: the test triggers passes explicitly.
+    # No detector clock: the test triggers passes explicitly (a clocked
+    # server would run one itself the moment Example 4.1 saturates).
     # Periodic lane pinned: Example 4.1 is staged for those passes,
     # which the REPRO_POLICY=nowait CI leg would preempt.
-    with LoopbackServer(period=60.0, policy="periodic") as loopback:
+    with LoopbackServer(period=None, policy="periodic") as loopback:
         yield loopback
 
 

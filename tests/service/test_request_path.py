@@ -249,7 +249,7 @@ class TestNoReplyBeforeItsFlush:
             del events[:]
             client = pipe.client
             lock = asyncio.ensure_future(client.acquire(1, "R", "X"))
-            bye = asyncio.ensure_future(client._send_raw("goodbye"))
+            bye = asyncio.ensure_future(client._call(request(None, "goodbye")))
             sent = await pipe.to_server()
             assert len(sent) == 1  # lock + goodbye, one segment
             # lock record and the session's close record, one flush
@@ -396,6 +396,74 @@ class TestFlowControl:
             client.resume_writing()
             assert len(await pipe.to_server()) == 1
             await pipe.to_client()
+            assert await call == {}
+            pipe.lose()
+            await server.aclose()
+
+        run(go())
+
+
+class CountingLoop:
+    """The client's loop, counting the futures and callbacks it asks
+    for."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.futures = self.soons = 0
+
+    def create_future(self):
+        self.futures += 1
+        return self.loop.create_future()
+
+    def call_soon(self, *args):
+        self.soons += 1
+        return self.loop.call_soon(*args)
+
+
+class TestClientCallCost:
+    def test_n_calls_in_one_turn_one_future_each_one_write_in_all(self):
+        """One coroutine per call: a call asks the loop for one future,
+        the turn's first call for the one flush callback, and the N
+        frames — byte for byte what ``request()`` renders — leave in one
+        ``transport.write``."""
+
+        async def go():
+            server = LockServer(period=None, policy="periodic")
+            await server.start("127.0.0.1", 0)
+            pipe = await Pipe(server).handshake()
+            client = pipe.client
+            loop = client._loop = CountingLoop(client._loop)
+            first_id = client._next_id
+            traces = {tid: client.trace_of(tid) for tid in (7, 8)}
+            results, sent, _ = await pipe.call(
+                client.begin(7),
+                client.acquire(7, "R", "S"),
+                client.acquire(8, "Q", LockMode.X, timeout=2.0),
+                client.commit(7),
+            )
+            assert results == [7, True, True, None]
+            assert loop.futures == 4 and loop.soons == 1
+            assert sent == [b"".join(
+                encode_frame(request(first_id + n, op, **fields))
+                for n, (op, fields) in enumerate([
+                    ("begin", {"tid": 7}),
+                    ("lock", {"tid": 7, "rid": "R", "mode": "S",
+                              "wait": True, "trace": traces[7]}),
+                    ("lock", {"tid": 8, "rid": "Q", "mode": "X",
+                              "wait": True, "trace": traces[8],
+                              "timeout": 2.0}),
+                    ("commit", {"tid": 7}),
+                ])
+            )]
+            assert client._pending == {}
+            # A suspended call is two frames deep: the public method and
+            # the one request coroutine, which awaits the reply future.
+            call = asyncio.ensure_future(client.holding(7))
+            await asyncio.sleep(0)
+            inner = call.get_coro().cr_await
+            assert asyncio.iscoroutine(inner)
+            assert not asyncio.iscoroutine(inner.cr_await)
+            await pipe.call()
             assert await call == {}
             pipe.lose()
             await server.aclose()

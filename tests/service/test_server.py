@@ -397,7 +397,7 @@ class TestIntrospectionOps:
             async with running_server(period=None) as server:
                 async with connected(server) as client:
                     with pytest.raises(ServiceError) as excinfo:
-                        await client._call("frobnicate")
+                        await client._call(request(None, "frobnicate"))
                     assert excinfo.value.code == "bad-op"
 
         asyncio.run(go())

@@ -70,8 +70,9 @@ def _families(registry) -> Set[str]:
 
 
 def _live_server_families() -> Set[str]:
-    """What only a journaled server with connections feeds: a restart
-    on a non-empty journal, 64+ frames per codec, one routed plan."""
+    """What only a journaled, clocked server with connections feeds: a
+    restart on a non-empty journal, 64+ frames per codec, one routed
+    plan, one cycle that saturates the table (a certain pass)."""
 
     async def chat(server, wire):
         client = await AsyncLockClient.connect(
@@ -80,6 +81,10 @@ def _live_server_families() -> Set[str]:
         try:
             for _ in range(130):
                 await client.heartbeat()
+            for tid, rid in ((1, "A"), (2, "B"), (1, "B"), (2, "A")):
+                await client.acquire(tid, rid, "X", wait=False)
+            for tid in (1, 2):
+                await client.abort(tid)
         finally:
             await client.close()
 
@@ -87,7 +92,7 @@ def _live_server_families() -> Set[str]:
         path = os.path.join(scratch, "journal.jsonl")
         for _ in range(2):  # the second boot replays the first's records
             with LoopbackServer(
-                period=None, policy="periodic", journal_path=path
+                period=60.0, policy="periodic", journal_path=path
             ) as server:
                 for wire in ("json", "binary"):
                     asyncio.run(chat(server, wire))

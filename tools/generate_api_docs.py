@@ -116,6 +116,13 @@ python -m repro trace-export --port 7411 [--out spans.jsonl] [--limit N]
 python -m repro incidents {list,show,graph} FILE [--id ID]
 ```
 
+`--period` (shipped default 0.5 s) is the longest a deadlock may
+persist, not how long every deadlock waits: a step that leaves the lock
+table *saturated* — somebody blocked and every lock holder blocked,
+which proves a cycle — runs the detection pass at once
+(`stats` -> `certain_passes`), so the period bounds only deadlocks that
+spare some running holder, and the clock pass is due one period after
+the last pass of either kind (DESIGN.md, "When a pass runs").
 `remote metrics` prints the Prometheus text exposition; `top` renders a
 refreshing operator dashboard from `metrics`/`stats`/`inspect` (with
 `--cluster` it polls every worker and adds per-worker rows plus
