@@ -5,15 +5,13 @@ O(n + e·(c' + 1)) with cycles, victim selection in O(n), and
 c' ≤ min(c, n).  These helpers run the detector over parametric
 scenarios, read its instrumentation counters and check/report the
 scaling.  ``fit_linearity`` quantifies how close a measured curve is to
-linear via the residual of a least-squares line (using numpy).
+linear via the residual of a least-squares line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
 
 from ..core.detection import DetectionResult, detect_once
 from ..core.victim import CostTable
@@ -89,15 +87,20 @@ def fit_linearity(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, floa
     An R² near 1 on a work-vs-size curve is the empirical signature of
     the claimed linear scaling.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    total = float(((y - y.mean()) ** 2).sum())
+    count = len(xs)
+    mean_x = sum(xs) / count
+    mean_y = sum(ys) / count
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    total = sum((y - mean_y) ** 2 for y in ys)
     if total == 0.0:
-        return float(slope), 1.0
-    residual = float(((y - predicted) ** 2).sum())
-    return float(slope), 1.0 - residual / total
+        return slope, 1.0
+    residual = sum(
+        (y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)
+    )
+    return slope, 1.0 - residual / total
 
 
 def check_cprime_bounds(result: DetectionResult, circuits: int) -> bool:

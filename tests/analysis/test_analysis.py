@@ -92,6 +92,31 @@ class TestComplexityMeasurement:
         slope, r_squared = fit_linearity([1, 2, 3], [5, 5, 5])
         assert r_squared == 1.0
 
+    @pytest.mark.parametrize(
+        "xs, ys, slope, r_squared",
+        [
+            ([1, 2, 3, 4, 5], [3, 5, 7, 9, 11], 2.0, 1.0),
+            ([1, 2, 3], [5, 5, 5], -5.390097238974605e-16, 1.0),
+            ([2.0, 10.0], [7.0, 31.0], 2.999999999999999, 1.0),
+            (
+                [4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256],
+                [23, 41, 66, 79, 131, 158, 251, 322, 471, 655, 940, 1301],
+                5.010248332097849,
+                0.9992718066352262,
+            ),
+        ],
+        ids=["perfect-line", "constant-y", "two-points", "noisy-12"],
+    )
+    def test_fit_linearity_matches_the_polyfit_it_replaced(
+        self, xs, ys, slope, r_squared
+    ):
+        # Expected values are what the np.polyfit(x, y, 1) version
+        # returned at commit 3242e28; the closed form must not move the
+        # C1–C4 tables in EXPERIMENTS.md.
+        got_slope, got_r_squared = fit_linearity(xs, ys)
+        assert abs(got_slope - slope) < 1e-9
+        assert abs(got_r_squared - r_squared) < 1e-9
+
 
 class TestGraphStats:
     def test_stats_of_example_41(self):

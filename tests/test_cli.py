@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -193,7 +194,7 @@ class TestServiceCommands:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["serve", "--period", "0"])
-        assert args.run.__name__ == "cmd_serve"
+        assert args.run == "serve:cmd_serve"
         assert args.port == 7411
         assert args.period == 0.0
         assert args.lease == 5.0
@@ -252,7 +253,7 @@ class TestCheck:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["check"])
-        assert args.run.__name__ == "cmd_check"
+        assert args.run == "check:cmd_check"
         assert args.seed == 0
         assert args.schedules == 200
         assert not args.exhaustive
@@ -272,3 +273,157 @@ class TestHelpers:
     def test_read_table_json(self, example_json):
         table = read_table(example_json)
         assert table.blocked_at(1) == "R2"
+
+
+def parser_shape(parser):
+    """Per subcommand, each argument as (option strings or dest,
+    choices, default) in declaration order."""
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: [
+            (
+                " ".join(action.option_strings) or action.dest,
+                sorted(action.choices) if action.choices else None,
+                action.default,
+            )
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        for name, sub in commands.choices.items()
+    }
+
+
+#: ``parser_shape(build_parser())`` at commit 3242e28, the last one with
+#: a one-file ``cli.py`` (``pprint`` output, committed as printed).
+PARENT_PARSER_SHAPE = \
+{'inspect': [('file', None, None)],
+ 'graph': [('file', None, None), ('--dot', None, False)],
+ 'detect': [('file', None, None), ('--cost', None, []),
+            ('--no-tdr2', None, False), ('--trace', None, False)],
+ 'simulate': [('--strategy',
+               ['agrawal', 'elmagarmid', 'jiang', 'nowait',
+                'park-adaptive', 'park-continuous', 'park-periodic',
+                'timeout', 'wait-die', 'wfg', 'wound-wait'],
+               'park-periodic'),
+              ('--duration', None, 150.0), ('--terminals', None, 6),
+              ('--seed', None, 1), ('--period', None, 5.0),
+              ('--resources', None, 36), ('--write-fraction', None, 0.35),
+              ('--upgrade-fraction', None, 0.25),
+              ('--preset',
+               ['conversion-heavy', 'five-mode', 'high-contention',
+                'low-contention'],
+               None),
+              ('--metrics-out', None, None)],
+ 'compare': [('--strategies',
+              ['agrawal', 'elmagarmid', 'jiang', 'nowait',
+               'park-adaptive', 'park-continuous', 'park-periodic',
+               'timeout', 'wait-die', 'wfg', 'wound-wait'],
+              None),
+             ('--runs', None, 2), ('--duration', None, 150.0),
+             ('--terminals', None, 6), ('--seed', None, 1),
+             ('--period', None, 5.0), ('--resources', None, 36),
+             ('--write-fraction', None, 0.35),
+             ('--upgrade-fraction', None, 0.25),
+             ('--preset',
+              ['conversion-heavy', 'five-mode', 'high-contention',
+               'low-contention'],
+              None)],
+ 'profile': [('--strategy',
+              ['agrawal', 'elmagarmid', 'jiang', 'nowait',
+               'park-adaptive', 'park-continuous', 'park-periodic',
+               'timeout', 'wait-die', 'wfg', 'wound-wait'],
+              'park-periodic'),
+             ('--duration', None, 150.0), ('--terminals', None, 6),
+             ('--seed', None, 1), ('--period', None, 5.0),
+             ('--resources', None, 36), ('--write-fraction', None, 0.35),
+             ('--upgrade-fraction', None, 0.25),
+             ('--preset',
+              ['conversion-heavy', 'five-mode', 'high-contention',
+               'low-contention'],
+              None),
+             ('--top', None, 25),
+             ('--sort', ['calls', 'cumulative', 'tottime'], 'cumulative'),
+             ('--out', None, None)],
+ 'serve': [('--host', None, '127.0.0.1'), ('--port', None, 7411),
+           ('--unix', None, None), ('--max-frame', None, None),
+           ('--period', None, 0.5), ('--lease', None, 5.0),
+           ('--continuous', None, False),
+           ('--policy',
+            ['adaptive', 'continuous', 'nowait', 'periodic', 'predict'],
+            None),
+           ('--shards', None, None), ('--workers', None, 1),
+           ('--cost', None, []), ('--journal', None, None),
+           ('--journal-fsync', ['always', 'batch', 'never'], 'batch'),
+           ('--metrics-port', None, None),
+           ('--incident-log', None, None)],
+ 'remote': [('action',
+             ['detect', 'dump', 'graph', 'log', 'metrics', 'report',
+              'stats'],
+             None),
+            ('--host', None, '127.0.0.1'), ('--port', None, 7411),
+            ('--dot', None, False), ('--limit', None, 20)],
+ 'top': [('--host', None, '127.0.0.1'), ('--port', None, 7411),
+         ('--interval', None, 1.0), ('--once', None, False),
+         ('--cluster', None, None), ('--incidents', None, None)],
+ 'trace-export': [('--host', None, '127.0.0.1'), ('--port', None, 7411),
+                  ('--out', None, None), ('--limit', None, 0)],
+ 'incidents': [('action', ['graph', 'list', 'show'], None),
+               ('file', None, None), ('--id', None, None),
+               ('--limit', None, 0)],
+ 'check': [('--seed', None, 0), ('--schedules', None, 200),
+           ('--backends',
+            ['cluster', 'concurrent', 'policy', 'races', 'service',
+             'sharded'],
+            None),
+           ('--actors', None, 3),
+           ('--preset', ['tiny-five-mode', 'tiny-hot'], 'tiny-hot'),
+           ('--exhaustive', None, False), ('--no-faults', None, False),
+           ('--max-failures', None, 1), ('--no-shrink', None, False),
+           ('--artifact-dir', None, None), ('--replay', None, None),
+           ('--tail', ['error', 'first'], 'first'),
+           ('--trace', None, False)]}
+
+
+class TestParserAcrossTheSplit:
+    def test_parser_matches_the_parent_snapshot(self):
+        from repro.cli import build_parser
+
+        assert parser_shape(build_parser()) == PARENT_PARSER_SHAPE
+
+    def test_every_handler_string_resolves(self):
+        from repro.cli import build_parser, load_handler
+
+        parser = build_parser()
+        positionals = {
+            "inspect": ["f"], "graph": ["f"], "detect": ["f"],
+            "remote": ["stats"], "incidents": ["list", "f"],
+        }
+        for name in PARENT_PARSER_SHAPE:
+            args = parser.parse_args([name] + positionals.get(name, []))
+            handler = load_handler(args.run)
+            assert handler.__name__ == "cmd_" + name.replace("-", "_")
+
+    def test_literal_choices_match_their_tables(self):
+        from repro.cli import PRESET_NAMES, STRATEGY_NAMES
+        from repro.cli.simulate import STRATEGIES
+        from repro.sim.workload import PRESETS
+
+        assert list(STRATEGY_NAMES) == sorted(STRATEGIES)
+        assert list(PRESET_NAMES) == sorted(PRESETS)
+
+    @pytest.mark.parametrize("command", [None] + list(PARENT_PARSER_SHAPE))
+    def test_help_exits_zero(self, command, capsys):
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert "usage: repro" in capsys.readouterr().out
+
+    def test_unknown_subcommand_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["no-such-command"])
+        assert raised.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

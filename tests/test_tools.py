@@ -80,3 +80,17 @@ class TestMetricCatalog:
             line.startswith("stale: ") and "repro_never_produced_total" in line
             for line in problems
         )
+
+
+class TestImportClosure:
+    def test_reports_a_small_command_and_passes(self, capsys):
+        tool = load_tool("import_closure")
+        assert tool.main(["incidents", "list", "no-such-file"]) == 0
+        out = capsys.readouterr().out
+        assert "repro.obs" in out and "repro, total" in out
+        assert "import contract of `incidents` holds" in out
+
+    def test_unknown_command_is_usage(self, capsys):
+        tool = load_tool("import_closure")
+        assert tool.main(["no-such-command"]) == 2
+        assert "commands: serve" in capsys.readouterr().err
