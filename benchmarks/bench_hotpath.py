@@ -65,7 +65,7 @@ def build_state() -> ResourceState:
         mode = LockMode.IS if i < 4 else (
             LockMode.S if i % 2 else LockMode.IX
         )
-        state.queue.append(QueueEntry(tid=1000 + i, blocked=mode))
+        state.enqueue(QueueEntry(tid=1000 + i, blocked=mode))
     state.recompute_total()
     return state
 

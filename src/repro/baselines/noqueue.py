@@ -48,7 +48,7 @@ class NoQueueResource:
             state.holders.append(HolderEntry(tid, mode))
             state.recompute_total()
             return True
-        state.queue.append(QueueEntry(tid, mode))
+        state.enqueue(QueueEntry(tid, mode))
         return False
 
     def release(self, tid: int) -> List[int]:
@@ -67,7 +67,7 @@ class NoQueueResource:
                     compatible(holder.granted, waiter.blocked)
                     for holder in state.holders
                 ):
-                    state.queue.remove(waiter)
+                    state.remove_from_queue(waiter.tid)
                     state.holders.append(
                         HolderEntry(waiter.tid, waiter.blocked)
                     )

@@ -200,6 +200,9 @@ MODE_COUNT = len(ALL_MODES)
 #: Modes indexed by their integer value (``_MODES_BY_VALUE[int(m)] is m``).
 _MODES_BY_VALUE: Tuple[LockMode, ...] = tuple(sorted(ALL_MODES))
 
+#: ``MODE_NAMES[mode]`` — the mode's name without the enum descriptor.
+MODE_NAMES: Tuple[str, ...] = tuple(mode.name for mode in _MODES_BY_VALUE)
+
 #: ``COMPAT_ROWS[held][requested]`` — Table 1, tuple-indexed by value.
 COMPAT_ROWS: Tuple[Tuple[bool, ...], ...] = tuple(
     tuple(COMPATIBILITY[(a, b)] for b in _MODES_BY_VALUE)

@@ -22,7 +22,7 @@ import re
 from typing import List
 
 from .errors import NotationError
-from .modes import LockMode, parse_mode
+from .modes import parse_mode
 from .requests import HolderEntry, QueueEntry, ResourceState
 
 _RESOURCE_RE = re.compile(
@@ -74,7 +74,7 @@ def parse_resource(text: str) -> ResourceState:
     for entry_match in _QUEUE_ENTRY_RE.finditer(match.group("queue")):
         tid = entry_match.group("tid") or entry_match.group("tid2")
         mode = entry_match.group("bm") or entry_match.group("bm2")
-        state.queue.append(QueueEntry(tid=int(tid), blocked=parse_mode(mode)))
+        state.enqueue(QueueEntry(tid=int(tid), blocked=parse_mode(mode)))
 
     state.recompute_total()
     declared = match.group("total")
@@ -115,11 +115,6 @@ def format_resource(state: ResourceState) -> str:
 def format_table(states: List[ResourceState]) -> str:
     """Render several resources, one per line."""
     return "\n".join(format_resource(state) for state in states)
-
-
-def mode_letter(mode: LockMode) -> str:
-    """The mode's display name (alias kept for symmetry with parse_mode)."""
-    return mode.name
 
 
 def load_table(lock_table, text: str):

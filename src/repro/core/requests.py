@@ -16,11 +16,13 @@ policy that mutates them according to Section 3 lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+import sys
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import LockTableError
 from .modes import (
+    COMPAT_ROWS,
     CONFLICT_MASKS,
     MODE_COUNT,
     SUP_OF_MASK,
@@ -28,8 +30,14 @@ from .modes import (
     compatible,
 )
 
+_NL = LockMode.NL
 
-@dataclass
+#: ``@dataclass(**SLOTTED)``: slotted records (from Python 3.10 on; 3.9
+#: cannot generate ``__slots__`` and runs them unslotted).
+SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**SLOTTED)
 class HolderEntry:
     """One member of a resource's holder list: ``(tid, gm, bm)``.
 
@@ -40,12 +48,12 @@ class HolderEntry:
 
     tid: int
     granted: LockMode
-    blocked: LockMode = LockMode.NL
+    blocked: LockMode = _NL
 
     @property
     def is_blocked(self) -> bool:
         """True while this holder waits on a lock conversion."""
-        return self.blocked is not LockMode.NL
+        return self.blocked is not _NL
 
     def copy(self) -> "HolderEntry":
         return HolderEntry(self.tid, self.granted, self.blocked)
@@ -56,7 +64,7 @@ class HolderEntry:
         )
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class QueueEntry:
     """One member of a resource's queue: ``(tid, bm)``."""
 
@@ -75,7 +83,6 @@ def _tname(tid: int) -> str:
     return "T{}".format(tid)
 
 
-@dataclass
 class ResourceState:
     """Complete lock-table entry for one resource.
 
@@ -83,18 +90,22 @@ class ResourceState:
     state memoizes three queue summaries so the scheduler's hot path is
     O(1) instead of a holder-list scan:
 
-    * per-mode **counts** of granted and blocked holder modes, kept
-      incrementally by the mutator methods below;
     * the **granted-group / blocked-group masks** (bit sets over the mode
-      values) derived from the counts — one AND against a conflict mask
-      answers "compatible with every other holder?", and
-      ``SUP_OF_MASK[granted | blocked]`` *is* the total mode (the
-      conversion fold equals the join of the set of modes present,
-      because ``Conv`` is a lattice join);
+      values) — one AND against a conflict mask answers "compatible with
+      every other holder?", and ``SUP_OF_MASK[granted | blocked]`` *is*
+      the total mode (the conversion fold equals the join of the set of
+      modes present, because ``Conv`` is a lattice join);
+    * per-mode **counts** of granted and blocked holder modes behind the
+      masks, kept incrementally by the mutators — only while there are
+      **two or more holders**: a sole holder's modes *are* the masks;
     * the **AV-prefix boundary** — the leading run of queue entries
       compatible with the total mode (TDR-2's AV set) — cached lazily
       and keyed by ``(total, len(queue))``, so it survives unrelated
       mutations and self-invalidates on grants and repositionings.
+
+    The ``queue`` list exists from the first waiter in to the last out;
+    until then ``queue`` reads ``()`` (surgery: assign, or
+    :meth:`enqueue`).
 
     Mutation must go through the mutator methods (``add_holder``,
     ``set_holder_modes``, ``enqueue`` …).  Code that performs direct
@@ -105,112 +116,128 @@ class ResourceState:
     all summaries against a rescan.
     """
 
-    rid: str
-    holders: List[HolderEntry] = field(default_factory=list)
-    queue: List[QueueEntry] = field(default_factory=list)
-    total: LockMode = LockMode.NL
+    __slots__ = (
+        "rid", "holders", "_queue", "total", "_granted_mask",
+        "_blocked_mask", "_granted_counts", "_blocked_counts", "_av_cache",
+    )
 
-    def __post_init__(self) -> None:
-        # The summaries always describe ``holders``/``queue``; ``total``
-        # is left exactly as passed (tests build deliberately
-        # inconsistent totals to exercise the verifier).
-        self._resync_summaries()
+    def __init__(
+        self,
+        rid: str,
+        holders: Optional[List[HolderEntry]] = None,
+        queue: Optional[List[QueueEntry]] = None,
+        total: LockMode = _NL,
+    ) -> None:
+        self.rid = rid
+        self.holders = holders if holders is not None else []
+        self._queue = queue or None
+        # Left exactly as passed (tests build deliberately inconsistent
+        # totals to exercise the verifier).
+        self.total = total
+        self._granted_mask = self._blocked_mask = 0
+        self._granted_counts = self._blocked_counts = None
+        self._av_cache: Optional[Tuple[LockMode, int, int]] = None
+        if holders:
+            self._resync_summaries()
+
+    @property
+    def queue(self) -> Sequence[QueueEntry]:
+        """The FIFO queue, front first (``()`` while nobody waits)."""
+        return self._queue or ()
+
+    @queue.setter
+    def queue(self, entries: List[QueueEntry]) -> None:
+        self._queue = entries or None
 
     # -- cached summaries -------------------------------------------------
 
     def _resync_summaries(self) -> None:
         """Rebuild every summary from the lists (O(holders))."""
-        granted = [0] * MODE_COUNT
-        blocked = [0] * MODE_COUNT
-        granted_mask = 0
-        blocked_mask = 0
-        for entry in self.holders:
-            granted[entry.granted] += 1
+        holders = self.holders
+        granted = blocked = None
+        if len(holders) > 1:
+            granted = [0] * MODE_COUNT
+            blocked = [0] * MODE_COUNT
+        granted_mask = blocked_mask = 0
+        for entry in holders:
             granted_mask |= 1 << entry.granted
-            if entry.blocked is not LockMode.NL:
-                blocked[entry.blocked] += 1
+            if entry.blocked is not _NL:
                 blocked_mask |= 1 << entry.blocked
+            if granted is not None:
+                granted[entry.granted] += 1
+                blocked[entry.blocked] += entry.blocked is not _NL
         self._granted_counts = granted
         self._blocked_counts = blocked
         self._granted_mask = granted_mask
         self._blocked_mask = blocked_mask
-        self._av_cache: Optional[Tuple[LockMode, int, int]] = None
+        self._av_cache = None
 
-    def _count_granted(self, mode: LockMode, delta: int) -> None:
+    def _count(self, entry: HolderEntry, delta: int) -> None:
+        """Count ``entry``'s modes into (+1) or out of (-1) the
+        summaries of a resource that keeps count lists."""
+        granted, blocked = entry.granted, entry.blocked
         counts = self._granted_counts
-        counts[mode] += delta
-        if counts[mode]:
-            self._granted_mask |= 1 << mode
+        counts[granted] += delta
+        if counts[granted]:
+            self._granted_mask |= 1 << granted
         else:
-            self._granted_mask &= ~(1 << mode)
-
-    def _count_blocked(self, mode: LockMode, delta: int) -> None:
-        if mode is LockMode.NL:
-            return
-        counts = self._blocked_counts
-        counts[mode] += delta
-        if counts[mode]:
-            self._blocked_mask |= 1 << mode
-        else:
-            self._blocked_mask &= ~(1 << mode)
-
-    def _refresh_total(self) -> None:
-        """Recompute the total mode from the masks — O(1), exact (the
-        join of the set of granted and blocked modes present)."""
-        self.total = SUP_OF_MASK[self._granted_mask | self._blocked_mask]
-
-    @property
-    def granted_mask(self) -> int:
-        """Bit set of the granted modes present in the holder list."""
-        return self._granted_mask
-
-    @property
-    def blocked_mask(self) -> int:
-        """Bit set of the blocked conversion modes present."""
-        return self._blocked_mask
-
-    def granted_mask_excluding(self, holder: HolderEntry) -> int:
-        """The granted-group mask with ``holder``'s own contribution
-        removed — the *other* holders' granted modes, O(1)."""
-        mask = self._granted_mask
-        if self._granted_counts[holder.granted] == 1:
-            mask &= ~(1 << holder.granted)
-        return mask
+            self._granted_mask &= ~(1 << granted)
+        if blocked is not _NL:
+            counts = self._blocked_counts
+            counts[blocked] += delta
+            if counts[blocked]:
+                self._blocked_mask |= 1 << blocked
+            else:
+                self._blocked_mask &= ~(1 << blocked)
 
     def conversion_compatible(
         self, holder: HolderEntry, wanted: LockMode
     ) -> bool:
         """True when ``wanted`` is compatible with the granted mode of
         every holder other than ``holder`` (one AND)."""
-        return not (
-            CONFLICT_MASKS[wanted] & self.granted_mask_excluding(holder)
-        )
+        counts = self._granted_counts
+        if counts is None:  # ``holder`` is the only one
+            return True
+        others = self._granted_mask
+        if counts[holder.granted] == 1:
+            others &= ~(1 << holder.granted)
+        return not (CONFLICT_MASKS[wanted] & others)
+
+    def admits(self, mode: LockMode) -> bool:
+        """True when a *new* requestor of ``mode`` is grantable at once:
+        nobody queues and ``mode`` is compatible with the total mode."""
+        return not self._queue and COMPAT_ROWS[self.total][mode]
 
     def av_prefix_length(self) -> int:
         """Length of the leading queue run compatible with the total
         mode (TDR-2's AV prefix), memoized until the total mode or the
         queue length changes; repositionings invalidate explicitly."""
+        queue = self._queue or ()
         cache = self._av_cache
         if (
             cache is not None
             and cache[0] is self.total
-            and cache[1] == len(self.queue)
+            and cache[1] == len(queue)
         ):
             return cache[2]
         total = self.total
         boundary = 0
-        for entry in self.queue:
+        for entry in queue:
             if not compatible(total, entry.blocked):
                 break
             boundary += 1
-        self._av_cache = (total, len(self.queue), boundary)
+        self._av_cache = (total, len(queue), boundary)
         return boundary
 
     def summary_snapshot(self) -> dict:
         """The raw cached summaries (for the verifier and debugging)."""
+        granted, blocked = self._granted_counts, self._blocked_counts
+        if granted is None:
+            granted = [self._granted_mask >> m & 1 for m in range(MODE_COUNT)]
+            blocked = [self._blocked_mask >> m & 1 for m in range(MODE_COUNT)]
         return {
-            "granted_counts": tuple(self._granted_counts),
-            "blocked_counts": tuple(self._blocked_counts),
+            "granted_counts": tuple(granted),
+            "blocked_counts": tuple(blocked),
             "granted_mask": self._granted_mask,
             "blocked_mask": self._blocked_mask,
             "av_cache": self._av_cache,
@@ -227,14 +254,14 @@ class ResourceState:
 
     def queue_entry(self, tid: int) -> Optional[QueueEntry]:
         """The queue entry of ``tid``, or ``None`` if not queued."""
-        for entry in self.queue:
+        for entry in self._queue or ():
             if entry.tid == tid:
                 return entry
         return None
 
     def queue_position(self, tid: int) -> int:
         """Index of ``tid`` in the queue, or -1."""
-        for index, entry in enumerate(self.queue):
+        for index, entry in enumerate(self._queue or ()):
             if entry.tid == tid:
                 return index
         return -1
@@ -254,13 +281,13 @@ class ResourceState:
         """All transactions blocked at this resource (conversions first,
         then queue, each in list order)."""
         tids = [entry.tid for entry in self.blocked_holders()]
-        tids.extend(entry.tid for entry in self.queue)
+        tids.extend(entry.tid for entry in self._queue or ())
         return tids
 
     @property
     def is_free(self) -> bool:
         """True when no holder and no waiter remains."""
-        return not self.holders and not self.queue
+        return not self.holders and not self._queue
 
     # -- mutation helpers (summary maintenance) --------------------------
 
@@ -271,7 +298,7 @@ class ResourceState:
         surgery).  Queue entries do not contribute — the total mode
         summarizes *holders* only."""
         self._resync_summaries()
-        self._refresh_total()
+        self.total = SUP_OF_MASK[self._granted_mask | self._blocked_mask]
         return self.total
 
     def raise_total(self, mode: LockMode) -> None:
@@ -284,14 +311,20 @@ class ResourceState:
 
     def add_holder(self, entry: HolderEntry, index: Optional[int] = None) -> None:
         """Insert ``entry`` into the holder list (append when ``index``
-        is ``None``), updating counts, masks and the total mode."""
+        is ``None``), updating masks, counts and the total mode."""
+        holders = self.holders
         if index is None:
-            self.holders.append(entry)
+            holders.append(entry)
         else:
-            self.holders.insert(index, entry)
-        self._count_granted(entry.granted, +1)
-        self._count_blocked(entry.blocked, +1)
-        self._refresh_total()
+            holders.insert(index, entry)
+        if len(holders) == 1:
+            self._granted_mask = 1 << entry.granted
+            self._blocked_mask = (1 << entry.blocked) & ~1
+        elif len(holders) == 2:
+            self._resync_summaries()
+        else:
+            self._count(entry, +1)
+        self.total = SUP_OF_MASK[self._granted_mask | self._blocked_mask]
 
     def set_holder_modes(
         self,
@@ -302,21 +335,18 @@ class ResourceState:
         """Change a holder's granted and/or blocked mode through the
         summaries (grant-conversion, block-conversion and the sweep's
         ``bm -> gm`` swap all come through here)."""
-        if granted is not None and granted is not entry.granted:
-            self._count_granted(entry.granted, -1)
+        counted = self._granted_counts is not None
+        if counted:
+            self._count(entry, -1)
+        if granted is not None:
             entry.granted = granted
-            self._count_granted(granted, +1)
-        if blocked is not None and blocked is not entry.blocked:
-            self._count_blocked(entry.blocked, -1)
+        if blocked is not None:
             entry.blocked = blocked
-            self._count_blocked(blocked, +1)
-        self._refresh_total()
-
-    def move_holder(self, entry: HolderEntry, index: int) -> None:
-        """Reposition ``entry`` within the holder list (UPR surgery);
-        membership is unchanged, so every summary stays valid."""
-        self.holders.remove(entry)
-        self.holders.insert(index, entry)
+        if counted:
+            self._count(entry, +1)
+        else:  # the sole holder's modes are the summary
+            self._resync_summaries()
+        self.total = SUP_OF_MASK[self._granted_mask | self._blocked_mask]
 
     def remove_holder(self, tid: int) -> HolderEntry:
         """Delete ``tid`` from the holder list and refresh the total
@@ -324,12 +354,17 @@ class ResourceState:
 
         Raises :class:`LockTableError` if ``tid`` is not a holder.
         """
-        for index, entry in enumerate(self.holders):
+        holders = self.holders
+        for index, entry in enumerate(holders):
             if entry.tid == tid:
-                removed = self.holders.pop(index)
-                self._count_granted(removed.granted, -1)
-                self._count_blocked(removed.blocked, -1)
-                self._refresh_total()
+                removed = holders.pop(index)
+                if len(holders) > 1:
+                    self._count(removed, -1)
+                else:
+                    self._resync_summaries()
+                self.total = SUP_OF_MASK[
+                    self._granted_mask | self._blocked_mask
+                ]
                 return removed
         raise LockTableError(
             "transaction {} is not a holder of {}".format(tid, self.rid)
@@ -337,12 +372,20 @@ class ResourceState:
 
     def enqueue(self, entry: QueueEntry) -> None:
         """Append ``entry`` to the FIFO queue."""
-        self.queue.append(entry)
+        if self._queue is None:
+            self._queue = [entry]
+        else:
+            self._queue.append(entry)
         self._av_cache = None
 
     def popleft_queue(self) -> QueueEntry:
         """Remove and return the queue's front entry (grant path)."""
-        entry = self.queue.pop(0)
+        return self._dequeue(0)
+
+    def _dequeue(self, position: int) -> QueueEntry:
+        entry = self._queue.pop(position)
+        if not self._queue:
+            self._queue = None  # last waiter out
         self._av_cache = None
         return entry
 
@@ -350,7 +393,7 @@ class ResourceState:
         """Replace the queue with a reordering of itself (TDR-2's
         repositioning) and drop the AV-prefix memo — same length and
         total, so the keyed cache cannot see the change on its own."""
-        self.queue = list(entries)
+        self._queue = list(entries) or None
         self._av_cache = None
 
     def remove_from_queue(self, tid: int) -> QueueEntry:
@@ -363,24 +406,22 @@ class ResourceState:
             raise LockTableError(
                 "transaction {} is not queued at {}".format(tid, self.rid)
             )
-        entry = self.queue.pop(position)
-        self._av_cache = None
-        return entry
+        return self._dequeue(position)
 
     # -- presentation ----------------------------------------------------
 
     def copy(self) -> "ResourceState":
         """Deep copy (for snapshots taken by detectors and tests)."""
         return ResourceState(
-            rid=self.rid,
-            holders=[entry.copy() for entry in self.holders],
-            queue=[entry.copy() for entry in self.queue],
-            total=self.total,
+            self.rid,
+            [entry.copy() for entry in self.holders],
+            [entry.copy() for entry in self.queue],
+            self.total,
         )
 
     def __str__(self) -> str:
         holders = " ".join(str(entry) for entry in self.holders)
-        queue = " ".join(str(entry) for entry in self.queue)
+        queue = " ".join(str(entry) for entry in self._queue or ())
         return "{}({}): Holder({}) Queue({})".format(
             self.rid, self.total.name, holders, queue
         )

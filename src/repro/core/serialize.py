@@ -106,7 +106,7 @@ def table_from_dict(data: Dict[str, Any]) -> LockTable:
             record = QueueEntry(
                 tid=int(waiter["tid"]), blocked=parse_mode(waiter["mode"])
             )
-            state.queue.append(record)
+            state.enqueue(record)
             table.note_blocked(record.tid, state.rid, in_queue=True)
         state.recompute_total()
         declared = entry.get("total")

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import List, Union
 
 from ..core.modes import LockMode
+from ..core.requests import SLOTTED
 
 #: Recent events a manager keeps (its ``log``).
 EVENT_LOG_CAPACITY = 1024
@@ -23,17 +25,21 @@ class EventLog(deque):
     """A manager's event log: a ring of the last
     :data:`EVENT_LOG_CAPACITY` events plus ``total``, how many were ever
     published — memory flat in the transactions served.  A ``deque``, so
-    publishing stays one C-level ``append``; the publisher adds to
-    ``total`` itself, which is exact with one writer at a time (the
-    service, the explorer, ``LockManager``).  Shards of a free-threaded
-    ``ShardedLockManager`` publishing concurrently may undercount it."""
+    publishing stays one C-level ``append``.  The publisher counts into
+    ``counts`` — one slot per shard, each written under that shard's
+    mutex only — and ``total`` sums them on read, so it is exact however
+    many shards publish at once."""
 
-    def __init__(self) -> None:
+    def __init__(self, parts: int = 1) -> None:
         super().__init__(maxlen=EVENT_LOG_CAPACITY)
-        self.total = 0
+        self.counts: List[int] = [0] * parts
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTTED)
 class Granted:
     """A previously blocked request of ``tid`` on ``rid`` was granted.
 
@@ -42,13 +48,14 @@ class Granted:
     rather than by a later release/resolution sweep.
     """
 
+    granted = True  # as a request's outcome
     tid: int
     rid: str
     mode: LockMode
     immediate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTTED)
 class Blocked:
     """The request of ``tid`` on ``rid`` could not be granted.
 
@@ -56,13 +63,20 @@ class Blocked:
     list (lock conversion) or in the FIFO queue.
     """
 
+    granted = False
     tid: int
     rid: str
     mode: LockMode
     conversion: bool
 
 
-@dataclass(frozen=True)
+#: What :func:`~repro.lockmgr.scheduler.request` answers: the request's
+#: own event.  ``granted`` tells which; ``mode`` is the mode now held or
+#: waited for (for conversions, the converted target mode).
+RequestOutcome = Union[Granted, Blocked]
+
+
+@dataclass(frozen=True, **SLOTTED)
 class Aborted:
     """``tid`` was aborted, e.g. as a deadlock victim."""
 
@@ -70,7 +84,7 @@ class Aborted:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTTED)
 class Repositioned:
     """TDR-2 reordered the queue of ``rid`` (deadlock resolved without
     aborting anyone).  ``delayed`` lists the transactions in ST whose

@@ -27,51 +27,61 @@ only offers consistent primitive updates.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import LockTableError, UnknownResourceError
 from ..core.requests import ResourceState
 
 
 class FirstLockSequence:
-    """The local first-lock counter (``next`` on ``itertools.count`` is
-    atomic, so shards share one without a lock)."""
+    """The first-lock counter: a table draws ``next(numbers)`` (atomic
+    on ``itertools.count``, so shards share one without a lock).
+    ``source`` is an external zero-argument callable to draw from."""
 
-    def __init__(self) -> None:
-        self._count = itertools.count()
-
-    def __call__(self) -> int:
-        return next(self._count)
+    def __init__(self, source: Optional[Callable[[], int]] = None) -> None:
+        self.local = source is None
+        self.numbers = itertools.count() if self.local else iter(source, None)
 
     def advance_past(self, seq: int) -> None:
-        """Make every later draw exceed ``seq`` (journal replay)."""
-        self._count = itertools.count(max(next(self._count), seq + 1))
+        """Make every later local draw exceed ``seq`` (journal replay)."""
+        if self.local:
+            self.numbers = itertools.count(max(next(self.numbers), seq + 1))
 
 
 class LockTable:
     """Mapping of resource identifier to :class:`ResourceState` with
     transaction-side indexes.  ``sequence`` is the first-lock counter (a
-    zero-argument callable; default: a private one)."""
+    :class:`FirstLockSequence` or a zero-argument callable; default: a
+    private one)."""
 
-    def __init__(self, sequence: Optional[Callable[[], int]] = None) -> None:
+    def __init__(self, sequence=None) -> None:
         self._resources: Dict[str, ResourceState] = {}
         self._seq: Dict[str, int] = {}
         self._sequence = (
-            sequence if sequence is not None else FirstLockSequence()
+            sequence
+            if isinstance(sequence, FirstLockSequence)
+            else FirstLockSequence(sequence)
         )
-        self._held: Dict[int, Set[str]] = {}
-        self._blocked_at: Dict[int, str] = {}
-        self._blocked_in_queue: Dict[int, bool] = {}
+        self._held: Dict[int, List[str]] = {}  # tid -> rids, grant order
+        #: tid -> (rid it is blocked at, True when it waits in the queue).
+        self._blocked_at: Dict[int, Tuple[str, bool]] = {}
 
     # -- resource access -------------------------------------------------
 
-    def resource(self, rid: str) -> ResourceState:
-        """The state of ``rid``, creating an empty entry on first use."""
+    def resource(
+        self, rid: str, requestor: Optional[int] = None
+    ) -> ResourceState:
+        """The state of ``rid``, creating an empty entry on first use —
+        for ``requestor``'s request, which Axiom 1 refuses if blocked."""
+        if requestor in self._blocked_at:
+            raise LockTableError(
+                "transaction {} is blocked at {} and cannot issue another "
+                "request".format(requestor, self._blocked_at[requestor][0])
+            )
         state = self._resources.get(rid)
         if state is None:
-            state = ResourceState(rid=rid)
-            self._resources[rid] = state
-            self._seq[rid] = self._sequence()
+            state = self._resources[rid] = ResourceState(rid)
+            self._seq[rid] = next(self._sequence.numbers)
         return state
 
     def existing(self, rid: str) -> ResourceState:
@@ -86,8 +96,12 @@ class LockTable:
         keeping the table proportional to the locked set."""
         state = self._resources.get(rid)
         if state is not None and state.is_free:
-            del self._resources[rid]
-            del self._seq[rid]
+            self.drop(rid)
+
+    def drop(self, rid: str) -> None:
+        """Remove the entry of ``rid`` and give up its first-lock number."""
+        del self._resources[rid]
+        del self._seq[rid]
 
     def install(self, state: ResourceState) -> None:
         """Adopt a fully-built state (merge and deserialize paths):
@@ -98,7 +112,7 @@ class LockTable:
                 "resource {} is already present".format(state.rid)
             )
         self._resources[state.rid] = state
-        self._seq[state.rid] = self._sequence()
+        self._seq[state.rid] = next(self._sequence.numbers)
         for holder in state.holders:
             self.note_holder(holder.tid, state.rid)
             if holder.is_blocked:
@@ -129,14 +143,13 @@ class LockTable:
         """Force the number of a present ``rid`` (journal replay); a
         local counter moves past it so fresh draws stay unique."""
         self._seq[rid] = seq
-        if isinstance(self._sequence, FirstLockSequence):
-            self._sequence.advance_past(seq)
+        self._sequence.advance_past(seq)
 
     def waiting_resources(self) -> List[ResourceState]:
         """The resources some transaction is blocked at (a non-empty
         queue or a blocked conversion) in first-lock order — the only
         ones ECR-1/2/3 draw an edge at.  O(blocked), no table walk."""
-        rids = set(self._blocked_at.values())
+        rids = {rid for rid, _ in self._blocked_at.values()}
         return [
             self._resources[rid]
             for rid in sorted(rids, key=self._seq.__getitem__)
@@ -150,15 +163,21 @@ class LockTable:
 
     def blocked_at(self, tid: int) -> Optional[str]:
         """The resource ``tid`` is blocked at, or ``None`` if runnable."""
-        return self._blocked_at.get(tid)
+        where = self._blocked_at.get(tid)
+        return where[0] if where is not None else None
 
     def is_blocked(self, tid: int) -> bool:
         return tid in self._blocked_at
 
+    def knows(self, tid: int) -> bool:
+        """True when ``tid`` holds or waits for anything here."""
+        return tid in self._held or tid in self._blocked_at
+
     def blocked_in_queue(self, tid: int) -> bool:
         """True when ``tid`` waits in a queue (False: blocked conversion,
         i.e. waiting inside a holder list)."""
-        return self._blocked_in_queue.get(tid, False)
+        where = self._blocked_at.get(tid)
+        return where is not None and where[1]
 
     def blocked_tids(self) -> List[int]:
         """All blocked transactions, in no particular order."""
@@ -187,28 +206,34 @@ class LockTable:
     # -- index maintenance (called by the scheduler) ----------------------
 
     def note_holder(self, tid: int, rid: str) -> None:
-        self._held.setdefault(tid, set()).add(rid)
+        rids = self._held.get(tid)
+        if rids is None:
+            self._held[tid] = [rid]  # exactly one slot: most hold one lock
+        else:
+            rids.append(rid)
 
     def forget_holder(self, tid: int, rid: str) -> None:
         rids = self._held.get(tid)
-        if rids is not None:
-            rids.discard(rid)
+        if rids is not None and rid in rids:
+            rids.remove(rid)
             if not rids:
                 del self._held[tid]
 
+    def forget_holds(self, tid: int) -> List[str]:
+        """Drop ``tid`` from the holder index; returns its rids."""
+        return self._held.pop(tid, ())
+
     def note_blocked(self, tid: int, rid: str, in_queue: bool) -> None:
         current = self._blocked_at.get(tid)
-        if current is not None and current != rid:
+        if current is not None and current[0] != rid:
             raise LockTableError(
                 "transaction {} is already blocked at {} and cannot also "
-                "wait at {}".format(tid, current, rid)
+                "wait at {}".format(tid, current[0], rid)
             )
-        self._blocked_at[tid] = rid
-        self._blocked_in_queue[tid] = in_queue
+        self._blocked_at[tid] = (rid, in_queue)
 
     def forget_blocked(self, tid: int) -> None:
         self._blocked_at.pop(tid, None)
-        self._blocked_in_queue.pop(tid, None)
 
     # -- presentation ------------------------------------------------------
 

@@ -112,7 +112,7 @@ class LockManager:
                 "transaction {} was aborted and cannot lock".format(tid)
             )
         outcome = scheduler.request(self.table, tid, rid, mode)
-        self._publish(outcome.event)
+        self._publish(outcome)
         self.last_detection = None
         if not outcome.granted:
             self.last_detection = self.policy.on_block(self, tid, rid, mode)
@@ -166,7 +166,7 @@ class LockManager:
     def _publish(self, *events) -> None:
         """Append events to the log and notify the listener."""
         log, listener = self.log, self.listener
-        log.total += len(events)
+        log.counts[0] += len(events)
         for event in events:
             log.append(event)
             if listener is not None:

@@ -35,33 +35,8 @@ from typing import List, Optional
 from ..core.errors import LockTableError
 from ..core.modes import LockMode, compatible, convert
 from ..core.requests import HolderEntry, QueueEntry, ResourceState
-from .events import Blocked, Granted
+from .events import Blocked, Granted, RequestOutcome
 from .lock_table import LockTable
-
-
-class RequestOutcome:
-    """Result of :func:`request`: either one ``Granted`` (immediate) or
-    one ``Blocked`` event.
-
-    ``granted`` is True for immediate grants.  ``mode`` is the mode now
-    held or waited for (for conversions, the converted target mode).
-    """
-
-    __slots__ = ("event",)
-
-    def __init__(self, event) -> None:
-        self.event = event
-
-    @property
-    def granted(self) -> bool:
-        return isinstance(self.event, Granted)
-
-    @property
-    def mode(self) -> LockMode:
-        return self.event.mode
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "RequestOutcome({!r})".format(self.event)
 
 
 def request(
@@ -69,22 +44,19 @@ def request(
 ) -> RequestOutcome:
     """Handle a lock request of ``tid`` for ``rid`` in ``mode`` (Section 3).
 
+    Returns the request's own event: one ``Granted`` (immediate) or one
+    ``Blocked``.
+
     Raises :class:`LockTableError` when the transaction is already blocked
     (the sequential model allows at most one outstanding request) or when
     ``mode`` is ``NL`` (not a request).
     """
     if mode is LockMode.NL:
         raise LockTableError("NL is not a requestable lock mode")
-    if table.is_blocked(tid):
-        raise LockTableError(
-            "transaction {} is blocked at {} and cannot issue another "
-            "request".format(tid, table.blocked_at(tid))
-        )
-
-    state = table.resource(rid)
-    holder = state.holder_entry(tid)
-    if holder is not None:
-        return _request_conversion(table, state, holder, mode)
+    state = table.resource(rid, requestor=tid)
+    for holder in state.holders:
+        if holder.tid == tid:
+            return _request_conversion(table, state, holder, mode)
     return _request_new(table, state, tid, mode)
 
 
@@ -92,13 +64,15 @@ def _request_new(
     table: LockTable, state: ResourceState, tid: int, mode: LockMode
 ) -> RequestOutcome:
     """A requestor that holds nothing on the resource yet (FIFO path)."""
-    if not state.queue and compatible(state.total, mode):
-        _admit_holder(table, state, HolderEntry(tid, mode), at_end=True)
-        return RequestOutcome(Granted(tid, state.rid, mode, immediate=True))
+    if state.admits(mode):
+        # Immediate grants append at the end of the holder list.
+        state.add_holder(HolderEntry(tid, mode))
+        table.note_holder(tid, state.rid)
+        return Granted(tid, state.rid, mode, True)
 
     state.enqueue(QueueEntry(tid, mode))
     table.note_blocked(tid, state.rid, in_queue=True)
-    return RequestOutcome(Blocked(tid, state.rid, mode, conversion=False))
+    return Blocked(tid, state.rid, mode, conversion=False)
 
 
 def _request_conversion(
@@ -112,22 +86,16 @@ def _request_conversion(
     target = convert(holder.granted, mode)
     if target is holder.granted:
         # Already covered — nothing to wait for; report an immediate grant.
-        return RequestOutcome(
-            Granted(holder.tid, state.rid, holder.granted, immediate=True)
-        )
+        return Granted(holder.tid, state.rid, holder.granted, True)
 
     if conversion_grantable(state, holder, target):
         state.set_holder_modes(holder, granted=target)
-        return RequestOutcome(
-            Granted(holder.tid, state.rid, target, immediate=True)
-        )
+        return Granted(holder.tid, state.rid, target, True)
 
     state.set_holder_modes(holder, blocked=target)
     _apply_upr(state, holder)
     table.note_blocked(holder.tid, state.rid, in_queue=False)
-    return RequestOutcome(
-        Blocked(holder.tid, state.rid, target, conversion=True)
-    )
+    return Blocked(holder.tid, state.rid, target, conversion=True)
 
 
 def conversion_grantable(
@@ -145,32 +113,15 @@ def conversion_grantable(
     return state.conversion_compatible(holder, wanted)
 
 
-def _blocked_prefix_length(state: ResourceState) -> int:
-    """Length of the leading run of blocked conversions in the holder
+def _blocked_prefix_length(holders: List[HolderEntry]) -> int:
+    """Length of the leading run of blocked conversions in a holder
     list (the list invariant keeps all of them at the front)."""
     count = 0
-    for entry in state.holders:
+    for entry in holders:
         if not entry.is_blocked:
             break
         count += 1
     return count
-
-
-def _admit_holder(
-    table: LockTable, state: ResourceState, entry: HolderEntry, at_end: bool
-) -> None:
-    """Insert an unblocked holder entry.
-
-    Immediate grants append at the end; grants produced by the sweep are
-    inserted just behind the blocked prefix, matching the layouts the
-    paper displays after resolution (Example 4.1's modified R2 and
-    Example 5.1's final R1).
-    """
-    if at_end:
-        state.add_holder(entry)
-    else:
-        state.add_holder(entry, index=_blocked_prefix_length(state))
-    table.note_holder(entry.tid, state.rid)
 
 
 def _apply_upr(state: ResourceState, entry: HolderEntry) -> None:
@@ -205,12 +156,7 @@ def _upr_index(holders: List[HolderEntry], entry: HolderEntry) -> int:
             return index
 
     # UPR-3: after all blocked requests, before all unblocked holders.
-    count = 0
-    for other in holders:
-        if not other.is_blocked:
-            break
-        count += 1
-    return count
+    return _blocked_prefix_length(holders)
 
 
 def sweep(table: LockTable, rid: str) -> List[Granted]:
@@ -235,19 +181,24 @@ def sweep(table: LockTable, rid: str) -> List[Granted]:
         entry = state.holders[0]
         if not conversion_grantable(state, entry):
             break
-        state.holders.pop(0)
         state.set_holder_modes(
             entry, granted=entry.blocked, blocked=LockMode.NL
         )
-        state.holders.insert(_blocked_prefix_length(state), entry)
+        state.holders.pop(0)
+        state.holders.insert(_blocked_prefix_length(state.holders), entry)
         table.forget_blocked(entry.tid)
         grants.append(Granted(entry.tid, rid, entry.granted))
 
     while state.queue and compatible(state.total, state.queue[0].blocked):
         waiter = state.popleft_queue()
-        _admit_holder(
-            table, state, HolderEntry(waiter.tid, waiter.blocked), at_end=False
+        # Swept grants go just behind the blocked prefix, matching the
+        # layouts the paper displays after resolution (Example 4.1's
+        # modified R2 and Example 5.1's final R1).
+        state.add_holder(
+            HolderEntry(waiter.tid, waiter.blocked),
+            index=_blocked_prefix_length(state.holders),
         )
+        table.note_holder(waiter.tid, rid)
         table.forget_blocked(waiter.tid)
         grants.append(Granted(waiter.tid, rid, waiter.blocked))
 
@@ -257,9 +208,24 @@ def sweep(table: LockTable, rid: str) -> List[Granted]:
 
 def remove_holder(table: LockTable, tid: int, rid: str) -> List[Granted]:
     """Force a holder out (commit or abort) and run the grant sweep."""
-    state = table.existing(rid)
-    entry = state.remove_holder(tid)
     table.forget_holder(tid, rid)
+    return _evict(table, tid, rid)
+
+
+def _evict(table: LockTable, tid: int, rid: str) -> List[Granted]:
+    """:func:`remove_holder` behind the holder index.  A sole holder
+    nobody waits behind leaves nothing to sweep: the entry just goes."""
+    state = table.existing(rid)
+    holders = state.holders
+    if (
+        len(holders) == 1
+        and holders[0].tid == tid
+        and holders[0].blocked is LockMode.NL
+        and not state.queue
+    ):
+        table.drop(rid)
+        return []
+    entry = state.remove_holder(tid)
     if entry.is_blocked:
         table.forget_blocked(tid)
     return sweep(table, rid)
@@ -288,8 +254,8 @@ def release_all(table: LockTable, tid: int) -> List[Granted]:
     blocked_rid = table.blocked_at(tid)
     if blocked_rid is not None and table.blocked_in_queue(tid):
         grants.extend(remove_waiter(table, tid, blocked_rid))
-    for rid in sorted(table.held_by(tid)):
-        grants.extend(remove_holder(table, tid, rid))
+    for rid in sorted(table.forget_holds(tid)):
+        grants.extend(_evict(table, tid, rid))
     return grants
 
 
@@ -305,8 +271,8 @@ def reposition_queue(
     """
     state = table.existing(rid)
     prefix = len(av_tids) + len(st_tids)
-    examined = state.queue[:prefix]
-    rest = state.queue[prefix:]
+    queue = list(state.queue)
+    examined, rest = queue[:prefix], queue[prefix:]
     by_tid = {entry.tid: entry for entry in examined}
     if set(by_tid) != set(av_tids) | set(st_tids):
         raise LockTableError(

@@ -295,11 +295,7 @@ class ShardedLockCore:
         # docstring).  ``sequence_source`` swaps the local counter for
         # an external one — a cluster shares a cross-process counter so
         # merged worker snapshots keep the *cluster-wide* order.
-        sequence = (
-            sequence_source
-            if sequence_source is not None
-            else FirstLockSequence()
-        )
+        sequence = FirstLockSequence(sequence_source)
         self.shards: List[LockShard] = [
             LockShard(i, sequence) for i in range(count)
         ]
@@ -309,16 +305,15 @@ class ShardedLockCore:
         #: supplies the default when ``policy=None``.
         self.policy = resolved.bind(self)
         self.continuous = self.policy.continuous
-        #: Recent events; ``log.total`` is exact only while one shard
-        #: publishes at a time (see :class:`EventLog`).
-        self.log = EventLog()
+        #: Recent events, counted per shard (see :class:`EventLog`).
+        self.log = EventLog(count)
         self.listener = listener
         self.last_detection = None
         self._aborted: Set[int] = set()
-        #: tid -> indexes of the shards the transaction has touched;
-        #: bounds every transaction-side scan to the shards that can
-        #: possibly know the transaction.
-        self._affinity: Dict[int, Set[int]] = {}
+        #: tid -> bitmask of the shards an accepted request of it went
+        #: to: bounds every transaction-side scan.  Empty on a one-shard
+        #: core, whose one table knows every transaction.
+        self._affinity: Dict[int, int] = {}
         self._txn_lock = threading.Lock()
         self._detect_lock = threading.RLock()
 
@@ -333,7 +328,20 @@ class ShardedLockCore:
         return shard_of(rid, len(self.shards))
 
     def shard_for(self, rid: str) -> LockShard:
-        return self.shards[self.shard_index(rid)]
+        shards = self.shards
+        if len(shards) == 1:
+            return shards[0]
+        return shards[partition_of(rid, len(shards))]
+
+    def _shards_in(self, mask: int) -> List[LockShard]:
+        return [shard for shard in self.shards if mask >> shard.index & 1]
+
+    def _mask(self, tid: int) -> int:
+        """Bitmask of the shards that can know ``tid`` (call with the
+        transaction-side lock held)."""
+        if len(self.shards) == 1:
+            return int(self.shards[0].table.knows(tid))
+        return self._affinity.get(tid, 0)
 
     def sequence_of(self, rid: str) -> Optional[int]:
         """The first-lock sequence number of ``rid`` (None while it is
@@ -366,15 +374,16 @@ class ShardedLockCore:
         sharded counterpart of :meth:`LockManager.lock`."""
         shard = self.shard_for(rid)
         with shard.mutex:
-            with self._txn_lock:
-                if tid in self._aborted:
-                    raise LockTableError(
-                        "transaction {} was aborted and cannot lock".format(
-                            tid
-                        )
-                    )
-                self._affinity.setdefault(tid, set()).add(shard.index)
+            touched = bit = 0
             if len(self.shards) > 1:
+                bit = 1 << shard.index
+                with self._txn_lock:
+                    touched = self._affinity.get(tid, 0)
+            if tid in self._aborted:
+                raise LockTableError(
+                    "transaction {} was aborted and cannot lock".format(tid)
+                )
+            if touched & ~bit:
                 # Axiom 1 across shards: the shard table would only
                 # catch a second wait registered on *itself*.
                 blocked_rid = self.blocked_at(tid)
@@ -386,31 +395,42 @@ class ShardedLockCore:
                         "cannot also wait at {}".format(tid, blocked_rid, rid)
                     )
             outcome = scheduler.request(shard.table, tid, rid, mode)
+            if bit & ~touched:
+                # Only an accepted request leaves anything to route to.
+                with self._txn_lock:
+                    self._affinity[tid] = self._affinity.get(tid, 0) | bit
             shard.epoch += 1
-            self._publish(outcome.event)
+            self._publish(shard, outcome)
             self.last_detection = None
             if not outcome.granted:
                 self.last_detection = self.policy.on_block(
                     self, tid, rid, mode
                 )
                 if self.last_detection is not None:
-                    self._absorb(self.last_detection)
+                    self._absorb(shard, self.last_detection)
             return outcome
 
     def finish(self, tid: int) -> List[Granted]:
         """End ``tid`` (commit or abort): release everything it holds or
         waits for on every shard it touched, strict 2PL."""
         with self._txn_lock:
-            indexes = sorted(self._affinity.pop(tid, ()))
+            mask = self._mask(tid)
+            self._affinity.pop(tid, None)
             self._aborted.discard(tid)
+        return self._release(tid, mask)
+
+    def _release(self, tid: int, mask: int) -> List[Granted]:
+        """Release everything ``tid`` holds or waits for on the shards
+        in ``mask``, publishing each shard's grants under its mutex."""
         grants: List[Granted] = []
-        for index in indexes:
-            shard = self.shards[index]
+        for shard in self._shards_in(mask):
             with shard.mutex:
-                grants.extend(scheduler.release_all(shard.table, tid))
+                freed = scheduler.release_all(shard.table, tid)
                 shard.epoch += 1
+                if freed:
+                    self._publish(shard, *freed)
+                    grants.extend(freed)
         self.costs.forget(tid)
-        self._publish(*grants)
         return grants
 
     # -- deadlock handling ------------------------------------------------
@@ -444,7 +464,7 @@ class ShardedLockCore:
     def _absorb_live(self, result) -> None:
         if result.deadlock_found:
             self.shards[0].epoch += 1
-        self._absorb(result)
+        self._absorb(self.shards[0], result)
 
     # -- resolution primitives (shared with the cluster coordinator) -------
 
@@ -519,9 +539,10 @@ class ShardedLockCore:
                 if tid in self._aborted:
                     return None
                 self._aborted.add(tid)
-        grants = self._release_as_victim(tid)
-        self._publish(Aborted(tid, "deadlock victim"), *grants)
-        return grants
+                mask = self._mask(tid)
+            self._publish(shard, Aborted(tid, "deadlock victim"))
+        # The affinity stays: the owner's eventual ``finish`` still routes.
+        return self._release(tid, mask)
 
     def release_victim(self, tid: int) -> List[Granted]:
         """Free a victim's entries on this core without re-confirming.
@@ -534,28 +555,13 @@ class ShardedLockCore:
         waiting structure only), so it asks every other worker.
         """
         with self._txn_lock:
-            if tid not in self._affinity:
+            mask = self._mask(tid)
+            if not mask:
                 # Never seen here: nothing to free, nothing to remember
                 # (no ``finish`` would ever clear the mark).
                 return []
             self._aborted.add(tid)
-        grants = self._release_as_victim(tid)
-        self._publish(*grants)
-        return grants
-
-    def _release_as_victim(self, tid: int) -> List[Granted]:
-        """Release everything ``tid`` holds or waits for, keeping the
-        affinity entry so the owner's eventual ``finish`` still routes."""
-        with self._txn_lock:
-            indexes = sorted(self._affinity.get(tid, ()))
-        grants: List[Granted] = []
-        for index in indexes:
-            shard = self.shards[index]
-            with shard.mutex:
-                grants.extend(scheduler.release_all(shard.table, tid))
-                shard.epoch += 1
-        self.costs.forget(tid)
-        return grants
+        return self._release(tid, mask)
 
     def apply_reposition(self, rid: str, av, st) -> Optional[Repositioned]:
         """Re-validate and apply one staged TDR-2 repositioning against
@@ -570,8 +576,8 @@ class ShardedLockCore:
             except (LockTableError, UnknownResourceError):
                 return None
             shard.epoch += 1
-        event = Repositioned(rid=rid, delayed=tuple(st))
-        self._publish(event)
+            event = Repositioned(rid=rid, delayed=tuple(st))
+            self._publish(shard, event)
         return event
 
     def sweep_resource(self, rid: str) -> List[Granted]:
@@ -583,21 +589,24 @@ class ShardedLockCore:
             events = scheduler.sweep(shard.table, rid)
             if events:
                 shard.epoch += 1
-        self._publish(*events)
+                self._publish(shard, *events)
         return events
 
-    def _absorb(self, result) -> None:
+    def _absorb(self, shard: LockShard, result) -> None:
         reason = getattr(result, "abort_reason", "deadlock victim")
-        for tid in result.aborted:
-            with self._txn_lock:
-                self._aborted.add(tid)
-            self._publish(Aborted(tid, reason))
-        self._publish(*result.repositions)
-        self._publish(*result.grants)
+        with self._txn_lock:
+            self._aborted.update(result.aborted)
+        self._publish(
+            shard,
+            *[Aborted(tid, reason) for tid in result.aborted],
+            *result.repositions,
+            *result.grants,
+        )
 
-    def _publish(self, *events) -> None:
+    def _publish(self, shard: LockShard, *events) -> None:
+        """Log ``events``, counted under ``shard``'s mutex (held)."""
         log, listener = self.log, self.listener
-        log.total += len(events)
+        log.counts[shard.index] += len(events)
         for event in events:
             log.append(event)
             if listener is not None:
@@ -614,9 +623,9 @@ class ShardedLockCore:
             # One table knows every wait: no affinity to consult.
             return self.shards[0].table.blocked_at(tid)
         with self._txn_lock:
-            indexes = tuple(self._affinity.get(tid, ()))
-        for index in indexes:  # a transaction waits at one place at most
-            rid = self.shards[index].table.blocked_at(tid)
+            mask = self._affinity.get(tid, 0)
+        for shard in self._shards_in(mask):  # it waits at one place at most
+            rid = shard.table.blocked_at(tid)
             if rid is not None:
                 return rid
         return None
@@ -629,10 +638,9 @@ class ShardedLockCore:
 
     def holding(self, tid: int) -> Dict[str, LockMode]:
         with self._txn_lock:
-            indexes = sorted(self._affinity.get(tid, ()))
+            mask = self._mask(tid)
         held: Dict[str, LockMode] = {}
-        for index in indexes:
-            shard = self.shards[index]
+        for shard in self._shards_in(mask):
             with shard.mutex:
                 for rid in shard.table.held_by(tid):
                     entry = shard.table.existing(rid).holder_entry(tid)

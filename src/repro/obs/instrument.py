@@ -33,6 +33,7 @@ import time
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.modes import MODE_NAMES
 from ..core.victim import AbortCandidate
 from ..lockmgr.events import Aborted, Blocked, Granted, Repositioned
 from .metrics import (
@@ -198,6 +199,8 @@ class Telemetry:
         #: kind) -> wait histogram, rid -> block counter (bounded).
         self._wait_seconds: Dict[Tuple[str, str], object] = {}
         self._rid_blocks: Dict[str, object] = {}
+        #: ``(tid, rid, trace, parent)`` of the announced lock frame.
+        self._frame: Optional[tuple] = None
         self._on = {
             Granted: self._on_granted,
             Blocked: self._on_blocked,
@@ -215,22 +218,21 @@ class Telemetry:
         trace: Optional[str] = None,
         parent: Optional[str] = None,
     ) -> None:
-        """A fresh lock frame is about to hit the manager.  ``trace``
-        and ``parent`` are the client-stamped trace context (trace id +
-        parent span ref) propagated from the request frame."""
-        if not self.enabled:
-            return
-        self._requests.inc()
-        self.trace.begin(tid, rid, _mode_name(mode), trace=trace,
-                         parent=parent)
+        """A lock frame is about to hit the manager.  ``trace`` and
+        ``parent`` are the client-stamped trace context (trace id +
+        parent span ref) propagated from the request frame; the span
+        opens on the manager's answer, the frame's own event."""
+        if self.enabled:
+            self._requests.inc()
+            self._frame = (tid, rid, trace, parent)
 
     def resume(self, tid: int, rid: str, mode) -> None:
-        """A lock frame arrived for a transaction already blocked (the
-        request-stays-queued resume path after a client timeout)."""
-        if not self.enabled:
-            return
-        self._requests.inc()
-        self.trace.resumed(tid, rid, _mode_name(mode))
+        """The manager refused the announced frame: its transaction is
+        already blocked (the request-stays-queued resume path after a
+        client timeout)."""
+        if self.enabled:
+            self._frame = None
+            self.trace.resumed(tid, rid, MODE_NAMES[mode])
 
     def wait_timeout(self, tid: int) -> None:
         """The client gave up waiting; the request stays queued."""
@@ -325,9 +327,25 @@ class Telemetry:
             if handler is not None:
                 handler(event)
 
+    def _framed(self, event) -> Optional[tuple]:
+        """The pending frame ``event`` answers, taken (else None)."""
+        frame = self._frame
+        if frame is None or frame[0] != event.tid or frame[1] != event.rid:
+            return None
+        self._frame = None
+        return frame
+
     def _on_granted(self, event: Granted) -> None:
+        mode = MODE_NAMES[event.mode]
         if event.immediate:
             self._grants_immediate.inc()
+            frame = self._framed(event)
+            if frame is not None:
+                self.trace.begin(
+                    event.tid, event.rid, mode, frame[2], frame[3],
+                    "granted-immediate",
+                )
+                return
         else:
             self._grants_waited.inc()
             since = self._blocked_since.pop(event.tid, None)
@@ -343,11 +361,10 @@ class Telemetry:
                     )
                     self._wait_seconds[(mode_name, kind)] = histogram
                 histogram.observe(max(self._clock() - started, 0.0))
-        self.trace.granted(
-            event.tid, event.rid, event.mode.name, event.immediate
-        )
+        self.trace.granted(event.tid, event.rid, mode, event.immediate)
 
     def _on_blocked(self, event: Blocked) -> None:
+        mode = MODE_NAMES[event.mode]
         if event.conversion:
             kind = "conversion"
             self._blocks_conversion.inc()
@@ -365,12 +382,15 @@ class Telemetry:
             else:
                 counter = self._other_rid_blocks
         counter.inc()
-        self._blocked_since.setdefault(
-            event.tid, (self._clock(), event.mode.name, kind)
-        )
-        self.trace.blocked(
-            event.tid, event.rid, event.mode.name, event.conversion
-        )
+        self._blocked_since.setdefault(event.tid, (self._clock(), mode, kind))
+        frame = self._framed(event)
+        if frame is not None:
+            self.trace.begin(
+                event.tid, event.rid, mode, frame[2], frame[3],
+                "blocked", event.conversion,
+            )
+        else:
+            self.trace.blocked(event.tid, event.rid, mode, event.conversion)
 
     def _on_aborted(self, event: Aborted) -> None:
         self._victims.inc()
@@ -434,10 +454,3 @@ class Telemetry:
             sharding.stale_victims + sharding.stale_repositions
         )
         self._last_epoch_drift.set(sharding.epoch_drift)
-
-
-def _mode_name(mode) -> str:
-    try:
-        return mode.name
-    except AttributeError:
-        return str(mode)

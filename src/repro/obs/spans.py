@@ -20,11 +20,13 @@ re-sends the lock and resumes the same queue position, a new span of
 kind ``resume`` tracks the second attempt.
 
 :class:`TraceLog` owns the spans: it indexes the open ones once per
-transaction (``tid`` -> ``rid`` -> span), queues them oldest-first for
-eviction, moves finished ones into a bounded ring, and exports
-everything as JSON-lines.  A stamp is stored
-flat — a ``(phase, wall, virtual)`` tuple — and the ``events`` dicts
-are rendered when somebody reads them.  The span-completeness oracle in
+transaction (``tid`` -> ``rid`` -> span), evicts them oldest-first,
+moves finished ones into a bounded ring, and exports everything as
+JSON-lines.  A span is born with its first phases — ``request``, plus
+the outcome the manager gave at once — stamped from **one** clock pair
+kept on the span itself; later stamps are ``(phase, wall, virtual)``
+tuples, and the ``events`` dicts are rendered when somebody reads them.
+The span-completeness oracle in
 :mod:`repro.check.oracles` asserts that a drained schedule leaves no
 span open in a non-``granted`` state and no span unreleased.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "TraceLog", "TERMINAL_STATES", "LIFECYCLE_KINDS"]
@@ -46,13 +48,20 @@ TERMINAL_STATES = frozenset({"released", "aborted", "timed-out"})
 #: the detector coordinator and are exempt from the completeness oracle.
 LIFECYCLE_KINDS = frozenset({"request", "conversion", "queue", "resume"})
 
+#: The phases a span is born with, by the outcome known at birth (shared
+#: tuples), and the status the last one leaves it in where that differs.
+BORN = {None: ("request",)}
+for _outcome in ("granted-immediate", "granted", "blocked"):
+    BORN[_outcome] = ("request", _outcome)
+BORN_STATUS = {"request": "requested", "granted-immediate": "granted"}
+
 
 class Span:
     """One lock request's lifecycle (see module docstring)."""
 
     __slots__ = (
-        "span_id", "tid", "rid", "mode", "kind", "status", "stamps",
-        "trace", "parent", "unfinished",
+        "span_id", "tid", "rid", "mode", "kind", "status", "born", "wall",
+        "virtual", "later", "trace", "parent", "unfinished",
     )
 
     def __init__(
@@ -62,6 +71,9 @@ class Span:
         rid: str,
         mode: str,
         kind: str,
+        born: Tuple[str, ...],
+        wall: float,
+        virtual: float,
         trace: Optional[str] = None,
         parent: Optional[str] = None,
     ) -> None:
@@ -75,9 +87,13 @@ class Span:
         #: ``resolution`` for a coordinator-routed resolution item
         #: applied on a worker, ``pass`` for a whole detector pass.
         self.kind = kind
-        self.status = "requested"
-        #: One ``(phase, wall, virtual)`` tuple per state change.
-        self.stamps: List[Tuple[str, float, float]] = []
+        self.status = BORN_STATUS.get(born[-1], born[-1])
+        #: The phases stamped at birth, all at ``(wall, virtual)``.
+        self.born = born
+        self.wall = wall
+        self.virtual = virtual
+        #: Every later state change: ``(phase, wall, virtual)`` tuples.
+        self.later: Optional[List[Tuple[str, float, float]]] = None
         #: Propagated trace context: the client-minted trace id this
         #: span belongs to, and the span ref of its causal parent
         #: (``origin:span_id`` — cross-process-unique).
@@ -87,16 +103,23 @@ class Span:
         #: was flushed to the ring instead of silently dropped.
         self.unfinished = False
 
+    def stamp(self, phase: str, wall: float, virtual: float) -> None:
+        if self.later is None:
+            self.later = [(phase, wall, virtual)]
+        else:
+            self.later.append((phase, wall, virtual))
+
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
 
     @property
     def events(self) -> List[Dict[str, float]]:
-        """The stamps as ``{"phase", "wall", "virtual"}`` dicts."""
+        """One ``{"phase", "wall", "virtual"}`` dict per state change."""
+        stamps = [(phase, self.wall, self.virtual) for phase in self.born]
         return [
             {"phase": phase, "wall": wall, "virtual": virtual}
-            for phase, wall, virtual in self.stamps
+            for phase, wall, virtual in stamps + (self.later or [])
         ]
 
     def to_dict(self) -> dict:
@@ -146,10 +169,12 @@ class TraceLog:
         self.capacity = capacity
         self.origin = origin
         self._next_id = 1
-        #: tid -> rid -> open span.
+        #: tid -> rid -> open span: the one index.
         self._open: Dict[int, Dict[str, Span]] = {}
-        #: span id -> open span, oldest first: the eviction order.
-        self._oldest: "OrderedDict[int, Span]" = OrderedDict()
+        self._open_count = 0
+        #: The eviction order: rebuilt from the open spans' ids when an
+        #: eviction finds it used up, not maintained.
+        self._order: Deque[Span] = deque()
         self._completed: Deque[Span] = deque(maxlen=capacity)
         self.total_started = 0
         #: Born-finished annotation spans (``record()``) — counted apart
@@ -179,37 +204,51 @@ class TraceLog:
         mode: str,
         trace: Optional[str] = None,
         parent: Optional[str] = None,
+        outcome: Optional[str] = None,
+        conversion: bool = False,
     ) -> Span:
-        """A lock frame for ``(tid, rid)`` reached the service."""
+        """A lock frame for ``(tid, rid)`` reached the service.
+        ``outcome`` (``granted-immediate``, or ``blocked`` and where) is
+        the manager's answer when already known: its stamp and the
+        ``request`` stamp then share one clock pair."""
         span = self._find(tid, rid)
-        if span is not None:
+        if span is None:
+            span = self._start(
+                tid, rid, mode, "request", BORN[outcome], trace, parent
+            )
+        else:
             if trace is not None and span.trace is None:
                 span.trace = trace
             if parent is not None and span.parent is None:
                 span.parent = parent
-            self._stamp(span, "request")
-            return span
-        return self._start(
-            tid, rid, mode, "request", trace=trace, parent=parent
-        )
+            wall, virtual = time.time(), self.clock()
+            for phase in BORN[outcome]:
+                span.stamp(phase, wall, virtual)
+            if outcome is not None:
+                span.status = BORN_STATUS.get(outcome, outcome)
+        if outcome == "blocked":
+            span.kind = "conversion" if conversion else "queue"
+        return span
 
     def blocked(self, tid: int, rid: str, mode: str, conversion: bool) -> Span:
         span = self._find(tid, rid)
         if span is None:
-            span = self._start(tid, rid, mode, "request")
+            span = self._start(tid, rid, mode, "request", BORN["blocked"])
+        else:
+            span.status = "blocked"
+            self._stamp(span, "blocked")
         span.kind = "conversion" if conversion else "queue"
-        span.status = "blocked"
-        self._stamp(span, "blocked")
         return span
 
     def granted(self, tid: int, rid: str, mode: str, immediate: bool) -> Span:
+        phase = "granted-immediate" if immediate else "granted"
         span = self._find(tid, rid)
         if span is None:
             # A grant with no open span: the sweep granted a request
             # whose span was closed by a client timeout.
-            span = self._start(tid, rid, mode, "resume")
+            return self._start(tid, rid, mode, "resume", BORN[phase])
         span.status = "granted"
-        self._stamp(span, "granted" if not immediate else "granted-immediate")
+        self._stamp(span, phase)
         return span
 
     def _waiting(self, tid: int) -> Optional[Span]:
@@ -229,10 +268,7 @@ class TraceLog:
         if span is not None:
             self._stamp(span, "resume")
             return span
-        span = self._start(tid, rid, mode, "resume")
-        span.status = "blocked"
-        self._stamp(span, "blocked")
-        return span
+        return self._start(tid, rid, mode, "resume", BORN["blocked"])
 
     def timed_out(self, tid: int) -> Optional[Span]:
         """Close ``tid``'s waiting span as timed-out (client gave up;
@@ -258,27 +294,31 @@ class TraceLog:
         if not spans:
             return []
         closed = list(spans.values())
+        self._open_count -= len(closed)
         wall, virtual = time.time(), self.clock()
         for span in closed:
-            del self._oldest[span.span_id]
             if aborted or span.status != "granted":
                 span.status = "aborted"
             else:
                 span.status = "released"
-            span.stamps.append((span.status, wall, virtual))
+            span.stamp(span.status, wall, virtual)
         self._completed.extend(closed)
         return closed
 
     # -- reads -------------------------------------------------------------
 
     def open_spans(self) -> List[Span]:
-        return list(self._oldest.values())
+        """The open spans, oldest first."""
+        return sorted(
+            (span for spans in self._open.values() for span in spans.values()),
+            key=lambda span: span.span_id,
+        )
 
     def completed_spans(self) -> List[Span]:
         return list(self._completed)
 
     def all_spans(self) -> List[Span]:
-        spans = list(self._completed) + list(self._oldest.values())
+        spans = list(self._completed) + self.open_spans()
         return sorted(spans, key=lambda s: s.span_id)
 
     def to_dicts(self, limit: int = 0, kinds=None) -> List[dict]:
@@ -309,48 +349,47 @@ class TraceLog:
         """Record a complete point-in-time span straight into the ring
         (coordinator pass spans, worker-side resolution applications —
         anything that is born finished)."""
-        span = Span(
-            self._next_id, tid, rid, mode, kind, trace=trace, parent=parent
-        )
-        self._next_id += 1
+        born = ("request", status)
+        span = self._new(tid, rid, mode, kind, born, trace, parent)
         self.total_recorded += 1
-        self._stamp(span, "request")
-        span.status = status
-        self._stamp(span, status)
         self._completed.append(span)
         return span
 
     # -- internals ---------------------------------------------------------
 
-    def _start(
-        self,
-        tid: int,
-        rid: str,
-        mode: str,
-        kind: str,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
-    ) -> Span:
-        if self.capacity and len(self._oldest) >= self.capacity:
-            self._evict_oldest_open()
-        span = Span(
-            self._next_id, tid, rid, mode, kind, trace=trace, parent=parent
-        )
+    def _new(self, tid, rid, mode, kind, born, trace, parent) -> Span:
         self._next_id += 1
+        return Span(
+            self._next_id - 1, tid, rid, mode, kind, born,
+            time.time(), self.clock(), trace, parent,
+        )
+
+    def _start(
+        self, tid, rid, mode, kind, born, trace=None, parent=None
+    ) -> Span:
+        if self.capacity and self._open_count >= self.capacity:
+            self._evict_oldest_open()
+        span = self._new(tid, rid, mode, kind, born, trace, parent)
         self.total_started += 1
         spans = self._open.get(tid)
         if spans is None:
-            spans = self._open[tid] = {}
-        spans[rid] = span
-        self._oldest[span.span_id] = span
-        self._stamp(span, "request")
+            self._open[tid] = {rid: span}
+        else:
+            spans[rid] = span
+        self._open_count += 1
         return span
 
     def _evict_oldest_open(self) -> Span:
-        """Flush the oldest in-flight span — the head of the eviction
-        order, nothing is scanned — into the completed ring with an
-        ``unfinished`` marker (exported, never dropped)."""
-        span = next(iter(self._oldest.values()))
+        """Flush the oldest in-flight span into the completed ring with
+        an ``unfinished`` marker (exported, never dropped).  One sort of
+        the open spans serves ``capacity`` evictions (whatever started
+        since is younger): nothing is scanned per eviction."""
+        while True:
+            if not self._order:
+                self._order = deque(self.open_spans())
+            span = self._order.popleft()
+            if not (span.terminal or span.unfinished):
+                break
         span.unfinished = True
         self._stamp(span, "evicted")
         self._retire(span)
@@ -358,7 +397,7 @@ class TraceLog:
         return span
 
     def _stamp(self, span: Span, phase: str) -> None:
-        span.stamps.append((phase, time.time(), self.clock()))
+        span.stamp(phase, time.time(), self.clock())
 
     def _retire(self, span: Span) -> None:
         """Move one span from the open index to the completed ring."""
@@ -366,5 +405,5 @@ class TraceLog:
         del spans[span.rid]
         if not spans:
             del self._open[span.tid]
-        del self._oldest[span.span_id]
+        self._open_count -= 1
         self._completed.append(span)

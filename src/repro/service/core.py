@@ -31,8 +31,8 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.errors import ReproError
-from ..core.modes import LockMode
+from ..core.errors import LockTableError, ReproError
+from ..core.modes import MODE_NAMES, LockMode
 from ..core.victim import CostTable
 from ..lockmgr.sharded import ShardedLockCore, resolve_shard_count
 from ..obs.incidents import IncidentLog
@@ -474,22 +474,36 @@ class ServiceCore:
         trace context from the request frame, attached to the span this
         request opens.
         """
-        self.claim(tid, session)
-        if self.manager.was_aborted(tid):
-            return "aborted", None, None
-        event = None
-        if not self.manager.is_blocked(tid):
-            self.telemetry.request(tid, rid, mode, trace=trace,
-                                   parent=parent)
-            started = time.perf_counter()
-            outcome = self.manager.lock(tid, rid, mode)
+        if self.owners.get(tid) is not session:
+            self.claim(tid, session)
+        manager = self.manager
+        self.telemetry.request(tid, rid, mode, trace=trace, parent=parent)
+        started = time.perf_counter()
+        try:
+            # The manager refuses an aborted or an already blocked
+            # transaction itself: asking first would ask twice.
+            outcome = manager.lock(tid, rid, mode)
+        except LockTableError:
+            if manager.was_aborted(tid):
+                return "aborted", None, None
+            if not manager.is_blocked(tid):
+                raise
+            # A re-sent frame resuming an earlier blocked request (the
+            # post-timeout path).
+            self.telemetry.resume(tid, rid, mode)
+            event = None
+        else:
             if self.journal is not None:  # the fields cost a routed read
                 self._journal_op(
-                    session, "lock", tid, rid, mode.name,
-                    self.manager.sequence_of(rid),
+                    session, "lock", tid, rid, MODE_NAMES[mode],
+                    manager.sequence_of(rid),
                 )
-            event = event_to_dict(outcome.event)
-            detection = self.manager.last_detection
+            event = event_to_dict(outcome)
+            if outcome.granted:
+                self.stats.grants += 1
+                return "granted", event, None
+            self.stats.blocks += 1
+            detection = manager.last_detection
             if self.continuous and detection:
                 # The continuous pass ran inside manager.lock; its
                 # duration is the whole call (the pass dominates it).
@@ -503,13 +517,9 @@ class ServiceCore:
                 # a detector pass.
                 self.stats.victims_aborted += len(detection.aborted)
                 self._policy_abort_counter.inc(len(detection.aborted))
-            if outcome.granted:
-                self.stats.grants += 1
-                return "granted", event, None
-            self.stats.blocks += 1
-            if self.manager.was_aborted(tid):
+            if manager.was_aborted(tid):
                 return "aborted", event, None
-            if not self.manager.is_blocked(tid):
+            if not manager.is_blocked(tid):
                 # Continuous resolution granted us on the spot.
                 self.stats.grants += 1
                 return "granted", event, None
@@ -521,15 +531,9 @@ class ServiceCore:
                     "transaction {} already has a parked "
                     "request".format(tid),
                 )
-            if event is None:
-                # manager.lock was skipped: a re-sent frame resuming an
-                # earlier blocked request (the post-timeout path).
-                self.telemetry.resume(tid, rid, mode)
             parked = ParkedWait(tid, callback)
             self.waiters[tid] = parked
             return "parked", event, parked
-        if event is None:
-            self.telemetry.resume(tid, rid, mode)
         return "blocked", event, None
 
     def cancel_wait(self, tid: int, parked: ParkedWait) -> str:
@@ -551,7 +555,8 @@ class ServiceCore:
     def finish_step(
         self, session: Session, tid: int, aborting: bool
     ) -> List[dict]:
-        self.claim(tid, session)
+        if self.owners.get(tid) is not session:
+            self.claim(tid, session)
         parked = self.waiters.pop(tid, None)
         if parked is not None:
             # The transaction ends while its own lock request is still

@@ -116,7 +116,7 @@ import struct
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
-from ..core.modes import parse_mode
+from ..core.modes import MODE_NAMES, parse_mode
 from ..lockmgr.events import Aborted, Blocked, Granted, Repositioned
 
 #: Protocol version, stamped into every frame's envelope.
@@ -374,7 +374,7 @@ def event_to_dict(event: object) -> Dict[str, Any]:
             "type": "granted",
             "tid": event.tid,
             "rid": event.rid,
-            "mode": event.mode.name,
+            "mode": MODE_NAMES[event.mode],
             "immediate": event.immediate,
         }
     if isinstance(event, Blocked):
@@ -382,7 +382,7 @@ def event_to_dict(event: object) -> Dict[str, Any]:
             "type": "blocked",
             "tid": event.tid,
             "rid": event.rid,
-            "mode": event.mode.name,
+            "mode": MODE_NAMES[event.mode],
             "conversion": event.conversion,
         }
     if isinstance(event, Aborted):

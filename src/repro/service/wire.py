@@ -1057,36 +1057,6 @@ def decode_binary_payload(
     return message
 
 
-def encode_binary_json(
-    message: Dict[str, Any], max_frame: int = MAX_FRAME
-) -> bytes:
-    """The escape hatch: a v2 frame whose payload is whole-message
-    JSON — what cold/admin ops use so they need no bespoke codec."""
-    payload = json_encode(message).encode("utf-8")
-    if len(payload) > max_frame:
-        raise FrameTooLarge(
-            "frame of {} bytes exceeds the {} byte limit".format(
-                len(payload), max_frame
-            )
-        )
-    try:
-        header_id, flags = _header_id(message)
-    except _Mismatch:
-        header_id, flags = 0, 0
-    return (
-        _HEADER.pack(
-            MAGIC,
-            WIRE_BINARY,
-            flags | FLAG_JSON,
-            OP_OBJ,
-            0,
-            header_id,
-            len(payload),
-        )
-        + payload
-    )
-
-
 def split_binary_frame(
     buffer, start: int = 0, max_frame: int = MAX_FRAME
 ) -> Optional[Tuple[Dict[str, Any], int]]:

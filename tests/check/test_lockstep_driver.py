@@ -26,7 +26,6 @@ from repro.check.workload import generate_programs
 from repro.cluster.local import LocalCluster, LocalTransport
 from repro.lockmgr import LockManager, ShardedLockCore
 from repro.lockmgr.events import Granted
-from repro.lockmgr.scheduler import RequestOutcome
 from repro.policy.nowait import NoWaitPolicy
 
 #: backend -> (digest, state, detection, equivalence, incident checks).
@@ -200,7 +199,7 @@ class _Generous(LockManager):
         if outcome.granted or self.lied is not None:
             return outcome
         self.lied = (tid, rid)
-        return RequestOutcome(Granted(tid, rid, mode, immediate=True))
+        return Granted(tid, rid, mode, immediate=True)
 
 
 class _GenerousModel(LockstepModel):

@@ -65,14 +65,14 @@ class TestCorruptions:
 
     def test_nl_queue_mode(self):
         table = clean_table()
-        table.existing("R").queue.append(QueueEntry(9, LockMode.NL))
+        table.existing("R").enqueue(QueueEntry(9, LockMode.NL))
         table.note_blocked(9, "R", in_queue=True)
         rules = {v.rule for v in verify_table(table)}
         assert "queue-mode" in rules
 
     def test_holder_also_queued(self):
         table = clean_table()
-        table.existing("R").queue.append(QueueEntry(1, LockMode.X))
+        table.existing("R").enqueue(QueueEntry(1, LockMode.X))
         rules = {v.rule for v in verify_table(table)}
         assert "holder-queued" in rules
 
@@ -83,7 +83,7 @@ class TestCorruptions:
         table.note_holder(9, "Q")
         other.recompute_total()
         # T2 also waits at Q — two waits at once.
-        other.queue.append(QueueEntry(2, LockMode.S))
+        other.enqueue(QueueEntry(2, LockMode.S))
         rules = {v.rule for v in verify_table(table)}
         assert "axiom-1" in rules
 

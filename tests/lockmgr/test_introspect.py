@@ -77,7 +77,7 @@ class TestExplainBlock:
         scheduler.request(table, 1, "R1", LockMode.S)
         # A second wait the index never learns about: T1 queued at R2.
         scheduler.request(table, 3, "R2", LockMode.X)
-        table.resource("R2").queue.append(QueueEntry(1, LockMode.S))
+        table.resource("R2").enqueue(QueueEntry(1, LockMode.S))
 
         explanation = explain_block(table, 1)
         assert explanation.blocked

@@ -1,0 +1,46 @@
+"""What an uncontended lock may cost — counted, never timed.
+
+``tools/lock_path_cost.py`` takes the figures (Python-level calls per
+core step, gc-tracked objects per held lock, bytes per ballast reader);
+this holds them to the tool's ratchet in tier-1, and holds the release
+path to what the counts assume: eight sole-holder locks go without a
+sweep and leave nothing behind.
+"""
+
+from unittest import mock
+
+from repro.core.modes import LockMode
+from repro.lockmgr import scheduler
+from repro.lockmgr.lock_table import LockTable
+
+from ..test_tools import load_tool
+
+
+def test_the_lock_path_is_within_its_ratchet():
+    tool = load_tool("lock_path_cost")
+    figures = tool.measure()
+    assert set(tool.CEILINGS) <= set(figures)
+    assert tool.over_ceiling(figures) == [], {
+        name: (figures[name], ceiling)
+        for name, ceiling in tool.CEILINGS.items()
+    }
+
+
+def test_releasing_eight_sole_holder_locks_sweeps_nothing_and_leaves_nothing():
+    table = LockTable()
+    for k in range(8):
+        assert scheduler.request(table, 7, "r{}".format(k), LockMode.S).granted
+    assert len(table) == 8 and len(table.held_by(7)) == 8
+    with mock.patch.object(scheduler, "sweep") as sweep:
+        assert scheduler.release_all(table, 7) == []
+    assert sweep.call_count == 0
+    assert len(table) == 0
+    assert table.held_by(7) == set()
+    assert table._seq == {} and table._held == {} and table._blocked_at == {}
+    # A shared lock still takes the whole path: T2 waits behind T1 and T3.
+    for tid in (1, 3):
+        scheduler.request(table, tid, "shared", LockMode.S)
+    assert not scheduler.request(table, 2, "shared", LockMode.X).granted
+    assert scheduler.release_all(table, 1) == []
+    assert [event.tid for event in scheduler.release_all(table, 3)] == [2]
+    assert scheduler.release_all(table, 2) == [] and len(table) == 0

@@ -27,8 +27,8 @@ class TestNewRequests:
         table = LockTable()
         outcome = req(table, 1, "R", S)
         assert outcome.granted
-        assert isinstance(outcome.event, Granted)
-        assert outcome.event.immediate
+        assert isinstance(outcome, Granted)
+        assert outcome.immediate
         assert table.existing("R").total is S
 
     def test_compatible_request_granted(self):
@@ -42,8 +42,8 @@ class TestNewRequests:
         req(table, 1, "R", S)
         outcome = req(table, 2, "R", X)
         assert not outcome.granted
-        assert isinstance(outcome.event, Blocked)
-        assert not outcome.event.conversion
+        assert isinstance(outcome, Blocked)
+        assert not outcome.conversion
         assert table.blocked_at(2) == "R"
         assert table.blocked_in_queue(2)
 
@@ -98,7 +98,7 @@ class TestConversions:
         req(table, 2, "R", IX)
         outcome = req(table, 1, "R", S)  # Conv(IS,S)=S conflicts with IX
         assert not outcome.granted
-        assert outcome.event.conversion
+        assert outcome.conversion
         assert outcome.mode is S
         entry = table.existing("R").holder_entry(1)
         assert entry.granted is IS and entry.blocked is S

@@ -9,6 +9,7 @@ Example 5.1 by aborting the walkthrough's victim on every shard it
 touched.
 """
 
+import sys
 import threading
 import time
 
@@ -17,6 +18,7 @@ import pytest
 from repro.core.errors import LockTableError, TransactionAborted
 from repro.core.modes import LockMode
 from repro.core.victim import CostTable
+from repro.lockmgr.events import EVENT_LOG_CAPACITY
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.sharded import (
     SHARDS_ENV,
@@ -131,6 +133,70 @@ class TestCoreSurface:
         core._aborted.add(7)
         with pytest.raises(LockTableError):
             core.lock(7, "R1", LockMode.S)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_a_refused_request_leaves_no_trace_of_its_transaction(
+        self, shards
+    ):
+        """``lock`` used to note the shard before the scheduler could
+        refuse: a later ``release_victim`` then took the never-locked
+        transaction for one it had seen, marked it aborted with nothing
+        to free, and no ``finish`` ever cleared the mark."""
+        core = ShardedLockCore(shards=shards)
+        with pytest.raises(LockTableError):
+            core.lock(7, "r", LockMode.NL)
+        assert core._affinity == {} and len(core.table) == 0
+        assert core.release_victim(7) == []
+        assert not core.was_aborted(7)
+        assert core.lock(7, "r", LockMode.S).granted
+        # The same for a request refused because its sender is blocked.
+        assert core.lock(8, "x", LockMode.X).granted
+        assert not core.lock(9, "x", LockMode.S).granted
+        other = next(
+            rid for rid in map("y{}".format, range(64))
+            if core.shard_index(rid) != core.shard_index("x") or shards == 1
+        )
+        with pytest.raises(LockTableError):
+            core.lock(9, other, LockMode.S)
+        core.finish(9)
+        assert core._affinity.get(9) is None and core.holding(9) == {}
+        assert core.release_victim(9) == [] and not core.was_aborted(9)
+
+    def test_log_total_is_exact_with_two_shards_publishing_at_once(self):
+        """``EventLog.total`` sums per-shard counts, each written under
+        its shard's mutex: two threads publishing on two shards lose no
+        update (one shared ``total += n`` did, now and then)."""
+        core = ShardedLockCore(shards=4)
+        a, b = rids_on_distinct_shards(core)
+        each, failures = 50_000, []
+
+        def publish(tid, rid):
+            try:
+                for _ in range(each // 8):
+                    for _ in range(8):  # re-requests: one event apiece
+                        core.lock(tid, rid, LockMode.S)
+                    core.finish(tid)
+            except BaseException as exc:  # surfaced below
+                failures.append(exc)
+                raise
+
+        threads = [
+            threading.Thread(target=publish, args=(tid, rid))
+            for tid, rid in ((1, a), (2, b))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(t.is_alive() for t in threads)
+        assert core.log.total == 2 * each >= 10 ** 5
+        assert core.log.counts[core.shard_index(a)] == each
+        assert len(core.log) == EVENT_LOG_CAPACITY and len(core.table) == 0
 
     def test_merged_view_keeps_first_lock_order(self):
         core = ShardedLockCore(shards=4)

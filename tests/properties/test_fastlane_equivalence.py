@@ -38,6 +38,7 @@ from repro.core.modes import (
     supremum,
     total_mode,
 )
+from repro.core.requests import HolderEntry, QueueEntry
 from repro.core.verify import verify_table
 from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
@@ -152,8 +153,9 @@ class TestSummaryCaches:
 
     def test_verify_catches_poisoned_caches(self):
         # The oracle has teeth: corrupt each cached summary directly
-        # and the matching violation fires.
-        table = apply_ops([(0, 0, 0, 1), (0, 1, 0, 2), (0, 2, 0, 4)])
+        # and the matching violation fires.  (Two compatible holders, so
+        # the on-demand count lists exist, and one queued X.)
+        table = apply_ops([(0, 0, 0, 0), (0, 1, 0, 1), (0, 2, 0, 4)])
         state = next(iter(table.resources()))
         state._granted_mask ^= 1 << LockMode.X
         rules = {v.rule for v in verify_table(table)}
@@ -163,6 +165,152 @@ class TestSummaryCaches:
         state._granted_counts[LockMode.S] += 1
         rules = {v.rule for v in verify_table(table)}
         assert "cache-granted-counts" in rules
+
+
+class TestOnDemandSummaries:
+    """The count lists exist only while a resource has two or more
+    holders and the queue list only while somebody waits; every
+    transition that allocates or frees one is taken here through the
+    scheduler, with ``verify_table`` after every step."""
+
+    S, X, IS, IX = LockMode.S, LockMode.X, LockMode.IS, LockMode.IX
+
+    @staticmethod
+    def step(table, call, *args):
+        result = call(table, *args)
+        assert verify_table(table) == []
+        return result
+
+    @staticmethod
+    def shape(state):
+        """(count lists allocated, queue list allocated)."""
+        assert (state._granted_counts is None) == (
+            state._blocked_counts is None
+        )
+        return state._granted_counts is not None, state._queue is not None
+
+    def test_one_two_one_holders_of_one_mode(self):
+        table = LockTable()
+        self.step(table, scheduler.request, 1, "R", self.S)
+        state = table.existing("R")
+        assert self.shape(state) == (False, False)
+        self.step(table, scheduler.request, 2, "R", self.S)
+        assert self.shape(state) == (True, False)
+        assert state.summary_snapshot()["granted_counts"][self.S] == 2
+        self.step(table, scheduler.release_all, 1)
+        assert self.shape(state) == (False, False)
+        assert state.summary_snapshot()["granted_counts"][self.S] == 1
+        assert state.total is self.S
+        self.step(table, scheduler.request, 3, "R", self.S)
+        self.step(table, scheduler.request, 4, "R", self.IS)
+        self.step(table, scheduler.release_all, 3)
+        assert self.shape(state) == (True, False)  # 3 -> 2 keeps counting
+        self.step(table, scheduler.release_all, 2)
+        self.step(table, scheduler.release_all, 4)
+        assert len(table) == 0
+
+    def test_first_waiter_in_last_waiter_out(self):
+        table = LockTable()
+        self.step(table, scheduler.request, 1, "R", self.X)
+        state = table.existing("R")
+        assert not self.step(table, scheduler.request, 2, "R", self.S).granted
+        assert self.shape(state) == (False, True)
+        assert not self.step(table, scheduler.request, 3, "R", self.X).granted
+        # One waiter aborts from the back, the other is granted by the
+        # sweep: the list goes with the last of them, either way.
+        self.step(table, scheduler.release_all, 3)
+        assert self.shape(state) == (False, True)
+        grants = self.step(table, scheduler.release_all, 1)
+        assert [event.tid for event in grants] == [2]
+        assert self.shape(state) == (False, False)
+        assert not self.step(table, scheduler.request, 4, "R", self.X).granted
+        self.step(table, scheduler.release_all, 4)  # front waiter aborts
+        assert self.shape(state) == (False, False)
+        assert state.admits(self.S) and not state.admits(self.X)
+
+    def test_conversion_blocked_then_granted(self):
+        table = LockTable()
+        self.step(table, scheduler.request, 1, "R", self.S)
+        state = table.existing("R")
+        # A sole holder converts on the spot, with no count list at all.
+        assert self.step(table, scheduler.request, 1, "R", self.IX).granted
+        assert state.total is LockMode.SIX
+        assert self.shape(state) == (False, False)
+        self.step(table, scheduler.request, 2, "R", self.IS)
+        blocked = self.step(table, scheduler.request, 2, "R", self.S)
+        assert not blocked.granted and blocked.conversion
+        assert state.summary_snapshot()["blocked_counts"][self.S] == 1
+        grants = self.step(table, scheduler.release_all, 1)
+        assert [(event.tid, event.mode) for event in grants] == [(2, self.S)]
+        assert self.shape(state) == (False, False)
+        assert state.summary_snapshot()["blocked_mask"] == 0
+        assert state.total is self.S
+
+    def test_tdr2_reposition(self):
+        table = LockTable()
+        self.step(table, scheduler.request, 1, "R", self.IS)
+        for tid, mode in ((2, self.X), (3, self.IS), (4, self.IX)):
+            self.step(table, scheduler.request, tid, "R", mode)
+        state = table.existing("R")
+        assert state.av_prefix_length() == 0
+        self.step(table, scheduler.reposition_queue, "R", [3, 4], [2])
+        assert [entry.tid for entry in state.queue] == [3, 4, 2]
+        assert state.av_prefix_length() == 2
+        assert verify_table(table) == []
+        grants = self.step(table, scheduler.sweep, "R")
+        assert [event.tid for event in grants] == [3, 4]
+        assert self.shape(state) == (True, True)
+
+    def test_recompute_total_after_direct_list_surgery(self):
+        table = LockTable()
+        state = table.resource("R")
+        state.holders.append(HolderEntry(1, self.S))
+        table.note_holder(1, "R")
+        assert state.recompute_total() is self.S
+        assert self.shape(state) == (False, False)
+        assert verify_table(table) == []
+        state.holders.insert(0, HolderEntry(2, self.IS, self.S))
+        table.note_holder(2, "R")
+        table.note_blocked(2, "R", in_queue=False)
+        assert state.queue == ()  # nobody waits: nothing to append to
+        state.queue = [QueueEntry(3, self.X)]
+        table.note_blocked(3, "R", in_queue=True)
+        assert [rule.rule for rule in verify_table(table)] != []
+        assert state.recompute_total() is self.S
+        assert self.shape(state) == (True, True)
+        assert verify_table(table) == []
+        del state.holders[0]
+        table.forget_holder(2, "R")
+        table.forget_blocked(2)
+        state.recompute_total()
+        assert self.shape(state) == (False, True)
+        assert verify_table(table) == []
+
+    def test_copy_of_a_state_in_each_shape(self):
+        table = LockTable()
+        self.step(table, scheduler.request, 1, "sole", self.X)
+        for tid in (1, 2):
+            self.step(table, scheduler.request, tid, "shared", self.S)
+        self.step(table, scheduler.request, 1, "queued", self.X)
+        self.step(table, scheduler.request, 3, "queued", self.S)
+        self.step(table, scheduler.request, 2, "shared", self.X)  # blocks
+        shapes = set()
+        for state in table.resources():
+            clone = state.copy()
+            assert clone is not state and str(clone) == str(state)
+            assert list(clone.queue) == list(state.queue)
+            assert clone.summary_snapshot() == state.summary_snapshot()
+            assert self.shape(clone) == self.shape(state)
+            assert all(
+                mine is not theirs and mine == theirs
+                for mine, theirs in zip(clone.holders, state.holders)
+            )
+            shapes.add(self.shape(state))
+            # A copy shares nothing: surgery on it leaves the table whole.
+            clone.holders.clear()
+            clone.enqueue(QueueEntry(9, self.X))
+            assert verify_table(table) == []
+        assert shapes == {(False, False), (True, False), (False, True)}
 
 
 # -- batch vs sequential through the service core --------------------------

@@ -22,7 +22,6 @@ from repro.service.wire import (
     JSON_CODEC,
     decode_binary_payload,
     encode_binary,
-    encode_binary_json,
     wire_roundtrip,
 )
 from repro.service.wire import HEADER_SIZE, _HEADER
@@ -258,17 +257,6 @@ class TestFallbackIdentity:
 
     @relaxed
     @given(st.dictionaries(text, json_values, max_size=6))
-    def test_json_escape_hatch(self, message):
-        """The FLAG_JSON escape (cold/admin ops) is identity too."""
-        frame = encode_binary_json(message, MAX_FRAME)
-        _, _, flags, opcode, _, header_id, _ = _HEADER.unpack_from(frame)
-        decoded = decode_binary_payload(
-            flags, opcode, header_id, frame[HEADER_SIZE:]
-        )
-        assert decoded == message
-
-    @relaxed
-    @given(st.dictionaries(text, json_values, max_size=6))
     def test_matches_json_dialect_exactly(self, message):
         """Whatever survives the JSON dialect survives the binary one
         with the same value — the cross-codec equivalence that lets
@@ -279,6 +267,16 @@ class TestFallbackIdentity:
 
 
 class TestEdgeValues:
+    def test_a_peers_flag_json_frame_still_decodes(self):
+        """Nothing here sends the ``FLAG_JSON`` escape any more; a v2
+        peer may, so the splitter keeps reading it."""
+        message = {"v": 1, "id": 9, "op": "stats", "nested": [1, {"a": None}]}
+        payload = json.dumps(message).encode("utf-8")
+        frame = _HEADER.pack(b"RW", 2, 0x01, 0, 0, 9, len(payload)) + payload
+        assert BINARY_CODEC.split(bytearray(frame), 0, len(frame)) == (
+            message, len(frame)
+        )
+
     def test_float_precision_is_exact(self):
         for value in (0.1, 1e-300, 1e300, -0.0, math.pi):
             message = {"timeout": value}

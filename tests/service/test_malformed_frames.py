@@ -125,6 +125,36 @@ class TestMalformedFields:
 
         asyncio.run(go())
 
+    def test_a_lock_in_mode_NL_is_refused_and_leaves_nothing_behind(self, wire):
+        """``NL`` parses as a mode but is not a request: the scheduler
+        refuses it, and what an operator reads back — ``stats``,
+        ``dump``, ``spans`` — is what it was (the parent left an open
+        ``NL`` span and a shard noted for a transaction without locks)."""
+
+        async def read_back(call):
+            payloads = []
+            for op in ("stats", "dump", "spans"):
+                reply = await call(op)
+                del reply["id"]
+                reply.get("stats", {}).pop("requests", None)  # frames read
+                payloads.append(reply)
+            return payloads
+
+        async def go():
+            async with raw_connection(wire) as (server, call):
+                assert (await call("begin", tid=7))["ok"]
+                await call("lock", tid=1, rid="held", mode="S")
+                before = await read_back(call)
+                reply = await call("lock", tid=7, rid="r", mode="NL")
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "error", reply
+                assert await read_back(call) == before
+                assert server.manager.release_victim(7) == []
+                ok = await call("lock", tid=7, rid="r", mode="S")
+                assert ok["status"] == "granted"
+
+        asyncio.run(go())
+
     def test_batch_sub_op_fields_are_validated_the_same_way(self, wire):
         async def go():
             async with raw_connection(wire) as (server, call):

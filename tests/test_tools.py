@@ -94,3 +94,18 @@ class TestImportClosure:
         tool = load_tool("import_closure")
         assert tool.main(["no-such-command"]) == 2
         assert "commands: serve" in capsys.readouterr().err
+
+
+class TestLockPathCost:
+    def test_prints_every_figure_and_passes(self, capsys):
+        tool = load_tool("lock_path_cost")
+        assert tool.main([]) == 0
+        out = capsys.readouterr().out
+        for name in tool.CEILINGS:
+            assert name in out
+        assert "lock path cost within its ratchet" in out
+
+    def test_stray_arguments_are_usage(self, capsys):
+        tool = load_tool("lock_path_cost")
+        assert tool.main(["--bogus"]) == 2
+        assert "lock_path_cost.py" in capsys.readouterr().err
