@@ -194,17 +194,19 @@ class _PlanBinding:
         reply = self.transport.resolve(index, {key: items, "ctx": self._ctx})
         return (reply or {}).get(key) or []
 
-    def collect(self):
+    def collect(self, held: bool):
         payloads = self.transport.snapshot_all()
         info = self.info
         merged, info.unreachable_workers, info.snapshot_seconds = (
             merge_snapshots(payloads)
         )
-        held: Dict[int, set] = {}
+        if not held:
+            return merged, None, False
+        holds: Dict[int, set] = {}
         for payload in payloads:
             for row in (payload or {}).get("held") or ():
-                held.setdefault(int(row["tid"]), set()).update(row["rids"])
-        return merged, {t: sorted(rids) for t, rids in held.items()}, False
+                holds.setdefault(int(row["tid"]), set()).update(row["rids"])
+        return merged, {t: sorted(rids) for t, rids in holds.items()}, False
 
     def reposition(self, chosen) -> List[Optional[Repositioned]]:
         events: List[Optional[Repositioned]] = []
@@ -237,12 +239,8 @@ class _PlanBinding:
                 rows += self._resolve(index, "releases", [tid])
         return _grants_of(rows)
 
-    def sweep(self, rids: List[str]) -> List[Granted]:
-        return _grants_of(
-            row
-            for rid in rids
-            for row in self._resolve(self.part_of(rid), "sweeps", [rid])
-        )
+    def sweep(self, rid: str) -> List[Granted]:
+        return _grants_of(self._resolve(self.part_of(rid), "sweeps", [rid]))
 
     def finish(self, result) -> None:
         result.cluster = self.info

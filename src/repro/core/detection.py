@@ -31,7 +31,9 @@ waste); otherwise all its requests are removed and the freed resources
 swept.  Finally every change-list resource is swept, turning TDR-2
 repositionings into actual grants.  The victims are examined newest
 first, matching the paper's Example 5.1 walk-through (the later, inner
-cycle's victim often supersedes the earlier one).
+cycle's victim often supersedes the earlier one).  A pass that ran
+Steps 1-2 on a copy (sharded or clustered) runs this step once, against
+the live state, not on the copy.
 
 The run returns a :class:`DetectionResult` with the aborted and spared
 transactions, every grant event, the per-cycle resolution records and the
@@ -40,17 +42,17 @@ instrumentation counters used by the complexity experiments (C1–C3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from ..lockmgr import scheduler
 from ..lockmgr.events import Granted, Repositioned
 from ..lockmgr.lock_table import LockTable
 from .errors import ReproError
-from .hw_twbg import Edge
+from .requests import ResourceState
 from .tst import OFF_PATH, ROOT, TST
 from .victim import (
-    AbortCandidate,
     CostTable,
     RepositionCandidate,
     Resolution,
@@ -77,6 +79,10 @@ class DetectionStats:
     tdr1_applied: int = 0
     tdr2_applied: int = 0
     backtrack_steps: int = 0
+    #: Cycles that offered any TDR-2 candidate (an AV/ST-splittable
+    #: junction), chosen or not: ``tdr2_applied`` over this separates
+    #: "lost on cost" from "no such junction".
+    tdr2_applicable: int = 0
 
 
 @dataclass
@@ -144,7 +150,13 @@ class _DetectionRun:
     ``roots`` restricts the Step-2 walk to the given start vertices (used
     by the continuous companion detector, which only searches from the
     transaction that just blocked); the periodic algorithm walks from
-    every transaction.
+    every transaction.  ``states`` is the table's waiting structure when
+    the caller has already scanned it.
+
+    :meth:`execute` runs Steps 1-3 on the table in place.  A routed pass
+    (:mod:`repro.lockmgr.detection_pass`) runs Steps 1-2 on a copy with
+    :meth:`stage`, then Step 3 once, against the live state, through
+    :meth:`confirm`.
     """
 
     def __init__(
@@ -154,12 +166,14 @@ class _DetectionRun:
         roots: Optional[List[int]] = None,
         allow_tdr2: bool = True,
         observer=None,
+        states: Optional[List[ResourceState]] = None,
     ) -> None:
         self._table = table
         self._costs = costs
         self._roots = roots
         self._allow_tdr2 = allow_tdr2
-        self._tst: Optional[TST] = None
+        self._states = states
+        self.tst: Optional[TST] = None
         self._abortion_list: List[int] = []
         self._change_list: List[str] = []
         self.result = DetectionResult()
@@ -168,69 +182,84 @@ class _DetectionRun:
         #: facility of :mod:`repro.core.trace`.
         self._observer = observer
 
-    def _emit(self, event: str, **info) -> None:
-        if self._observer is not None:
-            self._observer(event, **info)
-
     def execute(self) -> DetectionResult:
-        if not self._table.blocked_count():
-            return self.result
-        self._step1_initialize()
-        self._step2_detect_and_select()
-        self._step3_confirm()
+        if self.stage():
+            table = self._table
+            self.confirm(
+                functools.partial(scheduler.release_all, table),
+                functools.partial(scheduler.sweep, table),
+                self._change_list,
+            )
         return self.result
 
-    # -- Step 1 -----------------------------------------------------------
-
-    def _step1_initialize(self) -> None:
-        self._tst = TST(self._table)
-        stats = self.result.stats
-        stats.transactions = len(self._tst.entries)
-        stats.edges_total = sum(
-            len(entry.waited) for entry in self._tst.entries.values()
-        )
+    def stage(self) -> bool:
+        """Steps 1-2; False (and nothing built) when nobody is blocked."""
+        states = self._states
+        if states is None and self._table.blocked_count():
+            states = self._table.waiting_resources()
+        if not states:
+            return False
+        # Step 1: the TST, straight from the waiting resources.
+        tst = self.tst = TST(self._table, states)
+        self.result.stats.transactions = len(tst.entries)
+        self.result.stats.edges_total = tst.edge_count
+        self._step2_detect_and_select()
+        return True
 
     # -- Step 2 -----------------------------------------------------------
 
     def _step2_detect_and_select(self) -> None:
-        tst = self._tst
-        entries = tst.entries
-        roots = self._roots if self._roots is not None else tst.tids()
+        entries = self.tst.entries
+        observe = self._observer
+        roots = self._roots if self._roots is not None else sorted(entries)
+        examined = backtracks = 0
         for root in roots:
             if root not in entries:
                 continue
-            self._emit("root", tid=root)
+            if observe is not None:
+                observe("root", tid=root)
             entries[root].ancestor = ROOT
             v = root
             while v != ROOT:
                 record = entries[v]
-                if record.current is None:
+                current = record.current
+                if current is None:
                     parent = record.ancestor
                     record.ancestor = OFF_PATH
-                    self.result.stats.backtrack_steps += 1
-                    self._emit("backtrack", tid=v, parent=parent)
+                    backtracks += 1
+                    if observe is not None:
+                        observe("backtrack", tid=v, parent=parent)
                     v = parent
                     continue
-                edge = record.waited[record.current]
-                self.result.stats.edges_examined += 1
+                edge = record.waited[current]
+                examined += 1
                 target = edge.target
-                self._emit("examine", tid=v, target=target, label=edge.label)
-                if target == 0 or entries[target].current is None:
-                    record.advance()
-                elif entries[target].ancestor != OFF_PATH:
-                    self._emit("cycle-found", tid=v, closes=target)
+                if observe is not None:
+                    observe("examine", tid=v, target=target, label=edge.label)
+                head = entries[target] if target else None
+                if head is None or head.current is None:
+                    current += 1  # advance; nil once exhausted
+                    record.current = (
+                        current if current < len(record.waited) else None
+                    )
+                elif head.ancestor != OFF_PATH:
+                    if observe is not None:
+                        observe("cycle-found", tid=v, closes=target)
                     self._victim_selection(v, target)
                     v = target
                 else:
-                    entries[target].ancestor = v
-                    self._emit("descend", tid=v, target=target)
+                    head.ancestor = v
+                    if observe is not None:
+                        observe("descend", tid=v, target=target)
                     v = target
+        self.result.stats.edges_examined += examined
+        self.result.stats.backtrack_steps += backtracks
 
     def _victim_selection(self, v: int, w: int) -> None:
         """A cycle was closed by the edge ``v -> w`` (``w`` on the current
         path).  Read the cycle off the ancestor chain, apply TDR with the
         minimum-cost candidate, clear the backtracked ancestors."""
-        entries = self._tst.entries
+        entries = self.tst.entries
         chain = [v]
         walk = v
         while walk != w:
@@ -243,23 +272,34 @@ class _DetectionRun:
             chain.append(walk)
         chain.reverse()  # cycle order: w, ..., v
 
-        cycle_edges = self._chain_edges(chain)
+        # Each chain vertex's ``current`` edge is the one the walk took
+        # (it never advances ``current`` when descending).
+        cycle_edges = []
+        for tid in chain:
+            record = entries[tid]
+            cycle_edges.append(record.waited[record.current])
         candidates = candidates_for_cycle(
             cycle_edges, self._table.existing, self._costs
         )
-        if not self._allow_tdr2:
-            candidates = [
-                c for c in candidates if isinstance(c, AbortCandidate)
-            ]
+        stats = self.result.stats
+        stats.cycles_found += 1
+        for candidate in candidates:
+            if candidate.kind == "reposition":
+                stats.tdr2_applicable += 1
+                if not self._allow_tdr2:
+                    candidates = [c for c in candidates if c.kind == "abort"]
+                break
         chosen = select_victim(candidates)
-        self.result.stats.cycles_found += 1
         self.result.resolutions.append(
-            Resolution(cycle=list(chain), candidates=candidates, chosen=chosen)
+            Resolution(cycle=chain, candidates=candidates, chosen=chosen)
         )
 
-        self._emit("victim", cycle=list(chain), chosen=chosen)
-        if isinstance(chosen, AbortCandidate):
-            self._apply_tdr1(chosen)
+        if self._observer is not None:
+            self._observer("victim", cycle=list(chain), chosen=chosen)
+        if chosen.kind == "abort":
+            entries[chosen.tid].current = None  # TDR-1 kills the victim
+            self._abortion_list.append(chosen.tid)
+            stats.tdr1_applied += 1
         else:
             self._apply_tdr2(chosen)
 
@@ -267,47 +307,15 @@ class _DetectionRun:
             if tid != w:
                 entries[tid].ancestor = OFF_PATH
 
-    def _chain_edges(self, chain: List[int]) -> List[Edge]:
-        """The edge objects along the cycle ``chain`` — each chain
-        vertex's ``current`` edge (the walk never advances ``current``
-        when descending, so it still points at the taken edge)."""
-        entries = self._tst.entries
-        edges: List[Edge] = []
-        for tid in chain:
-            tst_edge = entries[tid].current_edge()
-            if tst_edge is None:  # pragma: no cover - walk invariant
-                raise ReproError(
-                    "cycle vertex T{} has no current edge".format(tid)
-                )
-            edges.append(
-                Edge(
-                    source=tid,
-                    target=tst_edge.target,
-                    label=tst_edge.label,
-                    rid=tst_edge.rid,
-                    lock=tst_edge.lock,
-                )
-            )
-        return edges
-
-    def _apply_tdr1(self, chosen: AbortCandidate) -> None:
-        if chosen.tid in self._abortion_list:  # pragma: no cover
-            raise ReproError(
-                "T{} selected as victim twice".format(chosen.tid)
-            )
-        self._tst.entries[chosen.tid].kill()
-        self._abortion_list.append(chosen.tid)
-        self.result.stats.tdr1_applied += 1
-
     def _apply_tdr2(self, chosen: RepositionCandidate) -> None:
         scheduler.reposition_queue(
             self._table, chosen.rid, list(chosen.av), list(chosen.st)
         )
-        self._tst.retarget_queue_edges(chosen.rid)
+        self.tst.retarget_queue_edges(chosen.rid)
         for tid in chosen.st:
             self._costs.apply_delay_penalty(tid)
         for tid in chosen.av:
-            self._tst.entries[tid].kill()
+            self.tst.entries[tid].current = None  # Lemma 4.1
         self._change_list.append(chosen.rid)
         self.result.stats.tdr2_applied += 1
         self.result.repositions.append(
@@ -316,24 +324,37 @@ class _DetectionRun:
 
     # -- Step 3 -----------------------------------------------------------
 
-    def _step3_confirm(self) -> None:
+    def confirm(
+        self,
+        abort: Callable[[int], Optional[List[Granted]]],
+        sweep: Callable[[str], List[Granted]],
+        changed: List[str],
+    ) -> None:
+        """Step 3 wherever the resolutions land: ``abort(tid)`` frees a
+        victim and returns its grants, or ``None`` when the victim is no
+        longer blocked where Step 1 saw it (a routed pass only; spared);
+        ``sweep(rid)`` grants at each repositioned resource in ``changed``."""
+        result, observe = self.result, self._observer
         granted_tids: Set[int] = set()
         for tid in reversed(self._abortion_list):
             if tid in granted_tids:
-                self._emit("spare", tid=tid)
-                self.result.spared.append(tid)
+                if observe is not None:
+                    observe("spare", tid=tid)
+                result.spared.append(tid)
                 continue
-            self._emit("abort", tid=tid)
-            events = scheduler.release_all(self._table, tid)
-            self.result.grants.extend(events)
-            granted_tids.update(event.tid for event in events)
-            self.result.aborted.append(tid)
+            if observe is not None:
+                observe("abort", tid=tid)
+            events = abort(tid)
+            if events is None:
+                result.spared.append(tid)
+                continue
+            result.grants.extend(events)
+            for event in events:
+                granted_tids.add(event.tid)
+            result.aborted.append(tid)
             self._costs.forget(tid)
-        for rid in self._change_list:
-            if rid in self._table:
-                events = scheduler.sweep(self._table, rid)
-                self.result.grants.extend(events)
-                granted_tids.update(event.tid for event in events)
+        for rid in changed:
+            result.grants.extend(sweep(rid))
 
 
 def detect_once(

@@ -38,8 +38,9 @@ built from the same rule functions here, so they cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .modes import CONFLICT_MASKS, LockMode
 from .requests import ResourceState
@@ -47,10 +48,10 @@ from .requests import ResourceState
 #: Edge labels.
 H_LABEL = "H"
 W_LABEL = "W"
+_NL = LockMode.NL
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A labeled edge ``source -> target`` ("target waits for source").
 
     ``rid`` names the resource that gave rise to the edge; ``lock`` is the
@@ -69,8 +70,11 @@ class Edge:
         return "T{} -{}-> T{}".format(self.source, self.label, self.target)
 
 
-def resource_edges(state: ResourceState) -> List[Edge]:
-    """All H/W-TWBG edges contributed by one resource (ECR-1, 2, 3).
+def h_edges(state: ResourceState) -> List[Tuple[int, int]]:
+    """The ``(source, target)`` pairs of the H edges one resource
+    contributes (ECR-1, then ECR-2) — the one rule function behind both
+    :func:`resource_edges` and Step 1's TST rows
+    (:class:`~repro.core.tst.TST`), so the two cannot drift apart.
 
     The conflict tests run on precomputed bit masks: for each holder,
     ``conflict[i]`` has bit ``b`` set iff mode ``b`` conflicts with the
@@ -78,42 +82,42 @@ def resource_edges(state: ResourceState) -> List[Edge]:
     mask serves both directions), turning every pairwise matrix probe
     into a shift-and-test.
     """
-    edges: List[Edge] = []
+    pairs: List[Tuple[int, int]] = []
     holders = state.holders
-    rid = state.rid
+    queue = state.queue
     conflict = [
         CONFLICT_MASKS[holder.granted] | CONFLICT_MASKS[holder.blocked]
         for holder in holders
     ]
-
-    # ECR-1: ordered holder pairs.
     for i, earlier in enumerate(holders):
+        # ECR-1: ordered holder pairs.
         earlier_mask = conflict[i]
         for later in holders[i + 1 :]:
+            if later.blocked is not _NL and earlier_mask >> later.blocked & 1:
+                pairs.append((earlier.tid, later.tid))
             if (
-                later.blocked is not LockMode.NL
-                and earlier_mask >> later.blocked & 1
-            ):
-                edges.append(Edge(earlier.tid, later.tid, H_LABEL, rid))
-            if (
-                earlier.blocked is not LockMode.NL
+                earlier.blocked is not _NL
                 and CONFLICT_MASKS[later.granted] >> earlier.blocked & 1
             ):
-                edges.append(Edge(later.tid, earlier.tid, H_LABEL, rid))
-
-    # ECR-2: holder -> first conflicting queue request.
+                pairs.append((later.tid, earlier.tid))
     for i, holder in enumerate(holders):
-        holder_mask = conflict[i]
-        for waiter in state.queue:
-            if holder_mask >> waiter.blocked & 1:
-                edges.append(Edge(holder.tid, waiter.tid, H_LABEL, rid))
+        # ECR-2: holder -> first conflicting queue request.
+        for waiter in queue:
+            if conflict[i] >> waiter.blocked & 1:
+                pairs.append((holder.tid, waiter.tid))
                 break
+    return pairs
 
+
+def resource_edges(state: ResourceState) -> List[Edge]:
+    """All H/W-TWBG edges contributed by one resource (ECR-1, 2, 3)."""
+    rid, queue = state.rid, state.queue
+    edges = [
+        Edge(source, target, H_LABEL, rid) for source, target in h_edges(state)
+    ]
     # ECR-3: adjacent queue pairs.
-    for ahead, behind in zip(state.queue, state.queue[1:]):
-        edges.append(
-            Edge(ahead.tid, behind.tid, W_LABEL, rid, lock=ahead.blocked)
-        )
+    for ahead, behind in zip(queue, queue[1:]):
+        edges.append(Edge(ahead.tid, behind.tid, W_LABEL, rid, ahead.blocked))
     return edges
 
 

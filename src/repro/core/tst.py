@@ -36,20 +36,21 @@ of the repositioned queue in O(queue length).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..lockmgr.lock_table import LockTable
-from .hw_twbg import resource_edges, H_LABEL
+from .hw_twbg import H_LABEL, W_LABEL, h_edges
 from .modes import LockMode
-from .requests import ResourceState
+from .requests import SLOTTED, ResourceState
 
 #: ``ancestor`` sentinel values.
 OFF_PATH = 0
 ROOT = -1
 
+_NL = LockMode.NL
 
-@dataclass
-class TSTEdge:
+
+class TSTEdge(NamedTuple):
     """One ``waited`` record: ``(lock, tid)`` plus the source resource.
 
     ``lock`` is ``NL`` for H edges and the waiter's blocked mode for W
@@ -63,11 +64,11 @@ class TSTEdge:
 
     @property
     def is_w(self) -> bool:
-        return self.lock is not LockMode.NL
+        return self.lock is not _NL
 
     @property
     def label(self) -> str:
-        return "W" if self.is_w else "H"
+        return W_LABEL if self.lock is not _NL else H_LABEL
 
     def __str__(self) -> str:
         return "({}, {})".format(
@@ -75,7 +76,7 @@ class TSTEdge:
         )
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class TSTEntry:
     """One transaction's row in the TST."""
 
@@ -110,7 +111,7 @@ class TSTEntry:
 
     def w_edge(self) -> Optional[TSTEdge]:
         """The transaction's W edge (front of ``waited``), if queued."""
-        if self.waited and self.waited[0].is_w:
+        if self.waited and self.waited[0].lock is not _NL:
             return self.waited[0]
         return None
 
@@ -124,56 +125,48 @@ class TSTEntry:
 class TST:
     """The transaction status table for one detector run.
 
-    Step 1 of the periodic algorithm: W edges are copied from the queues
-    (they are "present all the time"), H edges are constructed by ECR-1
-    and ECR-2 for every *waiting* resource (each ECR needs a blocked
-    request at the resource, so no other contributes an edge), and the
-    walk variables are initialized.
+    Step 1 of the periodic algorithm, in one scan of the waiting
+    resources (``states``; default: the table's): W edges are copied from
+    the queues (they are "present all the time") and the blocked
+    requests marked, then H edges are added by ECR-1 and ECR-2
+    (:func:`~repro.core.hw_twbg.h_edges`) for every *waiting* resource —
+    each ECR needs a blocked request at the resource, so no other
+    contributes an edge — and the walk variables are initialized.  A
+    transaction waits at one place only (Axiom 1), so its W edge is the
+    first record of its row.
     """
 
-    def __init__(self, table: LockTable) -> None:
+    def __init__(
+        self, table: LockTable, states: Optional[Sequence[ResourceState]] = None
+    ) -> None:
         self._table = table
+        if states is None:
+            states = table.waiting_resources()
         self.entries: Dict[int, TSTEntry] = {}
-        for state in table.waiting_resources():
-            self._load_resource(state)
-        for entry in self.entries.values():
-            entry.reset_walk()
-
-    # -- construction -------------------------------------------------------
-
-    def entry(self, tid: int) -> TSTEntry:
-        record = self.entries.get(tid)
-        if record is None:
-            record = TSTEntry(tid=tid)
-            self.entries[tid] = record
-        return record
-
-    def _load_resource(self, state: ResourceState) -> None:
-        """Install the W edges, ``pr`` markers and ECR H edges of one
-        resource.  W edges go to the *front* of each waited list."""
-        for position, waiter in enumerate(state.queue):
-            record = self.entry(waiter.tid)
-            record.pr = state.rid
-            record.in_queue = True
-            successor = (
-                state.queue[position + 1].tid
-                if position + 1 < len(state.queue)
-                else 0
-            )
-            record.waited.insert(
-                0, TSTEdge(waiter.blocked, successor, state.rid)
-            )
-        for holder in state.holders:
-            record = self.entry(holder.tid)
-            if holder.is_blocked:
-                record.pr = state.rid
-                record.in_queue = False
-        for edge in resource_edges(state):
-            if edge.label != H_LABEL:
-                continue  # W edges were installed from the queue above.
-            self.entry(edge.source).waited.append(
-                TSTEdge(LockMode.NL, edge.target, edge.rid)
-            )
+        entries = self.entries
+        for state in states:
+            rid, successor = state.rid, 0
+            for waiter in reversed(state.queue):
+                entries[waiter.tid] = TSTEntry(
+                    waiter.tid, OFF_PATH, rid, True,
+                    [TSTEdge(waiter.blocked, successor, rid)],
+                )
+                successor = waiter.tid
+            for holder in state.holders:
+                if holder.blocked is not _NL:
+                    entries[holder.tid] = TSTEntry(holder.tid, OFF_PATH, rid)
+        for state in states:
+            rid = state.rid
+            for holder in state.holders:
+                if holder.tid not in entries:
+                    entries[holder.tid] = TSTEntry(holder.tid)
+            for source, target in h_edges(state):
+                entries[source].waited.append(TSTEdge(_NL, target, rid))
+        #: Every ``waited`` record, the W edges to 0 included.
+        self.edge_count = 0
+        for entry in entries.values():
+            entry.current = 0 if entry.waited else None
+            self.edge_count += len(entry.waited)
 
     # -- queries --------------------------------------------------------------
 
@@ -189,19 +182,13 @@ class TST:
 
     def retarget_queue_edges(self, rid: str) -> None:
         """Re-point the W edges of ``rid``'s queue members after a TDR-2
-        repositioning, so the TST keeps matching the queue.  The edge
-        records are updated in place; ``current`` indexes stay valid."""
-        state = self.resource(rid)
-        for position, waiter in enumerate(state.queue):
-            record = self.entries[waiter.tid]
-            w_edge = record.w_edge()
-            if w_edge is None:  # pragma: no cover - defensive
-                continue
-            w_edge.target = (
-                state.queue[position + 1].tid
-                if position + 1 < len(state.queue)
-                else 0
-            )
+        repositioning, so the TST keeps matching the queue; ``current``
+        indexes stay valid."""
+        successor = 0
+        for waiter in reversed(self.resource(rid).queue):
+            waited = self.entries[waiter.tid].waited
+            waited[0] = TSTEdge(waited[0].lock, successor, rid)
+            successor = waiter.tid
 
     # -- presentation -------------------------------------------------------------
 

@@ -27,11 +27,12 @@ smaller transaction id, so runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .hw_twbg import Edge, H_LABEL, W_LABEL
-from .modes import compatible
+from .modes import LockMode, compatible
 from .requests import ResourceState
+
+_NL = LockMode.NL
 
 
 class CostTable:
@@ -85,24 +86,20 @@ def _default_penalty(current_cost: float) -> float:
     return max(current_cost, 1.0)
 
 
-@dataclass(frozen=True)
-class AbortCandidate:
+class AbortCandidate(NamedTuple):
     """TDR-1: abort ``tid``.  ``rid`` is where the victim is blocked."""
 
     tid: int
     rid: Optional[str]
     cost: float
 
-    @property
-    def kind(self) -> str:
-        return "abort"
+    kind = "abort"
 
     def __str__(self) -> str:
         return "abort T{} (cost {:g})".format(self.tid, self.cost)
 
 
-@dataclass(frozen=True)
-class RepositionCandidate:
+class RepositionCandidate(NamedTuple):
     """TDR-2: delay the ST requests of ``rid`` behind the AV requests.
 
     ``junction`` is the transaction whose wait triggered the rule; ``av``
@@ -115,9 +112,7 @@ class RepositionCandidate:
     st: Tuple[int, ...]
     cost: float
 
-    @property
-    def kind(self) -> str:
-        return "reposition"
+    kind = "reposition"
 
     def __str__(self) -> str:
         return "reposition {} of {} behind {} (cost {:g})".format(
@@ -156,63 +151,45 @@ def split_av_st(
 
 
 def candidates_for_cycle(
-    cycle_edges: Sequence[Edge],
+    cycle_edges: Sequence,
     resource_lookup: Callable[[str], ResourceState],
     costs: CostTable,
 ) -> List[VictimCandidate]:
     """All TDR victim candidates of one cycle, given its edge sequence
-    (e.g. from :meth:`HWTWBG.cycle_edges`).
+    in cycle order — :class:`~repro.core.hw_twbg.Edge` records (e.g.
+    from :meth:`HWTWBG.cycle_edges`) or the walk's
+    :class:`~repro.core.tst.TSTEdge` records, read as they are: an edge
+    is H when its ``lock`` is ``NL``, and its source is the previous
+    edge's ``target``.
 
     ``resource_lookup`` maps a resource id to its current state (use
-    ``lock_table.existing``).  TDR-1 yields one candidate per junction;
-    TDR-2 adds one more where applicable.
+    ``lock_table.existing``).  TDR-1 yields one candidate per junction —
+    blocked where the cycle enters it: every edge's target waits at the
+    edge's resource (ECR-1/2 draw H edges to blocked requests, ECR-3 W
+    edges to queued ones).  TDR-2 adds one more where applicable.
     """
     candidates: List[VictimCandidate] = []
-    length = len(cycle_edges)
-    for position, edge in enumerate(cycle_edges):
-        if edge.label != H_LABEL:
+    entering = cycle_edges[-1]
+    for edge in cycle_edges:
+        if edge.lock is not _NL:
+            entering = edge
             continue
-        junction = edge.source
-        entering = cycle_edges[(position - 1) % length]
-        blocked_rid = _blocked_resource(junction, resource_lookup, entering)
+        junction = entering.target
         candidates.append(
-            AbortCandidate(junction, blocked_rid, costs.cost(junction))
+            AbortCandidate(junction, entering.rid, costs.cost(junction))
         )
-        if entering.label != W_LABEL:
-            continue
-        state = resource_lookup(entering.rid)
-        entry = state.queue_entry(junction)
-        if entry is None or not compatible(state.total, entry.blocked):
-            continue
-        av, st = split_av_st(state, junction)
-        if not st:
-            continue
-        candidates.append(
-            RepositionCandidate(
-                junction=junction,
-                rid=state.rid,
-                av=tuple(av),
-                st=tuple(st),
-                cost=sum(costs.cost(t) for t in st) / 2.0,
-            )
-        )
+        if entering.lock is not _NL:
+            state = resource_lookup(entering.rid)
+            entry = state.queue_entry(junction)
+            if entry is not None and compatible(state.total, entry.blocked):
+                av, st = split_av_st(state, junction)
+                if st:
+                    candidates.append(RepositionCandidate(
+                        junction, state.rid, tuple(av), tuple(st),
+                        sum(map(costs.cost, st)) / 2.0,
+                    ))
+        entering = edge
     return candidates
-
-
-def _blocked_resource(
-    junction: int,
-    resource_lookup: Callable[[str], ResourceState],
-    entering: Edge,
-) -> Optional[str]:
-    """The resource a junction waits at — the entering edge's resource
-    (the junction is blocked in that resource's queue or holder list)."""
-    state = resource_lookup(entering.rid)
-    if state.queue_entry(junction) is not None:
-        return state.rid
-    holder = state.holder_entry(junction)
-    if holder is not None and holder.is_blocked:
-        return state.rid
-    return None
 
 
 def select_victim(
@@ -222,17 +199,16 @@ def select_victim(
     smaller junction/victim id.  Raises ``ValueError`` on empty input."""
     if not candidates:
         raise ValueError("a deadlock cycle always has TDR candidates")
-
-    def sort_key(candidate) -> Tuple[float, int, int]:
-        prefer_reposition = 0 if candidate.kind == "reposition" else 1
-        tid = (
-            candidate.junction
-            if candidate.kind == "reposition"
-            else candidate.tid
+    best = best_key = None
+    for candidate in candidates:
+        key = (
+            (candidate.cost, 1, candidate.tid)
+            if candidate.kind == "abort"
+            else (candidate.cost, 0, candidate.junction)
         )
-        return (candidate.cost, prefer_reposition, tid)
-
-    return min(candidates, key=sort_key)
+        if best_key is None or key < best_key:
+            best, best_key = candidate, key
+    return best
 
 
 @dataclass

@@ -10,12 +10,15 @@ request to draw an edge; the queues hold the W edges "all the time"), so
 a pass costs what the waiting costs, however many idle locks there are.
 
 :class:`DetectionPass` owns the sequence; a *binding* supplies its two
-ends.  ``collect()`` returns ``(table, held, live)``: the waiting
-structure as a lock table in first-lock order, the held-rid summaries,
-and whether ``table`` is the live table (Steps 1–3 then resolve in
-place and nothing is routed).  ``reposition`` / ``abort`` / ``sweep``
-apply staged resolutions where the live state is, re-checking each
-against it; ``finish(result)`` hands the result to the host.  Bindings:
+ends.  ``collect(held)`` returns ``(table, held, live)``: the waiting
+structure as a lock table in first-lock order, the held-rid summaries
+(built only when asked for — by a policy with a pre-pass — and read
+with the rows; ``None`` otherwise), and whether ``table`` is the live
+table (Steps 1–3 then resolve in place and nothing is routed).
+Otherwise Steps 1–2 stage on the copy and Step 3 runs once, against the
+live state: ``reposition`` / ``abort`` / ``sweep`` apply the staged
+resolutions where the live state is, re-checking each against it;
+``finish(result)`` hands the result to the host.  Bindings:
 :class:`LiveBinding` (one table, in place: the monolithic manager and
 the single-shard core), the shard binding of
 :class:`~repro.lockmgr.sharded.ShardedLockCore` (copies taken and
@@ -31,7 +34,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.victim import CostTable, RepositionCandidate
+from ..core.victim import CostTable
+from .events import Granted
 from .lock_table import LockTable
 
 
@@ -85,11 +89,11 @@ class LiveBinding:
     def part_of(self, rid: str) -> int:
         return 0
 
-    def collect(self):
+    def collect(self, held: bool):
         table = self.table
         held = {
             tid: sorted(table.held_by(tid)) for tid in table.blocked_tids()
-        }
+        } if held else None
         return table, held, True
 
 
@@ -119,77 +123,74 @@ class DetectionPass:
         self.stamp = stamp
         self.result = None
         self._table_text: Optional[str] = None
-        self._blocked_at: Dict[int, str] = {}
+        self._run = None
 
     def run(self):
         """Detect and resolve; returns the
         :class:`~repro.core.detection.DetectionResult`."""
-        from ..core.detection import PeriodicDetector
+        from ..core.detection import _DetectionRun
+        from ..policy.base import DetectionPolicy
 
-        binding, policy = self.binding, self.policy
+        binding, policy, info = self.binding, self.policy, self.binding.info
+        # Only a policy with a pre-pass reads the held-rid summaries.
+        pre_pass = type(policy).pre_pass is not DetectionPolicy.pre_pass
         with binding.guard():
-            table, held, live = binding.collect()
+            table, held, live = binding.collect(pre_pass)
             states = table.waiting_resources()
-            binding.info.merged_resources = len(states)
+            info.merged_resources = len(states)
             # Whatever is read back after Steps 1-3 is captured first:
             # the detector resolves on ``table`` itself.
-            blocked_at = self._blocked_at = {
-                tid: table.blocked_at(tid) for tid in table.blocked_tids()
-            }
             if self.incidents is not None and states:
                 self._table_text = "\n".join(map(str, states))
-            policy.pre_pass(states, held)
+            if pre_pass:
+                policy.pre_pass(states, held)
             started = perf_counter()
-            staged = PeriodicDetector(table, self.costs).run()
-            policy.observe_pass(staged, perf_counter() - started)
-            for resolution in staged.resolutions:
-                parts = {
-                    binding.part_of(blocked_at[tid])
-                    for tid in resolution.cycle
-                }
-                binding.info.cross_part_cycles += len(parts) > 1
-            self.result = staged if live else self._route(staged)
+            run = self._run = _DetectionRun(table, self.costs, states=states)
+            routed = not live and run.stage()
+            if live:
+                run.execute()
+            policy.observe_pass(run.result, perf_counter() - started)
+            if info.parts > 1:
+                for resolution in run.result.resolutions:
+                    parts = {
+                        binding.part_of(run.tst.entries[tid].pr)
+                        for tid in resolution.cycle
+                    }
+                    info.cross_part_cycles += len(parts) > 1
+            if routed:
+                self._route(run)
+            self.result = run.result
             binding.finish(self.result)
         return self.result
 
-    def _route(self, staged):
-        """Replay the staged resolutions against the live state in the
-        detector's order: repositionings (Step 2), victims one at a time
-        (Step 3: one that an earlier release already granted is no
-        longer blocked where the snapshot saw it, and is spared), then
-        change-list sweeps.  Whatever moved on since the snapshot is
-        dropped and counted, never guessed at."""
-        from ..core.detection import DetectionResult
-
-        binding, info = self.binding, self.binding.info
-        result = DetectionResult(
-            spared=list(staged.spared),
-            resolutions=list(staged.resolutions),
-            stats=staged.stats,
-        )
+    def _route(self, run) -> None:
+        """Step 3 against the live state: the staged repositionings
+        first (Step 2 applied them to the copy), then the victims newest
+        first — one granted by an earlier victim's release is spared,
+        one no longer blocked where the snapshot saw it is stale (spared
+        and counted) — then the change-list sweeps of the repositionings
+        that still applied.  The copy is never released or swept."""
+        binding, info, result = self.binding, self.binding.info, run.result
+        entries = run.tst.entries
         chosen = [
             resolution.chosen
-            for resolution in staged.resolutions
-            if isinstance(resolution.chosen, RepositionCandidate)
+            for resolution in result.resolutions
+            if resolution.chosen.kind == "reposition"
         ]
-        applied: List[str] = []
+        result.repositions, applied = [], []
         for candidate, event in zip(chosen, binding.reposition(chosen)):
             if event is None:
                 info.stale_repositions += 1
             else:
                 applied.append(candidate.rid)
                 result.repositions.append(event)
-        for tid in staged.aborted:
-            grants = binding.abort(tid, self._blocked_at[tid])
-            if grants is None:
-                info.stale_victims += 1
-                result.spared.append(tid)
-            else:
-                result.grants.extend(grants)
-                result.aborted.append(tid)
-        if applied:
-            result.grants.extend(binding.sweep(applied))
-        return result
+
+        def abort(tid: int) -> Optional[List[Granted]]:
+            grants = binding.abort(tid, entries[tid].pr)
+            info.stale_victims += grants is None
+            return grants
+
+        run.confirm(abort, binding.sweep, applied)
 
     def record(self) -> int:
         """Write the forensics of the pass just run; returns how many
@@ -198,11 +199,12 @@ class DetectionPass:
 
         result, sink, name = self.result, self.incidents, self.policy.name
         if sink is not None and result.deadlock_found:
+            entries = self._run.tst.entries
             sink.append(
                 build_incident(
                     result,
                     table_text=self._table_text,
-                    blocked_at=self._blocked_at,
+                    blocked_at={t: e.pr for t, e in entries.items() if e.pr},
                     policy=name,
                     **self.stamp(True)
                 )

@@ -468,26 +468,35 @@ class ShardedLockCore:
 
     # -- resolution primitives (shared with the cluster coordinator) -------
 
-    def _waiting(self, convert):
+    def _waiting(self, convert, held: bool):
         """Snapshot the waiting structure: ``convert(state)`` of every
         resource somebody is blocked at — each shard locked briefly, in
-        shard order — sorted by first-lock number, plus every blocked
-        transaction's held resource ids (core-wide), the shard epochs
-        and the seconds each shard's mutex was held."""
-        rows, blocked, epochs, seconds = [], [], [], []
+        shard order — sorted by first-lock number, the shard epochs and
+        the seconds each shard's mutex was held.  With ``held``, also
+        every blocked transaction's held resource ids (core-wide), each
+        shard's read in the same critical section as its rows (``None``
+        otherwise): the transactions blocked anywhere are peeked first,
+        and one that blocks while the shards are read is listed with
+        what it holds on the shards read after it blocked."""
+        rows, epochs, seconds = [], [], []
+        blocked, peeked, holds = set(), set(), {}
+        for shard in self.shards if held else ():
+            with shard.mutex:
+                peeked.update(shard.table.blocked_tids())
         for shard in self.shards:
             started = perf_counter()
             with shard.mutex:
                 table = shard.table
-                rows.extend(
-                    (table.sequence_of(state.rid), convert(state))
-                    for state in table.waiting_resources()
-                )
-                blocked.extend(table.blocked_tids())
+                for state in table.waiting_resources():
+                    rows.append((table.sequence_of(state.rid), convert(state)))
                 epochs.append(shard.epoch)
+                if held:
+                    blocked.update(table.blocked_tids())
+                    for tid in peeked | blocked:
+                        holds.setdefault(tid, set()).update(table.held_by(tid))
             seconds.append(perf_counter() - started)
         rows.sort(key=lambda row: row[0])
-        held = {tid: sorted(self.holding(tid)) for tid in blocked}
+        held = {tid: sorted(holds[tid]) for tid in blocked} if held else None
         return rows, held, epochs, seconds
 
     def snapshot_payload(self) -> Dict[str, object]:
@@ -503,7 +512,7 @@ class ShardedLockCore:
         from ..core.serialize import FORMAT_VERSION, state_to_dict
 
         started = perf_counter()
-        rows, held, epochs, _ = self._waiting(state_to_dict)
+        rows, held, epochs, _ = self._waiting(state_to_dict, True)
         return {
             "v": FORMAT_VERSION,
             "table": {
@@ -687,15 +696,16 @@ class _ShardBinding:
         self.parts = len(core.shards)
         self.part_of = core.shard_index
         self.abort = core.abort_victim
+        self.sweep = core.sweep_resource
         self.info = PassInfo(parts=self.parts)
         self._epochs: List[int] = []
 
     def guard(self):
         return self.core._detect_lock
 
-    def collect(self):
+    def collect(self, held: bool):
         rows, held, self._epochs, self.info.snapshot_seconds = (
-            self.core._waiting(ResourceState.copy)
+            self.core._waiting(ResourceState.copy, held)
         )
         merged = LockTable()
         for _, state in rows:
@@ -712,13 +722,6 @@ class _ShardBinding:
         return [
             self.core.apply_reposition(item.rid, item.av, item.st)
             for item in chosen
-        ]
-
-    def sweep(self, rids: List[str]) -> List[Granted]:
-        return [
-            event
-            for rid in rids
-            for event in self.core.sweep_resource(rid)
         ]
 
     def finish(self, result) -> None:

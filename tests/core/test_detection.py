@@ -57,6 +57,20 @@ class TestExample41:
         result = detect_once(example_41_table)
         assert result.stats.cycles_found == 1
 
+    def test_tdr2_applicable_is_the_structural_count(self, example_41_table):
+        """The one cycle has an AV/ST-splittable junction, and it wins.
+        With TDR-2 switched off the aborts leave three cycles to find,
+        and every one still had such a junction: lost on policy, not on
+        structure."""
+        stats = detect_once(example_41_table).stats
+        assert (stats.cycles_found, stats.tdr2_applicable) == (1, 1)
+        assert stats.tdr2_applied == 1
+        stats = PeriodicDetector(
+            load_table(LockTable(), EXAMPLE_41), allow_tdr2=False
+        ).run().stats
+        assert stats.cycles_found == stats.tdr2_applicable == 3
+        assert stats.tdr2_applied == 0
+
     def test_works_from_scheduler_built_state(self, example_41_by_requests):
         result = detect_once(example_41_by_requests)
         assert result.abort_free
@@ -80,6 +94,16 @@ class TestExample51:
         assert isinstance(result.resolutions[0].chosen, AbortCandidate)
         assert result.resolutions[0].chosen.tid == 3
         assert result.resolutions[1].chosen.tid == 2
+
+    def test_tdr2_applicable_beside_applied(self, example_51_table):
+        """Of the two cycles one offers a repositioning (delay T2 behind
+        T3, cost 4 / 2); at the walkthrough's costs it loses to aborting
+        T3 (cost 1): applicable 1, applied 0 — lost on cost."""
+        costs = CostTable(dict(self.COSTS))
+        stats = detect_once(example_51_table, costs).stats
+        assert stats.cycles_found == 2
+        assert (stats.tdr2_applicable, stats.tdr2_applied) == (1, 0)
+        assert stats.tdr1_applied == 2
 
     def test_final_state_matches_paper(self, example_51_table):
         detect_once(example_51_table, CostTable(dict(self.COSTS)))

@@ -1,7 +1,8 @@
 """What an uncontended lock may cost — counted, never timed.
 
 ``tools/lock_path_cost.py`` takes the figures (Python-level calls per
-core step, gc-tracked objects per held lock, bytes per ballast reader);
+core step and per planted-round detector pass, gc-tracked objects per
+held lock, bytes per ballast reader);
 this holds them to the tool's ratchet in tier-1, and holds the release
 path to what the counts assume: eight sole-holder locks go without a
 sweep and leave nothing behind.
@@ -24,6 +25,17 @@ def test_the_lock_path_is_within_its_ratchet():
         name: (figures[name], ceiling)
         for name, ceiling in tool.CEILINGS.items()
     }
+
+
+def test_a_detector_pass_ratchet_is_never_raised():
+    """One ``detect()`` over a planted round (38 transactions, 8
+    cycles) touches each element of the waiting structure once: the
+    ceilings stay at what that costs, well under the 3242 / 2080 calls
+    a pass made while Step 2 called an observer hook per edge and a
+    routed pass ran Step 3 twice."""
+    ceilings = load_tool("lock_path_cost").CEILINGS
+    assert ceilings["detect planted round py (shards=4)"] <= 1700
+    assert ceilings["detect planted round py (shards=1)"] <= 1200
 
 
 def test_releasing_eight_sole_holder_locks_sweeps_nothing_and_leaves_nothing():

@@ -16,7 +16,12 @@ created series and codecs are out of the way:
   it has);
 * **bytes** — ``tracemalloc`` bytes per reader, resource id included,
   for :data:`READERS` one-lock S-readers on ``ShardedLockCore(shards=4)``
-  (the benchmark's ``detect_ballast`` table).
+  (the benchmark's ``detect_ballast`` table);
+* **pass** — Python-level and C-level calls for one ``detect()`` over
+  the benchmark's first planted round (``planted_round(5, 0)``: 38
+  transactions, 8 deadlock cycles) on ``ShardedLockCore`` with
+  ``shards=4`` (routed: staged on a merged copy, resolved on the live
+  shards) and ``shards=1`` (in place).
 
 Exits 1 when a figure is over its ratchet (:data:`CEILINGS`;
 ``tests/lockmgr/test_lock_path_cost.py`` asserts the same table in
@@ -52,6 +57,8 @@ CEILINGS = {
     "ShardedLockCore.lock py": 13,
     "scheduler.request py": 10,
     "finish_step+pump x8 py (telemetry on)": 60,
+    "detect planted round py (shards=4)": 1700,
+    "detect planted round py (shards=1)": 1200,
 }
 if sys.version_info >= (3, 10):
     CEILINGS.update({
@@ -214,6 +221,19 @@ def measure() -> Dict[str, object]:
     finally:
         tracemalloc.stop()
     figures["bytes per ballast reader (shards=4)"] = (after - before) / READERS
+
+    from bench.workloads import planted_round
+    from repro.core.modes import parse_mode
+
+    for shards in (4, 1):
+        planted = ShardedLockCore(shards=shards, policy="periodic")
+        for plant in planted_round(5, 0):
+            for tid, rid, mode, _ in plant.requests:
+                planted.lock(tid, rid, parse_mode(mode))
+        label = " (shards={})".format(shards)
+        python, c = count_calls(planted.detect)
+        figures["detect planted round py" + label] = python
+        figures["detect planted round C" + label] = c
     return figures
 
 
@@ -232,8 +252,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv:
         print(__doc__.strip().split("Usage::")[1], file=sys.stderr)
         return 2
-    if src not in sys.path:
-        sys.path.insert(0, src)
+    for path in (src, REPO_ROOT):  # the package, and ``bench`` for the plants
+        if path not in sys.path:
+            sys.path.insert(0, path)
     figures = measure()
     print("{:<52}{:>10}{:>10}".format("figure", "value", "ceiling"))
     for name, value in figures.items():
