@@ -125,10 +125,9 @@ def admin(server, coro_fn):
 def main() -> None:
     from repro.service import LoopbackServer
 
-    # Pinned to the periodic policy: the walkthrough stages Example 4.1
-    # for an explicit detection pass, which block-time policies (e.g. a
-    # REPRO_POLICY=nowait environment) would preempt.
-    with LoopbackServer(period=None, policy="periodic") as server:
+    # The periodic policy and no detector clock: the walkthrough stages
+    # Example 4.1 for an explicit detection pass.
+    with LoopbackServer(period=None) as server:
         workers = [Worker(i) for i in range(WORKERS)]
         try:
             by_tid = lambda tid: workers[tid % WORKERS]

@@ -59,10 +59,10 @@ class ClusterModel(LockstepModel):
         workers = self.workers
         if workers is None:
             workers = scheduler.choose(list(WORKER_CHOICES), "workers")
-        # Pinned to the periodic policy, as in the sharded backend.
+        # The periodic policy, as in the sharded backend.
         return Worlds(
-            LocalCluster(workers=workers, policy="periodic"),
-            ShardedLockCore(shards=workers, policy="periodic"),
+            LocalCluster(workers=workers),
+            ShardedLockCore(shards=workers),
             tag="workers={}".format(workers),
             workers=workers,
         )

@@ -22,9 +22,6 @@ class ConcurrentModel(LockstepModel):
     backend = "concurrent"
 
     def open(self, scheduler):
-        # Policy pinned (periodic or its continuous companion): the
-        # schedules stage deadlocks the oracles expect a detector to
-        # find, which the REPRO_POLICY=nowait CI leg would prevent.
         return Worlds(LockManager(
             policy="continuous" if self.continuous else "periodic"
         ))

@@ -100,21 +100,25 @@ class ServiceModel:
         max_steps: int = 600,
         restart_limit: int = 2,
         timeout_limit: int = 2,
-        wire=None,
+        wire="json",
+        shards: int = 1,
     ) -> None:
         self.programs = programs
         self.session_count = max(1, sessions)
         self.continuous = continuous
+        self.policy = "continuous" if continuous else "periodic"
         self.faults = faults
         self.lease = lease
         self.max_steps = max_steps
         self.restart_limit = restart_limit
         self.timeout_limit = timeout_limit
         #: The wire dialect lock frames round-trip through before the
-        #: core sees them (default: ``REPRO_WIRE``, i.e. JSON) — the
-        #: explorer's proof that a schedule replays identically under
-        #: either codec.
+        #: core sees them — the explorer's proof that a schedule
+        #: replays identically under either codec.
         self.codec = codec_for(resolve_wire(wire))
+        #: Shards of the core's lock table; a continuous schedule runs
+        #: its rooted check on one, which the policy demands.
+        self.shards = 1 if continuous else shards
 
     def run(self, scheduler: VirtualScheduler) -> ScheduleResult:
         clock = VirtualClock()
@@ -124,10 +128,10 @@ class ServiceModel:
         tokens = itertools.count(1)
         token_source = lambda: "tok{}".format(next(tokens))  # noqa: E731
         core = ServiceCore(
-            continuous=self.continuous,
             # Deadlock-staging schedules need the detector lanes; the
             # policy backend owns policy variation.
-            policy=None if self.continuous else "periodic",
+            policy=self.policy,
+            shards=self.shards,
             lease=self.lease,
             clock=clock,
             journal=SessionJournal(),
@@ -345,8 +349,8 @@ class ServiceModel:
             }
             journal = SessionJournal.from_records(core.journal.records())
             replica = ServiceCore(
-                continuous=self.continuous,
-                policy=None if self.continuous else "periodic",
+                policy=self.policy,
+                shards=self.shards,
                 lease=self.lease,
                 clock=clock,
                 journal=None,

@@ -50,12 +50,11 @@ class EquivalenceModel(LockstepModel):
         shards = self.shards
         if shards is None:
             shards = scheduler.choose(list(SHARD_CHOICES), "shards")
-        # Pinned to the periodic policy: this backend explores sharding
-        # equivalence; the policy backend owns policy variation (and the
-        # REPRO_POLICY CI leg must not change what is compared here).
+        # The periodic policy: this backend explores sharding
+        # equivalence; the policy backend owns policy variation.
         return Worlds(
-            ShardedLockCore(shards=shards, policy="periodic"),
-            LockManager(policy="periodic"),
+            ShardedLockCore(shards=shards),
+            LockManager(),
             tag="shards={}".format(shards),
             shards=shards,
         )

@@ -245,28 +245,32 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="default session lease granted to clients",
     )
-    serve_cmd.add_argument(
+    # One destination, two spellings: the parser rejects both at once.
+    detector = serve_cmd.add_mutually_exclusive_group()
+    detector.add_argument(
         "--continuous",
-        action="store_true",
+        action="store_const",
+        dest="policy",
+        const="continuous",
+        default="periodic",
         help="use the continuous companion detector (same as "
         "--policy continuous)",
     )
-    serve_cmd.add_argument(
+    detector.add_argument(
         "--policy",
         choices=["periodic", "continuous", "nowait", "adaptive",
                  "predict"],
-        default=None,
-        help="detection/resolution policy (default: REPRO_POLICY or "
-        "periodic); nowait runs the deadlock-free ordered-wait lane, "
-        "adaptive auto-tunes the detector period, predict warns on "
-        "near-cycles",
+        default="periodic",
+        help="detection/resolution policy (default: periodic); nowait "
+        "runs the deadlock-free ordered-wait lane, adaptive auto-tunes "
+        "the detector period, predict warns on near-cycles",
     )
     serve_cmd.add_argument(
         "--shards",
         type=int,
-        default=None,
-        help="lock table shards (default: REPRO_SHARDS or 1; "
-        "--continuous forces 1)",
+        default=1,
+        help="lock table shards (default: 1; the continuous policy "
+        "needs 1)",
     )
     serve_cmd.add_argument(
         "--workers",
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes; >1 runs the cluster supervisor with "
         "one partitioned lock server per worker on port..port+N-1 "
-        "(--continuous forces 1)",
+        "(the continuous policy needs 1)",
     )
     serve_cmd.add_argument(
         "--cost",

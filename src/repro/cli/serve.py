@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import sys
 import time
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from ..lockmgr.sharded import SHARDS_ENV
 from ..obs.incidents import IncidentLog
-from ..policy import POLICIES, POLICY_ENV
+from ..policy import POLICIES
 from ..service.server import LockServer
 from . import parse_cost_pairs, parse_costs
 
@@ -28,103 +27,61 @@ class ServeConfigError(ValueError):
     code 2 — the argparse convention for bad usage."""
 
 
+@dataclass(frozen=True)
 class ServeConfig:
-    """The validated, normalised ``serve`` topology knobs."""
+    """The validated ``serve`` topology knobs."""
 
-    def __init__(self, policy, continuous, shards, workers, warnings,
-                 unix=None):
-        self.policy = policy
-        self.continuous = continuous
-        self.shards = shards
-        self.workers = workers
-        self.unix = unix
-        self.warnings = tuple(warnings)
+    policy: str
+    shards: int
+    workers: int
+    warnings: Tuple[str, ...] = ()
+    unix: Optional[str] = None
 
 
 def validate_serve_config(
-    policy: Optional[str] = None,
-    continuous: bool = False,
-    shards: Optional[int] = None,
+    policy: str = "periodic",
+    shards: int = 1,
     workers: int = 1,
     period: float = 0.5,
     unix: Optional[str] = None,
-    environ=None,
 ) -> ServeConfig:
     """Validate one ``serve`` flag set; the single place topology
-    combinations are judged.
-
-    Explicitly contradictory flags raise :class:`ServeConfigError`
-    (the old scattered checks silently "won" one flag over another);
-    environment-derived defaults that merely lose to an explicit flag
-    demote to warnings, so an exported ``REPRO_SHARDS``/
-    ``REPRO_POLICY`` never breaks a command line that used to work.
-    Returns the normalised :class:`ServeConfig` with the *effective*
-    policy name resolved (explicit flag > environment > default).
+    combinations are judged.  Contradictory flags raise
+    :class:`ServeConfigError`; a policy the period makes inert warns.
     """
-    env = os.environ if environ is None else environ
     warnings: List[str] = []
-
-    env_policy = (env.get(POLICY_ENV) or "").strip() or None
-    effective = policy if policy is not None else env_policy
-    if effective is not None and effective not in POLICIES:
-        source = (
-            "--policy" if policy is not None
-            else "{}=".format(POLICY_ENV) + str(env_policy)
-        )
+    if policy not in POLICIES:
         raise ServeConfigError(
-            "unknown detection policy {!r} (from {}); known policies: "
-            "{}".format(effective, source, ", ".join(sorted(POLICIES)))
+            "unknown detection policy {!r}; known policies: {}".format(
+                policy, ", ".join(sorted(POLICIES))
+            )
         )
-    if continuous:
-        if policy is not None and policy != "continuous":
-            raise ServeConfigError(
-                "--continuous contradicts --policy {}: the continuous "
-                "companion detector is itself a policy; drop one of "
-                "the two flags".format(policy)
-            )
-        if policy is None and env_policy not in (None, "continuous"):
-            warnings.append(
-                "--continuous overrides {}={}".format(
-                    POLICY_ENV, env_policy
-                )
-            )
-        effective = "continuous"
-
-    wants_continuous = effective == "continuous"
-    if wants_continuous:
+    if policy == "continuous":
         if workers > 1:
             raise ServeConfigError(
                 "the continuous policy needs the whole wait graph in "
                 "one process; it cannot run with --workers "
                 "{}".format(workers)
             )
-        if shards is not None and shards > 1:
+        if shards > 1:
             raise ServeConfigError(
                 "the continuous policy needs the whole wait graph in "
                 "one process; it cannot run with --shards "
                 "{}".format(shards)
             )
-        env_shards = (env.get(SHARDS_ENV) or "").strip()
-        if shards is None and env_shards.isdigit() and int(env_shards) > 1:
-            warnings.append(
-                "the continuous policy forces one shard; ignoring "
-                "{}={}".format(SHARDS_ENV, env_shards)
-            )
-            shards = 1
-
     if workers < 1:
         raise ServeConfigError(
             "--workers must be at least 1 (got {})".format(workers)
         )
-    if shards is not None and shards < 1:
+    if shards < 1:
         raise ServeConfigError(
             "--shards must be at least 1 (got {})".format(shards)
         )
-    if effective in ("adaptive", "predict") and period <= 0:
+    if policy in ("adaptive", "predict") and period <= 0:
         warnings.append(
             "policy {} acts on periodic detector passes but --period "
             "{} disables the detector; it will be inert".format(
-                effective, period
+                policy, period
             )
         )
     if unix is not None and workers > 1:
@@ -134,11 +91,10 @@ def validate_serve_config(
             "run with --workers {}".format(workers)
         )
     return ServeConfig(
-        policy=effective,
-        continuous=wants_continuous,
+        policy=policy,
         shards=shards,
         workers=workers,
-        warnings=warnings,
+        warnings=tuple(warnings),
         unix=unix,
     )
 
@@ -147,7 +103,6 @@ def cmd_serve(args) -> int:
     try:
         config = validate_serve_config(
             policy=args.policy,
-            continuous=args.continuous,
             shards=args.shards,
             workers=args.workers,
             period=args.period,
@@ -261,7 +216,7 @@ def _serve_cluster(args, config: ServeConfig) -> int:
         metrics_port=args.metrics_port,
         metrics_host=args.host,
         policy=config.policy,
-        shards_per_worker=1 if config.shards is None else config.shards,
+        shards_per_worker=config.shards,
     )
     try:
         with supervisor:

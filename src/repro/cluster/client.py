@@ -59,7 +59,7 @@ class WireClusterTransport:
         lease: float = 30.0,
         connect_timeout: float = 5.0,
         call_timeout: float = 60.0,
-        wire: "int | str | None" = WIRE_BINARY,
+        wire: "int | str" = WIRE_BINARY,
     ) -> None:
         self._endpoints = list(endpoints)
         self._lease = lease
@@ -210,7 +210,7 @@ class ClusterLockManager:
         lease: float = 5.0,
         connect_timeout: float = 10.0,
         costs: Optional[Dict[int, float]] = None,
-        wire: "int | str | None" = None,
+        wire: "int | str" = "json",
     ) -> None:
         if not endpoints:
             raise ValueError("a cluster client needs at least one endpoint")

@@ -48,7 +48,7 @@ class LocalTransport:
     encodes+decodes real v2 frames.
     """
 
-    def __init__(self, cluster: "LocalCluster", wire=None) -> None:
+    def __init__(self, cluster: "LocalCluster", wire="json") -> None:
         self._cluster = cluster
         self.codec = codec_for(resolve_wire(wire))
         #: Every ``(worker index, plan)`` this transport routed — the
@@ -87,8 +87,8 @@ class LocalCluster:
         workers: int = 2,
         costs: Optional[CostTable] = None,
         incident_log: Optional[IncidentLog] = None,
-        policy=None,
-        wire=None,
+        policy="periodic",
+        wire="json",
     ) -> None:
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
@@ -99,9 +99,9 @@ class LocalCluster:
         #: block-time policies also act on every worker core, so cores
         #: are built with the same policy *name* (each core binds its
         #: own instance — mirroring the process-per-worker topology).
-        self.policy = resolve_policy(policy, env=True).bind(self)
+        self.policy = resolve_policy(policy).bind(self)
         core_policy = (
-            self.policy.name if self.policy.name in POLICIES else None
+            self.policy.name if self.policy.name in POLICIES else "periodic"
         )
         #: Deadlock forensics sink fed by every resolving pass; an
         #: in-memory ring by default so the explorer's incident oracle

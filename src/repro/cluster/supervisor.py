@@ -98,7 +98,7 @@ class ClusterSupervisor:
         incident_log: Optional[str] = None,
         metrics_port: Optional[int] = None,
         metrics_host: str = "127.0.0.1",
-        policy=None,
+        policy="periodic",
     ) -> None:
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
@@ -111,7 +111,7 @@ class ClusterSupervisor:
         #: fleet never switches to continuous (the rooted check is a
         #: whole-graph operation); :attr:`shard_count` tells the
         #: adaptive controller so.
-        self.policy = resolve_policy(policy, env=True).bind(self)
+        self.policy = resolve_policy(policy).bind(self)
         self.host = host
         self.base_port = base_port
         self.period = period
@@ -234,7 +234,7 @@ class ClusterSupervisor:
         # Block-time policies (the nowait lane) act on each worker
         # locally, so workers share the cluster's policy by name.
         # Custom policy *instances* don't cross the process boundary;
-        # those workers fall back to the default/env resolution.
+        # those workers run the default periodic policy.
         if self.policy.name in POLICIES:
             kwargs["policy"] = self.policy.name
         if self.journal_dir is not None:

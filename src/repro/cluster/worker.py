@@ -50,16 +50,15 @@ def worker_main(
     shards: int = 1,
     period: Optional[float] = None,
     costs: Optional[Dict[int, float]] = None,
-    continuous: bool = False,
     journal_path: Optional[str] = None,
-    policy: Optional[str] = None,
+    policy: str = "periodic",
 ) -> None:
     """Run one worker server until the process is terminated.
 
     ``ready`` is a queue the worker reports ``(index, host, port)`` on
     once bound; ``sequence_counter`` is the shared first-lock counter
     (None runs a private counter — fine for a standalone server, wrong
-    for a cluster).  ``shards``/``period``/``continuous`` exist so the
+    for a cluster).  ``shards``/``period`` exist so the
     cluster benchmark can also spawn its single-process baseline (a
     worker with in-process shards and its own detector) through the
     same entry point.  ``policy`` is the detection policy *name* the
@@ -84,7 +83,6 @@ def worker_main(
     )
     server = LockServer(
         costs=cost_table,
-        continuous=continuous,
         period=period,
         lease=lease,
         shards=shards,

@@ -11,8 +11,8 @@ of :class:`~repro.lockmgr.sharded.ShardedLockManager`: one mutex (the
 single shard's) protects the lock table, one condition variable per
 blocked transaction carries wake-ups, and an optional daemon thread
 runs the periodic detector every ``period`` seconds.  With
-``continuous=True`` detection instead happens inline on each block, as
-in the companion algorithm.  Callers who want per-resource parallelism
+``policy="continuous"`` detection instead happens inline on each block,
+as in the companion algorithm.  Callers who want per-resource parallelism
 construct ``ShardedLockManager(shards=N)`` directly.
 
 Strict 2PL is preserved: threads release everything at once via
@@ -43,17 +43,15 @@ class ConcurrentLockManager(ShardedLockManager):
     def __init__(
         self,
         costs: Optional[CostTable] = None,
-        continuous: bool = False,
         period: Optional[float] = None,
         wait_fn: Optional[
             Callable[[threading.Condition, Optional[float]], bool]
         ] = None,
-        policy=None,
+        policy="periodic",
     ) -> None:
         super().__init__(
             shards=1,
             costs=costs,
-            continuous=continuous,
             period=period,
             wait_fn=wait_fn,
             policy=policy,

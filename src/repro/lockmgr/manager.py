@@ -9,13 +9,12 @@ paper's model faithfully:
   transaction end (commit or abort); there is deliberately no public
   single-lock release.
 * ``detect()`` — run the periodic detection-resolution pass (Section 5);
-  with ``continuous=True`` the manager instead runs a rooted detection
-  after every blocking request (the companion algorithm).
+  with ``policy="continuous"`` the manager instead runs a rooted
+  detection after every blocking request (the companion algorithm).
 
 Detection *decisions* — what happens at block time, what runs around a
 pass — live in one :class:`~repro.policy.base.DetectionPolicy` object
-(``policy=``); the ``continuous`` flag is kept as a shorthand for the
-continuous policy.  The default policy is the paper's periodic scheme,
+(``policy=``).  The default policy is the paper's periodic scheme,
 bit-for-bit (the explorer's policy-equivalence oracle pins this down).
 
 All observable effects are returned as event lists
@@ -48,19 +47,12 @@ class LockManager:
     ----------
     costs:
         Shared cost table for victim selection (default: unit costs).
-    continuous:
-        When True, every blocking request immediately triggers a rooted
-        deadlock check (the continuous companion detector).  When False
-        (default), deadlocks are only resolved by explicit :meth:`detect`
-        calls — the periodic scheme.  Shorthand for
-        ``policy="continuous"``.
     policy:
         A :class:`~repro.policy.base.DetectionPolicy` name or instance
-        deciding block-time behavior and pass pre/post hooks; default
-        the periodic policy.  Unlike the service-layer components the
-        monolithic manager does **not** consult ``REPRO_POLICY`` —
-        tests and embedded users get the paper's behavior unless they
-        opt in explicitly.
+        deciding block-time behavior and pass pre/post hooks.  The
+        default ``"periodic"`` resolves deadlocks only on explicit
+        :meth:`detect` calls; ``"continuous"`` runs a rooted deadlock
+        check on every blocking request (the companion detector).
     listener:
         Optional callable invoked with every event the manager logs
         (grants, blocks, aborts, repositions) at the moment it happens —
@@ -70,18 +62,15 @@ class LockManager:
     def __init__(
         self,
         costs: Optional[CostTable] = None,
-        continuous: bool = False,
         track_graph: bool = False,
         listener: Optional[Callable[[object], None]] = None,
-        policy=None,
+        policy="periodic",
     ) -> None:
         from ..policy import resolve_policy
 
         self.table = LockTable()
         self.costs = costs if costs is not None else CostTable()
-        self.policy = resolve_policy(
-            policy, continuous=continuous, env=False
-        ).bind(self)
+        self.policy = resolve_policy(policy).bind(self)
         self.continuous = self.policy.continuous
         self.log = EventLog()
         self.listener = listener

@@ -53,20 +53,16 @@ monolithic one, so a quiescent pass finds the same cycles, victims and
 repositionings — the property the equivalence oracle in
 :mod:`repro.check.sharded` pins down.
 
-``REPRO_SHARDS`` in the environment sets the default shard count for
-components constructed with ``shards=None`` (the CI variant runs the
-whole suite at 4 shards this way).  Continuous detection needs a
-rooted check on every block — a whole-graph operation — so it is only
-supported single-shard; a continuous manager silently resolves to one
-shard rather than failing under an environment-driven default.
+The shard count is one explicit ``shards=`` argument (default 1).
+Continuous detection needs a rooted check on every block — a
+whole-graph operation — so it is only supported single-shard: asking
+for the continuous policy with ``shards > 1`` raises.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
-import warnings
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Set
 
@@ -85,45 +81,19 @@ from .lock_table import FirstLockSequence, LockTable
 from .partition import partition_of
 from . import scheduler
 
-#: Environment variable consulted when ``shards=None``.
-SHARDS_ENV = "REPRO_SHARDS"
+def resolve_shard_count(shards: int = 1, policy="periodic") -> int:
+    """Resolve a ``shards`` argument under ``policy`` (a name or an
+    instance): at least one shard, and exactly one for a continuous
+    policy, whose rooted at-block check is a whole-graph operation —
+    asking for more raises :class:`ValueError`."""
+    from ..policy import resolve_policy
 
-
-def env_default_shards() -> int:
-    """The environment-driven default shard count (1 when unset)."""
-    raw = os.environ.get(SHARDS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def resolve_shard_count(
-    shards: Optional[int], continuous: bool = False
-) -> int:
-    """Resolve a ``shards`` argument: ``None`` means the environment
-    default, and continuous detection forces a single shard (the rooted
-    at-block check is a whole-graph operation).  Overriding an explicit
-    multi-shard request this way warns instead of failing — the request
-    may come from an environment-wide ``REPRO_SHARDS`` default that a
-    continuous component legitimately cannot honour."""
-    count = env_default_shards() if shards is None else max(1, int(shards))
-    if continuous:
-        if count > 1:
-            source = (
-                "{}={}".format(SHARDS_ENV, os.environ.get(SHARDS_ENV))
-                if shards is None
-                else "shards={}".format(shards)
-            )
-            warnings.warn(
-                "continuous detection needs a whole-graph rooted check "
-                "and forces shards=1; ignoring {}".format(source),
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return 1
+    count = max(1, int(shards))
+    if count > 1 and resolve_policy(policy).continuous:
+        raise ValueError(
+            "continuous detection needs a whole-graph rooted check and "
+            "runs on one shard; shards={} contradicts it".format(shards)
+        )
     return count
 
 
@@ -280,17 +250,16 @@ class ShardedLockCore:
 
     def __init__(
         self,
-        shards: Optional[int] = None,
+        shards: int = 1,
         costs: Optional[CostTable] = None,
-        continuous: bool = False,
         listener: Optional[Callable[[object], None]] = None,
         sequence_source: Optional[Callable[[], int]] = None,
-        policy=None,
+        policy="periodic",
     ) -> None:
         from ..policy import resolve_policy
 
-        resolved = resolve_policy(policy, continuous=continuous, env=True)
-        count = resolve_shard_count(shards, continuous=resolved.continuous)
+        resolved = resolve_policy(policy)
+        count = resolve_shard_count(shards, resolved)
         # One first-lock counter for every shard table (see the module
         # docstring).  ``sequence_source`` swaps the local counter for
         # an external one — a cluster shares a cross-process counter so
@@ -301,8 +270,6 @@ class ShardedLockCore:
         ]
         self.costs = costs if costs is not None else CostTable()
         #: The detection policy: block-time decisions and pass hooks.
-        #: Like ``REPRO_SHARDS`` for the shard count, ``REPRO_POLICY``
-        #: supplies the default when ``policy=None``.
         self.policy = resolved.bind(self)
         self.continuous = self.policy.continuous
         #: Recent events, counted per shard (see :class:`EventLog`).
@@ -746,20 +713,18 @@ class ShardedLockManager:
 
     def __init__(
         self,
-        shards: Optional[int] = None,
+        shards: int = 1,
         costs: Optional[CostTable] = None,
-        continuous: bool = False,
         period: Optional[float] = None,
         wait_fn: Optional[
             Callable[[threading.Condition, Optional[float]], bool]
         ] = None,
         listener: Optional[Callable[[object], None]] = None,
-        policy=None,
+        policy="periodic",
     ) -> None:
         self._core = ShardedLockCore(
             shards=shards,
             costs=costs,
-            continuous=continuous,
             listener=listener,
             policy=policy,
         )

@@ -19,18 +19,13 @@ policies:
                 one-edge-short patterns as warnings and metrics.
 ==============  ==========================================================
 
-``REPRO_POLICY`` in the environment sets the default policy for
-components constructed with ``policy=None`` (mirroring
-``REPRO_SHARDS``; the CI variant runs the whole suite on the nowait
-lane this way).  An explicit ``continuous=True`` argument at a
-construction site still wins over the environment — it is a direct
-request for the companion algorithm.
+Every host takes the policy as one explicit ``policy=`` argument
+(default ``"periodic"``); nothing reads it from the environment.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Union
 
 from .adaptive import AdaptiveController, AdaptivePolicy
 from .base import DetectionPolicy
@@ -39,7 +34,6 @@ from .periodic import ContinuousPolicy, PeriodicPolicy
 from .predict import PredictivePolicy, find_near_cycles
 
 __all__ = [
-    "POLICY_ENV",
     "POLICIES",
     "DetectionPolicy",
     "PeriodicPolicy",
@@ -52,12 +46,8 @@ __all__ = [
     "wait_is_ordered",
     "evaluate_block",
     "find_near_cycles",
-    "env_default_policy",
     "resolve_policy",
 ]
-
-#: Environment variable consulted when ``policy=None``.
-POLICY_ENV = "REPRO_POLICY"
 
 #: Name -> zero-argument policy factory.
 POLICIES: Dict[str, Callable[[], DetectionPolicy]] = {
@@ -69,56 +59,24 @@ POLICIES: Dict[str, Callable[[], DetectionPolicy]] = {
 }
 
 
-def env_default_policy() -> Optional[str]:
-    """The environment-driven default policy name (None when unset)."""
-    raw = os.environ.get(POLICY_ENV, "").strip().lower()
-    return raw or None
-
-
 def resolve_policy(
-    policy: Union[None, str, DetectionPolicy] = None,
-    continuous: bool = False,
-    env: bool = True,
+    policy: Union[str, DetectionPolicy] = "periodic",
 ) -> DetectionPolicy:
-    """Resolve a ``policy`` argument to a fresh policy instance.
+    """Resolve a ``policy`` argument to a policy instance.
 
-    ``policy`` may be a name from :data:`POLICIES`, an already
-    constructed instance (used as-is — the caller owns its lifecycle),
-    or ``None``.  ``None`` resolves to the ``continuous`` flag when
-    set (an explicit request for the companion algorithm), then the
-    ``REPRO_POLICY`` environment default (components that opt in pass
-    ``env=True``), then the periodic default.  Asking for both an
-    explicit non-continuous named policy *and* ``continuous=True`` is
-    contradictory and raises.
+    ``policy`` is a name from :data:`POLICIES` (a fresh instance) or
+    an already constructed instance (used as-is — the caller owns its
+    lifecycle).  An unknown name raises :class:`ValueError`.
     """
     if isinstance(policy, DetectionPolicy):
-        if continuous and not policy.continuous:
-            raise ValueError(
-                "policy {!r} is not a continuous policy but "
-                "continuous=True was requested".format(policy.name)
-            )
         return policy
-    if policy is not None:
-        name = str(policy).strip().lower()
-        try:
-            factory = POLICIES[name]
-        except KeyError:
-            raise ValueError(
-                "unknown detection policy {!r} (known: {})".format(
-                    policy, ", ".join(sorted(POLICIES))
-                )
+    name = str(policy).strip().lower()
+    try:
+        factory = POLICIES[name]
+    except KeyError:
+        raise ValueError(
+            "unknown detection policy {!r} (known: {})".format(
+                policy, ", ".join(sorted(POLICIES))
             )
-        instance = factory()
-        if continuous and not instance.continuous:
-            raise ValueError(
-                "policy {!r} is not a continuous policy but "
-                "continuous=True was requested".format(name)
-            )
-        return instance
-    if continuous:
-        return ContinuousPolicy()
-    if env:
-        name = env_default_policy()
-        if name is not None and name in POLICIES:
-            return POLICIES[name]()
-    return PeriodicPolicy()
+        )
+    return factory()

@@ -47,7 +47,7 @@ Policies are **per-host state**: construct a fresh instance per
 manager (``resolve_policy`` does).  Hosts with more than one shard may
 call ``on_block`` from concurrent threads; stateless decisions
 (nowait) are safe, stateful ones (continuous) declare
-``continuous = True`` which forces a single shard.
+``continuous = True``, which a host refuses beside ``shards > 1``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class DetectionPolicy:
     #: Registry / CLI / telemetry label.
     name = "abstract"
     #: True when the policy runs a rooted whole-graph check on every
-    #: block (the continuous companion) — forces ``shards=1``.
+    #: block (the continuous companion) — needs ``shards=1``.
     continuous = False
     #: True when the policy guarantees an acyclic H/W-TWBG by
     #: construction (the nowait lane) — detector passes are pure cost.

@@ -12,8 +12,8 @@ through identical schedules.
 a rooted detection after every blocking request.  It owns the
 :class:`~repro.core.continuous.ContinuousDetector` that the managers
 used to construct inline, and declares ``continuous = True`` so shard
-resolution forces a single shard (the rooted check is a whole-graph
-operation).
+resolution refuses more than one shard (the rooted check is a
+whole-graph operation).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class ContinuousPolicy(DetectionPolicy):
     def bind(self, host) -> "ContinuousPolicy":
         from ..core.continuous import ContinuousDetector
 
-        # The host is single-shard by construction (continuous=True
-        # forces it); the rooted check runs on the real table.
+        # The host is single-shard by construction (shard resolution
+        # refuses more); the rooted check runs on the real table.
         table = (
             host.shards[0].table if hasattr(host, "shards") else host.table
         )

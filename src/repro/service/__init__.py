@@ -20,56 +20,54 @@ mirror of :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.
         manager.commit(1)
 """
 
-from .admin import ServiceStats, render_stats
-from .client import AsyncLockClient, RemoteLockManager
-from .core import ParkedWait, ServiceCore, Session
-from .journal import RecoveryReport, SessionJournal, recover_into
-from .loopback import EmbeddedLockManager, LoopbackServer
-from .protocol import (
-    MAX_FRAME,
-    FrameTooLarge,
-    ProtocolError,
-    RemoteDetectionResult,
-    ServiceError,
-    WIRE_VERSION,
-)
-from .server import LockServer, serve
-from .wire import (
-    BINARY_CODEC,
-    JSON_CODEC,
-    WIRE_BINARY,
-    WIRE_JSON,
-    codec_for,
-    negotiate,
-    resolve_wire,
-)
+#: Public name -> the submodule defining it; each submodule is imported
+#: on first access (PEP 562), so a process pays only for what it uses —
+#: a ``remote`` client never loads the server, core or journal.
+_EXPORTS = {
+    "AsyncLockClient": "client",
+    "BINARY_CODEC": "wire",
+    "EmbeddedLockManager": "loopback",
+    "FrameTooLarge": "protocol",
+    "JSON_CODEC": "wire",
+    "LockServer": "server",
+    "LoopbackServer": "loopback",
+    "MAX_FRAME": "protocol",
+    "ParkedWait": "core",
+    "ProtocolError": "protocol",
+    "RecoveryReport": "journal",
+    "RemoteDetectionResult": "protocol",
+    "RemoteLockManager": "client",
+    "ServiceCore": "core",
+    "ServiceError": "protocol",
+    "ServiceStats": "admin",
+    "Session": "core",
+    "SessionJournal": "journal",
+    "WIRE_BINARY": "wire",
+    "WIRE_JSON": "wire",
+    "WIRE_VERSION": "protocol",
+    "codec_for": "wire",
+    "negotiate": "wire",
+    "recover_into": "journal",
+    "render_stats": "admin",
+    "resolve_wire": "wire",
+    "serve": "server",
+}
 
-__all__ = [
-    "AsyncLockClient",
-    "BINARY_CODEC",
-    "EmbeddedLockManager",
-    "FrameTooLarge",
-    "JSON_CODEC",
-    "LockServer",
-    "LoopbackServer",
-    "MAX_FRAME",
-    "ParkedWait",
-    "ProtocolError",
-    "RecoveryReport",
-    "RemoteDetectionResult",
-    "RemoteLockManager",
-    "ServiceCore",
-    "ServiceError",
-    "ServiceStats",
-    "Session",
-    "SessionJournal",
-    "WIRE_BINARY",
-    "WIRE_JSON",
-    "WIRE_VERSION",
-    "codec_for",
-    "negotiate",
-    "recover_into",
-    "render_stats",
-    "resolve_wire",
-    "serve",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            "module {!r} has no attribute {!r}".format(__name__, name)
+        )
+    from importlib import import_module
+
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

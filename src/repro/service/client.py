@@ -48,7 +48,7 @@ class AsyncLockClient(asyncio.Protocol):
 
     def __init__(
         self,
-        wire: "int | str | None" = None,
+        wire: "int | str" = "json",
         max_frame: int = MAX_FRAME,
     ) -> None:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -107,16 +107,16 @@ class AsyncLockClient(asyncio.Protocol):
         port: Optional[int] = None,
         lease: Optional[float] = None,
         heartbeat: bool = True,
-        wire: "int | str | None" = None,
+        wire: "int | str" = "json",
         unix: Optional[str] = None,
         max_frame: int = MAX_FRAME,
     ) -> "AsyncLockClient":
         """Open a connection, perform the hello handshake and (by
         default) start the background heartbeat task.
 
-        ``wire`` picks the framing to request (``"json"``/``"binary"``,
-        default from ``REPRO_WIRE``, JSON when unset); a server that
-        does not grant it leaves the connection on JSON v1.  ``unix``
+        ``wire`` picks the framing to request (``"json"``, the default,
+        or ``"binary"``); a server that does not grant it leaves the
+        connection on JSON v1.  ``unix``
         connects to a UNIX-domain socket path instead of TCP."""
         fields = {} if lease is None else {"lease": lease}
         return await cls(wire, max_frame)._open(
@@ -131,7 +131,7 @@ class AsyncLockClient(asyncio.Protocol):
         session: str,
         token: str,
         heartbeat: bool = True,
-        wire: "int | str | None" = None,
+        wire: "int | str" = "json",
         unix: Optional[str] = None,
         max_frame: int = MAX_FRAME,
     ) -> "AsyncLockClient":
@@ -607,7 +607,7 @@ class RemoteLockManager:
         port: Optional[int] = None,
         lease: float = 5.0,
         connect_timeout: float = 10.0,
-        wire: "int | str | None" = None,
+        wire: "int | str" = "json",
         unix: Optional[str] = None,
         max_frame: int = MAX_FRAME,
     ) -> None:

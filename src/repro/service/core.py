@@ -128,28 +128,22 @@ class ServiceCore:
     def __init__(
         self,
         costs: Optional[CostTable] = None,
-        continuous: bool = False,
         lease: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
         telemetry: Optional[Telemetry] = None,
-        shards: Optional[int] = None,
+        shards: int = 1,
         sequence_source: Optional[Callable[[], int]] = None,
         journal=None,
         wall: Callable[[], float] = time.time,
         token_source: Optional[Callable[[], str]] = None,
         incident_log: Optional[IncidentLog] = None,
-        policy=None,
+        policy="periodic",
     ) -> None:
-        #: The detection policy driving this service's manager.  Like
-        #: ``REPRO_SHARDS`` for the shard count, ``REPRO_POLICY``
-        #: supplies the default when ``policy=None``.
-        self.policy = resolve_policy(policy, continuous=continuous, env=True)
+        #: The detection policy driving this service's manager.
+        self.policy = resolve_policy(policy)
         self.continuous = self.policy.continuous
-        #: Resolved shard count (``None`` means the ``REPRO_SHARDS``
-        #: environment default; continuous detection forces 1).
-        self.shards = resolve_shard_count(
-            shards, continuous=self.continuous
-        )
+        #: Resolved shard count (a continuous policy refuses more than 1).
+        self.shards = resolve_shard_count(shards, self.policy)
         self.lease = lease
         self.clock = clock
         #: Wall clock for journaled lease deadlines (the monotonic

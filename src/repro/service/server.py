@@ -56,8 +56,8 @@ Architecture
   by without one; a step that leaves the lock table *saturated* (every
   holder blocked: a cycle for certain) runs that pass at once, so
   ``period`` bounds how long any other deadlock may persist.
-  ``continuous=True`` instead resolves on every block, exactly as in
-  the embedded manager.
+  ``policy="continuous"`` instead resolves on every block, exactly as
+  in the embedded manager.
 """
 
 from __future__ import annotations
@@ -241,8 +241,8 @@ class LockServer:
     """Serves a :class:`ServiceCore` over TCP (see module docstring).
 
     Parameters mirror the embedded managers: ``costs`` feeds victim
-    selection, ``continuous`` switches to the companion detector,
-    ``period`` is the periodic detector cadence in seconds (None
+    selection, ``policy`` picks the detection policy (``"continuous"``
+    is the companion detector), ``period`` is the periodic detector cadence in seconds (None
     disables the background task — deadlocks then resolve only on
     explicit ``detect`` requests), ``lease`` is the default session
     lease granted to clients that do not ask for one.
@@ -251,22 +251,20 @@ class LockServer:
     def __init__(
         self,
         costs: Optional[CostTable] = None,
-        continuous: bool = False,
         period: Optional[float] = 0.5,
         lease: float = 5.0,
         telemetry=None,
-        shards: Optional[int] = None,
+        shards: int = 1,
         sequence_source=None,
         journal_path: Optional[str] = None,
         journal_fsync: str = "batch",
         journal=None,
         incident_log=None,
-        policy=None,
+        policy="periodic",
         max_frame: int = MAX_FRAME,
     ) -> None:
         self.core = ServiceCore(
             costs=costs,
-            continuous=continuous,
             lease=lease,
             telemetry=telemetry,
             shards=shards,

@@ -48,7 +48,6 @@ to an old server falls back to JSON the same way.
 
 from __future__ import annotations
 
-import os
 import struct
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
@@ -1204,16 +1203,10 @@ def negotiate(requested: Any) -> int:
     return WIRE_JSON
 
 
-def resolve_wire(wire: Any = None) -> int:
-    """The wire version a client should *request*.
-
-    ``wire`` may be a version int, a codec name (``"json"``/
-    ``"binary"``), or None — which consults the ``REPRO_WIRE``
-    environment variable and defaults to JSON (existing deployments see
-    zero change unless they opt in).
-    """
-    if wire is None:
-        wire = os.environ.get("REPRO_WIRE") or WIRE_JSON
+def resolve_wire(wire: Any = "json") -> int:
+    """The wire version a client should *request*: ``wire`` is a
+    version int or a codec name (``"json"``, the default, or
+    ``"binary"``)."""
     if isinstance(wire, str):
         name = wire.strip().lower()
         if name in ("json", "1", "v1"):

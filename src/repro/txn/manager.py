@@ -12,9 +12,9 @@ Ties the pieces together for applications:
   policy and runs one periodic detection-resolution pass, translating
   detector decisions back into transaction aborts and wake-ups.
 
-With ``continuous=True`` the underlying lock manager performs a rooted
-deadlock check on every block instead (the companion algorithm); the
-manager then folds each check's outcome in right away.
+With ``policy="continuous"`` the underlying lock manager performs a
+rooted deadlock check on every block instead (the companion
+algorithm); the manager then folds each check's outcome in right away.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ class TransactionManager:
         self,
         lock_manager: Optional[LockManager] = None,
         cost_policy: Optional[CostPolicy] = None,
-        continuous: bool = False,
+        policy: str = "periodic",
     ) -> None:
         self.locks = (
             lock_manager
             if lock_manager is not None
-            else LockManager(continuous=continuous)
+            else LockManager(policy=policy)
         )
         self.cost_policy = (
             cost_policy if cost_policy is not None else cost_policies.unit_cost

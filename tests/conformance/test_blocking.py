@@ -6,8 +6,7 @@ Axis: :class:`~repro.lockmgr.ConcurrentLockManager`,
 :class:`~repro.service.RemoteLockManager` over a loopback server on
 both wire codecs, :class:`~repro.service.EmbeddedLockManager`, and
 :class:`~repro.cluster.client.ClusterLockManager` over two real worker
-processes (its wire follows ``REPRO_WIRE``, so the ``cluster-smoke`` CI
-job runs that leg once per codec).  Code written against the contract —
+processes on both wire codecs.  Code written against the contract —
 ``sim.realtime``, ``txn``, the examples — may rely on exactly this:
 ``acquire`` blocks until granted, answers False on timeout *and leaves
 the request queued*, raises ``TransactionAborted`` for a deadlock
@@ -15,7 +14,7 @@ victim; ``commit``/``abort`` release under strict 2PL; ``detect`` runs
 one pass now.
 
 Every facade is built without a background detector and on the
-detector lane, so a staged deadlock sits until the test calls
+periodic policy, so a staged deadlock sits until the test calls
 ``detect()``.
 
 Adding a facade: give it the contract's methods, add one entry to
@@ -47,35 +46,34 @@ from repro.service import (
 
 @contextlib.contextmanager
 def _remote(wire):
-    with LoopbackServer(period=None, policy="periodic") as server:
+    with LoopbackServer(period=None) as server:
         with RemoteLockManager(server.host, server.port, wire=wire) as manager:
             yield manager
 
 
 @contextlib.contextmanager
 def _embedded():
-    with LoopbackServer(period=None, policy="periodic") as server:
+    with LoopbackServer(period=None) as server:
         with EmbeddedLockManager(server) as manager:
             yield manager
 
 
 @contextlib.contextmanager
-def _cluster():
-    with ClusterSupervisor(
-        workers=2, period=None, policy="periodic"
-    ) as supervisor:
-        with ClusterLockManager(supervisor.endpoints()) as manager:
+def _cluster(wire):
+    with ClusterSupervisor(workers=2, period=None) as supervisor:
+        with ClusterLockManager(supervisor.endpoints(), wire=wire) as manager:
             yield manager
 
 
 #: id -> zero-argument context manager yielding a ready facade.
 FACADES = {
-    "concurrent": lambda: ConcurrentLockManager(policy="periodic"),
-    "sharded-4": lambda: ShardedLockManager(shards=4, policy="periodic"),
+    "concurrent": ConcurrentLockManager,
+    "sharded-4": lambda: ShardedLockManager(shards=4),
     "remote-json": lambda: _remote("json"),
     "remote-binary": lambda: _remote("binary"),
     "embedded": _embedded,
-    "cluster-2proc": _cluster,
+    "cluster-2proc": lambda: _cluster("json"),
+    "cluster-2proc-binary": lambda: _cluster("binary"),
 }
 
 

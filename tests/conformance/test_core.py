@@ -30,22 +30,13 @@ from repro.lockmgr import (
 
 from . import scenarios
 
-#: id -> factory(costs) building the facade on the detector lane (the
-#: REPRO_POLICY=nowait CI leg would abort the staged waits).
+#: id -> factory(costs) building the facade on the periodic policy.
 CORES = {
-    "monolithic": lambda costs: LockManager(costs=costs, policy="periodic"),
-    "sharded-1": lambda costs: ShardedLockCore(
-        shards=1, costs=costs, policy="periodic"
-    ),
-    "sharded-4": lambda costs: ShardedLockCore(
-        shards=4, costs=costs, policy="periodic"
-    ),
-    "cluster-2": lambda costs: LocalCluster(
-        workers=2, costs=costs, policy="periodic"
-    ),
-    "cluster-3": lambda costs: LocalCluster(
-        workers=3, costs=costs, policy="periodic"
-    ),
+    "monolithic": lambda costs: LockManager(costs=costs),
+    "sharded-1": lambda costs: ShardedLockCore(shards=1, costs=costs),
+    "sharded-4": lambda costs: ShardedLockCore(shards=4, costs=costs),
+    "cluster-2": lambda costs: LocalCluster(workers=2, costs=costs),
+    "cluster-3": lambda costs: LocalCluster(workers=3, costs=costs),
 }
 
 

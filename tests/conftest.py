@@ -60,17 +60,6 @@ R1(SIX): Holder((T1, IS, S) (T2, IX, NL)) Queue((T3, S) (T4, X))
 
 
 @pytest.fixture
-def env_shards() -> int:
-    """The shard count this test lane runs with: ``REPRO_SHARDS`` from
-    the environment, 1 when unset.  The CI matrix re-runs tier-1 with
-    ``REPRO_SHARDS=4`` so every env-defaulted manager in the suite goes
-    through the cross-shard snapshot/merge/resolve path."""
-    from repro.lockmgr.sharded import env_default_shards
-
-    return env_default_shards()
-
-
-@pytest.fixture
 def example_41_table() -> LockTable:
     return load_table(LockTable(), EXAMPLE_41)
 

@@ -116,7 +116,7 @@ class TestManagerIntegration:
         )
 
     def test_tracked_continuous_mode(self):
-        lm = LockManager(continuous=True, track_graph=True)
+        lm = LockManager(policy="continuous", track_graph=True)
         lm.lock(1, "A", LockMode.X)
         lm.lock(2, "B", LockMode.X)
         lm.lock(1, "B", LockMode.X)
@@ -128,7 +128,9 @@ class TestManagerIntegration:
     @given(ops=ops_strategy, flags=st.booleans())
     @settings(max_examples=50)
     def test_manager_tracking_property(self, ops, flags):
-        lm = LockManager(continuous=flags, track_graph=True)
+        lm = LockManager(
+            policy="continuous" if flags else "periodic", track_graph=True
+        )
         for kind, tid, rid_index, mode_index in ops:
             tid = tid + 1
             if kind >= 4:

@@ -105,7 +105,7 @@ class TestDeadlockHandling:
         db = Database(
             transactions=__import__(
                 "repro.txn.manager", fromlist=["TransactionManager"]
-            ).TransactionManager(continuous=True)
+            ).TransactionManager(policy="continuous")
         )
         db.create_table("accounts", {"a": 100, "b": 50})
         ex = Executor(db, detect_every=None)

@@ -54,9 +54,9 @@ class TestPaperExamplesThroughTransactionLayer:
 
 
 class TestBankingWorkload:
-    def make_bank(self, continuous=False):
+    def make_bank(self, policy="periodic"):
         db = Database(
-            transactions=TransactionManager(continuous=continuous)
+            transactions=TransactionManager(policy=policy)
         )
         db.create_table(
             "accounts", {"acct{}".format(i): 100 for i in range(8)}
@@ -107,7 +107,7 @@ class TestBankingWorkload:
 
     def test_many_random_transfers_continuous(self):
         rng = random.Random(43)
-        db = self.make_bank(continuous=True)
+        db = self.make_bank(policy="continuous")
         pairs = [
             tuple(rng.sample([f"acct{i}" for i in range(8)], 2))
             for _ in range(12)

@@ -92,7 +92,7 @@ class TestBasicBlocking:
             clm.commit(1)
 
     def test_reacquire_after_abort_rejected(self):
-        with ConcurrentLockManager(continuous=True) as clm:
+        with ConcurrentLockManager(policy="continuous") as clm:
             clm.acquire(1, "A", LockMode.X)
             clm.acquire(2, "B", LockMode.X)
             victim = self._force_deadlock(clm)
@@ -123,7 +123,7 @@ class TestBasicBlocking:
 class TestContinuousDetection:
     def test_deadlock_resolved_inline(self):
         with ConcurrentLockManager(
-            continuous=True, costs=CostTable({1: 5.0, 2: 1.0})
+            policy="continuous", costs=CostTable({1: 5.0, 2: 1.0})
         ) as clm:
             clm.acquire(1, "A", LockMode.X)
             clm.acquire(2, "B", LockMode.X)

@@ -95,7 +95,7 @@ class TestPeriodicDetection:
 
 class TestContinuousDetection:
     def test_resolved_at_block_time(self):
-        lm = LockManager(continuous=True)
+        lm = LockManager(policy="continuous")
         lm.lock(1, "A", LockMode.X)
         lm.lock(2, "B", LockMode.X)
         lm.lock(1, "B", LockMode.X)
@@ -106,12 +106,12 @@ class TestContinuousDetection:
         assert not lm.deadlocked()
 
     def test_non_blocking_lock_does_not_detect(self):
-        lm = LockManager(continuous=True)
+        lm = LockManager(policy="continuous")
         lm.lock(1, "A", LockMode.S)
         assert lm.last_detection is None
 
     def test_blocking_without_cycle_is_quiet(self):
-        lm = LockManager(continuous=True)
+        lm = LockManager(policy="continuous")
         lm.lock(1, "A", LockMode.X)
         lm.lock(2, "A", LockMode.X)
         assert lm.last_detection is not None

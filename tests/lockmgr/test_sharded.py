@@ -21,10 +21,8 @@ from repro.core.victim import CostTable
 from repro.lockmgr.events import EVENT_LOG_CAPACITY
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.sharded import (
-    SHARDS_ENV,
     ShardedLockCore,
     ShardedLockManager,
-    env_default_shards,
     resolve_shard_count,
     shard_of,
 )
@@ -53,32 +51,13 @@ class TestRouter:
         indexes = {shard_of("R{}".format(i), 4) for i in range(256)}
         assert indexes == {0, 1, 2, 3}
 
-    def test_resolve_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "8")
-        assert resolve_shard_count(2) == 2
-
-    def test_resolve_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert env_default_shards() == 4
-        assert resolve_shard_count(None) == 4
-        monkeypatch.delenv(SHARDS_ENV)
-        assert resolve_shard_count(None) == 1
-
-    def test_resolve_garbage_env_means_one(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "lots")
-        assert resolve_shard_count(None) == 1
-        monkeypatch.setenv(SHARDS_ENV, "0")
-        assert resolve_shard_count(None) == 1
-
-    def test_continuous_forces_single_shard(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert resolve_shard_count(None, continuous=True) == 1
-        assert resolve_shard_count(8, continuous=True) == 1
-
-    def test_tier1_lane_shard_count(self, env_shards):
-        """The conftest fixture and the core's default must agree —
-        this is what the REPRO_SHARDS=4 CI lane actually flips."""
-        assert ShardedLockCore().shard_count == env_shards
+    def test_continuous_forces_single_shard(self):
+        assert resolve_shard_count(1, "continuous") == 1
+        assert resolve_shard_count(8) == 8
+        with pytest.raises(ValueError, match="shards=8"):
+            resolve_shard_count(8, "continuous")
+        with pytest.raises(ValueError, match="shards=4"):
+            ShardedLockCore(shards=4, policy="continuous")
 
 
 class TestCoreSurface:
@@ -306,8 +285,7 @@ class TestFacade:
             manager.commit(2)
 
     def test_cross_shard_deadlock_victim_raises(self):
-        # Staging this deadlock needs the detector lane, not nowait.
-        with ShardedLockManager(shards=4, policy="periodic") as manager:
+        with ShardedLockManager(shards=4) as manager:
             a, b = rids_on_distinct_shards(manager._core)
             assert manager.acquire(1, a, LockMode.X)
             assert manager.acquire(2, b, LockMode.X)
@@ -362,8 +340,3 @@ class TestFacade:
             for thread in threads:
                 thread.join(timeout=10.0)
             assert sorted(outcomes.values(), key=str) == [True, "aborted"]
-
-    def test_env_default_drives_the_facade(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        with ShardedLockManager() as manager:
-            assert manager.shard_count == 4

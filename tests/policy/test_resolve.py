@@ -4,22 +4,15 @@ import pytest
 
 from repro.policy import (
     POLICIES,
-    AdaptivePolicy,
-    ContinuousPolicy,
     DetectionPolicy,
     NoWaitPolicy,
     PeriodicPolicy,
-    PredictivePolicy,
-    env_default_policy,
     resolve_policy,
 )
 
 
 class TestResolution:
-    def test_default_is_periodic(self, monkeypatch):
-        # The assertion is about the env-free default; a CI leg may set
-        # REPRO_POLICY (e.g. to nowait), which is a different test below.
-        monkeypatch.delenv("REPRO_POLICY", raising=False)
+    def test_default_is_periodic(self):
         policy = resolve_policy()
         assert isinstance(policy, PeriodicPolicy)
         assert policy.name == "periodic"
@@ -36,11 +29,6 @@ class TestResolution:
         instance = NoWaitPolicy()
         assert resolve_policy(instance) is instance
 
-    def test_continuous_flag_wins(self):
-        policy = resolve_policy(None, continuous=True)
-        assert isinstance(policy, ContinuousPolicy)
-        assert policy.continuous
-
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             resolve_policy("bogus")
@@ -51,29 +39,20 @@ class TestResolution:
         assert policy.bind(host) is policy
 
 
-class TestEnvironment:
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "nowait")
-        assert env_default_policy() == "nowait"
-        assert isinstance(resolve_policy(), NoWaitPolicy)
+class TestNoEnvironment:
+    def test_exported_variables_flip_no_default(self, monkeypatch):
+        """Shard count, policy and wire are explicit arguments only:
+        variables a shell might still export change nothing."""
+        from repro.lockmgr import ShardedLockCore
+        from repro.service.wire import WIRE_JSON, resolve_wire
 
-    def test_explicit_name_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARDS", "4")
         monkeypatch.setenv("REPRO_POLICY", "nowait")
-        assert isinstance(resolve_policy("predict"), PredictivePolicy)
-
-    def test_continuous_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "nowait")
-        assert isinstance(
-            resolve_policy(None, continuous=True), ContinuousPolicy
-        )
-
-    def test_env_ignored_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "nowait")
-        assert isinstance(resolve_policy(env=False), PeriodicPolicy)
-
-    def test_unset_env_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POLICY", raising=False)
-        assert env_default_policy() is None
+        monkeypatch.setenv("REPRO_WIRE", "binary")
+        core = ShardedLockCore()
+        assert core.shard_count == 1
+        assert isinstance(core.policy, PeriodicPolicy)
+        assert resolve_wire() == WIRE_JSON
 
 
 class TestBaseHooks:

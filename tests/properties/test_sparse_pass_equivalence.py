@@ -114,7 +114,7 @@ LANES = {
     ),
     "continuous": (
         Continuous,
-        lambda costs: LockManager(costs=costs, continuous=True),
+        lambda costs: LockManager(costs=costs, policy="continuous"),
     ),
     "batched": (Batched, lambda costs: LockManager(costs=costs)),
 }

@@ -6,9 +6,8 @@ leaves every lock holder blocked closed a cycle for certain, so the
 detection pass runs in that step and its victim is answered in the same
 settle.  ``period`` then bounds only the deadlocks that spare a holder.
 
-Live, over real sockets on the wire ``REPRO_WIRE`` selects (the CI
-service leg runs this file on JSON and on binary frames), policy pinned
-to ``periodic``.
+Live, over real sockets, on the periodic policy; the certain pass is
+checked on both wire codecs and on one and four shards.
 """
 
 from __future__ import annotations
@@ -29,8 +28,9 @@ class Staged:
     """A started server whose detection passes are recorded, and two
     connected clients."""
 
-    def __init__(self, period):
-        self.server = LockServer(period=period, policy="periodic")
+    def __init__(self, period, wire="json", shards=1):
+        self.server = LockServer(period=period, shards=shards)
+        self.wire = wire
         self.passes = []
         step = self.server.core.detect_step
 
@@ -42,8 +42,12 @@ class Staged:
 
     async def __aenter__(self):
         server = await self.server.start("127.0.0.1", 0)
-        self.one = await AsyncLockClient.connect(server.host, server.port)
-        self.two = await AsyncLockClient.connect(server.host, server.port)
+        self.one, self.two = [
+            await AsyncLockClient.connect(
+                server.host, server.port, wire=self.wire
+            )
+            for _ in range(2)
+        ]
         return self
 
     async def __aexit__(self, *exc_info):
@@ -87,9 +91,9 @@ async def finish(waits):
     await asyncio.gather(*waits, return_exceptions=True)
 
 
-def test_a_saturating_cycle_is_resolved_at_once_not_on_the_clock():
+def resolved_at_once(**staging):
     async def go():
-        async with Staged(period=5.0) as staged:
+        async with Staged(period=5.0, **staging) as staged:
             waits, closed = await staged.close_the_cycle()
             answered, aborted = await outcome(waits, timeout=2.0)
             elapsed = time.perf_counter() - closed
@@ -106,6 +110,19 @@ def test_a_saturating_cycle_is_resolved_at_once_not_on_the_clock():
             await finish(waits)
 
     asyncio.run(go())
+
+
+def test_a_saturating_cycle_is_resolved_at_once_not_on_the_clock():
+    resolved_at_once()
+
+
+@pytest.mark.parametrize(
+    "staging",
+    [{"wire": "binary"}, {"shards": 4}, {"wire": "binary", "shards": 4}],
+    ids=["binary", "shards=4", "binary-shards=4"],
+)
+def test_the_certain_pass_on_every_wire_and_shard_count(staging):
+    resolved_at_once(**staging)
 
 
 def test_a_cycle_that_spares_a_holder_waits_for_the_clock():
@@ -212,7 +229,7 @@ def test_a_stream_where_nothing_blocks_pays_one_truth_test_per_step():
     count test or the subset test."""
 
     async def go():
-        server = LockServer(period=5.0, policy="periodic", shards=1)
+        server = LockServer(period=5.0)
         table = server.manager.table
         blocked = table._blocked_at = Counted()
         held = table._held = Counted()

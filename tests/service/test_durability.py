@@ -55,12 +55,7 @@ class TestCrashRestart:
         journal = str(tmp_path / "sessions.jsonl")
 
         async def go():
-            # Periodic lane pinned on both boots: t2's queued wait is
-            # out of order, which the REPRO_POLICY=nowait CI leg would
-            # abort instead of journaling.
-            server = LockServer(
-                period=None, journal_path=journal, policy="periodic"
-            )
+            server = LockServer(period=None, journal_path=journal)
             await server.start("127.0.0.1", 0)
             client = await AsyncLockClient.connect(
                 server.host, server.port, lease=60.0

@@ -35,9 +35,7 @@ BLOCKED = ((1, "R1", LockMode.S), (2, "R1", LockMode.S),
 def server():
     # No detector clock: the test triggers passes explicitly (a clocked
     # server would run one itself the moment Example 4.1 saturates).
-    # Periodic lane pinned: Example 4.1 is staged for those passes,
-    # which the REPRO_POLICY=nowait CI leg would preempt.
-    with LoopbackServer(period=None, policy="periodic") as loopback:
+    with LoopbackServer(period=None) as loopback:
         yield loopback
 
 

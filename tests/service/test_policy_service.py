@@ -145,9 +145,7 @@ class TestNoWaitService:
 
 
 class TestDefaultPolicyStats:
-    def test_periodic_is_advertised_by_default(self, monkeypatch):
-        # Env-free default: a REPRO_POLICY CI leg must not leak in.
-        monkeypatch.delenv("REPRO_POLICY", raising=False)
+    def test_periodic_is_advertised_by_default(self):
         with LoopbackServer(period=60.0) as loopback:
             async def scenario():
                 client = await AsyncLockClient.connect(

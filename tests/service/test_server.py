@@ -160,12 +160,6 @@ class TestTransactions:
 
 
 class TestDeadlockResolution:
-    @pytest.fixture(autouse=True)
-    def _detector_lane(self, monkeypatch):
-        # These tests stage deadlocks for the detector; the
-        # REPRO_POLICY=nowait CI leg would abort the staging waits.
-        monkeypatch.setenv("REPRO_POLICY", "periodic")
-
     def test_periodic_detector_resolves_two_client_deadlock(self):
         async def go():
             async with running_server(period=0.05) as server:
@@ -218,7 +212,7 @@ class TestDeadlockResolution:
     def test_continuous_server_resolves_on_block(self):
         async def go():
             async with running_server(
-                period=None, continuous=True
+                period=None, policy="continuous"
             ) as server:
                 async with connected(server) as client:
                     assert await client.acquire(1, "R1", LockMode.S)

@@ -149,11 +149,9 @@ class TestNegotiation:
 
         asyncio.run(go())
 
-    def test_resolve_wire_reads_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE", raising=False)
-        assert resolve_wire(None) == WIRE_JSON
-        monkeypatch.setenv("REPRO_WIRE", "binary")
-        assert resolve_wire(None) == WIRE_BINARY
+    def test_resolve_wire_names_and_versions(self):
+        assert resolve_wire() == WIRE_JSON
+        assert resolve_wire("binary") == WIRE_BINARY
         assert resolve_wire("json") == WIRE_JSON
         assert resolve_wire(2) == WIRE_BINARY
         assert codec_for(WIRE_BINARY) is BINARY_CODEC
@@ -355,9 +353,7 @@ class TestBinaryResumeAcrossRestart:
 
 class TestEmbeddedManager:
     def test_embed_facade_matches_remote_contract(self):
-        # policy pinned: the contended wait=False probe below is an
-        # out-of-order wait the nowait lane would answer with an abort.
-        with LoopbackServer(period=0.05, policy="periodic") as server:
+        with LoopbackServer(period=0.05) as server:
             with EmbeddedLockManager(server) as m1, EmbeddedLockManager(
                 server
             ) as m2:

@@ -145,9 +145,7 @@ class TestServiceCommands:
     def running_service(self):
         from repro.service import LoopbackServer
 
-        # Periodic lane pinned: the remote-detect test stages a live
-        # deadlock, which the REPRO_POLICY=nowait CI leg would preempt.
-        with LoopbackServer(period=None, policy="periodic") as server:
+        with LoopbackServer(period=None) as server:
             yield server
 
     def test_remote_stats(self, running_service, capsys):
@@ -297,7 +295,9 @@ def parser_shape(parser):
 
 
 #: ``parser_shape(build_parser())`` at commit 3242e28, the last one with
-#: a one-file ``cli.py`` (``pprint`` output, committed as printed).
+#: a one-file ``cli.py`` (``pprint`` output, committed as printed), with
+#: ``serve``'s detector flags since: ``--continuous`` stores into
+#: ``policy``, and ``--policy``/``--shards`` default to a constant.
 PARENT_PARSER_SHAPE = \
 {'inspect': [('file', None, None)],
  'graph': [('file', None, None), ('--dot', None, False)],
@@ -350,11 +350,11 @@ PARENT_PARSER_SHAPE = \
  'serve': [('--host', None, '127.0.0.1'), ('--port', None, 7411),
            ('--unix', None, None), ('--max-frame', None, None),
            ('--period', None, 0.5), ('--lease', None, 5.0),
-           ('--continuous', None, False),
+           ('--continuous', None, 'periodic'),
            ('--policy',
             ['adaptive', 'continuous', 'nowait', 'periodic', 'predict'],
-            None),
-           ('--shards', None, None), ('--workers', None, 1),
+            'periodic'),
+           ('--shards', None, 1), ('--workers', None, 1),
            ('--cost', None, []), ('--journal', None, None),
            ('--journal-fsync', ['always', 'batch', 'never'], 'batch'),
            ('--metrics-port', None, None),

@@ -108,7 +108,7 @@ class TestDetection:
         assert tm.locks.costs.cost(txn.tid) == 50.0
 
     def test_continuous_mode_raises_on_victim(self):
-        tm = TransactionManager(continuous=True)
+        tm = TransactionManager(policy="continuous")
         t1, t2 = tm.begin(), tm.begin()
         tm.lock(t1, "A", LockMode.X)
         tm.lock(t2, "B", LockMode.X)

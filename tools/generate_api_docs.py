@@ -127,10 +127,11 @@ the last pass of either kind (DESIGN.md, "When a pass runs").
 refreshing operator dashboard from `metrics`/`stats`/`inspect` (with
 `--cluster` it polls every worker and adds per-worker rows plus
 coordinator totals); `trace-export` dumps the span log as JSON-lines.
-`--policy` (default: the `REPRO_POLICY` environment variable, else
-`periodic`) selects the detection policy — when detection runs and
-what happens at block time; `stats` reports the active policy and its
-`policy_info` state (see `docs/POLICIES.md`).
+`--policy` (default `periodic`; `--continuous` is the same as
+`--policy continuous`, and the two flags exclude each other) selects
+the detection policy — when detection runs and what happens at block
+time; `stats` reports the active policy and its `policy_info` state
+(see `docs/POLICIES.md`).
 `serve --workers N` spawns N single-shard worker processes on
 consecutive ports with the cross-process detector in the supervisor —
 topology, routing and failure modes live in `docs/CLUSTER.md`; with

@@ -41,11 +41,18 @@ OFFLINE = (
     "numpy", "repro.analysis", "repro.baselines", "repro.sim", "repro.db",
     "repro.mgl", "repro.txn", "repro.check",
 )
+#: What a client of a running server has no use for: the server side
+#: of ``repro.service`` (``repro.service``'s lazy ``__init__`` keeps
+#: these out of a process that only imports the client).
+SERVER_SIDE = (
+    "repro.service.server", "repro.service.core", "repro.service.journal",
+    "repro.service.loopback",
+)
 #: Module-name prefixes a command's process must not hold.
 FORBIDDEN = {
     "serve": OFFLINE,
-    "remote": OFFLINE,
-    "top": OFFLINE,
+    "remote": OFFLINE + SERVER_SIDE,
+    "top": OFFLINE + SERVER_SIDE,
     "trace-export": OFFLINE,
     "incidents": OFFLINE,
     "check": ("numpy",),
