@@ -9,7 +9,7 @@ policies:
 ==============  ==========================================================
 ``periodic``    The paper's Section-5 scheme, unchanged — the default.
 ``continuous``  The companion algorithm: rooted check per block
-                (forces a single shard).
+                (single shard only).
 ``nowait``      Deadlock-free ordered-locking lane: out-of-order
                 conflicting waits abort the requester; no detector runs.
 ``adaptive``    Periodic with a contention-driven period controller

@@ -46,6 +46,10 @@ PINNED = {
         "faaeb2d99e79d4c62cf92f1e78649c39ee6b9bb0c8322cd3895b91348806feb3",
         1231, 384, 1231, 384,
     ),
+    "service": (
+        "48a253e31529c70ed9735654df507bed84383df46d6cd93ad9dbd2076eb1b451",
+        1437, 104, 0, 104,
+    ),
 }
 
 
@@ -63,6 +67,31 @@ def test_explorer_is_pinned_to_the_recorded_digest(backend):
         stats.equivalence_checks,
         stats.incident_checks,
     ) == PINNED[backend]
+
+
+@pytest.mark.parametrize("wire", ["json", "binary"])
+@pytest.mark.parametrize("shards", [1, 4])
+def test_the_service_pin_holds_on_every_shard_count_and_codec(
+    shards, wire, monkeypatch
+):
+    """The service schedules decide nothing by shard count or codec:
+    the same digest and oracle counts on all four configurations (a
+    continuous schedule runs on one shard whatever is asked)."""
+    from repro.check import runner
+    from repro.check.service import ServiceModel
+    from repro.check.workload import generate_programs
+
+    def build_model(backend, seed, actors, preset, continuous, faults):
+        return ServiceModel(
+            generate_programs(seed, actors, preset),
+            continuous=continuous,
+            faults=faults,
+            shards=shards,
+            wire=wire,
+        )
+
+    monkeypatch.setattr(runner, "build_model", build_model)
+    test_explorer_is_pinned_to_the_recorded_digest("service")
 
 
 # -- planted divergences -----------------------------------------------------

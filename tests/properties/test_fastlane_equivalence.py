@@ -334,6 +334,13 @@ def batch_ops_strategy():
     )
 
 
+#: ``ServiceCore`` flags: batch and sequential must agree on each.
+core_configs = st.fixed_dictionaries({
+    "shards": st.sampled_from((1, 4)),
+    "policy": st.sampled_from(("periodic", "nowait")),
+})
+
+
 def to_frames(ops) -> List[dict]:
     frames = []
     for name, tid, rid_index, mode_index in ops:
@@ -349,16 +356,16 @@ def to_frames(ops) -> List[dict]:
     return frames
 
 
-def run_sequential(frames) -> Tuple[List[dict], str]:
+def run_sequential(frames, config) -> Tuple[List[dict], str]:
     """Reference: each frame applied as its own single-op request."""
-    core = ServiceCore()
+    core = ServiceCore(**config)
     session = core.open_session()
     results = [core.batch_step(session, [frame])[0] for frame in frames]
     return results, str(core.manager.table)
 
 
-def run_batched(frames) -> Tuple[List[dict], str]:
-    core = ServiceCore()
+def run_batched(frames, config) -> Tuple[List[dict], str]:
+    core = ServiceCore(**config)
     session = core.open_session()
     results = core.batch_step(session, frames)
     return results, str(core.manager.table)
@@ -366,19 +373,19 @@ def run_batched(frames) -> Tuple[List[dict], str]:
 
 class TestBatchEquivalence:
     @settings(max_examples=120)
-    @given(ops=batch_ops_strategy())
-    def test_batch_equals_sequential(self, ops):
+    @given(config=core_configs, ops=batch_ops_strategy())
+    def test_batch_equals_sequential(self, config, ops):
         frames = to_frames(ops)
-        sequential, seq_table = run_sequential(frames)
-        batched, batch_table = run_batched(frames)
+        sequential, seq_table = run_sequential(frames, config)
+        batched, batch_table = run_batched(frames, config)
         assert batched == sequential
         assert batch_table == seq_table
 
     @settings(max_examples=60)
-    @given(ops=batch_ops_strategy())
-    def test_batch_counters_account_every_op(self, ops):
+    @given(config=core_configs, ops=batch_ops_strategy())
+    def test_batch_counters_account_every_op(self, config, ops):
         frames = to_frames(ops)
-        core = ServiceCore()
+        core = ServiceCore(**config)
         session = core.open_session()
         core.batch_step(session, frames)
         assert core.stats.batches == 1

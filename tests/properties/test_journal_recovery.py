@@ -82,11 +82,20 @@ ops_strategy = st.lists(
     max_size=25,
 )
 
+#: The server flags a history runs under; its replicas restart with the
+#: same ones.  Drawn with the history, so shrinking keeps them apart.
+configs = st.fixed_dictionaries({
+    "shards": st.sampled_from((1, 4)),
+    "policy": st.sampled_from(("periodic", "nowait")),
+})
+histories = st.tuples(configs, ops_strategy)
 
-def fresh_core() -> ServiceCore:
+
+def fresh_core(config) -> ServiceCore:
     clock = lambda: 0.0  # noqa: E731 - frozen virtual clock
     tokens = iter("tok{}".format(n) for n in range(1000))
     return ServiceCore(
+        **config,
         lease=30.0,
         clock=clock,
         wall=clock,
@@ -107,10 +116,10 @@ def session_view(core: ServiceCore):
     }
 
 
-def run_history(ops):
+def run_history(config, ops):
     """Execute a random history; return the live core and a map from
     journal length to the table dump at that exact record boundary."""
-    core = fresh_core()
+    core = fresh_core(config)
     core.journal = SessionJournal()
     sessions = [None] * SLOTS
     tids = [None] * SLOTS
@@ -206,19 +215,20 @@ def per_sub_op_stream(records):
     return flat
 
 
-def recover_text(text: str) -> ServiceCore:
-    replica = fresh_core()
+def recover_text(text: str, config) -> ServiceCore:
+    replica = fresh_core(config)
     recover_into(replica, SessionJournal.from_text(text), now=0.0)
     return replica
 
 
-@given(ops_strategy)
-def test_every_prefix_recovers_consistently(ops):
-    core, dumps = run_history(ops)
+@given(histories)
+def test_every_prefix_recovers_consistently(history):
+    config, ops = history
+    core, dumps = run_history(config, ops)
     lines = core.journal.to_text().splitlines()
     for cut in range(len(lines) + 1):
         text = "\n".join(lines[:cut]) + ("\n" if cut else "")
-        replica = recover_text(text)
+        replica = recover_text(text, config)
         assert not verify_table(replica.manager.table), (
             "cut at record {} broke a table invariant".format(cut)
         )
@@ -228,25 +238,26 @@ def test_every_prefix_recovers_consistently(ops):
                 "table byte-identically".format(cut)
             )
     # The full journal also restores the session set exactly.
-    full = recover_text(core.journal.to_text())
+    full = recover_text(core.journal.to_text(), config)
     assert session_view(full) == session_view(core)
 
 
-@given(ops_strategy)
-def test_torn_tail_equals_truncation(ops):
-    core, _ = run_history(ops)
+@given(histories)
+def test_torn_tail_equals_truncation(history):
+    config, ops = history
+    core, _ = run_history(config, ops)
     lines = core.journal.to_text().splitlines()
     for cut in range(1, len(lines) + 1):
         prefix = lines[:cut]
         torn = prefix[:-1] + [prefix[-1][: len(prefix[-1]) // 2]]
         corrupt = prefix[:-1] + ["deadbeef " + prefix[-1].split(" ", 1)[1]]
         clean = "\n".join(prefix[:-1]) + ("\n" if cut > 1 else "")
-        want = dump(recover_text(clean))
+        want = dump(recover_text(clean, config))
         for variant in (torn, corrupt):
             journal = SessionJournal.from_text("\n".join(variant) + "\n")
             assert len(journal) == cut - 1
             assert journal.corrupt_tail == 1
-            replica = fresh_core()
+            replica = fresh_core(config)
             recover_into(replica, journal, now=0.0)
             assert dump(replica) == want, (
                 "torn line {} did not degrade to the durable "
@@ -254,25 +265,27 @@ def test_torn_tail_equals_truncation(ops):
             )
 
 
-@given(ops_strategy)
-def test_recovery_is_idempotent(ops):
-    core, _ = run_history(ops)
-    once = fresh_core()
+@given(histories)
+def test_recovery_is_idempotent(history):
+    config, ops = history
+    core, _ = run_history(config, ops)
+    once = fresh_core(config)
     journal = SessionJournal.from_text(core.journal.to_text())
     recover_into(once, journal, now=0.0)
-    twice = fresh_core()
+    twice = fresh_core(config)
     recover_into(twice, SessionJournal.from_records(journal.records()), now=0.0)
     assert dump(twice) == dump(once)
     assert session_view(twice) == session_view(once)
 
 
-@given(ops_strategy)
-def test_per_sub_op_journals_recover_to_the_same_bytes(ops):
-    core, dumps = run_history(ops)
+@given(histories)
+def test_per_sub_op_journals_recover_to_the_same_bytes(history):
+    config, ops = history
+    core, dumps = run_history(config, ops)
     records = core.journal.records()
     flat = per_sub_op_stream(records)
     assert not any(record["kind"] == "batch" for record in flat)
-    old = fresh_core()
+    old = fresh_core(config)
     # Through text, as a file written by the older server would arrive.
     recover_into(
         old,

@@ -19,6 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -40,12 +41,27 @@ MAX_TXNS = 6
 class ServiceMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.loopback = LoopbackServer(period=None).start()
-        self.clients = [self._connect() for _ in range(CLIENTS)]
+        self.loopback = None
+        self.clients = []
         self.txns = {}  # tid -> client slot
 
+    @initialize(
+        shards=st.sampled_from((1, 4)),
+        policy=st.sampled_from(("periodic", "nowait")),
+        wire=st.sampled_from(("json", "binary")),
+    )
+    def start(self, shards, policy, wire):
+        """The server's flags and the clients' codec, drawn per run."""
+        self.loopback = LoopbackServer(
+            period=None, shards=shards, policy=policy
+        ).start()
+        self.wire = wire
+        self.clients = [self._connect() for _ in range(CLIENTS)]
+
     def _connect(self) -> RemoteLockManager:
-        return RemoteLockManager(self.loopback.host, self.loopback.port)
+        return RemoteLockManager(
+            self.loopback.host, self.loopback.port, wire=self.wire
+        )
 
     def _pick(self, index: int) -> int:
         tids = sorted(self.txns)
@@ -137,7 +153,8 @@ class ServiceMachine(RuleBasedStateMachine):
     def teardown(self):
         for client in self.clients:
             client.close()
-        self.loopback.close()
+        if self.loopback is not None:
+            self.loopback.close()
 
 
 TestService = ServiceMachine.TestCase

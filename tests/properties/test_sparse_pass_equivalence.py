@@ -100,17 +100,14 @@ class Batched(Periodic):
 
 LANES = {
     "manager": (Periodic, lambda costs: LockManager(costs=costs)),
-    "shards=1": (
+    "shards=1": (Periodic, lambda costs: ShardedLockCore(1, costs)),
+    "shards=4": (Periodic, lambda costs: ShardedLockCore(4, costs)),
+    # The sparse snapshot payload and every resolve plan cross the
+    # coordinator's wire on each codec.
+    "cluster": (Periodic, lambda costs: LocalCluster(2, costs)),
+    "cluster-binary": (
         Periodic,
-        lambda costs: ShardedLockCore(1, costs, policy="periodic"),
-    ),
-    "shards=4": (
-        Periodic,
-        lambda costs: ShardedLockCore(4, costs, policy="periodic"),
-    ),
-    "cluster": (
-        Periodic,
-        lambda costs: LocalCluster(2, costs, policy="periodic"),
+        lambda costs: LocalCluster(2, costs, wire="binary"),
     ),
     "continuous": (
         Continuous,
