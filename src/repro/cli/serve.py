@@ -34,8 +34,8 @@ class ServeConfig:
     policy: str
     shards: int
     workers: int
-    warnings: Tuple[str, ...] = ()
-    unix: Optional[str] = None
+    warnings: Tuple[str, ...]
+    unix: Optional[str]
 
 
 def validate_serve_config(

@@ -58,10 +58,10 @@ def worker_main(
     ``ready`` is a queue the worker reports ``(index, host, port)`` on
     once bound; ``sequence_counter`` is the shared first-lock counter
     (None runs a private counter — fine for a standalone server, wrong
-    for a cluster).  ``shards``/``period`` exist so the
-    cluster benchmark can also spawn its single-process baseline (a
-    worker with in-process shards and its own detector) through the
-    same entry point.  ``policy`` is the detection policy *name* the
+    for a cluster).  ``shards``/``period`` exist so the cluster
+    benchmark can also spawn its single-process baseline (a worker with
+    in-process shards and its own detector) through the same entry
+    point.  ``policy`` is the detection policy *name* the
     supervisor runs cluster-wide — block-time policies (the nowait
     lane) act on each worker locally, so every worker must share it.
     ``journal_path`` makes the worker durable: it

@@ -67,7 +67,3 @@ def __getattr__(name):
     value = getattr(import_module("." + module, __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

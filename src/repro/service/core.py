@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..core.errors import LockTableError, ReproError
 from ..core.modes import MODE_NAMES, LockMode
 from ..core.victim import CostTable
-from ..lockmgr.sharded import ShardedLockCore, resolve_shard_count
+from ..lockmgr.sharded import ShardedLockCore
 from ..obs.incidents import IncidentLog
 from ..obs.instrument import Telemetry
 from ..policy import resolve_policy
@@ -142,8 +142,6 @@ class ServiceCore:
         #: The detection policy driving this service's manager.
         self.policy = resolve_policy(policy)
         self.continuous = self.policy.continuous
-        #: Resolved shard count (a continuous policy refuses more than 1).
-        self.shards = resolve_shard_count(shards, self.policy)
         self.lease = lease
         self.clock = clock
         #: Wall clock for journaled lease deadlines (the monotonic
@@ -180,12 +178,14 @@ class ServiceCore:
         # draws first-lock sequence numbers from a counter shared with
         # its siblings, so merged snapshots keep the cluster-wide order.
         self.manager = ShardedLockCore(
-            shards=self.shards,
+            shards=shards,
             costs=costs,
             listener=self.telemetry.on_event,
             sequence_source=sequence_source,
             policy=self.policy,
         )
+        #: Resolved shard count (a continuous policy refuses more than 1).
+        self.shards = self.manager.shard_count
         self.stats = ServiceStats(registry=self.telemetry.registry)
         self.sessions: Dict[str, Session] = {}
         self.owners: Dict[int, Session] = {}

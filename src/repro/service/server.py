@@ -242,10 +242,11 @@ class LockServer:
 
     Parameters mirror the embedded managers: ``costs`` feeds victim
     selection, ``policy`` picks the detection policy (``"continuous"``
-    is the companion detector), ``period`` is the periodic detector cadence in seconds (None
-    disables the background task — deadlocks then resolve only on
-    explicit ``detect`` requests), ``lease`` is the default session
-    lease granted to clients that do not ask for one.
+    is the companion detector), ``period`` is the periodic detector
+    cadence in seconds (None disables the background task — deadlocks
+    then resolve only on explicit ``detect`` requests), ``lease`` is
+    the default session lease granted to clients that do not ask for
+    one.
     """
 
     def __init__(

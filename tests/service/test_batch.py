@@ -225,7 +225,9 @@ class TestAcquireMany:
 
     def test_victim_raises_transaction_aborted(self):
         async def scenario():
-            async with running_server(period=None, policy="continuous") as server:
+            async with running_server(
+                period=None, policy="continuous"
+            ) as server:
                 async with connected(server) as client:
                     await client.begin(1)
                     await client.begin(2)
