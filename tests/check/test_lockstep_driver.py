@@ -29,6 +29,8 @@ from repro.lockmgr.events import Granted
 from repro.policy.nowait import NoWaitPolicy
 
 #: backend -> (digest, state, detection, equivalence, incident checks).
+#: ``service`` keeps its own loop; its pin is what ``repro check
+#: --backends service`` printed at the same seed and budget.
 PINNED = {
     "concurrent": (
         "2215483c38e817ffe1a36ddcb1646842e031f07b34f29754ab0d5bf49f8832ed",
