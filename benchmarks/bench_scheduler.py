@@ -1,14 +1,11 @@
 """Lock-manager throughput microbenchmarks.
 
 Not a paper table — engineering numbers a downstream adopter wants:
-request/release costs at realistic table sizes, conversion handling, and
-the incremental-vs-rebuild graph maintenance gap.
+request/release costs at realistic table sizes and conversion handling.
 """
 
 import random
 
-from repro.core.hw_twbg import build_graph
-from repro.core.incremental import IncrementalHWTWBG
 from repro.core.modes import LockMode
 from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
@@ -79,17 +76,3 @@ def test_release_sweep_with_queue(benchmark):
     table = benchmark(build_and_release)
     assert len(table.existing("R").holders) == 10
 
-
-def test_graph_rebuild_vs_incremental(benchmark):
-    table = populate(LockTable(), transactions=300, resources=48, seed=2)
-    tracker = IncrementalHWTWBG(table)
-
-    def incremental_touch():
-        tracker.refresh("R1")
-        return tracker.graph()
-
-    graph = benchmark(incremental_touch)
-    rebuilt = build_graph(table.snapshot())
-    assert {(e.source, e.target) for e in graph.edges} == {
-        (e.source, e.target) for e in rebuilt.edges
-    }

@@ -8,7 +8,7 @@ Two measurements a deployer wants before pointing clients at
 * closed-loop throughput of the *same* threaded workload
   (:func:`repro.sim.realtime.run_realtime`) through the injected
   lock-manager factory — run with ``--lock-backend=local`` (embedded
-  ``ConcurrentLockManager``, the baseline) and ``--lock-backend=remote``
+  ``ShardedLockManager``, the baseline) and ``--lock-backend=remote``
   (``RemoteLockManager`` over TCP) to compare apples to apples.
 """
 

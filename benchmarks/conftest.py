@@ -85,9 +85,9 @@ def lock_manager_factory(request):
     (:func:`repro.sim.realtime.run_realtime`) measures either backend."""
     backend = request.config.getoption("--lock-backend")
     if backend == "local":
-        from repro.lockmgr.concurrent import ConcurrentLockManager
+        from repro.lockmgr import ShardedLockManager
 
-        yield lambda: ConcurrentLockManager(period=0.05)
+        yield lambda: ShardedLockManager(period=0.05)
         return
     from repro.service import LoopbackServer, RemoteLockManager
 

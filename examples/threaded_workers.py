@@ -1,7 +1,7 @@
 """Real threads on the thread-safe facade.
 
 Eight worker threads run short two-lock transactions against four hot
-resources through :class:`ConcurrentLockManager`; a background detector
+resources through :class:`ShardedLockManager`; a background detector
 thread runs the periodic algorithm every 20 ms.  Threads block inside
 ``acquire`` until granted, and deadlock victims see
 ``TransactionAborted`` and retry.
@@ -15,7 +15,7 @@ import time
 
 from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
-from repro.lockmgr.concurrent import ConcurrentLockManager
+from repro.lockmgr import ShardedLockManager
 
 RESOURCES = ["R{}".format(i) for i in range(4)]
 WORKERS = 8
@@ -23,7 +23,7 @@ TXNS_PER_WORKER = 6
 
 
 def main() -> None:
-    clm = ConcurrentLockManager(period=0.02)
+    clm = ShardedLockManager(period=0.02)
     stats = {"commits": 0, "aborts": 0}
     stats_lock = threading.Lock()
 

@@ -24,8 +24,8 @@ The pieces:
   a reference core stepped in lockstep and compared on every
   observable.  The backends are short declarations on top of it:
   :mod:`repro.check.concurrent` (one
-  :class:`~repro.lockmgr.manager.LockManager`, periodic or continuous),
-  :mod:`repro.check.sharded` (``ShardedLockCore`` vs monolithic),
+  :class:`~repro.lockmgr.sharded.ShardedLockCore`, periodic or
+  continuous), :mod:`repro.check.sharded` (N shards vs one),
   :mod:`repro.check.cluster` (``LocalCluster`` vs ``ShardedLockCore``,
   plus the incident oracle) and :mod:`repro.check.policy` (the
   policy-equivalence arms and the ``nowait`` deadlock-freedom arm).
@@ -35,7 +35,7 @@ The pieces:
   mid-run disconnect and server-restart faults (a different model:
   sessions, not bare transactions).
 * :mod:`repro.check.races` — scripted two-thread schedules over the
-  real :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`,
+  real one-shard :class:`~repro.lockmgr.sharded.ShardedLockManager`,
   sequenced by events rather than sleeps (the wakeup/timeout race).
 * :mod:`repro.check.artifact` — failing schedules persist as compact
   seed+decision-list JSON artifacts that replay byte-for-byte and

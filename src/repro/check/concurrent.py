@@ -1,7 +1,7 @@
-"""The concurrent backend: logical transactions over one ``LockManager``.
+"""The concurrent backend: logical transactions over one lock core.
 
-Models the thread-per-transaction world of
-:class:`~repro.lockmgr.concurrent.ConcurrentLockManager` as explicit
+Models the thread-per-transaction world of the one-shard
+:class:`~repro.lockmgr.sharded.ShardedLockManager` as explicit
 steps of the lockstep driver (:mod:`repro.check.lockstep`) over a single
 world — no reference, so only the state and detection oracles run.
 Under ``continuous`` there is no schedulable detector; instead every
@@ -11,7 +11,7 @@ detection oracle on the spot.
 
 from __future__ import annotations
 
-from ..lockmgr.manager import LockManager
+from ..lockmgr.sharded import ShardedLockCore
 from .lockstep import LockstepModel, Worlds
 from .oracles import check_detection
 
@@ -22,7 +22,7 @@ class ConcurrentModel(LockstepModel):
     backend = "concurrent"
 
     def open(self, scheduler):
-        return Worlds(LockManager(
+        return Worlds(ShardedLockCore(
             policy="continuous" if self.continuous else "periodic"
         ))
 

@@ -6,16 +6,16 @@ explored under every workload seed), both on the lockstep driver
 
 * **Equivalence arms** (``periodic``, ``predict``, ``adaptive``) —
   the *policy-equivalence oracle*.  The reference is a
-  ``LockManager(policy="periodic")`` (the paper's Section-5 behaviour),
-  the subject a ``LockManager(policy=<arm>)``.  This is the policy
-  layer's "default provably unchanged" proof obligation: ``periodic``
-  must be bit-for-bit the old behaviour, and the observe-only
-  policies (``predict`` warns, ``adaptive`` tunes timing knobs the
-  explorer never consults) must never perturb a single observable
-  outcome — nor run block-time detection.
+  ``ShardedLockCore(policy="periodic")`` (the paper's Section-5
+  behaviour), the subject a ``ShardedLockCore(policy=<arm>)``.  This
+  is the policy layer's "default provably unchanged" proof obligation:
+  ``periodic`` must be bit-for-bit the old behaviour, and the
+  observe-only policies (``predict`` warns, ``adaptive`` tunes timing
+  knobs the explorer never consults) must never perturb a single
+  observable outcome — nor run block-time detection.
 
 * **The nowait arm** — the *deadlock-freedom oracle*.  One
-  ``LockManager(policy="nowait")`` runs the programs alone; after
+  ``ShardedLockCore(policy="nowait")`` runs the programs alone; after
   every transition the H/W-TWBG must be acyclic (the ordered
   ``wait_is_ordered`` rule makes waits follow the resource order, so
   no cycle can ever close), and a periodic pass — still a schedulable
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List
 
 from ..core.hw_twbg import build_graph
-from ..lockmgr.manager import LockManager
+from ..lockmgr.sharded import ShardedLockCore
 from ..policy.nowait import ABORT_REASON
 from ..sim.workload import Program
 from .lockstep import LockstepModel, ScheduleResult, Worlds
@@ -78,15 +78,15 @@ class _Arm(LockstepModel):
 
 
 class EquivalenceArm(_Arm):
-    """``LockManager(policy=arm)`` against the periodic default."""
+    """``ShardedLockCore(policy=arm)`` against the periodic default."""
 
     oracle = "policy-equivalence"
     names = ("default", "under the policy")
 
     def open(self, scheduler):
         return Worlds(
-            LockManager(policy=self.arm),
-            LockManager(),
+            ShardedLockCore(policy=self.arm),
+            ShardedLockCore(),
             tag="policy={}".format(self.arm),
         )
 
@@ -111,7 +111,7 @@ class NoWaitArm(_Arm):
 
     def open(self, scheduler):
         return Worlds(
-            LockManager(policy="nowait"), tag="nowait", nowait_aborts=0
+            ShardedLockCore(policy="nowait"), tag="nowait", nowait_aborts=0
         )
 
     def on_block(self, worlds, actor):

@@ -1,11 +1,13 @@
-"""Deterministic reproductions of ``ConcurrentLockManager`` races.
+"""Deterministic reproductions of blocking-facade races.
 
-The blocking facade has exactly one interleaving point: the injected
-``wait_fn`` called while a thread sits on its condition variable.  This
-backend exploits that seam to replay, on a *single* thread, the races
-that real threads only hit under unlucky timing — the injected wait
-performs the competing action inline (the mutex is already held, and
-the inner :class:`~repro.lockmgr.manager.LockManager` is plain
+The blocking facade (a one-shard
+:class:`~repro.lockmgr.sharded.ShardedLockManager`) has exactly one
+interleaving point: the injected ``wait_fn`` called while a thread sits
+on its condition variable.  This backend exploits that seam to replay,
+on a *single* thread, the races that real threads only hit under
+unlucky timing — the injected wait performs the competing action inline
+(the mutex is already held, and the inner
+:class:`~repro.lockmgr.sharded.ShardedLockCore` is plain
 single-threaded code) and then returns whichever wait result the
 scheduler decrees.
 
@@ -27,7 +29,7 @@ from typing import Dict, List, Optional
 
 from ..core.errors import TransactionAborted
 from ..core.modes import LockMode
-from ..lockmgr.concurrent import ConcurrentLockManager
+from ..lockmgr.sharded import ShardedLockManager
 from .lockstep import ScheduleResult
 from .oracles import OracleFailure, OracleStats, check_state
 from .schedule import VirtualScheduler
@@ -74,7 +76,7 @@ class RaceModel:
     ) -> List[OracleFailure]:
         """T1 holds r1; T2's timed acquire races T1's commit."""
         state = {"committed": False, "spurious": 0}
-        facade: List[ConcurrentLockManager] = []
+        facade: List[ShardedLockManager] = []
 
         def wait_fn(condition, timeout: Optional[float]) -> bool:
             events = ["timeout"]
@@ -87,12 +89,12 @@ class RaceModel:
                 # The racing commit, exactly as another thread would run
                 # it under the mutex we already hold.
                 state["committed"] = True
-                facade[0]._manager.finish(1)
+                facade[0]._core.finish(1)
             if event == "spurious-wakeup":
                 state["spurious"] += 1
             return event in ("commit-then-notify", "spurious-wakeup")
 
-        manager = ConcurrentLockManager(wait_fn=wait_fn, policy="periodic")
+        manager = ShardedLockManager(wait_fn=wait_fn, policy="periodic")
         facade.append(manager)
         failures: List[OracleFailure] = []
         try:
@@ -138,7 +140,7 @@ class RaceModel:
             manager.abort(1)
             manager.close()
         stats.state_checks += 1
-        failures.extend(check_state(manager._manager.table))
+        failures.extend(check_state(manager._core.table))
         return failures
 
     def _abort_race(
@@ -149,7 +151,7 @@ class RaceModel:
     ) -> List[OracleFailure]:
         """T1⇄T2 deadlock; a detection pass races T2's wait timeout."""
         state = {"detected": None, "spurious": 0}
-        facade: List[ConcurrentLockManager] = []
+        facade: List[ShardedLockManager] = []
 
         def wait_fn(condition, timeout: Optional[float]) -> bool:
             events = ["timeout"]
@@ -160,13 +162,13 @@ class RaceModel:
             event = scheduler.choose(events, "wait")
             if event.startswith("detect"):
                 # The periodic pass, as the daemon thread would run it.
-                state["detected"] = facade[0]._manager.detect()
+                state["detected"] = facade[0]._core.detect()
                 counters["detects"] = counters.get("detects", 0) + 1
             if event == "spurious-wakeup":
                 state["spurious"] += 1
             return event in ("detect-then-notify", "spurious-wakeup")
 
-        manager = ConcurrentLockManager(wait_fn=wait_fn, policy="periodic")
+        manager = ShardedLockManager(wait_fn=wait_fn, policy="periodic")
         facade.append(manager)
         failures: List[OracleFailure] = []
         aborted = False
@@ -177,7 +179,7 @@ class RaceModel:
             counters["grants"] += 2
             # T1's blocking request issued through the inner manager (a
             # real T1 thread would be parked in acquire right now).
-            outcome = manager._manager.lock(1, "r2", LockMode.X)
+            outcome = manager._core.lock(1, "r2", LockMode.X)
             if outcome.granted:
                 return [OracleFailure(
                     "race", "setup broke: T1's request for r2 granted",
@@ -223,5 +225,5 @@ class RaceModel:
         finally:
             manager.close()
         stats.state_checks += 1
-        failures.extend(check_state(manager._manager.table))
+        failures.extend(check_state(manager._core.table))
         return failures

@@ -1,15 +1,17 @@
-"""The sharded backend: sharded-vs-monolithic equivalence checking.
+"""The sharded backend: one-shard vs. many-shard equivalence checking.
 
-The lockstep driver (:mod:`repro.check.lockstep`) with the monolithic
-:class:`~repro.lockmgr.manager.LockManager` as the reference and a
-:class:`~repro.lockmgr.sharded.ShardedLockCore` with a scheduler-chosen
-shard count as the subject.
+The lockstep driver (:mod:`repro.check.lockstep`) over two
+:class:`~repro.lockmgr.sharded.ShardedLockCore` worlds: the reference
+has one shard, so its pass resolves on the live table
+(:class:`~repro.lockmgr.detection_pass.LiveBinding`); the subject has a
+scheduler-chosen shard count, so its pass runs on merged copies and
+routes the resolutions back to the shards.
 
 The pass comparison is the heart of the sharding refactor's correctness
 argument: the cross-shard pass snapshots each shard's waiting resources,
 merges the pieces into one RST in global first-lock order and runs the
 unchanged Section-5 machinery — so on a quiescent system its observable
-outcome must be *identical* to the monolithic detector's.  Any
+outcome must be *identical* to the live-table pass's.  Any
 divergence — a reordered merge, a mis-routed resolution, a
 stale-confirmation bug — fails the ``equivalence`` oracle with the
 decision trace pointing at the schedule.  The state oracles run against
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..lockmgr.manager import LockManager
 from ..lockmgr.sharded import ShardedLockCore
 from ..sim.workload import Program
 from .lockstep import LockstepModel, Worlds
@@ -32,10 +33,10 @@ SHARD_CHOICES = (2, 3, 4, 8)
 
 
 class EquivalenceModel(LockstepModel):
-    """Explorable lockstep comparison of the two manager cores."""
+    """Explorable lockstep comparison of the live-table and routed passes."""
 
     backend = "sharded"
-    names = ("monolithic", "sharded")
+    names = ("one shard", "sharded")
 
     def __init__(
         self, programs: List[Program], shards: Optional[int] = None, **kwargs
@@ -54,7 +55,7 @@ class EquivalenceModel(LockstepModel):
         # equivalence; the policy backend owns policy variation.
         return Worlds(
             ShardedLockCore(shards=shards),
-            LockManager(),
+            ShardedLockCore(),
             tag="shards={}".format(shards),
             shards=shards,
         )

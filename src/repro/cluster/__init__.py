@@ -19,7 +19,7 @@ its own worker **process**:
   re-checks the sharded manager applies.
 * :mod:`repro.cluster.client` — :class:`ClusterLockManager`, a blocking
   client that routes each resource to its owning worker, so application
-  code written against ``ConcurrentLockManager``/``RemoteLockManager``
+  code written against ``ShardedLockManager``/``RemoteLockManager``
   runs against a cluster unchanged.
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, the same topology
   without sockets (N in-process cores + the same coordinator), used by

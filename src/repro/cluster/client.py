@@ -197,7 +197,7 @@ class WireClusterTransport:
 class ClusterLockManager:
     """Blocking, thread-safe client over a worker fleet.
 
-    The ``ConcurrentLockManager`` surface (``acquire``/``commit``/
+    The ``ShardedLockManager`` surface (``acquire``/``commit``/
     ``abort``/``detect``/``holding``/``deadlocked``, context-manager
     lifetime), so the closed-loop harness and application code swap a
     cluster in by swapping a factory.  See the module docstring for

@@ -97,7 +97,7 @@ class DetectionResult:
     stats: DetectionStats = field(default_factory=DetectionStats)
     #: Set by the sharded manager's cross-shard pass (a
     #: :class:`repro.lockmgr.sharded.ShardedPass`); None for a run on a
-    #: monolithic table.
+    #: single table.
     sharding: Optional[object] = None
     #: Set by the cluster coordinator's cross-process pass (a
     #: :class:`repro.cluster.coordinator.ClusterPass`).

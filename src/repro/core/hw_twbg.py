@@ -141,27 +141,12 @@ class HWTWBG:
                 vertices.add(entry.tid)
             for entry in state.queue:
                 vertices.add(entry.tid)
-        self._index(vertices)
-
-    def _index(self, vertices: Set[int]) -> None:
+        self._vertices = vertices
         self._succ: Dict[int, List[Edge]] = {}
         self._pred: Dict[int, List[Edge]] = {}
-        self._vertices: Set[int] = set(vertices)
         for edge in self.edges:
             self._succ.setdefault(edge.source, []).append(edge)
             self._pred.setdefault(edge.target, []).append(edge)
-
-    @classmethod
-    def from_edges(
-        cls, edges: Iterable[Edge], vertices: Iterable[int]
-    ) -> "HWTWBG":
-        """Build a graph view from pre-computed edges (used by the
-        incremental maintainer, which keeps per-resource edge sets up to
-        date itself)."""
-        graph = cls([])
-        graph.edges = list(edges)
-        graph._index(set(vertices))
-        return graph
 
     # -- plain graph queries ----------------------------------------------
 

@@ -1,7 +1,10 @@
-"""The lock manager substrate: lock table, Section-3 scheduler and the
-LockManager façade."""
+"""The lock manager substrate: lock table, Section-3 scheduler, the
+lock core and its blocking facade.
 
-from .concurrent import ConcurrentLockManager
+``LockManager`` and ``ConcurrentLockManager`` are the older public
+names of :class:`ShardedLockCore` and :class:`ShardedLockManager` — the
+same classes, whose default is one shard."""
+
 from .contract import BlockingLockManager, LockCore
 from .events import Aborted, Blocked, Granted, Repositioned
 from .introspect import (
@@ -11,7 +14,6 @@ from .introspect import (
     wait_graph_summary,
 )
 from .lock_table import LockTable
-from .manager import LockManager
 from .sharded import (
     MergedTableView,
     ShardedLockCore,
@@ -30,6 +32,9 @@ from .scheduler import (
     request,
     sweep,
 )
+
+LockManager = ShardedLockCore
+ConcurrentLockManager = ShardedLockManager
 
 __all__ = [
     "Aborted",

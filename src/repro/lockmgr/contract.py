@@ -6,16 +6,14 @@ Declared once, satisfied structurally (no base classes, no adapters):
   model checker steps one call at a time: ``lock`` answers granted or
   blocked immediately, ``finish`` releases under strict 2PL, ``detect``
   is one periodic pass.  Satisfied by
-  :class:`~repro.lockmgr.manager.LockManager`,
-  :class:`~repro.lockmgr.sharded.ShardedLockCore` and
-  :class:`~repro.cluster.local.LocalCluster` — the explorer's lockstep
+  :class:`~repro.lockmgr.sharded.ShardedLockCore` (at any shard count)
+  and :class:`~repro.cluster.local.LocalCluster` — the explorer's lockstep
   driver (:mod:`repro.check.lockstep`) and the core axis of the
   conformance suite are written against exactly this.
 * :class:`BlockingLockManager` — the thread-facing surface
   ``sim.realtime``, ``txn`` and the examples call polymorphically:
   ``acquire`` parks the caller until granted, timed out or victimized.
-  Satisfied by :class:`~repro.lockmgr.sharded.ShardedLockManager`
-  (hence :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`),
+  Satisfied by :class:`~repro.lockmgr.sharded.ShardedLockManager`,
   :class:`~repro.service.client.RemoteLockManager`,
   :class:`~repro.service.loopback.EmbeddedLockManager` and
   :class:`~repro.cluster.client.ClusterLockManager`.

@@ -19,12 +19,11 @@ Otherwise Steps 1–2 stage on the copy and Step 3 runs once, against the
 live state: ``reposition`` / ``abort`` / ``sweep`` apply the staged
 resolutions where the live state is, re-checking each against it;
 ``finish(result)`` hands the result to the host.  Bindings:
-:class:`LiveBinding` (one table, in place: the monolithic manager and
-the single-shard core), the shard binding of
-:class:`~repro.lockmgr.sharded.ShardedLockCore` (copies taken and
-resolutions applied under each shard's mutex) and the plan binding of
-:mod:`repro.cluster.coordinator` (``snapshot`` payloads and ``resolve``
-plans over ``LocalTransport`` or the wire).
+:class:`LiveBinding` (one table, in place: the single-shard core), the
+shard binding of :class:`~repro.lockmgr.sharded.ShardedLockCore`
+(copies taken and resolutions applied under each shard's mutex) and
+the plan binding of :mod:`repro.cluster.coordinator` (``snapshot``
+payloads and ``resolve`` plans over ``LocalTransport`` or the wire).
 """
 
 from __future__ import annotations

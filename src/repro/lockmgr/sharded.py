@@ -25,9 +25,8 @@ This module exploits that split:
   routed back to the owning shards and re-checked there (stale ones
   are skipped and counted, never guessed at).
 * :class:`ShardedLockManager` is the blocking, thread-safe facade over
-  the core (same surface as
-  :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`, which is
-  now its 1-shard special case).
+  the core.  With one shard (the default) the pass resolves on the live
+  table: no copy, no routing.
 
 Why routing back is sound: every cycle vertex is blocked, so a victim
 is a transaction parked in ``acquire`` — marking it aborted and
@@ -42,16 +41,16 @@ way round; shard mutexes are only ever taken one at a time (the
 detector visits shards sequentially); the detector serialization lock
 is taken before any shard mutex.
 
-Equivalence with the monolithic manager: the Step-2 walk visits
-resources in the RST's first-lock order, so the merged snapshot must
-present resources in the *global* first-lock order, not shard
-concatenation order — the shard tables draw first-lock numbers from
-one shared counter, a resource drawing a new one when it re-enters a
-table (a dict delete + re-insert, which is what the monolithic table
-does via ``drop_if_free``).  The merged waiting structure is then the
-monolithic one, so a quiescent pass finds the same cycles, victims and
-repositionings — the property the equivalence oracle in
-:mod:`repro.check.sharded` pins down.
+Equivalence with one shard: the Step-2 walk visits resources in the
+RST's first-lock order, so the merged snapshot must present resources
+in the *global* first-lock order, not shard concatenation order — the
+shard tables draw first-lock numbers from one shared counter, a
+resource drawing a new one when it re-enters a table (a dict delete +
+re-insert, which is what a single table does via ``drop_if_free``).
+The merged waiting structure is then the single table's, so a
+quiescent pass finds the same cycles, victims and repositionings — the
+property the equivalence oracle in :mod:`repro.check.sharded` pins
+down.
 
 The shard count is one explicit ``shards=`` argument (default 1).
 Continuous detection needs a rooted check on every block — a
@@ -234,15 +233,19 @@ class MergedTableView:
 
 
 class ShardedLockCore:
-    """The partitioned lock manager core: LockManager's surface, N shards.
+    """The strict-2PL lock manager core, partitioned into N shards.
 
-    Drop-in for :class:`~repro.lockmgr.manager.LockManager` wherever the
-    manager is driven by one writer at a time (the service layer, the
-    explorer); under free threading each operation synchronizes on the
-    owning shard only.  With ``shards=1`` every code path below reduces
-    to the monolithic manager's — same table, same detectors, same
-    events in the same order — which is what keeps the existing test
-    suite binding.
+    ``lock`` is the only way to acquire or convert a lock (FIFO except
+    for conversions, Section 3); ``finish`` releases *all* of a
+    transaction's locks (strict 2PL); ``detect`` is one periodic
+    detection-resolution pass (Section 5).  One
+    :class:`~repro.policy.base.DetectionPolicy` (``policy=``) decides
+    block-time behaviour and pass hooks; every effect is returned as
+    events and kept in a bounded :class:`~repro.lockmgr.events.EventLog`.
+
+    Driven by one writer at a time (the service layer, the explorer,
+    the transaction manager); under free threading each operation
+    synchronizes on the owning shard only.
 
     ``listener`` (when used multi-shard) must be thread-safe: events
     from different shards may be published concurrently.
@@ -337,8 +340,9 @@ class ShardedLockCore:
     # -- the locking surface ---------------------------------------------
 
     def lock(self, tid: int, rid: str, mode: LockMode) -> scheduler.RequestOutcome:
-        """Request (or convert to) ``mode`` on ``rid`` for ``tid``; the
-        sharded counterpart of :meth:`LockManager.lock`."""
+        """Request (or convert to) ``mode`` on ``rid`` for ``tid``.  A
+        blocked request runs the policy's ``on_block`` hook; a
+        resolution it makes is kept in :attr:`last_detection`."""
         shard = self.shard_for(rid)
         with shard.mutex:
             touched = bit = 0
@@ -411,9 +415,9 @@ class ShardedLockCore:
         forensics (``incidents`` / ``stamp``: see
         :class:`~repro.lockmgr.detection_pass.DetectionPass`)."""
         if len(self.shards) == 1:
-            # Single shard: the monolithic fast path resolves on the
-            # real table, so it runs under that table's mutex — the
-            # whole-pass stall the multi-shard protocol exists to avoid.
+            # Single shard: the pass resolves on the real table, so it
+            # runs under that table's mutex — the whole-pass stall the
+            # multi-shard protocol exists to avoid.
             binding = LiveBinding(
                 self.shards[0].table, self._absorb_live, self._live_guard
             )
@@ -698,17 +702,17 @@ class _ShardBinding:
 class ShardedLockManager:
     """Blocking, thread-safe front end over :class:`ShardedLockCore`.
 
-    The surface of
-    :class:`~repro.lockmgr.concurrent.ConcurrentLockManager` —
-    ``acquire`` parks the calling thread on the owning shard's
-    condition until grant, timeout or victimization
-    (:class:`TransactionAborted`) — but contention is per shard:
-    threads touching resources on different shards never contend on a
-    mutex, which is the whole point of the refactor.
+    ``acquire`` parks the calling thread on the owning shard's condition
+    until grant, timeout or victimization (:class:`TransactionAborted`);
+    ``commit``/``abort`` release everything (strict 2PL); with a
+    ``period``, a daemon thread runs :meth:`detect` that often.  Threads
+    on resources of different shards never contend on a mutex.
 
-    ``wait_fn`` remains the single interleaving seam (see the
-    ConcurrentLockManager docstring); it is called with the *owning
-    shard's* mutex held.
+    ``wait_fn(condition, timeout)``, the single interleaving point, is
+    called with the owning shard's mutex held and must behave like
+    :meth:`threading.Condition.wait` (the default); the schedule
+    explorer (:mod:`repro.check`) injects a controlled wait to pin down
+    wakeup/timeout races that wall-clock tests cannot reproduce.
     """
 
     def __init__(

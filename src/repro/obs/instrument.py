@@ -4,7 +4,7 @@
 
 The lock manager already reports every observable mutation as an event
 (:mod:`repro.lockmgr.events`); :meth:`Telemetry.on_event` is the
-listener a :class:`~repro.lockmgr.manager.LockManager` calls for each
+listener a :class:`~repro.lockmgr.sharded.ShardedLockCore` calls for each
 one, feeding the per-mode/per-resource wait-time histograms and the
 block/grant/reposition counters.  The service layer adds the pieces only
 it knows — frame arrival (:meth:`request`), resumed waits
@@ -321,7 +321,7 @@ class Telemetry:
     # -- lock-manager event stream ----------------------------------------
 
     def on_event(self, event) -> None:
-        """Listener for :class:`~repro.lockmgr.manager.LockManager`."""
+        """Listener for :class:`~repro.lockmgr.sharded.ShardedLockCore`."""
         if self.enabled:
             handler = self._on.get(type(event))
             if handler is not None:

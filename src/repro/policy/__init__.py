@@ -2,7 +2,7 @@
 
 One :class:`~repro.policy.base.DetectionPolicy` object per lock
 manager decides when detection runs and what happens at block time;
-the hosts (monolithic manager, sharded core, service, cluster
+the hosts (the lock core, the service, the cluster
 coordinator) only run the machinery the policy asks for.  Shipped
 policies:
 

@@ -6,20 +6,19 @@ cycle; everything around it is policy: **when** to run a pass (the
 periodic interval), **what** to do when a request blocks (wait quietly,
 run a rooted check, refuse the wait), and **what else** to look at in
 the graph (the predictive pre-pass).  Before this layer those decisions
-were hard-wired in four places — ``LockManager.lock``/``detect``, the
-sharded core, the service's detector task and the cluster
-coordinator's pass loop.  Now each of those hosts consults one policy
-object through the hooks below, and the paper's periodic scheme is
-simply the default policy (:class:`~repro.policy.periodic.PeriodicPolicy`),
-reproduced bit-for-bit.
+were hard-wired in each host — the lock core's ``lock``/``detect``,
+the service's detector task and the cluster coordinator's pass loop.
+Now each of those hosts consults one policy object through the hooks
+below, and the paper's periodic scheme is simply the default policy
+(:class:`~repro.policy.periodic.PeriodicPolicy`), reproduced
+bit-for-bit.
 
 Hook contract
 -------------
 
 ``on_block(host, tid, rid, mode)``
     Called by the host's ``lock`` path right after a request blocked,
-    with the owning table's mutex held (single-shard: the shard mutex;
-    monolithic: no lock).  Return a
+    with the owning shard's mutex held.  Return a
     :class:`~repro.core.detection.DetectionResult` for the host to
     absorb — the continuous companion returns its rooted check, the
     nowait lane returns the requester's own abort — or ``None`` to let

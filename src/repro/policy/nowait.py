@@ -71,7 +71,7 @@ def wait_is_ordered(
 
 def evaluate_block(table, tid: int, rid: str) -> bool:
     """Apply :func:`wait_is_ordered` to a live table where ``tid`` just
-    blocked at ``rid``.  ``table`` may be a monolithic
+    blocked at ``rid``.  ``table`` may be a single
     :class:`~repro.lockmgr.lock_table.LockTable` or the sharded core's
     merged view — both serve ``held_by`` and ``existing``."""
     state = table.existing(rid)

@@ -1,6 +1,6 @@
 """repro.service — the lock manager as a networked service.
 
-Turns the in-process :class:`~repro.lockmgr.manager.LockManager` into
+Turns the in-process :class:`~repro.lockmgr.sharded.ShardedLockCore` into
 infrastructure: an asyncio TCP server
 (:class:`~repro.service.server.LockServer`) speaking a length-prefixed
 JSON protocol (:mod:`repro.service.protocol`), with per-connection
@@ -9,12 +9,12 @@ periodic-detector background task, and remote introspection
 (:mod:`repro.service.admin`).  Clients come in two flavors:
 :class:`~repro.service.client.AsyncLockClient` for asyncio code and the
 blocking :class:`~repro.service.client.RemoteLockManager`, a drop-in
-mirror of :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.
+mirror of :class:`~repro.lockmgr.sharded.ShardedLockManager`.
 
     # server (or: python -m repro serve --port 7411)
     server = await serve(port=7411, period=0.5, lease=5.0)
 
-    # client — identical code runs against ConcurrentLockManager
+    # client — identical code runs against ShardedLockManager
     with RemoteLockManager("127.0.0.1", 7411) as manager:
         manager.acquire(1, "R1", LockMode.X)
         manager.commit(1)

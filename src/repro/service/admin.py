@@ -17,7 +17,7 @@ from typing import Any, Dict, Optional
 
 from ..core.serialize import table_to_dict
 from ..lockmgr.introspect import render_report
-from ..lockmgr.manager import LockManager
+from ..lockmgr.sharded import ShardedLockCore
 from ..obs.metrics import MetricsRegistry
 from .protocol import event_to_dict
 
@@ -137,7 +137,7 @@ def render_stats(stats: Dict[str, Any]) -> str:
     )
 
 
-def inspect_payload(manager: LockManager) -> Dict[str, Any]:
+def inspect_payload(manager: ShardedLockCore) -> Dict[str, Any]:
     """The ``inspect`` response: the operator report plus raw facts.
 
     A sharded manager additionally reports one row per shard (index,
@@ -154,7 +154,9 @@ def inspect_payload(manager: LockManager) -> Dict[str, Any]:
     return payload
 
 
-def graph_payload(manager: LockManager, dot: bool = False) -> Dict[str, Any]:
+def graph_payload(
+    manager: ShardedLockCore, dot: bool = False
+) -> Dict[str, Any]:
     """The ``graph`` response: H/W-TWBG edges, cycles, optional dot."""
     graph = manager.graph()
     payload: Dict[str, Any] = {
@@ -176,7 +178,7 @@ def graph_payload(manager: LockManager, dot: bool = False) -> Dict[str, Any]:
     return payload
 
 
-def dump_payload(manager: LockManager) -> Dict[str, Any]:
+def dump_payload(manager: ShardedLockCore) -> Dict[str, Any]:
     """The ``dump`` response: the versioned lock-table snapshot plus the
     paper-notation rendering."""
     return {
@@ -219,7 +221,7 @@ def spans_payload(
     }
 
 
-def log_payload(manager: LockManager, limit: int = 100) -> Dict[str, Any]:
+def log_payload(manager: ShardedLockCore, limit: int = 100) -> Dict[str, Any]:
     """The tail of the manager's event log as wire events: ``total``
     counts every event ever published, ``events`` come from the ring of
     recent ones (see :class:`~repro.lockmgr.events.EventLog`)."""

@@ -7,7 +7,7 @@ Two layers:
   transactions can block in ``lock`` concurrently while heartbeats keep
   the session lease alive on the same socket.
 * :class:`RemoteLockManager` — a *blocking* facade that mirrors the
-  :class:`~repro.lockmgr.concurrent.ConcurrentLockManager` API
+  :class:`~repro.lockmgr.sharded.ShardedLockManager` API
   (``acquire``/``commit``/``abort``/``detect``/``holding``/
   ``deadlocked``/``snapshot``, context-manager lifetime), so code
   written against the embedded thread-safe manager runs against a
@@ -592,7 +592,7 @@ _NETWORK_SLACK = 30.0
 
 
 class RemoteLockManager:
-    """Blocking, thread-safe client mirroring ``ConcurrentLockManager``.
+    """Blocking, thread-safe client mirroring ``ShardedLockManager``.
 
     ``acquire`` blocks the calling thread until the server grants the
     lock, the wait times out, or a detection pass on the server aborts

@@ -123,7 +123,7 @@ class ParkedWait:
 
 class ServiceCore:
     """Sessions, leases, ownership and parked waits over a
-    :class:`LockManager` (see module docstring)."""
+    :class:`ShardedLockCore` (see module docstring)."""
 
     def __init__(
         self,

@@ -1,4 +1,4 @@
-"""The asyncio lock server: ``LockManager`` as a network service.
+"""The asyncio lock server: the lock core as a network service.
 
 Architecture
 ------------
@@ -11,7 +11,7 @@ Architecture
   deterministic schedule explorer (:mod:`repro.check`) drive the exact
   service logic one transition at a time under a virtual clock.
 * **Single writer = the event loop.**  The
-  :class:`~repro.lockmgr.manager.LockManager` is single-threaded by
+  :class:`~repro.lockmgr.sharded.ShardedLockCore` is single-threaded by
   design, and so is an event loop: every access to the core — lock
   requests, commits, detection passes, introspection reads — is a plain
   function call made from a loop callback, so the lock table sees a
@@ -38,7 +38,7 @@ Architecture
   :class:`~repro.service.core.ParkedWait` keyed by transaction id whose
   callback encodes the reply when the pump (granted?  aborted?)
   resolves it — the network analogue of the condition variables in
-  :class:`~repro.lockmgr.concurrent.ConcurrentLockManager`.  A wait
+  :class:`~repro.lockmgr.sharded.ShardedLockManager`.  A wait
   with a timeout arms one ``loop.call_later``; it answers ``timeout``
   but leaves the request queued, so a retried ``lock`` resumes the same
   queue position.

@@ -72,7 +72,7 @@ def run_realtime(
     manager built by ``manager_factory``; returns the metrics.
 
     The factory is called once and the instance shared — both
-    ``ConcurrentLockManager`` and ``RemoteLockManager`` are thread-safe.
+    ``ShardedLockManager`` and ``RemoteLockManager`` are thread-safe.
     It is closed before returning.
 
     With a :class:`~repro.obs.metrics.MetricsRegistry` passed as

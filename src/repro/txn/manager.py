@@ -27,7 +27,7 @@ from ..core.errors import (
     UnknownTransactionError,
 )
 from ..core.modes import LockMode
-from ..lockmgr.manager import LockManager
+from ..lockmgr.sharded import ShardedLockCore
 from . import costs as cost_policies
 from .costs import CostPolicy
 from .transaction import Transaction, TxnState
@@ -38,14 +38,14 @@ class TransactionManager:
 
     def __init__(
         self,
-        lock_manager: Optional[LockManager] = None,
+        lock_manager: Optional[ShardedLockCore] = None,
         cost_policy: Optional[CostPolicy] = None,
         policy: str = "periodic",
     ) -> None:
         self.locks = (
             lock_manager
             if lock_manager is not None
-            else LockManager(policy=policy)
+            else ShardedLockCore(policy=policy)
         )
         self.cost_policy = (
             cost_policy if cost_policy is not None else cost_policies.unit_cost

@@ -19,32 +19,33 @@ from repro.check.schedule import RandomChooser, ReplayDivergence, VirtualSchedul
 from repro.check.workload import generate_programs
 from repro.check import races as races_module
 from repro.core.errors import ReproError, TransactionAborted
-from repro.lockmgr.concurrent import ConcurrentLockManager
+from repro.lockmgr import ShardedLockManager
 
 
-class _BuggyFacade(ConcurrentLockManager):
+class _BuggyFacade(ShardedLockManager):
     """The pre-fix wait loop: honours the wait result before looking at
     the lock table, so a grant or abort that lands in the same instant
     as the timeout is reported as a plain timeout."""
 
     def acquire(self, tid, rid, mode, timeout=None):
-        with self._mutex:
-            if self._manager.was_aborted(tid):
+        core, shard = self._core, self._core.shards[0]
+        with shard.mutex:
+            if core.was_aborted(tid):
                 raise TransactionAborted(tid)
-            if not self._manager.is_blocked(tid):
-                outcome = self._manager.lock(tid, rid, mode)
+            if not core.is_blocked(tid):
+                outcome = core.lock(tid, rid, mode)
                 if outcome.granted:
                     return True
-            condition = self._wakeups.setdefault(
-                tid, threading.Condition(self._mutex)
+            condition = shard.wakeups.setdefault(
+                tid, threading.Condition(shard.mutex)
             )
             while True:
                 woken = self._wait_fn(condition, timeout)
                 if not woken:
                     return False  # the bug: timeout outranks the table
-                if self._manager.was_aborted(tid):
+                if core.was_aborted(tid):
                     raise TransactionAborted(tid)
-                if not self._manager.is_blocked(tid):
+                if not core.is_blocked(tid):
                     return True
 
 
@@ -116,7 +117,7 @@ class TestBuggyFacadeEndToEnd:
 
     def _patched(self, monkeypatch):
         monkeypatch.setattr(
-            races_module, "ConcurrentLockManager", _BuggyFacade
+            races_module, "ShardedLockManager", _BuggyFacade
         )
 
     def test_explorer_finds_records_replays_and_shrinks(
@@ -163,7 +164,7 @@ class TestBuggyFacadeEndToEnd:
                         exhaustive=True)
         )
         artifact = report.failures[0]
-        monkeypatch.undo()  # back to the fixed ConcurrentLockManager
+        monkeypatch.undo()  # back to the fixed ShardedLockManager
         outcome = replay_artifact(artifact)
         assert not outcome.reproduced
         assert outcome.result.ok

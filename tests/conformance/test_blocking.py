@@ -1,8 +1,7 @@
 """The ``BlockingLockManager`` conformance suite: one set of behaviours,
 every thread-facing facade.
 
-Axis: :class:`~repro.lockmgr.ConcurrentLockManager`,
-:class:`~repro.lockmgr.ShardedLockManager` (4 shards),
+Axis: :class:`~repro.lockmgr.ShardedLockManager` (1 and 4 shards),
 :class:`~repro.service.RemoteLockManager` over a loopback server on
 both wire codecs, :class:`~repro.service.EmbeddedLockManager`, and
 :class:`~repro.cluster.client.ClusterLockManager` over two real worker
@@ -33,7 +32,6 @@ from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
 from repro.lockmgr import (
     BlockingLockManager,
-    ConcurrentLockManager,
     LockCore,
     ShardedLockManager,
 )
@@ -67,7 +65,8 @@ def _cluster(wire):
 
 #: id -> zero-argument context manager yielding a ready facade.
 FACADES = {
-    "concurrent": ConcurrentLockManager,
+    # One shard: the facade's public ``ConcurrentLockManager`` name.
+    "concurrent": ShardedLockManager,
     "sharded-4": lambda: ShardedLockManager(shards=4),
     "remote-json": lambda: _remote("json"),
     "remote-binary": lambda: _remote("binary"),

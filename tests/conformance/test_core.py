@@ -1,15 +1,17 @@
 """The ``LockCore`` conformance suite: one set of behaviours, every
 steppable facade.
 
-Axis: the monolithic :class:`~repro.lockmgr.LockManager`,
-:class:`~repro.lockmgr.ShardedLockCore` with 1 and 4 shards and
-:class:`~repro.cluster.LocalCluster` with 2 and 3 workers.  Whatever a
-kernel (or the explorer's lockstep driver) may rely on through the
-contract is asserted here once, on each of them: the locking surface
-and its introspection, Axiom 1, the victim latch, first-lock table
-order, and the paper's printed deadlocks — Example 4.1 abort-free by
-TDR-2, Example 5.1 by the walkthrough's victim, a pure-X cycle by
-exactly one abort — resolved identically to the monolithic detector.
+Axis: :class:`~repro.lockmgr.ShardedLockCore` with 1 and 4 shards and
+:class:`~repro.cluster.LocalCluster` with 2 and 3 workers (the
+``LockManager`` name is the same class as ``ShardedLockCore``, so it is
+the ``sharded-1`` entry).  Whatever a kernel (or the explorer's
+lockstep driver) may rely on through the contract is asserted here
+once, on each of them: the locking surface and its introspection,
+Axiom 1, the victim latch, first-lock table order, and the paper's
+printed deadlocks — Example 4.1 abort-free by TDR-2, Example 5.1 by the
+walkthrough's victim, a pure-X cycle by exactly one abort — resolved
+identically to the one-shard core, whose pass resolves on the live
+table.
 
 Adding a facade: give it the contract's methods, add one line to
 ``CORES``.
@@ -24,7 +26,6 @@ from repro.core.modes import LockMode
 from repro.lockmgr import (
     BlockingLockManager,
     LockCore,
-    LockManager,
     ShardedLockCore,
 )
 
@@ -32,7 +33,6 @@ from . import scenarios
 
 #: id -> factory(costs) building the facade on the periodic policy.
 CORES = {
-    "monolithic": lambda costs: LockManager(costs=costs),
     "sharded-1": lambda costs: ShardedLockCore(shards=1, costs=costs),
     "sharded-4": lambda costs: ShardedLockCore(shards=4, costs=costs),
     "cluster-2": lambda costs: LocalCluster(workers=2, costs=costs),
@@ -106,7 +106,7 @@ class TestLockingSurface:
         assert core.lock(victim, "elsewhere", LockMode.S).granted
 
     def test_table_keeps_first_lock_order(self, build):
-        core, reference = build(), LockManager()
+        core, reference = build(), ShardedLockCore()
         rids = ["R{}".format(i) for i in range(1, 17)]
         for tid, rid in enumerate(rids, start=1):
             assert core.lock(tid, rid, LockMode.S).granted
@@ -150,11 +150,14 @@ class TestPaperDeadlocks:
         (scenarios.feed_example_51, scenarios.EXAMPLE_51_COSTS),
     ], ids=["example-41", "example-51"])
     def test_matches_monolithic(self, build, example, costs):
+        """Same victims, repositionings and table as the one-shard core
+        (the live-table pass every routed pass must reproduce)."""
+
         def build_costs():
             return scenarios.CostTable(dict(costs)) if costs else None
 
         core = build(build_costs())
-        reference = LockManager(costs=build_costs(), policy="periodic")
+        reference = ShardedLockCore(shards=1, costs=build_costs())
         r1, r2 = scenarios.spread_rids(core)
         example(reference, r1, r2)
         example(core, r1, r2)

@@ -8,7 +8,7 @@ import pytest
 from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
 from repro.core.victim import CostTable
-from repro.lockmgr.concurrent import ConcurrentLockManager
+from repro.lockmgr import ConcurrentLockManager
 
 
 class TestBasicBlocking:
@@ -74,7 +74,7 @@ class TestBasicBlocking:
                 assert not clm.acquire(2, "R", LockMode.S, timeout=0.02)
                 assert [
                     q.tid
-                    for q in clm._manager.table.existing("R").queue
+                    for q in clm._core.table.existing("R").queue
                 ] == [2]
             clm.commit(1)
             assert clm.acquire(2, "R", LockMode.S, timeout=5.0)
@@ -87,7 +87,7 @@ class TestBasicBlocking:
             clm.abort(2)  # gives up the queued request
             assert [
                 q.tid
-                for q in clm._manager.table.existing("R").queue
+                for q in clm._core.table.existing("R").queue
             ] == []
             clm.commit(1)
 
@@ -197,7 +197,7 @@ class TestTimeoutWakeupRace:
         box = {}
 
         def racing_wait(condition, timeout):
-            box["clm"]._manager.finish(1)  # the holder's racing commit
+            box["clm"]._core.finish(1)  # the holder's racing commit
             return False  # ...but the timeout signal fires regardless
 
         clm = ConcurrentLockManager(wait_fn=racing_wait)
@@ -214,7 +214,7 @@ class TestTimeoutWakeupRace:
         box = {}
 
         def racing_wait(condition, timeout):
-            box["clm"]._manager.detect()  # the periodic pass fires now
+            box["clm"]._core.detect()  # the periodic pass fires now
             return False
 
         clm = ConcurrentLockManager(
@@ -224,7 +224,7 @@ class TestTimeoutWakeupRace:
         clm.acquire(1, "A", LockMode.X)
         clm.acquire(2, "B", LockMode.X)
         # T1's blocking request, issued as its parked thread would have.
-        assert not clm._manager.lock(1, "B", LockMode.X).granted
+        assert not clm._core.lock(1, "B", LockMode.X).granted
         # T2 closes the cycle; the pass aborts it (cheaper victim) in
         # the same instant its wait times out.  Must raise, not return.
         with pytest.raises(TransactionAborted):

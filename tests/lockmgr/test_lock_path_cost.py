@@ -34,8 +34,8 @@ def test_a_detector_pass_ratchet_is_never_raised():
     a pass made while Step 2 called an observer hook per edge and a
     routed pass ran Step 3 twice."""
     ceilings = load_tool("lock_path_cost").CEILINGS
-    assert ceilings["detect planted round py (shards=4)"] <= 1700
-    assert ceilings["detect planted round py (shards=1)"] <= 1200
+    assert ceilings["detect planted round py (shards=4)"] <= 1407
+    assert ceilings["detect planted round py (shards=1)"] <= 687
 
 
 def test_releasing_eight_sole_holder_locks_sweeps_nothing_and_leaves_nothing():

@@ -1,4 +1,5 @@
-"""The LockManager façade: locking surface, detection wiring, events."""
+"""The one-shard lock core under its ``LockManager`` name: locking
+surface, detection wiring, events."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro.core.errors import LockTableError
 from repro.core.modes import LockMode
 from repro.core.victim import CostTable
 from repro.lockmgr.events import Aborted, Blocked, Granted, Repositioned
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 
 
 def classic_deadlock(lm: LockManager) -> None:
@@ -128,11 +129,8 @@ class TestGraphView:
 
     def test_repositioned_logged(self, example_41_table):
         lm = LockManager()
-        lm.table = example_41_table
-        # Rewire the detector onto the injected table.
-        from repro.core.detection import PeriodicDetector
-
-        lm._periodic = PeriodicDetector(lm.table, lm.costs)
+        for state in example_41_table.resources():
+            lm.table.install(state.copy())
         result = lm.detect()
         assert result.repositions
         assert any(isinstance(e, Repositioned) for e in lm.log)

@@ -19,7 +19,7 @@ from repro.core.errors import LockTableError, TransactionAborted
 from repro.core.modes import LockMode
 from repro.core.victim import CostTable
 from repro.lockmgr.events import EVENT_LOG_CAPACITY
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.lockmgr.sharded import (
     ShardedLockCore,
     ShardedLockManager,

@@ -9,7 +9,7 @@ first-block-to-grant intervals into wait-histogram observations.
 from __future__ import annotations
 
 from repro.core.modes import LockMode
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.obs import Telemetry
 
 

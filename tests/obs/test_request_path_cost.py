@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.modes import LockMode
 from repro.lockmgr.events import EVENT_LOG_CAPACITY
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.lockmgr.sharded import ShardedLockCore
 from repro.obs.metrics import MetricsRegistry
 from repro.service import journal, protocol

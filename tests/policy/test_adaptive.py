@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.modes import LockMode
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.lockmgr.sharded import ShardedLockCore
 from repro.policy import AdaptiveController, AdaptivePolicy
 

@@ -4,7 +4,7 @@ import random
 
 from repro.core.hw_twbg import build_graph
 from repro.core.modes import LockMode
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.lockmgr.sharded import ShardedLockCore
 from repro.policy import ABORT_REASON, wait_is_ordered
 

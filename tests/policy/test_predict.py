@@ -3,7 +3,7 @@
 from repro.core.modes import LockMode
 from repro.core.notation import load_table
 from repro.lockmgr.lock_table import LockTable
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.policy import PredictivePolicy, find_near_cycles
 
 

@@ -33,7 +33,7 @@ import pytest
 
 from repro.core.modes import LockMode
 from repro.lockmgr.lock_table import LockTable
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.lockmgr.sharded import ShardedLockCore
 
 MODES = [LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX, LockMode.X]

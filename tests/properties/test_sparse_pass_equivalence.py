@@ -21,7 +21,7 @@ from repro.cluster import LocalCluster
 from repro.core.batched import BatchedDetector
 from repro.core.modes import LockMode
 from repro.core.victim import CostTable
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.lockmgr.sharded import ShardedLockCore
 
 from ..fulltable import full_table_pass, outputs
@@ -94,7 +94,7 @@ class Batched(Periodic):
 
     def detect(self):
         result = self.batched.flush()
-        self.manager._absorb(result)
+        self.manager._absorb_live(result)
         return result
 
 

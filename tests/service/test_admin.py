@@ -3,7 +3,7 @@
 import json
 
 from repro.core.modes import LockMode
-from repro.lockmgr.manager import LockManager
+from repro.lockmgr import LockManager
 from repro.service.admin import (
     ServiceStats,
     dump_payload,

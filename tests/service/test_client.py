@@ -1,7 +1,7 @@
 """The blocking ``RemoteLockManager`` facade over a loopback server.
 
 These tests exercise the drop-in contract: code written against
-:class:`~repro.lockmgr.concurrent.ConcurrentLockManager` must behave
+:class:`~repro.lockmgr.sharded.ShardedLockManager` must behave
 identically when pointed at a :class:`RemoteLockManager`.
 """
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lockmgr.concurrent import ConcurrentLockManager
+from repro.lockmgr import ConcurrentLockManager
 from repro.sim.realtime import RealtimeMetrics, run_realtime
 from repro.sim.workload import WorkloadSpec
 

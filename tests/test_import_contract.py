@@ -8,6 +8,7 @@ forbidden prefixes.  The serve closure is also counted, a ratchet in
 the style of the ballast tripwires: it may shrink, not grow.
 """
 
+import importlib
 import os
 import re
 import subprocess
@@ -21,12 +22,31 @@ tool = load_tool("import_closure")
 
 #: The plain serve closure may hold this many ``repro`` modules and
 #: source lines (49 / 14.5k when written; 73 / 18.1k before it, with
-#: numpy; 47 / 13.3k once ``repro.service`` imported lazily).
-SERVE_MODULES_MAX = 47
-SERVE_LINES_MAX = 13300
+#: numpy; 47 / 13.3k once ``repro.service`` imported lazily; 45 / 13.0k
+#: once one lock core replaced ``LockManager``/``ConcurrentLockManager``).
+SERVE_MODULES_MAX = 45
+SERVE_LINES_MAX = 13000
 #: Peak resident set of a real server at its first reply (26.1 MB when
 #: written, 39.3 at the parent).
 FIRST_REPLY_HWM_MB_MAX = 30.0
+
+
+def test_one_lock_core():
+    """``LockManager``/``ConcurrentLockManager`` are names of the one
+    core and its blocking facade, not classes of their own."""
+    import repro
+    from repro import lockmgr
+
+    assert lockmgr.LockManager is lockmgr.ShardedLockCore
+    assert lockmgr.ConcurrentLockManager is lockmgr.ShardedLockManager
+    assert repro.LockManager is lockmgr.ShardedLockCore
+    for gone in (
+        "repro.lockmgr.manager",
+        "repro.lockmgr.concurrent",
+        "repro.core.incremental",
+    ):
+        with pytest.raises(ImportError):
+            importlib.import_module(gone)
 
 
 @pytest.fixture(scope="module")

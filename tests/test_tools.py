@@ -46,7 +46,7 @@ class TestApiDocs:
         assert "# API reference" in text
         assert "repro.core.detection" in text
         assert "PeriodicDetector" in text
-        assert "class `LockManager`" in text
+        assert "class `ShardedLockCore`" in text
 
 
 class TestMetricCatalog:

@@ -57,8 +57,9 @@ CEILINGS = {
     "ShardedLockCore.lock py": 13,
     "scheduler.request py": 10,
     "finish_step+pump x8 py (telemetry on)": 60,
-    "detect planted round py (shards=4)": 1700,
-    "detect planted round py (shards=1)": 1200,
+    # Measured 1340 / 654 (Python 3.11), plus 5%.
+    "detect planted round py (shards=4)": 1407,
+    "detect planted round py (shards=1)": 687,
 }
 if sys.version_info >= (3, 10):
     CEILINGS.update({
