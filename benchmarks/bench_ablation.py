@@ -17,12 +17,12 @@ A2 — TDR-2 disabled: every deadlock then costs an abort; measure the
 import time
 
 from repro.analysis.report import render_table
-from repro.baselines import ParkPeriodicStrategy
 from repro.core.modes import LockMode, compatible, group_mode
 from repro.core.notation import parse_resource
 from repro.core.requests import HolderEntry, ResourceState
 from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
+from repro.policy import PeriodicPolicy
 from repro.sim.runner import aggregate, compare_strategies
 from repro.sim.workload import WorkloadSpec
 
@@ -172,8 +172,8 @@ def test_a2_tdr2_disabled(benchmark, record_result):
         results = compare_strategies(
             spec,
             [
-                lambda: ParkPeriodicStrategy(allow_tdr2=True),
-                lambda: ParkPeriodicStrategy(allow_tdr2=False),
+                lambda: PeriodicPolicy(allow_tdr2=True),
+                lambda: PeriodicPolicy(allow_tdr2=False),
             ],
             duration=150.0,
             terminals=6,

@@ -14,17 +14,16 @@ import pytest
 from repro.analysis.report import render_summaries, render_table
 from repro.analysis.scenarios import build_mesh, build_reader_ladder
 from repro.baselines import (
-    AgrawalStrategy,
-    ElmagarmidStrategy,
-    JiangStrategy,
-    ParkContinuousStrategy,
-    ParkPeriodicStrategy,
-    WFGStrategy,
+    AgrawalPolicy,
+    ElmagarmidPolicy,
+    JiangPolicy,
+    WFGPolicy,
 )
 from repro.baselines.jiang import list_all_cycles_through
 from repro.baselines.johnson import circuit_count
 from repro.baselines.wfg import adjacency
 from repro.core.detection import detect_once
+from repro.policy import ContinuousPolicy, PeriodicPolicy
 from repro.sim.runner import aggregate, compare_strategies
 from repro.sim.workload import WorkloadSpec
 
@@ -56,7 +55,7 @@ def test_x1_detection_latency(benchmark, record_result):
     def run():
         results = compare_strategies(
             SPEC,
-            [ParkPeriodicStrategy, AgrawalStrategy],
+            [PeriodicPolicy, AgrawalPolicy],
             duration=DURATION,
             terminals=6,
             seeds=SEEDS,
@@ -91,8 +90,7 @@ def test_x2_victim_quality(benchmark, record_result):
     def run():
         results = compare_strategies(
             SPEC,
-            [ParkContinuousStrategy, ElmagarmidStrategy, JiangStrategy,
-             lambda: WFGStrategy(continuous=True)],
+            [ContinuousPolicy, ElmagarmidPolicy, JiangPolicy, WFGPolicy],
             duration=DURATION,
             terminals=6,
             seeds=SEEDS,

@@ -10,7 +10,7 @@ when work accrues uniformly.
 """
 
 from repro.analysis.report import render_table
-from repro.baselines import ParkPeriodicStrategy
+from repro.policy import PeriodicPolicy
 from repro.sim.system import SimulatedSystem
 from repro.sim.workload import WorkloadSpec
 
@@ -36,7 +36,7 @@ def run_policy(name, seeds=(1, 2, 3)):
     for seed in seeds:
         system = SimulatedSystem(
             SPEC,
-            ParkPeriodicStrategy(),
+            PeriodicPolicy(),
             terminals=6,
             seed=seed,
             period=5.0,

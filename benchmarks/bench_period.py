@@ -4,11 +4,8 @@ detection decreases but it will detect deadlocks late".
 """
 
 from repro.analysis.report import render_table
-from repro.baselines import (
-    ParkBatchedStrategy,
-    ParkContinuousStrategy,
-    ParkPeriodicStrategy,
-)
+from repro.baselines import BatchedPolicy
+from repro.policy import ContinuousPolicy, PeriodicPolicy
 from repro.sim.runner import run_once, sweep_period
 from repro.sim.workload import WorkloadSpec
 
@@ -28,7 +25,7 @@ def test_a3_period_sweep(benchmark, record_result):
     def run():
         return sweep_period(
             SPEC,
-            ParkPeriodicStrategy,
+            PeriodicPolicy,
             periods=periods,
             duration=200.0,
             terminals=6,
@@ -38,7 +35,7 @@ def test_a3_period_sweep(benchmark, record_result):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     continuous = run_once(
         SPEC,
-        ParkContinuousStrategy(),
+        ContinuousPolicy(),
         duration=200.0,
         terminals=6,
         seed=1,
@@ -59,7 +56,7 @@ def test_a3_period_sweep(benchmark, record_result):
         )
     batched = run_once(
         SPEC,
-        ParkBatchedStrategy(batch_size=4),
+        BatchedPolicy(batch_size=4),
         duration=200.0,
         terminals=6,
         seed=1,

@@ -32,12 +32,8 @@ records, abort rates included):
 import os
 
 from repro.analysis.report import render_table
-from repro.baselines import (
-    AdaptivePeriodicStrategy,
-    NoWaitStrategy,
-    ParkPeriodicStrategy,
-)
 from repro.obs.bench import append_record, build_record
+from repro.policy import AdaptivePolicy, NoWaitPolicy, PeriodicPolicy
 from repro.sim.runner import run_once
 from repro.sim.workload import WorkloadSpec, low_contention
 
@@ -72,7 +68,7 @@ def high_contention_spec() -> WorkloadSpec:
 
 
 def averaged(spec, factory, period):
-    """Mean summary over the seed set (one fresh strategy per run)."""
+    """Mean summary over the seed set (one fresh policy per run)."""
     runs = [
         run_once(
             spec,
@@ -109,13 +105,13 @@ def test_x11_policy_sweep(benchmark, record_result):
         for workload, spec in specs.items():
             for period in PERIOD_LADDER:
                 cells[(workload, "park-periodic", period)] = averaged(
-                    spec, ParkPeriodicStrategy, period
+                    spec, PeriodicPolicy, period
                 )
             cells[(workload, "park-adaptive", DEFAULT_PERIOD)] = averaged(
-                spec, AdaptivePeriodicStrategy, DEFAULT_PERIOD
+                spec, AdaptivePolicy, DEFAULT_PERIOD
             )
             cells[(workload, "nowait", DEFAULT_PERIOD)] = averaged(
-                spec, NoWaitStrategy, DEFAULT_PERIOD
+                spec, NoWaitPolicy, DEFAULT_PERIOD
             )
         return cells
 

@@ -8,11 +8,11 @@ zero aborts, plus micro-verification on the canonical abort-free state
 """
 
 from repro.analysis.report import render_table
-from repro.baselines import ParkPeriodicStrategy
 from repro.core.detection import detect_once
 from repro.core.notation import load_table
 from repro.core.victim import CostTable
 from repro.lockmgr.lock_table import LockTable
+from repro.policy import PeriodicPolicy
 from repro.sim.runner import run_once
 from repro.sim.workload import WorkloadSpec
 
@@ -37,7 +37,7 @@ def test_x3_abort_free_resolution_rate(benchmark, record_result):
         for seed in (1, 2, 3):
             metrics = run_once(
                 spec,
-                ParkPeriodicStrategy(),
+                PeriodicPolicy(),
                 duration=150.0,
                 terminals=6,
                 seed=seed,

@@ -9,7 +9,7 @@ thrash, its deadlock measurements would be suspect.
 """
 
 from repro.analysis.report import render_table
-from repro.baselines import ParkPeriodicStrategy
+from repro.policy import PeriodicPolicy
 from repro.sim.runner import run_once
 from repro.sim.workload import WorkloadSpec
 
@@ -32,7 +32,7 @@ def measure(level: int, seeds=(1, 2, 3)) -> dict:
     for seed in seeds:
         metrics = run_once(
             SPEC,
-            ParkPeriodicStrategy(),
+            PeriodicPolicy(),
             duration=150.0,
             terminals=level,
             seed=seed,

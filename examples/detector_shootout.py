@@ -13,16 +13,15 @@ import sys
 
 from repro.analysis.report import render_summaries
 from repro.baselines import (
-    AgrawalStrategy,
-    ElmagarmidStrategy,
-    JiangStrategy,
-    ParkContinuousStrategy,
-    ParkPeriodicStrategy,
-    TimeoutStrategy,
-    WaitDieStrategy,
-    WFGStrategy,
-    WoundWaitStrategy,
+    AgrawalPolicy,
+    ElmagarmidPolicy,
+    JiangPolicy,
+    TimeoutPolicy,
+    WaitDiePolicy,
+    WFGPolicy,
+    WoundWaitPolicy,
 )
+from repro.policy import ContinuousPolicy, PeriodicPolicy
 from repro.sim.runner import aggregate, compare_strategies
 from repro.sim.workload import WorkloadSpec
 
@@ -37,15 +36,15 @@ def main(seed: int = 1) -> None:
         upgrade_fraction=0.25,
     )
     factories = [
-        ParkPeriodicStrategy,
-        ParkContinuousStrategy,
-        AgrawalStrategy,
-        JiangStrategy,
-        ElmagarmidStrategy,
-        lambda: WFGStrategy(continuous=True),
-        lambda: TimeoutStrategy(15.0),
-        WoundWaitStrategy,
-        WaitDieStrategy,
+        PeriodicPolicy,
+        ContinuousPolicy,
+        AgrawalPolicy,
+        JiangPolicy,
+        ElmagarmidPolicy,
+        WFGPolicy,
+        lambda: TimeoutPolicy(15.0),
+        WoundWaitPolicy,
+        WaitDiePolicy,
     ]
     print("simulating 9 strategies x 2 seeds (closed system, 6 terminals, "
           "duration 150)...\n")

@@ -8,7 +8,7 @@ Run:  python examples/period_tuning.py
 """
 
 from repro.analysis.report import render_table
-from repro.baselines import ParkContinuousStrategy, ParkPeriodicStrategy
+from repro.policy import ContinuousPolicy, PeriodicPolicy
 from repro.sim.runner import run_once, sweep_period
 from repro.sim.workload import WorkloadSpec
 
@@ -25,14 +25,14 @@ def main() -> None:
     print("sweeping detection periods (duration 200, 6 terminals)...\n")
     results = sweep_period(
         spec,
-        ParkPeriodicStrategy,
+        PeriodicPolicy,
         periods=[2.0, 5.0, 10.0, 20.0, 40.0],
         duration=200.0,
         terminals=6,
         seed=1,
     )
     continuous = run_once(
-        spec, ParkContinuousStrategy(), duration=200.0, terminals=6,
+        spec, ContinuousPolicy(), duration=200.0, terminals=6,
         seed=1, period=None,
     )
 

@@ -1,38 +1,33 @@
-"""Baseline deadlock-handling schemes from the paper's related work,
-plus strategy adapters for the paper's own detectors."""
+"""Baseline deadlock-handling schemes from the paper's related work, as
+:class:`~repro.policy.base.DetectionPolicy` subclasses the simulator
+runs on the same lock core as the paper's own policies.  None of them
+is in :data:`repro.policy.POLICIES`: ``serve`` cannot select them."""
 
-from .agrawal import AgrawalStrategy, functional_graph, representative_blocker
-from .base import Strategy, StrategyOutcome
-from .elmagarmid import ElmagarmidStrategy, build_r_table, build_t_table, chase
-from .jiang import JiangStrategy, WaitForMatrix, direct_blockers
+from .agrawal import AgrawalPolicy, functional_graph, representative_blocker
+from .elmagarmid import ElmagarmidPolicy, build_r_table, build_t_table, chase
+from .jiang import JiangPolicy, WaitForMatrix, direct_blockers, wait_for_matrix
 from .johnson import circuit_count, elementary_circuits
-from .nowait import NoWaitStrategy
-from .park import (
-    AdaptivePeriodicStrategy,
-    ParkBatchedStrategy,
-    ParkContinuousStrategy,
-    ParkPeriodicStrategy,
+from .lanes import BatchedPolicy, TimeoutPolicy
+from .prevention import WaitDiePolicy, WoundWaitPolicy
+from .wfg import (
+    WFGPolicy,
+    adjacency,
+    find_cycle,
+    has_deadlock,
+    resolve,
+    waits_for_edges,
 )
-from .prevention import WaitDieStrategy, WoundWaitStrategy
-from .timeout import TimeoutStrategy
-from .wfg import WFGStrategy, adjacency, find_cycle, has_deadlock, waits_for_edges
 
 __all__ = [
-    "AdaptivePeriodicStrategy",
-    "AgrawalStrategy",
-    "ElmagarmidStrategy",
-    "JiangStrategy",
-    "NoWaitStrategy",
-    "ParkBatchedStrategy",
-    "ParkContinuousStrategy",
-    "ParkPeriodicStrategy",
-    "Strategy",
-    "StrategyOutcome",
-    "TimeoutStrategy",
-    "WFGStrategy",
-    "WaitDieStrategy",
+    "AgrawalPolicy",
+    "BatchedPolicy",
+    "ElmagarmidPolicy",
+    "JiangPolicy",
+    "TimeoutPolicy",
+    "WFGPolicy",
+    "WaitDiePolicy",
     "WaitForMatrix",
-    "WoundWaitStrategy",
+    "WoundWaitPolicy",
     "adjacency",
     "build_r_table",
     "build_t_table",
@@ -44,5 +39,7 @@ __all__ = [
     "functional_graph",
     "has_deadlock",
     "representative_blocker",
+    "resolve",
+    "wait_for_matrix",
     "waits_for_edges",
 ]

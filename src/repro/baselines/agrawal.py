@@ -28,9 +28,8 @@ from typing import Dict, Iterable, List, Optional
 
 from ..core.modes import compatible
 from ..core.requests import ResourceState
-from ..core.victim import CostTable
-from ..lockmgr.lock_table import LockTable
-from .base import Strategy, StrategyOutcome
+from ..policy.base import DetectionPolicy
+from .wfg import _without, release_victims
 
 
 def representative_blocker(
@@ -102,37 +101,23 @@ def find_cycles(waits_for: Dict[int, int]) -> List[List[int]]:
     return cycles
 
 
-class AgrawalStrategy(Strategy):
+class AgrawalPolicy(DetectionPolicy):
     """Periodic single-representative detection with min-cost victims."""
 
     name = "agrawal"
-    periodic = True
 
-    def periodic_pass(
-        self, table: LockTable, costs: CostTable, now: float
-    ) -> StrategyOutcome:
-        outcome = StrategyOutcome()
-        states = table.snapshot()
+    def detect(self, host):
+        costs = host.costs
+        states = host.table.snapshot()
+        victims: List[int] = []
         while True:
             cycles = find_cycles(functional_graph(states))
             if not cycles:
                 break
             for cycle in cycles:
-                outcome.cycles_found += 1
                 victim = min(cycle, key=lambda t: (costs.cost(t), t))
-                outcome.victims.append(victim)
+                victims.append(victim)
                 states = _without(states, victim)
-        return outcome
-
-
-def _without(
-    states: List[ResourceState], tid: int
-) -> List[ResourceState]:
-    result = []
-    for state in states:
-        clone = state.copy()
-        clone.holders = [h for h in clone.holders if h.tid != tid]
-        clone.queue = [q for q in clone.queue if q.tid != tid]
-        clone.recompute_total()
-        result.append(clone)
-    return result
+        result = release_victims(host, victims, len(victims))
+        host._absorb_live(result)
+        return result

@@ -39,13 +39,13 @@ claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from ..core.modes import LockMode
-from ..core.victim import CostTable
 from ..lockmgr.lock_table import LockTable
-from .base import Strategy, StrategyOutcome
+from ..policy.base import DetectionPolicy
 from .jiang import direct_blockers
+from .wfg import release_victims
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,18 @@ def build_r_table(table: LockTable) -> Dict[str, List[Tuple[int, LockMode]]]:
 
 
 def chase(
-    table: LockTable, start: int
+    table: LockTable, start: int, gone: AbstractSet[int] = frozenset()
 ) -> Optional[List[int]]:
     """Chase the T/R tables from ``start``; returns a cycle through
     ``start`` as ``[start, blocker1, ..., blockerK]`` or None.
 
     The chase is a DFS over direct-blocker edges (the same relation the
     tables encode); the first returning path is the "detected cycle" whose
-    first hop is the current blocker to abort.
+    first hop is the current blocker to abort.  Transactions in ``gone``
+    (victims already chosen) are chased around, as if aborted.
     """
     path = [start]
-    on_path: Set[int] = {start}
+    on_path: Set[int] = {start} | set(gone)
 
     def step(tid: int) -> Optional[List[int]]:
         rid = table.blocked_at(tid)
@@ -115,65 +116,21 @@ def chase(
     return step(start)
 
 
-class ElmagarmidStrategy(Strategy):
+class ElmagarmidPolicy(DetectionPolicy):
     """Continuous T/R-table detection; aborts the current blocker."""
 
     name = "elmagarmid"
-    periodic = False
+    continuous = True
+    wants_periodic = False
 
-    def on_block(
-        self, table: LockTable, tid: int, costs: CostTable, now: float
-    ) -> StrategyOutcome:
-        outcome = StrategyOutcome()
-        aborted: Set[int] = set()
-        while True:
-            cycle = chase(table, tid) if not aborted else self._rechase(
-                table, tid, aborted
-            )
-            if cycle is None:
-                break
-            outcome.cycles_found += 1
+    def on_block(self, host, tid, rid, mode):
+        victims: List[int] = []
+        cycle = chase(host.table, tid)
+        while cycle is not None:
             # "Always abort the current blocker": the transaction that
             # directly blocks the requester on the detected cycle.
-            victim = cycle[1] if len(cycle) > 1 else cycle[0]
-            if victim in aborted:  # pragma: no cover - defensive
-                break
-            aborted.add(victim)
-            outcome.victims.append(victim)
-        return outcome
-
-    def _rechase(
-        self, table: LockTable, tid: int, aborted: Set[int]
-    ) -> Optional[List[int]]:
-        """Re-run the chase pretending the already-chosen victims are
-        gone (the driver has not applied them yet)."""
-        cycle = chase(table, tid)
-        if cycle is None or not (set(cycle) & aborted):
-            return cycle
-        # The previous victim sat on this cycle; chase around it by
-        # filtering blockers.  Simplest correct approach: full DFS with
-        # the aborted set excluded.
-        path = [tid]
-        on_path: Set[int] = {tid} | set(aborted)
-
-        def step(current: int) -> Optional[List[int]]:
-            rid = table.blocked_at(current)
-            if rid is None:
-                return None
-            for blocker in sorted(
-                direct_blockers(table.existing(rid), current)
-            ):
-                if blocker == tid:
-                    return list(path)
-                if blocker in on_path:
-                    continue
-                path.append(blocker)
-                on_path.add(blocker)
-                found = step(blocker)
-                if found is not None:
-                    return found
-                on_path.discard(blocker)
-                path.pop()
+            victims.append(cycle[1])
+            cycle = chase(host.table, tid, victims)
+        if not victims:
             return None
-
-        return step(tid)
+        return release_victims(host, victims, len(victims))

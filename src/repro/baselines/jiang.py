@@ -14,7 +14,7 @@ this implementation and measured in experiment X4:
 * listing *all* participators of every cycle (his victim-analysis step)
   costs up to ``O(3^{n/3})`` because a deadlock may be involved in
   exponentially many cycles.  :func:`list_all_cycles_through` implements
-  that enumeration so the blow-up can be measured; the strategy itself
+  that enumeration so the blow-up can be measured; the policy itself
   uses the cheap participant set (vertices on some cycle through the
   blocked transaction) for victim choice.
 """
@@ -25,10 +25,9 @@ from typing import Dict, Iterable, List, Set
 
 from ..core.modes import compatible
 from ..core.requests import ResourceState
-from ..core.victim import CostTable
 from ..lockmgr.lock_table import LockTable
-from .base import Strategy, StrategyOutcome
-from .wfg import adjacency
+from ..policy.base import DetectionPolicy
+from .wfg import adjacency, release_victims
 
 
 class WaitForMatrix:
@@ -59,12 +58,6 @@ class WaitForMatrix:
         for targets in self._direct.values():
             targets.discard(tid)
         self._rebuild_closure()
-
-    def remove_outgoing(self, tid: int) -> None:
-        """Drop ``tid``'s own wait edges (it was granted and waits no
-        more); edges pointing to it remain."""
-        if self._direct.pop(tid, None) is not None:
-            self._rebuild_closure()
 
     def _rebuild_closure(self) -> None:
         # Straightforward reachability per vertex; the matrix sizes in
@@ -161,51 +154,43 @@ def list_all_cycles_through(
     return cycles
 
 
-class JiangStrategy(Strategy):
+def wait_for_matrix(table: LockTable) -> WaitForMatrix:
+    """The matrix of the live table's direct wait edges.
+
+    Jiang's write-up maintains edges incrementally on block and
+    termination events; under FIFO queues and conversions a waiter's
+    blocker set also changes when *other* transactions are granted, so
+    a faithful-yet-correct port re-derives the direct edges from the
+    live table (O(e)) before each check and keeps the matrix for the
+    closure test, which is where his scheme differs from graph search.
+    """
+    matrix = WaitForMatrix()
+    for blocked_tid in table.blocked_tids():
+        rid = table.blocked_at(blocked_tid)
+        matrix.add_edges(
+            blocked_tid, direct_blockers(table.existing(rid), blocked_tid)
+        )
+    return matrix
+
+
+class JiangPolicy(DetectionPolicy):
     """Continuous matrix-based detection; min-cost participant victim."""
 
     name = "jiang"
-    periodic = False
+    continuous = True
+    wants_periodic = False
 
-    def __init__(self) -> None:
-        self.matrix = WaitForMatrix()
-
-    def refresh(self, table: LockTable) -> None:
-        """Synchronize the matrix's direct edges with the lock table.
-
-        Jiang's write-up maintains edges incrementally on block and
-        termination events; under FIFO queues and conversions a waiter's
-        blocker set also changes when *other* transactions are granted,
-        so a faithful-yet-correct port re-derives the direct edges from
-        the live table (O(e)) before each check and keeps the matrix for
-        the closure test, which is where his scheme differs from graph
-        search."""
-        self.matrix = WaitForMatrix()
-        for blocked_tid in table.blocked_tids():
-            rid = table.blocked_at(blocked_tid)
-            self.matrix.add_edges(
-                blocked_tid, direct_blockers(table.existing(rid), blocked_tid)
-            )
-
-    def on_block(
-        self, table: LockTable, tid: int, costs: CostTable, now: float
-    ) -> StrategyOutcome:
-        outcome = StrategyOutcome()
-        if table.blocked_at(tid) is None:  # pragma: no cover - defensive
-            return outcome
-        self.refresh(table)
-        while self.matrix.deadlocked(tid):
-            participants = self.matrix.participants(tid)
-            outcome.cycles_found += 1
+    def on_block(self, host, tid, rid, mode):
+        matrix = wait_for_matrix(host.table)
+        costs = host.costs
+        victims = []
+        while matrix.deadlocked(tid):
+            participants = matrix.participants(tid)
             victim = min(participants, key=lambda t: (costs.cost(t), t))
-            outcome.victims.append(victim)
-            self.matrix.remove_transaction(victim)
+            victims.append(victim)
+            matrix.remove_transaction(victim)
             if victim == tid:
                 break
-        return outcome
-
-    def forget(self, tid: int) -> None:
-        self.matrix.remove_transaction(tid)
-
-    def on_grant(self, tid: int) -> None:
-        self.matrix.remove_outgoing(tid)
+        if not victims:
+            return None
+        return release_victims(host, victims, len(victims))

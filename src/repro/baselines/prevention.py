@@ -11,10 +11,12 @@ aborts for conflicts that would have resolved themselves:
 * **wound-wait**: an older requester "wounds" (aborts) younger holders
   and takes their place; a younger requester is allowed to wait.
 
-Timestamps are assigned on first sight and kept across the hooks; a
-restarted transaction receives a fresh (younger) timestamp from its new
-tid, which preserves the schemes' liveness argument in our driver
-because tids increase monotonically.
+Timestamps are assigned on first sight and kept while the transaction
+is in the lock table (the tick drops the rest: under strict 2PL a
+stamped transaction leaves the table only by finishing); a restarted
+transaction receives a fresh (younger) timestamp from its new tid,
+which preserves the schemes' liveness argument in our driver because
+tids increase monotonically.
 
 One subtlety the textbook statement glosses over: under FIFO queues and
 lock conversions a blocked transaction's *blocker set changes over
@@ -22,7 +24,7 @@ time* — a grant can reshuffle the holder list so that an old transaction
 suddenly waits for a young one even though its original wait was legal.
 Checking only at enqueue time therefore does NOT prevent all deadlocks
 in this model (the simulator's oracle catches the residue).  Both
-strategies here also revalidate every blocked transaction on the tick
+policies here also revalidate every blocked transaction on the tick
 hook, which restores the schemes' guarantee at the cost of periodic
 rescans — the same fix a real lock manager applies by re-running the
 timestamp test whenever a wait is retargeted.
@@ -30,17 +32,18 @@ timestamp test whenever a wait is retargeted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core.victim import CostTable
-from ..lockmgr.lock_table import LockTable
-from .base import Strategy, StrategyOutcome
+from ..policy.base import DetectionPolicy
 from .jiang import direct_blockers
+from .wfg import release_victims
+
+#: The Aborted-event reason of a timestamp refusal.
+ABORT_REASON = "prevention (timestamp order)"
 
 
-class _TimestampStrategy(Strategy):
-    periodic = False
-    tick_abort_kind = "prevention"
+class _TimestampPolicy(DetectionPolicy):
+    wants_periodic = False
 
     def __init__(self) -> None:
         self._timestamps: Dict[int, float] = {}
@@ -52,16 +55,31 @@ class _TimestampStrategy(Strategy):
             self._timestamps[tid] = self._next_stamp
         return self._timestamps[tid]
 
-    def forget(self, tid: int) -> None:
-        self._timestamps.pop(tid, None)
+    def veto(self, requester: int, holders: List[int]) -> List[int]:
+        """Who aborts instead of ``requester`` waiting for ``holders``
+        (possibly the requester itself); empty to let it wait."""
+        raise NotImplementedError
 
-    def on_tick(
-        self, table: LockTable, costs: CostTable, now: float
-    ) -> StrategyOutcome:
+    def _abort(self, host, victims: List[int]):
+        result = release_victims(host, victims)
+        result.abort_reason = ABORT_REASON
+        return result
+
+    def on_block(self, host, tid, rid, mode):
+        blockers = sorted(direct_blockers(host.table.existing(rid), tid))
+        victims = self.veto(tid, blockers)
+        return self._abort(host, victims) if victims else None
+
+    def on_tick(self, host):
         """Revalidate every blocked transaction against its *current*
         blockers (grant reshuffles can retarget waits)."""
-        outcome = StrategyOutcome()
-        doomed: set = set()
+        table = host.table
+        self._timestamps = {
+            tid: stamp
+            for tid, stamp in self._timestamps.items()
+            if table.knows(tid)
+        }
+        doomed: List[int] = []
         for tid in table.blocked_tids():
             rid = table.blocked_at(tid)
             blockers = [
@@ -69,53 +87,33 @@ class _TimestampStrategy(Strategy):
                 for b in sorted(direct_blockers(table.existing(rid), tid))
                 if b not in doomed
             ]
-            veto = self.wait_allowed(table, tid, blockers, costs, now)
-            if veto:
-                for victim in veto:
-                    if victim not in doomed:
-                        doomed.add(victim)
-                        outcome.victims.append(victim)
-        return outcome
+            for victim in self.veto(tid, blockers):
+                if victim not in doomed:
+                    doomed.append(victim)
+        return self._abort(host, doomed) if doomed else None
 
 
-class WaitDieStrategy(_TimestampStrategy):
+class WaitDiePolicy(_TimestampPolicy):
     """Younger requesters die instead of waiting."""
 
     name = "wait-die"
 
-    def wait_allowed(
-        self,
-        table: LockTable,
-        requester: int,
-        holder_tids: List[int],
-        costs: CostTable,
-        now: float,
-    ) -> Optional[List[int]]:
+    def veto(self, requester: int, holders: List[int]) -> List[int]:
         my_stamp = self._stamp(requester)
-        for holder in holder_tids:
+        for holder in holders:
             if my_stamp > self._stamp(holder):
                 # Requester is younger than a holder: die.
                 return [requester]
-        return None
+        return []
 
 
-class WoundWaitStrategy(_TimestampStrategy):
+class WoundWaitPolicy(_TimestampPolicy):
     """Older requesters wound younger holders; younger requesters wait."""
 
     name = "wound-wait"
 
-    def wait_allowed(
-        self,
-        table: LockTable,
-        requester: int,
-        holder_tids: List[int],
-        costs: CostTable,
-        now: float,
-    ) -> Optional[List[int]]:
+    def veto(self, requester: int, holders: List[int]) -> List[int]:
         my_stamp = self._stamp(requester)
-        wounded = [
-            holder
-            for holder in holder_tids
-            if self._stamp(holder) > my_stamp
+        return [
+            holder for holder in holders if self._stamp(holder) > my_stamp
         ]
-        return wounded or None

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..core.detection import DetectionResult
 from ..core.modes import compatible
 from ..core.requests import ResourceState
 from ..core.victim import CostTable
+from ..lockmgr import scheduler
 from ..lockmgr.lock_table import LockTable
-from .base import Strategy, StrategyOutcome
+from ..policy.base import DetectionPolicy
 
 
 def waits_for_edges(states: Iterable[ResourceState]) -> Set[Tuple[int, int]]:
@@ -109,51 +111,19 @@ def has_deadlock(table: LockTable) -> bool:
     return find_cycle(adjacency(table.resources())) is not None
 
 
-class WFGStrategy(Strategy):
-    """Abort-only TWFG detection: same cycles as the paper's scheme, but
-    no TDR-2 and a from-scratch graph per pass.
-
-    ``continuous`` chooses detect-at-block-time; otherwise the strategy
-    acts on the periodic hook.  Victims are the minimum-cost transaction
-    of each cycle.
-    """
-
-    def __init__(self, continuous: bool = False) -> None:
-        self.continuous = continuous
-        self.periodic = not continuous
-        self.name = "wfg-continuous" if continuous else "wfg-periodic"
-
-    def on_block(
-        self, table: LockTable, tid: int, costs: CostTable, now: float
-    ) -> StrategyOutcome:
-        if not self.continuous:
-            return StrategyOutcome()
-        return self._resolve_all(table, costs)
-
-    def periodic_pass(
-        self, table: LockTable, costs: CostTable, now: float
-    ) -> StrategyOutcome:
-        if self.continuous:
-            return StrategyOutcome()
-        return self._resolve_all(table, costs)
-
-    def _resolve_all(
-        self, table: LockTable, costs: CostTable
-    ) -> StrategyOutcome:
-        outcome = StrategyOutcome()
-        # Work on a snapshot: victims are applied by the driver; the
-        # strategy must still see the post-victim shape to find further
-        # cycles, so it simulates the removals locally.
-        states = table.snapshot()
-        while True:
-            cycle = find_cycle(adjacency(states))
-            if cycle is None:
-                break
-            outcome.cycles_found += 1
-            victim = min(cycle, key=lambda t: (costs.cost(t), t))
-            outcome.victims.append(victim)
-            states = _without(states, victim)
-        return outcome
+def resolve(states: List[ResourceState], costs: CostTable) -> List[int]:
+    """Abort-only TWFG resolution of a snapshot: while the wait-for
+    graph has a cycle, its minimum-cost member is the next victim.
+    Returns the victims in choice order; ``states`` is left as it is
+    (each removal is simulated on a copy)."""
+    victims: List[int] = []
+    while True:
+        cycle = find_cycle(adjacency(states))
+        if cycle is None:
+            return victims
+        victim = min(cycle, key=lambda t: (costs.cost(t), t))
+        victims.append(victim)
+        states = _without(states, victim)
 
 
 def _without(
@@ -169,3 +139,33 @@ def _without(
         clone.recompute_total()
         result.append(clone)
     return result
+
+
+def release_victims(
+    host, victims: List[int], cycles: int = 0
+) -> DetectionResult:
+    """Abort ``victims`` on the host's one table, in order, as a
+    resolution that broke ``cycles`` cycles: their locks are released
+    and the grants that made are reported with them."""
+    grants = []
+    for tid in victims:
+        grants.extend(scheduler.release_all(host.table, tid))
+    result = DetectionResult(aborted=list(victims), grants=grants)
+    result.stats.cycles_found = cycles
+    return result
+
+
+class WFGPolicy(DetectionPolicy):
+    """Abort-only TWFG detection at block time: the same cycles as the
+    paper's scheme, but no TDR-2 and a from-scratch graph per check.
+    Victims are the minimum-cost transaction of each cycle."""
+
+    name = "wfg-continuous"
+    continuous = True
+    wants_periodic = False
+
+    def on_block(self, host, tid, rid, mode):
+        victims = resolve(host.table.snapshot(), host.costs)
+        if not victims:
+            return None
+        return release_victims(host, victims, len(victims))

@@ -9,23 +9,29 @@ import sys
 from .. import baselines
 from ..analysis.report import render_summaries
 from ..obs.bench import append_record, build_record
+from ..policy import (
+    AdaptivePolicy,
+    ContinuousPolicy,
+    NoWaitPolicy,
+    PeriodicPolicy,
+)
 from ..sim.runner import aggregate, compare_strategies, run_once
 from ..sim.workload import PRESETS, WorkloadSpec
 
-#: Strategy factories by CLI name; ``STRATEGY_NAMES`` in the package is
+#: Policy factories by CLI name; ``STRATEGY_NAMES`` in the package is
 #: the same key set, held in step by ``tests/test_cli.py``.
 STRATEGIES = {
-    "park-periodic": baselines.ParkPeriodicStrategy,
-    "park-continuous": baselines.ParkContinuousStrategy,
-    "park-adaptive": baselines.AdaptivePeriodicStrategy,
-    "nowait": baselines.NoWaitStrategy,
-    "agrawal": baselines.AgrawalStrategy,
-    "jiang": baselines.JiangStrategy,
-    "elmagarmid": baselines.ElmagarmidStrategy,
-    "wfg": lambda: baselines.WFGStrategy(continuous=True),
-    "timeout": lambda: baselines.TimeoutStrategy(15.0),
-    "wound-wait": baselines.WoundWaitStrategy,
-    "wait-die": baselines.WaitDieStrategy,
+    "park-periodic": PeriodicPolicy,
+    "park-continuous": ContinuousPolicy,
+    "park-adaptive": AdaptivePolicy,
+    "nowait": NoWaitPolicy,
+    "agrawal": baselines.AgrawalPolicy,
+    "jiang": baselines.JiangPolicy,
+    "elmagarmid": baselines.ElmagarmidPolicy,
+    "wfg": baselines.WFGPolicy,
+    "timeout": lambda: baselines.TimeoutPolicy(15.0),
+    "wound-wait": baselines.WoundWaitPolicy,
+    "wait-die": baselines.WaitDiePolicy,
 }
 
 

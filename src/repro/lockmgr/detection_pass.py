@@ -144,7 +144,9 @@ class DetectionPass:
             if pre_pass:
                 policy.pre_pass(states, held)
             started = perf_counter()
-            run = self._run = _DetectionRun(table, self.costs, states=states)
+            run = self._run = _DetectionRun(
+                table, self.costs, states=states, allow_tdr2=policy.allow_tdr2
+            )
             routed = not live and run.stage()
             if live:
                 run.execute()

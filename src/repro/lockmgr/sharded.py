@@ -407,8 +407,9 @@ class ShardedLockCore:
     # -- deadlock handling ------------------------------------------------
 
     def detect(self):
-        """One periodic detection-resolution pass over every shard."""
-        return self.detection_pass().run()
+        """One detection-resolution pass, as the policy runs it — by
+        default :meth:`detection_pass` over every shard."""
+        return self.policy.detect(self)
 
     def detection_pass(self, incidents=None, stamp=None) -> DetectionPass:
         """The pass :meth:`detect` runs, for a host that also wants its

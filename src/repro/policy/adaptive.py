@@ -41,8 +41,7 @@ GROW_AFTER = 2
 
 
 class AdaptiveController:
-    """The period/mode state machine (host-agnostic, also reused by the
-    simulator's ``park-adaptive`` strategy)."""
+    """The period/mode state machine (host-agnostic)."""
 
     def __init__(
         self,

@@ -42,6 +42,24 @@ Hook contract
     task, cluster supervisor) before each sleep; adaptive policies
     return their tuned interval, everyone else echoes ``default``.
 
+``detect(host)``
+    One detection-resolution pass, as the host's ``detect`` runs it:
+    by default the shipped Section-5 pass (``host.detection_pass()``).
+    A policy that resolves some other way (a baseline's graph, a
+    batched flush) overrides it.
+
+``on_tick(host)``
+    Called by a clocked driver (the simulator) as time advances;
+    prevention schemes revalidate their waits here.
+
+A hook that aborts transactions releases them on the host table itself
+and returns them in ``DetectionResult.aborted``, with an
+``abort_reason`` that says why.  Two attributes configure the rest:
+``allow_tdr2`` (False restricts every resolution to TDR-1 aborts — the
+A2 ablation) and ``wait_limit`` (the longest a waiter waits before
+giving up; the waiter keeps that clock, as a blocking ``acquire``'s
+``timeout`` does).
+
 Policies are **per-host state**: construct a fresh instance per
 manager (``resolve_policy`` does).  Hosts with more than one shard may
 call ``on_block`` from concurrent threads; stateless decisions
@@ -74,6 +92,10 @@ class DetectionPolicy:
     #: lane's "zero detector cost" claim); explicit ``detect()`` calls
     #: still work and find nothing.
     wants_periodic = True
+    #: False: every cycle is resolved by TDR-1 (abort) alone.
+    allow_tdr2 = True
+    #: Time units after which a waiter aborts itself (None: never).
+    wait_limit = None
 
     def bind(self, host) -> "DetectionPolicy":
         """Attach to the owning manager/core; returns self.  Called
@@ -96,6 +118,14 @@ class DetectionPolicy:
         """The interval a detector loop should sleep before its next
         pass; ``default`` is the host's configured period."""
         return default
+
+    def detect(self, host):
+        """One detection-resolution pass over ``host``."""
+        return host.detection_pass().run()
+
+    def on_tick(self, host):
+        """React to the driver's clock; a result when it aborted."""
+        return None
 
     def take_warnings(self) -> List[Dict[str, Any]]:
         """Drain warnings produced since the last call (predictive

@@ -33,9 +33,9 @@ with a strict increase at every queue wait — a contradiction unless
 *every* member is a converter at one and the same resource, which the
 one-blocked-converter-per-resource clause forbids.
 
-The same rule backs the :class:`~repro.baselines.nowait.NoWaitStrategy`
-simulator baseline, so the policy and the comparison lane cannot
-drift apart.
+The simulator's ``nowait`` comparison lane runs this very policy on the
+same lock core, so what the X11 sweep measures is what ``serve
+--policy nowait`` does.
 """
 
 from __future__ import annotations

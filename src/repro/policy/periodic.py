@@ -1,12 +1,12 @@
 """The paper's own two schemes as policies.
 
-:class:`PeriodicPolicy` is the **default** and is deliberately empty:
-every hook is the base no-op, so a manager constructed with it behaves
-bit-for-bit like the pre-policy code — requests wait quietly, passes
-run at the caller's fixed cadence, nothing else happens.  The explorer's
-policy-equivalence oracle (:mod:`repro.check.policy`) pins this down by
-driving the policy-threaded manager and the raw Section-3/5 machinery
-through identical schedules.
+:class:`PeriodicPolicy` is the **default** and overrides no hook, so a
+manager constructed with it behaves bit-for-bit like the pre-policy
+code — requests wait quietly, passes run at the caller's fixed cadence,
+nothing else happens.  The explorer's policy-equivalence oracle
+(:mod:`repro.check.policy`) pins this down by driving the
+policy-threaded manager and the raw Section-3/5 machinery through
+identical schedules.
 
 :class:`ContinuousPolicy` is the companion algorithm (reference [17]):
 a rooted detection after every blocking request.  It owns the
@@ -23,9 +23,13 @@ from .base import DetectionPolicy
 
 class PeriodicPolicy(DetectionPolicy):
     """Section 5's periodic scheme: the do-nothing-between-passes
-    default."""
+    default (``allow_tdr2=False`` is the A2 ablation: abort-only
+    resolution)."""
 
     name = "periodic"
+
+    def __init__(self, allow_tdr2: bool = True) -> None:
+        self.allow_tdr2 = allow_tdr2
 
 
 class ContinuousPolicy(DetectionPolicy):

@@ -9,6 +9,7 @@ experiment X1) and detector effort counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -68,10 +69,10 @@ class Metrics:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
         ordered = sorted(self.response_times)
-        index = min(
-            int(fraction * len(ordered)), len(ordered) - 1
-        )
-        return ordered[index]
+        # Nearest rank ceil(p*n), 1-based; rounding first keeps a float
+        # product such as 0.07 * 100 = 7.000000000000001 at rank 7.
+        rank = math.ceil(round(fraction * len(ordered), 9))
+        return ordered[max(rank - 1, 0)]
 
     @property
     def p95_response_time(self) -> float:

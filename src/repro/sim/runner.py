@@ -1,8 +1,9 @@
-"""Experiment runner: strategy comparisons and parameter sweeps.
+"""Experiment runner: scheme comparisons and parameter sweeps.
 
 Benchmarks and examples funnel through these helpers so every experiment
-is one call: identical workload spec, seed and duration per strategy,
-metrics out, text tables rendered by :mod:`repro.analysis.report`.
+is one call: identical workload spec, seed and duration per scheme
+(a :class:`~repro.policy.base.DetectionPolicy`), metrics out, text
+tables rendered by :mod:`repro.analysis.report`.
 """
 
 from __future__ import annotations
@@ -10,18 +11,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..baselines.base import Strategy
+from ..policy.base import DetectionPolicy
 from .metrics import Metrics
 from .system import SimulatedSystem
 from .workload import WorkloadSpec
 
-#: Factory producing a fresh strategy per run (strategies keep state).
-StrategyFactory = Callable[[], Strategy]
+#: Factory producing a fresh policy per run (policies keep state).
+PolicyFactory = Callable[[], DetectionPolicy]
+
+#: What the paper's own live policies are reported as.
+PARK_LABELS = {
+    "periodic": "park-periodic",
+    "continuous": "park-continuous",
+    "adaptive": "park-adaptive",
+}
+
+
+def scheme_label(policy: DetectionPolicy) -> str:
+    """The name a policy's runs are reported under: ``park-`` for the
+    paper's own schemes, ``-no-tdr2`` under the A2 ablation."""
+    label = PARK_LABELS.get(policy.name, policy.name)
+    return label if policy.allow_tdr2 else label + "-no-tdr2"
 
 
 @dataclass
 class RunResult:
-    """One (strategy, configuration) simulation outcome."""
+    """One (scheme, configuration) simulation outcome."""
 
     strategy: str
     metrics: Metrics
@@ -31,17 +46,17 @@ class RunResult:
 
 def run_once(
     spec: WorkloadSpec,
-    strategy: Strategy,
+    policy: DetectionPolicy,
     duration: float = 500.0,
     terminals: int = 8,
     seed: int = 0,
     period: Optional[float] = 10.0,
     oracle: bool = True,
 ) -> RunResult:
-    """Simulate one strategy on one workload."""
+    """Simulate one policy on one workload."""
     system = SimulatedSystem(
         spec,
-        strategy,
+        policy,
         terminals=terminals,
         seed=seed,
         period=period,
@@ -49,7 +64,7 @@ def run_once(
     )
     metrics = system.run(duration)
     return RunResult(
-        strategy=strategy.name,
+        strategy=scheme_label(system.policy),
         metrics=metrics,
         seed=seed,
         config={"terminals": terminals, "period": period},
@@ -58,23 +73,22 @@ def run_once(
 
 def compare_strategies(
     spec: WorkloadSpec,
-    factories: Sequence[StrategyFactory],
+    factories: Sequence[PolicyFactory],
     duration: float = 500.0,
     terminals: int = 8,
     seeds: Sequence[int] = (0,),
     period: Optional[float] = 10.0,
     oracle: bool = True,
 ) -> List[RunResult]:
-    """Run every strategy on identical workloads (same seeds) and return
-    one result per (strategy, seed)."""
+    """Run every scheme on identical workloads (same seeds) and return
+    one result per (scheme, seed)."""
     results: List[RunResult] = []
     for factory in factories:
         for seed in seeds:
-            strategy = factory()
             results.append(
                 run_once(
                     spec,
-                    strategy,
+                    factory(),
                     duration=duration,
                     terminals=terminals,
                     seed=seed,
@@ -87,14 +101,14 @@ def compare_strategies(
 
 def sweep_period(
     spec: WorkloadSpec,
-    factory: StrategyFactory,
+    factory: PolicyFactory,
     periods: Sequence[float],
     duration: float = 500.0,
     terminals: int = 8,
     seed: int = 0,
 ) -> List[RunResult]:
     """Experiment A3: the detection-interval trade-off for a periodic
-    strategy — larger periods mean fewer passes but longer-lived
+    policy — larger periods mean fewer passes but longer-lived
     deadlocks."""
     results: List[RunResult] = []
     for period in periods:
@@ -114,7 +128,7 @@ def sweep_period(
 def aggregate_stats(
     results: Sequence[RunResult],
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Mean, standard deviation and range per metric per strategy —
+    """Mean, standard deviation and range per metric per scheme —
     for multi-seed experiments that need error bars.
 
     ``aggregate_stats(rs)["park-periodic"]["commits"]`` yields
@@ -143,7 +157,7 @@ def aggregate_stats(
 
 
 def aggregate(results: Sequence[RunResult]) -> Dict[str, Dict[str, float]]:
-    """Average the metric summaries of multi-seed runs per strategy."""
+    """Average the metric summaries of multi-seed runs per scheme."""
     grouped: Dict[str, List[Metrics]] = {}
     for result in results:
         grouped.setdefault(result.strategy, []).append(result.metrics)

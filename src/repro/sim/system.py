@@ -1,12 +1,15 @@
 """The simulated transaction-processing system.
 
 A closed system of ``terminals`` (ref. [3]'s model): each terminal runs
-one transaction at a time against a shared Section-3 lock manager,
-thinks, then starts the next.  A deadlock-handling
-:class:`~repro.baselines.base.Strategy` is wired into the block, tick
-and periodic hooks; its victims are restarted with the same program
-after a restart delay, like a real DBMS re-running the application's
-transaction.
+one transaction at a time against a shared lock core — the
+:class:`~repro.lockmgr.sharded.ShardedLockCore` the service runs, at one
+shard — thinks, then starts the next.  A deadlock-handling
+:class:`~repro.policy.base.DetectionPolicy` (the paper's own or a
+baseline's) decides at block time, on the clock tick and in the
+periodic pass, which is the core's ``detect``; its victims are restarted
+with the same program after a restart delay, like a real DBMS re-running
+the application's transaction.  A policy's ``wait_limit`` is kept here,
+by the terminals: a wait older than it aborts.
 
 An optional ground-truth **oracle** (the full wait-for graph) watches
 the lock table after every event and accumulates how long deadlocks
@@ -20,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..baselines.base import Strategy, StrategyOutcome
-from ..baselines.jiang import direct_blockers
 from ..baselines.wfg import has_deadlock
+from ..core.detection import DetectionResult
 from ..core.victim import CostTable
-from ..lockmgr import scheduler
-from ..lockmgr.lock_table import LockTable
+from ..lockmgr.sharded import ShardedLockCore
+from ..policy.base import DetectionPolicy
 from .engine import Engine
 from .metrics import Metrics
 from .workload import Program, WorkloadGenerator, WorkloadSpec
@@ -47,12 +49,12 @@ class Terminal:
 
 
 class SimulatedSystem:
-    """Drives terminals, lock manager and strategy through one run."""
+    """Drives terminals, lock core and policy through one run."""
 
     def __init__(
         self,
         spec: WorkloadSpec,
-        strategy: Strategy,
+        policy: DetectionPolicy,
         terminals: int = 8,
         seed: int = 0,
         period: Optional[float] = 10.0,
@@ -61,17 +63,21 @@ class SimulatedSystem:
         cost_policy=None,
     ) -> None:
         self.spec = spec
-        self.strategy = strategy
         self.period = period
         self.tick_interval = tick_interval
         self.oracle = oracle
         self.engine = Engine()
-        self.table = LockTable()
         self.costs = CostTable()
+        self.core = ShardedLockCore(costs=self.costs, policy=policy)
+        self.policy = self.core.policy
+        self.table = self.core.table
         self.metrics = Metrics()
         self.generator = WorkloadGenerator(spec, seed=seed)
         self.terminals = [Terminal(index=i) for i in range(terminals)]
         self._by_tid: Dict[int, Terminal] = {}
+        #: Blocked terminals by tid, in block order (the wait-limit
+        #: clock's order).
+        self._waiting: Dict[int, Terminal] = {}
         self._next_tid = 1
         self._deadlock_since: Optional[float] = None
         #: ``cost_policy(terminal, now) -> float`` — victim cost of a
@@ -98,7 +104,7 @@ class SimulatedSystem:
                 self.generator.think_time() * 0.1,
                 lambda t=terminal: self._start_transaction(t),
             )
-        if self.strategy.periodic and self.period is not None:
+        if self.policy.wants_periodic and self.period is not None:
             self.engine.schedule(self._next_interval(), self._periodic)
         self.engine.schedule(self.tick_interval, self._tick)
         self.engine.run(until=duration)
@@ -131,13 +137,10 @@ class SimulatedSystem:
             return
         access = terminal.program.accesses[terminal.step]
         self.metrics.lock_requests += 1
-        outcome = scheduler.request(
-            self.table, terminal.tid, access.rid, access.mode
-        )
-        if outcome.granted:
+        if self.core.lock(tid, access.rid, access.mode).granted:
             self._work_phase(terminal, access.work)
             return
-        self._blocked(terminal, access)
+        self._blocked(terminal, self.core.last_detection)
 
     def _work_phase(self, terminal: Terminal, work: float) -> None:
         tid = terminal.tid
@@ -152,40 +155,25 @@ class SimulatedSystem:
 
         self.engine.schedule(work, finish)
 
-    def _blocked(self, terminal: Terminal, access) -> None:
+    def _blocked(
+        self, terminal: Terminal, result: Optional[DetectionResult]
+    ) -> None:
         terminal.state = "blocked"
         terminal.blocked_since = self.engine.now
+        self._waiting[terminal.tid] = terminal
         self.metrics.block_events += 1
-
-        # Prevention hook: may veto the wait.  The oracle observes the
-        # state *after* the veto decision — a wait refused within the
-        # same event never stood, so a cycle that exists only in the
-        # half-applied state is not a deadlock episode.
-        rid = self.table.blocked_at(terminal.tid)
-        if rid is not None:
-            blockers = sorted(
-                direct_blockers(self.table.existing(rid), terminal.tid)
-            )
-            veto = self.strategy.wait_allowed(
-                self.table, terminal.tid, blockers, self.costs, self.engine.now
-            )
-            if veto:
-                for victim in veto:
-                    self._abort(victim, kind="prevention")
-                self._oracle_check()
-                return
-        self._oracle_check()
-
-        outcome = self.strategy.on_block(
-            self.table, terminal.tid, self.costs, self.engine.now
-        )
-        self._apply(outcome)
+        if result is None:
+            self._oracle_check()
+            return
+        # The policy's at-block hook ran inside ``lock``, before the
+        # oracle looked: a cycle it resolved there stood for no time.
+        if result.stats.cycles_found and self._deadlock_since is None:
+            self._deadlock_since = self.engine.now
+        self._apply(result)
 
     def _commit(self, terminal: Terminal) -> None:
         tid = terminal.tid
-        grants = scheduler.release_all(self.table, tid)
-        self.strategy.forget(tid)
-        self.costs.forget(tid)
+        grants = self.core.finish(tid)
         self._by_tid.pop(tid, None)
         self.metrics.commits += 1
         self.metrics.useful_work += terminal.attempt_work
@@ -202,24 +190,31 @@ class SimulatedSystem:
             lambda: self._start_transaction(terminal),
         )
 
-    # -- strategy plumbing ---------------------------------------------------------
+    # -- policy plumbing ------------------------------------------------------
 
-    def _apply(self, outcome: StrategyOutcome) -> None:
-        self.metrics.deadlocks_resolved += outcome.cycles_found
-        if outcome.cycles_found and not outcome.victims:
+    def _apply(self, result: DetectionResult) -> None:
+        cycles = result.stats.cycles_found
+        self.metrics.deadlocks_resolved += cycles
+        if cycles and not result.aborted:
             self.metrics.abort_free_resolutions += 1
-        self.metrics.repositions += len(outcome.repositioned)
-        for tid in outcome.victims:
-            self._abort(tid, kind="deadlock")
-        for tid in outcome.granted:
-            self._wake_tid(tid)
+        self.metrics.repositions += len(result.repositions)
+        kind = (
+            "deadlock"
+            if result.abort_reason == DetectionResult.abort_reason
+            else "prevention"
+        )
+        for tid in result.aborted:
+            self._abort(tid, kind)
+        for event in result.grants:
+            self._wake_tid(event.tid)
         self._oracle_check()
 
     def _abort(self, tid: int, kind: str) -> None:
         terminal = self._by_tid.pop(tid, None)
-        grants = scheduler.release_all(self.table, tid)
-        self.strategy.forget(tid)
-        self.costs.forget(tid)
+        self._waiting.pop(tid, None)
+        # A policy's victim is released already; ``finish`` clears its
+        # aborted mark (and frees a timed-out waiter).
+        grants = self.core.finish(tid)
         if kind == "deadlock":
             self.metrics.deadlock_aborts += 1
         elif kind == "timeout":
@@ -253,41 +248,44 @@ class SimulatedSystem:
             return
         if self.table.is_blocked(tid):
             return  # woken for one lock but blocked again elsewhere
+        self._waiting.pop(tid, None)
         terminal.state = "running"
         if terminal.blocked_since is not None:
             self.metrics.blocked_time += (
                 self.engine.now - terminal.blocked_since
             )
             terminal.blocked_since = None
-        self.strategy.on_grant(tid)
         # Retry the pending access; the lock is held now so the request
         # resolves as an immediate (covered) grant.
         self._advance(terminal, tid)
 
     def _next_interval(self) -> float:
-        """The wait before the next periodic pass — the strategy may
+        """The wait before the next periodic pass — the policy may
         tune it (adaptive schemes); ``None`` falls back to the fixed
         configured period."""
-        interval = self.strategy.next_period(self.period)
+        interval = self.policy.current_period(self.period)
         return self.period if interval is None else interval
 
     def _periodic(self) -> None:
         self.metrics.detection_passes += 1
-        outcome = self.strategy.periodic_pass(
-            self.table, self.costs, self.engine.now
-        )
-        self._apply(outcome)
+        self._apply(self.core.detect())
         self._wake_granted_after_pass()
         self.engine.schedule(self._next_interval(), self._periodic)
 
     def _tick(self) -> None:
-        outcome = self.strategy.on_tick(
-            self.table, self.costs, self.engine.now
-        )
-        for tid in outcome.victims:
-            self._abort(tid, kind=self.strategy.tick_abort_kind)
-        for tid in outcome.granted:
-            self._wake_tid(tid)
+        result = self.policy.on_tick(self.core)
+        if result is not None:
+            self._apply(result)
+        limit = self.policy.wait_limit
+        if limit is not None:
+            now = self.engine.now
+            expired = [
+                tid
+                for tid, terminal in self._waiting.items()
+                if now - terminal.blocked_since >= limit
+            ]
+            for tid in expired:
+                self._abort(tid, kind="timeout")
         self._oracle_check()
         self.engine.schedule(self.tick_interval, self._tick)
 

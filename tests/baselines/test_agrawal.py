@@ -2,7 +2,7 @@
 detection flaw the paper criticizes (experiment X1's mechanism)."""
 
 from repro.baselines.agrawal import (
-    AgrawalStrategy,
+    AgrawalPolicy,
     find_cycles,
     functional_graph,
     representative_blocker,
@@ -14,6 +14,8 @@ from repro.core.victim import CostTable
 from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
 from repro.analysis.scenarios import build_chain, build_reader_ladder, build_ring
+
+from .host import hosted
 
 
 class TestRepresentative:
@@ -91,9 +93,9 @@ class TestDelayedDetection:
         assert has_deadlock(self._partial_ladder())
 
     def test_agrawal_misses_the_cycle(self):
-        table = self._partial_ladder()
-        outcome = AgrawalStrategy().periodic_pass(table, CostTable(), 0.0)
-        assert outcome.victims == []  # invisible to the reduced graph
+        core = hosted(self._partial_ladder(), AgrawalPolicy())
+        assert core.detect().aborted == []  # invisible to the reduced graph
+        assert has_deadlock(core.table)
 
     def test_park_detects_it(self):
         from repro.core.detection import detect_once
@@ -107,25 +109,29 @@ class TestDelayedDetection:
         becomes reader 2 and the cycle finally surfaces."""
         table = self._partial_ladder()
         scheduler.release_all(table, 1)
-        outcome = AgrawalStrategy().periodic_pass(table, CostTable(), 0.0)
-        assert outcome.victims  # now detected (late)
+        core = hosted(table, AgrawalPolicy())
+        assert core.detect().aborted  # now detected (late)
+        assert not has_deadlock(core.table)
 
 
 class TestStrategy:
     def test_periodic_flag(self):
-        assert AgrawalStrategy().periodic
+        assert AgrawalPolicy().wants_periodic
 
     def test_resolves_full_ladder(self):
         # When every reader is deadlocked, even the reduced graph has a
         # cycle through the representative; repeated passes resolve it.
         table, _ = build_reader_ladder(3)
-        strategy = AgrawalStrategy()
-        outcome = strategy.periodic_pass(table, CostTable(), 0.0)
-        assert outcome.victims
+        core = hosted(table, AgrawalPolicy())
+        result = core.detect()
+        assert result.aborted
+        assert result.stats.cycles_found == len(result.aborted)
+        assert not has_deadlock(core.table)
+        assert all(core.was_aborted(tid) for tid in result.aborted)
 
     def test_min_cost_victim_in_cycle(self):
         table, _ = build_ring(3)
-        outcome = AgrawalStrategy().periodic_pass(
-            table, CostTable({1: 5.0, 2: 0.5, 3: 5.0}), 0.0
+        core = hosted(
+            table, AgrawalPolicy(), CostTable({1: 5.0, 2: 0.5, 3: 5.0})
         )
-        assert outcome.victims[0] == 2
+        assert core.detect().aborted[0] == 2

@@ -1,7 +1,7 @@
 """Elmagarmid's T/R-table detection and abort-current-blocker policy."""
 
 from repro.baselines.elmagarmid import (
-    ElmagarmidStrategy,
+    ElmagarmidPolicy,
     build_r_table,
     build_t_table,
     chase,
@@ -11,6 +11,9 @@ from repro.core.victim import CostTable
 from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
 from repro.analysis.scenarios import build_ring
+from repro.baselines.wfg import has_deadlock
+
+from .host import block, hosted
 
 
 class TestTables:
@@ -46,6 +49,11 @@ class TestChase:
         scheduler.request(table, 9, "FREE", LockMode.S)
         assert chase(table, 9) is None
 
+    def test_gone_transactions_are_chased_around(self):
+        table, _ = build_ring(3)
+        cycle = chase(table, 1)
+        assert chase(table, 1, gone={cycle[1]}) is None
+
 
 class TestStrategy:
     def test_aborts_current_blocker_not_min_cost(self):
@@ -53,29 +61,29 @@ class TestStrategy:
         even when a far cheaper victim exists elsewhere on the cycle."""
         table, _ = build_ring(3)
         costs = CostTable({1: 1.0, 2: 0.01, 3: 100.0})
-        outcome = ElmagarmidStrategy().on_block(table, 1, costs, 0.0)
+        result = block(hosted(table, ElmagarmidPolicy(), costs), 1)
         cycle = chase(build_ring(3)[0], 1)
         expected_blocker = cycle[1]
-        assert outcome.victims == [expected_blocker]
+        assert result.aborted == [expected_blocker]
 
     def test_resolves_ring(self):
         table, _ = build_ring(4)
-        outcome = ElmagarmidStrategy().on_block(table, 1, CostTable(), 0.0)
-        assert outcome.cycles_found >= 1
-        assert len(outcome.victims) >= 1
+        core = hosted(table, ElmagarmidPolicy())
+        result = block(core, 1)
+        assert result.stats.cycles_found >= 1
+        assert len(result.aborted) >= 1
+        # The victims are released on the host table.
+        assert not has_deadlock(core.table)
 
     def test_quiet_without_cycle(self):
         table = LockTable()
         scheduler.request(table, 1, "R", LockMode.X)
         scheduler.request(table, 2, "R", LockMode.X)
-        outcome = ElmagarmidStrategy().on_block(table, 2, CostTable(), 0.0)
-        assert not outcome.victims
+        assert block(hosted(table, ElmagarmidPolicy()), 2) is None
 
     def test_multiple_cycles_multiple_blockers(self, example_41_table):
         # From T3 the chase can find several overlapping cycles; each
         # resolution aborts another current blocker.
-        outcome = ElmagarmidStrategy().on_block(
-            example_41_table, 3, CostTable(), 0.0
-        )
-        assert outcome.victims
-        assert len(set(outcome.victims)) == len(outcome.victims)
+        result = block(hosted(example_41_table, ElmagarmidPolicy()), 3)
+        assert result.aborted
+        assert len(set(result.aborted)) == len(result.aborted)

@@ -1,17 +1,21 @@
 """Jiang's matrix-based continuous detection."""
 
 from repro.baselines.jiang import (
-    JiangStrategy,
+    JiangPolicy,
     WaitForMatrix,
     direct_blockers,
     list_all_cycles_through,
+    wait_for_matrix,
 )
+from repro.baselines.wfg import has_deadlock
 from repro.core.modes import LockMode
 from repro.core.notation import parse_resource
 from repro.core.victim import CostTable
 from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
 from repro.analysis.scenarios import build_reader_ladder, build_ring
+
+from .host import block, hosted
 
 
 class TestWaitForMatrix:
@@ -42,14 +46,6 @@ class TestWaitForMatrix:
         matrix.add_edges(2, [1])
         matrix.remove_transaction(2)
         assert not matrix.deadlocked(1)
-
-    def test_remove_outgoing_keeps_incoming(self):
-        matrix = WaitForMatrix()
-        matrix.add_edges(1, [2])
-        matrix.add_edges(2, [1])
-        matrix.remove_outgoing(1)
-        assert not matrix.deadlocked(2)
-        assert matrix.waits_for(2, 1)
 
     def test_self_edges_ignored(self):
         matrix = WaitForMatrix()
@@ -94,30 +90,27 @@ class TestCycleEnumeration:
 class TestStrategy:
     def test_detects_on_block(self):
         table, _ = build_ring(3)
-        strategy = JiangStrategy()
-        outcome = strategy.on_block(table, 1, CostTable(), 0.0)
-        assert outcome.cycles_found >= 1
-        assert outcome.victims
+        core = hosted(table, JiangPolicy())
+        result = block(core, 1)
+        assert result.stats.cycles_found >= 1
+        assert result.aborted
+        assert not has_deadlock(core.table)
 
     def test_min_cost_participant(self):
         table, _ = build_ring(3)
-        outcome = JiangStrategy().on_block(
-            table, 1, CostTable({1: 5.0, 2: 0.25, 3: 5.0}), 0.0
+        core = hosted(
+            table, JiangPolicy(), CostTable({1: 5.0, 2: 0.25, 3: 5.0})
         )
-        assert outcome.victims[0] == 2
+        assert block(core, 1).aborted[0] == 2
 
     def test_quiet_without_cycle(self):
         table = LockTable()
         scheduler.request(table, 1, "R", LockMode.X)
         scheduler.request(table, 2, "R", LockMode.X)
-        outcome = JiangStrategy().on_block(table, 2, CostTable(), 0.0)
-        assert not outcome.victims
+        assert block(hosted(table, JiangPolicy()), 2) is None
 
     def test_refresh_tracks_table(self):
         table, _ = build_ring(3)
-        strategy = JiangStrategy()
-        strategy.refresh(table)
-        assert strategy.matrix.deadlocked(1)
+        assert wait_for_matrix(table).deadlocked(1)
         scheduler.release_all(table, 2)
-        strategy.refresh(table)
-        assert not strategy.matrix.deadlocked(1)
+        assert not wait_for_matrix(table).deadlocked(1)

@@ -1,52 +1,42 @@
-"""The paper's detectors behind the Strategy interface."""
+"""The paper's detectors as the simulator runs them: policies on the
+lock core."""
 
-from repro.baselines.park import ParkContinuousStrategy, ParkPeriodicStrategy
-from repro.baselines.wfg import has_deadlock
-from repro.core.victim import CostTable
 from repro.analysis.scenarios import build_ring
+from repro.baselines.wfg import has_deadlock
+from repro.policy import ContinuousPolicy, PeriodicPolicy
+from repro.sim.runner import scheme_label
+
+from .host import block, hosted
 
 
 class TestParkPeriodic:
     def test_resolves_and_applies(self):
         table, _ = build_ring(3)
-        strategy = ParkPeriodicStrategy()
-        outcome = strategy.periodic_pass(table, CostTable(), 0.0)
-        assert outcome.cycles_found == 1
-        assert len(outcome.victims) == 1
-        # Unlike the baselines, Park applies resolution itself.
-        assert not has_deadlock(table)
+        core = hosted(table, PeriodicPolicy())
+        result = core.detect()
+        assert result.stats.cycles_found == 1
+        assert len(result.aborted) == 1
+        assert not has_deadlock(core.table)
 
     def test_tdr2_outcome_reports_reposition(self, example_41_table):
-        strategy = ParkPeriodicStrategy()
-        outcome = strategy.periodic_pass(example_41_table, CostTable(), 0.0)
-        assert outcome.victims == []
-        assert outcome.repositioned == ["R2"]
-        assert outcome.granted == [9]
+        result = hosted(example_41_table, PeriodicPolicy()).detect()
+        assert result.aborted == []
+        assert [event.rid for event in result.repositions] == ["R2"]
+        assert [event.tid for event in result.grants] == [9]
 
     def test_ablation_disables_tdr2(self, example_41_table):
-        strategy = ParkPeriodicStrategy(allow_tdr2=False)
-        outcome = strategy.periodic_pass(example_41_table, CostTable(), 0.0)
-        assert outcome.victims
-        assert not outcome.repositioned
-        assert strategy.name == "park-periodic-no-tdr2"
-
-    def test_detector_reused_across_passes(self):
-        table, _ = build_ring(3)
-        strategy = ParkPeriodicStrategy()
-        strategy.periodic_pass(table, CostTable(), 0.0)
-        first_detector = strategy._detector
-        strategy.periodic_pass(table, CostTable(), 1.0)
-        assert strategy._detector is first_detector
+        policy = PeriodicPolicy(allow_tdr2=False)
+        result = hosted(example_41_table, policy).detect()
+        assert result.aborted
+        assert not result.repositions
+        assert result.stats.tdr2_applicable and not result.stats.tdr2_applied
+        assert scheme_label(policy) == "park-periodic-no-tdr2"
 
 
 class TestParkContinuous:
     def test_resolves_on_block(self):
         table, _ = build_ring(4)
-        strategy = ParkContinuousStrategy()
-        outcome = strategy.on_block(table, 1, CostTable(), 0.0)
-        assert outcome.cycles_found == 1
-        assert not has_deadlock(table)
-
-    def test_not_periodic(self):
-        assert not ParkContinuousStrategy().periodic
-        assert ParkPeriodicStrategy().periodic
+        core = hosted(table, ContinuousPolicy())
+        result = block(core, 1)
+        assert result.stats.cycles_found == 1
+        assert not has_deadlock(core.table)

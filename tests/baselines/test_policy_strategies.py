@@ -4,23 +4,18 @@ Satellite coverage for the baselines under a small contention sweep:
 the sweep's summaries round-trip through validated ``repro.bench/1``
 records, and the nowait lane's abort accounting lands in the same
 *prevention* lane wound-wait and wait-die use, so the strategies are
-directly comparable in the X-series reports.
+directly comparable in the X-series reports.  Both lanes are the live
+policies themselves, run on the simulator's lock core.
 """
 
 import pytest
 
-from repro.baselines import (
-    AdaptivePeriodicStrategy,
-    NoWaitStrategy,
-    ParkPeriodicStrategy,
-    WaitDieStrategy,
-    WoundWaitStrategy,
-)
-from repro.core.victim import CostTable
-from repro.lockmgr import scheduler
-from repro.lockmgr.lock_table import LockTable
+from repro.baselines import WaitDiePolicy, WoundWaitPolicy
+from repro.core.modes import LockMode
+from repro.lockmgr.sharded import ShardedLockCore
 from repro.obs.bench import build_record, validate_record
-from repro.policy.nowait import wait_is_ordered
+from repro.policy import AdaptivePolicy, NoWaitPolicy, PeriodicPolicy
+from repro.policy.nowait import ABORT_REASON, wait_is_ordered
 from repro.sim.runner import run_once
 from repro.sim.workload import WorkloadSpec
 
@@ -40,42 +35,41 @@ HOT = WorkloadSpec(
 )
 
 
-def simulate(strategy, duration=120.0, seed=1, period=10.0):
+def simulate(policy, duration=120.0, seed=1, period=10.0):
     return run_once(
-        HOT, strategy, duration=duration, terminals=6, seed=seed,
+        HOT, policy, duration=duration, terminals=6, seed=seed,
         period=period,
     )
 
 
 class TestNoWaitStrategy:
     def test_shares_the_policy_rule(self):
-        """The strategy refuses exactly the waits the live policy's
-        ordered rule refuses."""
-        table = LockTable()
-        strategy = NoWaitStrategy()
-        costs = CostTable()
-        from repro.core.modes import LockMode
-
-        assert scheduler.request(table, 1, "R2", LockMode.X).granted
-        assert scheduler.request(table, 2, "R1", LockMode.X).granted
+        """On the simulator's core the lane refuses exactly the waits
+        the ordered rule refuses."""
+        core = ShardedLockCore(policy=NoWaitPolicy())
+        assert core.lock(1, "R2", LockMode.X).granted
+        assert core.lock(2, "R1", LockMode.X).granted
         # T2 holds R1 < R2: in order, the wait may stand.
-        assert not scheduler.request(table, 2, "R2", LockMode.X).granted
-        assert strategy.wait_allowed(table, 2, [1], costs, 0.0) is None
+        assert not core.lock(2, "R2", LockMode.X).granted
+        assert core.last_detection is None
         assert wait_is_ordered(["R1"], "R2", conversion=False)
         # T1 holds R2 > R1: out of order, the requester dies.
-        assert not scheduler.request(table, 1, "R1", LockMode.X).granted
-        assert strategy.wait_allowed(table, 1, [2], costs, 0.0) == [1]
+        assert not core.lock(1, "R1", LockMode.X).granted
+        result = core.last_detection
+        assert result.aborted == [1]
+        assert result.abort_reason == ABORT_REASON
         assert not wait_is_ordered(["R2"], "R1", conversion=False)
-        assert strategy.refused == 1
+        assert core.policy.aborts == 1
 
     def test_unblocked_requester_is_left_alone(self):
-        table = LockTable()
-        strategy = NoWaitStrategy()
-        assert strategy.wait_allowed(table, 7, [], CostTable(), 0.0) is None
-        assert strategy.refused == 0
+        core = ShardedLockCore(policy=NoWaitPolicy())
+        assert core.lock(7, "R1", LockMode.S).granted
+        assert core.lock(8, "R1", LockMode.S).granted
+        assert core.last_detection is None
+        assert core.policy.aborts == 0
 
     def test_never_runs_a_detector(self):
-        result = simulate(NoWaitStrategy())
+        result = simulate(NoWaitPolicy())
         assert result.metrics.detection_passes == 0
         assert result.metrics.deadlock_aborts == 0
 
@@ -83,7 +77,7 @@ class TestNoWaitStrategy:
         """The deadlock-freedom property, observed end to end: the
         ground-truth oracle never catches a standing cycle."""
         for seed in (1, 2, 3):
-            metrics = simulate(NoWaitStrategy(), seed=seed).metrics
+            metrics = simulate(NoWaitPolicy(), seed=seed).metrics
             assert metrics.deadlock_episodes == 0
             assert metrics.deadlock_latency_total == 0.0
 
@@ -92,43 +86,41 @@ class TestNoWaitStrategy:
         block-time aborts instead of waits — the driver books them
         identically: all in ``prevention_aborts``, none in the deadlock
         or timeout lanes, one restart per abort."""
-        for strategy_cls in (
-            NoWaitStrategy, WaitDieStrategy, WoundWaitStrategy
-        ):
-            strategy = strategy_cls()
-            metrics = simulate(strategy).metrics
+        for policy_cls in (NoWaitPolicy, WaitDiePolicy, WoundWaitPolicy):
+            policy = policy_cls()
+            metrics = simulate(policy).metrics
             assert metrics.deadlock_aborts == 0
             assert metrics.timeout_aborts == 0
             assert metrics.total_aborts == metrics.prevention_aborts
             assert metrics.restarts == metrics.total_aborts
-            if isinstance(strategy, NoWaitStrategy):
+            if isinstance(policy, NoWaitPolicy):
                 assert metrics.prevention_aborts > 0
-                assert strategy.refused == metrics.prevention_aborts
+                assert policy.aborts == metrics.prevention_aborts
 
 
 class TestAdaptiveStrategy:
     def test_driver_consults_the_controller(self):
-        strategy = AdaptivePeriodicStrategy()
-        assert strategy.next_period(10.0) == 5.0  # clamped to max
-        assert strategy.controller.period == 5.0
+        policy = AdaptivePolicy()
+        assert policy.current_period(10.0) == 5.0  # clamped to max
+        assert policy.controller.period == 5.0
 
     def test_hot_workload_shrinks_the_period(self):
-        strategy = AdaptivePeriodicStrategy()
-        simulate(strategy)
-        info = strategy.controller.describe()
+        policy = AdaptivePolicy()
+        simulate(policy)
+        info = policy.controller.describe()
         assert info["period"] < 5.0
         assert info["adjustments"] > 0
         assert info["passes"] > 0
 
     def test_adaptive_beats_the_fixed_default(self):
-        fixed = simulate(ParkPeriodicStrategy()).metrics
-        adaptive = simulate(AdaptivePeriodicStrategy()).metrics
+        fixed = simulate(PeriodicPolicy()).metrics
+        adaptive = simulate(AdaptivePolicy()).metrics
         assert adaptive.throughput > fixed.throughput
 
     def test_fixed_period_strategy_keeps_the_default(self):
-        strategy = ParkPeriodicStrategy()
-        assert strategy.next_period(10.0) == 10.0
-        assert strategy.next_period(None) is None
+        policy = PeriodicPolicy()
+        assert policy.current_period(10.0) == 10.0
+        assert policy.current_period(None) is None
 
 
 class TestSweepRecords:
@@ -138,10 +130,10 @@ class TestSweepRecords:
         with the abort rate alongside the throughput."""
         records = []
         for name, factory, period in [
-            ("park-periodic", ParkPeriodicStrategy, 2.0),
-            ("park-periodic", ParkPeriodicStrategy, 10.0),
-            ("park-adaptive", AdaptivePeriodicStrategy, 10.0),
-            ("nowait", NoWaitStrategy, 10.0),
+            ("park-periodic", PeriodicPolicy, 2.0),
+            ("park-periodic", PeriodicPolicy, 10.0),
+            ("park-adaptive", AdaptivePolicy, 10.0),
+            ("nowait", NoWaitPolicy, 10.0),
         ]:
             metrics = simulate(factory(), period=period).metrics
             summary = metrics.summary()

@@ -1,10 +1,11 @@
 """The classic wait-for-graph baseline and oracle."""
 
 from repro.baselines.wfg import (
-    WFGStrategy,
+    WFGPolicy,
     adjacency,
     find_cycle,
     has_deadlock,
+    resolve,
     waits_for_edges,
 )
 from repro.core.modes import LockMode
@@ -14,6 +15,8 @@ from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
 from repro.analysis.scenarios import build_ring, build_upgrade_pair
 from tests.conftest import EXAMPLE_41, EXAMPLE_51
+
+from .host import block, hosted
 
 
 class TestWaitsForEdges:
@@ -76,43 +79,36 @@ class TestCycleOracle:
 class TestWFGStrategy:
     def test_periodic_resolves_ring(self):
         table, _ = build_ring(4)
-        strategy = WFGStrategy(continuous=False)
-        assert strategy.periodic
-        outcome = strategy.periodic_pass(table, CostTable(), 0.0)
-        assert outcome.cycles_found == 1
-        assert len(outcome.victims) == 1
+        assert len(resolve(table.snapshot(), CostTable())) == 1
 
     def test_continuous_hook(self):
         table, _ = build_ring(3)
-        strategy = WFGStrategy(continuous=True)
-        assert not strategy.periodic
-        outcome = strategy.on_block(table, 1, CostTable(), 0.0)
-        assert outcome.victims
+        core = hosted(table, WFGPolicy())
+        result = block(core, 1)
+        assert result.aborted
+        assert result.stats.cycles_found == len(result.aborted)
+        assert not has_deadlock(core.table)
 
     def test_continuous_quiet_on_periodic_hook(self):
-        table, _ = build_ring(3)
-        strategy = WFGStrategy(continuous=True)
-        assert not strategy.periodic_pass(table, CostTable(), 0.0).victims
+        # The check runs at block time only: no periodic pass for it.
+        assert not WFGPolicy().wants_periodic
 
     def test_min_cost_victim(self):
         table, _ = build_ring(3)
-        outcome = WFGStrategy().periodic_pass(
-            table, CostTable({1: 9.0, 2: 1.0, 3: 9.0}), 0.0
-        )
-        assert outcome.victims == [2]
+        costs = CostTable({1: 9.0, 2: 1.0, 3: 9.0})
+        assert resolve(table.snapshot(), costs) == [2]
 
     def test_example_51_resolved_with_one_abort(self, example_51_table):
-        outcome = WFGStrategy().periodic_pass(
-            example_51_table, CostTable({1: 6.0, 2: 4.0, 3: 1.0}), 0.0
+        victims = resolve(
+            example_51_table.snapshot(), CostTable({1: 6.0, 2: 4.0, 3: 1.0})
         )
         # The WFG DFS happens to meet the inner {T1, T2} cycle first and
         # its min-cost victim T2 breaks both cycles — the same net
         # outcome Park's algorithm reaches via Step-3 sparing.
-        assert outcome.victims == [2]
-        assert outcome.cycles_found == 1
+        assert victims == [2]
 
     def test_victims_not_applied_to_table(self):
         table, _ = build_ring(3)
-        WFGStrategy().periodic_pass(table, CostTable(), 0.0)
-        # All three ring members still wait: strategies only *decide*.
+        resolve(table.snapshot(), CostTable())
+        # All three ring members still wait: resolving only *decides*.
         assert len(table.blocked_tids()) == 3

@@ -1,89 +1,94 @@
-"""The batched detection driver."""
+"""The batched detection lane: blocks recorded, one rooted pass per
+flush, on the lock core."""
 
-from repro.core.batched import BatchedDetector
+from repro.baselines import BatchedPolicy
 from repro.core.hw_twbg import build_graph
 from repro.core.modes import LockMode
 from repro.core.victim import CostTable
-from repro.lockmgr import scheduler
-from repro.lockmgr.lock_table import LockTable
+from repro.lockmgr.sharded import ShardedLockCore
 
 
-def block(table, detector, tid, rid, mode):
-    outcome = scheduler.request(table, tid, rid, mode)
-    if not outcome.granted:
-        return detector.on_block(tid)
-    return None
+def batched(batch_size=None, costs=None):
+    return ShardedLockCore(
+        costs=costs, policy=BatchedPolicy(batch_size=batch_size)
+    )
+
+
+def block(core, tid, rid, mode):
+    """Lock; the flush result when the request blocked and filled the
+    batch, else None."""
+    core.lock(tid, rid, mode)
+    return core.last_detection
+
+
+def cyclic(core):
+    return build_graph(core.table.snapshot()).has_cycle()
 
 
 class TestBatching:
     def test_explicit_flush_resolves(self):
-        table = LockTable()
-        detector = BatchedDetector(table)
-        scheduler.request(table, 1, "A", LockMode.X)
-        scheduler.request(table, 2, "B", LockMode.X)
-        block(table, detector, 1, "B", LockMode.X)
-        block(table, detector, 2, "A", LockMode.X)
-        assert detector.pending == [1, 2]
-        result = detector.flush()
+        core = batched()
+        core.lock(1, "A", LockMode.X)
+        core.lock(2, "B", LockMode.X)
+        block(core, 1, "B", LockMode.X)
+        block(core, 2, "A", LockMode.X)
+        assert core.policy.pending == [1, 2]
+        result = core.detect()
         assert result.deadlock_found
-        assert not build_graph(table.snapshot()).has_cycle()
-        assert detector.pending == []
-        assert detector.flushes == 1
+        assert not cyclic(core)
+        assert core.policy.pending == []
+        assert core.policy.flushes == 1
 
     def test_no_flush_no_resolution(self):
-        table = LockTable()
-        detector = BatchedDetector(table)
-        scheduler.request(table, 1, "A", LockMode.X)
-        scheduler.request(table, 2, "B", LockMode.X)
-        block(table, detector, 1, "B", LockMode.X)
-        assert block(table, detector, 2, "A", LockMode.X) is None
-        assert build_graph(table.snapshot()).has_cycle()  # still there
+        core = batched()
+        core.lock(1, "A", LockMode.X)
+        core.lock(2, "B", LockMode.X)
+        block(core, 1, "B", LockMode.X)
+        assert block(core, 2, "A", LockMode.X) is None
+        assert cyclic(core)  # still there
 
     def test_threshold_auto_flush(self):
-        table = LockTable()
-        detector = BatchedDetector(table, batch_size=2)
-        scheduler.request(table, 1, "A", LockMode.X)
-        scheduler.request(table, 2, "B", LockMode.X)
-        assert block(table, detector, 1, "B", LockMode.X) is None
-        result = block(table, detector, 2, "A", LockMode.X)
+        core = batched(batch_size=2)
+        core.lock(1, "A", LockMode.X)
+        core.lock(2, "B", LockMode.X)
+        assert block(core, 1, "B", LockMode.X) is None
+        result = block(core, 2, "A", LockMode.X)
         assert result is not None and result.deadlock_found
-        assert detector.flushes == 1
+        assert core.policy.flushes == 1
 
     def test_flush_on_empty_batch_is_noop(self):
-        table = LockTable()
-        detector = BatchedDetector(table)
-        result = detector.flush()
+        core = batched()
+        result = core.detect()
         assert not result.deadlock_found
 
     def test_stale_roots_tolerated(self):
         # A recorded blocker may have been granted (or finished) before
         # the flush; the rooted walk just finds nothing from it.
-        table = LockTable()
-        detector = BatchedDetector(table)
-        scheduler.request(table, 1, "A", LockMode.X)
-        block(table, detector, 2, "A", LockMode.S)
-        scheduler.release_all(table, 1)  # grants T2
-        result = detector.flush()
+        core = batched()
+        core.lock(1, "A", LockMode.X)
+        block(core, 2, "A", LockMode.S)
+        core.finish(1)  # grants T2
+        result = core.detect()
         assert not result.deadlock_found
+        assert core.policy.flushes == 1
 
     def test_costs_respected(self):
-        table = LockTable()
-        detector = BatchedDetector(table, costs=CostTable({1: 9.0, 2: 1.0}))
-        scheduler.request(table, 1, "A", LockMode.X)
-        scheduler.request(table, 2, "B", LockMode.X)
-        block(table, detector, 1, "B", LockMode.X)
-        block(table, detector, 2, "A", LockMode.X)
-        assert detector.flush().aborted == [2]
+        core = batched(costs=CostTable({1: 9.0, 2: 1.0}))
+        core.lock(1, "A", LockMode.X)
+        core.lock(2, "B", LockMode.X)
+        block(core, 1, "B", LockMode.X)
+        block(core, 2, "A", LockMode.X)
+        assert core.detect().aborted == [2]
+        assert core.was_aborted(2)
 
     def test_multiple_cycles_one_flush(self):
-        table = LockTable()
-        detector = BatchedDetector(table)
+        core = batched()
         for base, (a, b) in enumerate([("A", "B"), ("C", "D")]):
             t1, t2 = 10 * base + 1, 10 * base + 2
-            scheduler.request(table, t1, a, LockMode.X)
-            scheduler.request(table, t2, b, LockMode.X)
-            block(table, detector, t1, b, LockMode.X)
-            block(table, detector, t2, a, LockMode.X)
-        result = detector.flush()
+            core.lock(t1, a, LockMode.X)
+            core.lock(t2, b, LockMode.X)
+            block(core, t1, b, LockMode.X)
+            block(core, t2, a, LockMode.X)
+        result = core.detect()
         assert result.stats.cycles_found == 2
         assert len(result.aborted) == 2

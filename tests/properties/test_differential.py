@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.baselines.wfg import WFGStrategy, has_deadlock
-from repro.core.batched import BatchedDetector
+from repro.baselines import BatchedPolicy
+from repro.baselines.wfg import has_deadlock, resolve
 from repro.core.continuous import ContinuousDetector
 from repro.core.detection import PeriodicDetector
 from repro.core.serialize import table_from_dict, table_to_dict
 from repro.core.verify import verify_table
 from repro.core.victim import CostTable
 from repro.lockmgr import scheduler
+from tests.baselines.host import hosted
 from tests.properties.test_invariants import apply_ops, ops_strategy
 
 relaxed = settings(max_examples=80)
@@ -29,31 +30,33 @@ def clone(table):
     return table_from_dict(table_to_dict(table))
 
 
-def run_periodic(table) -> None:
+def run_periodic(table):
     PeriodicDetector(table, CostTable()).run()
+    return table
 
 
-def run_continuous(table) -> None:
+def run_continuous(table):
     detector = ContinuousDetector(table, CostTable())
     # Continuous detection normally fires per block; replay it for every
     # currently blocked transaction, which covers every cycle.
     for tid in sorted(table.blocked_tids()):
         detector.on_block(tid)
+    return table
 
 
-def run_batched(table) -> None:
-    detector = BatchedDetector(table, CostTable())
-    for tid in sorted(table.blocked_tids()):
-        detector.on_block(tid)
-    detector.flush()
+def run_batched(table):
+    # The lane runs on a lock core: it detects on a copy of ``table``.
+    core = hosted(table, BatchedPolicy(batch_size=None))
+    for tid in sorted(core.table.blocked_tids()):
+        core.policy.on_block(core, tid, core.blocked_at(tid), None)
+    core.detect()
+    return core.table
 
 
-def run_wfg(table) -> None:
-    outcome = WFGStrategy(continuous=False).periodic_pass(
-        table, CostTable(), 0.0
-    )
-    for tid in outcome.victims:
+def run_wfg(table):
+    for tid in resolve(table.snapshot(), CostTable()):
         scheduler.release_all(table, tid)
+    return table
 
 
 DRIVERS = {
@@ -70,8 +73,7 @@ class TestAllDriversAgreeOnTheContract:
     def test_every_driver_clears_deadlock(self, ops):
         base = apply_ops(ops)
         for name, driver in DRIVERS.items():
-            branch = clone(base)
-            driver(branch)
+            branch = driver(clone(base))
             assert not has_deadlock(branch), name
             assert verify_table(branch) == [], name
 
@@ -83,6 +85,4 @@ class TestAllDriversAgreeOnTheContract:
             return
         rendering = str(base)
         for name, driver in DRIVERS.items():
-            branch = clone(base)
-            driver(branch)
-            assert str(branch) == rendering, name
+            assert str(driver(clone(base))) == rendering, name

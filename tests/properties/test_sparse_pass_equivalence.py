@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import LocalCluster
-from repro.core.batched import BatchedDetector
+from repro.baselines import BatchedPolicy
 from repro.core.modes import LockMode
 from repro.core.victim import CostTable
 from repro.lockmgr import LockManager
@@ -77,27 +77,6 @@ class Continuous(Periodic):
         return outcome.granted, self.manager.last_detection
 
 
-class Batched(Periodic):
-    """Blocks are recorded; ``detect`` flushes one rooted pass."""
-
-    def __init__(self, factory, costs):
-        super().__init__(factory, costs)
-        self.batched = BatchedDetector(
-            self.manager.table, self.manager.costs
-        )
-
-    def lock(self, tid, rid, mode):
-        granted, _ = super().lock(tid, rid, mode)
-        if not granted:
-            self.batched.on_block(tid)
-        return granted, None
-
-    def detect(self):
-        result = self.batched.flush()
-        self.manager._absorb_live(result)
-        return result
-
-
 LANES = {
     "manager": (Periodic, lambda costs: LockManager(costs=costs)),
     "shards=1": (Periodic, lambda costs: ShardedLockCore(1, costs)),
@@ -113,7 +92,13 @@ LANES = {
         Continuous,
         lambda costs: LockManager(costs=costs, policy="continuous"),
     ),
-    "batched": (Batched, lambda costs: LockManager(costs=costs)),
+    # Blocks are recorded; ``detect`` flushes one rooted pass.
+    "batched": (
+        Periodic,
+        lambda costs: LockManager(
+            costs=costs, policy=BatchedPolicy(batch_size=None)
+        ),
+    ),
 }
 
 

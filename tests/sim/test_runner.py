@@ -1,6 +1,7 @@
 """Experiment runner helpers."""
 
-from repro.baselines import ParkPeriodicStrategy, WFGStrategy
+from repro.baselines import WFGPolicy
+from repro.policy import PeriodicPolicy
 from repro.sim.runner import (
     aggregate,
     compare_strategies,
@@ -18,7 +19,7 @@ SPEC = WorkloadSpec(
 class TestRunOnce:
     def test_returns_result(self):
         result = run_once(
-            SPEC, ParkPeriodicStrategy(), duration=40.0, terminals=4, seed=1
+            SPEC, PeriodicPolicy(), duration=40.0, terminals=4, seed=1
         )
         assert result.strategy == "park-periodic"
         assert result.metrics.commits > 0
@@ -29,7 +30,7 @@ class TestCompare:
     def test_one_result_per_strategy_and_seed(self):
         results = compare_strategies(
             SPEC,
-            [ParkPeriodicStrategy, lambda: WFGStrategy(continuous=True)],
+            [PeriodicPolicy, WFGPolicy],
             duration=40.0,
             terminals=4,
             seeds=(1, 2),
@@ -40,7 +41,7 @@ class TestCompare:
 
     def test_aggregate_averages(self):
         results = compare_strategies(
-            SPEC, [ParkPeriodicStrategy], duration=40.0, terminals=4,
+            SPEC, [PeriodicPolicy], duration=40.0, terminals=4,
             seeds=(1, 2),
         )
         summary = aggregate(results)
@@ -56,7 +57,7 @@ class TestSweep:
     def test_period_recorded(self):
         results = sweep_period(
             SPEC,
-            ParkPeriodicStrategy,
+            PeriodicPolicy,
             periods=[2.0, 20.0],
             duration=60.0,
             terminals=4,
@@ -67,7 +68,7 @@ class TestSweep:
     def test_longer_period_fewer_passes(self):
         results = sweep_period(
             SPEC,
-            ParkPeriodicStrategy,
+            PeriodicPolicy,
             periods=[2.0, 20.0],
             duration=60.0,
             terminals=4,

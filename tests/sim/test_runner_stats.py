@@ -1,6 +1,6 @@
 """Multi-seed statistics and the simulator's cost-policy hook."""
 
-from repro.baselines import ParkPeriodicStrategy
+from repro.policy import PeriodicPolicy
 from repro.sim.runner import aggregate_stats, compare_strategies
 from repro.sim.system import SimulatedSystem
 from repro.sim.workload import (
@@ -21,7 +21,7 @@ SPEC = WorkloadSpec(
 class TestAggregateStats:
     def test_mean_std_range(self):
         results = compare_strategies(
-            SPEC, [ParkPeriodicStrategy], duration=40.0, terminals=4,
+            SPEC, [PeriodicPolicy], duration=40.0, terminals=4,
             seeds=(1, 2, 3),
         )
         stats = aggregate_stats(results)["park-periodic"]
@@ -31,7 +31,7 @@ class TestAggregateStats:
 
     def test_single_seed_zero_std(self):
         results = compare_strategies(
-            SPEC, [ParkPeriodicStrategy], duration=30.0, terminals=3,
+            SPEC, [PeriodicPolicy], duration=30.0, terminals=3,
             seeds=(1,),
         )
         stats = aggregate_stats(results)["park-periodic"]
@@ -61,7 +61,7 @@ class TestCostPolicyHook:
 
         system = SimulatedSystem(
             SPEC,
-            ParkPeriodicStrategy(),
+            PeriodicPolicy(),
             terminals=4,
             seed=3,
             period=4.0,
@@ -77,7 +77,7 @@ class TestCostPolicyHook:
 
     def test_default_policy_tracks_work(self):
         system = SimulatedSystem(
-            SPEC, ParkPeriodicStrategy(), terminals=3, seed=1, period=5.0
+            SPEC, PeriodicPolicy(), terminals=3, seed=1, period=5.0
         )
         system.run(duration=30.0)
         # Costs exist for live transactions and are >= 1.

@@ -1,20 +1,20 @@
-"""The simulated system: every strategy drives to completion and the
+"""The simulated system: every scheme drives to completion and the
 metrics make sense."""
 
 import pytest
 
 from repro.baselines import (
-    AgrawalStrategy,
-    ElmagarmidStrategy,
-    JiangStrategy,
-    ParkContinuousStrategy,
-    ParkPeriodicStrategy,
-    TimeoutStrategy,
-    WaitDieStrategy,
-    WFGStrategy,
-    WoundWaitStrategy,
+    AgrawalPolicy,
+    BatchedPolicy,
+    ElmagarmidPolicy,
+    JiangPolicy,
+    TimeoutPolicy,
+    WaitDiePolicy,
+    WFGPolicy,
+    WoundWaitPolicy,
 )
 from repro.baselines.wfg import has_deadlock
+from repro.policy import ContinuousPolicy, PeriodicPolicy
 from repro.sim.metrics import Metrics
 from repro.sim.system import SimulatedSystem
 from repro.sim.workload import WorkloadSpec
@@ -28,22 +28,23 @@ SPEC = WorkloadSpec(
     upgrade_fraction=0.2,
 )
 
-ALL_STRATEGIES = [
-    ParkPeriodicStrategy,
-    ParkContinuousStrategy,
-    AgrawalStrategy,
-    ElmagarmidStrategy,
-    JiangStrategy,
-    lambda: WFGStrategy(continuous=True),
-    lambda: WFGStrategy(continuous=False),
-    lambda: TimeoutStrategy(10.0),
-    WoundWaitStrategy,
-    WaitDieStrategy,
-]
+#: Every scheme, under the ids these runs have always been reported by.
+ALL_STRATEGIES = {
+    "ParkPeriodicStrategy": PeriodicPolicy,
+    "ParkContinuousStrategy": ContinuousPolicy,
+    "AgrawalStrategy": AgrawalPolicy,
+    "ElmagarmidStrategy": ElmagarmidPolicy,
+    "JiangStrategy": JiangPolicy,
+    "<lambda>0": WFGPolicy,
+    "<lambda>1": lambda: BatchedPolicy(4),
+    "<lambda>2": lambda: TimeoutPolicy(10.0),
+    "WoundWaitStrategy": WoundWaitPolicy,
+    "WaitDieStrategy": WaitDiePolicy,
+}
 
 
 @pytest.mark.parametrize(
-    "factory", ALL_STRATEGIES, ids=lambda f: getattr(f, "__name__", "lambda")
+    "factory", list(ALL_STRATEGIES.values()), ids=list(ALL_STRATEGIES)
 )
 def test_strategy_completes_run(factory):
     system = SimulatedSystem(
@@ -53,8 +54,7 @@ def test_strategy_completes_run(factory):
     assert metrics.commits > 0
     assert metrics.duration == 80.0
     # The run must end without standing deadlock for detection schemes.
-    strategy_name = system.strategy.name
-    if "timeout" not in strategy_name:
+    if system.policy.wait_limit is None:
         assert not has_deadlock(system.table) or metrics.deadlock_episodes >= 0
 
 
@@ -88,7 +88,7 @@ class TestSystemBehavior:
         runs = []
         for _ in range(2):
             system = SimulatedSystem(
-                SPEC, ParkPeriodicStrategy(), terminals=4, seed=11, period=5.0
+                SPEC, PeriodicPolicy(), terminals=4, seed=11, period=5.0
             )
             runs.append(system.run(duration=60.0).summary())
         assert runs[0] == runs[1]
@@ -97,14 +97,14 @@ class TestSystemBehavior:
         outcomes = []
         for seed in (1, 2):
             system = SimulatedSystem(
-                SPEC, ParkPeriodicStrategy(), terminals=4, seed=seed, period=5.0
+                SPEC, PeriodicPolicy(), terminals=4, seed=seed, period=5.0
             )
             outcomes.append(system.run(duration=60.0).summary())
         assert outcomes[0] != outcomes[1]
 
     def test_periodic_pass_counter(self):
         system = SimulatedSystem(
-            SPEC, ParkPeriodicStrategy(), terminals=4, seed=5, period=10.0
+            SPEC, PeriodicPolicy(), terminals=4, seed=5, period=10.0
         )
         metrics = system.run(duration=95.0)
         assert metrics.detection_passes == 9
@@ -112,7 +112,7 @@ class TestSystemBehavior:
     def test_oracle_disabled(self):
         system = SimulatedSystem(
             SPEC,
-            ParkPeriodicStrategy(),
+            PeriodicPolicy(),
             terminals=4,
             seed=5,
             period=5.0,
@@ -123,7 +123,7 @@ class TestSystemBehavior:
 
     def test_prevention_never_reports_deadlock_aborts(self):
         system = SimulatedSystem(
-            SPEC, WoundWaitStrategy(), terminals=5, seed=7, period=None
+            SPEC, WoundWaitPolicy(), terminals=5, seed=7, period=None
         )
         metrics = system.run(duration=60.0)
         assert metrics.deadlock_aborts == 0
@@ -139,7 +139,7 @@ class TestSystemBehavior:
             upgrade_fraction=0.5,
         )
         system = SimulatedSystem(
-            spec, ParkContinuousStrategy(), terminals=8, seed=2, period=None
+            spec, ContinuousPolicy(), terminals=8, seed=2, period=None
         )
         metrics = system.run(duration=150.0)
         assert metrics.deadlocks_resolved > 0

@@ -1,11 +1,7 @@
-"""Focused simulator-strategy interactions: timeout accounting,
-prevention revalidation, batched driver in the full system."""
+"""Focused simulator-policy interactions: timeout accounting,
+prevention revalidation, batched lane in the full system."""
 
-from repro.baselines import (
-    ParkBatchedStrategy,
-    TimeoutStrategy,
-    WoundWaitStrategy,
-)
+from repro.baselines import BatchedPolicy, TimeoutPolicy, WoundWaitPolicy
 from repro.baselines.wfg import has_deadlock
 from repro.sim.system import SimulatedSystem
 from repro.sim.workload import WorkloadSpec
@@ -24,7 +20,7 @@ HOT = WorkloadSpec(
 class TestTimeoutAccounting:
     def test_timeout_aborts_booked_separately(self):
         system = SimulatedSystem(
-            HOT, TimeoutStrategy(5.0), terminals=6, seed=2, period=None
+            HOT, TimeoutPolicy(5.0), terminals=6, seed=2, period=None
         )
         metrics = system.run(duration=120.0)
         assert metrics.timeout_aborts > 0
@@ -35,10 +31,10 @@ class TestTimeoutAccounting:
 
     def test_long_timeout_lets_deadlocks_sit(self):
         fast = SimulatedSystem(
-            HOT, TimeoutStrategy(3.0), terminals=6, seed=2, period=None
+            HOT, TimeoutPolicy(3.0), terminals=6, seed=2, period=None
         ).run(duration=120.0)
         slow = SimulatedSystem(
-            HOT, TimeoutStrategy(30.0), terminals=6, seed=2, period=None
+            HOT, TimeoutPolicy(30.0), terminals=6, seed=2, period=None
         ).run(duration=120.0)
         assert (
             slow.mean_deadlock_latency >= fast.mean_deadlock_latency
@@ -48,7 +44,7 @@ class TestTimeoutAccounting:
 class TestPreventionRevalidation:
     def test_wound_wait_keeps_latency_tiny(self):
         system = SimulatedSystem(
-            HOT, WoundWaitStrategy(), terminals=6, seed=3, period=None,
+            HOT, WoundWaitPolicy(), terminals=6, seed=3, period=None,
             tick_interval=0.5,
         )
         metrics = system.run(duration=120.0)
@@ -59,7 +55,7 @@ class TestPreventionRevalidation:
 
     def test_prevention_aborts_booked(self):
         system = SimulatedSystem(
-            HOT, WoundWaitStrategy(), terminals=6, seed=3, period=None
+            HOT, WoundWaitPolicy(), terminals=6, seed=3, period=None
         )
         metrics = system.run(duration=120.0)
         assert metrics.prevention_aborts > 0
@@ -69,7 +65,7 @@ class TestPreventionRevalidation:
 class TestBatchedInSystem:
     def test_batched_runs_clean(self):
         system = SimulatedSystem(
-            HOT, ParkBatchedStrategy(batch_size=3), terminals=6, seed=4,
+            HOT, BatchedPolicy(batch_size=3), terminals=6, seed=4,
             period=8.0,
         )
         metrics = system.run(duration=120.0)
@@ -77,14 +73,14 @@ class TestBatchedInSystem:
         assert not has_deadlock(system.table)
 
     def test_batched_latency_beats_same_period(self):
-        from repro.baselines import ParkPeriodicStrategy
+        from repro.policy import PeriodicPolicy
 
         batched = SimulatedSystem(
-            HOT, ParkBatchedStrategy(batch_size=3), terminals=6, seed=4,
+            HOT, BatchedPolicy(batch_size=3), terminals=6, seed=4,
             period=12.0,
         ).run(duration=150.0)
         periodic = SimulatedSystem(
-            HOT, ParkPeriodicStrategy(), terminals=6, seed=4, period=12.0
+            HOT, PeriodicPolicy(), terminals=6, seed=4, period=12.0
         ).run(duration=150.0)
         assert (
             batched.mean_deadlock_latency

@@ -23,9 +23,10 @@ tool = load_tool("import_closure")
 #: The plain serve closure may hold this many ``repro`` modules and
 #: source lines (49 / 14.5k when written; 73 / 18.1k before it, with
 #: numpy; 47 / 13.3k once ``repro.service`` imported lazily; 45 / 13.0k
-#: once one lock core replaced ``LockManager``/``ConcurrentLockManager``).
-SERVE_MODULES_MAX = 45
-SERVE_LINES_MAX = 13000
+#: once one lock core replaced ``LockManager``/``ConcurrentLockManager``;
+#: 44 / 12 960 once ``core.batched`` became a simulator policy).
+SERVE_MODULES_MAX = 44
+SERVE_LINES_MAX = 12960
 #: Peak resident set of a real server at its first reply (26.1 MB when
 #: written, 39.3 at the parent).
 FIRST_REPLY_HWM_MB_MAX = 30.0
@@ -47,6 +48,30 @@ def test_one_lock_core():
     ):
         with pytest.raises(ImportError):
             importlib.import_module(gone)
+
+
+def test_one_policy_interface():
+    """Every simulator scheme is a ``DetectionPolicy``: the strategy
+    interface, its adapters and the batched driver are gone, and no
+    baseline is a ``serve`` policy."""
+    from repro import baselines
+    from repro.policy import POLICIES, DetectionPolicy
+
+    for gone in (
+        "repro.baselines.base",
+        "repro.baselines.park",
+        "repro.baselines.nowait",
+        "repro.core.batched",
+    ):
+        with pytest.raises(ImportError):
+            importlib.import_module(gone)
+    schemes = [getattr(baselines, name) for name in baselines.__all__]
+    policies = [
+        scheme for scheme in schemes
+        if isinstance(scheme, type) and issubclass(scheme, DetectionPolicy)
+    ]
+    assert len(policies) == 8
+    assert not set(policies) & set(POLICIES.values())
 
 
 @pytest.fixture(scope="module")
