@@ -4,15 +4,15 @@ Two kinds of schedule run here, chosen by the scheduler (so both get
 explored under every workload seed), both on the lockstep driver
 (:mod:`repro.check.lockstep`):
 
-* **Equivalence arms** (``periodic``, ``predict``, ``adaptive``) —
+* **Equivalence arms** (``periodic``, ``adaptive``) —
   the *policy-equivalence oracle*.  The reference is a
   ``ShardedLockCore(policy="periodic")`` (the paper's Section-5
   behaviour), the subject a ``ShardedLockCore(policy=<arm>)``.  This
   is the policy layer's "default provably unchanged" proof obligation:
   ``periodic`` must be bit-for-bit the old behaviour, and the
-  observe-only policies (``predict`` warns, ``adaptive`` tunes timing
-  knobs the explorer never consults) must never perturb a single
-  observable outcome — nor run block-time detection.
+  observe-only ``adaptive`` (it tunes timing knobs the explorer never
+  consults) must never perturb a single observable outcome — nor run
+  block-time detection.
 
 * **The nowait arm** — the *deadlock-freedom oracle*.  One
   ``ShardedLockCore(policy="nowait")`` runs the programs alone; after
@@ -35,10 +35,10 @@ from ..sim.workload import Program
 from .lockstep import LockstepModel, ScheduleResult, Worlds
 from .schedule import VirtualScheduler
 
-#: Arms the scheduler may pick: the three observe-only policies run
-#: the lockstep equivalence comparison; ``nowait`` runs the
+#: Arms the scheduler may pick: the two observe-only policies run the
+#: lockstep equivalence comparison; ``nowait`` runs the
 #: deadlock-freedom world.
-ARM_CHOICES = ("periodic", "predict", "adaptive", "nowait")
+ARM_CHOICES = ("periodic", "adaptive", "nowait")
 
 
 class PolicyModel(LockstepModel):
@@ -51,7 +51,7 @@ class PolicyModel(LockstepModel):
     ) -> None:
         # ``continuous`` is ignored: the continuous policy is pinned by
         # the concurrent and service backends already; this backend
-        # owns the three new policies and the periodic default.
+        # owns the two other policies and the periodic default.
         super().__init__(programs, **kwargs)
         self.arm = arm
 

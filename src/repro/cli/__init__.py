@@ -258,12 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detector.add_argument(
         "--policy",
-        choices=["periodic", "continuous", "nowait", "adaptive",
-                 "predict"],
+        choices=["periodic", "continuous", "nowait", "adaptive"],
         default="periodic",
         help="detection/resolution policy (default: periodic); nowait "
         "runs the deadlock-free ordered-wait lane, adaptive auto-tunes "
-        "the detector period, predict warns on near-cycles",
+        "the detector period",
     )
     serve_cmd.add_argument(
         "--shards",

@@ -77,11 +77,11 @@ def validate_serve_config(
         raise ServeConfigError(
             "--shards must be at least 1 (got {})".format(shards)
         )
-    if policy in ("adaptive", "predict") and period <= 0:
+    if policy == "adaptive" and period <= 0:
         warnings.append(
-            "policy {} acts on periodic detector passes but --period "
-            "{} disables the detector; it will be inert".format(
-                policy, period
+            "policy adaptive acts on periodic detector passes but "
+            "--period {} disables the detector; it will be inert".format(
+                period
             )
         )
     if unix is not None and workers > 1:

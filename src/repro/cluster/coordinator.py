@@ -10,10 +10,9 @@ process; this module lifts it over the wire by binding the one
 * **source** — every worker's ``snapshot`` payload: its slice of the
   *waiting structure* (rows of the resources somebody is blocked at,
   each with its cluster-wide first-lock number — workers share one
-  counter, see :mod:`repro.cluster.worker` — plus the resource ids each
-  blocked transaction holds there; idle locks are not shipped), merged
-  by :func:`merge_snapshots` into the order a single-process table fed
-  the same request stream would have;
+  counter, see :mod:`repro.cluster.worker`; idle locks are not
+  shipped), merged by :func:`merge_snapshots` into the order a
+  single-process table fed the same request stream would have;
 * **sink** — ``resolve`` plans to the owning workers, every item
   re-checked against the live state by :func:`apply_resolution_plan`
   (the *worker-side* half, which :meth:`ServiceCore.resolve_step
@@ -83,28 +82,49 @@ def apply_resolution_plan(core, plan: Dict[str, Any]) -> Dict[str, Any]:
       their repositioning.
 
     Returns one reply entry per item, with any resulting grant events
-    as wire dicts.
+    as wire dicts.  The plan applies all or nothing: every item's shape
+    is checked before the first one lands, and a malformed item raises
+    ``KeyError`` / ``ValueError`` / ``TypeError`` with ``core``
+    untouched.
     """
+    # Parsed in full before anything is applied (and without helper
+    # calls: this runs once per routed plan).
+    lists = (
+        plan.get("repositions") or [],
+        plan.get("victims") or [],
+        plan.get("releases") or [],
+        plan.get("sweeps") or [],
+    )
+    if set(map(type, lists)) != {list}:
+        raise TypeError("plan items must travel in lists")
+    repositions, victims = [], []
+    for item in lists[0]:
+        repositions.append((
+            str(item["rid"]),
+            [int(tid) for tid in item.get("av", ())],
+            [int(tid) for tid in item.get("st", ())],
+        ))
+    for item in lists[1]:
+        tid, rid = int(item["tid"]), item.get("rid")
+        if rid is not None and not isinstance(rid, str):
+            raise TypeError("a victim's rid must be a string")
+        victims.append((tid, rid))
+    releases = list(map(int, lists[2]))
+    sweeps = list(map(str, lists[3]))
     reply: Dict[str, Any] = {
         "repositions": [],
         "victims": [],
         "releases": [],
         "sweeps": [],
     }
-    for item in plan.get("repositions") or ():
-        rid = str(item["rid"])
-        event = core.apply_reposition(
-            rid,
-            [int(tid) for tid in item.get("av", ())],
-            [int(tid) for tid in item.get("st", ())],
-        )
+    for rid, av, st in repositions:
+        event = core.apply_reposition(rid, av, st)
         entry: Dict[str, Any] = {"rid": rid, "applied": event is not None}
         if event is not None:
             entry["delayed"] = list(event.delayed)
         reply["repositions"].append(entry)
-    for item in plan.get("victims") or ():
-        tid = int(item["tid"])
-        grants = core.abort_victim(tid, item.get("rid"))
+    for tid, rid in victims:
+        grants = core.abort_victim(tid, rid)
         reply["victims"].append(
             {
                 "tid": tid,
@@ -112,19 +132,19 @@ def apply_resolution_plan(core, plan: Dict[str, Any]) -> Dict[str, Any]:
                 "grants": [event_to_dict(event) for event in grants or ()],
             }
         )
-    for tid in plan.get("releases") or ():
-        grants = core.release_victim(int(tid))
+    for tid in releases:
+        grants = core.release_victim(tid)
         reply["releases"].append(
             {
-                "tid": int(tid),
+                "tid": tid,
                 "grants": [event_to_dict(event) for event in grants],
             }
         )
-    for rid in plan.get("sweeps") or ():
-        grants = core.sweep_resource(str(rid))
+    for rid in sweeps:
+        grants = core.sweep_resource(rid)
         reply["sweeps"].append(
             {
-                "rid": str(rid),
+                "rid": rid,
                 "grants": [event_to_dict(event) for event in grants],
             }
         )
@@ -194,19 +214,12 @@ class _PlanBinding:
         reply = self.transport.resolve(index, {key: items, "ctx": self._ctx})
         return (reply or {}).get(key) or []
 
-    def collect(self, held: bool):
-        payloads = self.transport.snapshot_all()
+    def collect(self):
         info = self.info
         merged, info.unreachable_workers, info.snapshot_seconds = (
-            merge_snapshots(payloads)
+            merge_snapshots(self.transport.snapshot_all())
         )
-        if not held:
-            return merged, None, False
-        holds: Dict[int, set] = {}
-        for payload in payloads:
-            for row in (payload or {}).get("held") or ():
-                holds.setdefault(int(row["tid"]), set()).update(row["rids"])
-        return merged, {t: sorted(rids) for t, rids in holds.items()}, False
+        return merged, False
 
     def reposition(self, chosen) -> List[Optional[Repositioned]]:
         events: List[Optional[Repositioned]] = []
@@ -273,11 +286,9 @@ def run_cluster_pass(
     plan carries them as ``plan["ctx"]`` so worker-side resolution
     spans parent to this pass across the process hop.  With
     ``incident_sink`` (an :class:`~repro.obs.incidents.IncidentLog`) a
-    resolving pass appends a ``repro.incident/1`` record, and the
-    warnings of ``policy`` (a bound
-    :class:`~repro.policy.base.DetectionPolicy`, default periodic; its
-    pre-pass sees the *cluster-wide* waits) land there as
-    ``kind: "near-cycle"`` records.
+    resolving pass appends a ``repro.incident/1`` record stamped with
+    ``policy`` (a bound :class:`~repro.policy.base.DetectionPolicy`,
+    default periodic).
     """
     from ..policy import PeriodicPolicy
 
@@ -285,16 +296,14 @@ def run_cluster_pass(
     binding = _PlanBinding(transport, workers)
     info = binding.info
 
-    def stamp(deadlock: bool) -> Dict[str, Any]:
-        fields = {
+    def stamp() -> Dict[str, Any]:
+        return {
             "source": "cluster",
             "trace": info.trace,
             "span": info.span,
             "epoch": epoch,
+            "workers": workers,
         }
-        if deadlock:
-            fields["workers"] = workers
-        return fields
 
     run = DetectionPass(
         binding,

@@ -3,17 +3,14 @@
 Every periodic pass is the same sequence — snapshot the *waiting
 structure*, merge, Steps 1–3, route the resolutions back with staleness
 re-checks, forensics — and reads nothing else: the resources somebody
-is blocked at (:meth:`LockTable.waiting_resources`) plus, per blocked
-transaction, the ids of the resources it holds.  Section 5's bound
+is blocked at (:meth:`LockTable.waiting_resources`).  Section 5's bound
 O(n + e·(c'+1)) is over exactly that structure (ECR-1/2/3 need a blocked
 request to draw an edge; the queues hold the W edges "all the time"), so
 a pass costs what the waiting costs, however many idle locks there are.
 
 :class:`DetectionPass` owns the sequence; a *binding* supplies its two
-ends.  ``collect(held)`` returns ``(table, held, live)``: the waiting
-structure as a lock table in first-lock order, the held-rid summaries
-(built only when asked for — by a policy with a pre-pass — and read
-with the rows; ``None`` otherwise), and whether ``table`` is the live
+ends.  ``collect()`` returns ``(table, live)``: the waiting structure
+as a lock table in first-lock order, and whether ``table`` is the live
 table (Steps 1–3 then resolve in place and nothing is routed).
 Otherwise Steps 1–2 stage on the copy and Step 3 runs once, against the
 live state: ``reposition`` / ``abort`` / ``sweep`` apply the staged
@@ -88,12 +85,8 @@ class LiveBinding:
     def part_of(self, rid: str) -> int:
         return 0
 
-    def collect(self, held: bool):
-        table = self.table
-        held = {
-            tid: sorted(table.held_by(tid)) for tid in table.blocked_tids()
-        } if held else None
-        return table, held, True
+    def collect(self):
+        return self.table, True
 
 
 class DetectionPass:
@@ -101,10 +94,9 @@ class DetectionPass:
 
     ``incidents`` (an :class:`~repro.obs.incidents.IncidentLog`) turns
     on forensics: :meth:`record` appends a ``repro.incident/1`` record
-    for a resolving pass and one per near-cycle warning of the policy.
-    ``stamp(deadlock)`` supplies the host's record fields (``source``,
-    ``trace``/``span``/``epoch``/``timestamp``/``workers``) and is only
-    called when a record is written.
+    for a resolving pass.  ``stamp()`` supplies the host's record fields
+    (``source``, ``trace``/``span``/``epoch``/``timestamp``/``workers``)
+    and is only called when a record is written.
     """
 
     def __init__(
@@ -113,7 +105,7 @@ class DetectionPass:
         costs: CostTable,
         policy,
         incidents=None,
-        stamp: Optional[Callable[[bool], Dict[str, Any]]] = None,
+        stamp: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
         self.binding = binding
         self.costs = costs
@@ -128,21 +120,16 @@ class DetectionPass:
         """Detect and resolve; returns the
         :class:`~repro.core.detection.DetectionResult`."""
         from ..core.detection import _DetectionRun
-        from ..policy.base import DetectionPolicy
 
         binding, policy, info = self.binding, self.policy, self.binding.info
-        # Only a policy with a pre-pass reads the held-rid summaries.
-        pre_pass = type(policy).pre_pass is not DetectionPolicy.pre_pass
         with binding.guard():
-            table, held, live = binding.collect(pre_pass)
+            table, live = binding.collect()
             states = table.waiting_resources()
             info.merged_resources = len(states)
             # Whatever is read back after Steps 1-3 is captured first:
             # the detector resolves on ``table`` itself.
             if self.incidents is not None and states:
                 self._table_text = "\n".join(map(str, states))
-            if pre_pass:
-                policy.pre_pass(states, held)
             started = perf_counter()
             run = self._run = _DetectionRun(
                 table, self.costs, states=states, allow_tdr2=policy.allow_tdr2
@@ -193,12 +180,12 @@ class DetectionPass:
 
         run.confirm(abort, binding.sweep, applied)
 
-    def record(self) -> int:
-        """Write the forensics of the pass just run; returns how many
-        near-cycle patterns the policy's pre-pass reported."""
-        from ..obs.incidents import build_incident, build_near_cycle_incident
+    def record(self) -> None:
+        """Write the forensics of the pass just run: one incident
+        record when it resolved a deadlock and ``incidents`` is set."""
+        from ..obs.incidents import build_incident
 
-        result, sink, name = self.result, self.incidents, self.policy.name
+        result, sink = self.result, self.incidents
         if sink is not None and result.deadlock_found:
             entries = self._run.tst.entries
             sink.append(
@@ -206,18 +193,7 @@ class DetectionPass:
                     result,
                     table_text=self._table_text,
                     blocked_at={t: e.pr for t, e in entries.items() if e.pr},
-                    policy=name,
-                    **self.stamp(True)
+                    policy=self.policy.name,
+                    **self.stamp()
                 )
             )
-        near_cycles = 0
-        for report in self.policy.take_warnings():
-            count = int(report.get("count", 0))
-            near_cycles += count
-            if sink is not None and count > 0:
-                sink.append(
-                    build_near_cycle_incident(
-                        report, policy=name, **self.stamp(False)
-                    )
-                )
-        return near_cycles

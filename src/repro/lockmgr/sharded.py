@@ -440,21 +440,12 @@ class ShardedLockCore:
 
     # -- resolution primitives (shared with the cluster coordinator) -------
 
-    def _waiting(self, convert, held: bool):
+    def _waiting(self, convert):
         """Snapshot the waiting structure: ``convert(state)`` of every
         resource somebody is blocked at — each shard locked briefly, in
         shard order — sorted by first-lock number, the shard epochs and
-        the seconds each shard's mutex was held.  With ``held``, also
-        every blocked transaction's held resource ids (core-wide), each
-        shard's read in the same critical section as its rows (``None``
-        otherwise): the transactions blocked anywhere are peeked first,
-        and one that blocks while the shards are read is listed with
-        what it holds on the shards read after it blocked."""
+        the seconds each shard's mutex was held."""
         rows, epochs, seconds = [], [], []
-        blocked, peeked, holds = set(), set(), {}
-        for shard in self.shards if held else ():
-            with shard.mutex:
-                peeked.update(shard.table.blocked_tids())
         for shard in self.shards:
             started = perf_counter()
             with shard.mutex:
@@ -462,29 +453,22 @@ class ShardedLockCore:
                 for state in table.waiting_resources():
                     rows.append((table.sequence_of(state.rid), convert(state)))
                 epochs.append(shard.epoch)
-                if held:
-                    blocked.update(table.blocked_tids())
-                    for tid in peeked | blocked:
-                        holds.setdefault(tid, set()).update(table.held_by(tid))
             seconds.append(perf_counter() - started)
         rows.sort(key=lambda row: row[0])
-        held = {tid: sorted(holds[tid]) for tid in blocked} if held else None
-        return rows, held, epochs, seconds
+        return rows, epochs, seconds
 
     def snapshot_payload(self) -> Dict[str, object]:
         """Serialize this core's slice of the waiting structure for a
         cluster coordinator: the rows of the resources somebody is
         blocked at, in first-lock order with their sequence numbers (a
         coordinator merges several workers' slices by them — workers
-        share a counter via ``sequence_source``), and ``held``: per
-        transaction blocked here, the resources it holds on this core.
-        Idle locks travel as those ids, never as rows, so the payload is
-        proportional to the blocked requests.
+        share a counter via ``sequence_source``).  Idle locks are never
+        shipped, so the payload is proportional to the blocked requests.
         """
         from ..core.serialize import FORMAT_VERSION, state_to_dict
 
         started = perf_counter()
-        rows, held, epochs, _ = self._waiting(state_to_dict, True)
+        rows, epochs, _ = self._waiting(state_to_dict)
         return {
             "v": FORMAT_VERSION,
             "table": {
@@ -492,9 +476,6 @@ class ShardedLockCore:
                 "resources": [entry for _, entry in rows],
             },
             "sequence": {entry["rid"]: seq for seq, entry in rows},
-            "held": [
-                {"tid": tid, "rids": rids} for tid, rids in held.items()
-            ],
             "epochs": epochs,
             "seconds": perf_counter() - started,
         }
@@ -675,14 +656,14 @@ class _ShardBinding:
     def guard(self):
         return self.core._detect_lock
 
-    def collect(self, held: bool):
-        rows, held, self._epochs, self.info.snapshot_seconds = (
-            self.core._waiting(ResourceState.copy, held)
+    def collect(self):
+        rows, self._epochs, self.info.snapshot_seconds = (
+            self.core._waiting(ResourceState.copy)
         )
         merged = LockTable()
         for _, state in rows:
             merged.install(state)
-        return merged, held, False
+        return merged, False
 
     def reposition(self, chosen) -> List[Optional[Repositioned]]:
         # Routing starts here (the pass always calls this first): note

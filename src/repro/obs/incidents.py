@@ -13,8 +13,7 @@ Record schema (``repro.incident/1``)::
     {"schema":  "repro.incident/1",
      "id":      "inc-1a2b3c4d",
      "ts":      1754500000.0,            # unix seconds
-     "kind":    "deadlock",              # or "near-cycle" (optional,
-                                         # default "deadlock")
+     "kind":    "deadlock",              # optional; the only kind
      "source":  "service" | "cluster",
      "policy":  "periodic",              # detection policy (optional)
      "trace":   "trace-...",             # pass trace id (optional)
@@ -34,16 +33,6 @@ Record schema (``repro.incident/1``)::
      "cross_worker_cycles": 1,           # cluster passes only
      "stats":   {"transactions": 4, "edges_examined": 6, ...}}
 
-``kind: "near-cycle"`` records — emitted by the predictive policy's
-pre-pass when the graph is one edge short of a cycle — replace
-``cycles`` with ``patterns``::
-
-    {"schema": "repro.incident/1", "kind": "near-cycle",
-     "id": "inc-...", "ts": ..., "source": "service",
-     "policy": "predict", "near_cycles": 1, "truncated": false,
-     "patterns": [{"path": [3, 1], "rids": ["R2"],
-                   "close": {"tid": 3, "holds": ["R1"]}}]}
-
 :class:`IncidentLog` bounds the record stream both in memory (a ring)
 and on disk (the JSON-lines file is compacted back to the newest
 ``capacity`` records once it doubles), so a deadlock storm cannot grow
@@ -62,7 +51,6 @@ from typing import Any, Deque, Dict, Iterable, List, Optional
 __all__ = [
     "SCHEMA",
     "build_incident",
-    "build_near_cycle_incident",
     "candidate_to_dict",
     "validate_incident",
     "validate_incident_file",
@@ -186,53 +174,6 @@ def build_incident(
     return record
 
 
-def build_near_cycle_incident(
-    report: Dict[str, Any],
-    source: str,
-    policy: Optional[str] = None,
-    trace: Optional[str] = None,
-    span: Optional[str] = None,
-    epoch: Optional[int] = None,
-    timestamp: Optional[float] = None,
-) -> Dict[str, Any]:
-    """One ``kind: "near-cycle"`` warning record from a predictive
-    pre-pass report (:func:`repro.policy.predict.find_near_cycles`):
-    the graph was one edge short of a deadlock, nothing was resolved.
-    """
-    record: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "kind": "near-cycle",
-        "id": _new_incident_id(),
-        "ts": time.time() if timestamp is None else float(timestamp),
-        "source": str(source),
-        "near_cycles": int(report.get("count", 0)),
-        "truncated": bool(report.get("truncated", False)),
-        "patterns": [
-            {
-                "path": [int(tid) for tid in pattern.get("path", ())],
-                "rids": [str(rid) for rid in pattern.get("rids", ())],
-                "close": {
-                    "tid": int(pattern.get("close", {}).get("tid", 0)),
-                    "holds": [
-                        str(rid)
-                        for rid in pattern.get("close", {}).get("holds", ())
-                    ],
-                },
-            }
-            for pattern in report.get("patterns", ())
-        ],
-    }
-    if policy is not None:
-        record["policy"] = str(policy)
-    if trace is not None:
-        record["trace"] = str(trace)
-    if span is not None:
-        record["span"] = str(span)
-    if epoch is not None:
-        record["epoch"] = int(epoch)
-    return record
-
-
 # -- validation ------------------------------------------------------------
 
 
@@ -264,40 +205,6 @@ def _validate_candidate(entry: Any, where: str) -> List[str]:
     return errors
 
 
-def _validate_near_cycle(record: Dict[str, Any]) -> List[str]:
-    """Violations specific to a ``kind: "near-cycle"`` record."""
-    errors: List[str] = []
-    if not isinstance(record.get("near_cycles"), int):
-        errors.append("near_cycles must be an integer")
-    if "truncated" in record and not isinstance(record["truncated"], bool):
-        errors.append("truncated must be a boolean")
-    patterns = record.get("patterns")
-    if not isinstance(patterns, list):
-        return errors + ["patterns must be a list"]
-    for index, pattern in enumerate(patterns):
-        where = "patterns[{}]".format(index)
-        if not isinstance(pattern, dict):
-            errors.append(where + " must be an object")
-            continue
-        path = pattern.get("path")
-        if not isinstance(path, list) or not all(
-            isinstance(tid, int) for tid in path
-        ):
-            errors.append(where + ".path must be a list of ints")
-        rids = pattern.get("rids")
-        if not isinstance(rids, list) or not all(
-            isinstance(rid, str) for rid in rids
-        ):
-            errors.append(where + ".rids must be a list of strings")
-        close = pattern.get("close")
-        if not isinstance(close, dict):
-            errors.append(where + ".close must be an object")
-        else:
-            if not isinstance(close.get("tid"), int):
-                errors.append(where + ".close.tid must be an integer")
-            if not isinstance(close.get("holds"), list):
-                errors.append(where + ".close.holds must be a list")
-    return errors
 
 
 def validate_incident(record: Any) -> List[str]:
@@ -322,24 +229,10 @@ def validate_incident(record: Any) -> List[str]:
             )
         )
     kind = record.get("kind", "deadlock")
-    if kind not in ("deadlock", "near-cycle"):
-        errors.append(
-            "kind must be 'deadlock' or 'near-cycle' (got {!r})".format(
-                kind
-            )
-        )
+    if kind != "deadlock":
+        errors.append("kind must be 'deadlock' (got {!r})".format(kind))
     if "policy" in record and not isinstance(record["policy"], str):
         errors.append("policy must be a string")
-    if kind == "near-cycle":
-        errors.extend(_validate_near_cycle(record))
-        for field, cls in (
-            ("trace", str), ("span", str), ("epoch", int),
-        ):
-            if field in record and not isinstance(record[field], cls):
-                errors.append(
-                    "{} must be a {}".format(field, cls.__name__)
-                )
-        return errors
     cycles = record.get("cycles")
     if not isinstance(cycles, list) or not cycles:
         errors.append("cycles must be a non-empty list")
@@ -510,8 +403,6 @@ def incident_to_dot(record: Dict[str, Any]) -> str:
 
 def render_incident(record: Dict[str, Any]) -> str:
     """One incident as an operator-readable report (``incidents show``)."""
-    if record.get("kind") == "near-cycle":
-        return _render_near_cycle(record)
     lines = [
         "incident {}  source={}  ts={:.3f}".format(
             record.get("id", "?"),
@@ -571,37 +462,6 @@ def render_incident(record: Dict[str, Any]) -> str:
     if record.get("table"):
         lines.append("snapshot:")
         lines.extend("  " + line for line in record["table"].splitlines())
-    return "\n".join(lines)
-
-
-def _render_near_cycle(record: Dict[str, Any]) -> str:
-    """A near-cycle warning as an operator-readable report."""
-    lines = [
-        "near-cycle warning {}  source={}  ts={:.3f}".format(
-            record.get("id", "?"),
-            record.get("source", "?"),
-            record.get("ts", 0.0),
-        )
-    ]
-    if record.get("policy"):
-        lines.append("policy {}".format(record["policy"]))
-    lines.append(
-        "patterns one edge short of a deadlock: {}{}".format(
-            record.get("near_cycles", 0),
-            " (truncated scan)" if record.get("truncated") else "",
-        )
-    )
-    for entry in record.get("patterns", ()):
-        close = entry.get("close") or {}
-        lines.append(
-            "  {} ; closes if T{} requests one of {}".format(
-                " -> ".join(
-                    "T{}".format(tid) for tid in entry.get("path", ())
-                ),
-                close.get("tid", "?"),
-                ", ".join(close.get("holds", ())) or "-",
-            )
-        )
     return "\n".join(lines)
 
 

@@ -275,9 +275,8 @@ def render_dashboard(
     policy_name = stats.get("policy")
     if policy_name:
         lines.append(
-            "policy: {}   near-cycles {}   policy aborts {}".format(
+            "policy: {}   policy aborts {}".format(
                 policy_name,
-                int(sample.counter_total("repro_near_cycles_total")),
                 int(sample.counter_total("repro_policy_aborts_total")),
             )
         )
@@ -307,17 +306,6 @@ def render_incident_pane(
         lines.append("  none recorded")
         return "\n".join(lines)
     for record in reversed(records[-limit:]):
-        if record.get("kind") == "near-cycle":
-            lines.append(
-                "  {}  {}  near-cycle warning: {} pattern(s)"
-                "  policy {}".format(
-                    record.get("id", "?"),
-                    record.get("source", "?"),
-                    record.get("near_cycles", 0),
-                    record.get("policy") or "-",
-                )
-            )
-            continue
         cycles = record.get("cycles") or []
         decisions = ",".join(
             entry.get("decision", "?") for entry in cycles

@@ -15,8 +15,6 @@ policies:
 ``adaptive``    Periodic with a contention-driven period controller
                 (and a periodic⟷continuous switch on single-shard
                 hosts).
-``predict``     Periodic plus a near-cycle pre-pass surfacing
-                one-edge-short patterns as warnings and metrics.
 ==============  ==========================================================
 
 Every host takes the policy as one explicit ``policy=`` argument
@@ -31,7 +29,6 @@ from .adaptive import AdaptiveController, AdaptivePolicy
 from .base import DetectionPolicy
 from .nowait import ABORT_REASON, NoWaitPolicy, evaluate_block, wait_is_ordered
 from .periodic import ContinuousPolicy, PeriodicPolicy
-from .predict import PredictivePolicy, find_near_cycles
 
 __all__ = [
     "POLICIES",
@@ -41,11 +38,9 @@ __all__ = [
     "NoWaitPolicy",
     "AdaptivePolicy",
     "AdaptiveController",
-    "PredictivePolicy",
     "ABORT_REASON",
     "wait_is_ordered",
     "evaluate_block",
-    "find_near_cycles",
     "resolve_policy",
 ]
 
@@ -55,7 +50,6 @@ POLICIES: Dict[str, Callable[[], DetectionPolicy]] = {
     "continuous": ContinuousPolicy,
     "nowait": NoWaitPolicy,
     "adaptive": AdaptivePolicy,
-    "predict": PredictivePolicy,
 }
 
 

@@ -3,13 +3,13 @@ detection *decision* a lock manager makes.
 
 The paper's Section-5 machinery answers *how* to find and resolve a
 cycle; everything around it is policy: **when** to run a pass (the
-periodic interval), **what** to do when a request blocks (wait quietly,
-run a rooted check, refuse the wait), and **what else** to look at in
-the graph (the predictive pre-pass).  Before this layer those decisions
-were hard-wired in each host — the lock core's ``lock``/``detect``,
-the service's detector task and the cluster coordinator's pass loop.
-Now each of those hosts consults one policy object through the hooks
-below, and the paper's periodic scheme is simply the default policy
+periodic interval) and **what** to do when a request blocks (wait
+quietly, run a rooted check, refuse the wait).  Before this layer
+those decisions were hard-wired in each host — the lock core's
+``lock``/``detect``, the service's detector task and the cluster
+coordinator's pass loop.  Now each of those hosts consults one policy
+object through the hooks below, and the paper's periodic scheme is
+simply the default policy
 (:class:`~repro.policy.periodic.PeriodicPolicy`), reproduced
 bit-for-bit.
 
@@ -23,15 +23,6 @@ Hook contract
     absorb — the continuous companion returns its rooted check, the
     nowait lane returns the requester's own abort — or ``None`` to let
     the request wait (the periodic default).
-
-``pre_pass(states, held)``
-    Called at the start of every periodic pass with the (merged)
-    resource states the detector is about to walk — the waiting
-    structure: resources somebody is blocked at — and, per blocked
-    transaction, the ids of every resource it holds (``held``; idle
-    locks are not among ``states``).  Predictive policies scan them
-    for near-cycles here; the return value is policy-private (the host
-    exposes it via :meth:`take_warnings`).
 
 ``observe_pass(result, duration)``
     Called after every periodic pass with its result and wall-clock
@@ -69,15 +60,15 @@ call ``on_block`` from concurrent threads; stateless decisions
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 
 class DetectionPolicy:
     """Base policy: wait on block, run passes at the caller's cadence.
 
     Subclasses override the hooks they use; the defaults reproduce the
-    paper's periodic scheme exactly (no block-time action, no pre-pass,
-    fixed period).
+    paper's periodic scheme exactly (no block-time action, fixed
+    period).
     """
 
     #: Registry / CLI / telemetry label.
@@ -106,10 +97,6 @@ class DetectionPolicy:
         """Act on a blocked request; see the module docstring."""
         return None
 
-    def pre_pass(self, states, held=None) -> None:
-        """Inspect the pass's input (predictive policies)."""
-        return None
-
     def observe_pass(self, result, duration: float) -> None:
         """Consume one pass's outcome (adaptive policies)."""
         return None
@@ -126,12 +113,6 @@ class DetectionPolicy:
     def on_tick(self, host):
         """React to the driver's clock; a result when it aborted."""
         return None
-
-    def take_warnings(self) -> List[Dict[str, Any]]:
-        """Drain warnings produced since the last call (predictive
-        policies return near-cycle payloads here; the service layer
-        turns them into incident records)."""
-        return []
 
     def describe(self) -> Dict[str, Any]:
         """Wire-visible policy state for stats payloads and ``top``."""

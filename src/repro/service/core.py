@@ -231,15 +231,6 @@ class ServiceCore:
             help="active detection policy (constant 1, policy label)",
             fn=lambda: 1.0,
         )
-        #: Near-cycle warnings surfaced by the predictive pre-pass;
-        #: registered up front so the series exists (at 0) under every
-        #: policy and dashboards need no existence checks.
-        self._near_cycle_counter = registry.counter(
-            "repro_near_cycles_total",
-            labels={"policy": self.policy.name},
-            help="near-cycle patterns flagged by the predictive "
-            "pre-pass",
-        )
         self._policy_abort_counter = registry.counter(
             "repro_policy_aborts_total",
             labels={"policy": self.policy.name},
@@ -677,19 +668,17 @@ class ServiceCore:
             # the resolving passes keeps replay byte-identical without
             # one record per detector tick.
             self._journal_append("detect")
-        self._near_cycle_counter.inc(run.record())
+        run.record()
         return result
 
-    def _stamp(self, deadlock: bool) -> dict:
+    def _stamp(self) -> dict:
         """This service's fields of an incident record."""
-        fields = {
+        return {
             "source": "service",
             "epoch": self.restart_epoch,
             "timestamp": self.wall(),
+            "span": self.telemetry.pass_span("deadlock"),
         }
-        if deadlock:
-            fields["span"] = self.telemetry.pass_span("deadlock")
-        return fields
 
     def snapshot_step(self) -> dict:
         """Serialize this worker's RST slice for a cluster coordinator
@@ -710,9 +699,21 @@ class ServiceCore:
             raise ServiceError(
                 "bad-request", "resolve needs a plan object"
             )
+        ctx = plan.get("ctx")
+        if ctx is None:
+            trace = parent = None
+        elif isinstance(ctx, dict) and all(
+            isinstance(ctx.get(key), str) for key in ("trace", "span")
+        ):
+            trace, parent = ctx["trace"], ctx["span"]
+        else:
+            raise ServiceError(
+                "bad-request",
+                "a resolve ctx must be an object with string trace and span",
+            )
         try:
             reply = apply_resolution_plan(self.manager, plan)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ServiceError(
                 "bad-request", "malformed resolution plan: {}".format(exc)
             )
@@ -720,9 +721,6 @@ class ServiceCore:
         # No telemetry.finish here: the manager publishes the Aborted
         # event, which closes the victim's span through the listener —
         # the same path a local detection pass takes.
-        ctx = plan.get("ctx") or {}
-        trace = ctx.get("trace")
-        parent = ctx.get("span")
         victim_items = list(plan.get("victims") or ())
         for slot, row in enumerate(reply["victims"]):
             if row["confirmed"]:

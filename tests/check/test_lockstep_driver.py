@@ -30,7 +30,9 @@ from repro.policy.nowait import NoWaitPolicy
 
 #: backend -> (digest, state, detection, equivalence, incident checks).
 #: ``service`` keeps its own loop; its pin is what ``repro check
-#: --backends service`` printed at the same seed and budget.
+#: --backends service`` printed at the same seed and budget.  ``policy``
+#: moved once, when its arm list lost ``predict``: the commit before,
+#: with only that arm removed, prints the same digest and counts.
 PINNED = {
     "concurrent": (
         "2215483c38e817ffe1a36ddcb1646842e031f07b34f29754ab0d5bf49f8832ed",
@@ -41,8 +43,8 @@ PINNED = {
         1250, 395, 1250, 0,
     ),
     "policy": (
-        "2b3a6b3a113a46075fda3cea9a55a1cdfa2e7c375a39aa4955caff9a558d3da5",
-        1206, 358, 1000, 0,
+        "b545f5b98485c358b6bd9bac3f5e4e47231438fc6306fdb97b0ce8775ae74207",
+        1186, 328, 690, 0,
     ),
     "cluster": (
         "faaeb2d99e79d4c62cf92f1e78649c39ee6b9bb0c8322cd3895b91348806feb3",

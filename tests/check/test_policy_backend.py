@@ -23,10 +23,6 @@ class TestEquivalenceArms:
         for result in explore("periodic", range(12)):
             assert result.ok, result.failure
 
-    def test_predict_never_perturbs_outcomes(self):
-        for result in explore("predict", range(12)):
-            assert result.ok, result.failure
-
     def test_adaptive_never_perturbs_pass_outcomes(self):
         for result in explore("adaptive", range(12)):
             assert result.ok, result.failure

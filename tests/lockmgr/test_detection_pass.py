@@ -4,8 +4,6 @@ A routed pass (``shards > 1`` or a cluster) stages Steps 1-2 on a merged
 copy of the waiting structure and runs Step 3 once, against the live
 state: victims newest first, and one granted by an earlier victim's
 release is spared, not stale.  The copy is never released or swept.
-The held-rid summaries a pre-pass policy reads come from the same
-per-shard critical sections as the rows.
 """
 
 from unittest import mock
@@ -13,9 +11,7 @@ from unittest import mock
 import pytest
 
 from repro.cluster import LocalCluster
-from repro.core.modes import LockMode
 from repro.lockmgr import scheduler
-from repro.lockmgr.lock_table import LockTable
 from repro.lockmgr.sharded import ShardedLockCore
 
 from ..conformance import scenarios
@@ -93,36 +89,3 @@ def test_a_routed_pass_never_releases_or_sweeps_the_copy(name, feed):
     assert all(on_live for _, on_live in touched), touched
     assert scenarios.pass_info(result).stale_victims == 0
 
-
-def test_held_is_read_with_the_rows_on_every_shard():
-    """``predict``'s pre-pass gets each blocked transaction's held rids
-    from the critical section its shard's rows came from: a lock that
-    lands after a shard was read is not in ``held``."""
-    core = ShardedLockCore(shards=4, policy="predict")
-    last = len(core.shards) - 1
-    rids = ["R{}".format(i) for i in range(1, 64)]
-    a = next(rid for rid in rids if core.shard_index(rid) == last)
-    b, c = [rid for rid in rids if core.shard_index(rid) < last][:2]
-    assert core.lock(1, a, LockMode.S).granted
-    assert core.lock(2, b, LockMode.X).granted
-    assert not core.lock(1, b, LockMode.X).granted
-
-    # While the last shard is read (earlier shards already done), T2
-    # commits, T1 is granted ``b`` and takes ``c``.
-    last_table = core.shards[last].table
-    real_waiting = LockTable.waiting_resources
-    landed = []
-
-    def waiting_resources(table):
-        states = real_waiting(table)
-        if table is last_table and not landed:
-            landed.append([event.tid for event in core.finish(2)])
-            assert core.lock(1, c, LockMode.S).granted
-        return states
-
-    seen = []
-    core.policy.pre_pass = lambda states, held: seen.append(held)
-    with mock.patch.object(LockTable, "waiting_resources", waiting_resources):
-        core.detect()
-    assert landed == [[1]]
-    assert seen == [{1: [a]}]

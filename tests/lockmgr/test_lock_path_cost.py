@@ -32,10 +32,13 @@ def test_a_detector_pass_ratchet_is_never_raised():
     cycles) touches each element of the waiting structure once: the
     ceilings stay at what that costs, well under the 3242 / 2080 calls
     a pass made while Step 2 called an observer hook per edge and a
-    routed pass ran Step 3 twice."""
+    routed pass ran Step 3 twice.  The cluster pass (``LocalCluster(2)``
+    over the JSON codec) read 2706 while snapshots shipped held-rid
+    summaries, 2658 without."""
     ceilings = load_tool("lock_path_cost").CEILINGS
     assert ceilings["detect planted round py (shards=4)"] <= 1407
     assert ceilings["detect planted round py (shards=1)"] <= 687
+    assert ceilings["detect planted round py (LocalCluster(2))"] <= 2791
 
 
 def test_releasing_eight_sole_holder_locks_sweeps_nothing_and_leaves_nothing():

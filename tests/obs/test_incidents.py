@@ -105,6 +105,30 @@ class TestValidate:
     def test_non_object_is_one_error(self):
         assert validate_incident(None) == ["record is not an object"]
 
+    def test_a_record_of_another_kind_is_invalid_not_fatal(
+        self, tmp_path, capsys
+    ):
+        """Older logs may hold warning records (no ``cycles``): they
+        list as INVALID and still render."""
+        from repro.cli import main
+
+        record = {
+            "schema": SCHEMA, "kind": "warning", "id": "inc-0ld",
+            "ts": 1.0, "source": "service", "policy": "periodic",
+            "patterns": [{"path": [3, 1], "rids": ["R2"]}],
+        }
+        assert "kind must be 'deadlock' (got 'warning')" in (
+            validate_incident(record)
+        )
+        path = tmp_path / "incidents.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["incidents", "list", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("INVALID")
+        assert main(["incidents", "show", str(path)]) == 0
+        shown = capsys.readouterr()
+        assert shown.out.startswith("incident inc-0ld")
+        assert "schema problem: kind must be 'deadlock'" in shown.err
+
 
 class TestLog:
     def test_ring_bounds_memory_and_total_keeps_counting(self):

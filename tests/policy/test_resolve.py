@@ -62,7 +62,5 @@ class TestBaseHooks:
         policy = DetectionPolicy()
         assert policy.on_block(None, 1, "R1", None) is None
         assert policy.current_period(0.5) == 0.5
-        assert policy.take_warnings() == []
-        policy.pre_pass([])
         policy.observe_pass(None, 0.0)
         assert policy.describe() == {"name": "abstract"}

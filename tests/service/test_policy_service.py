@@ -1,11 +1,9 @@
 """Policies over the wire: the service layer's policy surfaces.
 
-The acceptance scenario for the predictive lane lives here: stage a
-one-edge-short pattern against a ``policy="predict"`` server, watch
-the warning surface as a ``repro_near_cycles_total`` increment and a
-``kind: "near-cycle"`` incident record, then close the pattern and
-watch the very deadlock the warning predicted get resolved — with the
-policy name stamped on the forensics record.
+A deadlock staged over the wire and resolved by the server's pass lands
+as an incident record with the policy name stamped on it; the nowait
+lane aborts at block time without charging a detector pass; every
+server advertises its policy in ``hello``, ``stats`` and the registry.
 """
 
 from __future__ import annotations
@@ -32,11 +30,11 @@ def metric(server, name, **labels):
     return exposition.get((name, tuple(sorted(labels.items()))), 0.0)
 
 
-class TestPredictService:
-    def test_near_cycle_warning_then_deadlock(self):
+class TestPeriodicService:
+    def test_resolved_deadlock_record_is_policy_stamped(self):
         # period=None: the test runs its own passes (a clocked server
         # would resolve the saturating cycle before the ``detect``).
-        with LoopbackServer(period=None, policy="predict") as loopback:
+        with LoopbackServer(period=None, policy="periodic") as loopback:
             async def scenario():
                 client = await AsyncLockClient.connect(
                     loopback.host, loopback.port
@@ -44,18 +42,11 @@ class TestPredictService:
                 try:
                     assert await client.acquire(1, "R1", LockMode.X)
                     assert await client.acquire(2, "R2", LockMode.X)
-                    # T2 waits for T1 while holding R2: one edge short.
                     assert not await client.acquire(
                         2, "R1", LockMode.X, wait=False
                     )
                     result = await client.detect()
                     assert not result.deadlock_found
-
-                    stats = await client.stats()
-                    assert stats["policy"] == "predict"
-                    assert stats["policy_info"]["near_cycles_total"] == 1
-
-                    # Close the predicted cycle; the pass resolves it.
                     assert not await client.acquire(
                         1, "R2", LockMode.X, wait=False
                     )
@@ -65,32 +56,11 @@ class TestPredictService:
                     await client.close()
 
             run(scenario())
-            server = loopback.server
-            assert metric(
-                server, "repro_near_cycles_total", policy="predict"
-            ) >= 1.0
-            assert metric(
-                server, "repro_detection_policy", policy="predict"
-            ) == 1.0
-
-            records = server.core.incidents.recent(10)
-            kinds = [record.get("kind", "deadlock") for record in records]
-            assert "near-cycle" in kinds
-            warning = next(
-                r for r in records if r.get("kind") == "near-cycle"
-            )
-            assert warning["policy"] == "predict"
-            assert warning["near_cycles"] == 1
-            (pattern,) = warning["patterns"]
-            assert pattern["path"] == [1, 2]
-            assert pattern["close"] == {"tid": 1, "holds": ["R2"]}
-            # ... and the deadlock it predicted, resolved and stamped.
-            deadlock = next(
-                r for r in records
-                if r.get("kind", "deadlock") == "deadlock"
-            )
-            assert deadlock["policy"] == "predict"
-            assert deadlock["cycles"]
+            (record,) = loopback.server.core.incidents.recent(10)
+            assert record.get("kind", "deadlock") == "deadlock"
+            assert record["policy"] == "periodic"
+            assert record["source"] == "service"
+            assert record["cycles"]
 
 
 class TestNoWaitService:

@@ -352,7 +352,7 @@ PARENT_PARSER_SHAPE = \
            ('--period', None, 0.5), ('--lease', None, 5.0),
            ('--continuous', None, 'periodic'),
            ('--policy',
-            ['adaptive', 'continuous', 'nowait', 'periodic', 'predict'],
+            ['adaptive', 'continuous', 'nowait', 'periodic'],
             'periodic'),
            ('--shards', None, 1), ('--workers', None, 1),
            ('--cost', None, []), ('--journal', None, None),

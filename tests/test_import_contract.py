@@ -24,9 +24,10 @@ tool = load_tool("import_closure")
 #: source lines (49 / 14.5k when written; 73 / 18.1k before it, with
 #: numpy; 47 / 13.3k once ``repro.service`` imported lazily; 45 / 13.0k
 #: once one lock core replaced ``LockManager``/``ConcurrentLockManager``;
-#: 44 / 12 960 once ``core.batched`` became a simulator policy).
-SERVE_MODULES_MAX = 44
-SERVE_LINES_MAX = 12960
+#: 44 / 12 960 once ``core.batched`` became a simulator policy; 43 /
+#: 12 584 once the near-cycle ``predict`` policy went).
+SERVE_MODULES_MAX = 43
+SERVE_LINES_MAX = 12584
 #: Peak resident set of a real server at its first reply (26.1 MB when
 #: written, 39.3 at the parent).
 FIRST_REPLY_HWM_MB_MAX = 30.0
@@ -72,6 +73,25 @@ def test_one_policy_interface():
     ]
     assert len(policies) == 8
     assert not set(policies) & set(POLICIES.values())
+
+
+def test_no_predictive_policy():
+    """The ``predict`` policy is gone, and with it every hook that fed it
+    or carried its output: a pass consults the policy through these
+    hooks only."""
+    from repro.policy import POLICIES, DetectionPolicy
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.policy.predict")
+    assert set(POLICIES) == {"periodic", "continuous", "adaptive", "nowait"}
+    hooks = {
+        name for name, value in vars(DetectionPolicy).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert hooks == {
+        "bind", "on_block", "observe_pass", "current_period", "detect",
+        "on_tick", "describe",
+    }
 
 
 @pytest.fixture(scope="module")

@@ -68,7 +68,7 @@ error     {"v": 1, "id": 7, "ok": false,
 | `metrics` | — | full telemetry: registry snapshot `metrics`, Prometheus `text`, `enabled` |
 | `spans` | `limit?`, `annotations?` | span log: `total` (lifecycle), `annotations` (born-finished pass/resolution spans, listed when `annotations` is true), `open`, `spans` (see `docs/OBSERVABILITY.md`) |
 | `holding`, `deadlocked` | `tid` / — | per-transaction locks / any cycle present |
-| `snapshot` | — | this worker's slice of the *waiting structure*: versioned `table` entries of the resources somebody is blocked at, in first-lock order, their `sequence` map, and `held` — per transaction blocked here, the resource ids it holds on this worker (idle locks are never shipped; cluster coordinators merge these; see `docs/CLUSTER.md`) |
+| `snapshot` | — | this worker's slice of the *waiting structure*: versioned `table` entries of the resources somebody is blocked at, in first-lock order, and their `sequence` map (idle locks are never shipped; cluster coordinators merge these; see `docs/CLUSTER.md`) |
 | `resolve` | `plan` (`victims`, `repositions`, `releases`, `sweeps`, `ctx?`) | one routed resolution applied as one core step: per-item `confirmed`/`applied` flags and the `grants` the resolution woke — stale items are reported, not applied, and `releases` for a transaction this worker never saw is a no-op; `ctx` (`trace`, `span`) parents the worker's resolution spans to the coordinator pass |
 | `goodbye` | — | clean detach (still sweeps the session's transactions) |
 
@@ -105,7 +105,7 @@ CLI entry points:
 
 ```
 python -m repro serve  --port 7411 --period 0.5 --lease 5 [--continuous]
-python -m repro serve  --port 7411 --policy periodic|continuous|nowait|adaptive|predict
+python -m repro serve  --port 7411 --policy periodic|continuous|nowait|adaptive
 python -m repro serve  --port 7411 --journal sessions.jsonl [--journal-fsync batch]
 python -m repro serve  --port 7411 --workers 4 [--journal DIR]  # cluster supervisor
 python -m repro serve  --port 7411 [--metrics-port 9100] [--incident-log FILE]

@@ -21,7 +21,9 @@ created series and codecs are out of the way:
   the benchmark's first planted round (``planted_round(5, 0)``: 38
   transactions, 8 deadlock cycles) on ``ShardedLockCore`` with
   ``shards=4`` (routed: staged on a merged copy, resolved on the live
-  shards) and ``shards=1`` (in place).
+  shards) and ``shards=1`` (in place), and on ``LocalCluster(2)`` (the
+  coordinator's pass: ``snapshot`` payloads and ``resolve`` plans
+  through the JSON wire codec).
 
 Exits 1 when a figure is over its ratchet (:data:`CEILINGS`;
 ``tests/lockmgr/test_lock_path_cost.py`` asserts the same table in
@@ -57,9 +59,10 @@ CEILINGS = {
     "ShardedLockCore.lock py": 13,
     "scheduler.request py": 10,
     "finish_step+pump x8 py (telemetry on)": 60,
-    # Measured 1340 / 654 (Python 3.11), plus 5%.
+    # Measured 1340 / 654 / 2658 (Python 3.11), plus 5%.
     "detect planted round py (shards=4)": 1407,
     "detect planted round py (shards=1)": 687,
+    "detect planted round py (LocalCluster(2))": 2791,
 }
 if sys.version_info >= (3, 10):
     CEILINGS.update({
@@ -226,12 +229,18 @@ def measure() -> Dict[str, object]:
     from bench.workloads import planted_round
     from repro.core.modes import parse_mode
 
-    for shards in (4, 1):
-        planted = ShardedLockCore(shards=shards, policy="periodic")
+    from repro.cluster import LocalCluster
+
+    hosts = [
+        (" (shards={})".format(shards),
+         ShardedLockCore(shards=shards, policy="periodic"))
+        for shards in (4, 1)
+    ]
+    hosts.append((" (LocalCluster(2))", LocalCluster(workers=2, wire="json")))
+    for label, planted in hosts:
         for plant in planted_round(5, 0):
             for tid, rid, mode, _ in plant.requests:
                 planted.lock(tid, rid, parse_mode(mode))
-        label = " (shards={})".format(shards)
         python, c = count_calls(planted.detect)
         figures["detect planted round py" + label] = python
         figures["detect planted round C" + label] = c
