@@ -12,9 +12,8 @@ measured against the paper's fixed-period detector:
 * **nowait** — the ordered deadlock-free lane: zero detector passes,
   prevention aborts instead.
 
-Claims pinned here (and recorded in
-``benchmarks/results/BENCH_policies.json`` as ``repro.bench/1``
-records, abort rates included):
+Claims pinned here (the table lands in
+``benchmarks/results/X11_policy_sweep.txt``, abort rates included):
 
 * at **high contention**, nowait beats the fixed-period detector at
   the simulator's default period on throughput — immediate aborts
@@ -29,23 +28,17 @@ records, abort rates included):
   **zero** deadlock episodes under it, at every contention level.
 """
 
-import os
-
 from repro.analysis.report import render_table
-from repro.obs.bench import append_record, build_record
 from repro.policy import AdaptivePolicy, NoWaitPolicy, PeriodicPolicy
 from repro.sim.runner import run_once
 from repro.sim.workload import WorkloadSpec, low_contention
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RECORDS_PATH = os.path.join(RESULTS_DIR, "BENCH_policies.json")
 
 #: The default the closed-loop simulator runs detection at; the point
 #: the nowait-vs-periodic headline claim is measured at.
 DEFAULT_PERIOD = 10.0
 PERIOD_LADDER = (0.5, 2.0, DEFAULT_PERIOD, 20.0)
 SEEDS = (1, 2, 3)
-DURATION = float(os.environ.get("REPRO_BENCH_POLICIES_DURATION", "300"))
+DURATION = 300.0
 TERMINALS = 8
 
 
@@ -153,28 +146,6 @@ def test_x11_policy_sweep(benchmark, record_result):
     # Whatever fixed period reaches adaptive's throughput at low
     # contention pays at least as many passes as adaptive does.
     assert cool_adaptive["detection_passes"] <= cool_best_passes
-
-    # -- persist: one repro.bench/1 record per cell ------------------------
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    if os.path.exists(RECORDS_PATH):
-        os.remove(RECORDS_PATH)
-    for (workload, strategy, period), summary in sorted(cells.items()):
-        append_record(
-            RECORDS_PATH,
-            build_record(
-                "policy_sweep",
-                summary,
-                params={
-                    "workload": workload,
-                    "strategy": strategy,
-                    "policy": strategy.replace("park-", ""),
-                    "period": period,
-                    "duration": DURATION,
-                    "terminals": TERMINALS,
-                    "seeds": len(SEEDS),
-                },
-            ),
-        )
 
     rows = [
         [

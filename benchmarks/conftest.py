@@ -35,61 +35,3 @@ def write_result(name: str, text: str) -> None:
 @pytest.fixture
 def record_result():
     return write_result
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--lock-backend",
-        choices=["local", "remote"],
-        default="local",
-        help="lock manager the service benchmark drives: the embedded "
-        "thread-safe manager (local) or a RemoteLockManager talking to "
-        "a loopback lock server (remote)",
-    )
-    parser.addoption(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="append one repro.bench/1 JSON-lines record per benchmark "
-        "(summary numbers plus an optional registry snapshot) to PATH",
-    )
-
-
-@pytest.fixture
-def record_metrics(request):
-    """Append a structured ``repro.bench/1`` record when ``--metrics-out``
-    was given; a silent no-op otherwise.
-
-    Call as ``record_metrics(bench, summary, metrics=..., params=...)``.
-    """
-    path = request.config.getoption("--metrics-out")
-
-    def record(bench, summary, metrics=None, params=None):
-        if path is None:
-            return None
-        from repro.obs.bench import append_record, build_record
-
-        record = build_record(
-            bench, summary, metrics=metrics, params=params
-        )
-        append_record(path, record)
-        return record
-
-    return record
-
-
-@pytest.fixture
-def lock_manager_factory(request):
-    """A zero-argument factory for a blocking lock manager, selected by
-    ``--lock-backend``.  Injected so the same closed-loop workload
-    (:func:`repro.sim.realtime.run_realtime`) measures either backend."""
-    backend = request.config.getoption("--lock-backend")
-    if backend == "local":
-        from repro.lockmgr import ShardedLockManager
-
-        yield lambda: ShardedLockManager(period=0.05)
-        return
-    from repro.service import LoopbackServer, RemoteLockManager
-
-    with LoopbackServer(period=0.05) as server:
-        yield lambda: RemoteLockManager(server.host, server.port)

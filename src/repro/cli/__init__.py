@@ -105,6 +105,13 @@ def parse_costs(pairs: List[str]) -> CostTable:
     return CostTable(parse_cost_pairs(pairs))
 
 
+def count(text: str) -> int:
+    """A ``--limit`` (``0`` = all), never a negative slice."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("a limit is a count (0 = all)")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -168,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=STRATEGY_NAMES, default="park-periodic"
     )
     add_sim_options(simulate_cmd)
-    simulate_cmd.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="append a repro.bench/1 JSON-lines record of the summary",
-    )
     simulate_cmd.set_defaults(run="simulate:cmd_simulate")
 
     compare_cmd = commands.add_parser(
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dot", action="store_true", help="emit Graphviz (graph action)"
     )
     remote_cmd.add_argument(
-        "--limit", type=int, default=20, help="events to show (log action)"
+        "--limit", type=count, default=20, help="events to show (log action)"
     )
     remote_cmd.set_defaults(run="remote:cmd_remote")
 
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write JSON-lines here instead of stdout",
     )
     trace_cmd.add_argument(
-        "--limit", type=int, default=0,
+        "--limit", type=count, default=0,
         help="most recent spans to export (0 = all retained)",
     )
     trace_cmd.set_defaults(run="remote:cmd_trace_export")
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="incident id to show/graph (default: the newest)",
     )
     incidents_cmd.add_argument(
-        "--limit", type=int, default=0,
+        "--limit", type=count, default=0,
         help="newest records to list (0 = all)",
     )
     incidents_cmd.set_defaults(run="incidents:cmd_incidents")

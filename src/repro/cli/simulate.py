@@ -8,7 +8,6 @@ import sys
 
 from .. import baselines
 from ..analysis.report import render_summaries
-from ..obs.bench import append_record, build_record
 from ..policy import (
     AdaptivePolicy,
     ContinuousPolicy,
@@ -55,30 +54,14 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         period=args.period,
     )
-    summary = result.metrics.summary()
     print(
         render_summaries(
-            {result.strategy: summary},
+            {result.strategy: result.metrics.summary()},
             title="simulation (duration {}, {} terminals, seed {})".format(
                 args.duration, args.terminals, args.seed
             ),
         )
     )
-    if args.metrics_out:
-        record = build_record(
-            "simulate",
-            summary,
-            params={
-                "strategy": args.strategy,
-                "duration": args.duration,
-                "terminals": args.terminals,
-                "seed": args.seed,
-                "period": args.period,
-                "preset": args.preset or "",
-            },
-        )
-        append_record(args.metrics_out, record)
-        print("metrics record appended to {}".format(args.metrics_out))
     return 0
 
 

@@ -9,11 +9,10 @@
 * :class:`ClusterLockManager` — the blocking facade mirroring
   :class:`~repro.service.client.RemoteLockManager`, but over N worker
   connections: ``acquire`` routes by ``crc32(rid) % N``, transactions
-  are registered lazily on each worker they touch, ``commit``/``abort``
-  fan out to the touched workers, and ``acquire_many`` pipelines each
-  worker's sub-batch concurrently.  Transaction ids are allocated by
-  worker 0 (every cluster client does the same, which keeps ids unique
-  fleet-wide).
+  are registered lazily on each worker they touch, and
+  ``commit``/``abort`` fan out to the touched workers.  Transaction ids
+  are allocated by worker 0 (every cluster client does the same, which
+  keeps ids unique fleet-wide).
 
 Failure model: a worker that dies mid-request fails *fast* — the
 server-side half of that is the connection-lost sweep in
@@ -32,9 +31,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.errors import TransactionAborted
 from ..core.modes import LockMode
 from ..core.victim import CostTable
 from ..service.client import AsyncLockClient, _NETWORK_SLACK
@@ -394,54 +392,6 @@ class ClusterLockManager:
             lambda client: client.acquire(tid, rid, mode, timeout=timeout),
             outer,
         )
-
-    def acquire_many(
-        self,
-        tid: int,
-        accesses: Iterable[Tuple[str, LockMode]],
-        timeout: Optional[float] = None,
-    ) -> bool:
-        """Acquire a lock set, pipelining each worker's share into one
-        ``batch`` frame, concurrently across workers; contended locks
-        fall back to individual waiting ``acquire`` calls."""
-        accesses = list(accesses)
-        if not accesses:
-            return True
-        groups: Dict[int, List[Tuple[str, LockMode]]] = {}
-        for rid, mode in accesses:
-            groups.setdefault(self.worker_index(rid), []).append((rid, mode))
-        for index in groups:
-            self._ensure_registered(tid, index)
-
-        async def fan_out() -> List[bool]:
-            return list(
-                await asyncio.gather(
-                    *(
-                        self._clients[index].acquire_many(
-                            tid, group, timeout=timeout
-                        )
-                        for index, group in sorted(groups.items())
-                    )
-                )
-            )
-
-        outer = None
-        if timeout is not None:
-            outer = timeout * max(len(accesses), 1) + _NETWORK_SLACK
-        try:
-            results = self._run(fan_out(), outer)
-        except (ConnectionError, OSError) as exc:
-            with self._mutex:
-                self._down.update(
-                    index
-                    for index in groups
-                    if self._clients[index]._closed
-                )
-            raise ServiceError(
-                "worker-down",
-                "a worker dropped the connection mid-batch: {}".format(exc),
-            ) from exc
-        return all(results)
 
     def commit(self, tid: int) -> None:
         self._finish(tid, aborting=False)

@@ -90,7 +90,6 @@ class ClusterSupervisor:
         lease: float = 5.0,
         costs: Optional[Dict[int, float]] = None,
         shards_per_worker: int = 1,
-        worker_period: Optional[float] = None,
         start_method: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
         journal_dir: Optional[str] = None,
@@ -117,7 +116,6 @@ class ClusterSupervisor:
         self.period = period
         self.lease = lease
         self.shards_per_worker = shards_per_worker
-        self.worker_period = worker_period
         self.journal_dir = journal_dir
         self.max_worker_restarts = max_worker_restarts
         self.costs = CostTable(dict(costs or {}))
@@ -228,7 +226,6 @@ class ClusterSupervisor:
         kwargs = {
             "lease": self.lease,
             "shards": self.shards_per_worker,
-            "period": self.worker_period,
             "costs": self._worker_costs,
         }
         # Block-time policies (the nowait lane) act on each worker

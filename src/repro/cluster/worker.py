@@ -48,7 +48,6 @@ def worker_main(
     sequence_counter=None,
     lease: float = 5.0,
     shards: int = 1,
-    period: Optional[float] = None,
     costs: Optional[Dict[int, float]] = None,
     journal_path: Optional[str] = None,
     policy: str = "periodic",
@@ -58,17 +57,15 @@ def worker_main(
     ``ready`` is a queue the worker reports ``(index, host, port)`` on
     once bound; ``sequence_counter`` is the shared first-lock counter
     (None runs a private counter — fine for a standalone server, wrong
-    for a cluster).  ``shards``/``period`` exist so the cluster
-    benchmark can also spawn its single-process baseline (a worker with
-    in-process shards and its own detector) through the same entry
-    point.  ``policy`` is the detection policy *name* the
-    supervisor runs cluster-wide — block-time policies (the nowait
-    lane) act on each worker locally, so every worker must share it.
-    ``journal_path`` makes the worker durable: it
-    journals sessions and locks there, and — when the supervisor
-    respawns it after a death — rebuilds its table slice from the same
-    file (journaled ``lock`` records carry the cluster-wide sequence
-    number, so the merged order survives the restart).
+    for a cluster).  ``shards`` splits the worker's slice into
+    in-process shards.  ``policy`` is the detection policy *name* the
+    supervisor runs cluster-wide — block-time policies (the nowait lane)
+    act on each worker locally, so every worker must share it.
+    ``journal_path`` makes the worker durable: it journals sessions
+    and locks there, and — when the supervisor respawns it after a
+    death — rebuilds its table slice from the same file (journaled
+    ``lock`` records carry the cluster-wide sequence number, so the
+    merged order survives the restart).
     """
     from ..core.victim import CostTable
     from ..service.server import LockServer
@@ -83,7 +80,7 @@ def worker_main(
     )
     server = LockServer(
         costs=cost_table,
-        period=period,
+        period=None,
         lease=lease,
         shards=shards,
         sequence_source=source,

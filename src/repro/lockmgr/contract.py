@@ -19,7 +19,7 @@ Declared once, satisfied structurally (no base classes, no adapters):
   :class:`~repro.cluster.client.ClusterLockManager`.
 
 Both are the intersection that already exists; facade-specific extras
-(``begin``/``batch``/``acquire_many`` on the service clients,
+(``begin``/``batch`` on the service clients,
 ``snapshot_payload`` on the sharded core, …) stay outside the contract.
 """
 

@@ -343,6 +343,8 @@ class ShardedLockCore:
         """Request (or convert to) ``mode`` on ``rid`` for ``tid``.  A
         blocked request runs the policy's ``on_block`` hook; a
         resolution it makes is kept in :attr:`last_detection`."""
+        if tid < 1:  # 0 and -1 are the detector walk's sentinels
+            raise LockTableError("transaction id {} < 1".format(tid))
         shard = self.shard_for(rid)
         with shard.mutex:
             touched = bit = 0

@@ -15,9 +15,6 @@ Four layers, importable anywhere the lock manager is:
 * :mod:`repro.obs.top` — the ``python -m repro top`` dashboard and
   ``trace-export``.
 
-:mod:`repro.obs.bench` defines the ``repro.bench/1`` JSON-lines record
-that ``--metrics-out`` appends to ``benchmarks/results/``.
-
 The metric catalog and span schema are documented in
 ``docs/OBSERVABILITY.md``.
 """

@@ -36,8 +36,7 @@ Record schema (``repro.incident/1``)::
 :class:`IncidentLog` bounds the record stream both in memory (a ring)
 and on disk (the JSON-lines file is compacted back to the newest
 ``capacity`` records once it doubles), so a deadlock storm cannot grow
-the log without bound.  ``tools/validate_records.py`` checks emitted
-files against :func:`validate_incident` in CI.
+the log without bound.
 """
 
 from __future__ import annotations

@@ -375,8 +375,7 @@ class MetricsRegistry:
         return family.children.get(_label_items(labels))
 
     def snapshot(self) -> Dict[str, List[dict]]:
-        """A JSON-ready view of every instrument (the ``metrics`` wire
-        payload and the benchmark-record ``metrics`` block)."""
+        """A JSON-ready view of every instrument (the ``metrics`` op)."""
         counters: List[dict] = []
         gauges: List[dict] = []
         histograms: List[dict] = []

@@ -673,23 +673,6 @@ class RemoteLockManager:
         :meth:`AsyncLockClient.batch`)."""
         return self._run(self._client.batch(ops))
 
-    def acquire_many(
-        self,
-        tid: int,
-        accesses: Iterable[Tuple[str, LockMode]],
-        timeout: Optional[float] = None,
-    ) -> bool:
-        """Acquire a whole lock set in one frame, falling back to
-        waiting ``acquire`` calls for the contended ones."""
-        accesses = list(accesses)
-        outer = None
-        if timeout is not None:
-            outer = timeout * max(len(accesses), 1) + _NETWORK_SLACK
-        return self._run(
-            self._client.acquire_many(tid, accesses, timeout=timeout),
-            outer,
-        )
-
     # -- detection ------------------------------------------------------------
 
     def detect(self) -> RemoteDetectionResult:

@@ -405,6 +405,8 @@ class ServiceCore:
     def claim(self, tid: int, session: Session) -> None:
         owner = self.owners.get(tid)
         if owner is None:
+            if tid < 1:  # 0 and -1 are the detector walk's sentinels
+                raise ServiceError("bad-request", "tid must be >= 1")
             self.owners[tid] = session
             session.tids.add(tid)
         elif owner is not session:

@@ -248,44 +248,6 @@ class EmbeddedLockManager:
         core = self._core
         return self._submit(lambda: self._step(core.batch_step, op_list))
 
-    def acquire_many(
-        self,
-        tid: int,
-        accesses: Iterable[Tuple[str, "LockMode | str"]],
-        timeout: Optional[float] = None,
-    ) -> bool:
-        """Acquire a whole lock set, falling back to waiting
-        :meth:`acquire` calls for the contended ones."""
-        pending = [
-            (rid, mode if isinstance(mode, LockMode) else parse_mode(mode))
-            for rid, mode in accesses
-        ]
-        results = self.batch(
-            [
-                {
-                    "op": "lock",
-                    "tid": tid,
-                    "rid": rid,
-                    "mode": mode.name,
-                    "wait": False,
-                }
-                for rid, mode in pending
-            ]
-        )
-        for (rid, mode), result in zip(pending, results):
-            if not result.get("ok"):
-                error = result.get("error", {})
-                if error.get("code") == "aborted":
-                    raise TransactionAborted(tid)
-                raise RuntimeError(
-                    "batch lock failed: {}".format(error or result)
-                )
-            if result.get("status") == "granted":
-                continue
-            if not self.acquire(tid, rid, mode, timeout=timeout):
-                return False
-        return True
-
     def run_transaction(
         self,
         tid: int,
@@ -294,10 +256,10 @@ class EmbeddedLockManager:
     ) -> bool:
         """Begin, acquire every lock, and commit — one structured op.
 
-        The wire-free hot path: where :meth:`acquire_many` mirrors the
-        remote facade's frame sequence (a batch round trip, waiting
-        acquires, a commit round trip), this crosses the thread
-        boundary **once** for an uncontended transaction.  The whole
+        The wire-free hot path: where the remote facade pays a batch
+        round trip, waiting acquires and a commit round trip, this
+        crosses the thread boundary **once** for an uncontended
+        transaction.  The whole
         begin/lock*/commit sequence runs as a single plain function on
         the server's loop thread; no wire-shaped result dicts are built
         and no frame bytes exist anywhere.  Contended transactions fall

@@ -218,13 +218,13 @@ def _bad(name: str, expected: str) -> ServiceError:
 def int_field(
     frame: Dict[str, Any], name: str, default: Any = _REQUIRED
 ) -> Any:
-    """``frame[name]`` as an int; ``default`` (when given) stands for a
-    missing or null field."""
+    """``frame[name]`` as an int >= 0 (every int field is a tid or a
+    count); ``default`` (when given) stands for a missing or null field."""
     value = frame.get(name)
     if value is None and default is not _REQUIRED:
         return default
-    if type(value) is not int:
-        raise _bad(name, "an integer")
+    if type(value) is not int or value < 0:
+        raise _bad(name, "a non-negative integer")
     return value
 
 

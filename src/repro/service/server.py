@@ -745,8 +745,7 @@ class LockServer:
 
     def _op_log(self, connection, frame) -> dict:
         limit = int_field(frame, "limit", 100)
-        payload = admin.log_payload(self.manager, limit=limit)
-        return ok(frame.get("id"), **payload)
+        return ok(frame.get("id"), **admin.log_payload(self.manager, limit))
 
     def _op_stats(self, connection, frame) -> dict:
         return ok(frame.get("id"), stats=self.core.stats_payload())

@@ -93,6 +93,19 @@ class TestLockingSurface:
             core.lock(3, b, LockMode.X)
         assert core.blocked_at(3) == a
 
+    def test_transaction_ids_start_at_one(self, build):
+        """0 and -1 are the detector walk's sentinels: a lock under
+        either is refused before it reaches the table, where its
+        deadlock would be one no pass finds (0) or every pass fails on
+        (-1)."""
+        core = build()
+        a, b = scenarios.spread_rids(core)
+        for tid in (0, -1):
+            with pytest.raises(LockTableError):
+                core.lock(tid, a, LockMode.X)
+        assert core.table.resource_ids() == []
+        scenarios.check_x_cycle_needs_one_victim(core, a, b)
+
     def test_victim_is_latched_until_finish(self, build):
         core = build()
         a, b = scenarios.spread_rids(core)

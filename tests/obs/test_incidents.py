@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core.detection import PeriodicDetector
 from repro.core.notation import load_table
 from repro.core.victim import CostTable
@@ -128,6 +130,18 @@ class TestValidate:
         shown = capsys.readouterr()
         assert shown.out.startswith("incident inc-0ld")
         assert "schema problem: kind must be 'deadlock'" in shown.err
+
+    def test_list_refuses_a_negative_limit(self, tmp_path, capsys):
+        """``--limit`` is a count: ``-2`` would slice off the two
+        oldest records instead of keeping the two newest."""
+        from repro.cli import main
+
+        path = tmp_path / "incidents.jsonl"
+        path.write_text("")
+        with pytest.raises(SystemExit) as raised:
+            main(["incidents", "list", str(path), "--limit", "-2"])
+        assert raised.value.code == 2
+        assert "a limit is a count" in capsys.readouterr().err
 
 
 class TestLog:

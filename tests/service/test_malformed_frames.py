@@ -41,6 +41,13 @@ MALFORMED = [
     ("holding", {"tid": "1"}),
     ("log", {"limit": "many"}),
     ("spans", {"limit": 1.5}),
+    # A limit is a count (0 = all), never a negative slice.
+    ("log", {"limit": -2}),
+    ("spans", {"limit": -2}),
+    # Transaction ids start at 1: 0 and -1 are the detector's sentinels.
+    ("begin", {"tid": 0}),
+    ("begin", {"tid": -1}),
+    ("lock", {"tid": 0, "rid": "S", "mode": "X"}),
 ]
 
 

@@ -615,6 +615,41 @@ class TestBatchRecordHoldsWhatMutated:
         ]
 
 
+class TestTransactionIdsStartAtOne:
+    """0 and -1 are the detector walk's sentinels.  A peer that could
+    begin or lock under either would deadlock a transaction no pass can
+    resolve (every pass after it fails), so ``claim`` refuses them:
+    nothing claimed, queued or journaled."""
+
+    def test_begin_lock_and_batch_refuse_a_tid_below_one(self):
+        core = ServiceCore(policy="periodic", journal=SessionJournal())
+        mine = core.open_session()
+        before = len(core.journal)
+        for tid in (0, -1):
+            with pytest.raises(ServiceError) as caught:
+                core.begin_step(mine, tid)
+            assert caught.value.code == "bad-request"
+            with pytest.raises(ServiceError) as caught:
+                core.lock_step(mine, tid, "r1", LockMode.X)
+            assert caught.value.code == "bad-request"
+        results = core.batch_step(mine, [
+            {"op": "begin", "tid": -1},
+            {"op": "lock", "tid": 0, "rid": "r1", "mode": "X"},
+        ])
+        assert [row["error"]["code"] for row in results] == [
+            "bad-request", "bad-request",
+        ]
+        assert core.owners == {} and mine.tids == set()
+        assert str(core.manager.table).strip() == ""
+        assert len(core.journal) == before
+        # The pass still resolves the deadlock of well-formed ids.
+        core.lock_step(mine, 1, "r1", LockMode.X)
+        core.lock_step(mine, 7, "r2", LockMode.X)
+        core.lock_step(mine, 1, "r2", LockMode.X, wait=False)
+        core.lock_step(mine, 7, "r1", LockMode.X, wait=False)
+        assert len(core.detect_step().aborted) == 1
+
+
 class TestResolvePlanIsAllOrNothing:
     """A ``resolve`` plan a peer got wrong is refused whole: nothing
     lands on the core and nothing is journaled, so recovery rebuilds

@@ -297,7 +297,8 @@ def parser_shape(parser):
 #: ``parser_shape(build_parser())`` at commit 3242e28, the last one with
 #: a one-file ``cli.py`` (``pprint`` output, committed as printed), with
 #: ``serve``'s detector flags since: ``--continuous`` stores into
-#: ``policy``, and ``--policy``/``--shards`` default to a constant.
+#: ``policy``, and ``--policy``/``--shards`` default to a constant;
+#: ``simulate`` has since lost its benchmark-record option.
 PARENT_PARSER_SHAPE = \
 {'inspect': [('file', None, None)],
  'graph': [('file', None, None), ('--dot', None, False)],
@@ -315,8 +316,7 @@ PARENT_PARSER_SHAPE = \
               ('--preset',
                ['conversion-heavy', 'five-mode', 'high-contention',
                 'low-contention'],
-               None),
-              ('--metrics-out', None, None)],
+               None)],
  'compare': [('--strategies',
               ['agrawal', 'elmagarmid', 'jiang', 'nowait',
                'park-adaptive', 'park-continuous', 'park-periodic',

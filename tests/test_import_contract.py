@@ -94,6 +94,22 @@ def test_no_predictive_policy():
     }
 
 
+def test_one_benchmark_harness():
+    """The benchmark-record module is gone with the legacy
+    benchmark lanes, and so are the blocking ``acquire_many`` copies
+    only those lanes called; the asyncio client keeps its own."""
+    from repro.cluster.client import ClusterLockManager
+    from repro.service.client import AsyncLockClient, RemoteLockManager
+    from repro.service.loopback import EmbeddedLockManager
+
+    with pytest.raises(ImportError):
+        importlib.import_module(".bench", "repro.obs")
+    for facade in (RemoteLockManager, EmbeddedLockManager,
+                   ClusterLockManager):
+        assert not hasattr(facade, "acquire_many"), facade
+    assert hasattr(AsyncLockClient, "acquire_many")
+
+
 @pytest.fixture(scope="module")
 def serve_closure():
     return tool.closure(["serve"])
