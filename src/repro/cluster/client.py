@@ -447,7 +447,7 @@ class ClusterLockManager:
         if self._transport is None:
             self._transport = WireClusterTransport(self._endpoints)
         merged, _, _ = merge_snapshots(self._transport.snapshot_all())
-        return build_graph(merged.snapshot()).has_cycle()
+        return build_graph(merged.waiting_resources()).has_cycle()
 
     def stats(self) -> List[Dict[str, Any]]:
         """Per-worker ``stats`` payloads, index-aligned; a down worker

@@ -38,11 +38,10 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.detection import DetectionResult
-from ..core.serialize import table_from_dict
+from ..core.serialize import state_from_dict
 from ..core.victim import CostTable
-from ..lockmgr.detection_pass import DetectionPass, PassInfo
+from ..lockmgr.detection_pass import DetectionPass, PassInfo, WaitingCopy
 from ..lockmgr.events import Granted, Repositioned
-from ..lockmgr.lock_table import LockTable
 from ..lockmgr.partition import partition_of
 from ..service.protocol import event_from_dict, event_to_dict
 
@@ -156,16 +155,17 @@ def apply_resolution_plan(core, plan: Dict[str, Any]) -> Dict[str, Any]:
 
 def merge_snapshots(
     payloads: List[Optional[Dict[str, Any]]],
-) -> Tuple[LockTable, List[int], List[float]]:
-    """Merge worker ``snapshot`` payloads into one RST.
+) -> Tuple[WaitingCopy, List[int], List[float]]:
+    """Merge worker ``snapshot`` payloads into one waiting structure.
 
     ``payloads`` is index-aligned with the workers; ``None`` marks a
     worker whose snapshot could not be fetched (its slice is simply
     absent — cycles wholly among reachable workers still resolve).
-    Returns ``(merged table, unreachable worker indexes, per-worker
-    snapshot seconds)``.  Resources sort by their cluster-wide
-    first-lock sequence number, which reproduces the iteration order of
-    a single-process table fed the same request stream.
+    Returns ``(merged states, unreachable worker indexes, per-worker
+    snapshot seconds)``, the states a :class:`WaitingCopy` keyed by rid.
+    Resources sort by their cluster-wide first-lock sequence number,
+    which reproduces the iteration order of a single-process table fed
+    the same request stream.
     """
     unreachable: List[int] = []
     seconds = [0.0] * len(payloads)
@@ -182,9 +182,10 @@ def merge_snapshots(
             key = (0, int(raw)) if raw is not None else (1, 0)
             entries.append((key, index, position, entry))
     entries.sort(key=lambda item: (item[0], item[1], item[2]))
-    merged = table_from_dict(
-        {"v": 1, "resources": [entry[-1] for entry in entries]}
-    )
+    merged = WaitingCopy()
+    for entry in entries:
+        state = state_from_dict(entry[-1])
+        merged[state.rid] = state
     return merged, unreachable, seconds
 
 

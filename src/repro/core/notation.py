@@ -127,18 +127,10 @@ def load_table(lock_table, text: str):
     through real scheduler requests.
     """
     for state in parse_table(text):
-        real = lock_table.resource(state.rid)
-        if real.holders or real.queue:
+        if state.rid in lock_table:
             raise NotationError(
                 "resource {} is already populated".format(state.rid)
             )
-        real.holders = state.holders
-        real.queue = state.queue
-        real.recompute_total()  # resync the cached summaries too
-        for holder in state.holders:
-            lock_table.note_holder(holder.tid, state.rid)
-            if holder.is_blocked:
-                lock_table.note_blocked(holder.tid, state.rid, in_queue=False)
-        for waiter in state.queue:
-            lock_table.note_blocked(waiter.tid, state.rid, in_queue=True)
+        state.recompute_total()  # resync the cached summaries too
+        lock_table.install(state)
     return lock_table

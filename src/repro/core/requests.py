@@ -16,7 +16,6 @@ policy that mutates them according to Section 3 lives in
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -32,12 +31,7 @@ from .modes import (
 
 _NL = LockMode.NL
 
-#: ``@dataclass(**SLOTTED)``: slotted records (from Python 3.10 on; 3.9
-#: cannot generate ``__slots__`` and runs them unslotted).
-SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
-
-
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class HolderEntry:
     """One member of a resource's holder list: ``(tid, gm, bm)``.
 
@@ -64,7 +58,7 @@ class HolderEntry:
         )
 
 
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class QueueEntry:
     """One member of a resource's queue: ``(tid, bm)``."""
 
@@ -414,8 +408,8 @@ class ResourceState:
         """Deep copy (for snapshots taken by detectors and tests)."""
         return ResourceState(
             self.rid,
-            [entry.copy() for entry in self.holders],
-            [entry.copy() for entry in self.queue],
+            [HolderEntry(e.tid, e.granted, e.blocked) for e in self.holders],
+            [QueueEntry(e.tid, e.blocked) for e in self.queue],
             self.total,
         )
 

@@ -30,7 +30,7 @@ from typing import Any, Dict
 from ..lockmgr.lock_table import LockTable
 from .errors import ReproError
 from .modes import parse_mode
-from .requests import HolderEntry, QueueEntry
+from .requests import HolderEntry, QueueEntry, ResourceState
 
 #: Version stamped into every dump's envelope.
 FORMAT_VERSION = 1
@@ -81,41 +81,42 @@ def table_to_dict(table: LockTable) -> Dict[str, Any]:
     }
 
 
+def state_from_dict(entry: Dict[str, Any]) -> ResourceState:
+    """One dump entry as a state; ReproError when its total is wrong."""
+    state = ResourceState(entry["rid"])
+    state.holders = [
+        HolderEntry(
+            tid=int(holder["tid"]),
+            granted=parse_mode(holder["granted"]),
+            blocked=parse_mode(holder.get("blocked", "NL")),
+        )
+        for holder in entry.get("holders", ())
+    ]
+    state.queue = [
+        QueueEntry(tid=int(waiter["tid"]), blocked=parse_mode(waiter["mode"]))
+        for waiter in entry.get("queue", ())
+    ]
+    state.recompute_total()
+    declared = entry.get("total")
+    if declared is not None and parse_mode(declared) is not state.total:
+        raise ReproError(
+            "dump of {} declares total {} but holders give {}".format(
+                state.rid, declared, state.total.name
+            )
+        )
+    return state
+
+
 def table_from_dict(data: Dict[str, Any]) -> LockTable:
     """Rebuild a lock table (including indexes) from a dump.
 
     Raises :class:`ReproError` when the dump's envelope declares an
-    unknown version, or when its recorded total mode does not match the
-    recomputed one — a corrupted or hand-edited dump.
+    unknown version, or as :func:`state_from_dict` does for an entry.
     """
     check_version(data, "lock-table dump")
     table = LockTable()
     for entry in data.get("resources", ()):
-        state = table.resource(entry["rid"])
-        for holder in entry.get("holders", ()):
-            record = HolderEntry(
-                tid=int(holder["tid"]),
-                granted=parse_mode(holder["granted"]),
-                blocked=parse_mode(holder.get("blocked", "NL")),
-            )
-            state.holders.append(record)
-            table.note_holder(record.tid, state.rid)
-            if record.is_blocked:
-                table.note_blocked(record.tid, state.rid, in_queue=False)
-        for waiter in entry.get("queue", ()):
-            record = QueueEntry(
-                tid=int(waiter["tid"]), blocked=parse_mode(waiter["mode"])
-            )
-            state.enqueue(record)
-            table.note_blocked(record.tid, state.rid, in_queue=True)
-        state.recompute_total()
-        declared = entry.get("total")
-        if declared is not None and parse_mode(declared) is not state.total:
-            raise ReproError(
-                "dump of {} declares total {} but holders give {}".format(
-                    state.rid, declared, state.total.name
-                )
-            )
+        table.install(state_from_dict(entry))
     return table
 
 

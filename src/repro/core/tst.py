@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 from ..lockmgr.lock_table import LockTable
 from .hw_twbg import H_LABEL, W_LABEL, h_edges
 from .modes import LockMode
-from .requests import SLOTTED, ResourceState
+from .requests import ResourceState
 
 #: ``ancestor`` sentinel values.
 OFF_PATH = 0
@@ -76,7 +76,7 @@ class TSTEdge(NamedTuple):
         )
 
 
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class TSTEntry:
     """One transaction's row in the TST."""
 

@@ -9,12 +9,12 @@ request to draw an edge; the queues hold the W edges "all the time"), so
 a pass costs what the waiting costs, however many idle locks there are.
 
 :class:`DetectionPass` owns the sequence; a *binding* supplies its two
-ends.  ``collect()`` returns ``(table, live)``: the waiting structure
-as a lock table in first-lock order, and whether ``table`` is the live
-table (Steps 1–3 then resolve in place and nothing is routed).
-Otherwise Steps 1–2 stage on the copy and Step 3 runs once, against the
-live state: ``reposition`` / ``abort`` / ``sweep`` apply the staged
-resolutions where the live state is, re-checking each against it;
+ends.  ``collect()`` returns ``(table, live)``: the waiting structure,
+read by rid and in first-lock order, and whether it is the live table
+(Steps 1–3 then resolve in place and nothing is routed).  Otherwise it
+is a :class:`WaitingCopy`; Steps 1–2 stage on it and Step 3 runs once,
+against the live state: ``reposition`` / ``abort`` / ``sweep`` apply
+the staged resolutions, re-checking each against the live state;
 ``finish(result)`` hands the result to the host.  Bindings:
 :class:`LiveBinding` (one table, in place: the single-shard core), the
 shard binding of :class:`~repro.lockmgr.sharded.ShardedLockCore`
@@ -30,9 +30,20 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
+from ..core.requests import ResourceState
 from ..core.victim import CostTable
 from .events import Granted
 from .lock_table import LockTable
+
+
+class WaitingCopy(dict):
+    """Copies of the waiting resources, rid -> state in first-lock order:
+    all of a lock table that Steps 1–2 read (no transaction index)."""
+
+    existing = dict.__getitem__
+
+    def waiting_resources(self) -> List[ResourceState]:
+        return list(self.values())
 
 
 @dataclass
@@ -81,9 +92,6 @@ class LiveBinding:
     ) -> None:
         self.table, self.finish, self.guard = table, finish, guard
         self.info = PassInfo(parts=1)
-
-    def part_of(self, rid: str) -> int:
-        return 0
 
     def collect(self):
         return self.table, True
@@ -138,13 +146,13 @@ class DetectionPass:
             if live:
                 run.execute()
             policy.observe_pass(run.result, perf_counter() - started)
-            if info.parts > 1:
+            if info.parts > 1 and run.result.resolutions:
+                part = {s.rid: binding.part_of(s.rid) for s in states}
+                entries = run.tst.entries
                 for resolution in run.result.resolutions:
-                    parts = {
-                        binding.part_of(run.tst.entries[tid].pr)
-                        for tid in resolution.cycle
-                    }
-                    info.cross_part_cycles += len(parts) > 1
+                    info.cross_part_cycles += 1 < len(
+                        {part[entries[tid].pr] for tid in resolution.cycle}
+                    )
             if routed:
                 self._route(run)
             self.result = run.result

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Union
 
 from ..core.modes import LockMode
-from ..core.requests import SLOTTED
 
 #: Recent events a manager keeps (its ``log``).
 EVENT_LOG_CAPACITY = 1024
@@ -39,7 +38,7 @@ class EventLog(deque):
         return sum(self.counts)
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Granted:
     """A previously blocked request of ``tid`` on ``rid`` was granted.
 
@@ -55,7 +54,7 @@ class Granted:
     immediate: bool = False
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Blocked:
     """The request of ``tid`` on ``rid`` could not be granted.
 
@@ -76,7 +75,7 @@ class Blocked:
 RequestOutcome = Union[Granted, Blocked]
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Aborted:
     """``tid`` was aborted, e.g. as a deadlock victim."""
 
@@ -84,7 +83,7 @@ class Aborted:
     reason: str
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Repositioned:
     """TDR-2 reordered the queue of ``rid`` (deadlock resolved without
     aborting anyone).  ``delayed`` lists the transactions in ST whose

@@ -179,6 +179,10 @@ class LockTable:
         where = self._blocked_at.get(tid)
         return where is not None and where[1]
 
+    def holders_among(self, tids) -> bool:
+        """True when every holder here is in ``tids`` (a set-like)."""
+        return self._held.keys() <= tids
+
     def blocked_tids(self) -> List[int]:
         """All blocked transactions, in no particular order."""
         return list(self._blocked_at)

@@ -16,7 +16,7 @@ This module exploits that split:
   :class:`~repro.lockmgr.lock_table.LockTable`, its re-entrant mutex,
   its mutation epoch and its waiter conditions — with a router in
   front and transaction-side state (aborted set, per-transaction
-  shard-affinity map, shared cost table) kept under one small lock.
+  shard-affinity map, wait index, shared cost table) at the core.
 * The periodic pass is the one
   :class:`~repro.lockmgr.detection_pass.DetectionPass`, bound to the
   shards: epoch-stamped copies of each shard's *waiting* resources
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Set
 
@@ -74,7 +75,7 @@ from ..core.hw_twbg import HWTWBG, build_graph
 from ..core.modes import LockMode
 from ..core.requests import ResourceState
 from ..core.victim import CostTable
-from .detection_pass import DetectionPass, LiveBinding, PassInfo
+from .detection_pass import DetectionPass, LiveBinding, PassInfo, WaitingCopy
 from .events import Aborted, EventLog, Granted, Repositioned
 from .lock_table import FirstLockSequence, LockTable
 from .partition import partition_of
@@ -187,14 +188,7 @@ class MergedTableView:
         return held
 
     def blocked_at(self, tid: int) -> Optional[str]:
-        for shard in self._core.shards:
-            rid = shard.table.blocked_at(tid)
-            if rid is not None:
-                return rid
-        return None
-
-    def is_blocked(self, tid: int) -> bool:
-        return self.blocked_at(tid) is not None
+        return self._core.blocked_at(tid)  # the wait index
 
     def blocked_in_queue(self, tid: int) -> bool:
         for shard in self._core.shards:
@@ -284,6 +278,9 @@ class ShardedLockCore:
         #: to: bounds every transaction-side scan.  Empty on a one-shard
         #: core, whose one table knows every transaction.
         self._affinity: Dict[int, int] = {}
+        #: tid -> the rid it waits at (Axiom 1: one), set and cleared
+        #: under that shard's mutex.  None when one table indexes all.
+        self._waits: Optional[Dict[int, str]] = {} if count > 1 else None
         self._txn_lock = threading.Lock()
         self._detect_lock = threading.RLock()
 
@@ -350,32 +347,29 @@ class ShardedLockCore:
             touched = bit = 0
             if len(self.shards) > 1:
                 bit = 1 << shard.index
-                with self._txn_lock:
-                    touched = self._affinity.get(tid, 0)
+                touched = self._affinity.get(tid, 0)  # only its driver writes
             if tid in self._aborted:
                 raise LockTableError(
                     "transaction {} was aborted and cannot lock".format(tid)
                 )
-            if touched & ~bit:
-                # Axiom 1 across shards: the shard table would only
-                # catch a second wait registered on *itself*.
-                blocked_rid = self.blocked_at(tid)
-                if blocked_rid is not None and (
-                    self.shard_index(blocked_rid) != shard.index
-                ):
+            if touched & ~bit:  # Axiom 1 across shards (a table sees its own)
+                at = self._waits.get(tid)
+                if at is not None and self.shard_for(at) is not shard:
                     raise LockTableError(
                         "transaction {} is already blocked at {} and "
-                        "cannot also wait at {}".format(tid, blocked_rid, rid)
+                        "cannot also wait at {}".format(tid, at, rid)
                     )
             outcome = scheduler.request(shard.table, tid, rid, mode)
             if bit & ~touched:
                 # Only an accepted request leaves anything to route to.
                 with self._txn_lock:
-                    self._affinity[tid] = self._affinity.get(tid, 0) | bit
+                    self._affinity[tid] = touched | bit
             shard.epoch += 1
             self._publish(shard, outcome)
             self.last_detection = None
             if not outcome.granted:
+                if bit:
+                    self._waits[tid] = rid
                 self.last_detection = self.policy.on_block(
                     self, tid, rid, mode
                 )
@@ -396,13 +390,19 @@ class ShardedLockCore:
         """Release everything ``tid`` holds or waits for on the shards
         in ``mask``, publishing each shard's grants under its mutex."""
         grants: List[Granted] = []
+        waits = self._waits
         for shard in self._shards_in(mask):
             with shard.mutex:
                 freed = scheduler.release_all(shard.table, tid)
                 shard.epoch += 1
+                if waits is not None:
+                    waits.pop(tid, None)
                 if freed:
                     self._publish(shard, *freed)
                     grants.extend(freed)
+                    if waits is not None:
+                        for event in freed:
+                            waits.pop(event.tid, None)
         self.costs.forget(tid)
         return grants
 
@@ -445,18 +445,18 @@ class ShardedLockCore:
     def _waiting(self, convert):
         """Snapshot the waiting structure: ``convert(state)`` of every
         resource somebody is blocked at — each shard locked briefly, in
-        shard order — sorted by first-lock number, the shard epochs and
-        the seconds each shard's mutex was held."""
+        shard order — as ``(first-lock number, shard, converted)`` rows
+        by number, the shard epochs and the seconds each mutex was held."""
         rows, epochs, seconds = [], [], []
         for shard in self.shards:
             started = perf_counter()
             with shard.mutex:
-                table = shard.table
-                for state in table.waiting_resources():
-                    rows.append((table.sequence_of(state.rid), convert(state)))
+                seq = shard.table.sequence_of
+                for state in shard.table.waiting_resources():
+                    rows.append((seq(state.rid), shard.index, convert(state)))
                 epochs.append(shard.epoch)
             seconds.append(perf_counter() - started)
-        rows.sort(key=lambda row: row[0])
+        rows.sort(key=itemgetter(0))
         return rows, epochs, seconds
 
     def snapshot_payload(self) -> Dict[str, object]:
@@ -475,9 +475,9 @@ class ShardedLockCore:
             "v": FORMAT_VERSION,
             "table": {
                 "v": FORMAT_VERSION,
-                "resources": [entry for _, entry in rows],
+                "resources": [entry for _, _, entry in rows],
             },
-            "sequence": {entry["rid"]: seq for seq, entry in rows},
+            "sequence": {entry["rid"]: seq for seq, _, entry in rows},
             "epochs": epochs,
             "seconds": perf_counter() - started,
         }
@@ -554,12 +554,18 @@ class ShardedLockCore:
             if events:
                 shard.epoch += 1
                 self._publish(shard, *events)
+                if self._waits is not None:
+                    for event in events:
+                        self._waits.pop(event.tid, None)
         return events
 
     def _absorb(self, shard: LockShard, result) -> None:
         reason = getattr(result, "abort_reason", "deadlock victim")
         with self._txn_lock:
             self._aborted.update(result.aborted)
+        if self._waits is not None:  # a block-time abort ended its wait
+            for tid in result.aborted + [e.tid for e in result.grants]:
+                self._waits.pop(tid, None)
         self._publish(
             shard,
             *[Aborted(tid, reason) for tid in result.aborted],
@@ -584,15 +590,8 @@ class ShardedLockCore:
 
     def blocked_at(self, tid: int) -> Optional[str]:
         if len(self.shards) == 1:
-            # One table knows every wait: no affinity to consult.
             return self.shards[0].table.blocked_at(tid)
-        with self._txn_lock:
-            mask = self._affinity.get(tid, 0)
-        for shard in self._shards_in(mask):  # it waits at one place at most
-            rid = shard.table.blocked_at(tid)
-            if rid is not None:
-                return rid
-        return None
+        return self._waits.get(tid)
 
     def is_blocked(self, tid: int) -> bool:
         return self.blocked_at(tid) is not None
@@ -616,9 +615,14 @@ class ShardedLockCore:
         return self.graph().has_cycle()
 
     def saturated(self) -> bool:
-        """:meth:`LockTable.saturated`, across shards over the union of
-        their indexes (exact while one writer drives the core)."""
-        return self.table.saturated()
+        """:meth:`LockTable.saturated` across shards: somebody waits and
+        every shard's holders wait (exact while one writer drives it)."""
+        waits = self._waits
+        if waits is None:
+            return self.table.saturated()
+        return bool(waits) and all(
+            shard.table.holders_among(waits.keys()) for shard in self.shards
+        )
 
     def shard_summaries(self) -> List[Dict[str, int]]:
         """Per-shard load figures for admin payloads and metrics."""
@@ -648,11 +652,11 @@ class _ShardBinding:
 
     def __init__(self, core: ShardedLockCore) -> None:
         self.core = core
-        self.parts = len(core.shards)
-        self.part_of = core.shard_index
+        self._parts: Dict[str, int] = {}  # collected rid -> its shard
+        self.part_of = self._parts.__getitem__
         self.abort = core.abort_victim
         self.sweep = core.sweep_resource
-        self.info = PassInfo(parts=self.parts)
+        self.info = PassInfo(parts=len(core.shards))
         self._epochs: List[int] = []
 
     def guard(self):
@@ -662,9 +666,10 @@ class _ShardBinding:
         rows, self._epochs, self.info.snapshot_seconds = (
             self.core._waiting(ResourceState.copy)
         )
-        merged = LockTable()
-        for _, state in rows:
-            merged.install(state)
+        merged, parts = WaitingCopy(), self._parts
+        for _, index, state in rows:
+            merged[state.rid] = state
+            parts[state.rid] = index
         return merged, False
 
     def reposition(self, chosen) -> List[Optional[Repositioned]]:

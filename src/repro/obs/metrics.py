@@ -197,9 +197,6 @@ class Gauge(_Scalar):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Histogram:
     """Fixed-bucket histogram with sum/count/min/max and percentile

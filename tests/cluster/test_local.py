@@ -91,7 +91,7 @@ class TestMergedSnapshot:
         payloads[down] = None
         merged, unreachable, _ = merge_snapshots(payloads)
         assert unreachable == [down]
-        assert merged.resource_ids() == [a]
+        assert list(merged) == [a]
 
 
 class TestClusterDetection:

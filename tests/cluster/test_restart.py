@@ -147,7 +147,7 @@ class TestSupervisorRestart:
                         return None
                     table, unreachable, _ = merge_snapshots(payloads)
                     assert unreachable == []
-                    return str(table)
+                    return [str(state) for state in table.values()]
 
                 before = merged()
                 assert before is not None

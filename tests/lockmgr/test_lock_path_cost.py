@@ -34,11 +34,24 @@ def test_a_detector_pass_ratchet_is_never_raised():
     a pass made while Step 2 called an observer hook per edge and a
     routed pass ran Step 3 twice.  The cluster pass (``LocalCluster(2)``
     over the JSON codec) read 2706 while snapshots shipped held-rid
-    summaries, 2658 without."""
+    summaries, 2658 without.  The routed passes read 1340 (shards=4)
+    and 2658 while their merge rebuilt an indexed lock table from the
+    copies; Steps 1-2 read them by rid only."""
     ceilings = load_tool("lock_path_cost").CEILINGS
-    assert ceilings["detect planted round py (shards=4)"] <= 1407
+    assert ceilings["detect planted round py (shards=4)"] <= 1046
     assert ceilings["detect planted round py (shards=1)"] <= 687
-    assert ceilings["detect planted round py (LocalCluster(2))"] <= 2791
+    assert ceilings["detect planted round py (LocalCluster(2))"] <= 2643
+
+
+def test_the_multi_shard_wait_lookups_are_never_raised():
+    """Where a transaction waits is one read of the core's wait index on
+    a multi-shard core: ``is_blocked`` and the Axiom-1 check of a
+    request on a second shard made 7 and 18 calls while they took the
+    transaction-side lock and asked every shard the transaction had
+    touched."""
+    ceilings = load_tool("lock_path_cost").CEILINGS
+    assert ceilings["ShardedLockCore.is_blocked py (shards=4)"] <= 3
+    assert ceilings["ShardedLockCore.lock py (shards=4, second shard)"] <= 14
 
 
 def test_releasing_eight_sole_holder_locks_sweeps_nothing_and_leaves_nothing():

@@ -8,7 +8,9 @@ created series and codecs are out of the way:
   granted ``ServiceCore.lock_step`` + ``pump`` and for one
   ``finish_step`` + ``pump`` over eight sole-holder locks, telemetry on
   and off, with ``ShardedLockCore.lock``/``finish`` and bare
-  ``scheduler.request``/``release_all`` beside them;
+  ``scheduler.request``/``release_all`` beside them, and on
+  ``shards=4`` a blocking request on a transaction's second shard and
+  ``is_blocked`` (both read the core's wait index);
 * **objects** — gc-tracked objects retained per held lock (a transaction
   of :data:`HELD` S locks on fresh resources, counted by
   ``gc.get_objects()`` before and after, once the manager's event ring
@@ -50,26 +52,24 @@ SRC = os.path.join(REPO_ROOT, "src")
 HELD = 512
 READERS = 16384
 
-#: The ratchet: figure name -> the most it may read.  The object and
-#: byte ceilings hold where the records are slotted — Python 3.10 on
-#: (``dataclass(slots=True)``); the call counts hold everywhere.
+#: The ratchet: figure name -> the most it may read.
 CEILINGS = {
     "lock_step+pump py (telemetry on)": 30,
     "lock_step+pump py (telemetry off)": 22,
     "ShardedLockCore.lock py": 13,
+    # Read off the wait index: 18 and 7 while they scanned the shards.
+    "ShardedLockCore.lock py (shards=4, second shard)": 14,
+    "ShardedLockCore.is_blocked py (shards=4)": 3,
     "scheduler.request py": 10,
     "finish_step+pump x8 py (telemetry on)": 60,
-    # Measured 1340 / 654 / 2658 (Python 3.11), plus 5%.
-    "detect planted round py (shards=4)": 1407,
+    # Measured 997 / 654 / 2518 (Python 3.11), plus 5%.
+    "detect planted round py (shards=4)": 1046,
     "detect planted round py (shards=1)": 687,
-    "detect planted round py (LocalCluster(2))": 2791,
+    "detect planted round py (LocalCluster(2))": 2643,
+    "objects per held lock (ServiceCore, telemetry on)": 5,
+    "objects per held lock (ShardedLockCore)": 3,
+    "bytes per ballast reader (shards=4)": 650,
 }
-if sys.version_info >= (3, 10):
-    CEILINGS.update({
-        "objects per held lock (ServiceCore, telemetry on)": 5,
-        "objects per held lock (ShardedLockCore)": 3,
-        "bytes per ballast reader (shards=4)": 650,
-    })
 
 
 def count_calls(step: Callable[[], object]) -> Tuple[int, int]:
@@ -174,6 +174,31 @@ def measure() -> Dict[str, object]:
     python, c = count_calls(lambda: manager.finish(7))
     figures["ShardedLockCore.finish x8 py"] = python
     figures["ShardedLockCore.finish x8 C"] = c
+
+    # The closing request of a planted two-cycle across shards: T1 holds
+    # ``a``, T2 holds ``b`` and waits at ``a``; T1 asks for ``b``, a
+    # request on its second shard that blocks.  The Axiom-1 check and
+    # ``is_blocked`` read the wait index, no shard scan.
+    X = LockMode.X
+    routed = ShardedLockCore(shards=4, policy="periodic")
+    a, b = "p0", next(
+        rid for rid in map("p{}".format, range(1, 64))
+        if routed.shard_index(rid) != routed.shard_index("p0")
+    )
+    for first, second in ((11, 12), (1, 2)):  # warm-up, then measured
+        routed.lock(first, a, X)
+        routed.lock(second, b, X)
+        routed.lock(second, a, X)
+        if first == 11:
+            routed.lock(first, b, X)
+            routed.finish(first)
+            routed.finish(second)
+    python, c = count_calls(lambda: routed.lock(1, b, X))
+    figures["ShardedLockCore.lock py (shards=4, second shard)"] = python
+    figures["ShardedLockCore.lock C (shards=4, second shard)"] = c
+    python, c = count_calls(lambda: routed.is_blocked(1))
+    figures["ShardedLockCore.is_blocked py (shards=4)"] = python
+    figures["ShardedLockCore.is_blocked C (shards=4)"] = c
 
     table = LockTable()
     for k in range(7):
