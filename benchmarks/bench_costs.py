@@ -10,6 +10,12 @@ when work accrues uniformly.
 """
 
 from repro.analysis.report import render_table
+from repro.core.costs import (
+    age_cost,
+    restart_fairness_cost,
+    unit_cost,
+    work_done_cost,
+)
 from repro.policy import PeriodicPolicy
 from repro.sim.system import SimulatedSystem
 from repro.sim.workload import WorkloadSpec
@@ -24,10 +30,10 @@ SPEC = WorkloadSpec(
 )
 
 POLICIES = {
-    "unit": lambda terminal, now: 1.0,
-    "work-done": lambda terminal, now: 1.0 + terminal.attempt_work,
-    "age": lambda terminal, now: 1.0 + max(now - terminal.program_started_at, 0.0),
-    "restart-fair": lambda terminal, now: float(2 ** min(terminal.restarts, 12)),
+    "unit": unit_cost,
+    "work-done": work_done_cost,
+    "age": age_cost,
+    "restart-fair": restart_fairness_cost,
 }
 
 

@@ -12,10 +12,9 @@ Run:  python examples/banking_transfers.py
 
 import random
 
+from repro.core.costs import default_cost
 from repro.db.database import Database
 from repro.db.executor import Executor
-from repro.txn.costs import default_cost
-from repro.txn.manager import TransactionManager
 
 
 def main(seed: int = 7) -> None:
@@ -23,12 +22,12 @@ def main(seed: int = 7) -> None:
     # The default cost policy includes restart fairness: a transaction's
     # victim cost doubles with each restart, so symmetric transfers that
     # keep re-colliding cannot livelock — the fresher one always loses.
-    db = Database(transactions=TransactionManager(cost_policy=default_cost))
+    db = Database()
     accounts = {"acct{}".format(i): 100 for i in range(8)}
     db.create_table("accounts", accounts)
     initial_total = sum(accounts.values())
 
-    ex = Executor(db, detect_every=6, max_restarts=40)
+    ex = Executor(db, detect_every=6, max_restarts=40, cost=default_cost)
     for index in range(12):
         src, dst = rng.sample(sorted(accounts), 2)
         amount = rng.choice([5, 10, 20])

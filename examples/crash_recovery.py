@@ -28,18 +28,18 @@ def main() -> None:
     t2, t3 = db.begin(), db.begin()
     db.write(t2, "accounts", "bob", 110)
     db.write(t3, "accounts", "carol", 90)
-    for txn, key, value in ((t2, "carol", 80), (t3, "bob", 130)):
+    for tid, key, value in ((t2, "carol", 80), (t3, "bob", 130)):
         try:
-            db.write(txn, "accounts", key, value)
+            db.write(tid, "accounts", key, value)
         except Blocked:
-            print("T{} blocked on {}".format(txn.tid, key))
-    result = db.transactions.run_detection()
+            print("T{} blocked on {}".format(tid, key))
+    result = db.core.detect()
     print("deadlock detected; victim:", result.aborted)
 
     # The survivor keeps working but never commits... and then: crash.
-    survivor = t2 if t2.is_active else t3
+    survivor = t3 if db.core.was_aborted(t2) else t2
     print("T{} survives, writes more, but the system crashes before "
-          "it commits".format(survivor.tid))
+          "it commits".format(survivor))
 
     print("\nlog: {} records".format(len(db.wal)))
     restarted = db.simulate_crash()

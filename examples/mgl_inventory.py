@@ -54,11 +54,11 @@ def intention_lock_tour() -> None:
     print("\n--- intention locks held by a single record write ---")
     db = Database(name="store")
     db.create_table("inventory", {"sku0": 0})
-    txn = db.begin()
-    db.write(txn, "inventory", "sku0", 99)
-    for rid, mode in sorted(db.transactions.locks.holding(txn.tid).items()):
+    tid = db.begin()
+    db.write(tid, "inventory", "sku0", 99)
+    for rid, mode in sorted(db.core.holding(tid).items()):
         print("  {:24s} {}".format(rid, mode.name))
-    db.commit(txn)
+    db.commit(tid)
 
 
 def upgrade_deadlock() -> None:
@@ -70,19 +70,19 @@ def upgrade_deadlock() -> None:
     # Both take S on the table, then both try SIX (scan-for-update):
     db.scan(a, "inventory")
     db.scan(b, "inventory")
-    for txn in (a, b):
+    for tid in (a, b):
         try:
-            db.scan_for_update(txn, "inventory")
+            db.scan_for_update(tid, "inventory")
         except Blocked as blocked:
             print("  {} blocked converting S->SIX at {}".format(
-                "T{}".format(txn.tid), blocked.rid))
-    print("  deadlocked?", db.transactions.deadlocked())
-    result = db.transactions.run_detection()
+                "T{}".format(tid), blocked.rid))
+    print("  deadlocked?", db.core.deadlocked())
+    result = db.core.detect()
     print("  detector aborted:", result.aborted)
-    survivor = a if a.is_active else b
-    held = db.transactions.locks.holding(survivor.tid)
+    survivor = b if db.core.was_aborted(a) else a
+    held = db.core.holding(survivor)
     print("  survivor T{} now holds {} on the table".format(
-        survivor.tid, held["store.inventory"].name))
+        survivor, held["store.inventory"].name))
     assert held["store.inventory"] is LockMode.SIX
 
 

@@ -26,10 +26,6 @@ class UnknownResourceError(LockTableError):
     """A resource identifier is not present in the lock table."""
 
 
-class UnknownTransactionError(ReproError):
-    """A transaction identifier is not known to the manager."""
-
-
 class TransactionStateError(ReproError):
     """A transaction was used in a state that forbids the operation.
 

@@ -14,23 +14,30 @@ Lock usage follows the classic granularity rules:
 * ``update_all`` — ``SIX`` on the table (scan while updating a few
   records with record-level ``X``).
 
-Every data operation returns normally when its locks were granted
+Transactions are integer tids the database hands out; every lock goes
+through one :class:`~repro.lockmgr.sharded.ShardedLockCore`, which is
+also the only record of who is blocked, aborted or holding what.  Every
+data operation returns normally when its locks were granted
 immediately, and raises :class:`Blocked` when the transaction must wait —
-callers (the executor, the simulator) decide how to wait.  A transaction
+callers (the executor, the examples) decide how to wait.  A transaction
 aborted by the deadlock detector raises
 :class:`~repro.core.errors.TransactionAborted` on its next operation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.errors import ReproError, TransactionAborted, UnknownResourceError
+from ..core.errors import (
+    ReproError,
+    TransactionAborted,
+    TransactionStateError,
+    UnknownResourceError,
+)
 from ..core.modes import LockMode
+from ..lockmgr.sharded import ShardedLockCore
 from ..mgl.hierarchy import ResourceHierarchy
 from ..mgl.protocol import MGLProtocol
-from ..txn.manager import TransactionManager
-from ..txn.transaction import Transaction, TxnState
 
 
 class Blocked(ReproError):
@@ -52,17 +59,18 @@ class Database:
     def __init__(
         self,
         name: str = "db",
-        transactions: Optional[TransactionManager] = None,
+        core: Optional[ShardedLockCore] = None,
     ) -> None:
         self.name = name
-        self.transactions = (
-            transactions if transactions is not None else TransactionManager()
-        )
+        self.core = core if core is not None else ShardedLockCore()
         self.hierarchy = ResourceHierarchy()
         self.hierarchy.add(name)
-        self.mgl = MGLProtocol(self.hierarchy, self.transactions)
+        self.mgl = MGLProtocol(self.hierarchy, self.core)
         self._tables: Dict[str, Dict[Any, Any]] = {}
         self._undo: Dict[int, List[Tuple[str, Any, Any, bool]]] = {}
+        #: Begun and not yet finished.
+        self._live: Set[int] = set()
+        self._next_tid = 1
 
     # -- schema ----------------------------------------------------------
 
@@ -94,20 +102,39 @@ class Database:
 
     # -- transactions -------------------------------------------------------
 
-    def begin(self) -> Transaction:
-        return self.transactions.begin()
+    def begin(self) -> int:
+        """Start a transaction; returns its fresh tid."""
+        tid = self._next_tid
+        self._next_tid += 1
+        self._live.add(tid)
+        return tid
 
-    def commit(self, txn: Transaction) -> None:
-        self.transactions.commit(txn)
-        self._undo.pop(txn.tid, None)
+    def commit(self, tid: int) -> None:
+        """Commit ``tid``: strict 2PL releases everything it holds."""
+        self._require_running(tid)
+        if self.core.is_blocked(tid):
+            raise TransactionStateError(
+                "transaction {} cannot commit while blocked".format(tid)
+            )
+        self._on_commit(tid)
+        self._undo.pop(tid, None)
+        self._live.discard(tid)
+        self.core.finish(tid)
 
-    def abort(self, txn: Transaction, reason: str = "user abort") -> None:
-        self.rollback(txn.tid)
-        self.transactions.abort(txn, reason)
+    def _on_commit(self, tid: int) -> None:
+        """Hook invoked after the commit checks and before any lock is
+        released — the durability point."""
+
+    def abort(self, tid: int) -> None:
+        """Roll ``tid`` back and release its locks (a no-op for a
+        transaction that has already finished)."""
+        self.rollback(tid)
+        self._live.discard(tid)
+        self.core.finish(tid)
 
     def rollback(self, tid: int) -> None:
-        """Undo the writes of ``tid`` (used on abort, including deadlock
-        victims — the executor calls this when it learns of the abort)."""
+        """Undo the writes of ``tid`` (the first half of :meth:`abort`,
+        deadlock victims included)."""
         for rid_key, old_value, table, existed in reversed(
             self._undo.pop(tid, [])
         ):
@@ -119,7 +146,7 @@ class Database:
 
     # -- data operations --------------------------------------------------------
 
-    def read(self, txn: Transaction, table: str, key: Any) -> Any:
+    def read(self, tid: int, table: str, key: Any) -> Any:
         """Record-level read: IS intents + S on the record.
 
         A missing key is still locked (its resource is registered on
@@ -129,19 +156,19 @@ class Database:
         rid = self._record_rid(table, key)
         if rid not in self.hierarchy:
             self.hierarchy.add(rid, parent=self._table_rid(table))
-        self._acquire(txn, rid, LockMode.S)
+        self._acquire(tid, rid, LockMode.S)
         return data.get(key)
 
-    def write(self, txn: Transaction, table: str, key: Any, value: Any) -> None:
+    def write(self, tid: int, table: str, key: Any, value: Any) -> None:
         """Record-level write: IX intents + X on the record."""
         data = self._table_data(table)
         rid = self._record_rid(table, key)
         if rid not in self.hierarchy:
             self.hierarchy.add(rid, parent=self._table_rid(table))
-        self._acquire(txn, rid, LockMode.X)
+        self._acquire(tid, rid, LockMode.X)
         before, existed = data.get(key), key in data
-        self._on_write(txn.tid, table, key, before, existed, value)
-        self._undo.setdefault(txn.tid, []).append(
+        self._on_write(tid, table, key, before, existed, value)
+        self._undo.setdefault(tid, []).append(
             (key, before, table, existed)
         )
         data[key] = value
@@ -154,16 +181,16 @@ class Database:
         write-ahead point (:class:`~repro.db.recovery.RecoverableDatabase`
         logs here)."""
 
-    def scan(self, txn: Transaction, table: str) -> Dict[Any, Any]:
+    def scan(self, tid: int, table: str) -> Dict[Any, Any]:
         """Table scan: S on the table read-locks every record at once."""
         data = self._table_data(table)
-        self._acquire(txn, self._table_rid(table), LockMode.S)
+        self._acquire(tid, self._table_rid(table), LockMode.S)
         return dict(data)
 
-    def scan_for_update(self, txn: Transaction, table: str) -> Dict[Any, Any]:
+    def scan_for_update(self, tid: int, table: str) -> Dict[Any, Any]:
         """SIX on the table: scan now, record-level X writes afterwards."""
         data = self._table_data(table)
-        self._acquire(txn, self._table_rid(table), LockMode.SIX)
+        self._acquire(tid, self._table_rid(table), LockMode.SIX)
         return dict(data)
 
     def keys(self, table: str) -> Iterable[Any]:
@@ -172,19 +199,24 @@ class Database:
 
     # -- lock plumbing -----------------------------------------------------------
 
-    def _acquire(self, txn: Transaction, rid: str, mode: LockMode) -> None:
-        if txn.state is TxnState.ABORTED:
+    def _require_running(self, tid: int) -> None:
+        """Refuse a finished tid; end a deadlock victim and report it."""
+        if tid not in self._live:
+            raise TransactionStateError(
+                "transaction {} has finished and cannot issue "
+                "requests".format(tid)
+            )
+        if self.core.was_aborted(tid):
             # A detector pass already chose this transaction as victim.
-            self.rollback(txn.tid)
-            raise TransactionAborted(txn.tid, txn.abort_reason or "aborted")
-        if self.transactions.locks.was_aborted(txn.tid):
-            self.rollback(txn.tid)
-            self.transactions.abort(txn, "deadlock victim")
-            raise TransactionAborted(txn.tid)
+            self.abort(tid)
+            raise TransactionAborted(tid)
+
+    def _acquire(self, tid: int, rid: str, mode: LockMode) -> None:
+        self._require_running(tid)
         try:
-            granted = self.mgl.lock(txn, rid, mode)
+            granted = self.mgl.lock(tid, rid, mode)
         except TransactionAborted:
-            self.rollback(txn.tid)
+            self.abort(tid)
             raise
         if not granted:
-            raise Blocked(txn.tid, txn.pending_rid or rid)
+            raise Blocked(tid, self.core.blocked_at(tid) or rid)

@@ -7,8 +7,15 @@ deterministically (no threads): each scheduling step gives the next
 runnable scripted transaction one operation; a blocked transaction
 retries its pending operation once the scheduler wakes it; the periodic
 deadlock detector runs every ``detect_every`` steps (or continuously, if
-the underlying manager is configured that way); deadlock victims roll
-back and — optionally — restart from the top with a fresh transaction id.
+the database's lock core runs the continuous policy); deadlock victims
+roll back and — optionally — restart from the top with a fresh
+transaction id.
+
+The executor is the one party that knows what a victim's abort would
+waste, so it prices victims: before every pass it writes
+``cost(handle, now)`` for each live script into the core's cost table
+(a :mod:`repro.core.costs` function over the handle's ``locks_held``,
+``start_time``, ``work_done`` and ``restarts``; ``now`` counts rounds).
 
 Scripts are lists of small operation tuples::
 
@@ -24,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.costs import CostPolicy, unit_cost
 from ..core.detection import DetectionResult
 from ..core.errors import ReproError, TransactionAborted
-from ..txn.transaction import Transaction, TxnState
 from .database import Blocked, Database
 
 
@@ -37,14 +44,21 @@ class StallError(ReproError):
 
 @dataclass
 class ScriptedTransaction:
-    """One submitted script and its execution state."""
+    """One submitted script and what only the executor knows: the tid of
+    the current attempt, where the script stands, and the attempt's
+    cost inputs.  Blocked, aborted and held state is the core's."""
 
     label: str
     script: List[Tuple]
-    txn: Optional[Transaction] = None
+    tid: Optional[int] = None
     position: int = 0
     results: List[Any] = field(default_factory=list)
     restarts: int = 0
+    #: Work units and round the current attempt started in.
+    work_done: float = 0.0
+    start_time: float = 0.0
+    #: The core's held-lock count, read each time the handle is priced.
+    locks_held: int = 0
     committed: bool = False
     gave_up: bool = False
 
@@ -76,13 +90,16 @@ class Executor:
         restart_victims: bool = True,
         max_restarts: int = 25,
         max_steps: int = 100000,
+        cost: CostPolicy = unit_cost,
     ) -> None:
         self.db = db
+        self.cost = cost
         self.detect_every = detect_every
         self.restart_victims = restart_victims
         self.max_restarts = max_restarts
         self.max_steps = max_steps
         self._scripts: List[ScriptedTransaction] = []
+        self._clock = 0.0
 
     def submit(
         self, script: Sequence[Tuple], label: Optional[str] = None
@@ -124,10 +141,7 @@ class Executor:
                 # system would simply wait for the period to come around;
                 # the executor has nothing else to do, so it jumps there).
                 if not ran_detection:
-                    if (
-                        self.detect_every is None
-                        and not self.db.transactions.locks.continuous
-                    ):
+                    if self.detect_every is None and not self.db.core.continuous:
                         raise StallError(
                             "all transactions blocked with detection disabled"
                         )
@@ -137,7 +151,7 @@ class Executor:
                     raise StallError(
                         "no progress after repeated detection passes"
                     )
-            self.db.transactions.tick()
+            self._clock += 1.0
         return report
 
     def _round(self, report: ExecutorReport) -> bool:
@@ -146,23 +160,27 @@ class Executor:
         for handle in self._scripts:
             if handle.done:
                 continue
-            if handle.txn is not None and handle.txn.is_blocked:
+            if handle.tid is not None and self.db.core.is_blocked(handle.tid):
                 continue
             report.steps += 1
             progressed |= self._step(handle, report)
         return progressed
 
     def _step(self, handle: ScriptedTransaction, report: ExecutorReport) -> bool:
-        if handle.txn is not None and handle.txn.state is TxnState.ABORTED:
+        core = self.db.core
+        if handle.tid is not None and core.was_aborted(handle.tid):
             # A detector (periodic or continuous) chose this transaction
             # as victim while it sat blocked; account the abort and let
             # the script restart from the top — never resume mid-script
             # with a fresh transaction.
             self._handle_abort(handle, report)
             return True
-        if handle.txn is None:
-            handle.txn = self.db.begin()
-            handle.txn.restarts = handle.restarts
+        if handle.tid is None:
+            handle.tid = self.db.begin()
+            handle.start_time = self._clock
+            handle.work_done = 0.0
+        if core.continuous:
+            self._price()  # this step's request may run a pass
         try:
             self._execute(handle, handle.script[handle.position])
         except Blocked:
@@ -178,19 +196,19 @@ class Executor:
 
     def _execute(self, handle: ScriptedTransaction, op: Tuple) -> None:
         kind = op[0]
-        txn = handle.txn
+        tid = handle.tid
         if kind == "read":
-            handle.results.append(self.db.read(txn, op[1], op[2]))
+            handle.results.append(self.db.read(tid, op[1], op[2]))
         elif kind == "write":
-            self.db.write(txn, op[1], op[2], op[3])
+            self.db.write(tid, op[1], op[2], op[3])
         elif kind == "scan":
-            handle.results.append(self.db.scan(txn, op[1]))
+            handle.results.append(self.db.scan(tid, op[1]))
         elif kind == "scan_update":
-            handle.results.append(self.db.scan_for_update(txn, op[1]))
+            handle.results.append(self.db.scan_for_update(tid, op[1]))
         elif kind == "work":
-            self.db.transactions.work(txn, op[1])
+            handle.work_done += op[1]
         elif kind == "commit":
-            self.db.commit(txn)
+            self.db.commit(tid)
         else:
             raise ReproError("unknown operation {!r}".format(kind))
 
@@ -198,29 +216,47 @@ class Executor:
         self, handle: ScriptedTransaction, report: ExecutorReport
     ) -> None:
         report.aborts += 1
-        self.db.rollback(handle.txn.tid)
+        self.db.abort(handle.tid)
         restarts_left = (
             self.restart_victims and handle.restarts < self.max_restarts
         )
         if restarts_left:
             handle.restarts += 1
             report.restarts += 1
-            handle.txn = None
+            handle.tid = None
             handle.position = 0
             handle.results.clear()
         else:
             handle.gave_up = True
 
+    def _price(self) -> None:
+        """Write every live script's cost into the core's cost table.
+        A TDR-2 delay penalty the table accumulated is kept: a cost is
+        only ever raised (``max(base, current)``)."""
+        core = self.db.core
+        table = core.costs
+        for handle in self._scripts:
+            tid = handle.tid
+            if tid is None or handle.done:
+                continue
+            handle.locks_held = len(core.holding(tid))
+            base = self.cost(handle, self._clock)
+            if tid in table:
+                base = max(base, table.cost(tid))
+            table.set_cost(tid, base)
+
     def _detect(self, report: ExecutorReport) -> None:
-        result = self.db.transactions.run_detection()
+        self._price()
+        result = self.db.core.detect()
         report.detections.append(result)
         if result.deadlock_found:
             report.deadlocks_resolved += len(result.resolutions)
             if result.abort_free:
                 report.abort_free_resolutions += 1
+        core = self.db.core
         for handle in self._scripts:
-            txn = handle.txn
-            if txn is not None and txn.state is TxnState.ABORTED:
+            tid = handle.tid
+            if tid is not None and not handle.done and core.was_aborted(tid):
                 self._handle_abort(handle, report)
 
     # -- results ---------------------------------------------------------------

@@ -14,17 +14,18 @@
 ``simulate_crash()`` models losing all volatile state: it returns a
 fresh :class:`RecoverableDatabase` rebuilt purely from the log by
 redo/undo restart recovery — committed effects survive, in-flight
-transactions vanish.  Strict 2PL (enforced by the lock manager) is what
-makes this sound: no transaction ever reads or overwrites another's
-uncommitted data.
+transactions vanish.  The log is keyed by tid, so a database opened on
+an existing log hands out tids above every tid in it: a reused tid
+would inherit a dead transaction's commit record.  Strict 2PL (enforced
+by the lock manager) is what makes this sound: no transaction ever
+reads or overwrites another's uncommitted data.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set
 
-from ..txn.manager import TransactionManager
-from ..txn.transaction import Transaction
+from ..lockmgr.sharded import ShardedLockCore
 from .database import Database
 from .wal import WriteAheadLog, recover
 
@@ -35,12 +36,15 @@ class RecoverableDatabase(Database):
     def __init__(
         self,
         name: str = "db",
-        transactions: Optional[TransactionManager] = None,
+        core: Optional[ShardedLockCore] = None,
         wal: Optional[WriteAheadLog] = None,
     ) -> None:
-        super().__init__(name=name, transactions=transactions)
+        super().__init__(name=name, core=core)
         self.wal = wal if wal is not None else WriteAheadLog()
         self._logged_begin: Set[int] = set()
+        self._next_tid = 1 + max(
+            (record.tid for record in self.wal.records()), default=0
+        )
 
     # -- logging hooks -----------------------------------------------------
 
@@ -59,26 +63,18 @@ class RecoverableDatabase(Database):
             self._logged_begin.add(tid)
         self.wal.log_write(tid, table, key, before, value, existed)
 
-    def commit(self, txn: Transaction) -> None:
+    def _on_commit(self, tid: int) -> None:
         # Durability point: the commit record hits the log before any
         # lock is released.
-        if txn.tid in self._logged_begin:
-            self.wal.log_commit(txn.tid)
-            self._logged_begin.discard(txn.tid)
-        super().commit(txn)
-
-    def abort(self, txn: Transaction, reason: str = "user abort") -> None:
-        super().abort(txn, reason)
-        if txn.tid in self._logged_begin:
-            self.wal.log_abort(txn.tid)
-            self._logged_begin.discard(txn.tid)
+        if tid in self._logged_begin:
+            self.wal.log_commit(tid)
+            self._logged_begin.discard(tid)
 
     def rollback(self, tid: int) -> None:
-        had_undo = tid in self._undo
         super().rollback(tid)
-        # Deadlock victims roll back without a user-level abort() call;
-        # close their log history too.
-        if had_undo and tid in self._logged_begin:
+        # Every abort rolls back first, deadlock victims included;
+        # close the log history here.
+        if tid in self._logged_begin:
             self.wal.log_abort(tid)
             self._logged_begin.discard(tid)
 

@@ -11,7 +11,7 @@ Declared once, satisfied structurally (no base classes, no adapters):
   driver (:mod:`repro.check.lockstep`) and the core axis of the
   conformance suite are written against exactly this.
 * :class:`BlockingLockManager` — the thread-facing surface
-  ``sim.realtime``, ``txn`` and the examples call polymorphically:
+  ``sim.realtime`` and the threaded examples call polymorphically:
   ``acquire`` parks the caller until granted, timed out or victimized.
   Satisfied by :class:`~repro.lockmgr.sharded.ShardedLockManager`,
   :class:`~repro.service.client.RemoteLockManager`,

@@ -238,7 +238,7 @@ class ShardedLockCore:
     events and kept in a bounded :class:`~repro.lockmgr.events.EventLog`.
 
     Driven by one writer at a time (the service layer, the explorer,
-    the transaction manager); under free threading each operation
+    the mini database); under free threading each operation
     synchronizes on the owning shard only.
 
     ``listener`` (when used multi-shard) must be thread-safe: events

@@ -11,7 +11,7 @@ Observation-3.1(3) conversion deadlocks H/W-TWBG models.
 
 :class:`EscalationPolicy` watches per-(transaction, parent) child-lock
 counts and, past ``threshold``, issues the coarse conversion through the
-transaction manager:
+lock core:
 
 * children held in read modes only  → parent ``S``;
 * any child held in a write mode    → parent ``X``
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Set, Tuple
 
 from ..core.modes import LockMode, stronger_or_equal
-from ..txn.manager import TransactionManager
-from ..txn.transaction import Transaction
+from ..lockmgr.sharded import ShardedLockCore
 from .hierarchy import ResourceHierarchy
 from .protocol import MGLProtocol
 
@@ -53,12 +52,12 @@ class EscalatingMGL:
     def __init__(
         self,
         hierarchy: ResourceHierarchy,
-        transactions: TransactionManager,
+        core: ShardedLockCore,
         threshold: int = 8,
     ) -> None:
         if threshold < 1:
             raise ValueError("threshold must be at least 1")
-        self.mgl = MGLProtocol(hierarchy, transactions)
+        self.mgl = MGLProtocol(hierarchy, core)
         self.threshold = threshold
         self.stats = EscalationStats()
         self._child_counts: Dict[Tuple[int, str], int] = {}
@@ -66,16 +65,12 @@ class EscalatingMGL:
         self._writes_seen: Dict[Tuple[int, str], bool] = {}
 
     @property
-    def transactions(self) -> TransactionManager:
-        return self.mgl.transactions
-
-    @property
     def hierarchy(self) -> ResourceHierarchy:
         return self.mgl.hierarchy
 
     # -- locking ------------------------------------------------------------
 
-    def lock(self, txn: Transaction, rid: str, mode: LockMode) -> bool:
+    def lock(self, tid: int, rid: str, mode: LockMode) -> bool:
         """Lock ``rid`` in ``mode``; may escalate the parent first.
 
         Returns False when blocked (either on the normal MGL path or on
@@ -83,45 +78,43 @@ class EscalatingMGL:
         :meth:`MGLProtocol.lock`.
         """
         parent = self.hierarchy.parent(rid)
-        if parent is not None and self._covered(txn, parent, mode):
+        if parent is not None and self._covered(tid, parent, mode):
             # The coarse lock already subsumes this request.
             return True
-        if parent is not None and self._should_escalate(txn, parent):
-            if not self._escalate(txn, parent):
+        if parent is not None and self._should_escalate(tid, parent):
+            if not self._escalate(tid, parent):
                 return False
-            if self._covered(txn, parent, mode):
+            if self._covered(tid, parent, mode):
                 return True
-        granted = self.mgl.lock(txn, rid, mode)
+        granted = self.mgl.lock(tid, rid, mode)
         if granted and parent is not None:
-            key = (txn.tid, parent)
+            key = (tid, parent)
             self._child_counts[key] = self._child_counts.get(key, 0) + 1
             if mode in (LockMode.X, LockMode.IX, LockMode.SIX):
                 self._writes_seen[key] = True
         return granted
 
-    def _covered(self, txn: Transaction, parent: str, mode: LockMode) -> bool:
-        held = self.transactions.locks.holding(txn.tid).get(
-            parent, LockMode.NL
-        )
+    def _covered(self, tid: int, parent: str, mode: LockMode) -> bool:
+        held = self.mgl.core.holding(tid).get(parent, LockMode.NL)
         return held in (LockMode.S, LockMode.X) and stronger_or_equal(
             held, LockMode.S if mode in (LockMode.S, LockMode.IS) else LockMode.X
         )
 
-    def _should_escalate(self, txn: Transaction, parent: str) -> bool:
-        key = (txn.tid, parent)
-        if parent in self._escalated.get(txn.tid, set()):
+    def _should_escalate(self, tid: int, parent: str) -> bool:
+        key = (tid, parent)
+        if parent in self._escalated.get(tid, set()):
             return False
         return self._child_counts.get(key, 0) >= self.threshold
 
-    def _escalate(self, txn: Transaction, parent: str) -> bool:
+    def _escalate(self, tid: int, parent: str) -> bool:
         """Convert the parent intention lock to a coarse lock."""
-        key = (txn.tid, parent)
+        key = (tid, parent)
         target = LockMode.X if self._writes_seen.get(key) else LockMode.S
         self.stats.attempts += 1
-        granted = self.mgl.lock(txn, parent, target)
+        granted = self.mgl.lock(tid, parent, target)
         if granted:
             self.stats.granted += 1
-            self._escalated.setdefault(txn.tid, set()).add(parent)
+            self._escalated.setdefault(tid, set()).add(parent)
         else:
             self.stats.blocked += 1
         return granted
@@ -135,7 +128,3 @@ class EscalatingMGL:
             del self._child_counts[key]
         for key in [k for k in self._writes_seen if k[0] == tid]:
             del self._writes_seen[key]
-
-    def escalated_parents(self, tid: int) -> Set[str]:
-        """Parents this transaction holds coarsely due to escalation."""
-        return set(self._escalated.get(tid, set()))

@@ -6,12 +6,13 @@ hold the required intention mode on every ancestor, root first:
 * ``IS`` or ``S`` on a node requires at least ``IS`` on the parent;
 * ``IX``, ``SIX`` or ``X`` requires at least ``IX`` on the parent.
 
-:class:`MGLProtocol` performs those acquisitions through the
-:class:`~repro.txn.manager.TransactionManager`, one lock at a time — the
-sequential model means a transaction that blocks on an ancestor simply
-stays blocked there; re-issuing the same :meth:`lock` call after waking
-resumes where it stopped, because already-covered modes are immediate
-grants under the conversion rule.
+:class:`MGLProtocol` performs those acquisitions through a
+:class:`~repro.lockmgr.sharded.ShardedLockCore`, one lock at a time, for
+an integer tid — the sequential model means a transaction that blocks
+on an ancestor simply stays blocked there (the core records where);
+re-issuing the same :meth:`lock` call after waking resumes where it
+stopped, because already-covered modes are immediate grants under the
+conversion rule.
 
 The protocol can also *verify* rather than acquire (``auto_intent=False``)
 for applications that manage intention locks themselves; a missing
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core.errors import ProtocolViolation
+from ..core.errors import ProtocolViolation, TransactionAborted
 from ..core.modes import LockMode, required_parent_mode, stronger_or_equal
-from ..txn.manager import TransactionManager
-from ..txn.transaction import Transaction
+from ..lockmgr.sharded import ShardedLockCore
 from .hierarchy import ResourceHierarchy
 
 
@@ -35,26 +35,35 @@ class MGLProtocol:
     def __init__(
         self,
         hierarchy: ResourceHierarchy,
-        transactions: TransactionManager,
+        core: ShardedLockCore,
         auto_intent: bool = True,
     ) -> None:
         self.hierarchy = hierarchy
-        self.transactions = transactions
+        self.core = core
         self.auto_intent = auto_intent
 
-    def lock(self, txn: Transaction, rid: str, mode: LockMode) -> bool:
+    def lock(self, tid: int, rid: str, mode: LockMode) -> bool:
         """Lock ``rid`` in ``mode``, taking (or checking) intention locks
         on all ancestors root-first.  Returns True when every lock on the
         path was granted; False when the transaction blocked somewhere on
         the path (call again after it wakes to resume).
+
+        Raises :class:`TransactionAborted` when a block-time pass (the
+        continuous policy) chose ``tid`` itself as victim.
         """
-        plan = self.plan(rid, mode)
-        for step_rid, step_mode in plan:
+        core = self.core
+        for step_rid, step_mode in self.plan(rid, mode):
             if not self.auto_intent and step_rid != rid:
-                self._check_held(txn, step_rid, step_mode)
+                self._check_held(tid, step_rid, step_mode)
                 continue
-            if not self.transactions.lock(txn, step_rid, step_mode):
+            if core.lock(tid, step_rid, step_mode).granted:
+                continue
+            if core.was_aborted(tid):
+                raise TransactionAborted(tid)
+            if core.is_blocked(tid):
                 return False
+            # Still here: the block-time pass resolved the wait by
+            # granting it.
         return True
 
     def plan(self, rid: str, mode: LockMode) -> List[tuple]:
@@ -71,22 +80,10 @@ class MGLProtocol:
         steps.append((rid, mode))
         return steps
 
-    def _check_held(
-        self, txn: Transaction, rid: str, needed: LockMode
-    ) -> None:
-        held = self.transactions.locks.holding(txn.tid).get(rid, LockMode.NL)
+    def _check_held(self, tid: int, rid: str, needed: LockMode) -> None:
+        held = self.core.holding(tid).get(rid, LockMode.NL)
         if not stronger_or_equal(held, needed):
             raise ProtocolViolation(
                 "T{} holds {} on {!r} but the MGL protocol requires at "
-                "least {}".format(txn.tid, held.name, rid, needed.name)
+                "least {}".format(tid, held.name, rid, needed.name)
             )
-
-    def lock_subtree_exclusive(self, txn: Transaction, rid: str) -> bool:
-        """Convenience: X on ``rid`` locks the whole subtree implicitly
-        (that is the point of granularity locking); equivalent to
-        ``lock(txn, rid, X)``."""
-        return self.lock(txn, rid, LockMode.X)
-
-    def reads_subtree(self, txn: Transaction, rid: str) -> bool:
-        """Convenience: S on ``rid`` read-locks the whole subtree."""
-        return self.lock(txn, rid, LockMode.S)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..baselines.wfg import has_deadlock
+from ..core.costs import work_done_cost
 from ..core.detection import DetectionResult
 from ..core.victim import CostTable
 from ..lockmgr.sharded import ShardedLockCore
@@ -42,8 +43,10 @@ class Terminal:
     step: int = 0
     tid: Optional[int] = None
     restarts: int = 0
-    program_started_at: float = 0.0
-    attempt_work: float = 0.0
+    #: The cost inputs (:mod:`repro.core.costs`): when the program
+    #: first started, and the current attempt's work.
+    start_time: float = 0.0
+    work_done: float = 0.0
     blocked_since: Optional[float] = None
     state: str = "thinking"  # thinking | running | blocked | aborted
 
@@ -81,12 +84,11 @@ class SimulatedSystem:
         self._next_tid = 1
         self._deadlock_since: Optional[float] = None
         #: ``cost_policy(terminal, now) -> float`` — victim cost of a
-        #: terminal's current transaction.  Default: accumulated work + 1
-        #: (abort cost proportional to work that would be wasted).
+        #: terminal's current transaction (a :mod:`repro.core.costs`
+        #: function).  Default: accumulated work + 1 (abort cost
+        #: proportional to work that would be wasted).
         self._cost_policy = (
-            cost_policy
-            if cost_policy is not None
-            else (lambda terminal, now: 1.0 + terminal.attempt_work)
+            cost_policy if cost_policy is not None else work_done_cost
         )
 
     def _refresh_cost(self, terminal: Terminal) -> None:
@@ -117,12 +119,12 @@ class SimulatedSystem:
     def _start_transaction(self, terminal: Terminal) -> None:
         if terminal.program is None:
             terminal.program = self.generator.next_program()
-            terminal.program_started_at = self.engine.now
+            terminal.start_time = self.engine.now
             terminal.restarts = 0
         terminal.tid = self._next_tid
         self._next_tid += 1
         terminal.step = 0
-        terminal.attempt_work = 0.0
+        terminal.work_done = 0.0
         terminal.state = "running"
         self._by_tid[terminal.tid] = terminal
         self._refresh_cost(terminal)
@@ -148,7 +150,7 @@ class SimulatedSystem:
         def finish() -> None:
             if terminal.tid != tid or terminal.state != "running":
                 return
-            terminal.attempt_work += work
+            terminal.work_done += work
             self._refresh_cost(terminal)
             terminal.step += 1
             self._advance(terminal, tid)
@@ -176,9 +178,9 @@ class SimulatedSystem:
         grants = self.core.finish(tid)
         self._by_tid.pop(tid, None)
         self.metrics.commits += 1
-        self.metrics.useful_work += terminal.attempt_work
+        self.metrics.useful_work += terminal.work_done
         self.metrics.response_times.append(
-            self.engine.now - terminal.program_started_at
+            self.engine.now - terminal.start_time
         )
         terminal.program = None
         terminal.tid = None
@@ -227,7 +229,7 @@ class SimulatedSystem:
                     self.engine.now - terminal.blocked_since
                 )
                 terminal.blocked_since = None
-            self.metrics.wasted_work += terminal.attempt_work
+            self.metrics.wasted_work += terminal.work_done
             self.metrics.restarts += 1
             terminal.restarts += 1
             terminal.tid = None

@@ -126,9 +126,9 @@ class TestCrashRecovery:
             db.write(t1, "accounts", "b", 3)
         with pytest.raises(Blocked):
             db.write(t2, "accounts", "a", 4)
-        db.transactions.run_detection()
-        # The victim's rollback appended its abort record; the survivor
-        # is still in flight.  Crash now: both must be absent.
+        db.core.detect()
+        # The victim is not rolled back yet and the survivor is still in
+        # flight: both are losers.  Crash now: both must be absent.
         restarted = db.simulate_crash()
         probe = restarted.begin()
         assert restarted.read(probe, "accounts", "a") == 100
@@ -169,6 +169,28 @@ class TestCrashRecovery:
         once = db.simulate_crash()
         twice = once.simulate_crash()
         assert twice.read(twice.begin(), "accounts", "a") == 90
+
+    def test_restarted_database_does_not_reuse_logged_tids(self):
+        """A restarted database hands out tids above every tid in its
+        log: the log is keyed by tid, so a reused tid would inherit a
+        dead transaction's commit record and its undone write would
+        come back at the next recovery."""
+        db = make_db()
+        first = db.begin()
+        db.write(first, "accounts", "a", 1)
+        db.commit(first)
+        db = db.simulate_crash()
+        doomed = db.begin()
+        assert doomed > first
+        db.write(doomed, "accounts", "a", 999)
+        db = db.simulate_crash()  # in flight: undone
+        third = db.begin()
+        db.write(third, "accounts", "b", 5)
+        db.commit(third)
+        db = db.simulate_crash()
+        probe = db.begin()
+        assert db.read(probe, "accounts", "a") == 1
+        assert db.read(probe, "accounts", "b") == 5
 
     def test_work_after_recovery_logs_onward(self):
         db = make_db()

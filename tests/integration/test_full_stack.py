@@ -1,63 +1,60 @@
 """Integration: the whole stack working together."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.baselines.wfg import has_deadlock
+from repro.core import costs as cost_policies
 from repro.core.modes import LockMode
 from repro.db.database import Database
 from repro.db.executor import Executor
-from repro.txn.manager import TransactionManager
-from repro.txn import costs as cost_policies
-from repro.txn.transaction import TxnState
+from repro.lockmgr.sharded import ShardedLockCore
 
 
 class TestPaperExamplesThroughTransactionLayer:
     def test_example_51_with_transaction_manager(self):
-        """Example 5.1 driven through real transactions, costs set by a
-        work-based policy so the paper's 6/4/1 ordering holds."""
-        tm = TransactionManager(cost_policy=cost_policies.work_done_cost)
-        t1, t2, t3 = tm.begin(), tm.begin(), tm.begin()
-        tm.work(t1, 5.0)  # cost 6
-        tm.work(t2, 3.0)  # cost 4
-        # t3 cost 1
-        assert tm.lock(t1, "R1", LockMode.S)
-        assert tm.lock(t2, "R2", LockMode.S)
-        assert tm.lock(t3, "R2", LockMode.S)
-        assert not tm.lock(t2, "R1", LockMode.X)
-        assert not tm.lock(t3, "R1", LockMode.S)
-        assert not tm.lock(t1, "R2", LockMode.X)
-        assert tm.deadlocked()
-        result = tm.run_detection()
-        assert result.aborted == [t2.tid]
-        assert result.spared == [t3.tid]
-        assert t2.state is TxnState.ABORTED
-        assert t3.is_active
-        assert t1.is_blocked  # still waits behind t3's S on R2
-        # t3 finishing lets t1 complete.
-        tm.commit(t3)
-        assert t1.is_active
-        tm.commit(t1)
+        """Example 5.1 driven through the core by tid, costs set by the
+        work-based function so the paper's 6/4/1 ordering holds."""
+        core = ShardedLockCore()
+        work = {1: 5.0, 2: 3.0, 3: 0.0}  # costs 6, 4, 1
+        for tid, done in work.items():
+            record = SimpleNamespace(work_done=done)
+            core.costs.set_cost(tid, cost_policies.work_done_cost(record, 0.0))
+        assert core.lock(1, "R1", LockMode.S).granted
+        assert core.lock(2, "R2", LockMode.S).granted
+        assert core.lock(3, "R2", LockMode.S).granted
+        assert not core.lock(2, "R1", LockMode.X).granted
+        assert not core.lock(3, "R1", LockMode.S).granted
+        assert not core.lock(1, "R2", LockMode.X).granted
+        assert core.deadlocked()
+        result = core.detect()
+        assert result.aborted == [2]
+        assert result.spared == [3]
+        assert core.was_aborted(2)
+        assert not core.is_blocked(3)
+        assert core.blocked_at(1) == "R2"  # still waits behind 3's S
+        # 3 finishing lets 1 complete.
+        core.finish(3)
+        assert not core.is_blocked(1)
+        core.finish(1)
 
     def test_conversion_deadlock_through_transactions(self):
-        tm = TransactionManager()
-        t1, t2 = tm.begin(), tm.begin()
-        tm.lock(t1, "R", LockMode.S)
-        tm.lock(t2, "R", LockMode.S)
-        assert not tm.lock(t1, "R", LockMode.X)
-        assert not tm.lock(t2, "R", LockMode.X)
-        result = tm.run_detection()
+        core = ShardedLockCore()
+        core.lock(1, "R", LockMode.S)
+        core.lock(2, "R", LockMode.S)
+        assert not core.lock(1, "R", LockMode.X).granted
+        assert not core.lock(2, "R", LockMode.X).granted
+        result = core.detect()
         assert len(result.aborted) == 1
-        survivor = t1 if t2.state is TxnState.ABORTED else t2
-        assert tm.locks.holding(survivor.tid)["R"] is LockMode.X
+        survivor = 1 if core.was_aborted(2) else 2
+        assert core.holding(survivor)["R"] is LockMode.X
 
 
 class TestBankingWorkload:
     def make_bank(self, policy="periodic"):
-        db = Database(
-            transactions=TransactionManager(policy=policy)
-        )
+        db = Database(core=ShardedLockCore(policy=policy))
         db.create_table(
             "accounts", {"acct{}".format(i): 100 for i in range(8)}
         )
@@ -92,7 +89,7 @@ class TestBankingWorkload:
             db, [("acct0", "acct1"), ("acct1", "acct0")]
         )
         assert report.commits == 2
-        assert not has_deadlock(db.transactions.locks.table)
+        assert not has_deadlock(db.core.table)
 
     def test_many_random_transfers_periodic(self):
         rng = random.Random(42)
@@ -103,7 +100,7 @@ class TestBankingWorkload:
         ]
         report = self.run_transfers(db, pairs)
         assert report.commits == 12
-        assert not has_deadlock(db.transactions.locks.table)
+        assert not has_deadlock(db.core.table)
 
     def test_many_random_transfers_continuous(self):
         rng = random.Random(43)
@@ -190,6 +187,6 @@ class TestSoak:
             ex.submit(script, "s{}".format(index))
         report = ex.run()
         assert report.commits == 10
-        table = db.transactions.locks.table
+        table = db.core.table
         assert not table.active_tids()
         assert len(table) == 0  # every resource entry reclaimed

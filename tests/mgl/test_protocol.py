@@ -4,17 +4,17 @@ import pytest
 
 from repro.core.errors import ProtocolViolation
 from repro.core.modes import LockMode
+from repro.lockmgr.sharded import ShardedLockCore
 from repro.mgl.hierarchy import ResourceHierarchy
 from repro.mgl.protocol import MGLProtocol
-from repro.txn.manager import TransactionManager
 
 
 def build(auto_intent=True):
     h = ResourceHierarchy()
     h.add_path(["db", "table", "row1"])
     h.add("row2", parent="table")
-    tm = TransactionManager()
-    return MGLProtocol(h, tm, auto_intent=auto_intent), tm
+    core = ShardedLockCore()
+    return MGLProtocol(h, core, auto_intent=auto_intent), core
 
 
 class TestPlan:
@@ -48,78 +48,69 @@ class TestPlan:
 
 class TestAutoIntent:
     def test_acquires_full_path(self):
-        mgl, tm = build()
-        txn = tm.begin()
-        assert mgl.lock(txn, "row1", LockMode.X)
-        held = tm.locks.holding(txn.tid)
-        assert held == {
+        mgl, core = build()
+        assert mgl.lock(1, "row1", LockMode.X)
+        assert core.holding(1) == {
             "db": LockMode.IX,
             "table": LockMode.IX,
             "row1": LockMode.X,
         }
 
     def test_readers_and_writers_of_different_rows_coexist(self):
-        mgl, tm = build()
-        t1, t2 = tm.begin(), tm.begin()
-        assert mgl.lock(t1, "row1", LockMode.X)
-        assert mgl.lock(t2, "row2", LockMode.S)
-        assert t1.is_active and t2.is_active
+        mgl, core = build()
+        assert mgl.lock(1, "row1", LockMode.X)
+        assert mgl.lock(2, "row2", LockMode.S)
+        assert not core.is_blocked(1) and not core.is_blocked(2)
 
     def test_table_scan_blocks_row_writer(self):
-        mgl, tm = build()
-        t1, t2 = tm.begin(), tm.begin()
-        assert mgl.lock(t1, "table", LockMode.S)
-        assert not mgl.lock(t2, "row1", LockMode.X)  # IX on table blocks
-        assert t2.is_blocked
-        assert t2.pending_rid == "table"
+        mgl, core = build()
+        assert mgl.lock(1, "table", LockMode.S)
+        assert not mgl.lock(2, "row1", LockMode.X)  # IX on table blocks
+        assert core.is_blocked(2)
+        assert core.blocked_at(2) == "table"
 
     def test_blocked_mid_path_resumes_after_wake(self):
-        mgl, tm = build()
-        t1, t2 = tm.begin(), tm.begin()
-        assert mgl.lock(t1, "table", LockMode.S)
-        assert not mgl.lock(t2, "row1", LockMode.X)
-        tm.commit(t1)
-        assert t2.is_active  # woken holding the table IX
+        mgl, core = build()
+        assert mgl.lock(1, "table", LockMode.S)
+        assert not mgl.lock(2, "row1", LockMode.X)
+        core.finish(1)
+        assert not core.is_blocked(2)  # woken holding the table IX
         # Re-issuing the same call resumes and completes the path.
-        assert mgl.lock(t2, "row1", LockMode.X)
-        assert tm.locks.holding(t2.tid)["row1"] is LockMode.X
+        assert mgl.lock(2, "row1", LockMode.X)
+        assert core.holding(2)["row1"] is LockMode.X
 
     def test_upgrade_path(self):
         # Read a row, then upgrade to write: intents convert IS -> IX.
-        mgl, tm = build()
-        txn = tm.begin()
-        assert mgl.lock(txn, "row1", LockMode.S)
-        assert mgl.lock(txn, "row1", LockMode.X)
-        held = tm.locks.holding(txn.tid)
+        mgl, core = build()
+        assert mgl.lock(1, "row1", LockMode.S)
+        assert mgl.lock(1, "row1", LockMode.X)
+        held = core.holding(1)
         assert held["table"] is LockMode.IX
         assert held["row1"] is LockMode.X
 
-    def test_lock_subtree_helpers(self):
-        mgl, tm = build()
-        txn = tm.begin()
-        assert mgl.reads_subtree(txn, "table")
-        assert tm.locks.holding(txn.tid)["table"] is LockMode.S
-        other = tm.begin()
-        assert not mgl.lock_subtree_exclusive(other, "table")
+    def test_subtree_locks_through_lock(self):
+        # S on a node read-locks its whole subtree; X on it is refused
+        # to anybody else meanwhile.
+        mgl, core = build()
+        assert mgl.lock(1, "table", LockMode.S)
+        assert core.holding(1)["table"] is LockMode.S
+        assert not mgl.lock(2, "table", LockMode.X)
 
 
 class TestCheckedMode:
     def test_missing_intent_raises(self):
-        mgl, tm = build(auto_intent=False)
-        txn = tm.begin()
+        mgl, _ = build(auto_intent=False)
         with pytest.raises(ProtocolViolation):
-            mgl.lock(txn, "row1", LockMode.S)
+            mgl.lock(1, "row1", LockMode.S)
 
     def test_with_intents_held_passes(self):
-        mgl, tm = build(auto_intent=False)
-        txn = tm.begin()
-        tm.lock(txn, "db", LockMode.IS)
-        tm.lock(txn, "table", LockMode.IS)
-        assert mgl.lock(txn, "row1", LockMode.S)
+        mgl, core = build(auto_intent=False)
+        core.lock(1, "db", LockMode.IS)
+        core.lock(1, "table", LockMode.IS)
+        assert mgl.lock(1, "row1", LockMode.S)
 
     def test_stronger_intent_accepted(self):
-        mgl, tm = build(auto_intent=False)
-        txn = tm.begin()
-        tm.lock(txn, "db", LockMode.IX)
-        tm.lock(txn, "table", LockMode.SIX)  # covers IS
-        assert mgl.lock(txn, "row1", LockMode.S)
+        mgl, core = build(auto_intent=False)
+        core.lock(1, "db", LockMode.IX)
+        core.lock(1, "table", LockMode.SIX)  # covers IS
+        assert mgl.lock(1, "row1", LockMode.S)

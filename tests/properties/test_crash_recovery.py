@@ -9,7 +9,9 @@ an independent winners-only replay oracle (strict 2PL makes replaying
 committed writes in log order exact).  Recovery must also be
 idempotent: recovering the already-recovered log (with its appended
 loser-abort records) changes nothing — a crash *during* recovery is
-just another crash.
+just another crash.  The history itself crashes and restarts too, as
+often as the draw says: each restart must bring back exactly what was
+committed, and the log keeps growing across restarts.
 """
 
 from __future__ import annotations
@@ -40,36 +42,50 @@ ops_strategy = st.lists(
             st.just("abort"),
             st.integers(min_value=0, max_value=SLOTS - 1),
         ),
+        st.just(("crash", 0)),
     ),
     max_size=30,
 )
 
 
 def run_history(ops) -> WriteAheadLog:
-    """Execute a random multi-transaction history; leave stragglers
-    in flight (they become the losers of later crash points)."""
+    """Execute a random multi-transaction history, crashing and
+    restarting where the draw says; leave stragglers in flight (they
+    become the losers of later crash points)."""
     db = RecoverableDatabase()
     db.create_table("t", {"a": 100, "b": 50})
+    committed = {"a": 100, "b": 50}
     slots = [None] * SLOTS
+    writes = [[] for _ in range(SLOTS)]
     for op in ops:
         kind, slot = op[0], op[1]
-        if kind == "write":
+        if kind == "crash":
+            db = db.simulate_crash()
+            slots = [None] * SLOTS
+            writes = [[] for _ in range(SLOTS)]
+            assert db._tables == {"t": committed}, (
+                "a restart lost a committed write or kept an undone one"
+            )
+        elif kind == "write":
             if slots[slot] is None:
                 slots[slot] = db.begin()
             try:
                 db.write(slots[slot], "t", op[2], op[3])
+                writes[slot].append((op[2], op[3]))
             except Blocked:
                 # Sequential test: a lock conflict cannot resolve, so
                 # the blocked transaction gives up immediately.
-                db.rollback(slots[slot].tid)
                 db.abort(slots[slot])
                 slots[slot] = None
+                writes[slot] = []
         elif slots[slot] is not None:
             if kind == "commit":
                 db.commit(slots[slot])
+                committed.update(writes[slot])
             else:
                 db.abort(slots[slot])
             slots[slot] = None
+            writes[slot] = []
     return db.wal
 
 
@@ -122,18 +138,18 @@ class TestCrashAtEverySyncPoint:
     @given(ops=ops_strategy)
     @settings(max_examples=25)
     def test_restarted_database_is_usable_at_every_prefix(self, ops):
-        """A database rebuilt from any crash prefix accepts new work
-        and its transaction table starts empty."""
+        """A database rebuilt from any crash prefix accepts new work,
+        its lock table starts empty and its tids start above the log's."""
         records = run_history(ops).records()
         for length in range(0, len(records) + 1, max(1, len(records) // 6)):
             log = truncated(records, length)
             restarted = RecoverableDatabase(wal=log)
             for table, rows in recover(log).items():
                 restarted.create_table_silently(table, rows)
-            assert restarted.transactions.active_transactions() == []
-            assert set(restarted.transactions.locks.table.active_tids()) == set()
+            assert set(restarted.core.table.active_tids()) == set()
             if "t" in restarted._tables:
                 probe = restarted.begin()
+                assert all(probe > record.tid for record in records[:length])
                 restarted.write(probe, "t", "probe", 1)
                 restarted.commit(probe)
                 check = restarted.begin()

@@ -39,7 +39,7 @@ SRC = os.path.join(REPO_ROOT, "src")
 #: Packages no service process has a use for.
 OFFLINE = (
     "numpy", "repro.analysis", "repro.baselines", "repro.sim", "repro.db",
-    "repro.mgl", "repro.txn", "repro.check",
+    "repro.mgl", "repro.core.costs", "repro.check",
 )
 #: What a client of a running server has no use for: the server side
 #: of ``repro.service`` (``repro.service``'s lazy ``__init__`` keeps
