@@ -93,16 +93,12 @@ def load_handler(spec: str):
     return getattr(import_module("." + module, __name__), function)
 
 
-def parse_cost_pairs(pairs: List[str]) -> dict:
+def parse_costs(pairs: List[str]) -> CostTable:
     costs = {}
     for pair in pairs:
         tid, _, value = pair.partition("=")
         costs[int(tid.lstrip("Tt"))] = float(value)
-    return costs
-
-
-def parse_costs(pairs: List[str]) -> CostTable:
-    return CostTable(parse_cost_pairs(pairs))
+    return CostTable(costs)
 
 
 def count(text: str) -> int:
@@ -274,14 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "needs 1)",
     )
     serve_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes; >1 runs the cluster supervisor with "
-        "one partitioned lock server per worker on port..port+N-1 "
-        "(the continuous policy needs 1)",
-    )
-    serve_cmd.add_argument(
         "--cost",
         action="append",
         default=[],
@@ -293,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="journal sessions and locks to PATH and replay it on "
-        "start (crash-safe restart); with --workers > 1 PATH is a "
-        "directory holding one journal per worker",
+        "start (crash-safe restart)",
     )
     serve_cmd.add_argument(
         "--journal-fsync",
@@ -309,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="serve a Prometheus exposition on this HTTP port (0 = "
-        "ephemeral); with --workers > 1 the supervisor aggregates "
-        "every worker's metrics into the one scrape point",
+        "ephemeral)",
     )
     serve_cmd.add_argument(
         "--incident-log",
@@ -353,12 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     top_cmd.add_argument(
         "--once", action="store_true",
         help="print one dashboard frame and exit",
-    )
-    top_cmd.add_argument(
-        "--cluster",
-        metavar="HOST:PORT,...",
-        help="poll a worker fleet instead of one server and render the "
-        "per-worker cluster view",
     )
     top_cmd.add_argument(
         "--incidents",

@@ -5,12 +5,7 @@ from __future__ import annotations
 import asyncio
 import sys
 
-from ..obs.top import (
-    parse_endpoints,
-    run_cluster_top,
-    run_top,
-    run_trace_export,
-)
+from ..obs.top import run_top, run_trace_export
 from ..service.admin import render_stats
 from ..service.client import AsyncLockClient
 
@@ -74,24 +69,6 @@ def cmd_remote(args) -> int:
 
 
 def cmd_top(args) -> int:
-    if args.cluster:
-        try:
-            endpoints = parse_endpoints(args.cluster)
-        except ValueError as exc:
-            print("bad --cluster spec: {}".format(exc), file=sys.stderr)
-            return 2
-        try:
-            run_cluster_top(
-                endpoints,
-                interval=args.interval,
-                iterations=1 if args.once else None,
-                clear=not args.once,
-                incidents_path=args.incidents,
-            )
-        except KeyboardInterrupt:
-            pass
-        return 0
-
     try:
         run_top(
             args.host,

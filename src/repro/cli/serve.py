@@ -1,27 +1,25 @@
-"""``serve``: the lock service, one process or a worker cluster.
+"""``serve``: the lock service process.
 
-The two optional branches — the ``--metrics-port`` HTTP exporter and
-the ``--workers`` supervisor — import on use: neither is part of a
-plain server's process.
+The optional ``--metrics-port`` HTTP exporter imports on use: it is
+not part of a plain server's process.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
+import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..obs.incidents import IncidentLog
 from ..policy import POLICIES
 from ..service.server import LockServer
-from . import parse_cost_pairs, parse_costs
+from . import parse_costs
 
 
 class ServeConfigError(ValueError):
-    """An impossible ``serve`` flag combination.
+    """An impossible ``serve`` flag combination or value.
 
     ``cmd_serve`` turns this into a clear message on stderr and exit
     code 2 — the argparse convention for bad usage."""
@@ -33,7 +31,6 @@ class ServeConfig:
 
     policy: str
     shards: int
-    workers: int
     warnings: Tuple[str, ...]
     unix: Optional[str]
 
@@ -41,13 +38,15 @@ class ServeConfig:
 def validate_serve_config(
     policy: str = "periodic",
     shards: int = 1,
-    workers: int = 1,
     period: float = 0.5,
     unix: Optional[str] = None,
+    lease: float = 5.0,
+    max_frame: Optional[int] = None,
 ) -> ServeConfig:
     """Validate one ``serve`` flag set; the single place topology
-    combinations are judged.  Contradictory flags raise
-    :class:`ServeConfigError`; a policy the period makes inert warns.
+    combinations and flag values are judged.  Contradictory flags and
+    impossible values raise :class:`ServeConfigError`; a policy the
+    period makes inert warns.
     """
     warnings: List[str] = []
     if policy not in POLICIES:
@@ -56,26 +55,31 @@ def validate_serve_config(
                 policy, ", ".join(sorted(POLICIES))
             )
         )
-    if policy == "continuous":
-        if workers > 1:
-            raise ServeConfigError(
-                "the continuous policy needs the whole wait graph in "
-                "one process; it cannot run with --workers "
-                "{}".format(workers)
-            )
-        if shards > 1:
-            raise ServeConfigError(
-                "the continuous policy needs the whole wait graph in "
-                "one process; it cannot run with --shards "
-                "{}".format(shards)
-            )
-    if workers < 1:
+    if policy == "continuous" and shards > 1:
         raise ServeConfigError(
-            "--workers must be at least 1 (got {})".format(workers)
+            "the continuous policy needs the whole wait graph in one "
+            "shard; it cannot run with --shards {}".format(shards)
         )
     if shards < 1:
         raise ServeConfigError(
             "--shards must be at least 1 (got {})".format(shards)
+        )
+    if not math.isfinite(period):
+        raise ServeConfigError(
+            "--period must be a finite number of seconds (got {})".format(
+                period
+            )
+        )
+    # The wire's ``lease`` field takes the same values
+    # (``protocol.seconds_field``).
+    if not 0 <= lease < math.inf:
+        raise ServeConfigError(
+            "--lease must be a finite, non-negative number of seconds "
+            "(got {})".format(lease)
+        )
+    if max_frame is not None and max_frame < 1:
+        raise ServeConfigError(
+            "--max-frame must be at least 1 byte (got {})".format(max_frame)
         )
     if policy == "adaptive" and period <= 0:
         warnings.append(
@@ -84,16 +88,9 @@ def validate_serve_config(
                 period
             )
         )
-    if unix is not None and workers > 1:
-        raise ServeConfigError(
-            "--unix binds a single UNIX-domain socket; the cluster "
-            "supervisor partitions a TCP port range, so it cannot "
-            "run with --workers {}".format(workers)
-        )
     return ServeConfig(
         policy=policy,
         shards=shards,
-        workers=workers,
         warnings=tuple(warnings),
         unix=unix,
     )
@@ -104,17 +101,16 @@ def cmd_serve(args) -> int:
         config = validate_serve_config(
             policy=args.policy,
             shards=args.shards,
-            workers=args.workers,
             period=args.period,
             unix=args.unix,
+            lease=args.lease,
+            max_frame=args.max_frame,
         )
     except ServeConfigError as exc:
         print("serve: {}".format(exc), file=sys.stderr)
         return 2
     for warning in config.warnings:
         print("warning: {}".format(warning), file=sys.stderr)
-    if config.workers > 1:
-        return _serve_cluster(args, config)
 
     incident_log = None
     if args.incident_log:
@@ -129,11 +125,11 @@ def cmd_serve(args) -> int:
         journal_fsync=args.journal_fsync,
         incident_log=incident_log,
     )
-    if args.max_frame:
+    if args.max_frame is not None:
         server.max_frame = args.max_frame
     exporter = None
     if args.metrics_port is not None:
-        from ..obs.cluster import MetricsExporter
+        from ..obs.exporter import MetricsExporter
 
         exporter = MetricsExporter(
             server.core.telemetry.registry.render,
@@ -192,65 +188,6 @@ def cmd_serve(args) -> int:
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _serve_cluster(args, config: ServeConfig) -> int:
-    from ..cluster import ClusterSupervisor
-
-    workers = config.workers
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
-    supervisor = ClusterSupervisor(
-        workers=workers,
-        host=args.host,
-        base_port=args.port,
-        period=None if args.period <= 0 else args.period,
-        lease=args.lease,
-        costs=parse_cost_pairs(args.cost),
-        journal_dir=args.journal,
-        incident_log=args.incident_log,
-        metrics_port=args.metrics_port,
-        metrics_host=args.host,
-        policy=config.policy,
-        shards_per_worker=config.shards,
-    )
-    try:
-        with supervisor:
-            print(
-                "lock cluster up: {} workers at {} "
-                "(detector period={}, lease={}s, policy={})".format(
-                    workers,
-                    ", ".join(
-                        "{}:{}".format(host, port)
-                        for host, port in supervisor.endpoints()
-                    ),
-                    supervisor.period
-                    if supervisor.period is not None
-                    else "off",
-                    args.lease,
-                    supervisor.policy.name,
-                ),
-                flush=True,
-            )
-            if supervisor.metrics_port is not None:
-                print(
-                    "aggregated metrics exposition on "
-                    "http://{}:{}/metrics".format(
-                        args.host, supervisor.metrics_port
-                    ),
-                    flush=True,
-                )
-            if args.incident_log:
-                print(
-                    "incident log at {}".format(args.incident_log),
-                    flush=True,
-                )
-            while True:
-                time.sleep(1.0)
     except KeyboardInterrupt:
         pass
     return 0

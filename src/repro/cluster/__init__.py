@@ -1,29 +1,20 @@
-"""Multi-process cluster: shard-per-process workers, one periodic detector.
+"""The routed detection pass over partitioned in-process cores.
 
-PR 4 partitioned the lock table into shards, but every shard still
-shared one interpreter lock.  This package promotes each partition to
-its own worker **process**:
+What is left of the cluster after its multi-process half was measured
+and removed (``docs/CLUSTER.md`` has the verdict).  The paper's
+algorithm is centralized, and one server process ran faster than two
+worker processes on every measured pair.  What stays is the routed
+pass as an oracle:
 
-* :mod:`repro.cluster.worker` — the worker entry point: one
-  :class:`~repro.service.server.LockServer` owning the
-  ``crc32(rid) % N`` partition, detection disabled (the coordinator owns
-  it), first-lock sequence numbers drawn from a shared cross-process
-  counter so merged snapshots keep the cluster-wide first-lock order.
-* :mod:`repro.cluster.supervisor` — spawns and monitors the workers,
-  reaps dead ones, and runs the periodic cross-process
-  detection-resolution pass on a cadence.
-* :mod:`repro.cluster.coordinator` — the pass itself: gather worker
-  snapshots (the ``snapshot`` wire op), merge them into one H/W-TWBG,
-  run the **unchanged** Section-5 machinery, route resolutions back to
-  the owning workers (the ``resolve`` wire op) with the same staleness
-  re-checks the sharded manager applies.
-* :mod:`repro.cluster.client` — :class:`ClusterLockManager`, a blocking
-  client that routes each resource to its owning worker, so application
-  code written against ``ShardedLockManager``/``RemoteLockManager``
-  runs against a cluster unchanged.
-* :mod:`repro.cluster.local` — :class:`LocalCluster`, the same topology
-  without sockets (N in-process cores + the same coordinator), used by
-  the ``cluster`` explorer backend and fast unit tests.
+* :mod:`repro.cluster.coordinator` — the pass itself: gather every
+  worker core's waiting-structure snapshot, merge them into one
+  H/W-TWBG, run the **unchanged** Section-5 machinery, and route each
+  resolution back to the owning core with the same staleness re-checks
+  the sharded core applies.
+* :mod:`repro.cluster.local` — :class:`LocalCluster`, N in-process
+  cores bound to that coordinator through wire-encoded payloads, used
+  by the ``cluster`` explorer backend, the sparse-pass equivalence
+  suite and the benchmark's ``detect_ballast`` lane.
 """
 
 from .coordinator import (
@@ -34,15 +25,11 @@ from .coordinator import (
     run_cluster_pass,
     worker_of,
 )
-from .client import ClusterLockManager
 from .local import LocalCluster
-from .supervisor import ClusterSupervisor
 
 __all__ = [
     "ClusterDetection",
     "ClusterPass",
-    "ClusterLockManager",
-    "ClusterSupervisor",
     "LocalCluster",
     "apply_resolution_plan",
     "merge_snapshots",

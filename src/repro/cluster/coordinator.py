@@ -1,33 +1,31 @@
-"""The cross-process periodic detection-resolution pass.
+"""The routed periodic detection-resolution pass.
 
 The paper's periodic scheme never needs the request path and the
 detector to share memory — the detector only needs snapshots that are
 *consistent enough* for cycles, and cycles are stable until a
 resolution acts.  The sharded manager exploits that split inside one
-process; this module lifts it over the wire by binding the one
-:class:`~repro.lockmgr.detection_pass.DetectionPass` to a worker fleet:
+core; this module binds the one
+:class:`~repro.lockmgr.detection_pass.DetectionPass` to a set of
+separately owned worker cores that it reaches only through
+wire-shaped payloads:
 
 * **source** — every worker's ``snapshot`` payload: its slice of the
   *waiting structure* (rows of the resources somebody is blocked at,
-  each with its cluster-wide first-lock number — workers share one
-  counter, see :mod:`repro.cluster.worker`; idle locks are not
-  shipped), merged by :func:`merge_snapshots` into the order a
+  each with its cluster-wide first-lock number — the workers share one
+  counter, see :class:`~repro.cluster.local.LocalCluster`; idle locks
+  are not shipped), merged by :func:`merge_snapshots` into the order a
   single-process table fed the same request stream would have;
 * **sink** — ``resolve`` plans to the owning workers, every item
   re-checked against the live state by :func:`apply_resolution_plan`
-  (the *worker-side* half, which :meth:`ServiceCore.resolve_step
-  <repro.service.core.ServiceCore.resolve_step>` and the local
-  transport both run).  A victim is confirmed at the worker owning its
+  (the *worker-side* half).  A victim is confirmed at the worker owning its
   blocked resource, then every other reachable worker is told to
   release what it holds for it — the coordinator cannot know where a
   victim's *idle* locks live, and a worker that never saw the
   transaction answers with a no-op.
 
 The transport is abstract (``snapshot_all()`` / ``resolve(index,
-plan)``): the supervisor and the cluster client bind it to
-:class:`~repro.service.client.AsyncLockClient` calls,
-:class:`~repro.cluster.local.LocalCluster` to in-process cores through
-the same JSON shapes.
+plan)``): :class:`~repro.cluster.local.LocalCluster` binds it to
+in-process cores, round-tripping every payload through a wire codec.
 """
 
 from __future__ import annotations
@@ -52,10 +50,10 @@ def worker_of(rid: str, workers: int) -> int:
     return partition_of(rid, workers)
 
 
-#: What one cross-process pass did (``DetectionResult.cluster``).
+#: What one routed pass did (``DetectionResult.cluster``).
 ClusterPass = PassInfo
 
-#: Outcome of one cross-process pass: a
+#: Outcome of one routed pass: a
 #: :class:`~repro.core.detection.DetectionResult` whose ``cluster``
 #: attribute carries the :class:`ClusterPass` bookkeeping.
 ClusterDetection = DetectionResult
@@ -276,16 +274,16 @@ def run_cluster_pass(
     epoch: Optional[int] = None,
     policy=None,
 ) -> ClusterDetection:
-    """One snapshot-merge-detect-resolve pass over a worker fleet.
+    """One snapshot-merge-detect-resolve pass over the worker cores.
 
-    ``transport`` provides the two wire rounds::
+    ``transport`` provides the two rounds::
 
         snapshot_all() -> List[Optional[dict]]   # None = unreachable
         resolve(worker_index, plan) -> Optional[dict]
 
     Every pass mints a trace id and a coordinator pass-span ref; each
-    plan carries them as ``plan["ctx"]`` so worker-side resolution
-    spans parent to this pass across the process hop.  With
+    plan carries them as ``plan["ctx"]``, so a plan names the pass
+    that staged it.  With
     ``incident_sink`` (an :class:`~repro.obs.incidents.IncidentLog`) a
     resolving pass appends a ``repro.incident/1`` record stamped with
     ``policy`` (a bound :class:`~repro.policy.base.DetectionPolicy`,

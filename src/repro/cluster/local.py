@@ -1,17 +1,17 @@
-"""The cluster topology without sockets.
+"""The routed pass over in-process worker cores.
 
 :class:`LocalCluster` wires N in-process
 :class:`~repro.lockmgr.sharded.ShardedLockCore` worker cores (one
-shard each) to the very same coordinator the wire cluster runs —
-plans and replies even round-trip through JSON, so the explorer's
-``cluster`` backend exercises the exact wire representations without
-process-spawn latency.  The cores share one first-lock sequence
-counter, mirroring the cross-process counter
-:mod:`repro.cluster.worker` installs, which is what keeps the merged
-waiting structure — and the full-table audit
-:attr:`LocalCluster.table` — identical to a single-process
+shard each) to the coordinator of :mod:`repro.cluster.coordinator`.
+Snapshots, plans and replies round-trip through a wire codec, so
+nothing crosses from a core to the coordinator that the wire could not
+carry.  The cores share one first-lock sequence counter, which is what
+keeps the merged waiting structure — and the full-table audit
+:attr:`LocalCluster.table` — identical to a single
 :class:`~repro.lockmgr.sharded.ShardedLockCore` fed the same request
-stream (the property :mod:`repro.check.cluster` pins down).
+stream (the property :mod:`repro.check.cluster` pins down).  It stays
+as that oracle: the ``cluster`` explorer backend, the sparse-pass
+equivalence suite and the benchmark's ``detect_ballast`` lane run it.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ class LocalTransport:
 
     Every payload, plan and reply round-trips through the configured
     wire codec so the in-process cluster speaks exactly the wire
-    dialect — a shape only the wire can carry (string keys, lists, no
-    tuples) is exercised here the same way the socket path exercises
-    it, for *either* framing: JSON re-parses through ``json``, binary
-    encodes+decodes real v2 frames.
+    dialect — only shapes the wire can carry (string keys, lists, no
+    tuples) reach the coordinator, for *either* framing: JSON re-parses
+    through ``json``, binary encodes+decodes real v2 frames.
     """
 
     def __init__(self, cluster: "LocalCluster", wire="json") -> None:
@@ -76,8 +75,8 @@ class LocalTransport:
 class LocalCluster:
     """N worker cores, one shared sequence counter, one coordinator.
 
-    The single-process stand-in for a worker fleet: the same routing
-    (``crc32(rid) % workers``), the same cross-worker Axiom-1 check the
+    Each worker core owns a partition: the routing is
+    ``crc32(rid) % workers``, with the same cross-worker Axiom-1 check the
     sharded core applies across shards, and the same periodic pass —
     driven synchronously, so the schedule explorer can single-step it.
     """
@@ -98,7 +97,7 @@ class LocalCluster:
         #: Coordinator-side detection policy (pre-pass, observation);
         #: block-time policies also act on every worker core, so cores
         #: are built with the same policy *name* (each core binds its
-        #: own instance — mirroring the process-per-worker topology).
+        #: own instance).
         self.policy = resolve_policy(policy).bind(self)
         core_policy = (
             self.policy.name if self.policy.name in POLICIES else "periodic"

@@ -99,7 +99,7 @@ class DetectionResult:
     #: :class:`repro.lockmgr.sharded.ShardedPass`); None for a run on a
     #: single table.
     sharding: Optional[object] = None
-    #: Set by the cluster coordinator's cross-process pass (a
+    #: Set by the cluster coordinator's routed pass (a
     #: :class:`repro.cluster.coordinator.ClusterPass`).
     cluster: Optional[object] = None
     #: The Aborted-event reason the absorbing manager publishes for

@@ -14,9 +14,8 @@ Declared once, satisfied structurally (no base classes, no adapters):
   ``sim.realtime`` and the threaded examples call polymorphically:
   ``acquire`` parks the caller until granted, timed out or victimized.
   Satisfied by :class:`~repro.lockmgr.sharded.ShardedLockManager`,
-  :class:`~repro.service.client.RemoteLockManager`,
-  :class:`~repro.service.loopback.EmbeddedLockManager` and
-  :class:`~repro.cluster.client.ClusterLockManager`.
+  :class:`~repro.service.client.RemoteLockManager` and
+  :class:`~repro.service.loopback.EmbeddedLockManager`.
 
 Both are the intersection that already exists; facade-specific extras
 (``begin``/``batch`` on the service clients,

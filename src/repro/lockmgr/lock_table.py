@@ -17,7 +17,7 @@ The table also owns the **first-lock sequence**: a resource draws a
 number when its entry is created and gives it up when the entry is
 dropped, so any subset of resources — above all the *waiting structure*
 a detector pass reads — sorts into first-lock order without a table
-walk, and slices of a partitioned table (shards, cluster workers) that
+walk, and slices of a partitioned table (shards, the worker cores of :mod:`repro.cluster`) that
 share one counter merge into the order a single table would have had.
 
 All mutation goes through :mod:`repro.lockmgr.scheduler`; the table itself

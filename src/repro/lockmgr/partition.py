@@ -1,8 +1,8 @@
 """The one partition function: ``crc32(rid) % n``.
 
 Every layer that routes a resource to an owner — the sharded core's
-shard router, the cluster client's worker router, the coordinator's
-merge bookkeeping — must agree on this mapping, or a resolution staged
+shard router, the routed pass's worker router and its merge
+bookkeeping — must agree on this mapping, or a resolution staged
 against one partition would be applied to another.  Before this module
 the expression was repeated at each site; now they all call
 :func:`partition_of`, so policy-aware routing has a single seam.
@@ -10,8 +10,8 @@ the expression was repeated at each site; now they all call
 CRC-32 is used for its stability: the mapping is a pure function of
 the resource id and the partition count, identical across processes,
 machines and Python versions (``zlib.crc32`` is specified by RFC
-1950), which is what lets a cluster coordinator reason about worker
-ownership without asking the workers.
+1950), which is what lets the routed pass's coordinator reason about
+worker ownership without asking the workers.
 """
 
 from __future__ import annotations

@@ -99,8 +99,8 @@ def resolve_shard_count(shards: int = 1, policy="periodic") -> int:
 
 def shard_of(rid: str, shards: int) -> int:
     """Stable router: crc32 of the resource id, modulo the shard count
-    (the shared :func:`~repro.lockmgr.partition.partition_of`, which the
-    cluster's worker router delegates to as well)."""
+    (the shared :func:`~repro.lockmgr.partition.partition_of`, which
+    :func:`~repro.cluster.coordinator.worker_of` delegates to as well)."""
     return partition_of(rid, shards)
 
 
@@ -259,8 +259,8 @@ class ShardedLockCore:
         count = resolve_shard_count(shards, resolved)
         # One first-lock counter for every shard table (see the module
         # docstring).  ``sequence_source`` swaps the local counter for
-        # an external one — a cluster shares a cross-process counter so
-        # merged worker snapshots keep the *cluster-wide* order.
+        # an external one — ``LocalCluster``'s worker cores share one so
+        # their merged snapshots keep the *cluster-wide* order.
         sequence = FirstLockSequence(sequence_source)
         self.shards: List[LockShard] = [
             LockShard(i, sequence) for i in range(count)
@@ -319,8 +319,7 @@ class ShardedLockCore:
         """Force ``rid``'s first-lock sequence to the journaled value:
         replay calls :meth:`lock` (a *fresh* number) and overwrites it
         with the recorded one, so the rebuilt iteration order is
-        byte-identical to the pre-crash table even when a cluster
-        sibling advanced the shared counter meanwhile."""
+        byte-identical to the pre-crash table."""
         shard = self.shard_for(rid)
         with shard.mutex:
             if seq is not None and rid in shard.table:
@@ -440,7 +439,7 @@ class ShardedLockCore:
             self.shards[0].epoch += 1
         self._absorb(self.shards[0], result)
 
-    # -- resolution primitives (shared with the cluster coordinator) -------
+    # -- resolution primitives (shared with the routed pass) --------------
 
     def _waiting(self, convert):
         """Snapshot the waiting structure: ``convert(state)`` of every
@@ -460,11 +459,11 @@ class ShardedLockCore:
         return rows, epochs, seconds
 
     def snapshot_payload(self) -> Dict[str, object]:
-        """Serialize this core's slice of the waiting structure for a
-        cluster coordinator: the rows of the resources somebody is
-        blocked at, in first-lock order with their sequence numbers (a
-        coordinator merges several workers' slices by them — workers
-        share a counter via ``sequence_source``).  Idle locks are never
+        """Serialize this core's slice of the waiting structure for the
+        routed pass (:mod:`repro.cluster.coordinator`): the rows of the
+        resources somebody is blocked at, in first-lock order with their
+        sequence numbers (the coordinator merges several cores' slices
+        by them — the cores share a counter via ``sequence_source``).  Idle locks are never
         shipped, so the payload is proportional to the blocked requests.
         """
         from ..core.serialize import FORMAT_VERSION, state_to_dict
@@ -511,12 +510,12 @@ class ShardedLockCore:
     def release_victim(self, tid: int) -> List[Granted]:
         """Free a victim's entries on this core without re-confirming.
 
-        The cross-process counterpart of the victim-release loop: when a
-        cluster victim blocks on *another* worker, that worker confirms
-        via :meth:`abort_victim` and every other worker holding the
-        victim's locks frees them through here.  The coordinator does
+        The routed pass's counterpart of the victim-release loop: when a
+        victim blocks on *another* worker core, that core confirms via
+        :meth:`abort_victim` and every other core holding the victim's
+        locks frees them through here.  The coordinator does
         not know where a victim's idle locks live (snapshots carry the
-        waiting structure only), so it asks every other worker.
+        waiting structure only), so it asks every other core.
         """
         with self._txn_lock:
             mask = self._mask(tid)

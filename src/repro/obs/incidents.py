@@ -1,8 +1,8 @@
 """Deadlock incident records: durable forensics for every resolved
 cycle (``repro.incident/1``).
 
-When a detector pass — single-process or the cluster coordinator's
-snapshot-merge-resolve pass — finds a cycle, the operator's questions
+When a detector pass — the service's or the routed
+snapshot-merge-resolve pass of :mod:`repro.cluster` — finds a cycle, the operator's questions
 arrive later: *what* was the cycle, *which* TRRP candidates were on the
 table, *why* did TDR pick that victim, and did the resolution actually
 land or go stale?  The metrics registry only keeps counters; the span

@@ -265,52 +265,12 @@ class Telemetry:
         self._blocked_since.pop(tid, None)
         self.trace.finished(tid, aborted=aborted)
 
-    def resolution(
-        self,
-        action: str,
-        tid: int,
-        rid: Optional[str],
-        applied: bool,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
-    ) -> None:
-        """One coordinator-routed resolution item landed (or went
-        stale) on this worker: a ``resolution`` span parented to the
-        coordinator's pass span, so ``trace-export`` links the worker's
-        side of the resolution to the pass that staged it."""
-        if not self.enabled:
-            return
-        self.registry.counter(
-            "repro_resolution_items_total",
-            labels={
-                "action": action,
-                "outcome": "applied" if applied else "stale",
-            },
-            help="coordinator resolution items by action and outcome",
-        ).inc()
-        self.trace.record(
-            tid,
-            rid or "",
-            action,
-            "resolution",
-            "applied" if applied else "stale",
-            trace=trace,
-            parent=parent,
-        )
-
-    def pass_span(
-        self,
-        status: str,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
-    ):
+    def pass_span(self, status: str):
         """Record a detector-pass span and return its cross-process ref
         (None with telemetry disabled)."""
         if not self.enabled:
             return None
-        span = self.trace.record(
-            0, "", "", "pass", status, trace=trace, parent=parent
-        )
+        span = self.trace.record(0, "", "", "pass", status)
         return self.trace.span_ref(span)
 
     def pending_waits(self) -> List[int]:

@@ -43,9 +43,9 @@ __all__ = ["Span", "TraceLog", "TERMINAL_STATES", "LIFECYCLE_KINDS"]
 #: States a span can end in.  ``granted`` is live (lock held), not terminal.
 TERMINAL_STATES = frozenset({"released", "aborted", "timed-out"})
 
-#: Span kinds that follow the request lifecycle above.  Other kinds
-#: (``resolution``, ``pass``) are point-in-time annotations recorded by
-#: the detector coordinator and are exempt from the completeness oracle.
+#: Span kinds that follow the request lifecycle above.  The other kind,
+#: ``pass``, is a point-in-time annotation recorded by the detector and
+#: is exempt from the completeness oracle.
 LIFECYCLE_KINDS = frozenset({"request", "conversion", "queue", "resume"})
 
 #: The phases a span is born with, by the outcome known at birth (shared
@@ -84,8 +84,7 @@ class Span:
         #: ``request`` for a first attempt, ``conversion`` once blocked
         #: inside the holder list, ``queue`` once blocked in the FIFO
         #: queue, ``resume`` for a re-sent lock after a client timeout,
-        #: ``resolution`` for a coordinator-routed resolution item
-        #: applied on a worker, ``pass`` for a whole detector pass.
+        #: ``pass`` for a whole detector pass.
         self.kind = kind
         self.status = BORN_STATUS.get(born[-1], born[-1])
         #: The phases stamped at birth, all at ``(wall, virtual)``.
@@ -343,14 +342,11 @@ class TraceLog:
         mode: str,
         kind: str,
         status: str,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
     ) -> Span:
         """Record a complete point-in-time span straight into the ring
-        (coordinator pass spans, worker-side resolution applications —
-        anything that is born finished)."""
+        (detector pass spans — anything that is born finished)."""
         born = ("request", status)
-        span = self._new(tid, rid, mode, kind, born, trace, parent)
+        span = self._new(tid, rid, mode, kind, born, None, None)
         self.total_recorded += 1
         self._completed.append(span)
         return span

@@ -26,9 +26,6 @@ __all__ = [
     "take_sample",
     "render_dashboard",
     "render_incident_pane",
-    "parse_endpoints",
-    "render_cluster_dashboard",
-    "run_cluster_top",
     "run_top",
     "run_trace_export",
 ]
@@ -408,158 +405,6 @@ def run_top(
                 await asyncio.sleep(interval)
         finally:
             await client.close()
-
-    try:
-        return asyncio.run(loop())
-    except KeyboardInterrupt:
-        return 0
-
-
-def parse_endpoints(spec: str) -> List[Tuple[str, int]]:
-    """Parse ``host:port,host:port,...`` (bare ports mean localhost)."""
-    endpoints: List[Tuple[str, int]] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        host, _, port = part.rpartition(":")
-        endpoints.append((host or "127.0.0.1", int(port)))
-    if not endpoints:
-        raise ValueError("no endpoints in {!r}".format(spec))
-    return endpoints
-
-
-def render_cluster_dashboard(
-    samples: List[Optional[Sample]],
-    endpoints: List[Tuple[str, int]],
-    previous: Optional[List[Optional[Sample]]] = None,
-    width: int = 72,
-) -> str:
-    """One frame of the cluster operator view (pure; no I/O).
-
-    ``samples`` is index-aligned with the worker ``endpoints``; ``None``
-    marks a worker that could not be polled (rendered as DOWN).  Rates
-    derive from the previous frame's samples, like the single-server
-    dashboard."""
-    lines: List[str] = []
-    title = " repro lock cluster — top "
-    lines.append(title.center(width, "="))
-    alive = sum(1 for sample in samples if sample is not None)
-    lines.append(
-        "workers {:<3} alive {:<3} down {}".format(
-            len(samples),
-            alive,
-            " ".join(
-                "w{}".format(index)
-                for index, sample in enumerate(samples)
-                if sample is None
-            )
-            or "none",
-        )
-    )
-    totals = {"grants": 0, "blocks": 0, "commits": 0, "aborts": 0}
-    cluster = {
-        "snapshots_served": 0,
-        "cluster_victims_aborted": 0,
-        "cluster_repositionings": 0,
-        "cluster_stale_resolutions": 0,
-    }
-    lines.append("-" * width)
-    for index, sample in enumerate(samples):
-        host, port = endpoints[index]
-        if sample is None:
-            lines.append(
-                "  worker {:<3} {}:{}  DOWN".format(index, host, port)
-            )
-            continue
-        prev = previous[index] if previous else None
-        for name in totals:
-            totals[name] += sample.stats.get(name, 0)
-        for name in cluster:
-            cluster[name] += sample.stats.get(name, 0)
-        lines.append(
-            "  worker {:<3} {}:{}  req/s {:>7.1f}  grants {:<6} "
-            "blocked {:<4} resources {:<5}".format(
-                index,
-                host,
-                port,
-                _rate(sample, prev, "repro_lock_requests_total"),
-                sample.stats.get("grants", 0),
-                len(sample.inspect.get("blocked", [])),
-                sample.inspect.get("resources", 0),
-            )
-        )
-    lines.append("-" * width)
-    lines.append(
-        "totals: grants {}  blocks {}  commits {}  aborts {}".format(
-            totals["grants"],
-            totals["blocks"],
-            totals["commits"],
-            totals["aborts"],
-        )
-    )
-    lines.append(
-        "coordinator: snapshots {}  victims {}  repositions {}  "
-        "stale {}".format(
-            cluster["snapshots_served"],
-            cluster["cluster_victims_aborted"],
-            cluster["cluster_repositionings"],
-            cluster["cluster_stale_resolutions"],
-        )
-    )
-    lines.append("=" * width)
-    return "\n".join(lines)
-
-
-def run_cluster_top(
-    endpoints: List[Tuple[str, int]],
-    interval: float = 1.0,
-    iterations: Optional[int] = None,
-    clear: bool = True,
-    out=None,
-    incidents_path: Optional[str] = None,
-) -> int:
-    """The polling loop behind ``python -m repro top --cluster``.
-
-    Each frame polls every worker with a fresh connection, so a dead
-    worker renders as DOWN instead of aborting the loop."""
-    from ..service.client import AsyncLockClient
-
-    write = out if out is not None else sys.stdout.write
-
-    async def poll_one(host: str, port: int) -> Optional[Sample]:
-        try:
-            client = await AsyncLockClient.connect(
-                host, port, heartbeat=False
-            )
-        except (ConnectionError, OSError):
-            return None
-        try:
-            return await _sample_client(client)
-        except (ConnectionError, OSError):
-            return None
-        finally:
-            await client.close()
-
-    async def loop() -> int:
-        previous: Optional[List[Optional[Sample]]] = None
-        count = 0
-        while True:
-            samples = list(
-                await asyncio.gather(
-                    *(poll_one(host, port) for host, port in endpoints)
-                )
-            )
-            text = render_cluster_dashboard(samples, endpoints, previous)
-            if clear and iterations != 1:
-                write("\x1b[2J\x1b[H")
-            write(text + "\n")
-            write(_incident_pane_for(incidents_path))
-            previous = samples
-            count += 1
-            if iterations is not None and count >= iterations:
-                return 0
-            await asyncio.sleep(interval)
 
     try:
         return asyncio.run(loop())

@@ -2,8 +2,8 @@
 
 One :class:`~repro.policy.base.DetectionPolicy` object per lock
 manager decides when detection runs and what happens at block time;
-the hosts (the lock core, the service, the cluster
-coordinator) only run the machinery the policy asks for.  Shipped
+the hosts (the lock core, the service, the routed pass of
+:mod:`repro.cluster`) only run the machinery the policy asks for.  Shipped
 policies:
 
 ==============  ==========================================================

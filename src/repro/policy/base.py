@@ -6,8 +6,8 @@ cycle; everything around it is policy: **when** to run a pass (the
 periodic interval) and **what** to do when a request blocks (wait
 quietly, run a rooted check, refuse the wait).  Before this layer
 those decisions were hard-wired in each host — the lock core's
-``lock``/``detect``, the service's detector task and the cluster
-coordinator's pass loop.  Now each of those hosts consults one policy
+``lock``/``detect``, the service's detector task and the routed
+pass of :mod:`repro.cluster`.  Now each of those hosts consults one policy
 object through the hooks below, and the paper's periodic scheme is
 simply the default policy
 (:class:`~repro.policy.periodic.PeriodicPolicy`), reproduced
@@ -30,7 +30,7 @@ Hook contract
 
 ``current_period(default)``
     Consulted by every detector loop (facade thread, asyncio server
-    task, cluster supervisor) before each sleep; adaptive policies
+    task) before each sleep; adaptive policies
     return their tuned interval, everyone else echoes ``default``.
 
 ``detect(host)``

@@ -3,7 +3,7 @@ cost.
 
 Brook-2PL-style ordered locking (PAPERS.md): impose one global total
 order on resources — here plain resource-id string order, which needs
-no coordination across shards or worker processes — and refuse the
+no coordination across shards or worker cores — and refuse the
 waits that could ever close a cycle.  A request that blocks
 *in order* waits as usual; a request that blocks *out of order* aborts
 the requester on the spot.  The H/W-TWBG then stays acyclic by

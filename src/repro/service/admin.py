@@ -62,13 +62,6 @@ class ServiceStats:
         "lease_expiries",
         "rude_disconnects",
         "protocol_errors",
-        # Cluster-worker counters: snapshots served to a coordinator
-        # and resolutions it routed back to this worker.
-        "snapshots_served",
-        "cluster_victims_aborted",
-        "cluster_repositionings",
-        "cluster_releases",
-        "cluster_stale_resolutions",
         # Durability counters: journal traffic, resumed sessions and
         # what the last restart's journal replay did.
         "sessions_resumed",
@@ -203,7 +196,7 @@ def spans_payload(
 ) -> Dict[str, Any]:
     """The ``spans`` response: the request-lifecycle span log.
 
-    Annotation spans (coordinator passes, resolution applications) are
+    Annotation spans (detector passes) are
     counted separately and only listed with ``annotations=True`` — the
     default answers for lock-request lifecycles, while the trace export
     asks for everything so the causal tree is complete.

@@ -475,20 +475,6 @@ class AsyncLockClient(asyncio.Protocol):
         reply = await self._call(request(None, "detect"))
         return RemoteDetectionResult(reply)
 
-    async def snapshot(self) -> Dict[str, Any]:
-        """The server's RST slice for a cluster coordinator: the
-        versioned table dump plus each live resource's cluster-wide
-        first-lock sequence number (see :mod:`repro.cluster`)."""
-        reply = await self._call(request(None, "snapshot"))
-        return dict(reply["snapshot"])
-
-    async def resolve(self, plan: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply a coordinator resolution plan on the server (the
-        ``resolve`` op: repositions / victims / releases / sweeps, each
-        re-checked against live state).  Returns the per-item reply."""
-        reply = await self._call(request(None, "resolve", plan=plan))
-        return dict(reply["reply"])
-
     async def heartbeat(self) -> float:
         """Explicit lease renewal; returns the remaining lease time."""
         reply = await self._call(request(None, "heartbeat"))

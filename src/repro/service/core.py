@@ -132,7 +132,6 @@ class ServiceCore:
         clock: Callable[[], float] = time.monotonic,
         telemetry: Optional[Telemetry] = None,
         shards: int = 1,
-        sequence_source: Optional[Callable[[], int]] = None,
         journal=None,
         wall: Callable[[], float] = time.time,
         token_source: Optional[Callable[[], str]] = None,
@@ -156,7 +155,7 @@ class ServiceCore:
         #: Incident forensics sink: every deadlock-resolving pass
         #: appends a ``repro.incident/1`` record here.  Defaults to a
         #: small in-memory ring so the explorer's incident oracle works
-        #: unconfigured; the server/supervisor inject an on-disk log.
+        #: unconfigured; the server injects an on-disk log.
         self.incidents = (
             incident_log
             if incident_log is not None
@@ -174,14 +173,10 @@ class ServiceCore:
             if telemetry is not None
             else Telemetry(clock=lambda: self.clock())
         )
-        # ``sequence_source`` is the cluster seam: a worker process
-        # draws first-lock sequence numbers from a counter shared with
-        # its siblings, so merged snapshots keep the cluster-wide order.
         self.manager = ShardedLockCore(
             shards=shards,
             costs=costs,
             listener=self.telemetry.on_event,
-            sequence_source=sequence_source,
             policy=self.policy,
         )
         #: Resolved shard count (a continuous policy refuses more than 1).
@@ -681,87 +676,6 @@ class ServiceCore:
             "timestamp": self.wall(),
             "span": self.telemetry.pass_span("deadlock"),
         }
-
-    def snapshot_step(self) -> dict:
-        """Serialize this worker's RST slice for a cluster coordinator
-        (the ``snapshot`` op)."""
-        self.stats.snapshots_served += 1
-        return self.manager.snapshot_payload()
-
-    def resolve_step(self, plan) -> dict:
-        """Apply one coordinator resolution plan (the ``resolve`` op).
-
-        Runs on the loop like every other mutation, so the pump after
-        it wakes the plan's victims (their parked waits resolve
-        ``aborted``) and grantees exactly like a local detection pass.
-        """
-        from ..cluster.coordinator import apply_resolution_plan
-
-        if not isinstance(plan, dict):
-            raise ServiceError(
-                "bad-request", "resolve needs a plan object"
-            )
-        ctx = plan.get("ctx")
-        if ctx is None:
-            trace = parent = None
-        elif isinstance(ctx, dict) and all(
-            isinstance(ctx.get(key), str) for key in ("trace", "span")
-        ):
-            trace, parent = ctx["trace"], ctx["span"]
-        else:
-            raise ServiceError(
-                "bad-request",
-                "a resolve ctx must be an object with string trace and span",
-            )
-        try:
-            reply = apply_resolution_plan(self.manager, plan)
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ServiceError(
-                "bad-request", "malformed resolution plan: {}".format(exc)
-            )
-        self._journal_append("resolve", plan=plan)
-        # No telemetry.finish here: the manager publishes the Aborted
-        # event, which closes the victim's span through the listener —
-        # the same path a local detection pass takes.
-        victim_items = list(plan.get("victims") or ())
-        for slot, row in enumerate(reply["victims"]):
-            if row["confirmed"]:
-                self.stats.cluster_victims_aborted += 1
-            else:
-                self.stats.cluster_stale_resolutions += 1
-            item = victim_items[slot] if slot < len(victim_items) else {}
-            self.telemetry.resolution(
-                "abort",
-                row["tid"],
-                item.get("rid"),
-                row["confirmed"],
-                trace=trace,
-                parent=parent,
-            )
-        for row in reply["repositions"]:
-            if row["applied"]:
-                self.stats.cluster_repositionings += 1
-            else:
-                self.stats.cluster_stale_resolutions += 1
-            self.telemetry.resolution(
-                "reposition",
-                0,
-                row["rid"],
-                row["applied"],
-                trace=trace,
-                parent=parent,
-            )
-        for row in reply["releases"]:
-            self.telemetry.resolution(
-                "release",
-                row["tid"],
-                None,
-                True,
-                trace=trace,
-                parent=parent,
-            )
-        self.stats.cluster_releases += len(reply["releases"])
-        return reply
 
     def pump(self) -> List[ParkedWait]:
         """Resolve parked ``lock`` waits against the manager's current

@@ -21,14 +21,11 @@ Record kinds (one JSON object per line)::
     ("batch",  sid, ops)                      a batch frame's sub-ops that
                                               mutated: [kind, *BATCH_FIELDS]
     ("detect", )                              periodic pass that resolved
-    ("resolve", plan)                         coordinator resolution plan
 
-``lock`` records carry the global first-lock sequence number assigned
-to the resource, so replay re-asserts the recorded iteration order
+``lock`` records carry the first-lock sequence number assigned to the
+resource, so replay re-asserts the recorded iteration order
 (:meth:`~repro.lockmgr.sharded.ShardedLockCore.restore_sequence`)
-instead of re-drawing from a live counter — which is what keeps a
-restarted *cluster worker* byte-identical even though its siblings kept
-advancing the shared cross-process counter while it was down.
+instead of trusting a fresh counter to draw the same numbers again.
 
 Durability model — group commit.  ``append`` buffers; :meth:`flush`
 writes the buffered lines and fsyncs according to the ``fsync`` policy
@@ -319,7 +316,6 @@ def recover_into(core, journal: SessionJournal, now: Optional[float] = None):
     """
     from ..core.errors import ReproError
     from ..core.modes import parse_mode
-    from ..cluster.coordinator import apply_resolution_plan
     from .core import Session
 
     started = perf_counter()
@@ -380,8 +376,6 @@ def recover_into(core, journal: SessionJournal, now: Optional[float] = None):
             core.release_claim(int(record["tid"]))
         elif kind == "detect":
             core.manager.detect()
-        elif kind == "resolve":
-            apply_resolution_plan(core.manager, record["plan"])
         # Unknown kinds are skipped: a newer server's records
         # must not wedge an older reader mid-recovery.
 

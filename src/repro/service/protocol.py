@@ -23,9 +23,10 @@ Responses::
 
 Operations (see :mod:`repro.service.server` for semantics): ``hello``,
 ``resume``, ``heartbeat``, ``begin``, ``lock``, ``commit``, ``abort``,
-``batch``, ``detect``, ``snapshot``, ``resolve``, ``inspect``,
-``graph``, ``stats``, ``dump``, ``holding``, ``deadlocked``,
-``goodbye``.
+``batch``, ``detect``, ``inspect``, ``graph``, ``dump``, ``log``,
+``stats``, ``metrics``, ``spans``, ``holding``, ``deadlocked``,
+``goodbye``.  Any other ``op`` answers
+``bad-op`` and leaves the session usable.
 
 A journaled server stamps its **restart epoch** (how many times it has
 booted on its journal) into every response frame as ``epoch``; a jump
@@ -41,33 +42,6 @@ journal (the reply lists the session's surviving ``tids``)::
 
 A server that cannot honor it answers ``unknown-session`` (closed,
 reaped or never journaled), ``bad-token`` or ``session-busy``.
-
-The ``snapshot`` and ``resolve`` ops are the cluster detector's two
-rounds (:mod:`repro.cluster.coordinator`).  ``snapshot`` answers this
-worker's RST slice — the versioned lock-table dump of
-:mod:`repro.core.serialize` plus each live resource's cluster-wide
-first-lock sequence number, its per-shard epochs and the serialize
-time::
-
-    {"v": 1, "id": 4, "op": "snapshot"}
-    {"v": 1, "id": 4, "ok": true, "snapshot": {
-        "v": 1, "table": {"v": 1, "resources": [...]},
-        "sequence": {"R1": 17, ...}, "epochs": [42], "seconds": 0.0003}}
-
-``resolve`` routes a coordinator's staged resolutions back to the
-owning worker; every item is re-checked against live state (a stale
-repositioning answers ``applied: false``, a stale victim
-``confirmed: false`` — never guessed at)::
-
-    {"v": 1, "id": 5, "op": "resolve", "plan": {
-        "repositions": [{"rid": "R1", "av": [3], "st": [8]}],
-        "victims": [{"tid": 2, "rid": "R2"}],
-        "releases": [2], "sweeps": ["R1"]}}
-    {"v": 1, "id": 5, "ok": true, "reply": {
-        "repositions": [{"rid": "R1", "applied": true, "delayed": [8]}],
-        "victims": [{"tid": 2, "confirmed": true, "grants": [...]}],
-        "releases": [{"tid": 2, "grants": []}],
-        "sweeps": [{"rid": "R1", "grants": [...]}]}}
 
 The ``batch`` op pipelines up to :data:`MAX_BATCH_OPS` sub-operations
 (``begin``/``lock``/``commit``/``abort``) in one frame; the server
@@ -92,12 +66,8 @@ batch: a request that cannot be granted immediately reports
 ``batch``) may carry a client-minted ``trace`` id and an optional
 parent ``span`` ref (``"origin:span_id"``); the server attaches both
 to the request's lifecycle span, so ``trace-export`` stitches one
-causally-linked tree per transaction even across process hops.  A
-cluster coordinator propagates its pass context the same way: every
-``resolve`` plan carries ``"ctx": {"trace": ..., "span": ...}``, and
-the worker parents its resolution spans to the coordinator's pass
-span.  Both fields are optional and ignored by peers that predate
-them::
+causally-linked tree per transaction even across process hops.
+Both fields are optional and ignored by peers that predate them::
 
     {"v": 1, "id": 7, "op": "lock", "tid": 3, "rid": "R1", "mode": "X",
      "trace": "trace-9f2c11ab44de", "span": "client:4"}

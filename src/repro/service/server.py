@@ -66,7 +66,7 @@ import asyncio
 import logging
 from functools import partial
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from .. import __version__
 from ..core.errors import ReproError
@@ -256,7 +256,6 @@ class LockServer:
         lease: float = 5.0,
         telemetry=None,
         shards: int = 1,
-        sequence_source=None,
         journal_path: Optional[str] = None,
         journal_fsync: str = "batch",
         journal=None,
@@ -269,7 +268,6 @@ class LockServer:
             lease=lease,
             telemetry=telemetry,
             shards=shards,
-            sequence_source=sequence_source,
             incident_log=incident_log,
             policy=policy,
         )
@@ -724,14 +722,6 @@ class LockServer:
             frame.get("id"), **detection_to_dict(self.core.detect_step())
         )
 
-    def _op_snapshot(self, connection, frame) -> dict:
-        return ok(frame.get("id"), snapshot=self.core.snapshot_step())
-
-    def _op_resolve(self, connection, frame) -> dict:
-        return ok(
-            frame.get("id"), reply=self.core.resolve_step(frame.get("plan"))
-        )
-
     def _op_inspect(self, connection, frame) -> dict:
         return ok(frame.get("id"), **admin.inspect_payload(self.manager))
 
@@ -782,8 +772,6 @@ class LockServer:
         "abort": _op_finish,
         "batch": _op_batch,
         "detect": _op_detect,
-        "snapshot": _op_snapshot,
-        "resolve": _op_resolve,
         "inspect": _op_inspect,
         "graph": _op_graph,
         "dump": _op_dump,

@@ -22,8 +22,7 @@ fit its op's fast shape), ``FLAG_ID_NULL`` (the message's ``id`` is
 JSON ``null``; the header id field is meaningless).
 
 Hot ops (``lock``, ``batch``, ``heartbeat``, ``commit``, ``abort``,
-``snapshot``, ``resolve``, ``begin``) get specialized field-level
-codecs: no key strings on the wire, mode/status names as one-byte
+``begin``) get specialized field-level codecs: no key strings on the wire, mode/status names as one-byte
 table indexes, optional fields behind a presence mask.  Everything
 else — and any message whose shape the fast packers do not recognise —
 travels as a structural value (a msgpack-like tagged encoding of the
@@ -84,8 +83,8 @@ OP_BATCH = 2
 OP_HEARTBEAT = 3
 OP_COMMIT = 4
 OP_ABORT = 5
-OP_SNAPSHOT = 6
-OP_RESOLVE = 7
+# Opcodes 6 and 7 carried the retired cluster ops; they stay unassigned,
+# so a frame using them takes the unknown-opcode path.
 OP_BEGIN = 8
 OP_ERROR = 9
 
@@ -95,8 +94,6 @@ _OPCODES = {
     "heartbeat": OP_HEARTBEAT,
     "commit": OP_COMMIT,
     "abort": OP_ABORT,
-    "snapshot": OP_SNAPSHOT,
-    "resolve": OP_RESOLVE,
     "begin": OP_BEGIN,
 }
 _OP_NAMES = {code: name for name, code in _OPCODES.items()}
@@ -545,17 +542,6 @@ def _dec_begin(buf, pos: int, message: Dict[str, Any]) -> int:
     return pos
 
 
-def _req_resolve(out: bytearray, message: Dict[str, Any]) -> None:
-    if len(message) != 4:
-        raise _Mismatch()
-    _encode_value(out, message["plan"])
-
-
-def _dec_resolve(buf, pos: int, message: Dict[str, Any]) -> int:
-    message["plan"], pos = _decode_value(buf, pos)
-    return pos
-
-
 _SUB_BEGIN = 1
 _SUB_LOCK = 2
 _SUB_COMMIT = 3
@@ -671,8 +657,6 @@ _REQ_CODECS = {
     OP_HEARTBEAT: (_req_bare, _dec_bare),
     OP_COMMIT: (_req_tid_only, _dec_tid_only),
     OP_ABORT: (_req_tid_only, _dec_tid_only),
-    OP_SNAPSHOT: (_req_bare, _dec_bare),
-    OP_RESOLVE: (_req_resolve, _dec_resolve),
     OP_BEGIN: (_req_begin, _dec_begin),
 }
 
@@ -863,32 +847,6 @@ def _dec_resp_batch(buf, pos: int, message: Dict[str, Any]) -> int:
     return pos
 
 
-def _resp_snapshot(out: bytearray, message: Dict[str, Any]) -> None:
-    epoch = _ok_epoch(message, 5)
-    _encode_value(out, message["snapshot"])
-    _encode_value(out, epoch)
-
-
-def _dec_resp_snapshot(buf, pos: int, message: Dict[str, Any]) -> int:
-    message["ok"] = True
-    message["snapshot"], pos = _decode_value(buf, pos)
-    message["epoch"], pos = _decode_value(buf, pos)
-    return pos
-
-
-def _resp_resolve(out: bytearray, message: Dict[str, Any]) -> None:
-    epoch = _ok_epoch(message, 5)
-    _encode_value(out, message["reply"])
-    _encode_value(out, epoch)
-
-
-def _dec_resp_resolve(buf, pos: int, message: Dict[str, Any]) -> int:
-    message["ok"] = True
-    message["reply"], pos = _decode_value(buf, pos)
-    message["epoch"], pos = _decode_value(buf, pos)
-    return pos
-
-
 def _resp_error(out: bytearray, message: Dict[str, Any]) -> None:
     if message.get("ok") is not False or len(message) != 5:
         raise _Mismatch()
@@ -918,8 +876,6 @@ _RESP_CODECS = {
     OP_COMMIT: (_resp_finish, _dec_resp_finish),
     OP_ABORT: (_resp_finish, _dec_resp_finish),
     OP_BATCH: (_resp_batch, _dec_resp_batch),
-    OP_SNAPSHOT: (_resp_snapshot, _dec_resp_snapshot),
-    OP_RESOLVE: (_resp_resolve, _dec_resp_resolve),
     OP_ERROR: (_resp_error, _dec_resp_error),
 }
 

@@ -254,3 +254,25 @@ class TestStaleness:
         result = run_cluster_pass(transport, cluster.workers, cluster.costs)
         assert result.repositions == []
         assert result.cluster.stale_repositions >= 1
+
+
+class TestResolvePlanIsAllOrNothing:
+    """A resolution plan with a malformed item is refused whole:
+    nothing lands on the core, so no victim is half-applied."""
+
+    def test_a_malformed_later_victim_spares_the_earlier_one(self):
+        from repro.cluster.coordinator import apply_resolution_plan
+
+        core = ShardedLockCore()
+        core.lock(1, "r1", LockMode.X)
+        core.lock(2, "r2", LockMode.X)
+        core.lock(1, "r2", LockMode.X)
+        core.lock(2, "r1", LockMode.X)
+        table = str(core.table)
+        with pytest.raises(ValueError):
+            apply_resolution_plan(
+                core, {"victims": [{"tid": 2, "rid": "r1"}, {"tid": "x"}]}
+            )
+        assert str(core.table) == table
+        assert not core.was_aborted(2)
+        assert core.blocked_at(2) == "r1"

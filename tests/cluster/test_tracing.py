@@ -2,10 +2,9 @@
 
 Every :func:`~repro.cluster.coordinator.run_cluster_pass` mints one
 trace id and a coordinator pass-span ref; each resolution plan it
-routes carries both as ``plan["ctx"]``, the worker side turns them
-into ``resolution`` spans parented to the pass, and the incident
-record cites the same trace — one causally-linked story per deadlock,
-even across the JSON wire.
+routes carries both as ``plan["ctx"]``, and the incident record cites
+the same trace — one causally-linked story per deadlock, even across
+the JSON wire.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from repro.cluster import LocalCluster
 from repro.core.modes import LockMode
 from repro.obs.incidents import validate_incident
-from repro.service.core import ServiceCore
 
 from .test_local import rids_on_distinct_workers
 
@@ -83,42 +81,3 @@ class TestLocalClusterPass:
         second = cluster2.detect()
         assert second.deadlock_found
         assert first.cluster.trace != second.cluster.trace
-
-
-class TestWorkerSideSpans:
-    def test_resolve_step_parents_resolution_spans_to_the_pass(self):
-        """The worker half of the hop: a ``resolve`` plan's ``ctx``
-        becomes the trace/parent of the worker's resolution spans."""
-        core = ServiceCore()
-        assert core.manager.lock(1, "Ra", LockMode.X).granted
-        assert not core.manager.lock(2, "Ra", LockMode.X).granted
-        ctx = {"trace": "trace-cafe", "span": "coord:pass-cafe"}
-        reply = core.resolve_step(
-            {"victims": [{"tid": 2, "rid": "Ra"}], "ctx": ctx}
-        )
-        assert reply["victims"] == [
-            {"tid": 2, "confirmed": True, "grants": []}
-        ]
-        spans = [
-            span
-            for span in core.telemetry.trace.to_dicts(kinds=None)
-            if span["kind"] == "resolution"
-        ]
-        assert len(spans) == 1
-        assert spans[0]["tid"] == 2
-        assert spans[0]["trace"] == "trace-cafe"
-        assert spans[0]["parent"] == "coord:pass-cafe"
-
-    def test_ctx_free_plan_leaves_unparented_spans(self):
-        core = ServiceCore()
-        assert core.manager.lock(1, "Ra", LockMode.X).granted
-        assert not core.manager.lock(2, "Ra", LockMode.X).granted
-        core.resolve_step({"victims": [{"tid": 2, "rid": "Ra"}]})
-        (span,) = [
-            span
-            for span in core.telemetry.trace.to_dicts(kinds=None)
-            if span["kind"] == "resolution"
-        ]
-        # ``to_dict`` omits absent trace context entirely.
-        assert "trace" not in span
-        assert "parent" not in span

@@ -3,10 +3,9 @@ every thread-facing facade.
 
 Axis: :class:`~repro.lockmgr.ShardedLockManager` (1 and 4 shards),
 :class:`~repro.service.RemoteLockManager` over a loopback server on
-both wire codecs, :class:`~repro.service.EmbeddedLockManager`, and
-:class:`~repro.cluster.client.ClusterLockManager` over two real worker
-processes on both wire codecs.  Code written against the contract —
-``sim.realtime``, ``txn``, the examples — may rely on exactly this:
+both wire codecs, and :class:`~repro.service.EmbeddedLockManager`.
+Code written against the contract — ``sim.realtime``, ``txn``, the
+examples — may rely on exactly this:
 ``acquire`` blocks until granted, answers False on timeout *and leaves
 the request queued*, raises ``TransactionAborted`` for a deadlock
 victim; ``commit``/``abort`` release under strict 2PL; ``detect`` runs
@@ -26,8 +25,6 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterSupervisor
-from repro.cluster.client import ClusterLockManager
 from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
 from repro.lockmgr import (
@@ -56,13 +53,6 @@ def _embedded():
             yield manager
 
 
-@contextlib.contextmanager
-def _cluster(wire):
-    with ClusterSupervisor(workers=2, period=None) as supervisor:
-        with ClusterLockManager(supervisor.endpoints(), wire=wire) as manager:
-            yield manager
-
-
 #: id -> zero-argument context manager yielding a ready facade.
 FACADES = {
     # One shard: the facade's public ``ConcurrentLockManager`` name.
@@ -71,8 +61,6 @@ FACADES = {
     "remote-json": lambda: _remote("json"),
     "remote-binary": lambda: _remote("binary"),
     "embedded": _embedded,
-    "cluster-2proc": lambda: _cluster("json"),
-    "cluster-2proc-binary": lambda: _cluster("binary"),
 }
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.modes import LockMode
 from repro.obs import parse_exposition
-from repro.obs.cluster import MetricsExporter
+from repro.obs.exporter import MetricsExporter
 from repro.service import LoopbackServer
 from repro.service.client import AsyncLockClient
 

@@ -243,10 +243,7 @@ class TestAnnotations:
     def test_record_is_born_finished_and_counted_apart(self):
         log = make_log()
         log.begin(1, "R", "X")
-        span = log.record(
-            0, "", "", "pass", "deadlock",
-            trace="trace-ab", parent=None,
-        )
+        span = log.record(0, "", "", "pass", "deadlock")
         assert span.status == "deadlock"
         assert not log.open_spans()[0] is span
         assert log.total_started == 1

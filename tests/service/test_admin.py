@@ -51,7 +51,7 @@ class TestServiceStats:
         assert data["grants"] == 3
         assert data["lease_expiries"] == 1
         assert data["requests"] == 0
-        assert len(data) == len(ServiceStats.FIELDS) == 35
+        assert len(data) == len(ServiceStats.FIELDS) == 30
 
     def test_absorb_detection(self):
         manager = deadlocked_manager()
@@ -101,7 +101,7 @@ class TestServiceStats:
     def test_render_stats_aligned(self):
         text = render_stats(ServiceStats(commits=7).as_dict())
         lines = text.splitlines()
-        assert len(lines) == 35
+        assert len(lines) == 30
         assert "commits" in text
         # every separator sits in the same column
         assert len({line.index(":") for line in lines}) == 1

@@ -7,11 +7,14 @@ such as ``{"op": "lock", ..., "timeout": "soon"}`` was answered
 wait stayed parked and the lock was later granted to a transaction whose
 client had been told the request failed.  Every field of every frame is
 now validated first; these tests send the raw frames, on both codecs.
+The ops and binary opcodes of the retired multi-process cluster take
+the unknown-op paths.
 """
 
 import asyncio
 import contextlib
 import re
+import struct
 
 import pytest
 
@@ -188,5 +191,63 @@ def test_hello_with_a_malformed_lease_is_refused():
         ) as (server, call):
             assert_bad_request(call.hello)
             assert server.core.sessions == {}
+
+    asyncio.run(go())
+
+
+@pytest.mark.parametrize("wire", [WIRE_JSON, WIRE_BINARY], ids=["json", "binary"])
+@pytest.mark.parametrize("op,fields", [
+    ("snapshot", {}),
+    ("resolve", {"plan": {"victims": [{"tid": 1, "rid": "R"}]}}),
+])
+def test_a_retired_cluster_op_is_an_unknown_op(wire, op, fields):
+    """``snapshot`` and ``resolve`` left with the multi-process
+    cluster: they answer ``bad-op`` like any unknown op, touch nothing,
+    and the session goes on to commit."""
+
+    async def go():
+        async with raw_connection(wire) as (server, call):
+            held = await call("lock", tid=1, rid="R", mode="X")
+            assert held["status"] == "granted"
+            reply = await call(op, **fields)
+            assert reply["ok"] is False, reply
+            assert reply["error"]["code"] == "bad-op", reply
+            assert not server.manager.was_aborted(1)
+            done = await call("commit", tid=1)
+            assert done["ok"], done
+            assert server.stats.commits == 1
+            assert str(server.manager.table).strip() == ""
+
+    asyncio.run(go())
+
+
+@pytest.mark.parametrize("opcode", [6, 7])
+def test_a_binary_frame_with_a_retired_opcode_is_refused(opcode):
+    """Binary opcodes 6 and 7 carried ``snapshot`` / ``resolve``.  They
+    stay unassigned, so such a frame takes the unknown-opcode path: a
+    ``protocol`` error, then the server closes the connection, since
+    the stream cannot be resynchronized past a refused frame."""
+
+    async def go():
+        server = LockServer(period=None, policy="periodic")
+        await server.start("127.0.0.1", 0)
+        raw = await RawConnection.open(server.host, server.port)
+        try:
+            raw.write(encode_frame(request(0, "hello", wire=WIRE_BINARY)))
+            assert (await raw.read())["wire"] == WIRE_BINARY
+            raw.frames.codec = codec_for(WIRE_BINARY)
+            # magic, version, flags, opcode, reserved, id, payload length
+            raw.write(struct.pack(">2sBBBBII", b"RW", 2, 0, opcode, 0, 1, 0))
+            reply = await raw.read()
+            assert reply["ok"] is False and reply["id"] is None, reply
+            assert reply["error"] == {
+                "code": "protocol",
+                "message": "unknown opcode {}".format(opcode),
+            }
+            assert await raw.read() is None
+            assert server.stats.protocol_errors == 1
+        finally:
+            raw.close()
+            await server.aclose()
 
     asyncio.run(go())

@@ -648,37 +648,3 @@ class TestTransactionIdsStartAtOne:
         core.lock_step(mine, 1, "r2", LockMode.X, wait=False)
         core.lock_step(mine, 7, "r1", LockMode.X, wait=False)
         assert len(core.detect_step().aborted) == 1
-
-
-class TestResolvePlanIsAllOrNothing:
-    """A ``resolve`` plan a peer got wrong is refused whole: nothing
-    lands on the core and nothing is journaled, so recovery rebuilds
-    the table the clients saw."""
-
-    def deadlocked(self):
-        core = ServiceCore(policy="periodic", journal=SessionJournal())
-        mine = core.open_session()
-        for tid in (1, 2):
-            core.begin_step(mine, tid)
-        core.lock_step(mine, 1, "r1", LockMode.X)
-        core.lock_step(mine, 2, "r2", LockMode.X)
-        core.lock_step(mine, 1, "r2", LockMode.X)
-        core.lock_step(mine, 2, "r1", LockMode.X)
-        return core
-
-    def refused(self, plan):
-        core = self.deadlocked()
-        table, journaled = str(core.manager.table), len(core.journal)
-        with pytest.raises(ServiceError) as caught:
-            core.resolve_step(plan)
-        assert caught.value.code == "bad-request"
-        assert str(core.manager.table) == table
-        assert not core.manager.was_aborted(2)
-        assert core.manager.blocked_at(2) == "r1"
-        assert len(core.journal) == journaled
-
-    def test_a_malformed_later_victim_spares_the_earlier_one(self):
-        self.refused({"victims": [{"tid": 2, "rid": "r1"}, {"tid": "x"}]})
-
-    def test_a_ctx_that_is_not_an_object_is_refused_before_the_plan(self):
-        self.refused({"victims": [{"tid": 2, "rid": "r1"}], "ctx": [1]})

@@ -298,7 +298,8 @@ def parser_shape(parser):
 #: a one-file ``cli.py`` (``pprint`` output, committed as printed), with
 #: ``serve``'s detector flags since: ``--continuous`` stores into
 #: ``policy``, and ``--policy``/``--shards`` default to a constant;
-#: ``simulate`` has since lost its benchmark-record option.
+#: ``simulate`` has since lost its benchmark-record option, and
+#: ``serve`` and ``top`` their worker-process cluster flags.
 PARENT_PARSER_SHAPE = \
 {'inspect': [('file', None, None)],
  'graph': [('file', None, None), ('--dot', None, False)],
@@ -354,8 +355,8 @@ PARENT_PARSER_SHAPE = \
            ('--policy',
             ['adaptive', 'continuous', 'nowait', 'periodic'],
             'periodic'),
-           ('--shards', None, 1), ('--workers', None, 1),
-           ('--cost', None, []), ('--journal', None, None),
+           ('--shards', None, 1), ('--cost', None, []),
+           ('--journal', None, None),
            ('--journal-fsync', ['always', 'batch', 'never'], 'batch'),
            ('--metrics-port', None, None),
            ('--incident-log', None, None)],
@@ -367,7 +368,7 @@ PARENT_PARSER_SHAPE = \
             ('--dot', None, False), ('--limit', None, 20)],
  'top': [('--host', None, '127.0.0.1'), ('--port', None, 7411),
          ('--interval', None, 1.0), ('--once', None, False),
-         ('--cluster', None, None), ('--incidents', None, None)],
+         ('--incidents', None, None)],
  'trace-export': [('--host', None, '127.0.0.1'), ('--port', None, 7411),
                   ('--out', None, None), ('--limit', None, 0)],
  'incidents': [('action', ['graph', 'list', 'show'], None),

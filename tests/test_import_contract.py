@@ -26,9 +26,11 @@ tool = load_tool("import_closure")
 #: once one lock core replaced ``LockManager``/``ConcurrentLockManager``;
 #: 44 / 12 960 once ``core.batched`` became a simulator policy; 43 /
 #: 12 584 once the near-cycle ``predict`` policy went; 43 / 12 578 once
-#: ``UnknownTransactionError`` left ``core.errors``).
+#: ``UnknownTransactionError`` left ``core.errors``; 43 / 12 264 once
+#: the ``snapshot`` / ``resolve`` ops left with the worker-process
+#: cluster).
 SERVE_MODULES_MAX = 43
-SERVE_LINES_MAX = 12578
+SERVE_LINES_MAX = 12264
 #: Peak resident set of a real server at its first reply (26.1 MB when
 #: written, 39.3 at the parent).
 FIRST_REPLY_HWM_MB_MAX = 30.0
@@ -99,16 +101,41 @@ def test_one_benchmark_harness():
     """The benchmark-record module is gone with the legacy
     benchmark lanes, and so are the blocking ``acquire_many`` copies
     only those lanes called; the asyncio client keeps its own."""
-    from repro.cluster.client import ClusterLockManager
     from repro.service.client import AsyncLockClient, RemoteLockManager
     from repro.service.loopback import EmbeddedLockManager
 
     with pytest.raises(ImportError):
         importlib.import_module(".bench", "repro.obs")
-    for facade in (RemoteLockManager, EmbeddedLockManager,
-                   ClusterLockManager):
+    for facade in (RemoteLockManager, EmbeddedLockManager):
         assert not hasattr(facade, "acquire_many"), facade
     assert hasattr(AsyncLockClient, "acquire_many")
+
+
+def test_no_multiprocess_cluster(capsys):
+    """The worker-process cluster is gone: its supervisor, routing
+    client and worker entry point, and the ``serve`` and ``top`` flags
+    that reached them.  The in-process routed
+    pass (``LocalCluster`` and the coordinator) stays."""
+    from repro.cli import build_parser
+    from repro.cluster import LocalCluster, run_cluster_pass
+
+    assert LocalCluster and run_cluster_pass
+    for gone in (
+        "repro.cluster.supervisor",
+        "repro.cluster.client",
+        "repro.cluster.worker",
+        "repro.obs.cluster",
+    ):
+        with pytest.raises(ImportError):
+            importlib.import_module(gone)
+    parser = build_parser()
+    for command, flag, value in (
+        ("serve", "workers", "2"), ("top", "cluster", "7411"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([command, "--" + flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

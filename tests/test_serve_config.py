@@ -1,4 +1,4 @@
-"""``validate_serve_config``: the one place serve topologies are judged."""
+"""``validate_serve_config``: the one place serve flags are judged."""
 
 import dataclasses
 
@@ -24,21 +24,11 @@ class TestContradictions:
         assert config.policy == "continuous"
         assert config.shards == 1
 
-    def test_continuous_rejects_workers(self):
-        with pytest.raises(ServeConfigError, match="workers"):
-            validate_serve_config(policy="continuous", workers=4)
-
-    def test_continuous_policy_rejects_workers(self):
-        with pytest.raises(ServeConfigError, match="workers"):
-            validate_serve_config(policy="continuous", workers=2)
-
     def test_continuous_rejects_explicit_shards(self):
         with pytest.raises(ServeConfigError, match="shards"):
             validate_serve_config(policy="continuous", shards=4)
 
-    def test_bad_worker_and_shard_counts(self):
-        with pytest.raises(ServeConfigError, match="workers"):
-            validate_serve_config(workers=0)
+    def test_bad_shard_count(self):
         with pytest.raises(ServeConfigError, match="shards"):
             validate_serve_config(shards=0)
 
@@ -52,15 +42,9 @@ class TestNormalisation:
         config = validate_serve_config()
         assert config.policy == "periodic"
         assert config.shards == 1
-        assert config.workers == 1
         assert config.warnings == ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.shards = 4
-
-    def test_policy_with_workers_is_fine(self):
-        config = validate_serve_config(policy="nowait", workers=3)
-        assert config.policy == "nowait"
-        assert config.workers == 3
 
     def test_inert_policy_warns(self):
         config = validate_serve_config(policy="adaptive", period=0.0)
@@ -73,13 +57,41 @@ class TestServeExitCode:
         assert code == 2
         assert "--shards 4" in capsys.readouterr().err
 
-    def test_workers_contradiction_exits_2(self, capsys):
-        code = main(["serve", "--continuous", "--workers", "3"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "workers" in err
-
     def test_policy_choices_enforced_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--policy", "bogus"])
         assert excinfo.value.code == 2
+
+
+class TestImpossibleValues:
+    """Values the server cannot run with are refused before it starts
+    (the parent started a server that closed every connection on
+    ``--max-frame -5`` and printed ``lease=nans`` on ``--lease nan``)."""
+
+    CASES = [
+        ("--max-frame", "-5"),
+        ("--max-frame", "0"),
+        ("--lease", "-1"),
+        ("--lease", "nan"),
+        ("--lease", "inf"),
+        ("--period", "nan"),
+        ("--period", "inf"),
+    ]
+
+    @pytest.mark.parametrize(
+        "flag,value", CASES, ids=["{} {}".format(*case) for case in CASES]
+    )
+    def test_exits_2_before_a_server_is_built(
+        self, flag, value, capsys, monkeypatch
+    ):
+        def refuse(**kwargs):
+            raise AssertionError("a server was built")
+
+        monkeypatch.setattr("repro.cli.serve.LockServer", refuse)
+        assert main(["serve", "--port", "0", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: {} must be".format(flag)), err
+
+    def test_limits_themselves_are_accepted(self):
+        config = validate_serve_config(lease=0.0, period=-1.0, max_frame=1)
+        assert config.warnings == ()

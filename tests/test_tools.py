@@ -63,10 +63,10 @@ class TestMetricCatalog:
                 line for line in handle if "`repro_batch_size`" not in line
             ]
         lines.append("| `repro_never_produced_total` | counter | — | x |\n")
-        lines.append("| `repro_cluster_made_up` | gauge | — | elsewhere |\n")
+        lines.append("| `repro_client_made_up` | gauge | — | elsewhere |\n")
         catalog.write_text("".join(lines), encoding="utf-8")
         in_docs = tool.documented(str(catalog))
-        assert "repro_cluster_made_up" not in in_docs  # another registry
+        assert "repro_client_made_up" not in in_docs  # another registry
         assert "repro_service_grants_total" in in_docs  # <field> expanded
         # The committed catalog stands in for the registry here (the
         # test above shows they agree).

@@ -2,9 +2,8 @@
 """Catalog drift check: ``docs/OBSERVABILITY.md`` against the registry.
 
 Runs the scripted scenario of ``tests/obs/scenario.py`` (one shard and
-four), plus the few series only a live, journaled server or a cluster
-worker feeds (wire telemetry, group-commit latency, the recovery
-gauges, routed resolution items), and compares the metric families the
+four), plus the few series only a live, journaled server feeds (wire
+telemetry, group-commit latency, the recovery gauges), and compares the metric families the
 registries then hold with the ``repro_*`` names in the catalog's
 tables:
 
@@ -12,9 +11,8 @@ tables:
 * a table row naming a family nothing produced         -> stale.
 
 ``repro_service_<field>_total`` in a table stands for one family per
-``ServiceStats.FIELDS`` entry.  The ``repro_cluster_*`` and
-``repro_client_*`` rows are outside the check: a cluster supervisor and
-the workload clients keep registries of their own.
+``ServiceStats.FIELDS`` entry.  The ``repro_client_*`` rows are outside
+the check: the workload clients keep registries of their own.
 
 Exits 0 when the catalog and the code agree.
 
@@ -44,7 +42,7 @@ from tests.obs import scenario  # noqa: E402
 CATALOG = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
 _ROW = re.compile(r"^\|\s*`(repro_[A-Za-z0-9_<>]+)`")
 #: Families kept by registries other than a lock server's.
-ELSEWHERE = ("repro_cluster_", "repro_client_")
+ELSEWHERE = ("repro_client_",)
 
 
 def documented(path: str = CATALOG) -> Set[str]:
@@ -71,8 +69,8 @@ def _families(registry) -> Set[str]:
 
 def _live_server_families() -> Set[str]:
     """What only a journaled, clocked server with connections feeds: a
-    restart on a non-empty journal, 64+ frames per codec, one routed
-    plan, one cycle that saturates the table (a certain pass)."""
+    restart on a non-empty journal, 64+ frames per codec, one cycle
+    that saturates the table (a certain pass)."""
 
     async def chat(server, wire):
         client = await AsyncLockClient.connect(
@@ -96,11 +94,7 @@ def _live_server_families() -> Set[str]:
             ) as server:
                 for wire in ("json", "binary"):
                     asyncio.run(chat(server, wire))
-                core = server.server.core
-                server.submit(
-                    lambda: core.resolve_step({"releases": [424242]})
-                )
-                names = _families(core.telemetry.registry)
+                names = _families(server.server.core.telemetry.registry)
     return names
 
 

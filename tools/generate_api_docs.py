@@ -66,10 +66,8 @@ error     {"v": 1, "id": 7, "ok": false,
 | `log` | `limit?` | tail of the manager's event log |
 | `stats` | — | `ServiceStats` counters + live gauges |
 | `metrics` | — | full telemetry: registry snapshot `metrics`, Prometheus `text`, `enabled` |
-| `spans` | `limit?`, `annotations?` | span log: `total` (lifecycle), `annotations` (born-finished pass/resolution spans, listed when `annotations` is true), `open`, `spans` (see `docs/OBSERVABILITY.md`) |
+| `spans` | `limit?`, `annotations?` | span log: `total` (lifecycle), `annotations` (born-finished pass spans, listed when `annotations` is true), `open`, `spans` (see `docs/OBSERVABILITY.md`) |
 | `holding`, `deadlocked` | `tid` / — | per-transaction locks / any cycle present |
-| `snapshot` | — | this worker's slice of the *waiting structure*: versioned `table` entries of the resources somebody is blocked at, in first-lock order, and their `sequence` map (idle locks are never shipped; cluster coordinators merge these; see `docs/CLUSTER.md`) |
-| `resolve` | `plan` (`victims`, `repositions`, `releases`, `sweeps`, `ctx?`) | one routed resolution applied as one core step: per-item `confirmed`/`applied` flags and the `grants` the resolution woke — stale items are reported, not applied, and `releases` for a transaction this worker never saw is a no-op; `ctx` (`trace`, `span`) parents the worker's resolution spans to the coordinator pass |
 | `goodbye` | — | clean detach (still sweeps the session's transactions) |
 
 A `batch` frame pipelines its sub-ops back-to-back as one core step
@@ -85,7 +83,8 @@ Every field of a frame is validated **before** the core step it
 feeds: a missing or malformed one (`tid` not an integer, an unknown
 `mode`, a `timeout` or `lease` that is not a non-negative number, …)
 answers `bad-request` with nothing parked, queued, granted or
-journaled behind it.  Error messages never carry a Python `repr`.
+journaled behind it.  Any other `op` answers `bad-op` and the session
+stays usable.  Error messages never carry a Python `repr`.
 
 A timed-out `lock` leaves the request **queued**: retrying the same
 `lock` resumes the same queue position (never a duplicate entry).
@@ -107,11 +106,10 @@ CLI entry points:
 python -m repro serve  --port 7411 --period 0.5 --lease 5 [--continuous]
 python -m repro serve  --port 7411 --policy periodic|continuous|nowait|adaptive
 python -m repro serve  --port 7411 --journal sessions.jsonl [--journal-fsync batch]
-python -m repro serve  --port 7411 --workers 4 [--journal DIR]  # cluster supervisor
+python -m repro serve  --port 7411 --shards 4
 python -m repro serve  --port 7411 [--metrics-port 9100] [--incident-log FILE]
 python -m repro remote report|graph|dump|stats|metrics|log|detect --port 7411
 python -m repro top --port 7411 [--interval 1.0] [--once] [--incidents FILE]
-python -m repro top --cluster 7411,7412,7413,7414 [--once]
 python -m repro trace-export --port 7411 [--out spans.jsonl] [--limit N]
 python -m repro incidents {list,show,graph} FILE [--id ID]
 ```
@@ -125,20 +123,19 @@ spare some running holder, and the clock pass is due one period after
 the last pass of either kind (DESIGN.md, "When a pass runs").
 `remote metrics` prints the Prometheus text exposition; `top` renders a
 refreshing operator dashboard from `metrics`/`stats`/`inspect` (with
-`--cluster` it polls every worker and adds per-worker rows plus
-coordinator totals); `trace-export` dumps the span log as JSON-lines.
+per-shard rows on a sharded server); `trace-export` dumps the span log
+as JSON-lines.
 `--policy` (default `periodic`; `--continuous` is the same as
 `--policy continuous`, and the two flags exclude each other) selects
 the detection policy — when detection runs and what happens at block
 time; `stats` reports the active policy and its `policy_info` state
 (see `docs/POLICIES.md`).
-`serve --workers N` spawns N single-shard worker processes on
-consecutive ports with the cross-process detector in the supervisor —
-topology, routing and failure modes live in `docs/CLUSTER.md`; with
-`--journal DIR` each worker journals to `DIR/worker-<i>.jsonl` and the
-supervisor respawns dead workers from their journals.
-`--metrics-port` serves one aggregated Prometheus endpoint (per-worker
-`metrics` ops merged on every scrape), `--incident-log` records a
+`serve --shards N` partitions the lock table inside the one server
+process; the detection pass reads the shards' waiting structures and
+routes each resolution back to its shard.  The server is one process
+by design (`docs/CLUSTER.md` has the measurement).
+`--metrics-port` serves the server's Prometheus exposition over HTTP
+(the text the `metrics` op answers), `--incident-log` records a
 `repro.incident/1` forensics record per resolved deadlock, and
 `python -m repro incidents` renders that log (`graph` emits Graphviz
 DOT).  The full metric catalog, the incident schema and the

@@ -72,8 +72,6 @@ else:
         from repro.cli import load_handler
         handler = load_handler(handler)
     if argv[0] == "serve":
-        if args.workers > 1:
-            sys.exit("import_closure: serve --workers forks; not probed")
         import asyncio
         asyncio.run = lambda coroutine: coroutine.close()
         handler(args)

@@ -1,18 +1,19 @@
 #!/usr/bin/env python
-"""Deadlock a 2-worker cluster and prove the forensics surface works.
+"""Deadlock a two-shard server and prove the forensics surface works.
 
-The CI incident smoke: boots a :class:`ClusterSupervisor` with an
-on-disk incident log and the aggregated metrics exporter, drives a
-deadlock-heavy micro-workload (every transaction holds on one worker
-process and waits on the other), runs coordinator passes, and asserts
+The CI incident smoke: starts one ``python -m repro serve --shards 2``
+process with an on-disk incident log and the ``--metrics-port``
+exporter, drives a deadlock-heavy micro-workload (every transaction
+holds on one shard and waits on the other), runs detector passes, and
+asserts
 
 * at least one ``repro.incident/1`` record lands in the incident log
   and validates against the schema;
-* the record carries the pass trace context (``trace``/``span``) and
-  the cluster topology (``source=cluster``, ``workers=2``);
-* one HTTP scrape of the supervisor's ``--metrics-port`` endpoint
-  parses as Prometheus 0.0.4 text and its counters equal the sum of
-  the per-worker ``metrics`` ops;
+* the record names the service as its source and carries the pass
+  span ref;
+* one HTTP scrape of the ``--metrics-port`` endpoint parses as
+  Prometheus 0.0.4 text and its lock and detector counters equal what
+  the ``metrics`` op answers;
 * ``repro incidents list``/``graph`` render the log.
 
 Exits 0 on success.  On failure it prints a diagnosis and (with
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -38,17 +41,26 @@ import urllib.request
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.cluster import ClusterSupervisor  # noqa: E402
-from repro.cluster.client import ClusterLockManager  # noqa: E402
-from repro.cluster.coordinator import worker_of  # noqa: E402
 from repro.core.errors import TransactionAborted  # noqa: E402
 from repro.core.modes import LockMode  # noqa: E402
+from repro.lockmgr.partition import partition_of  # noqa: E402
 from repro.obs import parse_exposition  # noqa: E402
 from repro.obs.incidents import (  # noqa: E402
     load_incidents,
     validate_incident_file,
 )
+from repro.service import RemoteLockManager  # noqa: E402
 from repro.service.protocol import ServiceError  # noqa: E402
+
+SHARDS = 2
+#: Counter families the scrape and the ``metrics`` op must agree on.
+COMPARED = (
+    "repro_lock_requests_total",
+    "repro_lock_grants_total",
+    "repro_lock_blocks_total",
+    "repro_detector_passes_total",
+    "repro_detector_cross_shard_cycles_total",
+)
 
 
 def wait_until(predicate, timeout=20.0):
@@ -60,21 +72,21 @@ def wait_until(predicate, timeout=20.0):
     return False
 
 
-def rids_on_distinct_workers(workers: int):
+def rids_on_distinct_shards(shards: int):
     found = {}
     i = 0
-    while len(found) < workers:
+    while len(found) < shards:
         i += 1
         rid = "R{}".format(i)
-        index = worker_of(rid, workers)
+        index = partition_of(rid, shards)
         if index not in found:
             found[index] = rid
     return [found[index] for index in sorted(found)]
 
 
 def drive_deadlock_round(manager, base_tid: int, a: str, b: str):
-    """Two transactions, each holding on one worker and waiting on the
-    other — the canonical cross-worker cycle."""
+    """Two transactions, each holding on one shard and waiting on the
+    other — the canonical cross-shard cycle."""
     t1, t2 = base_tid, base_tid + 1
     manager.begin(t1)
     manager.begin(t2)
@@ -97,7 +109,7 @@ def drive_deadlock_round(manager, base_tid: int, a: str, b: str):
     for thread in threads:
         thread.start()
     if not wait_until(manager.deadlocked):
-        raise RuntimeError("cross-worker deadlock never formed")
+        raise RuntimeError("cross-shard deadlock never formed")
     return threads, outcomes, (t1, t2)
 
 
@@ -114,8 +126,7 @@ def drain_round(manager, threads, outcomes, tids):
             pass
 
 
-def scrape(host: str, port: int) -> str:
-    url = "http://{}:{}/metrics".format(host, port)
+def scrape(url: str) -> str:
     with urllib.request.urlopen(url, timeout=10.0) as response:
         assert response.status == 200
         return response.read().decode("utf-8")
@@ -130,40 +141,23 @@ def counter_total(samples, name: str) -> float:
     )
 
 
-def check_aggregation(supervisor, problems):
-    """One scrape equals the sum of the per-worker ``metrics`` ops."""
-    per_worker = supervisor._transport.metrics_all()
-    live = [snapshot for snapshot in per_worker if snapshot is not None]
-    if len(live) != supervisor.workers:
-        problems.append(
-            "metrics op reached {} of {} workers".format(
-                len(live), supervisor.workers
-            )
-        )
-        return
-    text = scrape(supervisor.metrics_host, supervisor.metrics_port)
-    samples = parse_exposition(text)
-    for name in (
-        "repro_lock_requests_total",
-        "repro_lock_grants_total",
-        "repro_lock_blocks_total",
-    ):
+def check_scrape(manager, metrics_url: str, problems):
+    """One scrape equals the ``metrics`` op on a quiet server."""
+    op_counters = manager.metrics()["metrics"].get("counters", [])
+    samples = parse_exposition(scrape(metrics_url))
+    for name in COMPARED:
         expected = sum(
-            entry["value"]
-            for snapshot in live
-            for entry in snapshot.get("counters", [])
-            if entry["name"] == name
+            entry["value"] for entry in op_counters if entry["name"] == name
         )
         exposed = counter_total(samples, name)
         if exposed != expected:
             problems.append(
-                "aggregated {} is {} but the per-worker metrics ops "
-                "sum to {}".format(name, exposed, expected)
+                "scraped {} is {} but the metrics op says {}".format(
+                    name, exposed, expected
+                )
             )
-    if counter_total(samples, "repro_cluster_detector_passes_total") < 1:
-        problems.append(
-            "supervisor series missing from the aggregated exposition"
-        )
+    if counter_total(samples, "repro_detector_passes_total") < 1:
+        problems.append("no detector pass in the scraped exposition")
 
 
 def check_incident_log(path: str, problems):
@@ -180,36 +174,25 @@ def check_incident_log(path: str, problems):
         return
     records = load_incidents(path)
     newest = records[-1]
-    if newest.get("source") != "cluster":
+    if newest.get("source") != "service":
         problems.append(
-            "incident source is {!r}, not 'cluster'".format(
+            "incident source is {!r}, not 'service'".format(
                 newest.get("source")
             )
         )
-    if newest.get("workers") != 2:
+    if not newest.get("span"):
         problems.append(
-            "incident workers is {!r}, not 2".format(
-                newest.get("workers")
+            "incident lacks the pass span ref (got {!r})".format(
+                newest.get("span")
             )
-        )
-    if not str(newest.get("trace", "")).startswith("trace-"):
-        problems.append(
-            "incident lacks the pass trace id (got {!r})".format(
-                newest.get("trace")
-            )
-        )
-    if ":" not in str(newest.get("span", "")):
-        problems.append(
-            "incident lacks the coordinator pass span ref (got "
-            "{!r})".format(newest.get("span"))
         )
     print(
         "incident log OK: {} record(s), newest {} ({} cycle(s), "
-        "trace {})".format(
+        "span {})".format(
             count,
             newest.get("id"),
             len(newest.get("cycles") or ()),
-            newest.get("trace"),
+            newest.get("span"),
         )
     )
 
@@ -236,13 +219,51 @@ def check_cli(path: str, problems):
             problems.append("incidents graph did not emit Graphviz DOT")
 
 
+def start_server(incident_log: str):
+    """``(process, (host, port), metrics_url)`` of a fresh server with
+    no detector clock: the smoke runs every pass itself."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--shards", str(SHARDS), "--period", "0",
+            "--incident-log", incident_log, "--metrics-port", "0",
+        ],
+        stdout=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT,
+    )
+    metrics_url = endpoint = None
+    while endpoint is None:
+        line = server.stdout.readline()
+        if not line:
+            server.wait(timeout=10)
+            raise RuntimeError("serve exited with {}".format(server.returncode))
+        found = re.search(r"metrics exposition on (http://\S+)", line)
+        if found:
+            metrics_url = found.group(1)
+        found = re.search(r"listening on ([0-9.]+):(\d+)", line)
+        if found:
+            endpoint = (found.group(1), int(found.group(2)))
+    if metrics_url is None:
+        raise RuntimeError("serve printed no metrics endpoint")
+    return server, endpoint, metrics_url
+
+
+def stop_server(server) -> None:
+    server.send_signal(signal.SIGINT)
+    try:
+        server.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        server.wait()
+    server.stdout.close()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--artifact-dir", default=None)
     parser.add_argument(
         "--rounds", type=int, default=2,
-        help="deadlock rounds to drive (each ends in one coordinator "
-        "pass)",
+        help="deadlock rounds to drive (each ends in one detector pass)",
     )
     args = parser.parse_args()
 
@@ -250,38 +271,32 @@ def main() -> int:
     incident_log = os.path.join(workdir, "incidents.jsonl")
     problems = []
     try:
-        with ClusterSupervisor(
-            workers=2,
-            period=None,
-            incident_log=incident_log,
-            metrics_port=0,
-        ) as supervisor:
-            manager = ClusterLockManager(supervisor.endpoints())
-            try:
-                a, b = rids_on_distinct_workers(2)
+        server, (host, port), metrics_url = start_server(incident_log)
+        try:
+            with RemoteLockManager(host, port) as manager:
+                a, b = rids_on_distinct_shards(SHARDS)
                 resolved = 0
                 for round_index in range(args.rounds):
                     threads, outcomes, tids = drive_deadlock_round(
                         manager, 1 + 2 * round_index, a, b
                     )
-                    result = supervisor.detect()
-                    if not result.deadlock_found:
+                    if manager.detect().deadlock_found:
+                        resolved += 1
+                    else:
                         problems.append(
                             "round {}: pass saw no deadlock".format(
                                 round_index
                             )
                         )
-                    else:
-                        resolved += 1
                     drain_round(manager, threads, outcomes, tids)
                 print(
                     "drove {} deadlock round(s), {} resolved by the "
-                    "coordinator".format(args.rounds, resolved)
+                    "detector".format(args.rounds, resolved)
                 )
                 check_incident_log(incident_log, problems)
-                check_aggregation(supervisor, problems)
-            finally:
-                manager.close()
+                check_scrape(manager, metrics_url, problems)
+        finally:
+            stop_server(server)
         check_cli(incident_log, problems)
     except Exception as exc:  # noqa: BLE001 - smoke harness boundary
         problems.append("smoke harness error: {!r}".format(exc))
@@ -299,8 +314,8 @@ def main() -> int:
             print("FAIL:", problem, file=sys.stderr)
         return 1
     print(
-        "incident smoke OK: validated incident log, aggregated scrape "
-        "matches the per-worker metrics ops"
+        "incident smoke OK: validated incident log, scrape matches the "
+        "metrics op"
     )
     return 0
 

@@ -9,15 +9,15 @@ connected, restarts it over the same journal file, and asserts
 
 * a batched transaction cost exactly two journal records (its frame,
   its commit);
-* the rebuilt table snapshot is byte-identical to the pre-kill one
-  (resources, queue order, modes, and the first-lock sequence);
+* the rebuilt table dump is byte-identical to the pre-kill one
+  (resources in first-lock order, holders, queue order, modes);
 * both sessions resume by token with exactly their transactions;
 * the restart epoch visibly increments on the wire;
 * a commit issued after the restart releases a lock granted before it,
   unblocking the other session's queued wait.
 
 Exits 0 on success.  On failure it prints a diagnosis and (with
-``--artifact-dir``) saves the journal plus both snapshots for upload.
+``--artifact-dir``) saves the journal plus both table dumps for upload.
 
 Usage::
 
@@ -81,11 +81,8 @@ def spawn_server(port: int, journal: str, lease: float) -> subprocess.Popen:
     raise RuntimeError("server never reported listening")
 
 
-def canonical_snapshot(payload: dict) -> str:
-    return json.dumps(
-        {"table": payload["table"], "sequence": payload["sequence"]},
-        sort_keys=True,
-    )
+def canonical_dump(payload: dict) -> str:
+    return json.dumps(payload["table"], sort_keys=True)
 
 
 BATCHED = 5
@@ -121,7 +118,7 @@ async def drive_before(port: int):
     assert await b.acquire(t2, "R3", "S")
     queued = await b.acquire(t2, "R1", "S", wait=False)
     assert queued is False, "R1 S should queue behind the X grant"
-    snapshot = canonical_snapshot(await a.snapshot())
+    snapshot = canonical_dump(await a.dump())
     # Deliberately no close(): the kill lands while both sessions are
     # attached, exactly the crash the journal must absorb.
     return {
@@ -150,7 +147,7 @@ async def drive_after(port: int, before: dict):
                     before["epoch"], a.epoch
                 )
             )
-        after = canonical_snapshot(await a.snapshot())
+        after = canonical_dump(await a.dump())
         if after != before["snapshot"]:
             problems.append("rebuilt table is not byte-identical")
         # The pre-crash state keeps working: commit releases R1, the
@@ -162,7 +159,7 @@ async def drive_after(port: int, before: dict):
             )
         await b.commit(t2)
         await b.commit(t3)
-        if (await a.snapshot())["table"]["resources"]:
+        if (await a.dump())["table"]["resources"]:
             problems.append("locks left behind after the last commit")
     finally:
         await a.close()
