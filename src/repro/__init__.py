@@ -24,12 +24,10 @@ Quickstart::
 """
 
 from .core import (
-    ContinuousDetector,
     CostTable,
     DetectionResult,
     HWTWBG,
     LockMode,
-    PeriodicDetector,
     ResourceState,
     TransactionAborted,
     build_graph,
@@ -44,14 +42,12 @@ from .lockmgr import LockManager, LockTable
 __version__ = "1.0.0"
 
 __all__ = [
-    "ContinuousDetector",
     "CostTable",
     "DetectionResult",
     "HWTWBG",
     "LockManager",
     "LockMode",
     "LockTable",
-    "PeriodicDetector",
     "ResourceState",
     "TransactionAborted",
     "build_graph",

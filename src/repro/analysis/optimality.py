@@ -21,7 +21,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..baselines.johnson import elementary_circuits
 from ..baselines.wfg import adjacency
-from ..core.detection import PeriodicDetector
+from ..core.detection import detect_once
 from ..core.serialize import table_from_dict, table_to_dict
 from ..core.victim import CostTable
 from ..lockmgr.lock_table import LockTable
@@ -80,7 +80,7 @@ def greedy_abort_cost(
     clone_costs = CostTable(
         {tid: costs.cost(tid) for tid in clone.active_tids()}
     )
-    result = PeriodicDetector(clone, clone_costs, allow_tdr2=False).run()
+    result = detect_once(clone, clone_costs, allow_tdr2=False)
     return result.aborted, sum(costs.cost(tid) for tid in result.aborted)
 
 

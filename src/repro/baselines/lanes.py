@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from ..core.detection import DetectionResult, _DetectionRun
+from ..core.detection import DetectionResult, detect_once
 from ..policy.base import DetectionPolicy
 
 
@@ -53,7 +53,7 @@ class BatchedPolicy(DetectionPolicy):
         roots = sorted(self._pending)
         self._pending.clear()
         self.flushes += 1
-        return _DetectionRun(host.table, host.costs, roots=roots).execute()
+        return detect_once(host.table, host.costs, roots=roots)
 
     def on_block(self, host, tid, rid, mode):
         self._pending.add(tid)

@@ -344,9 +344,8 @@ class LockstepModel:
                 failures.extend(self._compare(
                     worlds, "detection " + key, expected[key], summary[key]
                 ))
-        for info in (result.sharding, result.cluster):
-            if info is None:
-                continue
+        info = result.routing
+        if info is not None:
             if info.stale_victims or info.stale_repositions:
                 failures.append(self.failure(
                     worlds,

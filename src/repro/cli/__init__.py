@@ -243,18 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="default session lease granted to clients",
     )
-    # One destination, two spellings: the parser rejects both at once.
-    detector = serve_cmd.add_mutually_exclusive_group()
-    detector.add_argument(
-        "--continuous",
-        action="store_const",
-        dest="policy",
-        const="continuous",
-        default="periodic",
-        help="use the continuous companion detector (same as "
-        "--policy continuous)",
-    )
-    detector.add_argument(
+    serve_cmd.add_argument(
         "--policy",
         choices=["periodic", "continuous", "nowait", "adaptive"],
         default="periodic",
@@ -268,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="lock table shards (default: 1; the continuous policy "
         "needs 1)",
-    )
-    serve_cmd.add_argument(
-        "--cost",
-        action="append",
-        default=[],
-        metavar="TID=COST",
-        help="victim cost for a transaction (repeatable)",
     )
     serve_cmd.add_argument(
         "--journal",

@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 from ..obs.incidents import IncidentLog
 from ..policy import POLICIES
 from ..service.server import LockServer
-from . import parse_costs
 
 
 class ServeConfigError(ValueError):
@@ -116,7 +115,6 @@ def cmd_serve(args) -> int:
     if args.incident_log:
         incident_log = IncidentLog(path=args.incident_log)
     server = LockServer(
-        costs=parse_costs(args.cost),
         policy=config.policy,
         period=None if args.period <= 0 else args.period,
         lease=args.lease,

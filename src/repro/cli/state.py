@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core.detection import PeriodicDetector
+from ..core.detection import detect_once
 from ..core.hw_twbg import build_graph
 from ..core.notation import load_table
 from ..core.serialize import loads as table_loads
@@ -43,9 +43,7 @@ def cmd_detect(args) -> int:
         print(format_trace(trace))
         print()
     else:
-        result = PeriodicDetector(
-            table, costs, allow_tdr2=not args.no_tdr2
-        ).run()
+        result = detect_once(table, costs, allow_tdr2=not args.no_tdr2)
     if not result.deadlock_found:
         print("no deadlock found")
     for resolution in result.resolutions:

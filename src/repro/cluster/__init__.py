@@ -18,8 +18,6 @@ pass as an oracle:
 """
 
 from .coordinator import (
-    ClusterDetection,
-    ClusterPass,
     apply_resolution_plan,
     merge_snapshots,
     run_cluster_pass,
@@ -28,8 +26,6 @@ from .coordinator import (
 from .local import LocalCluster
 
 __all__ = [
-    "ClusterDetection",
-    "ClusterPass",
     "LocalCluster",
     "apply_resolution_plan",
     "merge_snapshots",

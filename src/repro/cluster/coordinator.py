@@ -50,15 +50,6 @@ def worker_of(rid: str, workers: int) -> int:
     return partition_of(rid, workers)
 
 
-#: What one routed pass did (``DetectionResult.cluster``).
-ClusterPass = PassInfo
-
-#: Outcome of one routed pass: a
-#: :class:`~repro.core.detection.DetectionResult` whose ``cluster``
-#: attribute carries the :class:`ClusterPass` bookkeeping.
-ClusterDetection = DetectionResult
-
-
 # -- worker side -----------------------------------------------------------
 
 
@@ -198,7 +189,7 @@ class _PlanBinding:
         self.transport = transport
         self.parts = workers
         suffix = os.urandom(4).hex()
-        self.info = ClusterPass(
+        self.info = PassInfo(
             parts=workers,
             trace="trace-" + suffix,
             span="coord:pass-" + suffix,
@@ -255,7 +246,7 @@ class _PlanBinding:
         return _grants_of(self._resolve(self.part_of(rid), "sweeps", [rid]))
 
     def finish(self, result) -> None:
-        result.cluster = self.info
+        result.routing = self.info
 
 
 def _grants_of(rows) -> List[Granted]:
@@ -273,7 +264,7 @@ def run_cluster_pass(
     incident_sink=None,
     epoch: Optional[int] = None,
     policy=None,
-) -> ClusterDetection:
+) -> DetectionResult:
     """One snapshot-merge-detect-resolve pass over the worker cores.
 
     ``transport`` provides the two rounds::
@@ -302,6 +293,12 @@ def run_cluster_pass(
             "span": info.span,
             "epoch": epoch,
             "workers": workers,
+            "cross_worker_cycles": info.cross_part_cycles,
+            "staleness": {
+                "stale_victims": info.stale_victims,
+                "stale_repositions": info.stale_repositions,
+            },
+            "unreachable_workers": info.unreachable_workers,
         }
 
     run = DetectionPass(

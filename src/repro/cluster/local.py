@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Set
 
+from ..core.detection import DetectionResult
 from ..core.errors import LockTableError
 from ..core.hw_twbg import HWTWBG, build_graph
 from ..core.modes import LockMode
@@ -30,7 +31,6 @@ from ..lockmgr import scheduler
 from ..obs.incidents import IncidentLog
 from ..service.wire import codec_for, resolve_wire, wire_roundtrip
 from .coordinator import (
-    ClusterDetection,
     apply_resolution_plan,
     run_cluster_pass,
     worker_of,
@@ -123,7 +123,6 @@ class LocalCluster:
         #: tid -> worker indexes the transaction has touched.
         self._affinity: Dict[int, Set[int]] = {}
         self._transport = LocalTransport(self, wire=wire)
-        self.last_pass = None
 
     # -- routing ---------------------------------------------------------
 
@@ -179,17 +178,15 @@ class LocalCluster:
 
     # -- deadlock handling -----------------------------------------------
 
-    def detect(self) -> ClusterDetection:
+    def detect(self) -> DetectionResult:
         """One cross-worker periodic pass (the coordinator, inline)."""
-        result = run_cluster_pass(
+        return run_cluster_pass(
             self._transport,
             len(self.cores),
             self.costs,
             incident_sink=self.incidents,
             policy=self.policy,
         )
-        self.last_pass = result.cluster
-        return result
 
     # -- introspection ---------------------------------------------------
 

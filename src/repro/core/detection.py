@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 from ..lockmgr import scheduler
 from ..lockmgr.events import Granted, Repositioned
@@ -59,6 +59,9 @@ from .victim import (
     candidates_for_cycle,
     select_victim,
 )
+
+if TYPE_CHECKING:
+    from ..lockmgr.detection_pass import PassInfo
 
 
 @dataclass
@@ -95,13 +98,11 @@ class DetectionResult:
     repositions: List[Repositioned] = field(default_factory=list)
     resolutions: List[Resolution] = field(default_factory=list)
     stats: DetectionStats = field(default_factory=DetectionStats)
-    #: Set by the sharded manager's cross-shard pass (a
-    #: :class:`repro.lockmgr.sharded.ShardedPass`); None for a run on a
-    #: single table.
-    sharding: Optional[object] = None
-    #: Set by the cluster coordinator's routed pass (a
-    #: :class:`repro.cluster.coordinator.ClusterPass`).
-    cluster: Optional[object] = None
+    #: What a routed pass did (a
+    #: :class:`~repro.lockmgr.detection_pass.PassInfo`): set by the
+    #: sharded core's cross-shard pass and the cluster coordinator's
+    #: pass; None for a run on a single table.
+    routing: Optional["PassInfo"] = None
     #: The Aborted-event reason the absorbing manager publishes for
     #: :attr:`aborted`.  Detector passes keep the default; block-time
     #: policies that abort outside a pass (the nowait lane) override it.
@@ -119,41 +120,16 @@ class DetectionResult:
         return self.deadlock_found and not self.aborted
 
 
-class PeriodicDetector:
-    """Runs the periodic-detection-resolution algorithm on a lock table.
-
-    Reusable: call :meth:`run` once per period.  The cost table persists
-    across runs so TDR-2 delay penalties accumulate as the paper intends.
-    """
-
-    def __init__(
-        self,
-        table: LockTable,
-        costs: Optional[CostTable] = None,
-        allow_tdr2: bool = True,
-    ) -> None:
-        self.table = table
-        self.costs = costs if costs is not None else CostTable()
-        #: Ablation switch (experiment A2): with TDR-2 disabled every
-        #: deadlock costs an abort.
-        self.allow_tdr2 = allow_tdr2
-
-    def run(self) -> DetectionResult:
-        """Execute Steps 1–3 and return the run's outcome."""
-        run = _DetectionRun(self.table, self.costs, allow_tdr2=self.allow_tdr2)
-        return run.execute()
-
-
 class _DetectionRun:
     """State of a single detector activation (one period).
 
-    ``roots`` restricts the Step-2 walk to the given start vertices (used
-    by the continuous companion detector, which only searches from the
-    transaction that just blocked); the periodic algorithm walks from
-    every transaction.  ``states`` is the table's waiting structure when
-    the caller has already scanned it.
+    ``roots`` restricts the Step-2 walk to the given start vertices (the
+    continuous companion searches only from the transaction that just
+    blocked); the periodic algorithm walks from every transaction.
+    ``states`` is the table's waiting structure when the caller has
+    already scanned it.
 
-    :meth:`execute` runs Steps 1-3 on the table in place.  A routed pass
+    :func:`detect_once` runs Steps 1-3 on a table in place.  A routed pass
     (:mod:`repro.lockmgr.detection_pass`) runs Steps 1-2 on a copy with
     :meth:`stage`, then Step 3 once, against the live state, through
     :meth:`confirm`.
@@ -358,7 +334,28 @@ class _DetectionRun:
 
 
 def detect_once(
-    table: LockTable, costs: Optional[CostTable] = None
+    table: LockTable,
+    costs: Optional[CostTable] = None,
+    *,
+    roots: Optional[List[int]] = None,
+    allow_tdr2: bool = True,
+    observer=None,
 ) -> DetectionResult:
-    """Convenience wrapper: one periodic detection-resolution pass."""
-    return PeriodicDetector(table, costs).run()
+    """Run Steps 1–3 once, in place on ``table``.
+
+    Without ``roots`` this is the periodic pass (the walk starts at every
+    transaction); with ``roots`` the walk starts only there — the
+    continuous companion's rooted check passes the transaction that just
+    blocked.  Pass the same ``costs`` on every call so TDR-2 delay
+    penalties accumulate as the paper intends.  ``allow_tdr2=False`` is
+    the A2 ablation (every deadlock costs an abort); ``observer(event,
+    **info)`` sees every step of the walk and of Step 3
+    (:func:`repro.core.trace.trace_detection`).
+    """
+    return _DetectionRun(
+        table,
+        costs if costs is not None else CostTable(),
+        roots=roots,
+        allow_tdr2=allow_tdr2,
+        observer=observer,
+    ).execute()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..lockmgr.lock_table import LockTable
-from .detection import DetectionResult, _DetectionRun
+from .detection import DetectionResult, detect_once
 from .victim import CostTable
 
 
@@ -75,14 +75,9 @@ def trace_detection(
 ) -> Tuple[DetectionResult, Trace]:
     """One periodic (or rooted) detection pass with full tracing."""
     trace = Trace()
-    run = _DetectionRun(
-        table,
-        costs if costs is not None else CostTable(),
-        roots=roots,
-        allow_tdr2=allow_tdr2,
-        observer=trace.record,
+    result = detect_once(
+        table, costs, roots=roots, allow_tdr2=allow_tdr2, observer=trace.record
     )
-    result = run.execute()
     return result, trace
 
 

@@ -18,7 +18,6 @@ from .sharded import (
     MergedTableView,
     ShardedLockCore,
     ShardedLockManager,
-    ShardedPass,
     resolve_shard_count,
     shard_of,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "RequestOutcome",
     "ShardedLockCore",
     "ShardedLockManager",
-    "ShardedPass",
     "conversion_grantable",
     "explain_block",
     "release_all",

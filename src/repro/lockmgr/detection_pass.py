@@ -49,9 +49,8 @@ class WaitingCopy(dict):
 @dataclass
 class PassInfo:
     """What a routed pass did beyond its detection result — attached as
-    ``DetectionResult.sharding`` by the sharded core (alias
-    ``ShardedPass``) and as ``DetectionResult.cluster`` by the
-    coordinator (alias ``ClusterPass``)."""
+    ``DetectionResult.routing`` by the sharded core's cross-shard pass
+    and by the cluster coordinator's pass."""
 
     #: Partitions (shards or workers) the pass spans.
     parts: int
@@ -77,11 +76,6 @@ class PassInfo:
     unreachable_workers: List[int] = field(default_factory=list)
     pass_seconds: float = 0.0
 
-    shards = workers = property(lambda self: self.parts)
-    cross_shard_cycles = cross_worker_cycles = property(
-        lambda self: self.cross_part_cycles
-    )
-
 
 class LiveBinding:
     """The pass on one live table, in place: ``guard`` is held
@@ -103,8 +97,9 @@ class DetectionPass:
     ``incidents`` (an :class:`~repro.obs.incidents.IncidentLog`) turns
     on forensics: :meth:`record` appends a ``repro.incident/1`` record
     for a resolving pass.  ``stamp()`` supplies the host's record fields
-    (``source``, ``trace``/``span``/``epoch``/``timestamp``/``workers``)
-    and is only called when a record is written.
+    (``source``, ``trace``/``span``/``epoch``/``timestamp``, and the
+    coordinator's ``workers`` and routing fields) and is only called
+    when a record is written.
     """
 
     def __init__(

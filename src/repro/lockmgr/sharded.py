@@ -132,10 +132,6 @@ class LockShard:
         self.wakeups: Dict[int, threading.Condition] = {}
 
 
-#: What one cross-shard pass did (``DetectionResult.sharding``).
-ShardedPass = PassInfo
-
-
 class MergedTableView:
     """A read-only, LockTable-shaped view across every shard.
 
@@ -684,7 +680,7 @@ class _ShardBinding:
         ]
 
     def finish(self, result) -> None:
-        result.sharding = self.info
+        result.routing = self.info
 
 
 class ShardedLockManager:

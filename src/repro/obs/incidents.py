@@ -100,14 +100,17 @@ def build_incident(
     workers: Optional[int] = None,
     timestamp: Optional[float] = None,
     policy: Optional[str] = None,
+    cross_worker_cycles: Optional[int] = None,
+    staleness: Optional[Dict[str, int]] = None,
+    unreachable_workers: Optional[List[int]] = None,
 ) -> Dict[str, Any]:
     """One ``repro.incident/1`` record from a detection result.
 
-    ``result`` is a :class:`~repro.core.detection.DetectionResult` or
-    :class:`~repro.cluster.coordinator.ClusterDetection` with at least
-    one resolution; ``blocked_at`` maps each cycle transaction to the
-    resource it was blocked at *in the pre-pass snapshot* (the cycle's
-    W/H edges); ``table_text`` is the pre-pass merged table render.
+    ``result`` is a :class:`~repro.core.detection.DetectionResult` with
+    at least one resolution; ``blocked_at`` maps each cycle transaction
+    to the resource it was blocked at *in the pre-pass snapshot* (the
+    cycle's W/H edges); ``table_text`` is the pre-pass merged table
+    render.  The last three fields are the cluster coordinator's.
     """
     cycles: List[Dict[str, Any]] = []
     for resolution in result.resolutions:
@@ -162,14 +165,12 @@ def build_incident(
         record["table"] = str(table_text)
     if policy is not None:
         record["policy"] = str(policy)
-    info = getattr(result, "cluster", None)
-    if info is not None:
-        record["cross_worker_cycles"] = info.cross_worker_cycles
-        record["staleness"] = {
-            "stale_victims": info.stale_victims,
-            "stale_repositions": info.stale_repositions,
-        }
-        record["unreachable_workers"] = list(info.unreachable_workers)
+    if cross_worker_cycles is not None:
+        record["cross_worker_cycles"] = int(cross_worker_cycles)
+    if staleness is not None:
+        record["staleness"] = dict(staleness)
+    if unreachable_workers is not None:
+        record["unreachable_workers"] = list(unreachable_workers)
     return record
 
 

@@ -181,16 +181,12 @@ class Telemetry:
         self,
         clock: Optional[Callable[[], float]] = None,
         enabled: bool = True,
-        trace_capacity: int = 4096,
         registry: Optional[MetricsRegistry] = None,
-        origin: Optional[str] = None,
     ) -> None:
         self.enabled = enabled
         self.registry = registry if registry is not None else MetricsRegistry()
         self._clock = clock if clock is not None else time.monotonic
-        self.trace = TraceLog(
-            clock=self._clock, capacity=trace_capacity, origin=origin
-        )
+        self.trace = TraceLog(clock=self._clock)
         #: tid -> (virtual time of first block, mode name, wait kind).
         #: Survives client timeouts (the request stays queued), so the
         #: wait histogram measures time from first block to grant.
@@ -266,12 +262,11 @@ class Telemetry:
         self.trace.finished(tid, aborted=aborted)
 
     def pass_span(self, status: str):
-        """Record a detector-pass span and return its cross-process ref
+        """Record a detector-pass span and return its ref, the span id
         (None with telemetry disabled)."""
         if not self.enabled:
             return None
-        span = self.trace.record(0, "", "", "pass", status)
-        return self.trace.span_ref(span)
+        return str(self.trace.record(0, "", "", "pass", status).span_id)
 
     def pending_waits(self) -> List[int]:
         """Transactions blocked without a terminal outcome yet (the
@@ -395,22 +390,21 @@ class Telemetry:
         self._last_cycles.set(stats.cycles_found)
         self._last_transactions.set(stats.transactions)
         self._last_run.set(self._clock())
-        sharding = getattr(result, "sharding", None)
-        if sharding is not None:
-            self._detection_sharding(sharding)
+        if result.routing is not None:
+            self._detection_routing(result.routing)
 
-    def _detection_sharding(self, sharding) -> None:
+    def _detection_routing(self, info) -> None:
         """Shard-level figures of one cross-shard pass (a
-        :class:`~repro.lockmgr.sharded.ShardedPass`)."""
-        for index, seconds in enumerate(sharding.snapshot_seconds):
+        :class:`~repro.lockmgr.detection_pass.PassInfo`)."""
+        for index, seconds in enumerate(info.snapshot_seconds):
             self.registry.histogram(
                 "repro_shard_snapshot_seconds",
                 labels={"shard": str(index)},
                 help="time one shard's mutex was held for its snapshot",
                 buckets=DURATION_BUCKETS,
             ).observe(seconds)
-        self._cross_shard_cycles.inc(sharding.cross_shard_cycles)
+        self._cross_shard_cycles.inc(info.cross_part_cycles)
         self._stale_resolutions.inc(
-            sharding.stale_victims + sharding.stale_repositions
+            info.stale_victims + info.stale_repositions
         )
-        self._last_epoch_drift.set(sharding.epoch_drift)
+        self._last_epoch_drift.set(info.epoch_drift)

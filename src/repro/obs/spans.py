@@ -154,19 +154,16 @@ class TraceLog:
     the open-span table so a long-lived server cannot grow without
     bound: when a new span would push the open table past capacity, the
     oldest in-flight span is *flushed* into the ring with an ``unfinished: true`` marker (never silently
-    dropped).  ``origin`` names this process in exported span refs
-    (``origin:span_id``) so parent links stay unambiguous across hops.
+    dropped).
     """
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
         capacity: int = 4096,
-        origin: Optional[str] = None,
     ) -> None:
         self.clock = clock if clock is not None else time.monotonic
         self.capacity = capacity
-        self.origin = origin
         self._next_id = 1
         #: tid -> rid -> open span: the one index.
         self._open: Dict[int, Dict[str, Span]] = {}
@@ -182,13 +179,6 @@ class TraceLog:
         self.total_recorded = 0
         #: In-flight spans evicted (flushed unfinished) at capacity.
         self.evicted_unfinished = 0
-
-    def span_ref(self, span: Span) -> str:
-        """The cross-process-unique ref of ``span``
-        (``origin:span_id``, or the bare id with no origin set)."""
-        if self.origin:
-            return "{}:{}".format(self.origin, span.span_id)
-        return str(span.span_id)
 
     # -- span surface ------------------------------------------------------
 

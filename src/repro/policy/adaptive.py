@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..core.detection import detect_once
 from .base import DetectionPolicy
 
 #: Controller knob defaults (see docs/POLICIES.md for tuning guidance).
@@ -141,7 +142,6 @@ class AdaptivePolicy(DetectionPolicy):
         self.controller = (
             controller if controller is not None else AdaptiveController()
         )
-        self._detector = None
         self._host = None
 
     def bind(self, host) -> "AdaptivePolicy":
@@ -154,16 +154,7 @@ class AdaptivePolicy(DetectionPolicy):
     def on_block(self, host, tid, rid, mode):
         if self.controller.mode != "continuous" or not self._can_continuous():
             return None
-        if self._detector is None:
-            from ..core.continuous import ContinuousDetector
-
-            table = (
-                host.shards[0].table
-                if hasattr(host, "shards")
-                else host.table
-            )
-            self._detector = ContinuousDetector(table, host.costs)
-        result = self._detector.on_block(tid)
+        result = detect_once(host.table, host.costs, roots=[tid])
         self.controller.observe(
             result.deadlock_found, can_continuous=True
         )

@@ -410,6 +410,11 @@ class AsyncLockClient(asyncio.Protocol):
                 except (KeyError, ValueError, TypeError):
                     pass  # the server reports the malformed sub-op
         response = await self._call(request(None, "batch", ops=ops))
+        for op in ops:  # a transaction that ended here needs no trace
+            if op.get("op") in ("commit", "abort") and isinstance(
+                op.get("tid"), int
+            ):
+                self._traces.pop(op["tid"], None)
         return list(response["results"])
 
     def pipeline(self) -> "LockPipeline":

@@ -105,9 +105,9 @@ class TestClusterDetection:
         cluster = LocalCluster(workers=workers, policy="periodic")
         r1, r2 = rids_on_distinct_workers(cluster)
         result = scenarios.check_example_41_is_abort_free(cluster, r1, r2)
-        info = result.cluster
-        assert info is not None and info.workers == workers
-        assert info.cross_worker_cycles >= 1
+        info = result.routing
+        assert info is not None and info.parts == workers
+        assert info.cross_part_cycles >= 1
         assert info.stale_victims == 0 and info.stale_repositions == 0
         assert info.unreachable_workers == []
 
@@ -117,7 +117,7 @@ class TestClusterDetection:
         )
         r1, r2 = rids_on_distinct_workers(cluster)
         result = scenarios.check_example_51_routes_the_abort(cluster, r1, r2)
-        assert result.cluster.cross_worker_cycles >= 1
+        assert result.routing.cross_part_cycles >= 1
 
     @pytest.mark.parametrize("example,costs", [
         (scenarios.feed_example_41, None),
@@ -142,7 +142,7 @@ class TestClusterDetection:
         cluster = LocalCluster(workers=4, policy="periodic")
         a, b = rids_on_distinct_workers(cluster)
         result = scenarios.check_clean_pass_does_nothing(cluster, a, b)
-        assert result.cluster.cross_worker_cycles == 0
+        assert result.routing.cross_part_cycles == 0
 
     def test_x_cycle_across_workers_needs_one_victim(self):
         cluster = LocalCluster(workers=4, policy="periodic")
@@ -230,7 +230,7 @@ class TestStaleness:
         result = run_cluster_pass(transport, cluster.workers, cluster.costs)
         assert result.deadlock_found  # the snapshot showed a cycle
         assert result.aborted == []  # ... but nobody died for it
-        assert result.cluster.stale_victims == len(result.resolutions)
+        assert result.routing.stale_victims == len(result.resolutions)
         assert not any(cluster.was_aborted(tid) for tid in (1, 2))
 
     def test_reposition_against_a_moved_queue_is_dropped(self):
@@ -253,7 +253,7 @@ class TestStaleness:
 
         result = run_cluster_pass(transport, cluster.workers, cluster.costs)
         assert result.repositions == []
-        assert result.cluster.stale_repositions >= 1
+        assert result.routing.stale_repositions >= 1
 
 
 class TestResolvePlanIsAllOrNothing:

@@ -33,7 +33,7 @@ class TestLocalClusterPass:
         cross_worker_deadlock(cluster)
         result = cluster.detect()
         assert result.deadlock_found
-        info = result.cluster
+        info = result.routing
         assert info.trace is not None and info.trace.startswith("trace-")
         suffix = info.trace[len("trace-"):]
         assert info.span == "coord:pass-" + suffix
@@ -43,7 +43,7 @@ class TestLocalClusterPass:
         cross_worker_deadlock(cluster)
         result = cluster.detect()
         assert result.deadlock_found
-        info = result.cluster
+        info = result.routing
         plans = cluster._transport.resolved_plans
         # The cycle spans both workers, so resolving it routed at least
         # one plan — and the victim's locks are swept on every worker
@@ -65,8 +65,8 @@ class TestLocalClusterPass:
         assert validate_incident(record) == []
         assert record["source"] == "cluster"
         assert record["workers"] == 2
-        assert record["trace"] == result.cluster.trace
-        assert record["span"] == result.cluster.span
+        assert record["trace"] == result.routing.trace
+        assert record["span"] == result.routing.span
 
     def test_each_pass_mints_a_fresh_trace(self):
         cluster = LocalCluster(workers=2)
@@ -80,4 +80,4 @@ class TestLocalClusterPass:
         cross_worker_deadlock(cluster2)
         second = cluster2.detect()
         assert second.deadlock_found
-        assert first.cluster.trace != second.cluster.trace
+        assert first.routing.trace != second.routing.trace

@@ -4,8 +4,8 @@ One body per behaviour: the conformance suite parameterises these over
 the facades (``test_core.py`` over the :class:`~repro.lockmgr.LockCore`
 axis, ``test_blocking.py`` over the
 :class:`~repro.lockmgr.BlockingLockManager` axis), and the per-facade
-suites that need a facade-specific extra assertion (the ``sharding`` /
-``cluster`` pass info, a worker count off the axis) call the same
+suites that need a facade-specific extra assertion (the ``routing``
+pass info, a worker count off the axis) call the same
 function and add only that.
 
 Every ``check_*`` takes a freshly built core on the detector lane
@@ -75,11 +75,6 @@ def spread_rids(core, count: int = 2):
         seen.add(part_of(rid))
         chosen.append(rid)
     return chosen
-
-
-def pass_info(result):
-    """The routed-pass record, whichever facade attached it."""
-    return result.sharding or result.cluster
 
 
 def reposition_keys(result):

@@ -155,7 +155,7 @@ class TestPaperDeadlocks:
         core = build()
         a, b = scenarios.spread_rids(core)
         result = scenarios.check_clean_pass_does_nothing(core, a, b)
-        info = scenarios.pass_info(result)
+        info = result.routing
         assert info is None or info.cross_part_cycles == 0
 
     @pytest.mark.parametrize("example,costs", [
@@ -183,7 +183,7 @@ class TestPaperDeadlocks:
         """A routed pass on a quiescent core: every partition answered,
         nothing went stale, and the cycle did span partitions when the
         facade has more than one."""
-        info = scenarios.pass_info(result)
+        info = result.routing
         if info is None:
             return
         assert info.parts == core.shard_count

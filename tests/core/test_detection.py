@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.detection import PeriodicDetector, detect_once
+from repro.core.detection import detect_once
 from repro.core.hw_twbg import build_graph
 from repro.core.modes import LockMode
 from repro.core.notation import load_table
@@ -65,9 +65,9 @@ class TestExample41:
         stats = detect_once(example_41_table).stats
         assert (stats.cycles_found, stats.tdr2_applicable) == (1, 1)
         assert stats.tdr2_applied == 1
-        stats = PeriodicDetector(
+        stats = detect_once(
             load_table(LockTable(), EXAMPLE_41), allow_tdr2=False
-        ).run().stats
+        ).stats
         assert stats.cycles_found == stats.tdr2_applicable == 3
         assert stats.tdr2_applied == 0
 
@@ -171,9 +171,9 @@ class TestScenarios:
 
 class TestAlgorithmMechanics:
     def test_second_run_is_noop(self, example_41_table):
-        detector = PeriodicDetector(example_41_table)
-        first = detector.run()
-        second = detector.run()
+        costs = CostTable()
+        first = detect_once(example_41_table, costs)
+        second = detect_once(example_41_table, costs)
         assert first.deadlock_found
         assert not second.deadlock_found
         assert second.aborted == []
@@ -196,8 +196,7 @@ class TestAlgorithmMechanics:
         assert result.stats.edges_examined >= result.stats.edges_total
 
     def test_allow_tdr2_false_forces_abort(self, example_41_table):
-        detector = PeriodicDetector(example_41_table, allow_tdr2=False)
-        result = detector.run()
+        result = detect_once(example_41_table, allow_tdr2=False)
         assert result.deadlock_found
         assert result.aborted  # no abort-free resolution available
         assert result.repositions == []

@@ -49,10 +49,6 @@ def plant(manager):
     return waiting
 
 
-def info_of(result):
-    return result.sharding if result.sharding is not None else result.cluster
-
-
 def payload_sizes(cluster):
     """JSON bytes of each worker's ``snapshot`` payload, less the
     fields whose *digits* move with history (serialization time, and
@@ -75,8 +71,8 @@ def test_pass_reads_the_waiting_structure_only(build):
     waiting = plant(bare)
     assert plant(loaded) == waiting
     ours, theirs = loaded.detect(), bare.detect()
-    assert info_of(ours).merged_resources == len(waiting)
-    assert info_of(theirs).merged_resources == len(waiting)
+    assert ours.routing.merged_resources == len(waiting)
+    assert theirs.routing.merged_resources == len(waiting)
     assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
     assert ours.stats.cycles_found == 8
     assert ours.aborted == theirs.aborted
@@ -103,7 +99,7 @@ def test_clean_pass_copies_no_resource_state(build):
     ):
         result = manager.detect()
     assert not result.deadlock_found
-    assert info_of(result).merged_resources == 0
+    assert result.routing.merged_resources == 0
     if build is clustered:
         empty = clustered()
         assert payload_sizes(manager) == payload_sizes(empty)

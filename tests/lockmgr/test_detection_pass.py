@@ -38,7 +38,7 @@ def example_51_outcome(name):
     core = FACADES[name](scenarios.example_51_costs())
     r1, r2 = scenarios.spread_rids(core)
     result = scenarios.check_example_51_routes_the_abort(core, r1, r2)
-    info = scenarios.pass_info(result)
+    info = result.routing
     if info is not None:
         assert info.stale_victims == 0
         assert info.cross_part_cycles >= 1
@@ -87,5 +87,5 @@ def test_a_routed_pass_never_releases_or_sweeps_the_copy(name, feed):
     assert result.deadlock_found
     assert touched, "Step 3 ran nowhere"
     assert all(on_live for _, on_live in touched), touched
-    assert scenarios.pass_info(result).stale_victims == 0
+    assert result.routing.stale_victims == 0
 

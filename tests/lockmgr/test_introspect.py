@@ -101,12 +101,12 @@ class TestExplainBlock:
         """After a TDR-2 repositioning reorders Example 4.1's R1 queue,
         explain_block must report each waiter's *live* position, not the
         arrival order."""
-        from repro.core.detection import PeriodicDetector
+        from repro.core.detection import detect_once
         from repro.core.victim import CostTable
         from tests.conftest import build_example_41_by_requests
 
         table = build_example_41_by_requests()
-        result = PeriodicDetector(table, CostTable()).run()
+        result = detect_once(table, CostTable())
         assert result.abort_free and result.repositions
         state = table.existing("R1")
         for tid in (entry.tid for entry in state.queue):

@@ -221,7 +221,7 @@ class TestCrossShardDetection:
     abort-free by TDR-2, exactly like the monolithic detector.  The
     behaviours themselves are the conformance suite's
     (``tests/conformance``, which runs them on ``ShardedLockCore(4)``
-    among the other facades); what stays here is the sharding record
+    among the other facades); what stays here is the routing record
     of the pass and the shard counts off that suite's axis."""
 
     @pytest.mark.parametrize("shards", [2, 4, 8])
@@ -229,9 +229,9 @@ class TestCrossShardDetection:
         core = ShardedLockCore(shards=shards, policy="periodic")
         r1, r2 = rids_on_distinct_shards(core)
         result = scenarios.check_example_41_is_abort_free(core, r1, r2)
-        info = result.sharding
-        assert info is not None and info.shards == shards
-        assert info.cross_shard_cycles >= 1
+        info = result.routing
+        assert info is not None and info.parts == shards
+        assert info.cross_part_cycles >= 1
         assert info.stale_victims == 0 and info.stale_repositions == 0
 
     @pytest.mark.parametrize("example,costs", [
@@ -254,7 +254,7 @@ class TestCrossShardDetection:
         core = ShardedLockCore(shards=4, policy="periodic")
         a, b = rids_on_distinct_shards(core)
         result = scenarios.check_clean_pass_does_nothing(core, a, b)
-        assert result.sharding.cross_shard_cycles == 0
+        assert result.routing.cross_part_cycles == 0
 
 
 def wait_until(predicate, timeout=5.0):

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.core.detection import PeriodicDetector
+from repro.core.detection import detect_once
 from repro.core.notation import load_table
 from repro.core.victim import CostTable
 from repro.lockmgr.lock_table import LockTable
@@ -37,7 +37,7 @@ def resolved_pass():
     blocked_at = {
         tid: table.blocked_at(tid) for tid in table.blocked_tids()
     }
-    result = PeriodicDetector(table, CostTable()).run()
+    result = detect_once(table, CostTable())
     assert result.deadlock_found
     return result, table_text, blocked_at
 

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 
 from repro.baselines import BatchedPolicy
 from repro.baselines.wfg import has_deadlock, resolve
-from repro.core.continuous import ContinuousDetector
-from repro.core.detection import PeriodicDetector
+from repro.core.detection import detect_once
 from repro.core.serialize import table_from_dict, table_to_dict
 from repro.core.verify import verify_table
 from repro.core.victim import CostTable
@@ -31,16 +30,16 @@ def clone(table):
 
 
 def run_periodic(table):
-    PeriodicDetector(table, CostTable()).run()
+    detect_once(table, CostTable())
     return table
 
 
 def run_continuous(table):
-    detector = ContinuousDetector(table, CostTable())
+    costs = CostTable()
     # Continuous detection normally fires per block; replay it for every
     # currently blocked transaction, which covers every cycle.
     for tid in sorted(table.blocked_tids()):
-        detector.on_block(tid)
+        detect_once(table, costs, roots=[tid])
     return table
 
 

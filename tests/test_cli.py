@@ -296,10 +296,11 @@ def parser_shape(parser):
 
 #: ``parser_shape(build_parser())`` at commit 3242e28, the last one with
 #: a one-file ``cli.py`` (``pprint`` output, committed as printed), with
-#: ``serve``'s detector flags since: ``--continuous`` stores into
-#: ``policy``, and ``--policy``/``--shards`` default to a constant;
-#: ``simulate`` has since lost its benchmark-record option, and
-#: ``serve`` and ``top`` their worker-process cluster flags.
+#: ``serve``'s detector flags since: ``--policy``/``--shards`` default
+#: to a constant; ``simulate`` has since lost its benchmark-record
+#: option, ``serve`` and ``top`` their worker-process cluster flags, and
+#: ``serve`` its second spelling of ``--policy continuous``
+#: (``--continuous``) and its start-up per-tid ``--cost`` table.
 PARENT_PARSER_SHAPE = \
 {'inspect': [('file', None, None)],
  'graph': [('file', None, None), ('--dot', None, False)],
@@ -351,12 +352,10 @@ PARENT_PARSER_SHAPE = \
  'serve': [('--host', None, '127.0.0.1'), ('--port', None, 7411),
            ('--unix', None, None), ('--max-frame', None, None),
            ('--period', None, 0.5), ('--lease', None, 5.0),
-           ('--continuous', None, 'periodic'),
            ('--policy',
             ['adaptive', 'continuous', 'nowait', 'periodic'],
             'periodic'),
-           ('--shards', None, 1), ('--cost', None, []),
-           ('--journal', None, None),
+           ('--shards', None, 1), ('--journal', None, None),
            ('--journal-fsync', ['always', 'batch', 'never'], 'batch'),
            ('--metrics-port', None, None),
            ('--incident-log', None, None)],

@@ -9,16 +9,21 @@ from repro.cli import ServeConfigError, main, validate_serve_config
 
 class TestContradictions:
     def test_continuous_vs_other_policy(self, capsys):
-        # One flag, one destination: the parser itself refuses both.
+        # One setting, one spelling: ``--policy`` is the only way to ask
+        # for the continuous policy, and the retired flag is refused.
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--continuous", "--policy", "nowait"])
         assert excinfo.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
+        assert "unrecognized arguments: --continuous" in (
+            capsys.readouterr().err
+        )
 
     def test_continuous_flag_with_continuous_policy_ok(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["serve", "--continuous"])
+        args = build_parser().parse_args(
+            ["serve", "--policy", "continuous"]
+        )
         assert args.policy == "continuous"
         config = validate_serve_config(policy=args.policy)
         assert config.policy == "continuous"
@@ -53,7 +58,7 @@ class TestNormalisation:
 
 class TestServeExitCode:
     def test_contradiction_exits_2(self, capsys):
-        code = main(["serve", "--continuous", "--shards", "4"])
+        code = main(["serve", "--policy", "continuous", "--shards", "4"])
         assert code == 2
         assert "--shards 4" in capsys.readouterr().err
 

@@ -45,7 +45,7 @@ class TestApiDocs:
         text = (tmp_path / "API.md").read_text()
         assert "# API reference" in text
         assert "repro.core.detection" in text
-        assert "PeriodicDetector" in text
+        assert "detect_once" in text
         assert "class `ShardedLockCore`" in text
 
 

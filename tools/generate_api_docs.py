@@ -103,7 +103,7 @@ replay (see `docs/DURABILITY.md`).
 CLI entry points:
 
 ```
-python -m repro serve  --port 7411 --period 0.5 --lease 5 [--continuous]
+python -m repro serve  --port 7411 --period 0.5 --lease 5
 python -m repro serve  --port 7411 --policy periodic|continuous|nowait|adaptive
 python -m repro serve  --port 7411 --journal sessions.jsonl [--journal-fsync batch]
 python -m repro serve  --port 7411 --shards 4
@@ -125,8 +125,7 @@ the last pass of either kind (DESIGN.md, "When a pass runs").
 refreshing operator dashboard from `metrics`/`stats`/`inspect` (with
 per-shard rows on a sharded server); `trace-export` dumps the span log
 as JSON-lines.
-`--policy` (default `periodic`; `--continuous` is the same as
-`--policy continuous`, and the two flags exclude each other) selects
+`--policy` (default `periodic`) selects
 the detection policy — when detection runs and what happens at block
 time; `stats` reports the active policy and its `policy_info` state
 (see `docs/POLICIES.md`).
