@@ -10,8 +10,8 @@ Declared once, satisfied structurally (no base classes, no adapters):
   and :class:`~repro.cluster.local.LocalCluster` — the explorer's lockstep
   driver (:mod:`repro.check.lockstep`) and the core axis of the
   conformance suite are written against exactly this.
-* :class:`BlockingLockManager` — the thread-facing surface
-  ``sim.realtime`` and the threaded examples call polymorphically:
+* :class:`BlockingLockManager` — the thread-facing surface ``txn``
+  and the threaded examples call polymorphically:
   ``acquire`` parks the caller until granted, timed out or victimized.
   Satisfied by :class:`~repro.lockmgr.sharded.ShardedLockManager`,
   :class:`~repro.service.client.RemoteLockManager` and

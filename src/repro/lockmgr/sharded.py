@@ -784,8 +784,6 @@ class ShardedLockManager:
         """Release everything ``tid`` holds and wake the grantees."""
         grants = self._core.finish(tid)
         shard = self._wait_shard.pop(tid, None)
-        if shard is None:
-            shard = self._find_wait_shard(tid)
         if shard is not None:
             with shard.mutex:
                 shard.wakeups.pop(tid, None)
@@ -824,21 +822,11 @@ class ShardedLockManager:
         for tid in tids:
             shard = self._wait_shard.get(tid)
             if shard is None:
-                shard = self._find_wait_shard(tid)
-            if shard is None:
                 continue
             condition = shard.wakeups.get(tid)
             if condition is not None:
                 with shard.mutex:
                     condition.notify_all()
-
-    def _find_wait_shard(self, tid: int) -> Optional[LockShard]:
-        """Fallback lookup for conditions registered outside
-        :meth:`acquire` (facade subclasses in tests do this)."""
-        for shard in self._core.shards:
-            if tid in shard.wakeups:
-                return shard
-        return None
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -195,7 +195,7 @@ class Telemetry:
         #: kind) -> wait histogram, rid -> block counter (bounded).
         self._wait_seconds: Dict[Tuple[str, str], object] = {}
         self._rid_blocks: Dict[str, object] = {}
-        #: ``(tid, rid, trace, parent)`` of the announced lock frame.
+        #: ``(tid, rid)`` of the announced lock frame.
         self._frame: Optional[tuple] = None
         self._on = {
             Granted: self._on_granted,
@@ -206,21 +206,12 @@ class Telemetry:
 
     # -- service-layer hooks ----------------------------------------------
 
-    def request(
-        self,
-        tid: int,
-        rid: str,
-        mode,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
-    ) -> None:
-        """A lock frame is about to hit the manager.  ``trace`` and
-        ``parent`` are the client-stamped trace context (trace id +
-        parent span ref) propagated from the request frame; the span
-        opens on the manager's answer, the frame's own event."""
+    def request(self, tid: int, rid: str, mode) -> None:
+        """A lock frame is about to hit the manager.  Its span opens on
+        the manager's answer, the frame's own event."""
         if self.enabled:
             self._requests.inc()
-            self._frame = (tid, rid, trace, parent)
+            self._frame = (tid, rid)
 
     def resume(self, tid: int, rid: str, mode) -> None:
         """The manager refused the announced frame: its transaction is
@@ -282,23 +273,20 @@ class Telemetry:
             if handler is not None:
                 handler(event)
 
-    def _framed(self, event) -> Optional[tuple]:
-        """The pending frame ``event`` answers, taken (else None)."""
-        frame = self._frame
-        if frame is None or frame[0] != event.tid or frame[1] != event.rid:
-            return None
+    def _framed(self, event) -> bool:
+        """Whether ``event`` answers the pending frame (taking it)."""
+        if self._frame != (event.tid, event.rid):
+            return False
         self._frame = None
-        return frame
+        return True
 
     def _on_granted(self, event: Granted) -> None:
         mode = MODE_NAMES[event.mode]
         if event.immediate:
             self._grants_immediate.inc()
-            frame = self._framed(event)
-            if frame is not None:
+            if self._framed(event):
                 self.trace.begin(
-                    event.tid, event.rid, mode, frame[2], frame[3],
-                    "granted-immediate",
+                    event.tid, event.rid, mode, "granted-immediate"
                 )
                 return
         else:
@@ -338,11 +326,9 @@ class Telemetry:
                 counter = self._other_rid_blocks
         counter.inc()
         self._blocked_since.setdefault(event.tid, (self._clock(), mode, kind))
-        frame = self._framed(event)
-        if frame is not None:
+        if self._framed(event):
             self.trace.begin(
-                event.tid, event.rid, mode, frame[2], frame[3],
-                "blocked", event.conversion,
+                event.tid, event.rid, mode, "blocked", event.conversion
             )
         else:
             self.trace.blocked(event.tid, event.rid, mode, event.conversion)

@@ -23,8 +23,9 @@ benchmark) without adding a dependency.
   (parsed back by :func:`parse_exposition` for round-trip tests and the
   ``top`` dashboard).
 
-All mutation is guarded by one registry lock, so the threaded realtime
-harness can share a registry with its workers.
+All mutation is guarded by one registry lock, so threads (a
+:class:`~repro.lockmgr.sharded.ShardedLockManager`'s detector thread
+beside its callers) can share a registry.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class Span:
 
     __slots__ = (
         "span_id", "tid", "rid", "mode", "kind", "status", "born", "wall",
-        "virtual", "later", "trace", "parent", "unfinished",
+        "virtual", "later", "unfinished",
     )
 
     def __init__(
@@ -74,8 +74,6 @@ class Span:
         born: Tuple[str, ...],
         wall: float,
         virtual: float,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
     ) -> None:
         self.span_id = span_id
         self.tid = tid
@@ -93,11 +91,6 @@ class Span:
         self.virtual = virtual
         #: Every later state change: ``(phase, wall, virtual)`` tuples.
         self.later: Optional[List[Tuple[str, float, float]]] = None
-        #: Propagated trace context: the client-minted trace id this
-        #: span belongs to, and the span ref of its causal parent
-        #: (``origin:span_id`` — cross-process-unique).
-        self.trace = trace
-        self.parent = parent
         #: True when the span was still in flight at eviction time and
         #: was flushed to the ring instead of silently dropped.
         self.unfinished = False
@@ -131,10 +124,6 @@ class Span:
             "status": self.status,
             "events": self.events,
         }
-        if self.trace is not None:
-            record["trace"] = self.trace
-        if self.parent is not None:
-            record["parent"] = self.parent
         if self.unfinished:
             record["unfinished"] = True
         return record
@@ -191,8 +180,6 @@ class TraceLog:
         tid: int,
         rid: str,
         mode: str,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
         outcome: Optional[str] = None,
         conversion: bool = False,
     ) -> Span:
@@ -202,14 +189,8 @@ class TraceLog:
         ``request`` stamp then share one clock pair."""
         span = self._find(tid, rid)
         if span is None:
-            span = self._start(
-                tid, rid, mode, "request", BORN[outcome], trace, parent
-            )
+            span = self._start(tid, rid, mode, "request", BORN[outcome])
         else:
-            if trace is not None and span.trace is None:
-                span.trace = trace
-            if parent is not None and span.parent is None:
-                span.parent = parent
             wall, virtual = time.time(), self.clock()
             for phase in BORN[outcome]:
                 span.stamp(phase, wall, virtual)
@@ -336,26 +317,24 @@ class TraceLog:
         """Record a complete point-in-time span straight into the ring
         (detector pass spans — anything that is born finished)."""
         born = ("request", status)
-        span = self._new(tid, rid, mode, kind, born, None, None)
+        span = self._new(tid, rid, mode, kind, born)
         self.total_recorded += 1
         self._completed.append(span)
         return span
 
     # -- internals ---------------------------------------------------------
 
-    def _new(self, tid, rid, mode, kind, born, trace, parent) -> Span:
+    def _new(self, tid, rid, mode, kind, born) -> Span:
         self._next_id += 1
         return Span(
             self._next_id - 1, tid, rid, mode, kind, born,
-            time.time(), self.clock(), trace, parent,
+            time.time(), self.clock(),
         )
 
-    def _start(
-        self, tid, rid, mode, kind, born, trace=None, parent=None
-    ) -> Span:
+    def _start(self, tid, rid, mode, kind, born) -> Span:
         if self.capacity and self._open_count >= self.capacity:
             self._evict_oldest_open()
-        span = self._new(tid, rid, mode, kind, born, trace, parent)
+        span = self._new(tid, rid, mode, kind, born)
         self.total_started += 1
         spans = self._open.get(tid)
         if spans is None:

@@ -18,7 +18,6 @@ Two layers:
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -84,19 +83,6 @@ class AsyncLockClient(asyncio.Protocol):
         self.last_epoch: int = 0
         #: Transaction ids the server reported live at resume time.
         self.resumed_tids: List[int] = []
-        #: tid -> trace id stamped on every lock/batch frame of that
-        #: transaction, so server-side spans across workers share one
-        #: trace (``trace-export`` groups by it).
-        self._traces: Dict[int, str] = {}
-
-    def trace_of(self, tid: int) -> str:
-        """The trace id this client stamps on ``tid``'s frames (minted
-        on first use, stable for the transaction's lifetime)."""
-        trace = self._traces.get(tid)
-        if trace is None:
-            trace = "trace-" + os.urandom(6).hex()
-            self._traces[tid] = trace
-        return trace
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -365,7 +351,6 @@ class AsyncLockClient(asyncio.Protocol):
             "rid": rid,
             "mode": mode_name,
             "wait": wait,
-            "trace": self.trace_of(tid),
         }
         if timeout is not None:
             frame["timeout"] = timeout
@@ -384,11 +369,9 @@ class AsyncLockClient(asyncio.Protocol):
 
     async def commit(self, tid: int) -> None:
         await self._call(request(None, "commit", tid=tid))
-        self._traces.pop(tid, None)
 
     async def abort(self, tid: int) -> None:
         await self._call(request(None, "abort", tid=tid))
-        self._traces.pop(tid, None)
 
     # -- pipelined batches -------------------------------------------------
 
@@ -402,19 +385,7 @@ class AsyncLockClient(asyncio.Protocol):
         ``lock`` sub-ops never wait — a contended request answers
         ``"blocked"`` and stays queued.
         """
-        ops = [dict(op) for op in ops]
-        for op in ops:
-            if op.get("op") == "lock" and "trace" not in op:
-                try:
-                    op["trace"] = self.trace_of(int(op["tid"]))
-                except (KeyError, ValueError, TypeError):
-                    pass  # the server reports the malformed sub-op
-        response = await self._call(request(None, "batch", ops=ops))
-        for op in ops:  # a transaction that ended here needs no trace
-            if op.get("op") in ("commit", "abort") and isinstance(
-                op.get("tid"), int
-            ):
-                self._traces.pop(op["tid"], None)
+        response = await self._call(request(None, "batch", ops=list(ops)))
         return list(response["results"])
 
     def pipeline(self) -> "LockPipeline":

@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import LockTableError, ReproError
 from ..core.modes import MODE_NAMES, LockMode
-from ..core.victim import CostTable
 from ..lockmgr.sharded import ShardedLockCore
 from ..obs.incidents import IncidentLog
 from ..obs.instrument import Telemetry
@@ -127,7 +126,6 @@ class ServiceCore:
 
     def __init__(
         self,
-        costs: Optional[CostTable] = None,
         lease: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
         telemetry: Optional[Telemetry] = None,
@@ -175,7 +173,6 @@ class ServiceCore:
         )
         self.manager = ShardedLockCore(
             shards=shards,
-            costs=costs,
             listener=self.telemetry.on_event,
             policy=self.policy,
         )
@@ -442,8 +439,6 @@ class ServiceCore:
         mode: LockMode,
         wait: bool = True,
         callback: Optional[Callable[[str], None]] = None,
-        trace: Optional[str] = None,
-        parent: Optional[str] = None,
     ) -> Tuple[str, Optional[dict], Optional[ParkedWait]]:
         """One ``lock`` operation against the manager.
 
@@ -452,14 +447,12 @@ class ServiceCore:
         ``wait=True`` a blocking request is parked (the returned
         :class:`ParkedWait` resolves via :meth:`pump`); parking inside
         the step means no grant can slip between the check and the
-        registration.  ``trace``/``parent`` are the client-stamped
-        trace context from the request frame, attached to the span this
-        request opens.
+        registration.
         """
         if self.owners.get(tid) is not session:
             self.claim(tid, session)
         manager = self.manager
-        self.telemetry.request(tid, rid, mode, trace=trace, parent=parent)
+        self.telemetry.request(tid, rid, mode)
         started = time.perf_counter()
         try:
             # The manager refuses an aborted or an already blocked
@@ -617,13 +610,7 @@ class ServiceCore:
                 tid = int_field(frame, "tid")
                 rid, mode = rid_field(frame), mode_field(frame)
                 status, event, _ = self.lock_step(
-                    session,
-                    tid,
-                    rid,
-                    mode,
-                    wait=False,
-                    trace=frame.get("trace"),
-                    parent=frame.get("span"),
+                    session, tid, rid, mode, wait=False
                 )
                 return {
                     "op": name,

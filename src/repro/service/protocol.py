@@ -62,15 +62,11 @@ batch: a request that cannot be granted immediately reports
         {"op": "lock", "ok": true, "tid": 3, "status": "blocked",
          "event": {...}}]}
 
-**Trace context.**  ``lock`` frames (and ``lock`` sub-ops inside a
-``batch``) may carry a client-minted ``trace`` id and an optional
-parent ``span`` ref (``"origin:span_id"``); the server attaches both
-to the request's lifecycle span, so ``trace-export`` stitches one
-causally-linked tree per transaction even across process hops.
-Both fields are optional and ignored by peers that predate them::
-
-    {"v": 1, "id": 7, "op": "lock", "tid": 3, "rid": "R1", "mode": "X",
-     "trace": "trace-9f2c11ab44de", "span": "client:4"}
+A request's unknown fields are ignored: a ``lock`` frame or sub-op
+that still carries the retired client-minted ``trace`` id or parent
+``span`` ref is answered as if it did not.  The server keys each
+request's lifecycle span by what it already knows — span id, tid and
+rid (``spans`` op, ``trace-export``).
 
 Lock-manager events and detection results travel as plain dicts built by
 :func:`event_to_dict` / :func:`detection_to_dict` and are rebuilt into

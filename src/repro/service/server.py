@@ -70,7 +70,6 @@ from typing import Callable, Dict, List, Optional, Set
 
 from .. import __version__
 from ..core.errors import ReproError
-from ..core.victim import CostTable
 from . import admin
 from .core import MAX_LEASE, MIN_LEASE, ParkedWait, ServiceCore, Session
 from .journal import SessionJournal, recover_into
@@ -240,18 +239,17 @@ class ServerConnection(asyncio.Protocol):
 class LockServer:
     """Serves a :class:`ServiceCore` over TCP (see module docstring).
 
-    Parameters mirror the embedded managers: ``costs`` feeds victim
-    selection, ``policy`` picks the detection policy (``"continuous"``
-    is the companion detector), ``period`` is the periodic detector
-    cadence in seconds (None disables the background task — deadlocks
-    then resolve only on explicit ``detect`` requests), ``lease`` is
-    the default session lease granted to clients that do not ask for
-    one.
+    Parameters mirror the embedded managers: ``policy`` picks the
+    detection policy (``"continuous"`` is the companion detector),
+    ``period`` is the periodic detector cadence in seconds (None
+    disables the background task — deadlocks then resolve only on
+    explicit ``detect`` requests), ``lease`` is the default session
+    lease granted to clients that do not ask for one.  Victims are
+    priced at the default :class:`~repro.core.victim.CostTable`.
     """
 
     def __init__(
         self,
-        costs: Optional[CostTable] = None,
         period: Optional[float] = 0.5,
         lease: float = 5.0,
         telemetry=None,
@@ -264,7 +262,6 @@ class LockServer:
         max_frame: int = MAX_FRAME,
     ) -> None:
         self.core = ServiceCore(
-            costs=costs,
             lease=lease,
             telemetry=telemetry,
             shards=shards,
@@ -673,8 +670,6 @@ class LockServer:
             rid,
             mode,
             wait=bool(frame.get("wait", True)),
-            trace=frame.get("trace"),
-            parent=frame.get("span"),
         )
         if status != "parked":
             return ok(request_id, status=status, event=event)

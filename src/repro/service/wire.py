@@ -439,9 +439,10 @@ def _decode_event(buf, pos: int) -> Tuple[Any, int]:
 
 _P_WAIT = 0x01
 _P_TIMEOUT = 0x02
-_P_TRACE = 0x04
-_P_SPAN = 0x08
 _P_TID = 0x01
+#: Presence bits a lock frame may carry; 0x04 and 0x08 were the retired
+#: trace-context fields and, like any other bit, are refused on decode.
+_P_LOCK = _P_WAIT | _P_TIMEOUT
 
 
 def _req_lock(out: bytearray, message: Dict[str, Any]) -> None:
@@ -456,18 +457,6 @@ def _req_lock(out: bytearray, message: Dict[str, Any]) -> None:
     if "timeout" in message:
         presence |= _P_TIMEOUT
         expected += 1
-    trace = message.get("trace")
-    if "trace" in message:
-        if type(trace) is not str:
-            raise _Mismatch()
-        presence |= _P_TRACE
-        expected += 1
-    span = message.get("span")
-    if "span" in message:
-        if type(span) is not str:
-            raise _Mismatch()
-        presence |= _P_SPAN
-        expected += 1
     if len(message) != expected:
         raise _Mismatch()
     out.append(presence)
@@ -478,14 +467,12 @@ def _req_lock(out: bytearray, message: Dict[str, Any]) -> None:
         out.append(1 if wait else 0)
     if presence & _P_TIMEOUT:
         _encode_value(out, message["timeout"])
-    if presence & _P_TRACE:
-        _encode_value(out, trace)
-    if presence & _P_SPAN:
-        _encode_value(out, span)
 
 
 def _dec_lock(buf, pos: int, message: Dict[str, Any]) -> int:
     presence = buf[pos]
+    if presence & ~_P_LOCK:
+        raise ProtocolError("bad lock presence byte {:#x}".format(presence))
     pos += 1
     message["tid"], pos = _decode_value(buf, pos)
     message["rid"], pos = _decode_value(buf, pos)
@@ -495,10 +482,6 @@ def _dec_lock(buf, pos: int, message: Dict[str, Any]) -> int:
         pos += 1
     if presence & _P_TIMEOUT:
         message["timeout"], pos = _decode_value(buf, pos)
-    if presence & _P_TRACE:
-        message["trace"], pos = _decode_value(buf, pos)
-    if presence & _P_SPAN:
-        message["span"], pos = _decode_value(buf, pos)
     return pos
 
 
@@ -563,31 +546,13 @@ def _req_batch(out: bytearray, message: Dict[str, Any]) -> None:
                 raise _Mismatch()
             name = sub.get("op")
             if name == "lock":
-                expected = 4
-                presence = 0
-                trace = sub.get("trace")
-                if "trace" in sub:
-                    if type(trace) is not str:
-                        raise _Mismatch()
-                    presence |= _P_TRACE
-                    expected += 1
-                span = sub.get("span")
-                if "span" in sub:
-                    if type(span) is not str:
-                        raise _Mismatch()
-                    presence |= _P_SPAN
-                    expected += 1
-                if len(sub) != expected:
+                if len(sub) != 4:
                     raise _Mismatch()
                 out.append(_SUB_LOCK)
-                out.append(presence)
+                out.append(0)  # presence: a batch lock has no options
                 _encode_value(out, _need_int(sub["tid"]))
                 _encode_value(out, _need_str(sub["rid"]))
                 _encode_name(out, _need_str(sub["mode"]), _MODE_INDEX)
-                if presence & _P_TRACE:
-                    _encode_value(out, trace)
-                if presence & _P_SPAN:
-                    _encode_value(out, span)
             elif name == "begin":
                 if "tid" in sub:
                     if len(sub) != 2:
@@ -623,16 +588,15 @@ def _dec_batch(buf, pos: int, message: Dict[str, Any]) -> int:
         kind = buf[pos]
         pos += 1
         if kind == _SUB_LOCK:
-            presence = buf[pos]
+            if buf[pos]:
+                raise ProtocolError(
+                    "bad batch lock presence byte {:#x}".format(buf[pos])
+                )
             pos += 1
             sub: Dict[str, Any] = {"op": "lock"}
             sub["tid"], pos = _decode_value(buf, pos)
             sub["rid"], pos = _decode_value(buf, pos)
             sub["mode"], pos = _decode_name(buf, pos, _MODE_NAMES)
-            if presence & _P_TRACE:
-                sub["trace"], pos = _decode_value(buf, pos)
-            if presence & _P_SPAN:
-                sub["span"], pos = _decode_value(buf, pos)
         elif kind == _SUB_BEGIN:
             presence = buf[pos]
             pos += 1

@@ -2,7 +2,6 @@
 
 from .engine import Engine
 from .metrics import Metrics
-from .realtime import RealtimeMetrics, run_realtime
 from .runner import (
     RunResult,
     aggregate,
@@ -29,7 +28,6 @@ __all__ = [
     "Engine",
     "Metrics",
     "Program",
-    "RealtimeMetrics",
     "RunResult",
     "SimulatedSystem",
     "Terminal",
@@ -42,6 +40,5 @@ __all__ = [
     "low_contention",
     "compare_strategies",
     "run_once",
-    "run_realtime",
     "sweep_period",
 ]

@@ -39,6 +39,7 @@ class _BuggyFacade(ShardedLockManager):
             condition = shard.wakeups.setdefault(
                 tid, threading.Condition(shard.mutex)
             )
+            self._wait_shard[tid] = shard
             while True:
                 woken = self._wait_fn(condition, timeout)
                 if not woken:

@@ -4,8 +4,8 @@ every thread-facing facade.
 Axis: :class:`~repro.lockmgr.ShardedLockManager` (1 and 4 shards),
 :class:`~repro.service.RemoteLockManager` over a loopback server on
 both wire codecs, and :class:`~repro.service.EmbeddedLockManager`.
-Code written against the contract — ``sim.realtime``, ``txn``, the
-examples — may rely on exactly this:
+Code written against the contract — ``txn``, the examples — may rely
+on exactly this:
 ``acquire`` blocks until granted, answers False on timeout *and leaves
 the request queued*, raises ``TransactionAborted`` for a deadlock
 victim; ``commit``/``abort`` release under strict 2PL; ``detect`` runs

@@ -8,6 +8,9 @@ path to what the counts assume: eight sole-holder locks go without a
 sweep and leave nothing behind.
 """
 
+import json
+import subprocess
+import sys
 from unittest import mock
 
 from repro.core.modes import LockMode
@@ -17,9 +20,29 @@ from repro.lockmgr.lock_table import LockTable
 from ..test_tools import load_tool
 
 
+#: Loads the tool in a child interpreter and prints its figures as JSON.
+MEASURE = (
+    "import importlib.util, json, sys\n"
+    "spec = importlib.util.spec_from_file_location("
+    "'lock_path_cost', 'tools/lock_path_cost.py')\n"
+    "tool = importlib.util.module_from_spec(spec)\n"
+    "spec.loader.exec_module(tool)\n"
+    "sys.path[:0] = [tool.SRC, tool.REPO_ROOT]\n"
+    "print(json.dumps(tool.measure()))\n"
+)
+
+
 def test_the_lock_path_is_within_its_ratchet():
+    # Measured in a child interpreter: the objects-per-lock figures
+    # count the whole process's gc-tracked objects, so a thread another
+    # test left running here could add to them.
     tool = load_tool("lock_path_cost")
-    figures = tool.measure()
+    child = subprocess.run(
+        [sys.executable, "-c", MEASURE],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    figures = json.loads(child.stdout.splitlines()[-1])
     assert set(tool.CEILINGS) <= set(figures)
     assert tool.over_ceiling(figures) == [], {
         name: (figures[name], ceiling)

@@ -64,26 +64,6 @@ class TestBatchOp:
 
         asyncio.run(scenario())
 
-    def test_transactions_ended_in_a_batch_leave_no_trace_entry(self):
-        """Every ``lock`` sub-op mints its transaction a trace id; a
-        ``commit``/``abort`` sub-op ends the transaction, so the entry
-        goes with it, as the per-op ``commit()``/``abort()`` do."""
-        async def scenario():
-            async with running_server(period=None) as server:
-                async with connected(server) as client:
-                    for tid in range(1, 41):
-                        results = await client.batch([
-                            {"op": "begin", "tid": tid},
-                            {"op": "lock", "tid": tid, "rid": "R1",
-                             "mode": "X"},
-                            {"op": "commit" if tid % 2 else "abort",
-                             "tid": tid},
-                        ])
-                        assert all(r["ok"] for r in results)
-                    assert client._traces == {}
-
-        asyncio.run(scenario())
-
     def test_contended_lock_reports_blocked_and_stays_queued(self):
         async def scenario():
             async with running_server(period=None) as server:

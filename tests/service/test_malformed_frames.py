@@ -8,7 +8,8 @@ wait stayed parked and the lock was later granted to a transaction whose
 client had been told the request failed.  Every field of every frame is
 now validated first; these tests send the raw frames, on both codecs.
 The ops and binary opcodes of the retired multi-process cluster take
-the unknown-op paths.
+the unknown-op paths; the retired trace-context fields are ignored on
+JSON and refused as binary presence bits.
 """
 
 import asyncio
@@ -21,7 +22,7 @@ import pytest
 from repro.core.modes import LockMode
 from repro.service import LockServer
 from repro.service.protocol import encode_frame, request
-from repro.service.wire import WIRE_BINARY, WIRE_JSON, codec_for
+from repro.service.wire import HEADER_SIZE, WIRE_BINARY, WIRE_JSON, codec_for
 
 from .raw import RawConnection
 
@@ -246,6 +247,101 @@ def test_a_binary_frame_with_a_retired_opcode_is_refused(opcode):
             }
             assert await raw.read() is None
             assert server.stats.protocol_errors == 1
+        finally:
+            raw.close()
+            await server.aclose()
+
+    asyncio.run(go())
+
+
+#: The client-minted trace context a lock frame or batch sub-op used to
+#: carry; the server no longer reads either field.
+RETIRED_TRACE = {"trace": "trace-9f2c11ab44de", "span": "client:4"}
+
+
+@pytest.mark.parametrize("wire", [WIRE_JSON, WIRE_BINARY], ids=["json", "binary"])
+def test_a_frame_carrying_the_retired_trace_context_is_answered_as_without(
+    wire,
+):
+    """A ``lock`` frame and a ``batch`` lock sub-op that still carry
+    ``trace``/``span`` get the replies, and leave the spans, that the
+    same frames without them do: the fields are ignored like any other
+    unknown field."""
+
+    async def script(extra):
+        async with raw_connection(wire) as (server, call):
+            replies = [
+                await call("lock", tid=1, rid="R", mode="X", **extra),
+                await call("lock", tid=2, rid="R", mode="S", wait=False,
+                           **extra),
+                await call("batch", ops=[
+                    {"op": "begin", "tid": 3},
+                    dict({"op": "lock", "tid": 3, "rid": "Q", "mode": "S"},
+                         **extra),
+                    dict({"op": "lock", "tid": 3, "rid": "R", "mode": "S"},
+                         **extra),
+                ]),
+                await call("commit", tid=1),
+                await call("commit", tid=2),
+                await call("commit", tid=3),
+            ]
+            spans = (await call("spans"))["spans"]
+        for reply in replies:
+            del reply["id"]
+        return replies, [
+            (sorted(span), span["tid"], span["rid"], span["kind"],
+             span["status"], [event["phase"] for event in span["events"]])
+            for span in spans
+        ]
+
+    async def go():
+        plain = await script({})
+        assert plain[0][2]["results"][2]["status"] == "blocked"
+        assert await script(RETIRED_TRACE) == plain
+        assert all(
+            "trace" not in keys and "parent" not in keys
+            for keys, *_ in plain[1]
+        )
+
+    asyncio.run(go())
+
+
+@pytest.mark.parametrize("bit", [0x04, 0x08])
+@pytest.mark.parametrize("op", ["lock", "batch"])
+def test_a_binary_lock_with_a_retired_presence_bit_is_refused(op, bit):
+    """Presence bits 0x04 and 0x08 of a binary lock (and of a batch's
+    lock sub-op) carried the retired trace context.  A frame that sets
+    one is refused with a ``protocol`` error instead of being misread,
+    and the server closes the connection."""
+    codec = codec_for(WIRE_BINARY)
+    if op == "lock":
+        frame = bytearray(codec.encode(
+            request(1, "lock", tid=1, rid="R", mode="X", wait=True)
+        ))
+        at = HEADER_SIZE  # the presence byte opens a lock payload
+    else:
+        frame = bytearray(codec.encode(request(1, "batch", ops=[
+            {"op": "lock", "tid": 1, "rid": "R", "mode": "X"},
+        ])))
+        at = HEADER_SIZE + 2  # after the op count and the sub-op kind
+    frame[at] |= bit
+
+    async def go():
+        server = LockServer(period=None, policy="periodic")
+        await server.start("127.0.0.1", 0)
+        raw = await RawConnection.open(server.host, server.port)
+        try:
+            raw.write(encode_frame(request(0, "hello", wire=WIRE_BINARY)))
+            assert (await raw.read())["wire"] == WIRE_BINARY
+            raw.frames.codec = codec
+            raw.write(bytes(frame))
+            reply = await raw.read()
+            assert reply["ok"] is False, reply
+            assert reply["error"]["code"] == "protocol", reply
+            assert "presence" in reply["error"]["message"], reply
+            assert await raw.read() is None
+            assert server.stats.protocol_errors == 1
+            assert str(server.manager.table).strip() == ""
         finally:
             raw.close()
             await server.aclose()

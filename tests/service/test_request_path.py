@@ -434,7 +434,6 @@ class TestClientCallCost:
             client = pipe.client
             loop = client._loop = CountingLoop(client._loop)
             first_id = client._next_id
-            traces = {tid: client.trace_of(tid) for tid in (7, 8)}
             results, sent, _ = await pipe.call(
                 client.begin(7),
                 client.acquire(7, "R", "S"),
@@ -448,10 +447,9 @@ class TestClientCallCost:
                 for n, (op, fields) in enumerate([
                     ("begin", {"tid": 7}),
                     ("lock", {"tid": 7, "rid": "R", "mode": "S",
-                              "wait": True, "trace": traces[7]}),
+                              "wait": True}),
                     ("lock", {"tid": 8, "rid": "Q", "mode": "X",
-                              "wait": True, "trace": traces[8],
-                              "timeout": 2.0}),
+                              "wait": True, "timeout": 2.0}),
                     ("commit", {"tid": 7}),
                 ])
             )]

@@ -3,6 +3,8 @@ test_examples; here: the results collector and API docs generator)."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 
 def load_tool(name):
@@ -48,6 +50,27 @@ class TestApiDocs:
         assert "detect_once" in text
         assert "class `ShardedLockCore`" in text
 
+    def test_two_generations_are_byte_identical(self):
+        """Two interpreters (two address layouts) render the same text:
+        no default renders as an ``object at 0x…`` repr."""
+        script = (
+            "import sys; sys.path.insert(0, 'src'); import importlib.util; "
+            "spec = importlib.util.spec_from_file_location("
+            "'g', 'tools/generate_api_docs.py'); "
+            "m = importlib.util.module_from_spec(spec); "
+            "spec.loader.exec_module(m); sys.stdout.write(m.render())"
+        )
+        first, second = (
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for _ in range(2)
+        )
+        assert " at 0x" not in first
+        assert "codec=<BinaryCodec>" in first
+        assert first == second
+
 
 class TestMetricCatalog:
     def test_docs_and_registry_agree(self, capsys):
@@ -63,10 +86,8 @@ class TestMetricCatalog:
                 line for line in handle if "`repro_batch_size`" not in line
             ]
         lines.append("| `repro_never_produced_total` | counter | — | x |\n")
-        lines.append("| `repro_client_made_up` | gauge | — | elsewhere |\n")
         catalog.write_text("".join(lines), encoding="utf-8")
         in_docs = tool.documented(str(catalog))
-        assert "repro_client_made_up" not in in_docs  # another registry
         assert "repro_service_grants_total" in in_docs  # <field> expanded
         # The committed catalog stands in for the registry here (the
         # test above shows they agree).
@@ -97,13 +118,19 @@ class TestImportClosure:
 
 
 class TestLockPathCost:
-    def test_prints_every_figure_and_passes(self, capsys):
+    def test_prints_every_figure_and_passes(self):
+        # A child interpreter: the objects-per-lock figures count the
+        # whole process's gc-tracked objects, which a thread another
+        # test left running would add to.
         tool = load_tool("lock_path_cost")
-        assert tool.main([]) == 0
-        out = capsys.readouterr().out
+        child = subprocess.run(
+            [sys.executable, os.path.join("tools", "lock_path_cost.py")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
         for name in tool.CEILINGS:
-            assert name in out
-        assert "lock path cost within its ratchet" in out
+            assert name in child.stdout
+        assert "lock path cost within its ratchet" in child.stdout
 
     def test_stray_arguments_are_usage(self, capsys):
         tool = load_tool("lock_path_cost")

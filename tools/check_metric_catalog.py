@@ -11,8 +11,7 @@ tables:
 * a table row naming a family nothing produced         -> stale.
 
 ``repro_service_<field>_total`` in a table stands for one family per
-``ServiceStats.FIELDS`` entry.  The ``repro_client_*`` rows are outside
-the check: the workload clients keep registries of their own.
+``ServiceStats.FIELDS`` entry.
 
 Exits 0 when the catalog and the code agree.
 
@@ -41,8 +40,6 @@ from tests.obs import scenario  # noqa: E402
 
 CATALOG = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
 _ROW = re.compile(r"^\|\s*`(repro_[A-Za-z0-9_<>]+)`")
-#: Families kept by registries other than a lock server's.
-ELSEWHERE = ("repro_client_",)
 
 
 def documented(path: str = CATALOG) -> Set[str]:
@@ -51,7 +48,7 @@ def documented(path: str = CATALOG) -> Set[str]:
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             match = _ROW.match(line)
-            if match is None or match.group(1).startswith(ELSEWHERE):
+            if match is None:
                 continue
             name = match.group(1)
             if "<field>" in name:

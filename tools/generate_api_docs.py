@@ -56,7 +56,7 @@ error     {"v": 1, "id": 7, "ok": false,
 | `resume` | `session`, `token` | same shape as `hello` but re-attaches a lease that survived a restart: `tids` lists the session's live transactions; errors are `unknown-session`, `bad-token`, `session-busy` |
 | `heartbeat` | — | `remaining` (any received frame also renews the lease) |
 | `begin` | `tid?` | `tid` (server-assigned when omitted) |
-| `lock` | `tid`, `rid`, `mode`, `wait?`, `timeout?`, `trace?` | `status`: `granted` / `blocked` / `timeout` / `aborted`, plus the `event`; the client-minted `trace` id lands on the request's spans (`AsyncLockClient` stamps one per transaction) |
+| `lock` | `tid`, `rid`, `mode`, `wait?`, `timeout?` | `status`: `granted` / `blocked` / `timeout` / `aborted`, plus the `event` |
 | `commit`, `abort` | `tid` | `grants` handed to waiters by the release |
 | `batch` | `ops` (≤ 256 sub-ops: `begin`/`lock`/`commit`/`abort`) | `results`, one entry per sub-op in order, each that op's usual fields plus `ok` — or `{"ok": false, "error": {...}}` in place |
 | `detect` | — | one detection-resolution pass (`deadlock_found`, `abort_free`, `aborted`, `repositions`, ...) |
@@ -137,8 +137,8 @@ by design (`docs/CLUSTER.md` has the measurement).
 (the text the `metrics` op answers), `--incident-log` records a
 `repro.incident/1` forensics record per resolved deadlock, and
 `python -m repro incidents` renders that log (`graph` emits Graphviz
-DOT).  The full metric catalog, the incident schema and the
-distributed-tracing model live in `docs/OBSERVABILITY.md`.
+DOT).  The full metric catalog, the incident schema and how spans,
+passes and incidents join live in `docs/OBSERVABILITY.md`.
 """
 
 
@@ -168,11 +168,30 @@ def public_members(module):
     return members
 
 
+class _Named:
+    """Stands in for a default whose repr is an address: renders as
+    ``<ClassName>``, so regenerating the reference diffs only on API
+    changes."""
+
+    def __init__(self, value) -> None:
+        self.text = "<{}>".format(type(value).__name__)
+
+    def __repr__(self) -> str:
+        return self.text
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return ""
+    parameters = [
+        parameter.replace(default=_Named(parameter.default))
+        if " at 0x" in repr(parameter.default)
+        else parameter
+        for parameter in signature.parameters.values()
+    ]
+    return str(signature.replace(parameters=parameters))
 
 
 def walk_modules():
