@@ -6,16 +6,19 @@ The lock manager already reports every observable mutation as an event
 (:mod:`repro.lockmgr.events`); :meth:`Telemetry.on_event` is the
 listener a :class:`~repro.lockmgr.sharded.ShardedLockCore` calls for each
 one, feeding the per-mode/per-resource wait-time histograms and the
-block/grant/reposition counters.  The service layer adds the pieces only
-it knows — frame arrival (:meth:`request`), resumed waits
+block/grant counters and the spans.  The service layer adds the pieces
+only it knows — frame arrival (:meth:`request`), resumed waits
 (:meth:`resume`), client timeouts (:meth:`wait_timeout`), transaction
-end (:meth:`finish`) — and the detector reports each pass through
-:meth:`detection`.
+end (:meth:`finish`) — and the detector reports each pass's shape
+through :meth:`detection`.  What the service counts flat (passes,
+cycles, victims, repositionings, timeouts) is counted once, in its
+:class:`~repro.service.admin.ServiceStats`, not here.
 
 ``enabled=False`` turns every hook into an early return while keeping
-the registry alive (the service's mirrored ``ServiceStats`` counters
-still work), which is how the ``<=5%`` instrumentation-overhead budget
-is enforced: the disabled path costs one attribute load and a branch.
+the registry alive (the ``ServiceStats`` counters, which never turn
+off, still work), which is how the ``<=5%`` instrumentation-overhead
+budget is enforced: the disabled path costs one attribute load and a
+branch.
 
 Every series a hook feeds is a :class:`~repro.obs.metrics.bound`
 declaration on :class:`Telemetry` — created when first fed, then held —
@@ -35,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.modes import MODE_NAMES
 from ..core.victim import AbortCandidate
-from ..lockmgr.events import Aborted, Blocked, Granted, Repositioned
+from ..lockmgr.events import Aborted, Blocked, Granted
 from .metrics import (
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
@@ -71,16 +74,8 @@ class Telemetry:
     _requests = _counter(
         "repro_lock_requests_total", "lock frames issued to the manager"
     )
-    _wait_timeouts = _counter(
-        "repro_lock_wait_timeouts_total",
-        "parked waits abandoned by client timeout",
-    )
     _batch_size = _histogram(
         "repro_batch_size", "sub-operations per batch frame", COUNT_BUCKETS
-    )
-    _batch_saved = _counter(
-        "repro_batch_saved_roundtrips_total",
-        "network round-trips avoided by batching (size-1 per batch)",
     )
     _fsync_seconds = _histogram(
         "repro_journal_fsync_seconds",
@@ -92,27 +87,6 @@ class Telemetry:
     _blocks_conversion = _counter(*_BLOCKS, kind="conversion")
     _blocks_queue = _counter(*_BLOCKS, kind="queue")
     _other_rid_blocks = _counter(*_RID_BLOCKS, rid="other")
-    _victims = _counter(
-        "repro_txn_victims_total",
-        "transactions aborted by deadlock resolution",
-    )
-    _repositions = _counter(
-        "repro_tdr2_repositions_total",
-        "queue repositionings performed by TDR-2",
-    )
-    _delayed = _counter(
-        "repro_tdr2_delayed_requests_total",
-        "requests moved behind the AV prefix by TDR-2",
-    )
-    _passes = _counter("repro_detector_passes_total", "detection passes run")
-    _certain_passes = _counter(
-        "repro_detector_certain_passes_total",
-        "passes run at once because every lock holder was blocked",
-    )
-    _cycles = _counter(
-        "repro_detector_cycles_found_total",
-        "deadlock cycles found (the paper's c')",
-    )
     _edges = _counter(
         "repro_detector_edges_examined_total",
         "edges examined by Step-2 walks",
@@ -124,10 +98,6 @@ class Telemetry:
     _deadlock_passes = _counter(
         "repro_detector_deadlock_passes_total",
         "passes that found at least one cycle",
-    )
-    _abort_free_passes = _counter(
-        "repro_detector_abort_free_passes_total",
-        "deadlock passes resolved without any abort",
     )
     _pass_seconds = _histogram(
         "repro_detector_pass_seconds",
@@ -201,7 +171,6 @@ class Telemetry:
             Granted: self._on_granted,
             Blocked: self._on_blocked,
             Aborted: self._on_aborted,
-            Repositioned: self._on_repositioned,
         }
 
     # -- service-layer hooks ----------------------------------------------
@@ -223,27 +192,18 @@ class Telemetry:
 
     def wait_timeout(self, tid: int) -> None:
         """The client gave up waiting; the request stays queued."""
-        if not self.enabled:
-            return
-        self._wait_timeouts.inc()
-        self.trace.timed_out(tid)
+        if self.enabled:
+            self.trace.timed_out(tid)
 
     def batch(self, size: int) -> None:
         """One ``batch`` frame carrying ``size`` pipelined sub-ops."""
-        if not self.enabled:
-            return
-        self._batch_size.observe(size)
-        self._batch_saved.inc(max(size - 1, 0))
+        if self.enabled:
+            self._batch_size.observe(size)
 
     def journal_flush(self, seconds: float) -> None:
         """One journal group commit took ``seconds`` to write+fsync."""
         if self.enabled:
             self._fsync_seconds.observe(seconds)
-
-    def certain_pass(self) -> None:
-        """The host runs a pass now: its lock table is saturated."""
-        if self.enabled:
-            self._certain_passes.inc()
 
     def finish(self, tid: int, aborted: bool = False) -> None:
         """Transaction end: close its spans, forget its pending wait."""
@@ -334,13 +294,8 @@ class Telemetry:
             self.trace.blocked(event.tid, event.rid, mode, event.conversion)
 
     def _on_aborted(self, event: Aborted) -> None:
-        self._victims.inc()
         self._blocked_since.pop(event.tid, None)
         self.trace.aborted(event.tid)
-
-    def _on_repositioned(self, event: Repositioned) -> None:
-        self._repositions.inc()
-        self._delayed.inc(len(event.delayed))
 
     # -- detector ----------------------------------------------------------
 
@@ -351,15 +306,11 @@ class Telemetry:
         if not self.enabled:
             return
         stats = result.stats
-        self._passes.inc()
-        self._cycles.inc(stats.cycles_found)
         self._edges.inc(stats.edges_examined)
         self._tdr1.inc(stats.tdr1_applied)
         self._tdr2.inc(stats.tdr2_applied)
         if result.deadlock_found:
             self._deadlock_passes.inc()
-            if result.abort_free:
-                self._abort_free_passes.inc()
         self._pass_seconds.observe(duration)
         self._graph_transactions.observe(stats.transactions)
         self._cycles_per_pass.observe(stats.cycles_found)

@@ -246,12 +246,12 @@ def render_dashboard(
             )
 
     lines.append("-" * width)
-    passes = sample.counter_total("repro_detector_passes_total")
+    passes = sample.counter_total("repro_service_detector_passes_total")
     deadlock_passes = sample.counter_total(
         "repro_detector_deadlock_passes_total"
     )
     abort_free = sample.counter_total(
-        "repro_detector_abort_free_passes_total"
+        "repro_service_abort_free_resolutions_total"
     )
     ratio = (
         "{:.0%}".format(abort_free / deadlock_passes)
@@ -266,7 +266,7 @@ def render_dashboard(
             ratio,
             int(sample.counter_total("repro_detector_tdr1_total")),
             int(sample.counter_total("repro_detector_tdr2_total")),
-            int(sample.counter_total("repro_detector_certain_passes_total")),
+            int(sample.counter_total("repro_service_certain_passes_total")),
         )
     )
     policy_name = stats.get("policy")

@@ -28,11 +28,14 @@ def stat_metric_name(field: str) -> str:
 
 
 class ServiceStats:
-    """Cumulative counters of one lock server's lifetime.
+    """Cumulative counters of one lock server's lifetime — its only
+    flat counter block: passes, cycles, victims, repositionings and
+    timeouts are counted here once, never also in the telemetry.
 
-    Plain ``int`` attributes (mutated on the core's thread only), each
-    registered with the :class:`~repro.obs.metrics.MetricsRegistry` as
-    a counter read at scrape time: the same numbers answer the ``stats``
+    Plain ``int`` attributes (mutated on the core's thread only, and
+    never disabled), each registered with the
+    :class:`~repro.obs.metrics.MetricsRegistry` as a counter read at
+    scrape time: the same numbers answer the ``stats``
     command (this class's dict surface) and the ``metrics`` command
     (``repro_service_<field>_total``), and counting costs an ``int``
     add.  ``stats.grants += 1`` works, ``ServiceStats(grants=3)``
@@ -48,7 +51,6 @@ class ServiceStats:
         "aborts",
         "batches",
         "batched_ops",
-        "batch_saved_roundtrips",
         "detector_passes",
         # Passes run because the table was saturated, not on the clock.
         "certain_passes",

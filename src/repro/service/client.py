@@ -388,12 +388,6 @@ class AsyncLockClient(asyncio.Protocol):
         response = await self._call(request(None, "batch", ops=list(ops)))
         return list(response["results"])
 
-    def pipeline(self) -> "LockPipeline":
-        """A builder that collects sub-ops and submits them as one
-        ``batch`` frame: ``p = client.pipeline(); p.lock(...);
-        await p.submit()``."""
-        return LockPipeline(self)
-
     async def acquire_many(
         self,
         tid: int,
@@ -496,56 +490,6 @@ class AsyncLockClient(asyncio.Protocol):
     async def deadlocked(self) -> bool:
         reply = await self._call(request(None, "deadlocked"))
         return bool(reply["deadlocked"])
-
-
-class LockPipeline:
-    """Collects sub-ops for one ``batch`` frame.
-
-    Each builder method appends a sub-op and returns ``self`` so calls
-    chain; :meth:`submit` sends everything in one frame, returns the
-    per-op results and clears the builder for reuse.
-    """
-
-    def __init__(self, client: AsyncLockClient) -> None:
-        self._client = client
-        self._ops: List[Dict[str, Any]] = []
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def begin(self, tid: Optional[int] = None) -> "LockPipeline":
-        op: Dict[str, Any] = {"op": "begin"}
-        if tid is not None:
-            op["tid"] = tid
-        self._ops.append(op)
-        return self
-
-    def lock(
-        self, tid: int, rid: str, mode: "LockMode | str"
-    ) -> "LockPipeline":
-        self._ops.append({
-            "op": "lock",
-            "tid": tid,
-            "rid": rid,
-            "mode": mode.name if isinstance(mode, LockMode) else str(mode),
-        })
-        return self
-
-    def commit(self, tid: int) -> "LockPipeline":
-        self._ops.append({"op": "commit", "tid": tid})
-        return self
-
-    def abort(self, tid: int) -> "LockPipeline":
-        self._ops.append({"op": "abort", "tid": tid})
-        return self
-
-    async def submit(self) -> List[Dict[str, Any]]:
-        """Send the collected sub-ops as one frame; empty builder is a
-        no-op returning ``[]``.  Clears the builder either way."""
-        ops, self._ops = self._ops, []
-        if not ops:
-            return []
-        return await self._client.batch(ops)
 
 
 #: Slack added to the caller's lock timeout before the cross-thread wait

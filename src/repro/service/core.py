@@ -479,19 +479,19 @@ class ServiceCore:
                 return "granted", event, None
             self.stats.blocks += 1
             detection = manager.last_detection
-            if self.continuous and detection:
-                # The continuous pass ran inside manager.lock; its
-                # duration is the whole call (the pass dominates it).
-                self.telemetry.detection(
-                    detection, time.perf_counter() - started
-                )
-                self.stats.absorb_detection(detection)
-            elif detection is not None and detection.aborted:
-                # A block-time policy decision (the nowait lane): no
-                # detector ran, so count the victims without charging
-                # a detector pass.
-                self.stats.victims_aborted += len(detection.aborted)
-                self._policy_abort_counter.inc(len(detection.aborted))
+            if detection is not None:
+                if self.policy.deadlock_free:
+                    # A block-time refusal (the nowait lane): no detector
+                    # ran, so count the victims without charging a pass.
+                    self.stats.victims_aborted += len(detection.aborted)
+                    self._policy_abort_counter.inc(len(detection.aborted))
+                else:
+                    # A rooted pass ran inside manager.lock (continuous,
+                    # or adaptive in its continuous mode); its duration
+                    # is the whole call (the pass dominates it).
+                    self._count_pass(
+                        detection, time.perf_counter() - started
+                    )
             if manager.was_aborted(tid):
                 return "aborted", event, None
             if not manager.is_blocked(tid):
@@ -582,7 +582,6 @@ class ServiceCore:
             )
         self.stats.batches += 1
         self.stats.batched_ops += len(ops)
-        self.stats.batch_saved_roundtrips += len(ops) - 1
         self.telemetry.batch(len(ops))
         # The frame is the journal's unit: the sub-ops that mutate
         # collect here and leave as ONE record.
@@ -645,8 +644,7 @@ class ServiceCore:
         run = self.manager.detection_pass(self.incidents, self._stamp)
         started = time.perf_counter()
         result = run.run()
-        self.telemetry.detection(result, time.perf_counter() - started)
-        self.stats.absorb_detection(result)
+        self._count_pass(result, time.perf_counter() - started)
         if result.deadlock_found:
             # A clean pass leaves the table untouched: journaling only
             # the resolving passes keeps replay byte-identical without
@@ -654,6 +652,13 @@ class ServiceCore:
             self._journal_append("detect")
         run.record()
         return result
+
+    def _count_pass(self, result, duration: float) -> None:
+        """Count one detection pass, run on the clock, at once or at
+        block time: its outcome in :attr:`stats`, its shape in the
+        telemetry."""
+        self.stats.absorb_detection(result)
+        self.telemetry.detection(result, duration)
 
     def _stamp(self) -> dict:
         """This service's fields of an incident record."""

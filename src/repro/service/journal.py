@@ -284,7 +284,8 @@ class SessionJournal:
 
 @dataclass
 class RecoveryReport:
-    """What one journal replay did (also mirrored into stats/gauges)."""
+    """What one journal replay did (also folded into the ``recovery_*``
+    stats)."""
 
     replayed: int = 0
     boots: int = 0
@@ -417,21 +418,8 @@ def recover_into(core, journal: SessionJournal, now: Optional[float] = None):
     stats.recovery_leases_honored += report.leases_honored
     stats.recovery_leases_reaped += report.leases_reaped
     stats.recovery_replay_errors += report.replay_errors
-    registry = core.telemetry.registry
-    registry.gauge(
+    core.telemetry.registry.gauge(
         "repro_recovery_seconds",
         help="wall-clock seconds the last journal replay took",
     ).set(report.seconds)
-    registry.gauge(
-        "repro_recovery_records_replayed",
-        help="journal records replayed by the last recovery",
-    ).set(float(report.replayed))
-    registry.gauge(
-        "repro_recovery_leases_honored",
-        help="still-live leases restored by the last recovery",
-    ).set(float(report.leases_honored))
-    registry.gauge(
-        "repro_recovery_leases_reaped",
-        help="expired leases reaped by the last recovery",
-    ).set(float(report.leases_reaped))
     return report

@@ -413,7 +413,6 @@ class LockServer:
         core = self.core
         if self._clocked and core.manager.saturated():
             core.stats.certain_passes += 1
-            core.telemetry.certain_pass()
             try:
                 self._pass()
             except Exception:  # like a clock pass's: counted, survived

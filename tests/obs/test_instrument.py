@@ -2,8 +2,10 @@
 
 Example 4.1 drives the whole instrumented path: blocked requests feed
 the per-mode/per-resource counters, the TDR-2 pass feeds the detector
-counters and the repositioning counters, and the release sweep turns
-first-block-to-grant intervals into wait-histogram observations.
+counters and pass-shape histograms, and the release sweep turns
+first-block-to-grant intervals into wait-histogram observations.  The
+flat pass outcomes (passes, victims, repositionings) are the service's
+``ServiceStats`` fields, tested in ``tests/service/test_admin.py``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class TestEventStream:
         ) == 5
         assert telemetry.pending_waits() == [1, 2, 3, 4, 5, 6, 7, 8, 9]
 
-    def test_tdr2_pass_feeds_detector_and_reposition_counters(self):
+    def test_tdr2_pass_feeds_detector_counters(self):
         manager, telemetry = instrumented_manager()
         drive_example_41(manager)
         result = manager.detect()
@@ -79,20 +81,10 @@ class TestEventStream:
         # The service layer times the pass and reports it; do the same.
         telemetry.detection(result, 0.002)
         registry = telemetry.registry
-        assert counter_value(registry, "repro_detector_passes_total") == 1
         assert counter_value(
             registry, "repro_detector_deadlock_passes_total"
         ) == 1
-        assert counter_value(
-            registry, "repro_detector_abort_free_passes_total"
-        ) == 1
         assert counter_value(registry, "repro_detector_tdr2_total") >= 1
-        assert counter_value(registry, "repro_tdr2_repositions_total") == len(
-            result.repositions
-        )
-        assert counter_value(
-            registry, "repro_tdr2_delayed_requests_total"
-        ) == sum(len(event.delayed) for event in result.repositions)
         # Pass-shape histograms observed exactly once.
         pass_hist = registry.get("repro_detector_pass_seconds")
         assert pass_hist.count == 1
@@ -121,16 +113,14 @@ class TestEventStream:
         ) == 1
         assert telemetry.pending_waits() == []
 
-    def test_victim_abort_counts_and_closes_wait(self):
+    def test_victim_abort_closes_wait(self):
         manager, telemetry = instrumented_manager()
         assert manager.lock(1, "R1", LockMode.S).granted
         assert manager.lock(2, "R2", LockMode.S).granted
         assert not manager.lock(1, "R2", LockMode.X).granted
         assert not manager.lock(2, "R1", LockMode.X).granted
         result = manager.detect()
-        assert result.aborted
-        registry = telemetry.registry
-        assert counter_value(registry, "repro_txn_victims_total") == 1
+        assert len(result.aborted) == 1
         victim = result.aborted[0]
         assert victim not in telemetry.pending_waits()
 

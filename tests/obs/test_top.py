@@ -99,9 +99,9 @@ class TestRenderDashboard:
                 ("repro_lock_blocks_total", {"kind": "queue"}, 20.0),
                 ("repro_resource_blocks_total", {"rid": "R1"}, 15.0),
                 ("repro_resource_blocks_total", {"rid": "R2"}, 5.0),
-                ("repro_detector_passes_total", {}, 4.0),
+                ("repro_service_detector_passes_total", {}, 4.0),
                 ("repro_detector_deadlock_passes_total", {}, 2.0),
-                ("repro_detector_abort_free_passes_total", {}, 1.0),
+                ("repro_service_abort_free_resolutions_total", {}, 1.0),
                 ("repro_detector_tdr1_total", {}, 1.0),
                 ("repro_detector_tdr2_total", {}, 3.0),
             ),
@@ -141,6 +141,23 @@ class TestRenderDashboard:
         assert "abort-free ratio 50%" in text
         assert "TDR-1 1  TDR-2 3" in text
         assert "last pass: 2.0ms  over 9 txns  2 cycle(s)" in text
+
+    def test_detector_line_reads_the_service_counters(self):
+        # Only what a live registry holds: the ServiceStats families
+        # plus the detector's own deadlock/TDR counters.
+        sample = make_sample(0.0, counter_entries=(
+            ("repro_service_detector_passes_total", {}, 6.0),
+            ("repro_service_certain_passes_total", {}, 2.0),
+            ("repro_service_abort_free_resolutions_total", {}, 1.0),
+            ("repro_detector_deadlock_passes_total", {}, 4.0),
+            ("repro_detector_tdr1_total", {}, 3.0),
+            ("repro_detector_tdr2_total", {}, 1.0),
+        ))
+        text = render_dashboard(sample)
+        assert (
+            "detector: 6 passes  4 with deadlock  abort-free ratio 25%  "
+            "TDR-1 3  TDR-2 1  certain 2"
+        ) in text
 
     def test_empty_server_renders_placeholders(self):
         text = render_dashboard(make_sample(0.0))

@@ -390,4 +390,3 @@ class TestBatchEquivalence:
         core.batch_step(session, frames)
         assert core.stats.batches == 1
         assert core.stats.batched_ops == len(frames)
-        assert core.stats.batch_saved_roundtrips == len(frames) - 1

@@ -1,8 +1,8 @@
 """The pipelined ``batch`` op: one frame, many sub-ops, one writer pass.
 
 Covers the wire semantics (per-op results in order, in-place errors,
-never-waiting locks), the client conveniences (``pipeline()``,
-``acquire_many``) and the batch counters/telemetry.
+never-waiting locks), the client convenience ``acquire_many`` and the
+batch counters/telemetry.
 """
 
 import asyncio
@@ -58,7 +58,6 @@ class TestBatchOp:
                     stats = await client.stats()
                     assert stats["batches"] == 1
                     assert stats["batched_ops"] == 4
-                    assert stats["batch_saved_roundtrips"] == 3
                     assert stats["grants"] == 2
                     assert stats["commits"] == 1
 
@@ -135,36 +134,15 @@ class TestBatchOp:
 
         asyncio.run(scenario())
 
-
-class TestPipelineBuilder:
-    def test_builder_collects_and_clears(self):
-        async def scenario():
-            async with running_server(period=None) as server:
-                async with connected(server) as client:
-                    pipe = client.pipeline()
-                    pipe.begin(5).lock(5, "R1", LockMode.IX).lock(
-                        5, "R2", "S"
-                    ).commit(5)
-                    assert len(pipe) == 4
-                    results = await pipe.submit()
-                    assert len(results) == 4
-                    assert all(r["ok"] for r in results)
-                    assert len(pipe) == 0
-                    assert await pipe.submit() == []
-
-        asyncio.run(scenario())
-
     def test_abort_sub_op(self):
         async def scenario():
             async with running_server(period=None) as server:
                 async with connected(server) as client:
-                    results = await (
-                        client.pipeline()
-                        .begin(3)
-                        .lock(3, "R1", LockMode.X)
-                        .abort(3)
-                        .submit()
-                    )
+                    results = await client.batch([
+                        {"op": "begin", "tid": 3},
+                        {"op": "lock", "tid": 3, "rid": "R1", "mode": "X"},
+                        {"op": "abort", "tid": 3},
+                    ])
                     assert all(r["ok"] for r in results)
                     # R1 is free again.
                     assert await client.acquire(9, "R1", LockMode.X)

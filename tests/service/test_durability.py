@@ -397,11 +397,13 @@ def test_repro_serve_exits_nonzero_when_the_disk_fills(tmp_path):
             async def commit_until_dropped():
                 client = await AsyncLockClient.connect("127.0.0.1", port)
                 for tid in range(1, 2000):
-                    frame = client.pipeline().begin(tid)
-                    for k in range(8):
-                        frame.lock(tid, "r{}-{}".format(tid, k), "S")
+                    frame = [{"op": "begin", "tid": tid}] + [
+                        {"op": "lock", "tid": tid,
+                         "rid": "r{}-{}".format(tid, k), "mode": "S"}
+                        for k in range(8)
+                    ]
                     try:
-                        await frame.submit()
+                        await client.batch(frame)
                         await client.commit(tid)
                     except ConnectionError:
                         return tid

@@ -2,8 +2,9 @@
 
 A deadlock staged over the wire and resolved by the server's pass lands
 as an incident record with the policy name stamped on it; the nowait
-lane aborts at block time without charging a detector pass; every
-server advertises its policy in ``hello``, ``stats`` and the registry.
+lane aborts at block time without charging a detector pass, while a
+rooted check at block time is one; every server advertises its policy
+in ``hello``, ``stats`` and the registry.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import pytest
 from repro.core.errors import TransactionAborted
 from repro.core.modes import LockMode
 from repro.obs import parse_exposition
+from repro.policy import resolve_policy
 from repro.service import LoopbackServer
 from repro.service.client import AsyncLockClient
+from repro.service.core import ServiceCore
 
 
 def run(coro):
@@ -136,3 +139,38 @@ class TestDefaultPolicyStats:
                 loopback.server, "repro_detection_policy",
                 policy="periodic",
             ) == 1.0
+
+
+class TestBlockTimePassAccounting:
+    """A rooted pass run at block time is a detector pass, whichever
+    policy ran it; only a deadlock-free policy's abort is a policy
+    abort."""
+
+    @staticmethod
+    def embrace(policy):
+        core = ServiceCore(policy=policy)
+        session = core.open_session()
+        for tid in (1, 2):
+            core.begin_step(session, tid)
+        for tid, rid in ((1, "R1"), (2, "R2"), (1, "R2"), (2, "R1")):
+            core.lock_step(session, tid, rid, LockMode.X, wait=False)
+        return core
+
+    @pytest.mark.parametrize("policy", ["continuous", "adaptive"])
+    def test_rooted_pass_counts_as_a_pass(self, policy):
+        resolved = resolve_policy(policy)
+        if policy == "adaptive":
+            resolved.controller.mode = "continuous"
+        core = self.embrace(resolved)
+        stats = core.stats
+        assert stats.victims_aborted == 1
+        assert stats.deadlocks_resolved == 1
+        # One rooted check per block: T1 at R2, T2 at R1.
+        assert stats.detector_passes == 2
+        registry = core.telemetry.registry
+        assert registry.get(
+            "repro_detector_deadlock_passes_total"
+        ).value == 1
+        assert registry.get(
+            "repro_policy_aborts_total", {"policy": policy}
+        ).value == 0

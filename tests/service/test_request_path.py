@@ -189,10 +189,12 @@ class TestOneBurstOneCommitOneWrite:
             client, stats = pipe.client, server.stats
             for tid in (1, 2, 3):
                 records, flushes = stats.journal_records, stats.journal_flushes
-                frame = client.pipeline().begin(tid)
-                for k in range(8):
-                    frame.lock(tid, "r{}-{}".format(tid, k), "S")
-                (results,), _, _ = await pipe.call(frame.submit())
+                frame = [{"op": "begin", "tid": tid}] + [
+                    {"op": "lock", "tid": tid,
+                     "rid": "r{}-{}".format(tid, k), "mode": "S"}
+                    for k in range(8)
+                ]
+                (results,), _, _ = await pipe.call(client.batch(frame))
                 assert [row["ok"] for row in results] == [True] * 9
                 assert stats.journal_records == records + 1
                 await pipe.call(client.commit(tid))

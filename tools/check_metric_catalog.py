@@ -3,7 +3,7 @@
 
 Runs the scripted scenario of ``tests/obs/scenario.py`` (one shard and
 four), plus the few series only a live, journaled server feeds (wire
-telemetry, group-commit latency, the recovery gauges), and compares the metric families the
+telemetry, group-commit latency, the recovery gauge), and compares the metric families the
 registries then hold with the ``repro_*`` names in the catalog's
 tables:
 

@@ -58,7 +58,7 @@ COMPARED = (
     "repro_lock_requests_total",
     "repro_lock_grants_total",
     "repro_lock_blocks_total",
-    "repro_detector_passes_total",
+    "repro_service_detector_passes_total",
     "repro_detector_cross_shard_cycles_total",
 )
 
@@ -156,7 +156,7 @@ def check_scrape(manager, metrics_url: str, problems):
                     name, exposed, expected
                 )
             )
-    if counter_total(samples, "repro_detector_passes_total") < 1:
+    if counter_total(samples, "repro_service_detector_passes_total") < 1:
         problems.append("no detector pass in the scraped exposition")
 
 

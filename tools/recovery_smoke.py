@@ -94,10 +94,12 @@ async def drive_before(port: int):
     records = (await a.stats())["journal_records"]
     for n in range(BATCHED):  # two frames and two records each
         tid = 100 + n
-        frame = a.pipeline().begin(tid)
-        for k in range(8):
-            frame.lock(tid, "B{}-{}".format(n, k), "S" if k % 2 else "X")
-        assert all(row["ok"] for row in await frame.submit())
+        frame = [{"op": "begin", "tid": tid}] + [
+            {"op": "lock", "tid": tid, "rid": "B{}-{}".format(n, k),
+             "mode": "S" if k % 2 else "X"}
+            for k in range(8)
+        ]
+        assert all(row["ok"] for row in await a.batch(frame))
         await a.commit(tid)
     records = (await a.stats())["journal_records"] - records
     assert records == 2 * BATCHED, (
@@ -107,9 +109,11 @@ async def drive_before(port: int):
     # One more batch frame stays open across the kill: recovery has to
     # rebuild live locks out of a ``batch`` record.
     t3 = 200
-    held = await b.pipeline().begin(t3).lock(t3, "R4", "X").lock(
-        t3, "R5", "IS"
-    ).submit()
+    held = await b.batch([
+        {"op": "begin", "tid": t3},
+        {"op": "lock", "tid": t3, "rid": "R4", "mode": "X"},
+        {"op": "lock", "tid": t3, "rid": "R5", "mode": "IS"},
+    ])
     assert [row.get("status") for row in held[1:]] == ["granted"] * 2
     t1 = await a.begin()
     t2 = await b.begin()
