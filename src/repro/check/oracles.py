@@ -353,6 +353,8 @@ def check_spans(telemetry) -> List[OracleFailure]:
         return failures
     from ..obs.spans import LIFECYCLE_KINDS, TERMINAL_STATES
 
+    telemetry.fold()
+
     for span in telemetry.trace.open_spans():
         failures.append(
             OracleFailure(

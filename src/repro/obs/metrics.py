@@ -23,9 +23,10 @@ benchmark) without adding a dependency.
   (parsed back by :func:`parse_exposition` for round-trip tests and the
   ``top`` dashboard).
 
-All mutation is guarded by one registry lock, so threads (a
-:class:`~repro.lockmgr.sharded.ShardedLockManager`'s detector thread
-beside its callers) can share a registry.
+All mutation is guarded by one registry lock, so threads can share a
+registry: the service's writer and a
+:class:`~repro.obs.exporter.MetricsExporter` rendering a scrape on its
+own thread.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -229,12 +231,9 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
+        # NaN compares false against every edge: it lands in +Inf (-1).
+        index = bisect_left(self.buckets, value) if value == value else -1
         with self._lock:
-            index = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = i
-                    break
             self.counts[index] += 1
             self.sum += value
             self.count += 1

@@ -21,11 +21,16 @@ kind ``resume`` tracks the second attempt.
 
 :class:`TraceLog` owns the spans: it indexes the open ones once per
 transaction (``tid`` -> ``rid`` -> span), evicts them oldest-first,
-moves finished ones into a bounded ring, and exports everything as
-JSON-lines.  A span is born with its first phases — ``request``, plus
-the outcome the manager gave at once — stamped from **one** clock pair
-kept on the span itself; later stamps are ``(phase, wall, virtual)``
-tuples, and the ``events`` dicts are rendered when somebody reads them.
+keeps finished ones in a bounded ring, and exports everything as
+JSON-lines.  :meth:`~repro.obs.instrument.Telemetry.fold` writes it,
+stamping all one fold handles from **one** clock pair.  A span is born
+with its first phases (``request``, plus the outcome the manager gave
+at once) at the pair kept on the span; later stamps are ``(phase,
+wall, virtual)`` tuples.  An open span is a list of its :data:`FIELDS`;
+its transaction's end files it in the ring as it is, beside the one
+closing stamp all its spans share, and a span that ends alone as a
+flat tuple.  Either becomes a :class:`Span`, ``events`` dicts and all,
+only when somebody reads it.
 The span-completeness oracle in
 :mod:`repro.check.oracles` asserts that a drained schedule leaves no
 span open in a non-``granted`` state and no span unreleased.
@@ -34,9 +39,10 @@ span open in a non-``granted`` state and no span unreleased.
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from itertools import repeat
+from operator import itemgetter
+from typing import Deque, Dict, Iterator, List, Optional
 
 __all__ = ["Span", "TraceLog", "TERMINAL_STATES", "LIFECYCLE_KINDS"]
 
@@ -49,57 +55,39 @@ TERMINAL_STATES = frozenset({"released", "aborted", "timed-out"})
 LIFECYCLE_KINDS = frozenset({"request", "conversion", "queue", "resume"})
 
 #: The phases a span is born with, by the outcome known at birth (shared
-#: tuples), and the status the last one leaves it in where that differs.
-BORN = {None: ("request",)}
-for _outcome in ("granted-immediate", "granted", "blocked"):
-    BORN[_outcome] = ("request", _outcome)
-BORN_STATUS = {"request": "requested", "granted-immediate": "granted"}
+#: tuples), and the status that outcome leaves it in.
+BORN = {
+    outcome: ("request", outcome)
+    for outcome in ("granted-immediate", "granted", "blocked")
+}
+STATUS_AFTER = {
+    "granted-immediate": "granted", "granted": "granted", "blocked": "blocked"
+}
+
+#: A span's fields, in the order its list (open) or tuple (finished)
+#: keeps them, and the positions the fold writes.
+FIELDS = (
+    "span_id", "tid", "rid", "mode", "kind", "status", "born", "wall",
+    "virtual", "later", "unfinished",
+)
+SPAN_ID, TID, RID, KIND, STATUS, LATER, UNFINISHED = 0, 1, 2, 4, 5, 9, 10
+
+
+def stamp(span: list, *stamps) -> None:
+    """Add ``(phase, wall, virtual)`` stamps to an open span."""
+    later = span[LATER]
+    span[LATER] = stamps if later is None else later + stamps
 
 
 class Span:
-    """One lock request's lifecycle (see module docstring)."""
+    """One lock request's lifecycle as read back (see module docstring):
+    the :data:`FIELDS` of an open or a finished span."""
 
-    __slots__ = (
-        "span_id", "tid", "rid", "mode", "kind", "status", "born", "wall",
-        "virtual", "later", "unfinished",
-    )
+    __slots__ = FIELDS
 
-    def __init__(
-        self,
-        span_id: int,
-        tid: int,
-        rid: str,
-        mode: str,
-        kind: str,
-        born: Tuple[str, ...],
-        wall: float,
-        virtual: float,
-    ) -> None:
-        self.span_id = span_id
-        self.tid = tid
-        self.rid = rid
-        self.mode = mode
-        #: ``request`` for a first attempt, ``conversion`` once blocked
-        #: inside the holder list, ``queue`` once blocked in the FIFO
-        #: queue, ``resume`` for a re-sent lock after a client timeout,
-        #: ``pass`` for a whole detector pass.
-        self.kind = kind
-        self.status = BORN_STATUS.get(born[-1], born[-1])
-        #: The phases stamped at birth, all at ``(wall, virtual)``.
-        self.born = born
-        self.wall = wall
-        self.virtual = virtual
-        #: Every later state change: ``(phase, wall, virtual)`` tuples.
-        self.later: Optional[List[Tuple[str, float, float]]] = None
-        #: True when the span was still in flight at eviction time and
-        #: was flushed to the ring instead of silently dropped.
-        self.unfinished = False
-
-    def stamp(self, phase: str, wall: float, virtual: float) -> None:
-        if self.later is None:
-            self.later = [(phase, wall, virtual)]
-        else:
-            self.later.append((phase, wall, virtual))
+    def __init__(self, fields) -> None:
+        for name, value in zip(FIELDS, fields):
+            setattr(self, name, value)
 
     @property
     def terminal(self) -> bool:
@@ -107,11 +95,12 @@ class Span:
 
     @property
     def events(self) -> List[Dict[str, float]]:
-        """One ``{"phase", "wall", "virtual"}`` dict per state change."""
+        """One ``{"phase", "wall", "virtual"}`` dict per state change:
+        the phases ``born`` at ``(wall, virtual)``, then ``later``."""
         stamps = [(phase, self.wall, self.virtual) for phase in self.born]
         return [
             {"phase": phase, "wall": wall, "virtual": virtual}
-            for phase, wall, virtual in stamps + (self.later or [])
+            for phase, wall, virtual in stamps + list(self.later or ())
         ]
 
     def to_dict(self) -> dict:
@@ -135,33 +124,31 @@ class Span:
 
 
 class TraceLog:
-    """Span book-keeping over the lock manager's event stream.
+    """The open-span index and the completed-span ring (see module
+    docstring).
 
-    ``clock`` is the owning service's virtual clock (defaults to
-    ``time.monotonic``); wall-clock stamps always come from
-    ``time.time``.  ``capacity`` bounds both the completed-span ring and
-    the open-span table so a long-lived server cannot grow without
+    ``capacity`` bounds both so a long-lived server cannot grow without
     bound: when a new span would push the open table past capacity, the
-    oldest in-flight span is *flushed* into the ring with an ``unfinished: true`` marker (never silently
-    dropped).
+    oldest in-flight span is *flushed* into the ring with an
+    ``unfinished: true`` marker (never silently dropped).  Every stamp
+    is handed in by the caller: the log reads no clock.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        capacity: int = 4096,
-    ) -> None:
-        self.clock = clock if clock is not None else time.monotonic
+    def __init__(self, capacity: int = 4096) -> None:
         self.capacity = capacity
-        self._next_id = 1
-        #: tid -> rid -> open span: the one index.
-        self._open: Dict[int, Dict[str, Span]] = {}
-        self._open_count = 0
+        #: The id the next span gets: request spans and annotations
+        #: share one sequence.
+        self.next_id = 1
+        #: tid -> rid -> open span: the one index, and its size.
+        self.index: Dict[int, Dict[str, list]] = {}
+        self.open_count = 0
         #: The eviction order: rebuilt from the open spans' ids when an
         #: eviction finds it used up, not maintained.
-        self._order: Deque[Span] = deque()
-        self._completed: Deque[Span] = deque(maxlen=capacity)
-        self.total_started = 0
+        self._order: Deque[list] = deque()
+        #: The finished spans: one closed by its transaction's end as
+        #: ``(span, (aborted, wall, virtual))``, stamped when read; any
+        #: other as its fields' tuple.
+        self._completed: Deque[tuple] = deque(maxlen=capacity)
         #: Born-finished annotation spans (``record()``) — counted apart
         #: from the request lifecycle so ``total_started`` stays the
         #: number of lock-request spans.
@@ -169,126 +156,101 @@ class TraceLog:
         #: In-flight spans evicted (flushed unfinished) at capacity.
         self.evicted_unfinished = 0
 
-    # -- span surface ------------------------------------------------------
+    # -- writes (by the telemetry fold) ------------------------------------
 
-    def _find(self, tid: int, rid: str) -> Optional[Span]:
-        spans = self._open.get(tid)
-        return spans.get(rid) if spans is not None else None
-
-    def begin(
-        self,
-        tid: int,
-        rid: str,
-        mode: str,
-        outcome: Optional[str] = None,
-        conversion: bool = False,
-    ) -> Span:
-        """A lock frame for ``(tid, rid)`` reached the service.
-        ``outcome`` (``granted-immediate``, or ``blocked`` and where) is
-        the manager's answer when already known: its stamp and the
-        ``request`` stamp then share one clock pair."""
-        span = self._find(tid, rid)
-        if span is None:
-            span = self._start(tid, rid, mode, "request", BORN[outcome])
-        else:
-            wall, virtual = time.time(), self.clock()
-            for phase in BORN[outcome]:
-                span.stamp(phase, wall, virtual)
-            if outcome is not None:
-                span.status = BORN_STATUS.get(outcome, outcome)
-        if outcome == "blocked":
-            span.kind = "conversion" if conversion else "queue"
-        return span
-
-    def blocked(self, tid: int, rid: str, mode: str, conversion: bool) -> Span:
-        span = self._find(tid, rid)
-        if span is None:
-            span = self._start(tid, rid, mode, "request", BORN["blocked"])
-        else:
-            span.status = "blocked"
-            self._stamp(span, "blocked")
-        span.kind = "conversion" if conversion else "queue"
-        return span
-
-    def granted(self, tid: int, rid: str, mode: str, immediate: bool) -> Span:
-        phase = "granted-immediate" if immediate else "granted"
-        span = self._find(tid, rid)
-        if span is None:
-            # A grant with no open span: the sweep granted a request
-            # whose span was closed by a client timeout.
-            return self._start(tid, rid, mode, "resume", BORN[phase])
-        span.status = "granted"
-        self._stamp(span, phase)
-        return span
-
-    def _waiting(self, tid: int) -> Optional[Span]:
+    def waiting(self, tid: int) -> Optional[list]:
         """``tid``'s open span that is still waiting, if any."""
-        for span in self._open.get(tid, {}).values():
-            if span.status in ("requested", "blocked"):
+        for span in self.index.get(tid, {}).values():
+            if span[STATUS] == "blocked":
                 return span
         return None
 
-    def resumed(self, tid: int, rid: str, mode: str) -> Optional[Span]:
-        """The client re-sent a lock while its request is still queued.
+    def finish(self, tid: int, aborted: bool, wall, virtual) -> None:
+        """Transaction end (strict 2PL releases everything): every open
+        span of ``tid`` closes at ``(wall, virtual)``."""
+        spans = self.index.pop(tid, None)
+        if spans:
+            self.open_count -= len(spans)
+            self._completed.extend(
+                zip(spans.values(), repeat((aborted, wall, virtual)))
+            )
 
-        If the original span is still open (a plain duplicate) this just
-        stamps it; after a timeout closed it, a fresh ``resume`` span is
-        opened in the blocked state."""
-        span = self._waiting(tid)
-        if span is not None:
-            self._stamp(span, "resume")
-            return span
-        return self._start(tid, rid, mode, "resume", BORN["blocked"])
-
-    def timed_out(self, tid: int) -> Optional[Span]:
-        """Close ``tid``'s waiting span as timed-out (client gave up;
-        the request itself stays queued server-side)."""
-        span = self._waiting(tid)
-        if span is not None:
-            span.status = "timed-out"
-            self._stamp(span, "timed-out")
-            self._retire(span)
-        return span
-
-    def aborted(self, tid: int) -> List[Span]:
-        """``tid`` was aborted (deadlock victim / lease sweep): every
-        open span of the transaction ends as ``aborted``."""
-        return self.finished(tid, aborted=True)
-
-    def finished(self, tid: int, aborted: bool = False) -> List[Span]:
-        """Transaction end (strict 2PL releases everything): granted
-        spans close as ``released``; anything still waiting closes as
-        ``aborted`` (the queue entry is discarded with the txn).  One
-        instant, so one clock pair stamps them all."""
-        spans = self._open.pop(tid, None)
+    def retire(self, span: list, end) -> None:
+        """Move one span, stamped ``end``, from the open index to the
+        completed ring."""
+        stamp(span, end)
+        spans = self.index[span[TID]]
+        del spans[span[RID]]
         if not spans:
-            return []
-        closed = list(spans.values())
-        self._open_count -= len(closed)
-        wall, virtual = time.time(), self.clock()
-        for span in closed:
-            if aborted or span.status != "granted":
-                span.status = "aborted"
-            else:
-                span.status = "released"
-            span.stamp(span.status, wall, virtual)
-        self._completed.extend(closed)
-        return closed
+            del self.index[span[TID]]
+        self.open_count -= 1
+        self._completed.append(tuple(span))
+
+    def record(self, tid, rid, mode, kind, status, wall, virtual) -> int:
+        """Record a complete point-in-time span straight into the ring
+        (detector pass spans — anything that is born finished); returns
+        its span id."""
+        span_id, self.next_id = self.next_id, self.next_id + 1
+        self.total_recorded += 1
+        self._completed.append((
+            span_id, tid, rid, mode, kind, status, ("request", status),
+            wall, virtual, None, False,
+        ))
+        return span_id
+
+    def evict_oldest_open(self, end) -> None:
+        """Flush the oldest in-flight span into the completed ring with
+        an ``unfinished`` marker (exported, never dropped).  One sort of
+        the open spans serves ``capacity`` evictions (whatever started
+        since is younger): nothing is scanned per eviction."""
+        while True:
+            if not self._order:
+                self._order = deque(self._open())
+            span = self._order.popleft()
+            if self.index.get(span[TID], {}).get(span[RID]) is span:
+                break  # still open
+        span[UNFINISHED] = True
+        self.retire(span, end)
+        self.evicted_unfinished += 1
 
     # -- reads -------------------------------------------------------------
 
-    def open_spans(self) -> List[Span]:
-        """The open spans, oldest first."""
+    @property
+    def total_started(self) -> int:
+        """Lock-request spans ever opened."""
+        return self.next_id - 1 - self.total_recorded
+
+    def _open(self) -> List[list]:
         return sorted(
-            (span for spans in self._open.values() for span in spans.values()),
-            key=lambda span: span.span_id,
+            (span for spans in self.index.values() for span in spans.values()),
+            key=itemgetter(SPAN_ID),
         )
 
+    def open_spans(self) -> List[Span]:
+        """The open spans, oldest first."""
+        return [Span(span) for span in self._open()]
+
+    def _finished(self) -> Iterator[list]:
+        """The kept finished spans' fields, oldest first: at its
+        transaction's end a granted span was released, any other
+        aborted (the queue entry is discarded with the txn)."""
+        for entry in self._completed:
+            fields = list(entry[0] if len(entry) == 2 else entry)
+            if len(entry) == 2:
+                aborted, wall, virtual = entry[1]
+                if aborted or fields[STATUS] != "granted":
+                    fields[STATUS] = "aborted"
+                else:
+                    fields[STATUS] = "released"
+                end = (fields[STATUS], wall, virtual)
+                fields[LATER] = (fields[LATER] or ()) + (end,)
+            yield fields
+
     def completed_spans(self) -> List[Span]:
-        return list(self._completed)
+        return [Span(fields) for fields in self._finished()]
 
     def all_spans(self) -> List[Span]:
-        spans = list(self._completed) + self.open_spans()
+        spans = self.completed_spans() + self.open_spans()
         return sorted(spans, key=lambda s: s.span_id)
 
     def to_dicts(self, limit: int = 0, kinds=None) -> List[dict]:
@@ -305,70 +267,3 @@ class TraceLog:
             json.dumps(record, sort_keys=True)
             for record in self.to_dicts(limit)
         )
-
-    def record(
-        self,
-        tid: int,
-        rid: str,
-        mode: str,
-        kind: str,
-        status: str,
-    ) -> Span:
-        """Record a complete point-in-time span straight into the ring
-        (detector pass spans — anything that is born finished)."""
-        born = ("request", status)
-        span = self._new(tid, rid, mode, kind, born)
-        self.total_recorded += 1
-        self._completed.append(span)
-        return span
-
-    # -- internals ---------------------------------------------------------
-
-    def _new(self, tid, rid, mode, kind, born) -> Span:
-        self._next_id += 1
-        return Span(
-            self._next_id - 1, tid, rid, mode, kind, born,
-            time.time(), self.clock(),
-        )
-
-    def _start(self, tid, rid, mode, kind, born) -> Span:
-        if self.capacity and self._open_count >= self.capacity:
-            self._evict_oldest_open()
-        span = self._new(tid, rid, mode, kind, born)
-        self.total_started += 1
-        spans = self._open.get(tid)
-        if spans is None:
-            self._open[tid] = {rid: span}
-        else:
-            spans[rid] = span
-        self._open_count += 1
-        return span
-
-    def _evict_oldest_open(self) -> Span:
-        """Flush the oldest in-flight span into the completed ring with
-        an ``unfinished`` marker (exported, never dropped).  One sort of
-        the open spans serves ``capacity`` evictions (whatever started
-        since is younger): nothing is scanned per eviction."""
-        while True:
-            if not self._order:
-                self._order = deque(self.open_spans())
-            span = self._order.popleft()
-            if not (span.terminal or span.unfinished):
-                break
-        span.unfinished = True
-        self._stamp(span, "evicted")
-        self._retire(span)
-        self.evicted_unfinished += 1
-        return span
-
-    def _stamp(self, span: Span, phase: str) -> None:
-        span.stamp(phase, time.time(), self.clock())
-
-    def _retire(self, span: Span) -> None:
-        """Move one span from the open index to the completed ring."""
-        spans = self._open[span.tid]
-        del spans[span.rid]
-        if not spans:
-            del self._open[span.tid]
-        self._open_count -= 1
-        self._completed.append(span)

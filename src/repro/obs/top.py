@@ -248,7 +248,7 @@ def render_dashboard(
     lines.append("-" * width)
     passes = sample.counter_total("repro_service_detector_passes_total")
     deadlock_passes = sample.counter_total(
-        "repro_detector_deadlock_passes_total"
+        "repro_service_deadlock_passes_total"
     )
     abort_free = sample.counter_total(
         "repro_service_abort_free_resolutions_total"

@@ -54,6 +54,7 @@ class ServiceStats:
         "detector_passes",
         # Passes run because the table was saturated, not on the clock.
         "certain_passes",
+        "deadlock_passes",  # passes that found at least one cycle
         "deadlocks_resolved",
         "abort_free_resolutions",
         "queue_repositionings",
@@ -113,6 +114,8 @@ class ServiceStats:
     def absorb_detection(self, result) -> None:
         """Fold one detection pass's outcome into the counters."""
         self.detector_passes += 1
+        if result.deadlock_found:
+            self.deadlock_passes += 1
         self.deadlocks_resolved += len(result.resolutions)
         if result.abort_free:
             self.abort_free_resolutions += 1
@@ -185,6 +188,7 @@ def dump_payload(manager: ShardedLockCore) -> Dict[str, Any]:
 def metrics_payload(core) -> Dict[str, Any]:
     """The ``metrics`` response: the registry snapshot plus its
     Prometheus text exposition."""
+    core.telemetry.fold()
     registry = core.telemetry.registry
     return {
         "metrics": registry.snapshot(),
@@ -205,6 +209,7 @@ def spans_payload(
     """
     from ..obs.spans import LIFECYCLE_KINDS
 
+    core.telemetry.fold()
     trace = core.telemetry.trace
     return {
         "total": trace.total_started,

@@ -303,6 +303,8 @@ class LockServer:
         #: The journal error this server stopped on.
         self.failed: Optional[OSError] = None
         self._tasks: List[asyncio.Task] = []
+        #: (codec, direction) -> its frames, bytes and codec-time series.
+        self._wire_series: Dict[tuple, tuple] = {}
 
     # -- core views --------------------------------------------------------
 
@@ -326,7 +328,7 @@ class LockServer:
         back from :attr:`port`).  With ``unix`` set, listen on a
         UNIX-domain socket at that path instead of TCP (same protocol)."""
         loop = self._loop = asyncio.get_running_loop()
-        self.core.clock = loop.time
+        self.core.clock = self.core.telemetry.clock = loop.time
         if self._journal is not None:
             # Replay the durable prefix (a fresh journal replays zero
             # records), stamp this boot, honor/reap leases.
@@ -503,27 +505,37 @@ class LockServer:
         self, codec_name: str, direction: str, nbytes: int, seconds: float
     ) -> None:
         """Sampled wire telemetry: one observed frame stands for the
-        :data:`_WIRE_SAMPLE` frames around it."""
-        registry = self.core.telemetry.registry
-        labels = {"codec": codec_name, "direction": direction}
-        registry.counter(
-            "repro_wire_frames_total",
-            help="frames on the wire (sampled, x{})".format(_WIRE_SAMPLE),
-            labels=labels,
-        ).inc(_WIRE_SAMPLE)
-        registry.histogram(
-            "repro_frame_bytes",
-            help="on-wire frame size per codec and direction (sampled)",
-            labels=labels,
-            buckets=_FRAME_BUCKETS,
-        ).observe(nbytes)
-        registry.histogram(
-            "repro_wire_codec_seconds",
-            help="pure encode/decode latency of one frame (sampled; "
-            "direction=in is decode, direction=out is encode)",
-            labels=labels,
-            buckets=_CODEC_BUCKETS,
-        ).observe(seconds)
+        :data:`_WIRE_SAMPLE` frames around it.  The series of a (codec,
+        direction) are looked up by name on its first frame, then held."""
+        key = (codec_name, direction)
+        if key not in self._wire_series:
+            registry = self.core.telemetry.registry
+            labels = {"codec": codec_name, "direction": direction}
+            self._wire_series[key] = (
+                registry.counter(
+                    "repro_wire_frames_total",
+                    help="frames on the wire (sampled, x%d)" % _WIRE_SAMPLE,
+                    labels=labels,
+                ),
+                registry.histogram(
+                    "repro_frame_bytes",
+                    help="on-wire frame size per codec and direction "
+                    "(sampled)",
+                    labels=labels,
+                    buckets=_FRAME_BUCKETS,
+                ),
+                registry.histogram(
+                    "repro_wire_codec_seconds",
+                    help="pure encode/decode latency of one frame (sampled; "
+                    "direction=in is decode, direction=out is encode)",
+                    labels=labels,
+                    buckets=_CODEC_BUCKETS,
+                ),
+            )
+        frames, sizes, codec_seconds = self._wire_series[key]
+        frames.inc(_WIRE_SAMPLE)
+        sizes.observe(nbytes)
+        codec_seconds.observe(seconds)
 
     def _on_frame(
         self,

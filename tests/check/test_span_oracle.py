@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.check import CheckConfig, run_check
 from repro.check.oracles import check_spans
 from repro.core.modes import LockMode
-from repro.lockmgr.events import Blocked
-from repro.obs import Telemetry
+from repro.lockmgr.events import Blocked, Granted
+from repro.obs import Span, Telemetry
 
 
 def ticking_clock():
@@ -25,18 +25,20 @@ def ticking_clock():
     return clock
 
 
+def granted_at_once(telemetry, tid):
+    telemetry.record(Granted(tid, "R", LockMode.X, immediate=True))
+
+
 class TestOracleUnit:
     def test_clean_drain_passes(self):
         telemetry = Telemetry(clock=ticking_clock())
-        telemetry.request(1, "R", LockMode.X)
-        telemetry.trace.granted(1, "R", "X", immediate=True)
+        granted_at_once(telemetry, 1)
         telemetry.finish(1)
         assert check_spans(telemetry) == []
 
     def test_open_span_after_drain_fails(self):
         telemetry = Telemetry(clock=ticking_clock())
-        telemetry.request(1, "R", LockMode.X)
-        telemetry.trace.granted(1, "R", "X", immediate=True)
+        granted_at_once(telemetry, 1)
         failures = check_spans(telemetry)
         assert any(
             failure.oracle == "spans" and "still open" in failure.detail
@@ -45,9 +47,10 @@ class TestOracleUnit:
 
     def test_pending_first_block_timestamp_fails(self):
         telemetry = Telemetry(clock=ticking_clock())
-        telemetry.request(2, "R", LockMode.S)
-        telemetry.on_event(Blocked(2, "R", LockMode.S, conversion=False))
-        telemetry.trace.aborted(2)  # span closed, wait bookkeeping not
+        telemetry.record(Blocked(2, "R", LockMode.S, conversion=False))
+        telemetry.fold()
+        # The span closed, the wait bookkeeping not.
+        telemetry.trace.finish(2, True, 0.0, 0.0)
         failures = check_spans(telemetry)
         assert any(
             "first-block timestamps still pending" in failure.detail
@@ -56,11 +59,14 @@ class TestOracleUnit:
 
     def test_non_terminal_completed_span_fails(self):
         telemetry = Telemetry(clock=ticking_clock())
-        telemetry.request(3, "R", LockMode.X)
-        span = telemetry.trace.granted(3, "R", "X", immediate=True)
-        # Corrupt the record the way only a bookkeeping bug could.
-        telemetry.trace.finished(3)
-        span.status = "granted"
+        granted_at_once(telemetry, 3)
+        telemetry.finish(3)
+        telemetry.fold()
+        # Keep a span the way only a bookkeeping bug could: finished,
+        # but still granted.
+        (fields,) = telemetry.trace._finished()
+        fields[Span.__slots__.index("status")] = "granted"
+        telemetry.trace._completed.append(tuple(fields))
         failures = check_spans(telemetry)
         assert any(
             "non-terminal" in failure.detail for failure in failures

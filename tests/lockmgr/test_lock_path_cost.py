@@ -13,6 +13,8 @@ import subprocess
 import sys
 from unittest import mock
 
+import pytest
+
 from repro.core.modes import LockMode
 from repro.lockmgr import scheduler
 from repro.lockmgr.lock_table import LockTable
@@ -32,22 +34,36 @@ MEASURE = (
 )
 
 
-def test_the_lock_path_is_within_its_ratchet():
+@pytest.fixture(scope="module")
+def figures():
     # Measured in a child interpreter: the objects-per-lock figures
     # count the whole process's gc-tracked objects, so a thread another
     # test left running here could add to them.
-    tool = load_tool("lock_path_cost")
     child = subprocess.run(
         [sys.executable, "-c", MEASURE],
         capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    figures = json.loads(child.stdout.splitlines()[-1])
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_the_lock_path_is_within_its_ratchet(figures):
+    tool = load_tool("lock_path_cost")
     assert set(tool.CEILINGS) <= set(figures)
     assert tool.over_ceiling(figures) == [], {
         name: (figures[name], ceiling)
         for name, ceiling in tool.CEILINGS.items()
     }
+
+
+def test_telemetry_adds_at_most_three_calls_to_a_granted_lock(figures):
+    """Observing a granted lock records its event at C cost and folds it
+    once per step: the telemetry may add three Python calls (the frame
+    marker, the fold, the span it opens) to ``lock_step`` + ``pump``,
+    not the nine a chain of per-event hooks made."""
+    on = figures["lock_step+pump py (telemetry on)"]
+    off = figures["lock_step+pump py (telemetry off)"]
+    assert on - off <= 3, (on, off)
 
 
 def test_a_detector_pass_ratchet_is_never_raised():

@@ -4,6 +4,8 @@ Example 4.1 drives the whole instrumented path: blocked requests feed
 the per-mode/per-resource counters, the TDR-2 pass feeds the detector
 counters and pass-shape histograms, and the release sweep turns
 first-block-to-grant intervals into wait-histogram observations.  The
+manager's events are recorded on the telemetry's stream and reach the
+series when it folds, as a ``ServiceCore`` step does at its end.  The
 flat pass outcomes (passes, victims, repositionings) are the service's
 ``ServiceStats`` fields, tested in ``tests/service/test_admin.py``.
 """
@@ -17,7 +19,7 @@ from repro.obs import Telemetry
 
 def instrumented_manager(clock=None, **kwargs):
     telemetry = Telemetry(clock=clock, **kwargs)
-    manager = LockManager(listener=telemetry.on_event)
+    manager = LockManager(listener=telemetry.record)
     return manager, telemetry
 
 
@@ -54,6 +56,7 @@ class TestEventStream:
     def test_blocks_feed_counters_and_hot_resources(self):
         manager, telemetry = instrumented_manager()
         drive_example_41(manager)
+        telemetry.fold()
         registry = telemetry.registry
         # 2 blocked conversions (T1, T2), 7 queue waits.
         assert counter_value(
@@ -81,9 +84,6 @@ class TestEventStream:
         # The service layer times the pass and reports it; do the same.
         telemetry.detection(result, 0.002)
         registry = telemetry.registry
-        assert counter_value(
-            registry, "repro_detector_deadlock_passes_total"
-        ) == 1
         assert counter_value(registry, "repro_detector_tdr2_total") >= 1
         # Pass-shape histograms observed exactly once.
         pass_hist = registry.get("repro_detector_pass_seconds")
@@ -96,12 +96,25 @@ class TestEventStream:
         assert registry.get("repro_detector_last_cycles").value == \
             result.stats.cycles_found
 
+    def test_every_lock_frame_counts_as_a_request(self):
+        # Answered frames count through their answer (an immediate grant
+        # or a block), refused ones through the request marker.
+        manager, telemetry = instrumented_manager()
+        drive_example_41(manager)
+        telemetry.request(2, "R1", LockMode.S)  # refused: T2 is blocked
+        telemetry.fold()
+        registry = telemetry.registry
+        assert counter_value(registry, "repro_lock_requests_total") == 14 + 1
+        assert telemetry.requests() == 15
+
     def test_wait_histogram_measures_first_block_to_grant(self):
         clock = FakeClock()
         manager, telemetry = instrumented_manager(clock=clock)
         assert manager.lock(1, "R", LockMode.X).granted
         assert not manager.lock(2, "R", LockMode.S).granted
+        telemetry.fold()  # one step ends: the block is stamped
         manager.finish(1)  # grants T2 via the release sweep
+        telemetry.fold()
         registry = telemetry.registry
         hist = registry.get(
             "repro_lock_wait_seconds", {"mode": "S", "kind": "queue"}
@@ -138,6 +151,7 @@ class TestResourceLabelBound:
             assert not manager.lock(waiter, rid, LockMode.S).granted
             manager.finish(waiter)
             manager.finish(holder)
+        telemetry.fold()
         return telemetry.registry
 
     def test_distinct_rids_past_the_bound_count_as_other(self):
@@ -186,17 +200,19 @@ class TestResourceLabelBound:
 class TestDisabled:
     def test_disabled_hooks_record_nothing(self):
         telemetry = Telemetry(enabled=False)
-        manager = LockManager(listener=telemetry.on_event)
+        manager = LockManager(listener=telemetry.record)
         assert manager.lock(1, "R", LockMode.X).granted
         assert not manager.lock(2, "R", LockMode.S).granted
         telemetry.request(3, "R", LockMode.S)
         telemetry.wait_timeout(2)
         telemetry.finish(1)
         telemetry.detection(manager.detect(), 0.001)
+        telemetry.fold()
         assert telemetry.registry.snapshot() == {
             "counters": [], "gauges": [], "histograms": [],
         }
         assert telemetry.trace.total_started == 0
+        assert telemetry.stream == []
 
     def test_disabled_registry_still_usable_directly(self):
         # ServiceStats keeps counting through the same registry even

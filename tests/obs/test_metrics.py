@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
+    DURATION_BUCKETS,
     Histogram,
     MetricsRegistry,
     bucket_quantile,
@@ -86,6 +87,32 @@ class TestInstruments:
         assert summary["sum"] == pytest.approx(6.05)
         assert summary["min"] == 0.05
         assert summary["max"] == 5.0
+
+    @pytest.mark.parametrize(
+        "buckets", [DEFAULT_BUCKETS, DURATION_BUCKETS, COUNT_BUCKETS]
+    )
+    def test_histogram_bucket_matches_the_linear_search(self, buckets):
+        def linear(value):
+            """The bucket a scan of the edges picks: the first edge the
+            value does not exceed, else the +Inf slot."""
+            for index, edge in enumerate(buckets):
+                if value <= edge:
+                    return index
+            return len(buckets)
+
+        values = [-math.inf, -1.0, -1e-12, math.inf, math.nan]
+        for edge in buckets:
+            values += [
+                edge, math.nextafter(edge, -math.inf),
+                math.nextafter(edge, math.inf), edge - 1e-9, edge + 1e-9,
+                -edge,
+            ]
+        for value in values:
+            hist = MetricsRegistry().histogram("h", buckets=buckets)
+            hist.observe(value)
+            expected = [0] * (len(buckets) + 1)
+            expected[linear(value)] = 1
+            assert hist.counts == expected, value
 
     def test_snapshot_is_json_ready(self):
         registry = MetricsRegistry()

@@ -111,6 +111,36 @@ def test_granted_locks_and_batches_look_nothing_up(shards, lookups):
     assert value == core.stats.grants
 
 
+def test_a_sampled_wire_frame_looks_nothing_up(lookups):
+    """One frame in ``_WIRE_SAMPLE`` feeds the wire series, in and out;
+    past a connection's first sampled frame its (codec, direction)
+    children are held, so the next one through ``data_received`` and
+    its reply look nothing up by name."""
+    from repro.service import server as server_module
+    from tests.service.raw import Pipe
+
+    sample = server_module._WIRE_SAMPLE
+
+    async def go():
+        server = server_module.LockServer(period=None, policy="periodic")
+        await server.start("127.0.0.1", 0)
+        pipe = await Pipe(server).handshake()
+        for k in range(2 * sample):
+            if k == sample:  # the first sampled frame is behind us
+                assert lookups
+                del lookups[:]
+            await pipe.call(pipe.client.acquire(1, "r{}".format(k), "X"))
+        assert lookups == []
+        frames = server.core.telemetry.registry.get(
+            "repro_wire_frames_total", {"codec": "json", "direction": "in"}
+        )
+        assert frames.value == 2 * sample
+        pipe.lose()
+        await server.aclose()
+
+    asyncio.run(go())
+
+
 @pytest.mark.parametrize("wire", [1, 2])
 def test_frames_and_records_build_no_json_codec(wire, codecs_built):
     codec = codec_for(wire)

@@ -1,132 +1,169 @@
 """Span lifecycles: request -> blocked -> granted/aborted/timed-out ->
-released, dual clocks, the bounded completed ring and JSON-lines export."""
+released, dual clocks, the bounded completed ring and JSON-lines export.
+
+Spans are written by the telemetry fold, so each test feeds a
+:class:`Telemetry` what a ``ServiceCore`` step records — the service's
+markers and the manager's events — and folds once per step."""
 
 from __future__ import annotations
 
 import json
 
+from repro.core.modes import LockMode
+from repro.lockmgr.events import Aborted, Blocked, Granted
+from repro.obs import Telemetry
 from repro.obs.spans import LIFECYCLE_KINDS, TERMINAL_STATES, TraceLog
 
+X = LockMode.X
 
-def make_log(**kwargs) -> TraceLog:
+
+def make_telemetry(capacity: int = 4096) -> Telemetry:
     ticks = {"now": 0.0}
 
     def clock() -> float:
         ticks["now"] += 1.0
         return ticks["now"]
 
-    return TraceLog(clock=clock, **kwargs)
+    telemetry = Telemetry(clock=clock)
+    telemetry.trace = TraceLog(capacity=capacity)
+    return telemetry
+
+
+def step(telemetry: Telemetry, *events) -> TraceLog:
+    """One step: its lock events recorded, then the fold."""
+    for event in events:
+        telemetry.record(event)
+    telemetry.fold()
+    return telemetry.trace
+
+
+def granted(telemetry, tid, rid, mode=X) -> TraceLog:
+    """A lock frame the manager granted at once."""
+    return step(telemetry, Granted(tid, rid, mode, immediate=True))
+
+
+def blocked(telemetry, tid, rid, mode=X, conversion=False) -> TraceLog:
+    """A lock frame the manager blocked."""
+    return step(telemetry, Blocked(tid, rid, mode, conversion))
+
+
+def finish(telemetry, tid, aborted=False) -> TraceLog:
+    telemetry.finish(tid, aborted)
+    return step(telemetry)
 
 
 class TestLifecycle:
     def test_immediate_grant_then_release(self):
-        log = make_log()
-        log.begin(1, "R", "X")
-        log.granted(1, "R", "X", immediate=True)
-        closed = log.finished(1)
-        assert [span.status for span in closed] == ["released"]
-        span = closed[0]
+        telemetry = make_telemetry()
+        granted(telemetry, 1, "R")
+        log = finish(telemetry, 1)
+        (span,) = log.completed_spans()
+        assert span.status == "released"
         assert span.terminal
         assert [event["phase"] for event in span.events] == [
             "request", "granted-immediate", "released",
         ]
-        # Both clocks stamped on every event, virtual strictly advancing.
+        # Both clocks stamped on every event, virtual advancing by step.
         virtuals = [event["virtual"] for event in span.events]
-        assert virtuals == sorted(virtuals)
+        assert virtuals == sorted(virtuals) and virtuals[0] < virtuals[-1]
         assert all("wall" in event for event in span.events)
         assert not log.open_spans()
 
     def test_blocked_then_granted_then_released(self):
-        log = make_log()
-        log.begin(2, "R", "S")
-        log.blocked(2, "R", "S", conversion=False)
+        telemetry = make_telemetry()
+        log = blocked(telemetry, 2, "R", LockMode.S)
         assert log.open_spans()[0].kind == "queue"
-        log.granted(2, "R", "S", immediate=False)
+        step(telemetry, Granted(2, "R", LockMode.S))
         assert log.open_spans()[0].status == "granted"  # live, not terminal
-        closed = log.finished(2)
-        assert closed[0].status == "released"
+        finish(telemetry, 2)
+        assert log.completed_spans()[0].status == "released"
 
     def test_blocked_conversion_kind(self):
-        log = make_log()
-        log.begin(3, "R", "SIX")
-        span = log.blocked(3, "R", "SIX", conversion=True)
-        assert span.kind == "conversion"
+        telemetry = make_telemetry()
+        log = blocked(telemetry, 3, "R", LockMode.SIX, conversion=True)
+        assert log.open_spans()[0].kind == "conversion"
 
     def test_abort_closes_every_open_span(self):
-        log = make_log()
-        log.begin(4, "R1", "X")
-        log.granted(4, "R1", "X", immediate=True)
-        log.begin(4, "R2", "X")
-        log.blocked(4, "R2", "X", conversion=False)
-        closed = log.aborted(4)
-        assert {span.status for span in closed} == {"aborted"}
+        telemetry = make_telemetry()
+        granted(telemetry, 4, "R1")
+        blocked(telemetry, 4, "R2")
+        log = step(telemetry, Aborted(4, "deadlock victim"))
+        assert {span.status for span in log.completed_spans()} == {"aborted"}
         assert not log.open_spans()
 
     def test_finish_aborting_closes_granted_as_aborted(self):
-        log = make_log()
-        log.begin(5, "R", "X")
-        log.granted(5, "R", "X", immediate=True)
-        closed = log.finished(5, aborted=True)
-        assert closed[0].status == "aborted"
+        telemetry = make_telemetry()
+        granted(telemetry, 5, "R")
+        log = finish(telemetry, 5, aborted=True)
+        assert log.completed_spans()[0].status == "aborted"
+
+    def test_one_step_stamps_one_clock_pair(self):
+        telemetry = make_telemetry()
+        log = step(
+            telemetry,
+            Granted(6, "R1", X, immediate=True),
+            Granted(6, "R2", X, immediate=True),
+        )
+        first, second = log.open_spans()
+        assert (first.wall, first.virtual) == (second.wall, second.virtual)
 
 
 class TestTimeoutResume:
     def test_timeout_closes_span_resume_opens_new_one(self):
-        log = make_log()
-        log.begin(6, "R", "X")
-        log.blocked(6, "R", "X", conversion=False)
-        timed_out = log.timed_out(6)
+        telemetry = make_telemetry()
+        blocked(telemetry, 6, "R")
+        telemetry.wait_timeout(6)
+        log = step(telemetry)
+        (timed_out,) = log.completed_spans()
         assert timed_out.status == "timed-out"
         assert not log.open_spans()
         # Client retries: a fresh span of kind "resume", born blocked.
-        resumed = log.resumed(6, "R", "X")
+        telemetry.resume(6, "R", X)
+        (resumed,) = step(telemetry).open_spans()
         assert resumed.kind == "resume"
         assert resumed.status == "blocked"
         assert resumed.span_id != timed_out.span_id
-        log.granted(6, "R", "X", immediate=False)
-        closed = log.finished(6)
-        assert closed[0].status == "released"
+        step(telemetry, Granted(6, "R", X))
+        finish(telemetry, 6)
         statuses = {s.span_id: s.status for s in log.completed_spans()}
+        assert statuses[resumed.span_id] == "released"
         assert set(statuses.values()) <= TERMINAL_STATES
 
     def test_grant_after_timeout_opens_resume_span(self):
         # The sweep grants a request whose span a timeout already closed.
-        log = make_log()
-        log.begin(7, "R", "X")
-        log.blocked(7, "R", "X", conversion=False)
-        log.timed_out(7)
-        span = log.granted(7, "R", "X", immediate=False)
+        telemetry = make_telemetry()
+        blocked(telemetry, 7, "R")
+        telemetry.wait_timeout(7)
+        step(telemetry)
+        (span,) = step(telemetry, Granted(7, "R", X)).open_spans()
         assert span.kind == "resume"
         assert span.status == "granted"
 
     def test_resume_duplicate_stamps_open_span(self):
-        log = make_log()
-        log.begin(8, "R", "X")
-        log.blocked(8, "R", "X", conversion=False)
-        span = log.resumed(8, "R", "X")
-        assert span is log.open_spans()[0]
+        telemetry = make_telemetry()
+        blocked(telemetry, 8, "R")
+        telemetry.resume(8, "R", X)
+        log = step(telemetry)
+        (span,) = log.open_spans()
         assert span.events[-1]["phase"] == "resume"
         assert log.total_started == 1
 
 
 class TestLogSurface:
     def test_capacity_bounds_completed_ring(self):
-        log = make_log(capacity=3)
+        telemetry = make_telemetry(capacity=3)
         for tid in range(1, 6):
-            log.begin(tid, "R{}".format(tid), "X")
-            log.granted(tid, "R{}".format(tid), "X", immediate=True)
-            log.finished(tid)
+            granted(telemetry, tid, "R{}".format(tid))
+            log = finish(telemetry, tid)
         assert log.total_started == 5
         completed = log.completed_spans()
         assert len(completed) == 3
         assert [span.tid for span in completed] == [3, 4, 5]
 
     def test_export_jsonl_round_trips(self):
-        log = make_log()
-        log.begin(1, "R", "X")
-        log.granted(1, "R", "X", immediate=True)
-        log.begin(2, "R", "S")
-        log.blocked(2, "R", "S", conversion=False)
+        telemetry = make_telemetry()
+        granted(telemetry, 1, "R")
+        log = blocked(telemetry, 2, "R", LockMode.S)
         lines = log.export_jsonl().splitlines()
         records = [json.loads(line) for line in lines]
         assert [record["tid"] for record in records] == [1, 2]
@@ -135,36 +172,59 @@ class TestLogSurface:
             <= set(records[0])
 
     def test_to_dicts_limit_keeps_most_recent(self):
-        log = make_log()
+        telemetry = make_telemetry()
         for tid in (1, 2, 3):
-            log.begin(tid, "R", "X")
-            log.granted(tid, "R", "X", immediate=True)
-            log.finished(tid)
+            granted(telemetry, tid, "R")
+            log = finish(telemetry, tid)
         recent = log.to_dicts(limit=2)
         assert [record["tid"] for record in recent] == [2, 3]
+
+    def test_finished_spans_are_stamped_when_read(self):
+        telemetry = make_telemetry()
+        blocked(telemetry, 1, "R1")
+        granted(telemetry, 1, "R2")
+        step(telemetry, Granted(1, "R1", X))
+        log = finish(telemetry, 1)
+        assert [
+            [event["phase"] for event in span.events]
+            for span in log.completed_spans()
+        ] == [
+            ["request", "blocked", "granted", "released"],
+            ["request", "granted-immediate", "released"],
+        ]
+
+    def test_capacity_drops_part_of_the_oldest_transaction(self):
+        telemetry = make_telemetry(capacity=3)
+        for tid in (1, 2, 3):
+            granted(telemetry, tid, "A")
+            granted(telemetry, tid, "B")
+            log = finish(telemetry, tid)
+        assert [(s.tid, s.rid) for s in log.completed_spans()] == [
+            (2, "B"), (3, "A"), (3, "B"),
+        ]
 
 
 class TestEviction:
     def test_capacity_flushes_oldest_open_span_as_unfinished(self):
-        log = make_log(capacity=2)
-        log.begin(1, "R1", "X")
-        log.begin(2, "R2", "X")
+        telemetry = make_telemetry(capacity=2)
+        granted(telemetry, 1, "R1")
+        granted(telemetry, 2, "R2")
         # The third in-flight span pushes the oldest out of the open
         # table — flushed into the ring, never silently dropped.
-        log.begin(3, "R3", "X")
+        log = granted(telemetry, 3, "R3")
         assert log.evicted_unfinished == 1
         assert [span.tid for span in log.open_spans()] == [2, 3]
         (flushed,) = log.completed_spans()
         assert flushed.tid == 1
         assert flushed.unfinished
         assert flushed.events[-1]["phase"] == "evicted"
-        # Not a terminal state: the request was still in flight.
+        # Not a terminal state: the lock was still held.
         assert not flushed.terminal
 
     def test_evicted_span_is_exported_with_the_marker(self):
-        log = make_log(capacity=1)
-        log.begin(1, "R1", "X")
-        log.begin(2, "R2", "X")
+        telemetry = make_telemetry(capacity=1)
+        granted(telemetry, 1, "R1")
+        log = granted(telemetry, 2, "R2")
         records = [
             json.loads(line) for line in log.export_jsonl().splitlines()
         ]
@@ -174,48 +234,38 @@ class TestEviction:
         assert "unfinished" not in records[-1]
 
     def test_eviction_forgets_the_open_index_entry(self):
-        log = make_log(capacity=1)
-        log.begin(1, "R1", "X")
-        log.begin(2, "R2", "X")
-        # T1's span is gone from the open table: a later grant for the
-        # same (tid, rid) starts a fresh resume span instead of
-        # resurrecting the flushed one.
-        span = log.granted(1, "R1", "X", immediate=False)
+        telemetry = make_telemetry(capacity=1)
+        blocked(telemetry, 1, "R1")
+        granted(telemetry, 2, "R2")
+        # T1's span is gone from the open table: its later grant starts
+        # a fresh resume span instead of resurrecting the flushed one.
+        log = step(telemetry, Granted(1, "R1", X))
+        (span,) = log.open_spans()
         assert span.kind == "resume"
         assert not span.unfinished
         assert log.evicted_unfinished == 2  # T2's was flushed in turn
 
-
     def test_eviction_does_not_scan_the_open_table(self, monkeypatch):
         """At capacity every new span evicts one.  Finding the oldest
-        must not look at every open span: count the reads of
-        ``span_id`` (what a scan for the minimum compares) while 1000
-        spans start against a full table of 64."""
-        from repro.obs import spans
+        must not look at every open span: count the open spans the
+        eviction order is built from while 1000 spans start against a
+        full table of 64."""
+        looked_at = []
+        listed = TraceLog._open
 
-        reads = []
+        def counted(log):
+            spans = listed(log)
+            looked_at.append(len(spans))
+            return spans
 
-        class CountedSpan(spans.Span):
-            __slots__ = ("_id",)
-
-            @property
-            def span_id(self):
-                reads.append(1)
-                return self._id
-
-            @span_id.setter
-            def span_id(self, value):
-                self._id = value
-
-        monkeypatch.setattr(spans, "Span", CountedSpan)
-        log = make_log(capacity=64)
+        monkeypatch.setattr(TraceLog, "_open", counted)
+        telemetry = make_telemetry(capacity=64)
         for tid in range(64):
-            log.begin(tid, "R", "X")
-        del reads[:]
+            granted(telemetry, tid, "R")
         for tid in range(64, 1064):
-            log.begin(tid, "R", "X")
+            log = granted(telemetry, tid, "R")
         assert log.evicted_unfinished == 1000
-        assert len(reads) <= 2 * 1000  # a scan reads 64 per start
+        assert sum(looked_at) <= 2 * 1000  # a scan looks at 64 per start
         # Oldest first, none dropped: the ring's tail is the last 64
         # evicted, in the order they were started.
         evicted = [span.tid for span in log.completed_spans()]
@@ -225,12 +275,12 @@ class TestEviction:
         )
 
     def test_eviction_is_oldest_first_across_transactions(self):
-        log = make_log(capacity=3)
-        log.begin(1, "A", "X")
-        log.begin(2, "B", "X")
-        log.begin(1, "C", "X")
-        log.begin(3, "D", "X")  # evicts T1's first span
-        log.begin(4, "E", "X")  # then T2's: older than T1's second
+        telemetry = make_telemetry(capacity=3)
+        granted(telemetry, 1, "A")
+        granted(telemetry, 2, "B")
+        granted(telemetry, 1, "C")
+        granted(telemetry, 3, "D")  # evicts T1's first span
+        log = granted(telemetry, 4, "E")  # then T2's: older than T1's second
         flushed = [(s.tid, s.rid) for s in log.completed_spans()]
         assert flushed == [(1, "A"), (2, "B")]
         assert all(s.unfinished for s in log.completed_spans())
@@ -241,19 +291,20 @@ class TestEviction:
 
 class TestAnnotations:
     def test_record_is_born_finished_and_counted_apart(self):
-        log = make_log()
-        log.begin(1, "R", "X")
-        span = log.record(0, "", "", "pass", "deadlock")
+        telemetry = make_telemetry()
+        log = granted(telemetry, 1, "R")
+        span_id = int(telemetry.pass_span("deadlock"))
+        (span,) = log.completed_spans()
+        assert (span.span_id, span.kind) == (span_id, "pass")
         assert span.status == "deadlock"
-        assert not log.open_spans()[0] is span
+        assert log.open_spans()[0].span_id != span_id
         assert log.total_started == 1
         assert log.total_recorded == 1
-        assert span in log.completed_spans()
 
     def test_to_dicts_kinds_filter_hides_annotations(self):
-        log = make_log()
-        log.begin(1, "R", "X")
-        log.record(0, "", "", "pass", "clear")
+        telemetry = make_telemetry()
+        log = granted(telemetry, 1, "R")
+        telemetry.pass_span("clear")
         kinds = [r["kind"] for r in log.to_dicts(kinds=LIFECYCLE_KINDS)]
         assert kinds == ["request"]
         assert {r["kind"] for r in log.to_dicts()} == {"request", "pass"}

@@ -100,7 +100,7 @@ class TestRenderDashboard:
                 ("repro_resource_blocks_total", {"rid": "R1"}, 15.0),
                 ("repro_resource_blocks_total", {"rid": "R2"}, 5.0),
                 ("repro_service_detector_passes_total", {}, 4.0),
-                ("repro_detector_deadlock_passes_total", {}, 2.0),
+                ("repro_service_deadlock_passes_total", {}, 2.0),
                 ("repro_service_abort_free_resolutions_total", {}, 1.0),
                 ("repro_detector_tdr1_total", {}, 1.0),
                 ("repro_detector_tdr2_total", {}, 3.0),
@@ -144,12 +144,12 @@ class TestRenderDashboard:
 
     def test_detector_line_reads_the_service_counters(self):
         # Only what a live registry holds: the ServiceStats families
-        # plus the detector's own deadlock/TDR counters.
+        # plus the detector's own TDR counters.
         sample = make_sample(0.0, counter_entries=(
             ("repro_service_detector_passes_total", {}, 6.0),
             ("repro_service_certain_passes_total", {}, 2.0),
             ("repro_service_abort_free_resolutions_total", {}, 1.0),
-            ("repro_detector_deadlock_passes_total", {}, 4.0),
+            ("repro_service_deadlock_passes_total", {}, 4.0),
             ("repro_detector_tdr1_total", {}, 3.0),
             ("repro_detector_tdr2_total", {}, 1.0),
         ))
@@ -158,6 +158,32 @@ class TestRenderDashboard:
             "detector: 6 passes  4 with deadlock  abort-free ratio 25%  "
             "TDR-1 3  TDR-2 1  certain 2"
         ) in text
+
+    def test_deadlock_passes_are_counted_with_telemetry_off(self):
+        # "with deadlock" reads a ServiceStats field, which never turns
+        # off: it read 0 while only the telemetry counted those passes.
+        from repro.core.modes import LockMode
+        from repro.obs import Telemetry
+        from repro.service.admin import inspect_payload, metrics_payload
+        from repro.service.core import ServiceCore
+
+        core = ServiceCore(
+            policy="periodic", telemetry=Telemetry(enabled=False)
+        )
+        session = core.open_session()
+        for tid, first, second in ((1, "A", "B"), (2, "B", "A")):
+            core.begin_step(session, tid)
+            core.lock_step(session, tid, first, LockMode.X, wait=False)
+        for tid, first, second in ((1, "A", "B"), (2, "B", "A")):
+            core.lock_step(session, tid, second, LockMode.X, wait=False)
+        assert len(core.detect_step().aborted) == 1
+        sample = Sample(
+            0.0, metrics_payload(core)["metrics"], core.stats_payload(),
+            inspect_payload(core.manager),
+        )
+        assert "detector: 1 passes  1 with deadlock" in render_dashboard(
+            sample
+        )
 
     def test_empty_server_renders_placeholders(self):
         text = render_dashboard(make_sample(0.0))

@@ -51,13 +51,13 @@ class TestServiceStats:
         assert data["grants"] == 3
         assert data["lease_expiries"] == 1
         assert data["requests"] == 0
-        assert len(data) == len(ServiceStats.FIELDS) == 29
+        assert len(data) == len(ServiceStats.FIELDS) == 30
 
     def test_absorb_detection(self):
         manager = deadlocked_manager()
         stats = ServiceStats()
         stats.absorb_detection(manager.detect())
-        assert stats.detector_passes == 1
+        assert stats.detector_passes == stats.deadlock_passes == 1
         assert stats.deadlocks_resolved == 1
         assert stats.victims_aborted == 1
         assert stats.abort_free_resolutions == 0
@@ -101,7 +101,7 @@ class TestServiceStats:
     def test_render_stats_aligned(self):
         text = render_stats(ServiceStats(commits=7).as_dict())
         lines = text.splitlines()
-        assert len(lines) == 29
+        assert len(lines) == 30
         assert "commits" in text
         # every separator sits in the same column
         assert len({line.index(":") for line in lines}) == 1

@@ -167,9 +167,10 @@ class TestBlockTimePassAccounting:
         assert stats.deadlocks_resolved == 1
         # One rooted check per block: T1 at R2, T2 at R1.
         assert stats.detector_passes == 2
+        assert stats.deadlock_passes == 1
         registry = core.telemetry.registry
         assert registry.get(
-            "repro_detector_deadlock_passes_total"
+            "repro_service_deadlock_passes_total"
         ).value == 1
         assert registry.get(
             "repro_policy_aborts_total", {"policy": policy}
