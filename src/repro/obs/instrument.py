@@ -7,14 +7,15 @@ The lock manager reports every observable mutation as an event
 :class:`~repro.lockmgr.sharded.ShardedLockCore` calls for each one is
 :attr:`Telemetry.record`, a bound ``list.append``: recording costs one C
 call.  The service appends markers for what only it knows to the same
-:attr:`~Telemetry.stream` — refused lock frames (:meth:`request`; an
+:attr:`~Telemetry.stream` — refused lock frames (:meth:`refused`; an
 answered frame is marked by its answer), resumed waits (:meth:`resume`),
 client timeouts (:meth:`wait_timeout`), transaction end
 (:meth:`finish`), batch frames (:meth:`batch`).
 :meth:`~Telemetry.fold` consumes the stream in order, stamped with one
 clock pair, into the spans, the wait histograms and the counters.
-Every ``ServiceCore`` step folds at its end and every read folds
-first, so a scrape from another thread is at most one step old.  The
+``ServiceCore.pump``, which runs after every step, folds, and every
+read folds first, so a scrape from another thread is at most one step
+old.  The
 detector reports each pass's shape through :meth:`detection`; the
 service's flat counts live in its
 :class:`~repro.service.admin.ServiceStats`, not here.
@@ -175,13 +176,13 @@ class Telemetry:
 
     # -- service-layer markers ---------------------------------------------
 
-    def request(self, tid: int, rid: str, mode) -> None:
+    def refused(self) -> None:
         """The manager refused a lock frame (an aborted or an already
         blocked transaction).  A frame it answers is marked by its
         answer, the one event a lock request gets at once: an immediate
         grant or a block."""
         if self.enabled:
-            self.record(("request", tid))
+            self.record(("refused",))
 
     def resume(self, tid: int, rid: str, mode) -> None:
         """The manager refused the announced frame: its transaction is
@@ -257,19 +258,20 @@ class Telemetry:
             elif kind is not tuple:  # TDR-2's Repositioned: no series
                 continue
             else:  # a service marker
-                tag, tid = event[0], event[1]
+                tag = event[0]
+                if tag == "refused":
+                    if not hot[REFUSED]:
+                        self._feed(REFUSED)
+                    hot[REFUSED] += 1
+                    continue
+                if tag == "batch":
+                    self._batch_size.observe(event[1])
+                    continue
+                tid = event[1]
                 if tag == "finish":
                     if tid in blocked_since:
                         del blocked_since[tid]
                     trace.finish(tid, event[2], wall, now)
-                    continue
-                if tag == "batch":
-                    self._batch_size.observe(tid)
-                    continue
-                if tag == "request":
-                    if not hot[REFUSED]:
-                        self._feed(REFUSED)
-                    hot[REFUSED] += 1
                     continue
                 span = trace.waiting(tid)
                 if tag == "timeout":  # the request itself stays queued
@@ -306,7 +308,9 @@ class Telemetry:
             span = None if spans is None else spans.get(rid)
             if span is None:  # the request path's one allocation
                 if trace.open_count >= trace.capacity > 0:
+                    # The evicted span may be this transaction's last.
                     trace.evict_oldest_open(("evicted", wall, now))
+                    spans = index.get(tid)
                 span = [
                     next_id, tid, rid, MODE_NAMES[mode], fresh,
                     STATUS_AFTER[phase], BORN[phase], wall, now, None, False,

@@ -182,8 +182,6 @@ class ServiceCore:
         self._next_tid = 1
         #: Sub-ops the batch frame being applied has journaled so far.
         self._frame_ops: Optional[List[tuple]] = None
-        #: Inside a batch frame, whose end folds for its sub-op steps.
-        self._batching = False
         registry = self.telemetry.registry
         registry.gauge(
             "repro_sessions_open",
@@ -447,71 +445,67 @@ class ServiceCore:
         the step means no grant can slip between the check and the
         registration.
         """
+        if self.owners.get(tid) is not session:
+            self.claim(tid, session)
+        manager = self.manager
+        started = time.perf_counter()
         try:
-            if self.owners.get(tid) is not session:
-                self.claim(tid, session)
-            manager = self.manager
-            started = time.perf_counter()
-            try:
-                # The manager refuses an aborted or an already blocked
-                # transaction itself: asking first would ask twice.
-                outcome = manager.lock(tid, rid, mode)
-            except LockTableError:
-                self.telemetry.request(tid, rid, mode)
-                if manager.was_aborted(tid):
-                    return "aborted", None, None
-                if not manager.is_blocked(tid):
-                    raise
-                # A re-sent frame resuming an earlier blocked request (the
-                # post-timeout path).
-                self.telemetry.resume(tid, rid, mode)
-                event = None
-            else:
-                if self.journal is not None:  # the fields cost a routed read
-                    self._journal_op(
-                        session, "lock", tid, rid, MODE_NAMES[mode],
-                        manager.sequence_of(rid),
+            # The manager refuses an aborted or an already blocked
+            # transaction itself: asking first would ask twice.
+            outcome = manager.lock(tid, rid, mode)
+        except LockTableError:
+            self.telemetry.refused()
+            if manager.was_aborted(tid):
+                return "aborted", None, None
+            if not manager.is_blocked(tid):
+                raise
+            # A re-sent frame resuming an earlier blocked request (the
+            # post-timeout path).
+            self.telemetry.resume(tid, rid, mode)
+            event = None
+        else:
+            if self.journal is not None:  # the fields cost a routed read
+                self._journal_op(
+                    session, "lock", tid, rid, MODE_NAMES[mode],
+                    manager.sequence_of(rid),
+                )
+            event = event_to_dict(outcome)
+            if outcome.granted:
+                self.stats.grants += 1
+                return "granted", event, None
+            self.stats.blocks += 1
+            detection = manager.last_detection
+            if detection is not None:
+                if self.policy.deadlock_free:
+                    # A block-time refusal (the nowait lane): no detector
+                    # ran, so count the victims without charging a pass.
+                    self.stats.victims_aborted += len(detection.aborted)
+                    self._policy_abort_counter.inc(len(detection.aborted))
+                else:
+                    # A rooted pass ran inside manager.lock (continuous,
+                    # or adaptive in its continuous mode); its duration
+                    # is the whole call (the pass dominates it).
+                    self._count_pass(
+                        detection, time.perf_counter() - started
                     )
-                event = event_to_dict(outcome)
-                if outcome.granted:
-                    self.stats.grants += 1
-                    return "granted", event, None
-                self.stats.blocks += 1
-                detection = manager.last_detection
-                if detection is not None:
-                    if self.policy.deadlock_free:
-                        # A block-time refusal (the nowait lane): no detector
-                        # ran, so count the victims without charging a pass.
-                        self.stats.victims_aborted += len(detection.aborted)
-                        self._policy_abort_counter.inc(len(detection.aborted))
-                    else:
-                        # A rooted pass ran inside manager.lock (continuous,
-                        # or adaptive in its continuous mode); its duration
-                        # is the whole call (the pass dominates it).
-                        self._count_pass(
-                            detection, time.perf_counter() - started
-                        )
-                if manager.was_aborted(tid):
-                    return "aborted", event, None
-                if not manager.is_blocked(tid):
-                    # Continuous resolution granted us on the spot.
-                    self.stats.grants += 1
-                    return "granted", event, None
-            # Blocked (or resuming an earlier blocked request).
-            if wait:
-                if tid in self.waiters:
-                    raise ServiceError(
-                        "already-waiting",
-                        "transaction {} already has a parked "
-                        "request".format(tid),
-                    )
-                parked = ParkedWait(tid, callback)
-                self.waiters[tid] = parked
-                return "parked", event, parked
-            return "blocked", event, None
-        finally:
-            if not self._batching and self.telemetry.stream:
-                self.telemetry.fold()
+            if manager.was_aborted(tid):
+                return "aborted", event, None
+            if not manager.is_blocked(tid):
+                # Continuous resolution granted us on the spot.
+                self.stats.grants += 1
+                return "granted", event, None
+        # Blocked (or resuming an earlier blocked request).
+        if wait:
+            if tid in self.waiters:
+                raise ServiceError(
+                    "already-waiting",
+                    "transaction {} already has a parked "
+                    "request".format(tid),
+                )
+            parked = ParkedWait(tid, callback)
+            self.waiters[tid] = parked
+            return "parked", event, parked
+        return "blocked", event, None
 
     def cancel_wait(self, tid: int, parked: ParkedWait) -> str:
         """Give up on a parked wait (client-side timeout).
@@ -527,7 +521,6 @@ class ServiceCore:
             del self.waiters[tid]
         self.stats.wait_timeouts += 1
         self.telemetry.wait_timeout(tid)
-        self.telemetry.fold()
         return "timeout"
 
     def finish_step(
@@ -549,8 +542,6 @@ class ServiceCore:
             self.stats.aborts += 1
         else:
             self.stats.commits += 1
-        if not self._batching and self.telemetry.stream:
-            self.telemetry.fold()
         return [event_to_dict(event) for event in grants]
 
     def batch_step(self, session: Session, ops) -> List[dict]:
@@ -591,15 +582,12 @@ class ServiceCore:
         # The frame is the journal's unit: the sub-ops that mutate
         # collect here and leave as ONE record.
         self._frame_ops = mutated = [] if self.journal is not None else None
-        self._batching = True
         try:
             return [self._batch_one(session, frame) for frame in ops]
         finally:
             self._frame_ops = None
-            self._batching = False
             if mutated:
                 self._journal_append("batch", sid=session.sid, ops=mutated)
-            self.telemetry.fold()
 
     def _batch_one(self, session: Session, frame) -> dict:
         name = frame.get("op") if isinstance(frame, dict) else None
@@ -680,8 +668,8 @@ class ServiceCore:
     def pump(self) -> List[ParkedWait]:
         """Resolve parked ``lock`` waits against the manager's current
         state; returns the waits resolved by this call.  The server runs
-        this after every core operation.  It folds what a step that does
-        not fold at its end recorded (a session close, a replay)."""
+        this after every core operation, and it folds the telemetry the
+        step recorded."""
         if self.telemetry.stream:
             self.telemetry.fold()
         resolved: List[ParkedWait] = []

@@ -74,7 +74,7 @@ class TestOracleUnit:
 
     def test_disabled_telemetry_is_vacuously_clean(self):
         telemetry = Telemetry(enabled=False)
-        telemetry.request(1, "R", LockMode.X)
+        telemetry.refused()
         assert check_spans(telemetry) == []
 
 

@@ -57,10 +57,10 @@ def test_the_lock_path_is_within_its_ratchet(figures):
 
 
 def test_telemetry_adds_at_most_three_calls_to_a_granted_lock(figures):
-    """Observing a granted lock records its event at C cost and folds it
-    once per step: the telemetry may add three Python calls (the frame
-    marker, the fold, the span it opens) to ``lock_step`` + ``pump``,
-    not the nine a chain of per-event hooks made."""
+    """Observing a granted lock records its event at C cost and the
+    pump folds it: the telemetry may add three Python calls to
+    ``lock_step`` + ``pump``, not the nine a chain of per-event hooks
+    made."""
     on = figures["lock_step+pump py (telemetry on)"]
     off = figures["lock_step+pump py (telemetry off)"]
     assert on - off <= 3, (on, off)

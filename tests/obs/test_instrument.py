@@ -5,7 +5,7 @@ the per-mode/per-resource counters, the TDR-2 pass feeds the detector
 counters and pass-shape histograms, and the release sweep turns
 first-block-to-grant intervals into wait-histogram observations.  The
 manager's events are recorded on the telemetry's stream and reach the
-series when it folds, as a ``ServiceCore`` step does at its end.  The
+series when it folds, as ``ServiceCore.pump`` does after a step.  The
 flat pass outcomes (passes, victims, repositionings) are the service's
 ``ServiceStats`` fields, tested in ``tests/service/test_admin.py``.
 """
@@ -98,10 +98,10 @@ class TestEventStream:
 
     def test_every_lock_frame_counts_as_a_request(self):
         # Answered frames count through their answer (an immediate grant
-        # or a block), refused ones through the request marker.
+        # or a block), refused ones through the refused marker.
         manager, telemetry = instrumented_manager()
         drive_example_41(manager)
-        telemetry.request(2, "R1", LockMode.S)  # refused: T2 is blocked
+        telemetry.refused()  # T2 is blocked: its next frame is refused
         telemetry.fold()
         registry = telemetry.registry
         assert counter_value(registry, "repro_lock_requests_total") == 14 + 1
@@ -203,7 +203,7 @@ class TestDisabled:
         manager = LockManager(listener=telemetry.record)
         assert manager.lock(1, "R", LockMode.X).granted
         assert not manager.lock(2, "R", LockMode.S).granted
-        telemetry.request(3, "R", LockMode.S)
+        telemetry.refused()
         telemetry.wait_timeout(2)
         telemetry.finish(1)
         telemetry.detection(manager.detect(), 0.001)

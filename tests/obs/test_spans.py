@@ -245,25 +245,39 @@ class TestEviction:
         assert not span.unfinished
         assert log.evicted_unfinished == 2  # T2's was flushed in turn
 
-    def test_eviction_does_not_scan_the_open_table(self, monkeypatch):
+    def test_eviction_does_not_scan_the_open_table(self):
         """At capacity every new span evicts one.  Finding the oldest
-        must not look at every open span: count the open spans the
-        eviction order is built from while 1000 spans start against a
-        full table of 64."""
+        must not look at every open span: count the spans any walk of
+        the open index yields while 1000 spans start against a full
+        table of 64."""
         looked_at = []
-        listed = TraceLog._open
 
-        def counted(log):
-            spans = listed(log)
-            looked_at.append(len(spans))
-            return spans
+        class CountedIndex(dict):
+            def __iter__(self):
+                for tid in dict.__iter__(self):
+                    looked_at.append(len(self[tid]))
+                    yield tid
 
-        monkeypatch.setattr(TraceLog, "_open", counted)
+            keys = __iter__
+
+            def values(self):
+                for spans in dict.values(self):
+                    looked_at.append(len(spans))
+                    yield spans
+
+            def items(self):
+                for tid, spans in dict.items(self):
+                    looked_at.append(len(spans))
+                    yield tid, spans
+
         telemetry = make_telemetry(capacity=64)
+        telemetry.trace.index = CountedIndex()
         for tid in range(64):
             granted(telemetry, tid, "R")
+        del looked_at[:]
         for tid in range(64, 1064):
             log = granted(telemetry, tid, "R")
+        assert sum(looked_at) <= 2 * 1000  # a scan looks at 64 per start
         assert log.evicted_unfinished == 1000
         assert sum(looked_at) <= 2 * 1000  # a scan looks at 64 per start
         # Oldest first, none dropped: the ring's tail is the last 64
@@ -273,6 +287,24 @@ class TestEviction:
         assert [span.tid for span in log.open_spans()] == list(
             range(1000, 1064)
         )
+
+    def test_eviction_of_the_transactions_own_last_span(self):
+        """The span evicted to make room may be the last open one of
+        the transaction starting the new span: the new span still
+        lands in the open table, and the count stays true."""
+        telemetry = make_telemetry(capacity=1)
+        granted(telemetry, 1, "R1")
+        log = granted(telemetry, 1, "R2")
+        assert [(s.tid, s.rid) for s in log.open_spans()] == [(1, "R2")]
+        assert log.open_count == 1
+        assert log.evicted_unfinished == 1
+        log = granted(telemetry, 2, "R3")  # the next eviction finds R2
+        assert [(s.tid, s.rid) for s in log.open_spans()] == [(2, "R3")]
+        assert log.open_count == 1
+        assert log.evicted_unfinished == 2
+        # The ring (capacity 1 too) keeps the latest flushed span.
+        (flushed,) = log.completed_spans()
+        assert (flushed.tid, flushed.rid, flushed.unfinished) == (1, "R2", True)
 
     def test_eviction_is_oldest_first_across_transactions(self):
         telemetry = make_telemetry(capacity=3)

@@ -220,6 +220,7 @@ def measure() -> Dict[str, object]:
         lambda tid, rid: core.lock_step(session, tid, rid, S),
         lambda tid: core.finish_step(session, tid, False),
     )
+    core.pump()  # folds the wrap's telemetry, as the server's pump does
     core.begin_step(session, 9)
 
     def hold_through_service(count: int):
