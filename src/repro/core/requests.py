@@ -21,7 +21,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import LockTableError
 from .modes import (
-    COMPAT_ROWS,
     CONFLICT_MASKS,
     MODE_COUNT,
     SUP_OF_MASK,
@@ -97,9 +96,9 @@ class ResourceState:
       and keyed by ``(total, len(queue))``, so it survives unrelated
       mutations and self-invalidates on grants and repositionings.
 
-    The ``queue`` list exists from the first waiter in to the last out;
-    until then ``queue`` reads ``()`` (surgery: assign, or
-    :meth:`enqueue`).
+    ``queue`` is the FIFO queue, front first: a list from the first
+    waiter in to the last out, ``()`` while nobody waits (surgery:
+    assign, or :meth:`enqueue`).
 
     Mutation must go through the mutator methods (``add_holder``,
     ``set_holder_modes``, ``enqueue`` …).  Code that performs direct
@@ -111,7 +110,7 @@ class ResourceState:
     """
 
     __slots__ = (
-        "rid", "holders", "_queue", "total", "_granted_mask",
+        "rid", "holders", "queue", "total", "_granted_mask",
         "_blocked_mask", "_granted_counts", "_blocked_counts", "_av_cache",
     )
 
@@ -124,7 +123,7 @@ class ResourceState:
     ) -> None:
         self.rid = rid
         self.holders = holders if holders is not None else []
-        self._queue = queue or None
+        self.queue: Sequence[QueueEntry] = queue or ()
         # Left exactly as passed (tests build deliberately inconsistent
         # totals to exercise the verifier).
         self.total = total
@@ -133,15 +132,6 @@ class ResourceState:
         self._av_cache: Optional[Tuple[LockMode, int, int]] = None
         if holders:
             self._resync_summaries()
-
-    @property
-    def queue(self) -> Sequence[QueueEntry]:
-        """The FIFO queue, front first (``()`` while nobody waits)."""
-        return self._queue or ()
-
-    @queue.setter
-    def queue(self, entries: List[QueueEntry]) -> None:
-        self._queue = entries or None
 
     # -- cached summaries -------------------------------------------------
 
@@ -197,16 +187,11 @@ class ResourceState:
             others &= ~(1 << holder.granted)
         return not (CONFLICT_MASKS[wanted] & others)
 
-    def admits(self, mode: LockMode) -> bool:
-        """True when a *new* requestor of ``mode`` is grantable at once:
-        nobody queues and ``mode`` is compatible with the total mode."""
-        return not self._queue and COMPAT_ROWS[self.total][mode]
-
     def av_prefix_length(self) -> int:
         """Length of the leading queue run compatible with the total
         mode (TDR-2's AV prefix), memoized until the total mode or the
         queue length changes; repositionings invalidate explicitly."""
-        queue = self._queue or ()
+        queue = self.queue
         cache = self._av_cache
         if (
             cache is not None
@@ -248,14 +233,14 @@ class ResourceState:
 
     def queue_entry(self, tid: int) -> Optional[QueueEntry]:
         """The queue entry of ``tid``, or ``None`` if not queued."""
-        for entry in self._queue or ():
+        for entry in self.queue:
             if entry.tid == tid:
                 return entry
         return None
 
     def queue_position(self, tid: int) -> int:
         """Index of ``tid`` in the queue, or -1."""
-        for index, entry in enumerate(self._queue or ()):
+        for index, entry in enumerate(self.queue):
             if entry.tid == tid:
                 return index
         return -1
@@ -275,13 +260,13 @@ class ResourceState:
         """All transactions blocked at this resource (conversions first,
         then queue, each in list order)."""
         tids = [entry.tid for entry in self.blocked_holders()]
-        tids.extend(entry.tid for entry in self._queue or ())
+        tids.extend(entry.tid for entry in self.queue)
         return tids
 
     @property
     def is_free(self) -> bool:
         """True when no holder and no waiter remains."""
-        return not self.holders and not self._queue
+        return not self.holders and not self.queue
 
     # -- mutation helpers (summary maintenance) --------------------------
 
@@ -366,20 +351,18 @@ class ResourceState:
 
     def enqueue(self, entry: QueueEntry) -> None:
         """Append ``entry`` to the FIFO queue."""
-        if self._queue is None:
-            self._queue = [entry]
+        if self.queue:
+            self.queue.append(entry)
         else:
-            self._queue.append(entry)
+            self.queue = [entry]
         self._av_cache = None
 
-    def popleft_queue(self) -> QueueEntry:
-        """Remove and return the queue's front entry (grant path)."""
-        return self._dequeue(0)
-
-    def _dequeue(self, position: int) -> QueueEntry:
-        entry = self._queue.pop(position)
-        if not self._queue:
-            self._queue = None  # last waiter out
+    def dequeue(self, position: int = 0) -> QueueEntry:
+        """Remove and return the queue entry at ``position`` (default:
+        the front, the grant path)."""
+        entry = self.queue.pop(position)
+        if not self.queue:
+            self.queue = ()  # last waiter out
         self._av_cache = None
         return entry
 
@@ -387,7 +370,7 @@ class ResourceState:
         """Replace the queue with a reordering of itself (TDR-2's
         repositioning) and drop the AV-prefix memo — same length and
         total, so the keyed cache cannot see the change on its own."""
-        self._queue = list(entries) or None
+        self.queue = list(entries) or ()
         self._av_cache = None
 
     def remove_from_queue(self, tid: int) -> QueueEntry:
@@ -400,7 +383,7 @@ class ResourceState:
             raise LockTableError(
                 "transaction {} is not queued at {}".format(tid, self.rid)
             )
-        return self._dequeue(position)
+        return self.dequeue(position)
 
     # -- presentation ----------------------------------------------------
 
@@ -415,7 +398,7 @@ class ResourceState:
 
     def __str__(self) -> str:
         holders = " ".join(str(entry) for entry in self.holders)
-        queue = " ".join(str(entry) for entry in self._queue or ())
+        queue = " ".join(str(entry) for entry in self.queue)
         return "{}({}): Holder({}) Queue({})".format(
             self.rid, self.total.name, holders, queue
         )

@@ -25,7 +25,6 @@ from .scheduler import (
     RequestOutcome,
     conversion_grantable,
     release_all,
-    remove_holder,
     remove_waiter,
     reposition_queue,
     request,
@@ -53,7 +52,6 @@ __all__ = [
     "conversion_grantable",
     "explain_block",
     "release_all",
-    "remove_holder",
     "remove_waiter",
     "render_report",
     "reposition_queue",

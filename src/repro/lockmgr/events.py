@@ -11,8 +11,7 @@ is reported as an event.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from ..core.modes import LockMode
 
@@ -38,8 +37,23 @@ class EventLog(deque):
         return sum(self.counts)
 
 
-@dataclass(frozen=True, slots=True)
-class Granted:
+def _same(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _event(cls):
+    """Give a tuple-backed event value semantics of its own type: equal
+    only to the same event type with equal fields (never to a bare
+    tuple or another type's same fields), hashed to match.  The ring
+    and every listener share these objects, so they stay immutable."""
+    cls.__eq__ = _same
+    cls.__ne__ = lambda self, other: not _same(self, other)
+    cls.__hash__ = lambda self: hash((cls, tuple.__hash__(self)))
+    return cls
+
+
+@_event
+class Granted(NamedTuple):
     """A previously blocked request of ``tid`` on ``rid`` was granted.
 
     ``mode`` is the mode now held (for conversions, the converted target
@@ -54,8 +68,8 @@ class Granted:
     immediate: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Blocked:
+@_event
+class Blocked(NamedTuple):
     """The request of ``tid`` on ``rid`` could not be granted.
 
     ``conversion`` tells whether the transaction waits inside the holder
@@ -75,16 +89,16 @@ class Blocked:
 RequestOutcome = Union[Granted, Blocked]
 
 
-@dataclass(frozen=True, slots=True)
-class Aborted:
+@_event
+class Aborted(NamedTuple):
     """``tid`` was aborted, e.g. as a deadlock victim."""
 
     tid: int
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class Repositioned:
+@_event
+class Repositioned(NamedTuple):
     """TDR-2 reordered the queue of ``rid`` (deadlock resolved without
     aborting anyone).  ``delayed`` lists the transactions in ST whose
     requests were moved behind the AV prefix."""

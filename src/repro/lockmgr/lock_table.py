@@ -30,7 +30,10 @@ import itertools
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import LockTableError, UnknownResourceError
+from ..core.modes import LockMode
 from ..core.requests import ResourceState
+
+_NL = LockMode.NL
 
 
 class FirstLockSequence:
@@ -223,9 +226,25 @@ class LockTable:
             if not rids:
                 del self._held[tid]
 
-    def forget_holds(self, tid: int) -> List[str]:
-        """Drop ``tid`` from the holder index; returns its rids."""
-        return self._held.pop(tid, ())
+    def drop_sole_holds(self, tid: int) -> List[str]:
+        """Drop ``tid`` from the holder index, and with it every resource
+        ``tid`` held alone, unblocked, with nobody queued (its release
+        grants nothing).  Returns the rids it shares or converts at, in
+        grant order, for the scheduler to remove it from and sweep."""
+        resources, seq, shared = self._resources, self._seq, []
+        for rid in self._held.pop(tid, ()):
+            state = resources[rid]
+            holders = state.holders
+            if (
+                len(holders) == 1
+                and holders[0].blocked is _NL
+                and not state.queue
+            ):
+                del resources[rid]
+                del seq[rid]
+            else:
+                shared.append(rid)
+        return shared
 
     def note_blocked(self, tid: int, rid: str, in_queue: bool) -> None:
         current = self._blocked_at.get(tid)

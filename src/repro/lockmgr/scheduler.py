@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.errors import LockTableError
-from ..core.modes import LockMode, compatible, convert
+from ..core.modes import COMPAT_ROWS, LockMode, compatible, convert
 from ..core.requests import HolderEntry, QueueEntry, ResourceState
 from .events import Blocked, Granted, RequestOutcome
 from .lock_table import LockTable
@@ -57,22 +57,15 @@ def request(
     for holder in state.holders:
         if holder.tid == tid:
             return _request_conversion(table, state, holder, mode)
-    return _request_new(table, state, tid, mode)
-
-
-def _request_new(
-    table: LockTable, state: ResourceState, tid: int, mode: LockMode
-) -> RequestOutcome:
-    """A requestor that holds nothing on the resource yet (FIFO path)."""
-    if state.admits(mode):
-        # Immediate grants append at the end of the holder list.
+    # A new requestor: granted at once when nobody queues and its mode
+    # is compatible with the total mode, appended to the holder list.
+    if not state.queue and COMPAT_ROWS[state.total][mode]:
         state.add_holder(HolderEntry(tid, mode))
-        table.note_holder(tid, state.rid)
-        return Granted(tid, state.rid, mode, True)
-
+        table.note_holder(tid, rid)
+        return Granted(tid, rid, mode, True)
     state.enqueue(QueueEntry(tid, mode))
-    table.note_blocked(tid, state.rid, in_queue=True)
-    return Blocked(tid, state.rid, mode, conversion=False)
+    table.note_blocked(tid, rid, in_queue=True)
+    return Blocked(tid, rid, mode, conversion=False)
 
 
 def _request_conversion(
@@ -190,7 +183,7 @@ def sweep(table: LockTable, rid: str) -> List[Granted]:
         grants.append(Granted(entry.tid, rid, entry.granted))
 
     while state.queue and compatible(state.total, state.queue[0].blocked):
-        waiter = state.popleft_queue()
+        waiter = state.dequeue()
         # Swept grants go just behind the blocked prefix, matching the
         # layouts the paper displays after resolution (Example 4.1's
         # modified R2 and Example 5.1's final R1).
@@ -206,31 +199,6 @@ def sweep(table: LockTable, rid: str) -> List[Granted]:
     return grants
 
 
-def remove_holder(table: LockTable, tid: int, rid: str) -> List[Granted]:
-    """Force a holder out (commit or abort) and run the grant sweep."""
-    table.forget_holder(tid, rid)
-    return _evict(table, tid, rid)
-
-
-def _evict(table: LockTable, tid: int, rid: str) -> List[Granted]:
-    """:func:`remove_holder` behind the holder index.  A sole holder
-    nobody waits behind leaves nothing to sweep: the entry just goes."""
-    state = table.existing(rid)
-    holders = state.holders
-    if (
-        len(holders) == 1
-        and holders[0].tid == tid
-        and holders[0].blocked is LockMode.NL
-        and not state.queue
-    ):
-        table.drop(rid)
-        return []
-    entry = state.remove_holder(tid)
-    if entry.is_blocked:
-        table.forget_blocked(tid)
-    return sweep(table, rid)
-
-
 def remove_waiter(table: LockTable, tid: int, rid: str) -> List[Granted]:
     """Remove a queued request (abort of a waiting transaction).
 
@@ -239,7 +207,11 @@ def remove_waiter(table: LockTable, tid: int, rid: str) -> List[Granted]:
     """
     state = table.existing(rid)
     position = state.queue_position(tid)
-    state.remove_from_queue(tid)
+    if position < 0:
+        raise LockTableError(
+            "transaction {} is not queued at {}".format(tid, rid)
+        )
+    state.dequeue(position)  # at the position found: one queue scan
     table.forget_blocked(tid)
     if position == 0:
         return sweep(table, rid)
@@ -249,13 +221,21 @@ def remove_waiter(table: LockTable, tid: int, rid: str) -> List[Granted]:
 
 def release_all(table: LockTable, tid: int) -> List[Granted]:
     """Remove every trace of ``tid`` (transaction end: commit or abort)
-    and sweep each affected resource.  Returns all grant events."""
+    and sweep each affected resource, in rid order.  Returns all grant
+    events.  A resource ``tid`` held alone with nobody waiting leaves
+    nothing to sweep: the table drops it in the same loop that forgets
+    the holds."""
     grants: List[Granted] = []
     blocked_rid = table.blocked_at(tid)
     if blocked_rid is not None and table.blocked_in_queue(tid):
         grants.extend(remove_waiter(table, tid, blocked_rid))
-    for rid in sorted(table.forget_holds(tid)):
-        grants.extend(_evict(table, tid, rid))
+    shared = table.drop_sole_holds(tid)
+    if len(shared) > 1:
+        shared.sort()
+    for rid in shared:
+        if table.existing(rid).remove_holder(tid).is_blocked:
+            table.forget_blocked(tid)
+        grants.extend(sweep(table, rid))
     return grants
 
 

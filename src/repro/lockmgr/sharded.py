@@ -296,9 +296,6 @@ class ShardedLockCore:
             return shards[0]
         return shards[partition_of(rid, len(shards))]
 
-    def _shards_in(self, mask: int) -> List[LockShard]:
-        return [shard for shard in self.shards if mask >> shard.index & 1]
-
     def _mask(self, tid: int) -> int:
         """Bitmask of the shards that can know ``tid`` (call with the
         transaction-side lock held)."""
@@ -337,10 +334,11 @@ class ShardedLockCore:
         resolution it makes is kept in :attr:`last_detection`."""
         if tid < 1:  # 0 and -1 are the detector walk's sentinels
             raise LockTableError("transaction id {} < 1".format(tid))
-        shard = self.shard_for(rid)
+        shards, count = self.shards, len(self.shards)  # routed inline
+        shard = shards[partition_of(rid, count)] if count > 1 else shards[0]
         with shard.mutex:
             touched = bit = 0
-            if len(self.shards) > 1:
+            if count > 1:
                 bit = 1 << shard.index
                 touched = self._affinity.get(tid, 0)  # only its driver writes
             if tid in self._aborted:
@@ -360,7 +358,11 @@ class ShardedLockCore:
                 with self._txn_lock:
                     self._affinity[tid] = touched | bit
             shard.epoch += 1
-            self._publish(shard, outcome)
+            log = self.log  # as _publish logs, for the one event
+            log.counts[shard.index] += 1
+            log.append(outcome)
+            if self.listener is not None:
+                self.listener(outcome)
             self.last_detection = None
             if not outcome.granted:
                 if bit:
@@ -386,7 +388,9 @@ class ShardedLockCore:
         in ``mask``, publishing each shard's grants under its mutex."""
         grants: List[Granted] = []
         waits = self._waits
-        for shard in self._shards_in(mask):
+        for shard in self.shards:
+            if not mask >> shard.index & 1:
+                continue
             with shard.mutex:
                 freed = scheduler.release_all(shard.table, tid)
                 shard.epoch += 1
@@ -598,7 +602,9 @@ class ShardedLockCore:
         with self._txn_lock:
             mask = self._mask(tid)
         held: Dict[str, LockMode] = {}
-        for shard in self._shards_in(mask):
+        for shard in self.shards:
+            if not mask >> shard.index & 1:
+                continue
             with shard.mutex:
                 for rid in shard.table.held_by(tid):
                     entry = shard.table.existing(rid).holder_entry(tid)

@@ -187,7 +187,7 @@ class TestOnDemandSummaries:
         assert (state._granted_counts is None) == (
             state._blocked_counts is None
         )
-        return state._granted_counts is not None, state._queue is not None
+        return state._granted_counts is not None, isinstance(state.queue, list)
 
     def test_one_two_one_holders_of_one_mode(self):
         table = LockTable()
@@ -226,7 +226,8 @@ class TestOnDemandSummaries:
         assert not self.step(table, scheduler.request, 4, "R", self.X).granted
         self.step(table, scheduler.release_all, 4)  # front waiter aborts
         assert self.shape(state) == (False, False)
-        assert state.admits(self.S) and not state.admits(self.X)
+        assert not state.queue and compatible(state.total, self.S)
+        assert not compatible(state.total, self.X)
 
     def test_conversion_blocked_then_granted(self):
         table = LockTable()

@@ -9,7 +9,8 @@ created series and codecs are out of the way:
   ``finish_step`` + ``pump`` over eight sole-holder locks, telemetry on
   and off, with ``ShardedLockCore.lock``/``finish`` and bare
   ``scheduler.request``/``release_all`` beside them, and on
-  ``shards=4`` a blocking request on a transaction's second shard and
+  ``shards=4`` a granted request (one ``detect_ballast`` ballast
+  reader), a blocking request on a transaction's second shard and
   ``is_blocked`` (both read the core's wait index);
 * **objects** — gc-tracked objects retained per held lock (a transaction
   of :data:`HELD` S locks on fresh resources, counted by
@@ -56,19 +57,28 @@ READERS = 16384
 CEILINGS = {
     # 27 and 58 (Python 3.11) while every lock event ran a chain of
     # Python calls into its span; now it is appended at C cost and
-    # folded once per step.
-    "lock_step+pump py (telemetry on)": 17,
-    "lock_step+pump py (telemetry off)": 22,
-    "ShardedLockCore.lock py": 13,
-    # Read off the wait index: 18 and 7 while they scanned the shards.
-    "ShardedLockCore.lock py (shards=4, second shard)": 14,
+    # folded once per step.  17 / 16 and 51 / 49 while a grant went
+    # through ``_request_new``/``admits``/``_publish`` and a release
+    # evicted each sole holder through ``_evict``/``existing``/``drop``.
+    "lock_step+pump py (telemetry on)": 13,
+    "lock_step+pump py (telemetry off)": 12,
+    "finish_step+pump x8 py (telemetry on)": 17,
+    "finish_step+pump x8 py (telemetry off)": 15,
+    # 13 / 14 / 10 and 43 / 36 before the same change.
+    "ShardedLockCore.lock py": 9,
+    "ShardedLockCore.lock py (shards=4)": 10,
+    "scheduler.request py": 8,
+    "ShardedLockCore.finish x8 py": 9,
+    "scheduler.release_all x8 py": 4,
+    # Read off the wait index: 18 and 7 while they scanned the shards
+    # (then 14 for the lock, before the flat request path).
+    "ShardedLockCore.lock py (shards=4, second shard)": 10,
     "ShardedLockCore.is_blocked py (shards=4)": 3,
-    "scheduler.request py": 10,
-    "finish_step+pump x8 py (telemetry on)": 51,
-    # Measured 997 / 654 / 2518 (Python 3.11), plus 5%.
-    "detect planted round py (shards=4)": 1046,
-    "detect planted round py (shards=1)": 687,
-    "detect planted round py (LocalCluster(2))": 2643,
+    # Measured 861 / 554 / 2355 (Python 3.11), plus 5%; 997 / 654 /
+    # 2517 while the queue was a property read.
+    "detect planted round py (shards=4)": 904,
+    "detect planted round py (shards=1)": 582,
+    "detect planted round py (LocalCluster(2))": 2473,
     # Reads 4.0098 (Python 3.11): the core's 3, the open span, and a
     # few objects over the 512 locks that are no lock's own.
     "objects per held lock (ServiceCore, telemetry on)": 4.05,
@@ -179,6 +189,15 @@ def measure() -> Dict[str, object]:
     python, c = count_calls(lambda: manager.finish(7))
     figures["ShardedLockCore.finish x8 py"] = python
     figures["ShardedLockCore.finish x8 C"] = c
+
+    # A ballast reader: a granted S lock on a fresh resource of a
+    # ``shards=4`` core, as ``detect_ballast`` loads 16384 of them.
+    readers = ShardedLockCore(shards=4, policy="periodic")
+    for k in range(8):
+        readers.lock(k + 1, "b{}".format(k), S)
+    python, c = count_calls(lambda: readers.lock(9, "b8", S))
+    figures["ShardedLockCore.lock py (shards=4)"] = python
+    figures["ShardedLockCore.lock C (shards=4)"] = c
 
     # The closing request of a planted two-cycle across shards: T1 holds
     # ``a``, T2 holds ``b`` and waits at ``a``; T1 asks for ``b``, a
