@@ -35,7 +35,7 @@ _EXPORTS = {
     "ParkedWait": "core",
     "ProtocolError": "protocol",
     "RecoveryReport": "journal",
-    "RemoteDetectionResult": "protocol",
+    "RemoteDetectionResult": "client",
     "RemoteLockManager": "client",
     "ServiceCore": "core",
     "ServiceError": "protocol",

@@ -19,20 +19,52 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import TransactionAborted
-from ..core.modes import LockMode, parse_mode
+from ..core.modes import MODE_NAMES, LockMode, parse_mode
 from .protocol import (
     MAX_FRAME,
     WIRE_VERSION,
-    ProtocolError,
-    RemoteDetectionResult,
     ServiceError,
-    raise_for_error,
+    event_from_dict,
+    reply_error,
     request,
 )
 from .wire import WIRE_BINARY, WIRE_JSON, FrameBuffer, codec_for, resolve_wire
+
+
+class RemoteDetectionResult:
+    """Client-side view of one detection pass, mirroring the attribute
+    surface of :class:`~repro.core.detection.DetectionResult` that
+    applications use (``deadlock_found``, ``abort_free``, ``aborted``,
+    ``spared``, ``grants``, ``repositions``, ``resolutions``)."""
+
+    def __init__(self, data: Dict[str, Any]) -> None:
+        self.deadlock_found: bool = bool(data.get("deadlock_found"))
+        self.abort_free: bool = bool(data.get("abort_free"))
+        self.aborted: List[int] = [int(t) for t in data.get("aborted", ())]
+        self.spared: List[int] = [int(t) for t in data.get("spared", ())]
+        self.grants = [
+            event_from_dict(event) for event in data.get("grants", ())
+        ]
+        self.repositions = [
+            event_from_dict(event) for event in data.get("repositions", ())
+        ]
+        self.resolutions: List[Dict[str, Any]] = list(
+            data.get("resolutions", ())
+        )
+        self.stats: Dict[str, int] = dict(data.get("stats", {}))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
+        return (
+            "RemoteDetectionResult(deadlock_found={}, aborted={}, "
+            "repositions={})".format(
+                self.deadlock_found,
+                self.aborted,
+                [event.rid for event in self.repositions],
+            )
+        )
 
 
 class AsyncLockClient(asyncio.Protocol):
@@ -219,34 +251,36 @@ class AsyncLockClient(asyncio.Protocol):
         self._lost = self._loop.create_future()
 
     def data_received(self, data: bytes) -> None:
+        frames, refused = self._frames.feed(data)
         pending = self._pending
-        try:
-            for frame, _, _ in self._frames.feed(data):
-                if "epoch" in frame:
-                    self.last_epoch = int(frame["epoch"])
-                if "wire" in frame and frame.get("ok"):
-                    # The handshake reply granting a codec switch: take
-                    # it *here*, before parsing the next frame and
-                    # before the handshake waiter can send under it.
-                    granted = frame.get("wire")
-                    if granted == WIRE_BINARY:
-                        self._frames.codec = codec_for(granted)
-                        self.wire = granted
-                future = pending.pop(frame.get("id"), None)
-                if future is not None:
-                    if not future.done():
+        for frame in frames:
+            if "epoch" in frame:
+                self.last_epoch = int(frame["epoch"])
+            if "wire" in frame and frame.get("ok"):
+                # The handshake reply granting a codec switch: take it
+                # *here*, before the handshake waiter can send under it.
+                granted = frame.get("wire")
+                if granted == WIRE_BINARY:
+                    self._frames.codec = codec_for(granted)
+                    self.wire = granted
+            future = pending.pop(frame.get("id"), None)
+            if future is not None:
+                if not future.done():
+                    if frame.get("ok"):
                         future.set_result(frame)
-                elif frame.get("ok") is False and frame.get("id") is None:
-                    # A connection-level refusal (frame-too-large,
-                    # protocol error): no request id to route it to, so
-                    # every in-flight call gets the answer — the server
-                    # closes the connection right after.
-                    for future in pending.values():
-                        if not future.done():
-                            future.set_result(frame)
-                    pending.clear()
-        except ProtocolError as exc:
-            self._fail_pending(exc)
+                    else:
+                        future.set_exception(reply_error(frame))
+            elif frame.get("ok") is False and frame.get("id") is None:
+                # A connection-level refusal (frame-too-large, protocol
+                # error): no request id to route it to, so every
+                # in-flight call gets the answer — the server closes
+                # the connection right after.
+                for future in pending.values():
+                    if not future.done():
+                        future.set_exception(reply_error(frame))
+                pending.clear()
+        if refused is not None:
+            self._fail_pending(refused)
             self._transport.abort()
 
     def connection_lost(self, exc) -> None:
@@ -284,35 +318,39 @@ class AsyncLockClient(asyncio.Protocol):
         if self._transport is not None:
             self._transport.write(b"".join(outbox))
 
-    async def _call(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """One request (``frame``: a :func:`~repro.service.protocol.
-        request` body, its ``id`` assigned here) and its reply, or raise."""
+    def _call(self, frame: Dict[str, Any]) -> "Awaitable[Dict[str, Any]]":
+        """Send one request (``frame``: a :func:`~repro.service.protocol.
+        request` body, its ``id`` assigned here): returns what to await
+        for its reply — the reply, or the :class:`ServiceError` it
+        carries, raised."""
         if self._closed and frame["op"] != "goodbye":
             raise ConnectionError("client is closed")
-        # The writable gate: while the server is not draining what was
-        # already written, callers queue here, not in the buffer.
-        while self._writable is not None:
-            await self._writable
+        if self._writable is not None:
+            return self._call_when_writable(frame)
         if self._conn_error is not None:
             raise ConnectionError(
                 "connection lost: {}".format(self._conn_error)
             )
         request_id = frame["id"] = self._next_id
         self._next_id = request_id + 1
-        data = self._frames.codec.encode(frame, None, self._frames.max_frame)
+        frames = self._frames
+        data = frames.codec.encode(frame, None, frames.max_frame)
         future = self._pending[request_id] = self._loop.create_future()
         # Every request issued in this loop turn — one per transaction
         # that was woken by the last segment — leaves in one write.
         if not self._outbox:
             self._loop.call_soon(self._flush)
         self._outbox.append(data)
-        try:
-            response = await future
-        finally:
-            self._pending.pop(request_id, None)
-        if response.get("ok"):
-            return response
-        return raise_for_error(response)
+        return future
+
+    async def _call_when_writable(
+        self, frame: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """The writable gate: while the server is not draining what was
+        already written, callers queue here, not in the buffer."""
+        while self._writable is not None:
+            await self._writable
+        return await self._call(frame)
 
     # -- the locking surface ---------------------------------------------------
 
@@ -340,7 +378,9 @@ class AsyncLockClient(asyncio.Protocol):
         :class:`TransactionAborted` when a detection pass chose ``tid``
         as victim.
         """
-        mode_name = mode.name if isinstance(mode, LockMode) else str(mode)
+        mode_name = (
+            MODE_NAMES[mode] if isinstance(mode, LockMode) else str(mode)
+        )
         # request("lock", ...) spelled out: eight of a transaction's ten
         # frames are this one, built once and sent as it is.
         frame: Dict[str, Any] = {

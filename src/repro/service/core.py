@@ -87,10 +87,6 @@ class Session:
         #: the lease has drifted past half its length (throttling).
         self.journaled_expiry = self.deadline
 
-    def touch(self, now: float) -> None:
-        """Renew the lease (any received frame counts as a heartbeat)."""
-        self.deadline = now + self.lease
-
     def expired(self, now: float) -> bool:
         return now > self.deadline
 
@@ -296,7 +292,7 @@ class ServiceCore:
         """Renew a session's lease on both clocks; journals a ``renew``
         only once the durable expiry lags by more than half a lease, so
         heartbeats cost one record per half-lease, not one per frame."""
-        session.touch(self.clock())
+        session.deadline = self.clock() + session.lease
         session.wall_deadline = self.wall() + session.lease
         if session.wall_deadline - session.journaled_expiry > session.lease / 2:
             self._journal_append(
@@ -423,7 +419,7 @@ class ServiceCore:
             self._next_tid += 1
         fresh = tid not in self.owners
         self.claim(tid, session)
-        if fresh:
+        if fresh and self.journal is not None:
             self._journal_op(session, "begin", tid)
         return tid
 
@@ -536,7 +532,8 @@ class ServiceCore:
             parked.resolve("aborted")
         self.telemetry.finish(tid, aborted=aborting)
         grants = self.manager.finish(tid)
-        self._journal_op(session, "finish", tid, aborting)
+        if self.journal is not None:
+            self._journal_op(session, "finish", tid, aborting)
         self.release_claim(tid)
         if aborting:
             self.stats.aborts += 1

@@ -95,8 +95,8 @@ def test_a_lock_or_finish_ratchet_is_never_raised():
     pinned = {
         "lock_step+pump py (telemetry on)": 13,
         "lock_step+pump py (telemetry off)": 12,
-        "finish_step+pump x8 py (telemetry on)": 17,
-        "finish_step+pump x8 py (telemetry off)": 15,
+        "finish_step+pump x8 py (telemetry on)": 16,
+        "finish_step+pump x8 py (telemetry off)": 14,
         "ShardedLockCore.lock py": 9,
         "ShardedLockCore.lock py (shards=4)": 10,
         "scheduler.request py": 8,
@@ -109,6 +109,19 @@ def test_a_lock_or_finish_ratchet_is_never_raised():
         if ceilings[name] > bound
     }
     assert raised == {}, pinned
+
+
+def test_a_frame_ratchet_is_never_raised():
+    """A granted ``lock`` frame costs its core step, one split and one
+    encode on each end: the server's frame through ``data_received``
+    and the settle, and the client's ``acquire`` from its call through
+    its reply, stay well under the 51 / 24 calls of a frame split
+    through four functions, served through ``_on_frame`` -> ``_dispatch``
+    -> a handler and answered through ``ok()`` and a codec wrapper, and
+    of a client awaiting a request coroutine."""
+    ceilings = load_tool("lock_path_cost").CEILINGS
+    assert ceilings["server lock frame py"] <= 30
+    assert ceilings["client acquire round trip py"] <= 16
 
 
 def test_the_multi_shard_wait_lookups_are_never_raised():

@@ -6,7 +6,7 @@ Two properties pin them down:
 
 * **Chunking never matters.**  However a concatenation of valid frames
   is cut into segments — byte by byte, mid-header, mid-payload — the
-  same frames come out, in order, with their exact wire sizes.
+  same frames come out, in order, each with the byte that completes it.
 * **A peer's bytes can only be refused, never crash the loop.**
   Truncation, a bad magic or version, an oversized length prefix and
   arbitrary bytes yield ``ProtocolError``/``FrameTooLarge`` and no other
@@ -67,12 +67,20 @@ def cut(data: bytes, points):
     ]
 
 
+def split(frames: FrameBuffer, segment):
+    """One feed: the frames it completed; a refused frame raises."""
+    decoded, refused = frames.feed(segment)
+    if refused is not None:
+        raise refused
+    return decoded
+
+
 def drain(frames: FrameBuffer, segments, max_frame: int):
     """Feed every segment; returns the frames decoded.  After each
     feed the buffer holds at most one incomplete frame."""
     decoded = []
     for segment in segments:
-        decoded.extend(frames.feed(segment))
+        decoded.extend(split(frames, segment))
         assert len(frames) < HEADER + max_frame
     return decoded
 
@@ -91,8 +99,8 @@ class TestChunkingNeverMatters:
         ]
         frames = FrameBuffer(1 << 20, codec)
         decoded = drain(frames, cut(b"".join(encoded), points), 1 << 20)
-        assert [m for m, _, _ in decoded] == [m for _, m in batch]
-        assert [size for _, size, _ in decoded] == [len(f) for f in encoded]
+        assert decoded == [m for _, m in batch]
+        assert frames.count == len(batch)
         frames.eof()  # nothing left over
 
     @relaxed
@@ -101,10 +109,9 @@ class TestChunkingNeverMatters:
         reply_to, message = pair
         frame = codec.encode(message, reply_to, 1 << 20)
         frames = FrameBuffer(1 << 20, codec)
-        decoded = drain(
-            frames, [frame[i:i + 1] for i in range(len(frame))], 1 << 20
-        )
-        assert [m for m, _, _ in decoded] == [message]
+        arrived = [split(frames, frame[i:i + 1]) for i in range(len(frame))]
+        # The frame comes out with its last byte, not one byte sooner.
+        assert arrived[-1] == [message] and not any(arrived[:-1])
 
     @relaxed
     @given(messages, st.data())
@@ -113,7 +120,7 @@ class TestChunkingNeverMatters:
         frame = codec.encode(message, reply_to, 1 << 20)
         keep = data.draw(st.integers(min_value=1, max_value=len(frame) - 1))
         frames = FrameBuffer(1 << 20, codec)
-        assert list(frames.feed(frame[:keep])) == []
+        assert split(frames, frame[:keep]) == []
         with pytest.raises(ProtocolError):
             frames.eof()
 
@@ -163,10 +170,10 @@ class TestOnlyProtocolErrorsEscape:
             )
         frames = FrameBuffer(256, codec)
         # One byte short of the announcement: still waiting ...
-        assert list(frames.feed(header[:-1])) == []
+        assert split(frames, header[:-1]) == []
         # ... and refused the moment it is readable, payload unseen.
         with pytest.raises(FrameTooLarge):
-            list(frames.feed(header[-1:]))
+            split(frames, header[-1:])
 
 
 class TestBinaryHeaderChecks:
@@ -175,11 +182,11 @@ class TestBinaryHeaderChecks:
 
     def test_bad_magic(self):
         with pytest.raises(ProtocolError, match="magic"):
-            list(FrameBuffer(codec=BINARY_CODEC).feed(self.header(b"XX")))
+            split(FrameBuffer(codec=BINARY_CODEC), self.header(b"XX"))
 
     def test_bad_version(self):
         with pytest.raises(ProtocolError, match="version"):
-            list(FrameBuffer(codec=BINARY_CODEC).feed(self.header(version=9)))
+            split(FrameBuffer(codec=BINARY_CODEC), self.header(version=9))
 
     def test_deep_nesting_is_refused_not_a_recursion_error(self):
         payload = b"\x91" * 5000  # [[[[ ... 5000 deep
@@ -187,10 +194,10 @@ class TestBinaryHeaderChecks:
             ">2sBBBBII", MAGIC, WIRE_BINARY, 0x04, 0, 0, 0, len(payload)
         ) + payload
         with pytest.raises(ProtocolError):
-            list(FrameBuffer(codec=BINARY_CODEC).feed(frame))
+            split(FrameBuffer(codec=BINARY_CODEC), frame)
 
     def test_json_deep_nesting_is_refused_too(self):
         payload = b"[" * 100000
         frame = struct.pack(">I", len(payload)) + payload
         with pytest.raises(ProtocolError):
-            list(FrameBuffer().feed(frame))
+            split(FrameBuffer(), frame)

@@ -22,7 +22,9 @@ def frames_in(data, codec=JSON_CODEC, max_frame=MAX_FRAME, eof=False):
     """Every message the splitter finds in ``data``; with ``eof`` the
     peer then closes (a torn frame raises ProtocolError)."""
     frames = FrameBuffer(max_frame, codec)
-    decoded = [message for message, _, _ in frames.feed(data)]
+    decoded, refused = frames.feed(data)
+    if refused is not None:
+        raise refused
     if eof:
         frames.eof()
     return decoded
@@ -50,9 +52,10 @@ class RawConnection:
             if not data:
                 self.frames.eof()
                 return None
-            self._decoded.extend(
-                message for message, _, _ in self.frames.feed(data)
-            )
+            decoded, refused = self.frames.feed(data)
+            self._decoded.extend(decoded)
+            if refused is not None and not self._decoded:
+                raise refused
         return self._decoded.popleft()
 
     def close(self) -> None:

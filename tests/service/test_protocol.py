@@ -10,20 +10,19 @@ from repro.lockmgr.events import Aborted, Blocked, Granted, Repositioned
 from repro.service.protocol import (
     MAX_FRAME,
     ProtocolError,
-    RemoteDetectionResult,
     ServiceError,
     WIRE_VERSION,
-    check_wire_version,
     decode_payload,
     encode_frame,
     error,
     event_from_dict,
     event_to_dict,
     ok,
-    raise_for_error,
+    reply_error,
     request,
     split_frame,
 )
+from repro.service.client import RemoteDetectionResult
 from repro.service.wire import FrameBuffer
 
 from .raw import frames_in
@@ -116,17 +115,20 @@ class TestFrameSizeGuard:
         message, end = split_frame(b"junk" + frame, 4)
         assert message["op"] == "heartbeat"
         assert end == 4 + len(frame)
-        ((message, size, _seconds),) = FrameBuffer().feed(frame)
-        assert message["op"] == "heartbeat"
-        assert size == len(frame)
+        frames = FrameBuffer()
+        ((message,), refused) = frames.feed(frame)
+        assert message["op"] == "heartbeat" and refused is None
+        assert len(frames) == 0 and frames.count == 1
 
 
 class TestVersioning:
     def test_current_version_accepted(self):
-        check_wire_version({"v": WIRE_VERSION})
+        message = {"v": WIRE_VERSION, "op": "hello"}
+        assert decode_payload(json.dumps(message).encode()) == message
 
     def test_missing_version_defaults_to_current(self):
-        check_wire_version({"op": "hello"})
+        message = {"op": "hello"}
+        assert decode_payload(json.dumps(message).encode()) == message
 
     @pytest.mark.parametrize("version", [0, 2, 99, "1", None])
     def test_unknown_version_rejected(self, version):
@@ -142,19 +144,16 @@ class TestVersioning:
 
 
 class TestResponses:
-    def test_raise_for_error_passes_success(self):
-        response = ok(4, status="granted")
-        assert raise_for_error(response) is response
-
-    def test_raise_for_error_raises_with_code(self):
-        with pytest.raises(ServiceError, match="not-owner") as excinfo:
-            raise_for_error(error(4, "not-owner", "T1 is taken"))
-        assert excinfo.value.code == "not-owner"
-        assert excinfo.value.message == "T1 is taken"
+    def test_reply_error_carries_the_code(self):
+        exc = reply_error(error(4, "not-owner", "T1 is taken"))
+        assert isinstance(exc, ServiceError)
+        assert exc.code == "not-owner"
+        assert exc.message == "T1 is taken"
+        assert str(exc) == "not-owner: T1 is taken"
 
     def test_error_without_detail(self):
-        with pytest.raises(ServiceError, match="unspecified"):
-            raise_for_error({"v": 1, "id": 1, "ok": False})
+        exc = reply_error({"v": 1, "id": 1, "ok": False})
+        assert (exc.code, exc.message) == ("error", "unspecified server error")
 
 
 class TestEventPayloads:

@@ -251,7 +251,10 @@ class TestNoReplyBeforeItsFlush:
             del events[:]
             client = pipe.client
             lock = asyncio.ensure_future(client.acquire(1, "R", "X"))
-            bye = asyncio.ensure_future(client._call(request(None, "goodbye")))
+            async def goodbye():  # sent after the lock, in its turn
+                return await client._call(request(None, "goodbye"))
+
+            bye = asyncio.ensure_future(goodbye())
             sent = await pipe.to_server()
             assert len(sent) == 1  # lock + goodbye, one segment
             # lock record and the session's close record, one flush
@@ -456,13 +459,12 @@ class TestClientCallCost:
                 ])
             )]
             assert client._pending == {}
-            # A suspended call is two frames deep: the public method and
-            # the one request coroutine, which awaits the reply future.
+            # A suspended call is one frame deep: the public method
+            # awaits the reply future itself (two while a request
+            # coroutine sat between them).
             call = asyncio.ensure_future(client.holding(7))
             await asyncio.sleep(0)
-            inner = call.get_coro().cr_await
-            assert asyncio.iscoroutine(inner)
-            assert not asyncio.iscoroutine(inner.cr_await)
+            assert not asyncio.iscoroutine(call.get_coro().cr_await)
             await pipe.call()
             assert await call == {}
             pipe.lose()

@@ -33,9 +33,11 @@ tool = load_tool("import_closure")
 #: the client-minted trace context left the request path; 42 / 11 992
 #: once ``ServiceStats`` became the only flat counter block; 42 / 11 989
 #: once telemetry folded a recorded stream instead of a listener chain;
-#: 42 / 11 981 once the request and release path went flat).
+#: 42 / 11 981 once the request and release path went flat; 42 /
+#: 11 973 once a frame's path went flat and the client-only
+#: ``RemoteDetectionResult`` left ``protocol`` for ``client``).
 SERVE_MODULES_MAX = 42
-SERVE_LINES_MAX = 11981
+SERVE_LINES_MAX = 11973
 #: Peak resident set of a real server at its first reply (26.1 MB when
 #: written, 39.3 at the parent).
 FIRST_REPLY_HWM_MB_MAX = 30.0

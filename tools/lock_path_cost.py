@@ -11,7 +11,10 @@ created series and codecs are out of the way:
   ``scheduler.request``/``release_all`` beside them, and on
   ``shards=4`` a granted request (one ``detect_ballast`` ballast
   reader), a blocking request on a transaction's second shard and
-  ``is_blocked`` (both read the core's wait index);
+  ``is_blocked`` (both read the core's wait index), and the network
+  shell around the step on a JSON connection (:func:`shell_calls`):
+  one granted ``lock`` frame through the server and one client
+  ``acquire`` round trip;
 * **objects** — gc-tracked objects retained per held lock (a transaction
   of :data:`HELD` S locks on fresh resources, counted by
   ``gc.get_objects()`` before and after, once the manager's event ring
@@ -62,8 +65,9 @@ CEILINGS = {
     # evicted each sole holder through ``_evict``/``existing``/``drop``.
     "lock_step+pump py (telemetry on)": 13,
     "lock_step+pump py (telemetry off)": 12,
-    "finish_step+pump x8 py (telemetry on)": 17,
-    "finish_step+pump x8 py (telemetry off)": 15,
+    # 17 / 15 while begin and finish called the journal hook unjournaled.
+    "finish_step+pump x8 py (telemetry on)": 16,
+    "finish_step+pump x8 py (telemetry off)": 14,
     # 13 / 14 / 10 and 43 / 36 before the same change.
     "ShardedLockCore.lock py": 9,
     "ShardedLockCore.lock py (shards=4)": 10,
@@ -84,6 +88,12 @@ CEILINGS = {
     "objects per held lock (ServiceCore, telemetry on)": 4.05,
     "objects per held lock (ShardedLockCore)": 3,
     "bytes per ballast reader (shards=4)": 650,
+    # 51 and 24 while a frame went split -> decode -> json_decode ->
+    # version check, _on_frame -> _dispatch -> handler, a reply through
+    # ok() and a codec wrapper, and the client awaited a request
+    # coroutine.
+    "server lock frame py": 30,
+    "client acquire round trip py": 16,
 }
 
 
@@ -276,6 +286,8 @@ def measure() -> Dict[str, object]:
         tracemalloc.stop()
     figures["bytes per ballast reader (shards=4)"] = (after - before) / READERS
 
+    figures.update(shell_calls())
+
     from bench.workloads import planted_round
     from repro.core.modes import parse_mode
 
@@ -294,6 +306,115 @@ def measure() -> Dict[str, object]:
         python, c = count_calls(planted.detect)
         figures["detect planted round py" + label] = python
         figures["detect planted round C" + label] = c
+    return figures
+
+
+class _StubTransport:
+    """A transport whose writes land in a list at C cost."""
+
+    def __init__(self) -> None:
+        self.written: List[bytes] = []
+        self.write = self.written.append
+
+    def take(self) -> bytes:
+        data = b"".join(self.written)
+        del self.written[:]
+        return data
+
+
+def shell_calls() -> Dict[str, object]:
+    """Calls around the core step on both ends of a JSON connection:
+    one granted ``lock`` frame through ``ServerConnection.data_received``
+    and the ``LockServer._settle`` it schedules, and one
+    ``AsyncLockClient.acquire`` from its call through its reply's
+    ``data_received`` — stub transports, no socket, the coroutine driven
+    by hand (its request flushed as the loop would)."""
+    import asyncio
+
+    from repro.service import AsyncLockClient
+    from repro.service.protocol import encode_frame, ok
+    from repro.service.server import LockServer, ServerConnection
+
+    loop = asyncio.new_event_loop()
+    # The default period: every step asks whether the table is saturated.
+    server = LockServer(policy="periodic")
+    server._loop = loop  # what ``start`` installs, minus the listener
+    server.core.clock = server.core.telemetry.clock = loop.time
+    connection, client = ServerConnection(server), AsyncLockClient()
+    to_server, to_client = _StubTransport(), _StubTransport()
+    connection.connection_made(to_server)
+
+    async def attach():
+        client.connection_made(to_client)
+
+    loop.run_until_complete(attach())
+
+    def send(call):
+        waiting = call.send(None)  # parked on its reply future
+        assert not waiting.done()
+        client._flush()
+        return to_client.take()
+
+    def finish(call):
+        try:
+            call.send(None)
+        except StopIteration as done:
+            return done.value
+        raise AssertionError("the call did not complete")
+
+    def round_trip(call):
+        connection.data_received(send(call))
+        server._settle()
+        client.data_received(to_server.take())
+        return finish(call)
+
+    # Warm-up, and the measured frames stay off the 1-in-64 wire sample.
+    round_trip(client._handshake("hello", {}))
+    for tid, locks in ((1, 8), (7, 7)):
+        round_trip(client.begin(tid))
+        for k in range(locks):
+            assert round_trip(client.acquire(tid, "r{}".format(k), "S"))
+        if tid == 1:
+            round_trip(client.commit(tid))
+    figures: Dict[str, object] = {}
+    call = client.acquire(7, "r7", "S")
+    frame = send(call)
+
+    def serve_frame():
+        connection.data_received(frame)
+        server._settle()
+
+    python, c = count_calls(serve_frame)
+    figures["server lock frame py"] = python
+    figures["server lock frame C"] = c
+    client.data_received(to_server.take())
+    assert finish(call)
+
+    reply = encode_frame(dict(
+        ok(
+            client._next_id,
+            status="granted",
+            event={"type": "granted", "tid": 7, "rid": "r8", "mode": "S",
+                   "immediate": True},
+        ),
+        epoch=0,
+    ))
+
+    def acquire():
+        call = client.acquire(7, "r8", "S")
+        call.send(None)
+        client._flush()
+        client.data_received(reply)
+        try:
+            call.send(None)
+        except StopIteration as done:
+            return done.value
+
+    python, c = count_calls(acquire)
+    assert to_client.take()
+    figures["client acquire round trip py"] = python
+    figures["client acquire round trip C"] = c
+    loop.close()
     return figures
 
 
