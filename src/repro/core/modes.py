@@ -30,7 +30,7 @@ new queue requests (see :func:`total_mode` and experiment X5 in DESIGN.md).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 
 class LockMode(enum.IntEnum):
@@ -203,6 +203,9 @@ _MODES_BY_VALUE: Tuple[LockMode, ...] = tuple(sorted(ALL_MODES))
 #: ``MODE_NAMES[mode]`` — the mode's name without the enum descriptor.
 MODE_NAMES: Tuple[str, ...] = tuple(mode.name for mode in _MODES_BY_VALUE)
 
+#: ``MODES_BY_NAME[name]`` — the mode so named (:func:`parse_mode` reads it).
+MODES_BY_NAME: Dict[str, LockMode] = dict(zip(MODE_NAMES, _MODES_BY_VALUE))
+
 #: ``COMPAT_ROWS[held][requested]`` — Table 1, tuple-indexed by value.
 COMPAT_ROWS: Tuple[Tuple[bool, ...], ...] = tuple(
     tuple(COMPATIBILITY[(a, b)] for b in _MODES_BY_VALUE)
@@ -337,7 +340,7 @@ def parse_mode(text: str) -> LockMode:
     Raises ``ValueError`` for unknown names.
     """
     try:
-        return LockMode[text.strip().upper()]
+        return MODES_BY_NAME[text.strip().upper()]
     except KeyError:
         raise ValueError("unknown lock mode: {!r}".format(text)) from None
 

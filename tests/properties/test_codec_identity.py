@@ -1,6 +1,6 @@
 """The held JSON codec objects against the ``json`` module, by search.
 
-``protocol.json_encode`` / ``journal._encode_body`` hold the C encoder
+``protocol.encode_frame`` / ``journal._encode_body`` hold the C encoder
 ``JSONEncoder.encode`` would build per call, and ``protocol.json_decode``
 asks the scanner directly and falls through to ``JSONDecoder.decode``
 for anything that is not exactly one value.  Both must be
@@ -22,8 +22,8 @@ from repro.service import journal
 from repro.service.protocol import (
     ProtocolError,
     decode_payload,
+    encode_frame,
     json_decode,
-    json_encode,
 )
 
 scalars = st.one_of(
@@ -49,6 +49,11 @@ padding = st.sampled_from(["", " ", "\n\t ", "x", " 1", ",", "}", "\x00"])
 
 
 reference_decode = json.JSONDecoder().decode
+
+
+def json_encode(value):
+    """The JSON text of ``value``'s frame: its payload."""
+    return encode_frame(value, None, float("inf"))[4:].decode("ascii")
 
 
 def outcome(call, *args):
