@@ -32,7 +32,7 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import LockTableError, ReproError
-from ..core.modes import MODE_NAMES, LockMode
+from ..core.modes import MODE_NAMES, MODES_BY_NAME, LockMode
 from ..lockmgr.sharded import ShardedLockCore
 from ..obs.incidents import IncidentLog
 from ..obs.instrument import Telemetry
@@ -248,16 +248,16 @@ class ServiceCore:
             self.journal.append(kind, **fields)
             self.stats.journal_records += 1
 
-    def _journal_op(self, session: Session, kind: str, *values) -> None:
-        """Journal one sub-op (``values`` in ``BATCH_FIELDS[kind]``
-        order): a record of its own, or — inside :meth:`batch_step` —
-        one entry of the frame's single ``batch`` record."""
+    def _journal_op(self, session: Session, entry: tuple) -> None:
+        """Journal one sub-op ``(kind, *values)`` (``values`` in
+        ``BATCH_FIELDS[kind]`` order): a record of its own, or — inside
+        :meth:`batch_step` — one entry of the frame's single ``batch``
+        record."""
         if self._frame_ops is not None:
-            self._frame_ops.append((kind,) + values)
-        elif self.journal is not None:
-            self._journal_append(
-                kind, sid=session.sid, **dict(zip(BATCH_FIELDS[kind], values))
-            )
+            self._frame_ops.append(entry)
+        else:
+            fields = zip(BATCH_FIELDS[entry[0]], entry[1:])
+            self._journal_append(entry[0], sid=session.sid, **dict(fields))
 
     def _new_token(self) -> str:
         if self._token_source is not None:
@@ -420,7 +420,7 @@ class ServiceCore:
         fresh = tid not in self.owners
         self.claim(tid, session)
         if fresh and self.journal is not None:
-            self._journal_op(session, "begin", tid)
+            self._journal_op(session, ("begin", tid))
         return tid
 
     def lock_step(
@@ -461,10 +461,12 @@ class ServiceCore:
             event = None
         else:
             if self.journal is not None:  # the fields cost a routed read
-                self._journal_op(
-                    session, "lock", tid, rid, MODE_NAMES[mode],
-                    manager.sequence_of(rid),
-                )
+                seq = manager.sequence_of(rid)
+                entry = ("lock", tid, rid, MODE_NAMES[mode], seq)
+                if self._frame_ops is None:
+                    self._journal_op(session, entry)
+                else:  # inside batch_step: straight onto the frame's record
+                    self._frame_ops.append(entry)
             event = event_to_dict(outcome)
             if outcome.granted:
                 self.stats.grants += 1
@@ -533,7 +535,7 @@ class ServiceCore:
         self.telemetry.finish(tid, aborted=aborting)
         grants = self.manager.finish(tid)
         if self.journal is not None:
-            self._journal_op(session, "finish", tid, aborting)
+            self._journal_op(session, ("finish", tid, aborting))
         self.release_claim(tid)
         if aborting:
             self.stats.aborts += 1
@@ -557,9 +559,11 @@ class ServiceCore:
         ``wait=False``, so the client can fall back to an individual
         waiting ``lock``.
 
-        Returns one result dict per sub-op, in order.  A failed sub-op
-        reports its error in place and the batch continues — partial
-        results mirror what the same ops issued sequentially would have
+        Returns one result dict per sub-op, in order: ``{"op", "ok":
+        true, "status"}`` for a ``lock``, ``{"op", "ok": true, "tid"}``
+        for the others.  A failed sub-op reports ``{"op", "ok": false,
+        "error"}`` in place and the batch continues — partial results
+        mirror what the same ops issued sequentially would have
         produced.
         """
         if not isinstance(ops, list) or not ops:
@@ -579,52 +583,53 @@ class ServiceCore:
         # The frame is the journal's unit: the sub-ops that mutate
         # collect here and leave as ONE record.
         self._frame_ops = mutated = [] if self.journal is not None else None
+        results: List[dict] = []
+        append = results.append
         try:
-            return [self._batch_one(session, frame) for frame in ops]
+            for sub in ops:
+                name = sub.get("op") if isinstance(sub, dict) else None
+                try:
+                    if name == "lock":
+                        # The fields as ``LockServer._frame`` checks a
+                        # lock frame's; the helpers word the refusal.
+                        tid, rid, mode = sub.get("tid"), sub.get("rid"), None
+                        if type(tid) is not int or tid < 0:
+                            tid = int_field(sub, "tid")
+                        if type(rid) is not str:
+                            rid = rid_field(sub)
+                        if type(sub.get("mode")) is str:
+                            mode = MODES_BY_NAME.get(sub["mode"])
+                        if mode is None:
+                            mode = mode_field(sub)
+                        step = self.lock_step(session, tid, rid, mode, False)
+                        append({"op": name, "ok": True, "status": step[0]})
+                    elif name == "begin":
+                        tid = self.begin_step(
+                            session, int_field(sub, "tid", None)
+                        )
+                        append({"op": name, "ok": True, "tid": tid})
+                    elif name == "commit" or name == "abort":
+                        tid = int_field(sub, "tid")
+                        self.finish_step(session, tid, name == "abort")
+                        append({"op": name, "ok": True, "tid": tid})
+                    elif not isinstance(sub, dict):
+                        raise ServiceError(
+                            "bad-request", "batch sub-op must be an object"
+                        )
+                    else:
+                        raise ServiceError(
+                            "bad-op",
+                            "operation {!r} cannot be batched".format(name),
+                        )
+                except ServiceError as exc:
+                    append(_batch_error(name, exc.code, exc.message))
+                except ReproError as exc:
+                    append(_batch_error(name, "error", str(exc)))
         finally:
             self._frame_ops = None
             if mutated:
                 self._journal_append("batch", sid=session.sid, ops=mutated)
-
-    def _batch_one(self, session: Session, frame) -> dict:
-        name = frame.get("op") if isinstance(frame, dict) else None
-        try:
-            if not isinstance(frame, dict):
-                raise ServiceError(
-                    "bad-request", "batch sub-op must be an object"
-                )
-            if name == "begin":
-                tid = self.begin_step(
-                    session, int_field(frame, "tid", None)
-                )
-                return {"op": name, "ok": True, "tid": tid}
-            if name == "lock":
-                tid = int_field(frame, "tid")
-                rid, mode = rid_field(frame), mode_field(frame)
-                status, event, _ = self.lock_step(
-                    session, tid, rid, mode, wait=False
-                )
-                return {
-                    "op": name,
-                    "ok": True,
-                    "tid": tid,
-                    "status": status,
-                    "event": event,
-                }
-            if name in ("commit", "abort"):
-                tid = int_field(frame, "tid")
-                grants = self.finish_step(
-                    session, tid, aborting=name == "abort"
-                )
-                return {"op": name, "ok": True, "tid": tid, "grants": grants}
-            raise ServiceError(
-                "bad-op",
-                "operation {!r} cannot be batched".format(name),
-            )
-        except ServiceError as exc:
-            return _batch_error(name, exc.code, exc.message)
-        except ReproError as exc:
-            return _batch_error(name, "error", str(exc))
+        return results
 
     def detect_step(self):
         """One periodic detection-resolution pass plus stats.

@@ -16,10 +16,13 @@ Requests::
 
 Responses::
 
-    {"v": 1, "id": 7, "ok": true, "status": "granted",
-     "event": {"type": "granted", "tid": 3, "rid": "R1", "mode": "X"}}
+    {"v": 1, "id": 7, "ok": true, "status": "granted", "epoch": 0}
     {"v": 1, "id": 7, "ok": false,
-     "error": {"code": "not-owner", "message": "..."}}
+     "error": {"code": "not-owner", "message": "..."}, "epoch": 0}
+
+A reply carries what its reader reads: a ``lock`` reply its ``status``
+(``granted``/``blocked``/``timeout``/``aborted``), a ``commit`` or
+``abort`` reply the ``tid`` it ended.
 
 Operations (see :mod:`repro.service.server` for semantics): ``hello``,
 ``resume``, ``heartbeat``, ``begin``, ``lock``, ``commit``, ``abort``,
@@ -47,20 +50,21 @@ The ``batch`` op pipelines up to :data:`MAX_BATCH_OPS` sub-operations
 (``begin``/``lock``/``commit``/``abort``) in one frame; the server
 applies them back-to-back as one core step — one
 response frame — and answers a ``results`` list with one entry per
-sub-op (each either ``{"op", "ok": true, ...}`` with that op's usual
-fields or ``{"op", "ok": false, "error": {...}}``; a failed sub-op does
-not abort the rest of the batch).  ``lock`` sub-ops never wait inside a
-batch: a request that cannot be granted immediately reports
-``"blocked"`` (staying queued, exactly like ``wait=false``)::
+sub-op (each either ``{"op", "ok": true, "status"}`` for a ``lock``
+and ``{"op", "ok": true, "tid"}`` for the others, or ``{"op", "ok":
+false, "error": {...}}``; a failed sub-op does not abort the rest of
+the batch).  ``lock`` sub-ops never wait inside a batch: a request that
+cannot be granted immediately reports ``"blocked"`` (staying queued,
+exactly like ``wait=false``)::
 
     {"v": 1, "id": 9, "op": "batch", "ops": [
+        {"op": "begin", "tid": 3},
         {"op": "lock", "tid": 3, "rid": "R1", "mode": "IS"},
         {"op": "lock", "tid": 3, "rid": "R2", "mode": "X"}]}
     {"v": 1, "id": 9, "ok": true, "results": [
-        {"op": "lock", "ok": true, "tid": 3, "status": "granted",
-         "event": {...}},
-        {"op": "lock", "ok": true, "tid": 3, "status": "blocked",
-         "event": {...}}]}
+        {"op": "begin", "ok": true, "tid": 3},
+        {"op": "lock", "ok": true, "status": "granted"},
+        {"op": "lock", "ok": true, "status": "blocked"}], "epoch": 0}
 
 A request's unknown fields are ignored: a ``lock`` frame or sub-op
 that still carries the retired client-minted ``trace`` id or parent
@@ -68,11 +72,12 @@ that still carries the retired client-minted ``trace`` id or parent
 request's lifecycle span by what it already knows — span id, tid and
 rid (``spans`` op, ``trace-export``).
 
-Lock-manager events and detection results travel as plain dicts built by
-:func:`event_to_dict` / :func:`detection_to_dict` and are rebuilt into
-the :mod:`repro.lockmgr.events` dataclasses by :func:`event_from_dict`,
-so both ends of the wire speak the same event vocabulary as the
-in-process library.
+Lock-manager events travel only in a ``detect`` reply (its ``grants``
+and ``repositions``) and the ``log`` op's: plain dicts built by
+:func:`event_to_dict` / :func:`detection_to_dict` and rebuilt into the
+:mod:`repro.lockmgr.events` tuples by :func:`event_from_dict`, so both
+ends of the wire speak the same event vocabulary as the in-process
+library.
 """
 
 from __future__ import annotations

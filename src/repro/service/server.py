@@ -606,13 +606,13 @@ class LockServer:
                     type(timeout) is not float or not 0.0 <= timeout < _INF
                 ):
                     timeout = seconds_field(frame, "timeout")
-                status, event, parked = core.lock_step(
+                status, _, parked = core.lock_step(
                     session, tid, rid, mode, wait=bool(frame.get("wait", True))
                 )
                 if status == "parked":
                     # Only a request that blocks pays for its later answer.
                     parked.callback = partial(
-                        self._lock_resolved, connection, tid, request_id, event
+                        self._lock_resolved, connection, tid, request_id
                     )
                     if timeout is not None:
                         connection.timers[tid] = self._loop.call_later(
@@ -622,14 +622,19 @@ class LockServer:
                 else:
                     reply = {
                         "v": WIRE_VERSION, "id": request_id, "ok": True,
-                        "status": status, "event": event,
+                        "status": status,
                     }
-            elif op == "commit" or op == "abort":
-                tid = int_field(frame, "tid")
-                grants = core.finish_step(session, tid, aborting=op == "abort")
+            elif op == "batch":
                 reply = {
                     "v": WIRE_VERSION, "id": request_id, "ok": True,
-                    "tid": tid, "grants": grants,
+                    "results": core.batch_step(session, frame.get("ops")),
+                }
+            elif op == "commit" or op == "abort":
+                tid = int_field(frame, "tid")
+                core.finish_step(session, tid, aborting=op == "abort")
+                reply = {
+                    "v": WIRE_VERSION, "id": request_id, "ok": True,
+                    "tid": tid,
                 }
             elif op == "begin":
                 tid = core.begin_step(session, int_field(frame, "tid", None))
@@ -642,7 +647,7 @@ class LockServer:
                 left = max(session.deadline - self._loop.time(), 0.0)
                 reply = ok(request_id, lease=session.lease, remaining=left)
             else:
-                reply = ok(request_id, **self._payload(session, op, frame))
+                reply = ok(request_id, **self._payload(op, frame))
             # Sent inside the mapping: a reply over max_frame is an error.
             if reply is not None:  # None: a parked wait answers later
                 connection.send(reply, op)
@@ -714,7 +719,7 @@ class LockServer:
             self.stats.binary_connections += 1
 
     def _lock_resolved(
-        self, connection, tid: int, request_id, event, status: str
+        self, connection, tid: int, request_id, status: str
     ) -> None:
         """Answer a parked ``lock``: fired by whichever step resolves
         the wait — the pump, a sweep of the session, or its timeout."""
@@ -722,10 +727,8 @@ class LockServer:
         if timer is not None:
             timer.cancel()
         connection.send(
-            {
-                "v": WIRE_VERSION, "id": request_id, "ok": True,
-                "status": status, "event": event,
-            },
+            {"v": WIRE_VERSION, "id": request_id, "ok": True,
+             "status": status},
             "lock",
         )
 
@@ -737,11 +740,9 @@ class LockServer:
             lambda: parked.resolve(self.core.cancel_wait(tid, parked))
         )
 
-    def _payload(self, session: Session, op, frame: dict) -> dict:
+    def _payload(self, op, frame: dict) -> dict:
         """What the ``ok`` reply of any other operation carries."""
         core, manager = self.core, self.core.manager
-        if op == "batch":
-            return {"results": core.batch_step(session, frame.get("ops"))}
         if op == "detect":
             return detection_to_dict(core.detect_step())
         if op == "inspect":

@@ -328,105 +328,6 @@ def _need_str(value: Any) -> str:
     return value
 
 
-# -- event payloads --------------------------------------------------------
-#
-# Lock-manager events ride inside lock/commit/batch responses.  Event
-# kind byte: 0 = None, 1..4 = the four event dict shapes, 0xFE =
-# structural fallback for anything else.
-
-_EV_NONE = 0
-_EV_GRANTED = 1
-_EV_BLOCKED = 2
-_EV_ABORTED = 3
-_EV_REPOSITIONED = 4
-_EV_OTHER = 0xFE
-
-
-def _encode_event(out: bytearray, event: Any) -> None:
-    if event is None:
-        out.append(_EV_NONE)
-        return
-    mark = len(out)
-    try:
-        if type(event) is not dict:
-            raise _Mismatch()
-        kind = event.get("type")
-        if kind == "granted" and len(event) == 5:
-            out.append(_EV_GRANTED)
-            _encode_value(out, _need_int(event["tid"]))
-            _encode_value(out, _need_str(event["rid"]))
-            _encode_name(out, _need_str(event["mode"]), _MODE_INDEX)
-            immediate = event["immediate"]
-            if type(immediate) is not bool:
-                raise _Mismatch()
-            out.append(1 if immediate else 0)
-        elif kind == "blocked" and len(event) == 5:
-            out.append(_EV_BLOCKED)
-            _encode_value(out, _need_int(event["tid"]))
-            _encode_value(out, _need_str(event["rid"]))
-            _encode_name(out, _need_str(event["mode"]), _MODE_INDEX)
-            conversion = event["conversion"]
-            if type(conversion) is not bool:
-                raise _Mismatch()
-            out.append(1 if conversion else 0)
-        elif kind == "aborted" and len(event) == 3:
-            out.append(_EV_ABORTED)
-            _encode_value(out, _need_int(event["tid"]))
-            _encode_value(out, _need_str(event["reason"]))
-        elif kind == "repositioned" and len(event) == 3:
-            delayed = event["delayed"]
-            if type(delayed) is not list:
-                raise _Mismatch()
-            out.append(_EV_REPOSITIONED)
-            _encode_value(out, _need_str(event["rid"]))
-            _encode_value(out, delayed)
-        else:
-            raise _Mismatch()
-    except (KeyError, _Mismatch):
-        del out[mark:]
-        out.append(_EV_OTHER)
-        _encode_value(out, event)
-
-
-def _decode_event(buf, pos: int) -> Tuple[Any, int]:
-    kind = buf[pos]
-    pos += 1
-    if kind == _EV_NONE:
-        return None, pos
-    if kind == _EV_OTHER:
-        return _decode_value(buf, pos)
-    if kind == _EV_GRANTED or kind == _EV_BLOCKED:
-        tid, pos = _decode_value(buf, pos)
-        rid, pos = _decode_value(buf, pos)
-        mode, pos = _decode_name(buf, pos, _MODE_NAMES)
-        flag = buf[pos] != 0
-        pos += 1
-        if kind == _EV_GRANTED:
-            return {
-                "type": "granted",
-                "tid": tid,
-                "rid": rid,
-                "mode": mode,
-                "immediate": flag,
-            }, pos
-        return {
-            "type": "blocked",
-            "tid": tid,
-            "rid": rid,
-            "mode": mode,
-            "conversion": flag,
-        }, pos
-    if kind == _EV_ABORTED:
-        tid, pos = _decode_value(buf, pos)
-        reason, pos = _decode_value(buf, pos)
-        return {"type": "aborted", "tid": tid, "reason": reason}, pos
-    if kind == _EV_REPOSITIONED:
-        rid, pos = _decode_value(buf, pos)
-        delayed, pos = _decode_value(buf, pos)
-        return {"type": "repositioned", "rid": rid, "delayed": delayed}, pos
-    raise ProtocolError("unknown event kind {}".format(kind))
-
-
 # -- request payload codecs ------------------------------------------------
 #
 # Each _req_* packer raises _Mismatch when the message has extra,
@@ -642,16 +543,14 @@ def _ok_epoch(message: Dict[str, Any], nfields: int) -> Any:
 
 
 def _resp_lock(out: bytearray, message: Dict[str, Any]) -> None:
-    epoch = _ok_epoch(message, 6)
+    epoch = _ok_epoch(message, 5)
     _encode_name(out, _need_str(message["status"]), _STATUS_INDEX)
-    _encode_event(out, message["event"])
     _encode_value(out, epoch)
 
 
 def _dec_resp_lock(buf, pos: int, message: Dict[str, Any]) -> int:
     message["ok"] = True
     message["status"], pos = _decode_name(buf, pos, _STATUS_NAMES)
-    message["event"], pos = _decode_event(buf, pos)
     message["epoch"], pos = _decode_value(buf, pos)
     return pos
 
@@ -671,51 +570,25 @@ def _dec_resp_heartbeat(buf, pos: int, message: Dict[str, Any]) -> int:
     return pos
 
 
-def _resp_begin(out: bytearray, message: Dict[str, Any]) -> None:
+def _resp_tid(out: bytearray, message: Dict[str, Any]) -> None:
     epoch = _ok_epoch(message, 5)
     _encode_value(out, _need_int(message["tid"]))
     _encode_value(out, epoch)
 
 
-def _dec_resp_begin(buf, pos: int, message: Dict[str, Any]) -> int:
+def _dec_resp_tid(buf, pos: int, message: Dict[str, Any]) -> int:
     message["ok"] = True
     message["tid"], pos = _decode_value(buf, pos)
     message["epoch"], pos = _decode_value(buf, pos)
     return pos
 
 
-def _resp_finish(out: bytearray, message: Dict[str, Any]) -> None:
-    epoch = _ok_epoch(message, 6)
-    grants = message["grants"]
-    if type(grants) is not list:
-        raise _Mismatch()
-    _encode_value(out, _need_int(message["tid"]))
-    _encode_value(out, len(grants))
-    for event in grants:
-        _encode_event(out, event)
-    _encode_value(out, epoch)
-
-
-def _dec_resp_finish(buf, pos: int, message: Dict[str, Any]) -> int:
-    message["ok"] = True
-    message["tid"], pos = _decode_value(buf, pos)
-    count, pos = _decode_value(buf, pos)
-    if type(count) is not int or count < 0:
-        raise ProtocolError("bad grants count")
-    grants = []
-    for _ in range(count):
-        event, pos = _decode_event(buf, pos)
-        grants.append(event)
-    message["grants"] = grants
-    message["epoch"], pos = _decode_value(buf, pos)
-    return pos
-
-
-_RES_BEGIN = 1
+#: Batch result kinds: a lock result carries its status, the others
+#: their tid.
 _RES_LOCK = 2
-_RES_FINISH_COMMIT = 3
-_RES_FINISH_ABORT = 4
 _RES_OTHER = 0xFE
+_RES_TID_KINDS = {"begin": 1, "commit": 3, "abort": 4}
+_RES_TID_NAMES = {kind: name for name, kind in _RES_TID_KINDS.items()}
 
 
 def _resp_batch(out: bytearray, message: Dict[str, Any]) -> None:
@@ -727,34 +600,19 @@ def _resp_batch(out: bytearray, message: Dict[str, Any]) -> None:
     for result in results:
         mark = len(out)
         try:
-            if type(result) is not dict or result.get("ok") is not True:
+            if (
+                type(result) is not dict
+                or result.get("ok") is not True
+                or len(result) != 3
+            ):
                 raise _Mismatch()
             name = result.get("op")
-            if name == "lock" and len(result) == 5:
+            if name == "lock":
                 out.append(_RES_LOCK)
+                _encode_name(out, _need_str(result["status"]), _STATUS_INDEX)
+            elif name in _RES_TID_KINDS:
+                out.append(_RES_TID_KINDS[name])
                 _encode_value(out, _need_int(result["tid"]))
-                _encode_name(
-                    out, _need_str(result["status"]), _STATUS_INDEX
-                )
-                _encode_event(out, result["event"])
-            elif name == "begin" and len(result) == 3:
-                out.append(_RES_BEGIN)
-                _encode_value(out, _need_int(result["tid"]))
-            elif (
-                (name == "commit" or name == "abort") and len(result) == 4
-            ):
-                grants = result["grants"]
-                if type(grants) is not list:
-                    raise _Mismatch()
-                out.append(
-                    _RES_FINISH_COMMIT
-                    if name == "commit"
-                    else _RES_FINISH_ABORT
-                )
-                _encode_value(out, _need_int(result["tid"]))
-                _encode_value(out, len(grants))
-                for event in grants:
-                    _encode_event(out, event)
             else:
                 raise _Mismatch()
         except (KeyError, _Mismatch):
@@ -775,36 +633,18 @@ def _dec_resp_batch(buf, pos: int, message: Dict[str, Any]) -> int:
         kind = buf[pos]
         pos += 1
         if kind == _RES_LOCK:
-            result: Dict[str, Any] = {"op": "lock", "ok": True}
-            result["tid"], pos = _decode_value(buf, pos)
-            result["status"], pos = _decode_name(buf, pos, _STATUS_NAMES)
-            result["event"], pos = _decode_event(buf, pos)
-        elif kind == _RES_BEGIN:
-            result = {"op": "begin", "ok": True}
-            result["tid"], pos = _decode_value(buf, pos)
-        elif kind == _RES_FINISH_COMMIT or kind == _RES_FINISH_ABORT:
-            result = {
-                "op": "commit"
-                if kind == _RES_FINISH_COMMIT
-                else "abort",
-                "ok": True,
-            }
-            result["tid"], pos = _decode_value(buf, pos)
-            n, pos = _decode_value(buf, pos)
-            if type(n) is not int or n < 0:
-                raise ProtocolError("bad grants count")
-            grants = []
-            for _ in range(n):
-                event, pos = _decode_event(buf, pos)
-                grants.append(event)
-            result["grants"] = grants
+            status, pos = _decode_name(buf, pos, _STATUS_NAMES)
+            append({"op": "lock", "ok": True, "status": status})
+        elif kind in _RES_TID_NAMES:
+            tid, pos = _decode_value(buf, pos)
+            append({"op": _RES_TID_NAMES[kind], "ok": True, "tid": tid})
         elif kind == _RES_OTHER:
             result, pos = _decode_value(buf, pos)
+            append(result)
         else:
             raise ProtocolError(
                 "unknown batch result kind {}".format(kind)
             )
-        append(result)
     message["results"] = results
     message["epoch"], pos = _decode_value(buf, pos)
     return pos
@@ -835,9 +675,9 @@ def _dec_resp_error(buf, pos: int, message: Dict[str, Any]) -> int:
 _RESP_CODECS = {
     OP_LOCK: (_resp_lock, _dec_resp_lock),
     OP_HEARTBEAT: (_resp_heartbeat, _dec_resp_heartbeat),
-    OP_BEGIN: (_resp_begin, _dec_resp_begin),
-    OP_COMMIT: (_resp_finish, _dec_resp_finish),
-    OP_ABORT: (_resp_finish, _dec_resp_finish),
+    OP_BEGIN: (_resp_tid, _dec_resp_tid),
+    OP_COMMIT: (_resp_tid, _dec_resp_tid),
+    OP_ABORT: (_resp_tid, _dec_resp_tid),
     OP_BATCH: (_resp_batch, _dec_resp_batch),
     OP_ERROR: (_resp_error, _dec_resp_error),
 }

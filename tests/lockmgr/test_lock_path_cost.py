@@ -124,6 +124,20 @@ def test_a_frame_ratchet_is_never_raised():
     assert ceilings["client acquire round trip py"] <= 16
 
 
+def test_a_batch_transaction_ratchet_is_never_raised():
+    """The batch lane's transaction — a begin + eight-lock ``batch``
+    frame and its ``commit`` through a journaled server — runs each lock
+    sub-op's field checks inline, one ``lock_step`` per sub-op, its
+    journal entry straight onto the frame's record and a result of
+    ``op``/``ok``/``status``: well under the 233 calls it made through
+    ``_batch_one``, the field helpers and ``_journal_op`` with an event
+    dict per result.  The client's ``batch`` round trip reads the
+    trimmed reply."""
+    ceilings = load_tool("lock_path_cost").CEILINGS
+    assert ceilings["server batch txn py"] <= 181
+    assert ceilings["client batch round trip py"] <= 27
+
+
 def test_the_multi_shard_wait_lookups_are_never_raised():
     """Where a transaction waits is one read of the core's wait index on
     a multi-shard core: ``is_blocked`` and the Axiom-1 check of a

@@ -54,7 +54,7 @@ class TestBatchOp:
                     assert all(r["ok"] for r in results)
                     assert results[1]["status"] == "granted"
                     assert results[2]["status"] == "granted"
-                    assert results[3]["grants"] == []
+                    assert results[3] == {"op": "commit", "ok": True, "tid": 1}
                     stats = await client.stats()
                     assert stats["batches"] == 1
                     assert stats["batched_ops"] == 4
@@ -224,3 +224,52 @@ class TestAcquireMany:
                         await client.acquire_many(1, [("R3", LockMode.S)])
 
         asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("wire", ["json", "binary"])
+def test_the_benchmark_reads_what_a_batch_reply_carries(wire):
+    """``bench/svc.py``'s ``run_batch`` reads each lock result's ``ok``,
+    then its ``error`` code and message, then its ``status``, and falls
+    back to a waiting ``acquire`` on ``blocked``: driven as it is
+    through ``AsyncLockClient.batch``, a granted, a blocked, a refused
+    and an aborted transaction each end as the benchmark counts them."""
+    from bench.svc import run_batch
+
+    async def scenario():
+        async with running_server(period=None) as server:
+            async with connected(server, wire=wire) as client:
+                await run_batch(client, [("A", "S"), ("B", "X")], lambda: 1)
+                assert server.stats.commits == 1
+                # T2 holds C, so T3's lock on C blocks and waits.
+                await client.begin(2)
+                assert await client.acquire(2, "C", LockMode.X)
+                waiting = asyncio.ensure_future(
+                    run_batch(client, [("D", "S"), ("C", "S")], lambda: 3)
+                )
+                await asyncio.sleep(0.05)
+                assert not waiting.done() and server.manager.is_blocked(3)
+                await client.commit(2)
+                await waiting
+                assert server.stats.commits == 3
+                with pytest.raises(ServiceError) as refused:
+                    await run_batch(client, [("E", "XXL")], lambda: 4)
+                assert refused.value.code == "bad-request"
+                assert refused.value.message == (
+                    "field 'mode' must be a lock mode name"
+                )
+                # T5 and T6 close a cycle; the pass aborts one of them,
+                # whose next batched lock answers aborted.
+                for tid, rid in ((5, "P"), (6, "Q")):
+                    await client.begin(tid)
+                    assert await client.acquire(tid, rid, LockMode.X)
+                assert not await client.acquire(5, "Q", "X", wait=False)
+                assert not await client.acquire(6, "P", "X", wait=False)
+                (victim,) = (await client.detect()).aborted
+                with pytest.raises(TransactionAborted):
+                    await run_batch(client, [("Z", "S")], lambda: victim)
+                # Every failed transaction was aborted behind it.
+                assert server.stats.aborts == 2
+                assert server.manager.holding(4) == {}
+                assert server.manager.holding(victim) == {}
+
+    asyncio.run(scenario())

@@ -419,3 +419,64 @@ def test_repro_serve_exits_nonzero_when_the_disk_fills(tmp_path):
     # but none torn: the journal cut itself back to its last flush.
     reread = SessionJournal.from_text(journal.read_text())
     assert reread.corrupt_tail == 0 and len(reread) > 2 * (dropped_at - 2)
+
+
+#: What the parent of the flat batch path journaled for the scenario
+#: below, line for line: two sessions, T1's unbatched begin and S lock
+#: on B, T2's batch frame (begin, a granted S on A, its conversion to X,
+#: an X on B that blocks behind T1) as ONE record, then T2's commit.
+PINNED_JOURNAL = [
+    'ef5c5eee {"expires":1005.0,"kind":"open","lease":5.0,"sid":"S1",'
+    '"token":"t1"}',
+    'c4d25445 {"expires":1005.0,"kind":"open","lease":5.0,"sid":"S2",'
+    '"token":"t2"}',
+    '4129ab89 {"kind":"begin","sid":"S1","tid":1}',
+    '69b58b89 {"kind":"lock","mode":"S","rid":"B","seq":0,"sid":"S1",'
+    '"tid":1}',
+    '3306229e {"kind":"batch","ops":[["begin",2],["lock",2,"A","S",1],'
+    '["lock",2,"A","X",1],["lock",2,"B","X",0]],"sid":"S2"}',
+    'a83b98cb {"ab":false,"kind":"finish","sid":"S2","tid":2}',
+]
+
+
+def test_a_batch_transaction_journals_the_pinned_lines(tmp_path):
+    def core_at(wall):
+        return ServiceCore(
+            clock=lambda: 0.0, wall=lambda: wall,
+            token_source=iter(["t1", "t2"]).__next__,
+        )
+
+    def dump(core):
+        return json.dumps(table_to_dict(core.manager.table), sort_keys=True)
+
+    path = str(tmp_path / "sessions.jsonl")
+    core = core_at(1000.0)
+    core.journal = SessionJournal(path, fsync="never")
+    holder, session = core.open_session(), core.open_session()
+    core.begin_step(holder, 1)
+    assert core.lock_step(holder, 1, "B", LockMode.S)[0] == "granted"
+    results = core.batch_step(session, [
+        {"op": "begin", "tid": 2},
+        {"op": "lock", "tid": 2, "rid": "A", "mode": "S"},
+        {"op": "lock", "tid": 2, "rid": "A", "mode": "X"},
+        {"op": "lock", "tid": 2, "rid": "B", "mode": "X"},
+    ])
+    assert [result.get("status") for result in results] == [
+        None, "granted", "granted", "blocked",
+    ]
+    dumps = [dump(core)]
+    core.finish_step(session, 2, False)
+    dumps.append(dump(core))
+    core.journal.flush()
+    core.journal.close()
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read().splitlines() == PINNED_JOURNAL
+    # The parent's lines recover to what the live core held, at the
+    # batch frame and after the commit.
+    for lines, expected in zip((PINNED_JOURNAL[:-1], PINNED_JOURNAL), dumps):
+        written = tmp_path / "parent-{}.jsonl".format(len(lines))
+        written.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reborn = core_at(1001.0)
+        report = recover_into(reborn, SessionJournal(str(written), "never"))
+        assert (report.replay_errors, report.corrupt_tail) == (0, 0)
+        assert dump(reborn) == expected

@@ -4,14 +4,17 @@ Each reply on the request path is held to what
 ``encode_frame``/``BINARY_CODEC.encode`` make of the ``ok(...)`` or
 ``error(...)`` body with the restart ``epoch`` appended — for a lock
 that is granted, parked then granted, parked then aborted, timed out or
-refused with ``wait=False``, and for ``begin``, ``commit``, ``abort``
-and ``heartbeat``.  A reply too large to encode answers an ``error``
-on a connection that carries on, and frames pipelined behind a
-handshake are split with the codec it set.  The field checks are held
-to their words: a bad ``tid``, ``rid``, ``mode`` or ``timeout`` is
-refused with the same code and message, every mode spelling
-``parse_mode`` takes is taken, and a lock frame takes exactly the
-values the field helpers take.
+refused with ``wait=False``, for ``begin``, ``commit``, ``abort`` and
+``heartbeat``, and for a ``batch`` of every sub-op kind whose lock
+results are granted, blocked and aborted beside errors in place.  A
+reply carries only what a client reads: a lock's ``status``, a
+finish's ``tid``.  A reply too large to encode answers an ``error`` on
+a connection that carries on, and frames pipelined behind a handshake
+are split with the codec it set.  The field checks are held to their
+words, on a lock frame and on a batch's lock sub-op alike: a bad
+``tid``, ``rid``, ``mode`` or ``timeout`` is refused with the same code
+and message, every mode spelling ``parse_mode`` takes is taken, and
+each takes exactly the values the field helpers take.
 """
 
 import asyncio
@@ -47,14 +50,15 @@ WIRES = pytest.mark.parametrize("wire", ["json", "binary"])
 EPOCH = 0
 
 
-def granted(tid, rid, mode, immediate=True):
-    return {"type": "granted", "tid": tid, "rid": rid, "mode": mode,
-            "immediate": immediate}
+def lock_result(status):
+    """A batch's lock result."""
+    return {"op": "lock", "ok": True, "status": status}
 
 
-def blocked(tid, rid, mode, conversion=False):
-    return {"type": "blocked", "tid": tid, "rid": rid, "mode": mode,
-            "conversion": conversion}
+def refused(op, code, message):
+    """A batch sub-op's error in place."""
+    return {"op": op, "ok": False,
+            "error": {"code": code, "message": message}}
 
 
 class Peer:
@@ -87,8 +91,32 @@ class Peer:
         request_id = self.send(op, **fields)
         return request_id, await self.replies()
 
+    async def lock(self, via, **fields):
+        """One lock as a ``lock`` frame or as a batch's only sub-op."""
+        if via == "frame":
+            return await self.call("lock", **fields)
+        return await self.call("batch", ops=[dict(op="lock", **fields)])
+
+    def lock_ok(self, via, request_id, status):
+        if via == "frame":
+            return self.ok(request_id, "lock", status=status)
+        return self.ok(request_id, "batch", results=[lock_result(status)])
+
+    def lock_refused(self, via, request_id, code, message):
+        if via == "frame":
+            return self.error(request_id, code, message)
+        return self.ok(
+            request_id, "batch", results=[refused("lock", code, message)]
+        )
+
+    def lock_reply(self, via, data):
+        """The decoded reply to :meth:`lock`, a sub-op's as a frame's."""
+        reply = self.decode(data)
+        return reply if via == "frame" else reply["results"][0]
+
     def ok(self, request_id, op, **fields):
-        """The reply the server wrote before its frame path went flat."""
+        """An ``ok(...)`` body with the epoch appended, encoded as the
+        server encodes its reply to ``op``."""
         return self.codec.encode(
             dict(ok(request_id, **fields), epoch=EPOCH), op
         )
@@ -127,21 +155,15 @@ class TestRepliesAreByteIdentical:
             request_id, data = await peer.call(
                 "lock", tid=3, rid="R", mode="S", wait=True
             )
-            assert data == peer.ok(
-                request_id, "lock", status="granted",
-                event=granted(3, "R", "S"),
-            )
+            assert data == peer.ok(request_id, "lock", status="granted")
             request_id, data = await peer.call(
                 "lock", tid=3, rid="Q", mode="X", timeout=2.0
             )
-            assert data == peer.ok(
-                request_id, "lock", status="granted",
-                event=granted(3, "Q", "X"),
-            )
+            assert data == peer.ok(request_id, "lock", status="granted")
             request_id, data = await peer.call("commit", tid=3)
-            assert data == peer.ok(request_id, "commit", tid=3, grants=[])
+            assert data == peer.ok(request_id, "commit", tid=3)
             request_id, data = await peer.call("abort", tid=1)
-            assert data == peer.ok(request_id, "abort", tid=1, grants=[])
+            assert data == peer.ok(request_id, "abort", tid=1)
             request_id, data = await peer.call("heartbeat")
             remaining = peer.decode(data)["remaining"]
             assert data == peer.ok(
@@ -161,12 +183,9 @@ class TestRepliesAreByteIdentical:
             parked, data = await waiter.call("lock", tid=2, rid="R", mode="S")
             assert data == b""
             request_id, data = await holder.call("commit", tid=1)
-            assert data == holder.ok(
-                request_id, "commit", tid=1,
-                grants=[granted(2, "R", "S", immediate=False)],
-            )
+            assert data == holder.ok(request_id, "commit", tid=1)
             assert await waiter.replies() == waiter.ok(
-                parked, "lock", status="granted", event=blocked(2, "R", "S"),
+                parked, "lock", status="granted"
             )
             holder.pipe.lose(), waiter.pipe.lose()
             await server.aclose()
@@ -184,8 +203,8 @@ class TestRepliesAreByteIdentical:
             # The waiter's own abort ends the parked request with it.
             request_id = waiter.send("abort", tid=2)
             assert await waiter.replies() == waiter.ok(
-                parked, "lock", status="aborted", event=blocked(2, "R", "X"),
-            ) + waiter.ok(request_id, "abort", tid=2, grants=[])
+                parked, "lock", status="aborted"
+            ) + waiter.ok(request_id, "abort", tid=2)
             holder.pipe.lose(), waiter.pipe.lose()
             await server.aclose()
 
@@ -203,7 +222,7 @@ class TestRepliesAreByteIdentical:
             assert data == b""
             await asyncio.sleep(0.05)
             assert await waiter.replies() == waiter.ok(
-                parked, "lock", status="timeout", event=blocked(2, "R", "X"),
+                parked, "lock", status="timeout"
             )
             holder.pipe.lose(), waiter.pipe.lose()
             await server.aclose()
@@ -219,10 +238,7 @@ class TestRepliesAreByteIdentical:
             request_id, data = await waiter.call(
                 "lock", tid=2, rid="R", mode="X", wait=False
             )
-            assert data == waiter.ok(
-                request_id, "lock", status="blocked",
-                event=blocked(2, "R", "X"),
-            )
+            assert data == waiter.ok(request_id, "lock", status="blocked")
             holder.pipe.lose(), waiter.pipe.lose()
             await server.aclose()
 
@@ -268,9 +284,86 @@ class TestRepliesAreByteIdentical:
             )
             # The connection carries on: the next call is answered.
             request_id, data = await peer.call("commit", tid=1)
-            assert data == peer.ok(request_id, "commit", tid=1, grants=[])
+            assert data == peer.ok(request_id, "commit", tid=1)
             assert not peer.pipe.server_transport.closed
             assert server.stats.protocol_errors == 0
+            peer.pipe.lose()
+            await server.aclose()
+
+        run(go())
+
+
+@WIRES
+class TestBatchRepliesAreByteIdentical:
+    def test_every_sub_op_kind_and_lock_outcome(self, wire):
+        async def go():
+            server = await started()
+            holder = await Peer.open(server, wire)
+            peer = await Peer.open(server, wire)
+            await holder.call("lock", tid=1, rid="H", mode="X")
+            request_id, data = await peer.call("batch", ops=[
+                {"op": "begin", "tid": 2},
+                {"op": "begin"},
+                {"op": "lock", "tid": 2, "rid": "A", "mode": "S"},
+                {"op": "lock", "tid": 2, "rid": "A", "mode": "X"},
+                {"op": "lock", "tid": 2, "rid": "H", "mode": "S"},
+                {"op": "lock", "tid": 3, "rid": "B", "mode": "X"},
+                {"op": "lock", "tid": 3, "rid": "A", "mode": "S"},
+                {"op": "lock", "tid": 2, "rid": 5, "mode": "X"},
+                {"op": "frobnicate"},
+                "nope",
+                {"op": "commit", "tid": 1},
+                {"op": "lock", "tid": 4, "rid": "A", "mode": "NL"},
+            ])
+            assert data == peer.ok(request_id, "batch", results=[
+                {"op": "begin", "ok": True, "tid": 2},
+                {"op": "begin", "ok": True, "tid": 3},
+                lock_result("granted"),
+                lock_result("granted"),  # the S -> X conversion
+                lock_result("blocked"),
+                lock_result("granted"),
+                lock_result("blocked"),
+                refused("lock", "bad-request",
+                        "field 'rid' must be a resource id string"),
+                refused("frobnicate", "bad-op",
+                        "operation 'frobnicate' cannot be batched"),
+                refused(None, "bad-request", "batch sub-op must be an object"),
+                refused("commit", "not-owner",
+                        "transaction 1 belongs to session S1"),
+                refused("lock", "error", "NL is not a requestable lock mode"),
+            ])
+            # T1 -> T3 -> T2 -> T1: the pass aborts T1, whose next lock
+            # answers aborted.
+            await holder.call("lock", tid=1, rid="B", mode="X", wait=False)
+            assert peer.decode((await peer.call("detect"))[1])["aborted"] == [1]
+            request_id, data = await holder.call("batch", ops=[
+                {"op": "lock", "tid": 1, "rid": "Z", "mode": "S"},
+                {"op": "abort", "tid": 1},
+            ])
+            assert data == holder.ok(request_id, "batch", results=[
+                lock_result("aborted"),
+                {"op": "abort", "ok": True, "tid": 1},
+            ])
+            request_id, data = await peer.call("batch", ops=[
+                {"op": "commit", "tid": 2}, {"op": "abort", "tid": 3},
+            ])
+            assert data == peer.ok(request_id, "batch", results=[
+                {"op": "commit", "ok": True, "tid": 2},
+                {"op": "abort", "ok": True, "tid": 3},
+            ])
+            holder.pipe.lose(), peer.pipe.lose()
+            await server.aclose()
+
+        run(go())
+
+    def test_a_refused_batch_answers_an_error(self, wire):
+        async def go():
+            server = await started()
+            peer = await Peer.open(server, wire)
+            request_id, data = await peer.call("batch", ops=[])
+            assert data == peer.error(
+                request_id, "bad-request", "batch needs a non-empty list of ops"
+            )
             peer.pipe.lose()
             await server.aclose()
 
@@ -297,12 +390,41 @@ def test_frames_pipelined_behind_a_handshake_use_its_codec(wire):
         assert hello["ok"] and hello.get("wire", WIRE_JSON) == wire
         assert data[end:] == codec.encode(
             dict(ok(2, tid=4), epoch=EPOCH), "begin"
-        ) + codec.encode(
-            dict(ok(3, status="granted", event=granted(4, "R", "X")),
-                 epoch=EPOCH),
-            "lock",
-        )
+        ) + codec.encode(dict(ok(3, status="granted"), epoch=EPOCH), "lock")
         assert server.stats.protocol_errors == 0
+        pipe.lose()
+        await server.aclose()
+
+    run(go())
+
+
+def test_json_frames_in_a_binary_hellos_segment_are_served():
+    """A JSON frame in the same segment as a ``hello`` that asks for
+    binary is split before the switch and served, its reply binary; a
+    JSON frame in a later segment is refused."""
+
+    async def go():
+        server = await started()
+        pipe = Pipe(server)
+        pipe.connection.data_received(
+            encode_frame(request(1, "hello", wire=WIRE_BINARY))
+            + encode_frame(request(2, "begin", tid=4))
+        )
+        await asyncio.sleep(0)
+        data = bytearray(b"".join(pipe.server_transport.take()))
+        hello, end = split_frame(data, 0, len(data))
+        assert hello["wire"] == WIRE_BINARY
+        assert data[end:] == BINARY_CODEC.encode(
+            dict(ok(2, tid=4), epoch=EPOCH), "begin"
+        )
+        pipe.connection.data_received(encode_frame(request(3, "begin")))
+        await asyncio.sleep(0)
+        data = b"".join(pipe.server_transport.take())
+        assert data == BINARY_CODEC.encode(dict(error(
+            None, "protocol", "bad frame magic b'\\x00\\x00' (expected b'RW')"
+        ), epoch=EPOCH))
+        assert pipe.server_transport.closed
+        assert server.stats.protocol_errors == 1
         pipe.lose()
         await server.aclose()
 
@@ -333,22 +455,37 @@ BAD_FIELDS = [
 ]
 
 
+#: A lock is checked alike as a frame and as a batch's sub-op (which
+#: has no ``timeout``).
+VIA = pytest.mark.parametrize("via", ["frame", "sub-op"])
+BAD_LOCKS = [
+    pytest.param(
+        via, field, value, message,
+        id="{}{}-{}".format("" if via == "frame" else "sub-op-", field, i),
+    )
+    for via in ("frame", "sub-op")
+    for i, (field, value, message) in enumerate(BAD_FIELDS)
+    if via == "frame" or field != "timeout"
+]
+
+
 @WIRES
 class TestLockFieldsAreCheckedAsBefore:
-    @pytest.mark.parametrize(
-        "field,value,message", BAD_FIELDS,
-        ids=["{}-{}".format(f, i) for i, (f, _, _) in enumerate(BAD_FIELDS)],
-    )
+    @pytest.mark.parametrize("via,field,value,message", BAD_LOCKS)
     def test_a_bad_field_is_refused_in_the_same_words(
-        self, wire, field, value, message
+        self, wire, via, field, value, message
     ):
         async def go():
             server = await started()
             peer = await Peer.open(server, wire)
-            fields = {"tid": 2, "rid": "R", "mode": "X", "timeout": 1.0}
+            fields = {"tid": 2, "rid": "R", "mode": "X"}
+            if via == "frame":
+                fields["timeout"] = 1.0
             fields[field] = value
-            request_id, data = await peer.call("lock", **fields)
-            assert data == peer.error(request_id, "bad-request", message)
+            request_id, data = await peer.lock(via, **fields)
+            assert data == peer.lock_refused(
+                via, request_id, "bad-request", message
+            )
             assert str(server.manager.table).strip() == ""
             assert server.core.waiters == {}
             peer.pipe.lose()
@@ -356,22 +493,23 @@ class TestLockFieldsAreCheckedAsBefore:
 
         run(go())
 
-    def test_the_first_bad_field_is_the_one_named(self, wire):
+    @VIA
+    def test_the_first_bad_field_is_the_one_named(self, wire, via):
         async def go():
             server = await started()
             peer = await Peer.open(server, wire)
-            request_id, data = await peer.call(
-                "lock", tid="x", rid=5, mode="?", timeout="soon"
+            request_id, data = await peer.lock(
+                via, tid="x", rid=5, mode="?", timeout="soon"
             )
-            assert data == peer.error(
-                request_id, "bad-request",
+            assert data == peer.lock_refused(
+                via, request_id, "bad-request",
                 "field 'tid' must be a non-negative integer",
             )
-            request_id, data = await peer.call(
-                "lock", tid=2, rid=5, mode="?", timeout="soon"
+            request_id, data = await peer.lock(
+                via, tid=2, rid=5, mode="?", timeout="soon"
             )
-            assert data == peer.error(
-                request_id, "bad-request",
+            assert data == peer.lock_refused(
+                via, request_id, "bad-request",
                 "field 'rid' must be a resource id string",
             )
             peer.pipe.lose()
@@ -379,22 +517,21 @@ class TestLockFieldsAreCheckedAsBefore:
 
         run(go())
 
+    @VIA
     @pytest.mark.parametrize("spelling,name", [
         ("s", "S"), (" x ", "X"), ("Ix", "IX"), ("SIX", "SIX"), ("is\n", "IS"),
     ])
     def test_every_spelling_parse_mode_takes_is_taken(
-        self, wire, spelling, name
+        self, wire, via, spelling, name
     ):
         async def go():
             server = await started()
             peer = await Peer.open(server, wire)
-            request_id, data = await peer.call(
-                "lock", tid=2, rid="R", mode=spelling, timeout=1
+            request_id, data = await peer.lock(
+                via, tid=2, rid="R", mode=spelling
             )
-            assert data == peer.ok(
-                request_id, "lock", status="granted",
-                event=granted(2, "R", name),
-            )
+            assert data == peer.lock_ok(via, request_id, "granted")
+            assert server.manager.holding(2) == {"R": LockMode[name]}
             peer.pipe.lose()
             await server.aclose()
 
@@ -410,29 +547,34 @@ CANDIDATES = [
 ]
 
 
-@pytest.mark.parametrize("field,helper", [
-    ("tid", lambda frame: int_field(frame, "tid")),
-    ("rid", rid_field),
-    ("mode", mode_field),
-    ("timeout", lambda frame: seconds_field(frame, "timeout")),
+@pytest.mark.parametrize("via,field,helper", [
+    ("frame", "tid", lambda frame: int_field(frame, "tid")),
+    ("frame", "rid", rid_field),
+    ("frame", "mode", mode_field),
+    ("frame", "timeout", lambda frame: seconds_field(frame, "timeout")),
+    ("sub-op", "tid", lambda frame: int_field(frame, "tid")),
+    ("sub-op", "rid", rid_field),
+    ("sub-op", "mode", mode_field),
 ])
-def test_a_lock_frame_takes_what_the_field_helper_takes(field, helper):
+def test_a_lock_frame_takes_what_the_field_helper_takes(via, field, helper):
     """The helpers are the one definition of each field's rule: a lock
-    frame is refused in a helper's words exactly when that helper
-    refuses the value, and otherwise runs with what it returns."""
+    frame or sub-op is refused in a helper's words exactly when that
+    helper refuses the value, and otherwise runs with what it returns."""
 
     async def go():
         server = await started()
         peer = await Peer.open(server, "json")
         for tid, value in enumerate(CANDIDATES, start=1):
             fields = {"tid": tid, "rid": "R{}".format(tid), "mode": "S",
-                      "timeout": 1.0, field: value}
+                      field: value}
+            if via == "frame":
+                fields.setdefault("timeout", 1.0)
             try:
                 expected = helper(fields)
             except ReproError as exc:
                 expected = exc
-            request_id, data = await peer.call("lock", **fields)
-            reply = peer.decode(data)
+            request_id, data = await peer.lock(via, **fields)
+            reply = peer.lock_reply(via, data)
             if isinstance(expected, ReproError):
                 assert reply["error"] == {
                     "code": expected.code, "message": expected.message,
@@ -449,11 +591,13 @@ def test_a_lock_frame_takes_what_the_field_helper_takes(field, helper):
                 }
                 continue
             assert reply["ok"] and reply["status"] == "granted", value
-            event = reply["event"]
-            if field == "mode":
-                assert event["mode"] == expected.name
-            elif field != "timeout":
-                assert event[field] == expected
+            # The lock the step took is the one the helper read.
+            held = {"tid": tid, "rid": fields["rid"], "mode": LockMode.S}
+            if field != "timeout":
+                held[field] = expected
+            assert server.manager.holding(held["tid"])[held["rid"]] is (
+                held["mode"]
+            ), value
         peer.pipe.lose()
         await server.aclose()
 

@@ -112,7 +112,8 @@ class TestMalformedFields:
                 assert not server.manager.is_blocked(2)
                 assert server.manager.holding(1) == {"R": LockMode.X}
                 done = await call("commit", tid=1)
-                assert done["ok"] and done["grants"] == []
+                assert done == {"v": 1, "id": done["id"], "ok": True,
+                                "tid": 1, "epoch": 0}
                 assert server.manager.holding(2) == {}
                 assert str(server.manager.table).strip() == ""
 
@@ -130,7 +131,8 @@ class TestMalformedFields:
                 ))
                 assert server.core.waiters == {}
                 done = await call("commit", tid=1)
-                assert done["grants"] == []  # R was not handed to T2
+                assert done["ok"]
+                assert server.manager.holding(2) == {}  # R was not handed to T2
                 ok = await call("lock", tid=3, rid="R", mode="X", timeout=1.0)
                 assert ok["status"] == "granted"
 

@@ -35,9 +35,11 @@ tool = load_tool("import_closure")
 #: once telemetry folded a recorded stream instead of a listener chain;
 #: 42 / 11 981 once the request and release path went flat; 42 /
 #: 11 973 once a frame's path went flat and the client-only
-#: ``RemoteDetectionResult`` left ``protocol`` for ``client``).
+#: ``RemoteDetectionResult`` left ``protocol`` for ``client``; 42 /
+#: 11 824 once replies stopped carrying lock events and a batch's lock
+#: sub-op went flat).
 SERVE_MODULES_MAX = 42
-SERVE_LINES_MAX = 11973
+SERVE_LINES_MAX = 11824
 #: Peak resident set of a real server at its first reply (26.1 MB when
 #: written, 39.3 at the parent).
 FIRST_REPLY_HWM_MB_MAX = 30.0

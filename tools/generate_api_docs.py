@@ -43,11 +43,9 @@ admin queries sharing its socket.
 request   {"v": 1, "id": 7, "op": "lock",
            "tid": 3, "rid": "R1", "mode": "X",
            "wait": true, "timeout": 2.0}
-response  {"v": 1, "id": 7, "ok": true, "status": "granted",
-           "event": {"type": "granted", "tid": 3, "rid": "R1",
-                     "mode": "X", "immediate": false}}
+response  {"v": 1, "id": 7, "ok": true, "status": "granted", "epoch": 0}
 error     {"v": 1, "id": 7, "ok": false,
-           "error": {"code": "not-owner", "message": "..."}}
+           "error": {"code": "not-owner", "message": "..."}, "epoch": 0}
 ```
 
 | op | fields | answer |
@@ -56,9 +54,9 @@ error     {"v": 1, "id": 7, "ok": false,
 | `resume` | `session`, `token` | same shape as `hello` but re-attaches a lease that survived a restart: `tids` lists the session's live transactions; errors are `unknown-session`, `bad-token`, `session-busy` |
 | `heartbeat` | — | `remaining` (any received frame also renews the lease) |
 | `begin` | `tid?` | `tid` (server-assigned when omitted) |
-| `lock` | `tid`, `rid`, `mode`, `wait?`, `timeout?` | `status`: `granted` / `blocked` / `timeout` / `aborted`, plus the `event` |
-| `commit`, `abort` | `tid` | `grants` handed to waiters by the release |
-| `batch` | `ops` (≤ 256 sub-ops: `begin`/`lock`/`commit`/`abort`) | `results`, one entry per sub-op in order, each that op's usual fields plus `ok` — or `{"ok": false, "error": {...}}` in place |
+| `lock` | `tid`, `rid`, `mode`, `wait?`, `timeout?` | `status`: `granted` / `blocked` / `timeout` / `aborted` |
+| `commit`, `abort` | `tid` | `tid` |
+| `batch` | `ops` (≤ 256 sub-ops: `begin`/`lock`/`commit`/`abort`) | `results`, one entry per sub-op in order: `{"op", "ok": true, "status"}` for a `lock`, `{"op", "ok": true, "tid"}` for the others — or `{"op", "ok": false, "error": {...}}` in place |
 | `detect` | — | one detection-resolution pass (`deadlock_found`, `abort_free`, `aborted`, `repositions`, ...) |
 | `inspect` | — | operator `report`, `resources`, `blocked` |
 | `graph` | `dot?` | H/W-TWBG `edges`, `cycles`, `text`, optional `dot` |
@@ -69,6 +67,31 @@ error     {"v": 1, "id": 7, "ok": false,
 | `spans` | `limit?`, `annotations?` | span log: `total` (lifecycle), `annotations` (born-finished pass spans, listed when `annotations` is true), `open`, `spans` (see `docs/OBSERVABILITY.md`) |
 | `holding`, `deadlocked` | `tid` / — | per-transaction locks / any cycle present |
 | `goodbye` | — | clean detach (still sweeps the session's transactions) |
+
+A reply carries only what a peer reads.  Each key of the request-path
+replies and its reader:
+
+| reply | key | read by |
+|---|---|---|
+| every reply | `v`, `id` | the splitter's version check; the client's `data_received`, which routes the reply to its call |
+| every reply | `ok`, `error.code`, `error.message` | the client's `data_received` (`reply_error` raises `ServiceError`) |
+| every reply | `epoch` | `AsyncLockClient.last_epoch` (a restart shows as a jump) |
+| `hello` / `resume` | `session`, `lease`, `token`, `tids`, `server`, `wire` | `AsyncLockClient._handshake`; `wire` switches the client's codec |
+| `heartbeat` | `remaining` | `AsyncLockClient.heartbeat` |
+| `heartbeat` | `lease` | nothing in this repository reads it (the session's lease length) |
+| `begin` | `tid` | `AsyncLockClient.begin` (a server-assigned id) |
+| `lock` | `status` | `AsyncLockClient.acquire` |
+| `commit`, `abort` | `tid` | nothing in this repository reads it: it names the transaction that ended, and on the binary codec it shares `begin`'s reply shape |
+| `batch` result, `lock` | `op`, `ok`, `status` | `AsyncLockClient.acquire_many`, `bench/svc.py`'s `run_batch` and `tools/recovery_smoke.py` (`ok`, then `error`, then `status`) |
+| `batch` result, others | `op`, `ok`, `tid` | `begin`'s `tid` is the server-assigned id; the rest as for `lock` |
+| `detect` | `deadlock_found`, `abort_free`, `aborted`, `spared`, `grants`, `repositions`, `resolutions`, `stats` | `RemoteDetectionResult` |
+
+The lock-manager events behind a reply (what was granted, blocked or
+woken by a release) stay on the server: the `log` op, the spans and the
+incident records keep every one.  Only `detect` ships events, its
+`grants` and `repositions`.  On the binary codec (`wire: 2`) a reply's
+payload layout follows these shapes, so both peers must come from the
+same build.
 
 A `batch` frame pipelines its sub-ops back-to-back as one core step
 on the server's event loop — one response frame — so an uncontended
@@ -91,6 +114,15 @@ A timed-out `lock` leaves the request **queued**: retrying the same
 Sessions hold a lease; when a client goes silent past its lease, the
 server aborts its transactions and frees their locks, so a crashed
 client cannot wedge the lock table.
+
+The handshake is always JSON.  A `hello` or `resume` that asks for the
+binary codec (`"wire": 2`) switches the connection's codec once its
+reply is sent.  Frames a client pipelines behind it in the **same**
+received segment are served: each one the JSON splitter completes
+before the switch is read as JSON, the rest of the segment is split
+again with the granted codec, and every reply after the handshake's is
+binary.  A JSON frame arriving in a later segment is refused as a
+`protocol` error (`bad frame magic`), which closes the connection.
 
 A server started with `--journal PATH` stamps every response frame
 with a **restart epoch** (`"epoch": N` — the number of times the

@@ -14,7 +14,9 @@ created series and codecs are out of the way:
   ``is_blocked`` (both read the core's wait index), and the network
   shell around the step on a JSON connection (:func:`shell_calls`):
   one granted ``lock`` frame through the server and one client
-  ``acquire`` round trip;
+  ``acquire`` round trip, and the batch lane's transaction (a begin +
+  eight-lock ``batch`` frame and its ``commit`` through a journaled
+  server) and one client ``batch`` round trip;
 * **objects** — gc-tracked objects retained per held lock (a transaction
   of :data:`HELD` S locks on fresh resources, counted by
   ``gc.get_objects()`` before and after, once the manager's event ring
@@ -47,6 +49,7 @@ import gc
 import os
 import sys
 import tracemalloc
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -94,6 +97,12 @@ CEILINGS = {
     # coroutine.
     "server lock frame py": 30,
     "client acquire round trip py": 16,
+    # 233 while each lock sub-op went through ``_batch_one``, the field
+    # helpers and ``_journal_op`` and answered with its event dict.  The
+    # client made 27 on the longer reply too: the trim saves it bytes
+    # (1 223 -> 434 JSON bytes on the benchmark's stream), not calls.
+    "server batch txn py": 181,
+    "client batch round trip py": 27,
 }
 
 
@@ -322,83 +331,108 @@ class _StubTransport:
         return data
 
 
-def shell_calls() -> Dict[str, object]:
-    """Calls around the core step on both ends of a JSON connection:
-    one granted ``lock`` frame through ``ServerConnection.data_received``
-    and the ``LockServer._settle`` it schedules, and one
-    ``AsyncLockClient.acquire`` from its call through its reply's
-    ``data_received`` — stub transports, no socket, the coroutine driven
-    by hand (its request flushed as the loop would)."""
-    import asyncio
+class _Shell:
+    """One server and one client joined by stub transports on a JSON
+    connection, no socket: a client call is driven by hand, its request
+    flushed as the loop would, and the server settles where the loop
+    would schedule it."""
 
-    from repro.service import AsyncLockClient
-    from repro.service.protocol import encode_frame, ok
-    from repro.service.server import LockServer, ServerConnection
+    def __init__(self, loop, journal=None) -> None:
+        from repro.service import AsyncLockClient
+        from repro.service.journal import recover_into
+        from repro.service.server import LockServer, ServerConnection
 
-    loop = asyncio.new_event_loop()
-    # The default period: every step asks whether the table is saturated.
-    server = LockServer(policy="periodic")
-    server._loop = loop  # what ``start`` installs, minus the listener
-    server.core.clock = server.core.telemetry.clock = loop.time
-    connection, client = ServerConnection(server), AsyncLockClient()
-    to_server, to_client = _StubTransport(), _StubTransport()
-    connection.connection_made(to_server)
+        # The default period: every step asks whether the table is
+        # saturated.
+        self.server = server = LockServer(policy="periodic", journal=journal)
+        server._loop = loop  # what ``start`` installs, minus the listener
+        server.core.clock = server.core.telemetry.clock = loop.time
+        if journal is not None:
+            recover_into(server.core, journal)  # as ``start`` attaches it
+        self.connection = ServerConnection(server)
+        self.client = AsyncLockClient()
+        self.to_server, self.to_client = _StubTransport(), _StubTransport()
+        self.connection.connection_made(self.to_server)
 
-    async def attach():
-        client.connection_made(to_client)
+        async def attach():
+            self.client.connection_made(self.to_client)
 
-    loop.run_until_complete(attach())
+        loop.run_until_complete(attach())
+        self.round_trip(self.client._handshake("hello", {}))
 
-    def send(call):
+    def send(self, call) -> bytes:
+        """Start a client call; the request bytes it sent."""
         waiting = call.send(None)  # parked on its reply future
         assert not waiting.done()
-        client._flush()
-        return to_client.take()
+        self.client._flush()
+        return self.to_client.take()
 
-    def finish(call):
+    def serve(self, frame: bytes) -> None:
+        self.connection.data_received(frame)
+        self.server._settle()
+
+    def answer(self, call):
+        """Deliver the server's replies and finish the call."""
+        self.client.data_received(self.to_server.take())
         try:
             call.send(None)
         except StopIteration as done:
             return done.value
         raise AssertionError("the call did not complete")
 
-    def round_trip(call):
-        connection.data_received(send(call))
-        server._settle()
-        client.data_received(to_server.take())
-        return finish(call)
+    def round_trip(self, call):
+        self.serve(self.send(call))
+        return self.answer(call)
 
+
+def _batch_ops(tid: int, prefix: str) -> List[Dict[str, object]]:
+    """The benchmark's batch frame: a begin and eight S locks."""
+    ops: List[Dict[str, object]] = [{"op": "begin", "tid": tid}]
+    ops.extend(
+        {"op": "lock", "tid": tid, "rid": "{}{}".format(prefix, k),
+         "mode": "S"}
+        for k in range(8)
+    )
+    return ops
+
+
+def shell_calls() -> Dict[str, object]:
+    """Calls around the core step on both ends of a JSON connection:
+    one granted ``lock`` frame through ``ServerConnection.data_received``
+    and the ``LockServer._settle`` it schedules, and one
+    ``AsyncLockClient.acquire`` from its call through its reply's
+    ``data_received``; then the batch lane's transaction, a
+    :func:`_batch_ops` frame and its ``commit`` through the server on a
+    file-backed journal (``fsync="never"``, in a temp dir), and one
+    ``AsyncLockClient.batch`` round trip of that frame."""
+    import asyncio
+    import shutil
+    import tempfile
+
+    from repro.service.journal import SessionJournal
+    from repro.service.protocol import encode_frame, ok, request
+
+    loop = asyncio.new_event_loop()
+    shell = _Shell(loop)
+    client = shell.client
     # Warm-up, and the measured frames stay off the 1-in-64 wire sample.
-    round_trip(client._handshake("hello", {}))
     for tid, locks in ((1, 8), (7, 7)):
-        round_trip(client.begin(tid))
+        shell.round_trip(client.begin(tid))
         for k in range(locks):
-            assert round_trip(client.acquire(tid, "r{}".format(k), "S"))
+            assert shell.round_trip(client.acquire(tid, "r{}".format(k), "S"))
         if tid == 1:
-            round_trip(client.commit(tid))
+            shell.round_trip(client.commit(tid))
     figures: Dict[str, object] = {}
     call = client.acquire(7, "r7", "S")
-    frame = send(call)
-
-    def serve_frame():
-        connection.data_received(frame)
-        server._settle()
-
-    python, c = count_calls(serve_frame)
+    frame = shell.send(call)
+    python, c = count_calls(partial(shell.serve, frame))
     figures["server lock frame py"] = python
     figures["server lock frame C"] = c
-    client.data_received(to_server.take())
-    assert finish(call)
+    assert shell.answer(call)
 
-    reply = encode_frame(dict(
-        ok(
-            client._next_id,
-            status="granted",
-            event={"type": "granted", "tid": 7, "rid": "r8", "mode": "S",
-                   "immediate": True},
-        ),
-        epoch=0,
-    ))
+    reply = encode_frame(
+        dict(ok(client._next_id, status="granted"), epoch=0)
+    )
 
     def acquire():
         call = client.acquire(7, "r8", "S")
@@ -411,9 +445,59 @@ def shell_calls() -> Dict[str, object]:
             return done.value
 
     python, c = count_calls(acquire)
-    assert to_client.take()
+    assert shell.to_client.take()
     figures["client acquire round trip py"] = python
     figures["client acquire round trip C"] = c
+
+    scratch = tempfile.mkdtemp(prefix="lock-path-cost-")
+    journal = SessionJournal(
+        os.path.join(scratch, "sessions.jsonl"), fsync="never"
+    )
+    try:
+        shell = _Shell(loop, journal)
+        client = shell.client
+        for tid in (1, 2):  # warm-up
+            shell.round_trip(client.batch(_batch_ops(tid, "w")))
+            shell.round_trip(client.commit(tid))
+        call = client.batch(_batch_ops(3, "r"))
+        batch = shell.send(call)
+        # The commit the client sends once the batch reply is in.
+        commit = encode_frame(request(client._next_id, "commit", tid=3))
+
+        def serve_transaction():
+            shell.serve(batch)
+            shell.serve(commit)
+
+        python, c = count_calls(serve_transaction)
+        figures["server batch txn py"] = python
+        figures["server batch txn C"] = c
+        results = shell.answer(call)
+        assert [result["status"] for result in results[1:]] == (
+            ["granted"] * 8
+        )
+        assert len(shell.server.core.manager.table) == 0
+        journal.close()
+    finally:
+        shutil.rmtree(scratch)
+
+    results = [{"op": "begin", "ok": True, "tid": 5}]
+    results.extend([{"op": "lock", "ok": True, "status": "granted"}] * 8)
+    reply = encode_frame(dict(ok(client._next_id, results=results), epoch=0))
+
+    def batch_round_trip():
+        call = client.batch(_batch_ops(5, "b"))
+        call.send(None)
+        client._flush()
+        client.data_received(reply)
+        try:
+            call.send(None)
+        except StopIteration as done:
+            return done.value
+
+    python, c = count_calls(batch_round_trip)
+    assert shell.to_client.take()
+    figures["client batch round trip py"] = python
+    figures["client batch round trip C"] = c
     loop.close()
     return figures
 
